@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short cover bench figures examples vet fmt clean
+.PHONY: all build test test-short cover bench perf-smoke figures examples vet fmt clean
 
 all: vet test build
 
@@ -24,6 +24,12 @@ cover:
 # One benchmark per paper figure (plus ablations and micro-benchmarks).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
+
+# The benchmark harness is its own module, invisible to `go test ./...`;
+# this compiles it against the hot path's call surface and runs its
+# toy-scale smoke test (CI job perf-smoke).
+perf-smoke:
+	cd perf && $(GO) vet ./... && $(GO) test ./...
 
 # Full-scale figure regeneration (see EXPERIMENTS.md).
 figures: build

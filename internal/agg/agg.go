@@ -145,6 +145,21 @@ func (k Kind) MergeCommutes() bool {
 	return true
 }
 
+// OrderInsensitive reports whether the aggregate of a multiset of
+// inputs is the same float64, bit for bit, in whatever order Update
+// absorbs them — the property that lets a roll-up read its source table
+// in map order instead of sorted key order. It is narrower than
+// MergeCommutes: Sum, Avg, Var and StdDev round differently per order,
+// Min and Max keep whichever of +0 and -0 arrived first, and the
+// quantiles' sort leaves the order of equal-comparing values open.
+func (k Kind) OrderInsensitive() bool {
+	switch k {
+	case Count, CountNonNull, CountDistinct, ConstZero:
+		return true
+	}
+	return false
+}
+
 // Aggregator accumulates inputs for one region's measure.
 type Aggregator interface {
 	// Update absorbs one input value. NULL inputs are ignored by all

@@ -4,7 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 
 	"awra/internal/agg"
@@ -32,7 +32,7 @@ func (t *Table) SortedKeys() []model.Key {
 	for k := range t.Rows {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 

@@ -1,0 +1,117 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"awra/internal/agg"
+	"awra/internal/model"
+)
+
+var rollUpKinds = []agg.Kind{
+	agg.Count, agg.CountNonNull, agg.Sum, agg.Min, agg.Max, agg.Avg, agg.Var, agg.StdDev,
+	agg.CountDistinct, agg.First, agg.Last, agg.ConstZero, agg.Median, agg.P95,
+}
+
+// hostileTable fills a table at granularity g with random cells whose
+// values include NULL, both zeros, infinities and repeats.
+func hostileTable(rng *rand.Rand, s *model.Schema, g model.Gran, cells int) *Table {
+	t := NewTable(s, g)
+	specials := []float64{agg.Null(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, 1, -2}
+	for i := 0; i < cells; i++ {
+		v := rng.NormFloat64() * 1e6
+		if rng.Intn(3) == 0 {
+			v = specials[rng.Intn(len(specials))]
+		}
+		t.Rows[t.Codec.FromBase([]int64{rng.Int63n(1000), rng.Int63n(1000)})] = v
+	}
+	return t
+}
+
+func sameTableBits(a, b *Table) bool {
+	if len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for k, v := range a.Rows {
+		w, ok := b.Rows[k]
+		if !ok || math.Float64bits(v) != math.Float64bits(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRollUpOrderedAndUnorderedAgree: on random tables, with and
+// without a filter, ComputeComposite's roll-up equals the plain
+// definition — boxed aggregators fed in sorted key order — bit for bit
+// for every kind, and for the kinds that claim OrderInsensitive the
+// map-order pass equals the sorted pass, whichever of the two
+// ComputeComposite picked.
+func TestRollUpOrderedAndUnorderedAgree(t *testing.T) {
+	s := twoDim(t)
+	rng := rand.New(rand.NewSource(21))
+	fine := model.Gran{0, 1}
+	coarse := model.Gran{2, model.LevelALL}
+	positive := MWhere(0, Gt, 0)
+	for _, k := range rollUpKinds {
+		for trial := 0; trial < 20; trial++ {
+			w := NewWorkflow(s).Basic("b", fine, agg.Sum, 0)
+			var filter *Predicate
+			if trial%2 == 1 {
+				filter = &positive
+				w.Rollup("r", coarse, "b", k, Where(positive))
+			} else {
+				w.Rollup("r", coarse, "b", k)
+			}
+			c, err := w.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bi, _ := c.Index("b")
+			ri, _ := c.Index("r")
+			m := c.Measures[ri]
+			tables := make([]*Table, len(c.Measures))
+			src := hostileTable(rng, s, fine, 1+rng.Intn(400))
+			tables[bi] = src
+
+			want := NewTable(s, m.Gran)
+			groups := map[model.Key]agg.Aggregator{}
+			for _, key := range src.SortedKeys() {
+				v := src.Rows[key]
+				if filter != nil && !filter.Eval(src.Codec.FullDecode(key), []float64{v}) {
+					continue
+				}
+				up := src.Codec.UpTo(key, want.Codec)
+				if groups[up] == nil {
+					groups[up] = k.New()
+				}
+				groups[up].Update(v)
+			}
+			for key, a := range groups {
+				want.Rows[key] = a.Final()
+			}
+
+			got, err := ComputeComposite(c, m, tables)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameTableBits(got, want) {
+				t.Fatalf("%v (filter %v): ComputeComposite differs from the sorted-order definition", k, filter != nil)
+			}
+			if !k.OrderInsensitive() {
+				continue
+			}
+			keep := func(key model.Key, v float64) bool {
+				return filter == nil || filter.Eval(src.Codec.FullDecode(key), []float64{v})
+			}
+			for _, ordered := range []bool{true, false} {
+				out := NewTable(s, m.Gran)
+				rollUp(m, src, out, keep, ordered)
+				if !sameTableBits(out, want) {
+					t.Fatalf("%v (filter %v, ordered %v): roll-up differs from the sorted-order definition", k, filter != nil, ordered)
+				}
+			}
+		}
+	}
+}

@@ -135,24 +135,7 @@ func ComputeComposite(c *Compiled, m *Measure, tables []*Table) (*Table, error) 
 		if src == nil {
 			return nil, fmt.Errorf("core: source table for %q not computed", m.Name)
 		}
-		keep := filtered(m.Sources[0])
-		groups := make(map[model.Key]agg.Aggregator)
-		for _, k := range src.SortedKeys() {
-			v := src.Rows[k]
-			if !keep(k, v) {
-				continue
-			}
-			up := src.Codec.UpTo(k, out.Codec)
-			a, ok := groups[up]
-			if !ok {
-				a = m.Agg.New()
-				groups[up] = a
-			}
-			a.Update(v)
-		}
-		for k, a := range groups {
-			out.Rows[k] = a.Final()
-		}
+		rollUp(m, src, out, filtered(m.Sources[0]), !m.Agg.OrderInsensitive())
 	case KindFromParent:
 		src := tables[m.Sources[0]]
 		base := tables[m.Base]
@@ -209,4 +192,43 @@ func ComputeComposite(c *Compiled, m *Measure, tables []*Table) (*Table, error) 
 		return nil, fmt.Errorf("core: measure %q of kind %v is not composite", m.Name, m.Kind)
 	}
 	return out, nil
+}
+
+// rollUp fills out, a table at m's granularity, with m's aggregate
+// over the rows of src that pass keep. With ordered set the source is
+// read in sorted key order, which pins the result of an aggregate that
+// rounds or ties by arrival order; without it, once in map order — no
+// key sort and no second lookup per key — which gives the same bits
+// exactly when m.Agg.OrderInsensitive().
+func rollUp(m *Measure, src, out *Table, keep func(model.Key, float64) bool, ordered bool) {
+	// One aggregate column over the parent cells, found through a
+	// reusable rolled-up key buffer: the map lookup converts the buffer
+	// in place, so only a new parent allocates a key.
+	groups := make(map[model.Key]int32)
+	col := m.Agg.NewColumn()
+	var up []byte
+	update := func(k model.Key, v float64) {
+		if !keep(k, v) {
+			return
+		}
+		up = src.Codec.AppendUpTo(up[:0], k, out.Codec)
+		id, ok := groups[model.Key(up)]
+		if !ok {
+			id = col.Append()
+			groups[model.Key(up)] = id
+		}
+		col.Update(id, v)
+	}
+	if ordered {
+		for _, k := range src.SortedKeys() {
+			update(k, src.Rows[k])
+		}
+	} else {
+		for k, v := range src.Rows {
+			update(k, v)
+		}
+	}
+	for k, id := range groups {
+		out.Rows[k] = col.Final(id)
+	}
 }

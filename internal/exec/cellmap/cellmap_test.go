@@ -2,6 +2,8 @@ package cellmap
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -57,43 +59,186 @@ func TestTableZeroWidthKey(t *testing.T) {
 	}
 }
 
-// TestTableAgainstMap drives the table against a Go map through growth
-// and verifies every answer, including dense enumeration.
-func TestTableAgainstMap(t *testing.T) {
-	const keyLen = 16
-	rng := rand.New(rand.NewSource(42))
+// differential drives a table of keyLen-byte keys from an op stream and
+// checks every answer against a Go map. A population (the entries
+// between two Resets) is either probed (Insert/Lookup) or appended
+// (Append of never-seen keys), never both — the engines' contract — and
+// the stream switches between the two kinds across Resets. Keys come
+// from a small domain so repeats are common.
+func differential(t testing.TB, keyLen int, ops []byte) {
 	tab := New(keyLen)
 	ref := map[string]int32{}
-	order := []string{}
-	buf := make([]byte, keyLen)
-	for i := 0; i < 20000; i++ {
-		rng.Read(buf)
-		// Small value space so repeats are common.
-		buf[0] &= 3
-		buf[1] &= 7
-		idx, created := tab.Insert(buf)
-		want, ok := ref[string(buf)]
-		if ok {
-			if created || idx != want {
-				t.Fatalf("Insert(%x) = (%d,%v), want (%d,false)", buf, idx, created, want)
-			}
-		} else {
-			if !created || int(idx) != len(order) {
-				t.Fatalf("Insert(%x) = (%d,%v), want (%d,true)", buf, idx, created, len(order))
-			}
-			ref[string(buf)] = idx
-			order = append(order, string(buf))
+	var order []string
+	appended := false // the current population was built by Append
+	fresh := uint64(0)
+	key := make([]byte, keyLen)
+	setKey := func(hi, lo uint64) {
+		for i := range key {
+			key[i] = 0
+		}
+		if keyLen >= 8 {
+			binary.BigEndian.PutUint64(key[keyLen-8:], lo^(1<<63))
+		}
+		if keyLen >= 16 {
+			binary.BigEndian.PutUint64(key, hi^(1<<63))
 		}
 	}
-	if tab.Len() != len(ref) {
-		t.Fatalf("Len = %d, want %d", tab.Len(), len(ref))
+	verify := func() {
+		t.Helper()
+		if tab.Len() != len(order) {
+			t.Fatalf("Len = %d, want %d", tab.Len(), len(order))
+		}
+		if got := len(tab.Keys()); got != len(order)*keyLen {
+			t.Fatalf("arena holds %d bytes, want %d", got, len(order)*keyLen)
+		}
+		for i, k := range order {
+			if string(tab.KeyAt(int32(i))) != k {
+				t.Fatalf("KeyAt(%d) = %x, want %x", i, tab.KeyAt(int32(i)), k)
+			}
+			if !appended {
+				if got := tab.Lookup([]byte(k)); got != int32(i) {
+					t.Fatalf("Lookup(%x) = %d, want %d", k, got, i)
+				}
+			}
+		}
+		if st := tab.Stats(); st.Entries != int64(len(order)) || st.ArenaBytesHWM < int64(len(order)*keyLen) {
+			t.Fatalf("Stats = %+v with %d entries of %d bytes", st, len(order), keyLen)
+		}
 	}
-	for i, k := range order {
-		if string(tab.KeyAt(int32(i))) != k {
-			t.Fatalf("KeyAt(%d) mismatch", i)
+	for i := 0; i+2 < len(ops); i += 3 {
+		op, a, b := ops[i], ops[i+1], ops[i+2]
+		switch {
+		case op < 8: // Reset, and let the next population be of either kind
+			verify()
+			tab.Reset()
+			clear(ref)
+			order, appended = order[:0], false
+		case op < 64 && len(order) == 0 || appended:
+			// Append a key no population has held: a counter from a
+			// range the probed domain never reaches.
+			if keyLen == 0 && len(order) > 0 {
+				continue // the empty key exists once
+			}
+			fresh++
+			setKey(1<<40+fresh, 1<<40+fresh)
+			if idx := tab.Append(key); int(idx) != len(order) {
+				t.Fatalf("Append = %d, want %d", idx, len(order))
+			}
+			order, appended = append(order, string(key)), true
+		default:
+			setKey(uint64(a&7), uint64(b))
+			idx, created := tab.Insert(key)
+			want, ok := ref[string(key)]
+			if ok != !created || (ok && idx != want) || (!ok && int(idx) != len(order)) {
+				t.Fatalf("Insert(%x) = (%d,%v); map has (%d,%v), %d entries", key, idx, created, want, ok, len(order))
+			}
+			if created {
+				ref[string(key)] = idx
+				order = append(order, string(key))
+			}
+			setKey(uint64(b&7), uint64(a)+256) // outside the inserted domain
+			if got := tab.Lookup(key); keyLen > 0 && got != -1 {
+				t.Fatalf("Lookup of an absent key = %d, want -1", got)
+			}
 		}
-		if got := tab.Lookup([]byte(k)); got != int32(i) {
-			t.Fatalf("Lookup(%x) = %d, want %d", k, got, i)
+	}
+	verify()
+}
+
+var keyWidths = []int{0, 8, 16, 24}
+
+// TestDifferentialAgainstMap is the property test: long random op
+// streams at every key width, through growth, Resets and both kinds of
+// population.
+func TestDifferentialAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, w := range keyWidths {
+		for trial := 0; trial < 4; trial++ {
+			ops := make([]byte, 3*20000)
+			rng.Read(ops)
+			for i := 0; i < len(ops); i += 3 {
+				if ops[i] < 8 && rng.Intn(200) != 0 {
+					ops[i] += 8 // rare Resets, so populations grow the table
+				}
+			}
+			differential(t, w, ops)
 		}
+	}
+}
+
+func FuzzInsert(f *testing.F) {
+	f.Add(uint8(1), []byte{200, 1, 2, 200, 1, 2, 0, 0, 0, 10, 5, 5, 10, 6, 6, 0, 0, 0, 200, 1, 2})
+	f.Add(uint8(0), []byte{200, 0, 0, 200, 0, 0, 0, 0, 0, 10, 0, 0})
+	f.Add(uint8(3), []byte{10, 1, 1, 10, 2, 2, 0, 0, 0, 200, 7, 255, 200, 7, 255})
+	f.Fuzz(func(t *testing.T, width uint8, ops []byte) {
+		differential(t, keyWidths[int(width)%len(keyWidths)], ops)
+	})
+}
+
+// TestDenseCodesProbeBound is the adversarial distribution: a million
+// keys of dense small big-endian codes, the shape model.AppendKeyCode
+// emits, which differ in a handful of low-order bytes. The longest
+// probe walk must stay within 64 slots whatever the key width, and the
+// number of doublings must depend on the entry count alone.
+func TestDenseCodesProbeBound(t *testing.T) {
+	const n = 1_000_000
+	// Slots double whenever the load passes 1/2, from 16.
+	wantGrows := int64(bits.Len(uint(2*n-1)) - 4)
+	for _, shape := range [][]uint64{{n}, {1000, 1000}, {100, 100, 100}} {
+		tab := New(8 * len(shape))
+		key := make([]byte, 0, 8*len(shape))
+		for i := uint64(0); i < n; i++ {
+			key = key[:0]
+			rest := i
+			for _, dim := range shape {
+				key = binary.BigEndian.AppendUint64(key, rest%dim^(1<<63))
+				rest /= dim
+			}
+			if idx, created := tab.Insert(key); !created || idx != int32(i) {
+				t.Fatalf("shape %v: Insert #%d = (%d,%v)", shape, i, idx, created)
+			}
+		}
+		st := tab.Stats()
+		if st.ProbeHWM > 64 {
+			t.Errorf("shape %v: longest probe walk %d slots, want <= 64", shape, st.ProbeHWM)
+		}
+		if st.Grows != wantGrows || st.Slots != 16<<wantGrows {
+			t.Errorf("shape %v: %d doublings to %d slots, want %d to %d", shape, st.Grows, st.Slots, wantGrows, 16<<wantGrows)
+		}
+	}
+}
+
+// BenchmarkInsert prices one Insert on 16-byte dense-code keys: hit
+// (the key exists), miss (a new key, table already at capacity) and
+// grow (new keys into a new table, doublings included).
+func BenchmarkInsert(b *testing.B) {
+	const n = 1 << 17
+	keys := make([]byte, 0, 16*n)
+	for i := uint64(0); i < n; i++ {
+		keys = binary.BigEndian.AppendUint64(keys, i%512^(1<<63))
+		keys = binary.BigEndian.AppendUint64(keys, i/512^(1<<63))
+	}
+	fill := func(tab *Table) {
+		for i := 0; i < n; i++ {
+			tab.Insert(keys[16*i : 16*i+16])
+		}
+	}
+	for _, mode := range []string{"hit", "miss", "grow"} {
+		b.Run(fmt.Sprintf("%s/n=%d", mode, n), func(b *testing.B) {
+			tab := New(16)
+			fill(tab)
+			b.ResetTimer()
+			for done := 0; done < b.N; done += n {
+				switch mode {
+				case "miss":
+					tab.Reset()
+				case "grow":
+					tab = New(16)
+				}
+				for i := 0; i < n && done+i < b.N; i++ {
+					tab.Insert(keys[16*i : 16*i+16])
+				}
+			}
+		})
 	}
 }

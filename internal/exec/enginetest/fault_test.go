@@ -180,7 +180,9 @@ func TestFaultCancelLatencyLargeScan(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var canceledAt time.Time
-			timer := time.AfterFunc(50*time.Millisecond, func() {
+			// 10ms, not more: singlescan finishes this file in ~60ms, and
+			// the cancel must land while every engine is still mid-query.
+			timer := time.AfterFunc(10*time.Millisecond, func() {
 				canceledAt = time.Now()
 				cancel()
 			})

@@ -284,7 +284,12 @@ func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortK
 	payloadRow := hdr.RowBytes()
 	cols := newSortCols(schema, key, hdr.NumDims)
 	kp := len(cols.parts)
+	// Size the row arena and its key columns for the file, not for the
+	// default 256 MB run: the header says how many rows can arrive.
 	chunk := opts.chunk(diskRow)
+	if hdr.Count < int64(chunk) {
+		chunk = max(int(hdr.Count), 1)
+	}
 	tempDir := opts.TempDir
 	if tempDir == "" {
 		tempDir = filepath.Dir(outPath)
@@ -411,15 +416,18 @@ func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortK
 			break
 		}
 		for _, row := range batch {
-			stats.Records++
-			cur.rows = append(cur.rows, row...)
-			cur.keys = cols.appendRow(cur.keys, row)
-			cur.n++
+			// A full chunk becomes a run only when a further row arrives:
+			// input that exactly fills one chunk keeps the single-run
+			// fast path below.
 			if cur.n >= chunk {
 				if err := flushRun(); err != nil {
 					return stats, err
 				}
 			}
+			stats.Records++
+			cur.rows = append(cur.rows, row...)
+			cur.keys = cols.appendRow(cur.keys, row)
+			cur.n++
 		}
 	}
 

@@ -2,7 +2,9 @@ package scan
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -114,17 +116,68 @@ func TestSortFileByKeyMatchesRecordSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, chunk := range []int{0, 1000} { // single run; multi-run merge
+	// Single run by default and when the input exactly fills one chunk:
+	// both must take the fast path, which writes no run file — a TempDir
+	// that does not exist proves it. Then the multi-run merge.
+	absent := filepath.Join(dir, "absent")
+	for _, tc := range []struct {
+		chunk, runs int
+		tempDir     string
+	}{{0, 1, absent}, {len(recs), 1, absent}, {1000, 11, dir}} {
 		newOut := filepath.Join(dir, "new.sorted")
-		if _, err := SortFileByKey(fact, newOut, s, nk, SortOptions{TempDir: dir, ChunkRecords: chunk}); err != nil {
-			t.Fatal(err)
+		stats, err := SortFileByKey(fact, newOut, s, nk, SortOptions{TempDir: tc.tempDir, ChunkRecords: tc.chunk})
+		if err != nil {
+			t.Fatalf("ChunkRecords=%d: %v", tc.chunk, err)
+		}
+		if stats.Runs != tc.runs {
+			t.Errorf("ChunkRecords=%d: %d runs, want %d", tc.chunk, stats.Runs, tc.runs)
 		}
 		got, _, err := storage.ReadAll(newOut)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameRecords(want, got) {
-			t.Fatalf("ChunkRecords=%d: byte sort order differs from record sort", chunk)
+			t.Fatalf("ChunkRecords=%d: byte sort order differs from record sort", tc.chunk)
 		}
+	}
+}
+
+// TestSortAllocatesForTheFile: the sort sizes its row arena, key
+// columns and read buffer from the header, so a small file costs a
+// small multiple of its own size and not the default 256 MB chunk.
+func TestSortAllocatesForTheFile(t *testing.T) {
+	s, err := model.NewSchema([]*model.Dimension{
+		model.FixedFanout("A", 3, 10),
+		model.FixedFanout("B", 3, 10),
+	}, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fact := filepath.Join(dir, "fact.rec")
+	// Codes below 100: the radix sort's counters scale with the code
+	// range (up to 8 MB), not with the file, and are not under test.
+	recs := randRecords(10000, 2, 1, 3)
+	for i := range recs {
+		recs[i].Dims[0] %= 100
+		recs[i].Dims[1] %= 100
+	}
+	writeFile(t, fact, recs, 2, 1)
+	fi, err := os.Stat(fact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nk, err := model.SortKey{{Dim: 0, Lvl: 1}}.Normalize(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := SortFileByKey(fact, filepath.Join(dir, "sorted.rec"), s, nk, SortOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*fi.Size()); got >= limit {
+		t.Errorf("sorting a %d-byte file allocated %d bytes, want < %d", fi.Size(), got, limit)
 	}
 }

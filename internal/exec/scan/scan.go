@@ -68,7 +68,8 @@ const MinBatchBytes = 64 << 10
 // Options configures a Reader.
 type Options struct {
 	// BatchBytes is the read-chunk size (0 = DefaultBatchBytes; values
-	// below MinBatchBytes are clamped up).
+	// below MinBatchBytes are clamped up). A file smaller than that is
+	// read as one chunk of its own size.
 	BatchBytes int
 	// Guard, if non-nil, is checked once per batch for cancellation,
 	// and its degraded-read policy decides whether checksum-failing
@@ -152,18 +153,27 @@ func Open(path string, opts Options) (*Reader, error) {
 	if bb < MinBatchBytes {
 		bb = MinBatchBytes
 	}
-	if db := hdr.DiskRowBytes(); bb < db {
+	// A file smaller than the chunk gets a buffer of its own size (the
+	// header's count; at least one disk row), and the view slices are
+	// sized once for the most rows a chunk can complete.
+	db := hdr.DiskRowBytes()
+	if hdr.Count < int64(bb/db) {
+		bb = int(hdr.Count) * db
+	}
+	if bb < db {
 		bb = db
 	}
 	emit := hdr.RowBytes()
 	if opts.RawRows {
-		emit = hdr.DiskRowBytes()
+		emit = db
 	}
 	return &Reader{
 		f:        f,
 		hdr:      hdr,
-		sp:       NewSplitter(hdr.DiskRowBytes()),
+		sp:       NewSplitter(db),
 		buf:      make([]byte, bb),
+		rows:     make([]Record, 0, bb/db+1),
+		disk:     make([]Record, 0, bb/db+1),
 		rowBytes: hdr.RowBytes(),
 		emit:     emit,
 		guard:    opts.Guard,

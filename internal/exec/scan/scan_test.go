@@ -115,6 +115,47 @@ func TestReaderMatchesRowDecoder(t *testing.T) {
 	}
 }
 
+// TestReaderBufferSizedFromHeader: a file smaller than the chunk is
+// read as one full chunk of its own size, an empty one still gets a
+// one-row buffer, a larger one keeps the requested chunk — and the view
+// slices sized at Open never grow.
+func TestReaderBufferSizedFromHeader(t *testing.T) {
+	dir := t.TempDir()
+	const disk = 3*8 + 2*8 + 4
+	for _, tc := range []struct {
+		rows, batchBytes int
+		wantBuf, chunks  int
+	}{
+		{3000, 0, 3000 * disk, 1},
+		{3000, MinBatchBytes + 13, MinBatchBytes + 13, 3},
+		{0, 0, disk, 0},
+	} {
+		path := filepath.Join(dir, "f.rec")
+		writeFile(t, path, randRecords(tc.rows, 3, 2, 5), 3, 2)
+		r, err := Open(path, Options{BatchBytes: tc.batchBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.buf) != tc.wantBuf {
+			t.Errorf("%d rows, BatchBytes %d: buffer of %d bytes, want %d", tc.rows, tc.batchBytes, len(r.buf), tc.wantBuf)
+		}
+		rowsCap, diskCap := cap(r.rows), cap(r.disk)
+		if got := len(readAllBatched(t, r, 3, 2)); got != tc.rows {
+			t.Errorf("read %d rows, want %d", got, tc.rows)
+		}
+		r.Close()
+		if cap(r.rows) != rowsCap || cap(r.disk) != diskCap {
+			t.Errorf("%d rows, BatchBytes %d: view slices grew from %d/%d to %d/%d",
+				tc.rows, tc.batchBytes, rowsCap, diskCap, cap(r.rows), cap(r.disk))
+		}
+		st := r.ReadStats()
+		if st.Chunks != int64(tc.chunks) || (tc.chunks == 1 && st.FillPermille != 1000) {
+			t.Errorf("%d rows, BatchBytes %d: %d chunks filled to %d permille, want %d chunks",
+				tc.rows, tc.batchBytes, st.Chunks, st.FillPermille, tc.chunks)
+		}
+	}
+}
+
 // writeV1File hand-writes a version-1 (checksum-less) record file.
 func writeV1File(t *testing.T, path string, recs []model.Record, dims, ms int) {
 	t.Helper()

@@ -70,13 +70,12 @@ type Result struct {
 }
 
 // table is the in-flight state of one basic measure: an open-addressing
-// cell table over encoded region keys plus a dense parallel slice of
-// aggregator states (replacing the seed's map[model.Key]Aggregator on
-// the hot path).
+// cell table over encoded region keys plus the measure's aggregate
+// column, indexed by the table's dense cell ids.
 type table struct {
-	m    *core.Measure
-	tab  *cellmap.Table
-	aggs []agg.Aggregator
+	m   *core.Measure
+	tab *cellmap.Table
+	col *agg.Column
 	// Cell key recipe: for each non-ALL dimension (schema order), the
 	// base dimension index, the dimension, and the target level. The
 	// produced bytes are identical to m.Codec.FromBase.
@@ -100,7 +99,7 @@ type table struct {
 }
 
 func newTable(c *core.Compiled, m *core.Measure, guard *qguard.Guard) *table {
-	t := &table{m: m, tab: cellmap.New(m.Codec.KeyBytes()), guard: guard}
+	t := &table{m: m, tab: cellmap.New(m.Codec.KeyBytes()), col: m.Agg.NewColumn(), guard: guard}
 	for d := 0; d < c.Schema.NumDims(); d++ {
 		dim := c.Schema.Dim(d)
 		if m.Gran[d] == dim.ALL() {
@@ -216,10 +215,8 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 				}
 				t.keyBuf = kb
 				idx, created := t.tab.Insert(kb)
-				var a agg.Aggregator
 				if created {
-					a = m.Agg.New()
-					t.aggs = append(t.aggs, a)
+					t.col.Append()
 					cellsCreated++
 					liveCells++
 					if liveCells > peakLive {
@@ -230,19 +227,15 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 					if t.live > t.liveHWM {
 						t.liveHWM = t.live
 					}
-					delta := int64(len(kb)) + int64(a.Bytes()) + 16
+					delta := int64(len(kb)) + int64(t.col.Bytes(idx)) + 16
 					t.bytes += delta
 					totalBytes += delta
-				} else {
-					a = t.aggs[idx]
 				}
-				before := a.Bytes()
+				v := 0.0
 				if m.FactMeasure >= 0 {
-					a.Update(row.Measure(numDims, m.FactMeasure))
-				} else {
-					a.Update(0)
+					v = row.Measure(numDims, m.FactMeasure)
 				}
-				if d := int64(a.Bytes() - before); d != 0 {
+				if d := int64(t.col.Update(idx, v)); d != 0 {
 					t.bytes += d
 					totalBytes += d
 				}
@@ -299,10 +292,14 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 		} else {
 			tbl = core.NewTable(c.Schema, t.m.Gran)
 			// Exact-size map build from the dense arena: one growth-free
-			// insert per cell, in insertion order.
-			tbl.Rows = make(map[model.Key]float64, t.tab.Len())
-			for i := 0; i < t.tab.Len(); i++ {
-				tbl.Rows[model.Key(t.tab.KeyAt(int32(i)))] = t.aggs[i].Final()
+			// insert per cell, in insertion order. The arena is copied
+			// into one string and every key is a substring of it, so the
+			// table costs one allocation and not one per cell.
+			n, kl := t.tab.Len(), t.tab.KeyLen()
+			keys := string(t.tab.Keys())
+			tbl.Rows = make(map[model.Key]float64, n)
+			for i := 0; i < n; i++ {
+				tbl.Rows[model.Key(keys[i*kl:i*kl+kl])] = t.col.Final(int32(i))
 			}
 		}
 		cellsFinalized += int64(len(tbl.Rows))
@@ -440,7 +437,7 @@ func (t *table) spill(tempDir string) (int64, error) {
 		codes := t.m.Codec.Decode(model.Key(t.tab.KeyAt(int32(i))))
 		copy(rec.Dims, codes)
 		rec.Dims[width] = t.spillGen
-		state := t.aggs[i].State()
+		state := t.col.State(int32(i))
 		if len(state) == 0 {
 			// Keep one marker row per entry so empty states survive
 			// the round trip; position -1 means "no state values".
@@ -462,7 +459,7 @@ func (t *table) spill(tempDir string) (int64, error) {
 		n++
 	}
 	t.tab.Reset()
-	t.aggs = t.aggs[:0]
+	t.col.Reset()
 	t.spillGen++
 	if err := t.guard.NoteSpill(t.spillBytes - bytesBefore); err != nil {
 		return n, err
@@ -498,9 +495,10 @@ func (t *table) mergeSpills(s *model.Schema, tempDir string, orec *obs.Recorder)
 
 	tbl := core.NewTable(s, t.m.Gran)
 	width := t.m.Codec.Width()
+	// The emptied column accumulates the current key: its first
+	// generation is restored into cell 0, later ones merge into it.
 	var (
 		curKey   model.Key
-		curAgg   agg.Aggregator
 		genState []float64
 		haveGen  bool
 		haveKey  bool
@@ -509,18 +507,15 @@ func (t *table) mergeSpills(s *model.Schema, tempDir string, orec *obs.Recorder)
 		if !haveGen {
 			return nil
 		}
-		a, err := t.m.Agg.Restore(genState)
-		if err != nil {
-			return err
-		}
-		if curAgg == nil {
-			curAgg = a
+		var err error
+		if t.col.Len() == 0 {
+			_, err = t.col.Restore(genState)
 		} else {
-			curAgg.Merge(a)
+			err = t.col.Merge(0, genState)
 		}
 		genState = genState[:0]
 		haveGen = false
-		return nil
+		return err
 	}
 	flushKey := func() error {
 		if !haveKey {
@@ -529,8 +524,8 @@ func (t *table) mergeSpills(s *model.Schema, tempDir string, orec *obs.Recorder)
 		if err := flushGen(); err != nil {
 			return err
 		}
-		tbl.Rows[curKey] = curAgg.Final()
-		curAgg = nil
+		tbl.Rows[curKey] = t.col.Final(0)
+		t.col.Reset()
 		haveKey = false
 		return nil
 	}

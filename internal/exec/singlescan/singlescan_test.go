@@ -7,6 +7,7 @@ import (
 	"awra/internal/agg"
 	"awra/internal/core"
 	"awra/internal/model"
+	"awra/internal/obs"
 	"awra/internal/storage"
 )
 
@@ -74,14 +75,44 @@ func TestBasicCounts(t *testing.T) {
 	}
 }
 
-// TestSpillEveryAggregatorKind forces the spill/restore/merge path for
-// every aggregation function, including the holistic ones, with NULLs
-// in the data.
+// seedPeakBytes replays the scan-phase memory accounting with one boxed
+// Aggregator per cell — key bytes + Bytes() + 16 on creation, Bytes()
+// growth on update — which is what Stats.PeakBytes has always reported.
+func seedPeakBytes(c *core.Compiled, recs []model.Record) int64 {
+	m := c.Measures[0]
+	cells := map[model.Key]agg.Aggregator{}
+	var total int64
+	for _, r := range recs {
+		k := m.Codec.FromBase(r.Dims)
+		a, ok := cells[k]
+		if !ok {
+			a = m.Agg.New()
+			cells[k] = a
+			total += int64(len(k)+a.Bytes()) + 16
+		}
+		before := a.Bytes()
+		if m.FactMeasure >= 0 {
+			a.Update(r.Ms[m.FactMeasure])
+		} else {
+			a.Update(0)
+		}
+		total += int64(a.Bytes() - before)
+	}
+	return max(total, int64(len(cells))*int64(m.Codec.KeyBytes()+24))
+}
+
+// TestSpillEveryAggregatorKind forces the spill/restore/merge path —
+// all of it through the measure's aggregate column — for every
+// aggregation function, including the holistic and the arrival-order
+// ones, with NULLs in the data. The unbudgeted run also pins the memory
+// accounting: PeakBytes and the hash_bytes_hwm gauge are what one boxed
+// aggregator per cell would have reported.
 func TestSpillEveryAggregatorKind(t *testing.T) {
 	s := schema2(t)
 	kinds := []agg.Kind{
 		agg.Count, agg.CountNonNull, agg.Sum, agg.Min, agg.Max,
 		agg.Avg, agg.Var, agg.StdDev, agg.CountDistinct, agg.ConstZero,
+		agg.First, agg.Last, agg.Median, agg.P95,
 	}
 	recs := records(1200, 2, true)
 	for _, k := range kinds {
@@ -93,9 +124,14 @@ func TestSpillEveryAggregatorKind(t *testing.T) {
 		c := compile(t, s, func(w *core.Workflow) {
 			w.Basic("x", model.Gran{0, 1}, k, fm)
 		})
-		want, err := Run(c, &storage.SliceSource{Recs: recs}, Options{})
+		rec := obs.New()
+		want, err := Run(c, &storage.SliceSource{Recs: recs}, Options{Recorder: rec})
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
+		}
+		if peak := seedPeakBytes(c, recs); want.Stats.PeakBytes != peak || rec.Gauge(obs.GHashBytesHWM).Value() != peak {
+			t.Errorf("%v: PeakBytes = %d, hash_bytes_hwm = %d, boxed accounting gives %d",
+				k, want.Stats.PeakBytes, rec.Gauge(obs.GHashBytesHWM).Value(), peak)
 		}
 		got, err := Run(c, &storage.SliceSource{Recs: recs}, Options{
 			MemoryBudget: 4096, TempDir: t.TempDir(),

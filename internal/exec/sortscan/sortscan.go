@@ -1117,7 +1117,7 @@ func (e *engine) deliver(n *node, role int, src *node, key model.Key, value floa
 // returned pointer is valid only until the next getCell or scanRecord
 // on the same node (the dense slice may grow).
 func (n *node) getCell(k model.Key, e *engine) *cell {
-	idx, created := n.tab.InsertString(string(k))
+	idx, created := n.tab.Insert([]byte(k))
 	if created {
 		var cl cell
 		switch n.m.Kind {

@@ -178,7 +178,12 @@ func (c *KeyCodec) WithCodeAt(k Key, dim int, code int64) Key {
 // UpTo rolls a key up to a coarser granularity. to must satisfy
 // gran(c) <=_G to.
 func (c *KeyCodec) UpTo(k Key, to *KeyCodec) Key {
-	b := make([]byte, 0, 8*len(to.dims))
+	return Key(c.AppendUpTo(make([]byte, 0, 8*len(to.dims)), k, to))
+}
+
+// AppendUpTo appends UpTo(k, to)'s bytes to b, for callers that roll
+// many keys up through one reusable buffer.
+func (c *KeyCodec) AppendUpTo(b []byte, k Key, to *KeyCodec) []byte {
 	j := 0
 	for _, i := range to.dims {
 		for c.dims[j] != i {
@@ -187,7 +192,7 @@ func (c *KeyCodec) UpTo(k Key, to *KeyCodec) Key {
 		code := decodeCode([]byte(k[8*j : 8*j+8]))
 		b = appendCode(b, c.schema.dims[i].Up(c.gran[i], to.gran[i], code))
 	}
-	return Key(b)
+	return b
 }
 
 // Format renders a key for human consumption, e.g.

@@ -85,7 +85,7 @@ const (
 	MScanChunks = "scan_chunks"
 	// MScanBytes counts bytes filled into read-chunk buffers.
 	MScanBytes = "scan_bytes"
-	// MCellTableGrows counts cell-table doublings (rehashes) across all
+	// MCellTableGrows counts cell-table doublings across all
 	// measure nodes.
 	MCellTableGrows = "cellmap_grows"
 
