@@ -11,6 +11,7 @@ build:
 	$(GO) build -o bin/awgen ./cmd/awgen
 	$(GO) build -o bin/awquery ./cmd/awquery
 	$(GO) build -o bin/awbench ./cmd/awbench
+	$(GO) build -o bin/awserved ./cmd/awserved
 
 test:
 	$(GO) test ./...
@@ -49,5 +50,8 @@ vet:
 fmt:
 	gofmt -w .
 
+# Build and run outputs only (the .gitignore list). benchdata/ holds
+# committed figures, among them the hotpath.json baseline CI's
+# hotpath-smoke compares against.
 clean:
-	rm -rf bin benchdata
+	rm -rf bin .bench_build perf/out

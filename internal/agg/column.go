@@ -135,6 +135,33 @@ func (c *Column) Merge(i int32, state []float64) error {
 	return nil
 }
 
+// Keep compacts the column to the cells ids names, in ascending order:
+// cell ids[j] becomes cell j and Len becomes len(ids). It is the
+// survivor rebuild of a watermark flush, which retires the other cells
+// all at once; the slabs keep their capacity.
+func (c *Column) Keep(ids []int32) {
+	c.counts, c.sums, c.minmaxs = keep(c.counts, ids), keep(c.sums, ids), keep(c.minmaxs, ids)
+	c.avgs, c.vars, c.ends = keep(c.avgs, ids), keep(c.vars, ids), keep(c.ends, ids)
+	if c.boxed != nil {
+		retired := c.boxed[len(ids):]
+		c.boxed = keep(c.boxed, ids)
+		clear(retired) // drop the moved and retired objects' old slots
+	}
+	c.n = len(ids)
+}
+
+// keep moves s[ids[j]] to s[j] for ascending ids; a nil slab (another
+// kind's) stays nil.
+func keep[T any](s []T, ids []int32) []T {
+	if s == nil {
+		return nil
+	}
+	for j, i := range ids {
+		s[j] = s[i]
+	}
+	return s[:len(ids)]
+}
+
 // Reset empties the column, keeping the slabs' capacity.
 func (c *Column) Reset() {
 	c.counts, c.sums, c.minmaxs = c.counts[:0], c.sums[:0], c.minmaxs[:0]

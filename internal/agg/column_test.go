@@ -59,8 +59,9 @@ func checkCell(t *testing.T, k Kind, c *Column, i int32, a Aggregator) {
 // TestColumnMatchesBoxed: for every kind, a column cell and the boxed
 // Aggregator fed the same stream agree bit for bit after every step —
 // Final, State, Bytes, and the growth Update reports — with cells
-// appended while others are live (slab growth moves them) and across a
-// Reset.
+// appended while others are live (slab growth moves them), across Keep
+// compactions to a random subset (the survivors go on absorbing values
+// under their new ids) and across a Reset.
 func TestColumnMatchesBoxed(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, k := range allKinds {
@@ -74,6 +75,24 @@ func TestColumnMatchesBoxed(t *testing.T) {
 					}
 					twins = append(twins, k.New())
 					checkCell(t, k, c, int32(len(twins)-1), twins[len(twins)-1])
+				}
+				if step%500 == 499 {
+					var ids []int32
+					kept := twins[:0]
+					for i, a := range twins {
+						if rng.Intn(3) > 0 {
+							ids = append(ids, int32(i))
+							kept = append(kept, a)
+						}
+					}
+					c.Keep(ids)
+					if twins = kept; c.Len() != len(twins) {
+						t.Fatalf("%v: Len = %d after Keep of %d cells", k, c.Len(), len(twins))
+					}
+					for i, a := range twins {
+						checkCell(t, k, c, int32(i), a)
+					}
+					continue
 				}
 				i := int32(rng.Intn(len(twins)))
 				v := hostileValue(rng)

@@ -1,11 +1,12 @@
 package scan
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -72,61 +73,89 @@ func (o SortOptions) chunk(diskRow int) int {
 // process sharing a temp directory.
 var bsortSeq atomic.Int64
 
-// chunkSorter sorts a permutation of row indices by (precomputed
-// comparator columns, original position). The columns carry the full
-// tiebreak, so a comparison never touches row bytes: it walks one flat
-// uint64 array. It implements sort.Interface with a concrete type, so
-// sorting moves int32 indices with direct calls — no reflection-driven
-// record swaps.
-type chunkSorter struct {
-	idx   []int32
-	keys  []uint64 // kp per row, order-encoded comparator columns
-	kp    int
-	guard *qguard.Guard
-	n     int
+// IdxSorter sorts permutations of row indices by precomputed key
+// columns: row r's kp order-encoded columns sit at keys[r*kp : r*kp+kp],
+// and only the 4-byte indices move. The external sort orders a run's
+// rows with it and sortscan orders each flush batch's cells; the zero
+// value is ready to use, and a caller that sorts many small sets keeps
+// one so the counting-sort scratch is reused instead of reallocated.
+type IdxSorter struct {
+	tmp, cnt []int32
+	lo, hi   []uint64
+	passes   []radixPass
 }
 
-func (s *chunkSorter) Len() int      { return len(s.idx) }
-func (s *chunkSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *chunkSorter) Less(i, j int) bool {
-	if s.n++; s.n&4095 == 0 {
-		s.guard.CheckAbort()
+// radixPass is one counting-sort pass over the fused columns t0..t1,
+// whose composite value range is rng.
+type radixPass struct {
+	t0, t1 int
+	rng    uint64
+}
+
+// Sort orders idx, which must hold ascending row numbers on entry, by
+// (key columns, row number): a total order, so the result does not
+// depend on which of the two algorithms produced it. Narrow dense
+// columns — dimension codes — take the LSD counting sort; anything
+// else takes a comparison sort over the same columns, which never
+// touches row bytes either.
+func (s *IdxSorter) Sort(idx []int32, keys []uint64, kp int, guard *qguard.Guard) {
+	if s.radix(idx, keys, kp, guard) {
+		return
 	}
-	a, b := s.idx[i], s.idx[j]
-	ka := s.keys[int(a)*s.kp : int(a)*s.kp+s.kp]
-	kb := s.keys[int(b)*s.kp : int(b)*s.kp+s.kp]
-	for t := 0; t < s.kp; t++ {
-		if ka[t] != kb[t] {
-			return ka[t] < kb[t]
+	n := 0
+	slices.SortFunc(idx, func(a, b int32) int {
+		if n++; n&4095 == 0 {
+			guard.CheckAbort()
 		}
-	}
-	return a < b // original position: reproduces SliceStable
+		ka := keys[int(a)*kp : int(a)*kp+kp]
+		kb := keys[int(b)*kp : int(b)*kp+kp]
+		for t := range ka {
+			if ka[t] != kb[t] {
+				return cmp.Compare(ka[t], kb[t])
+			}
+		}
+		return cmp.Compare(a, b) // original position: reproduces SliceStable
+	})
 }
 
-// radixMaxRange caps a column's counting range at 1<<21 counters
-// (8 MB of int32): dimension codes are dense small integers in every
-// realistic schema, and beyond this the counter memory and scatter
-// locality stop beating the comparison sort.
-const radixMaxRange = 1 << 21
+const (
+	// radixMinRows is where the counting sort starts to beat the
+	// comparison sort: BenchmarkIdxSorter measures them level at 32 rows
+	// of two dense columns (0.8 µs each) and the counting sort 2.3×
+	// ahead at 64, 11× at 4096; below, its range scan and counter passes
+	// cost more than the few compares they replace.
+	radixMinRows = 64
+	// radixMaxRange caps a pass's counting range at 1<<21 counters
+	// (8 MB of int32): dimension codes are dense small integers in every
+	// realistic schema, and beyond this the counter memory and scatter
+	// locality stop beating the comparison sort.
+	radixMaxRange = 1 << 21
+	// radixRangePerRow bounds a pass's counters by the rows they order:
+	// clearing and prefix-summing counters is per-pass work no row
+	// amortizes, so a few thousand rows never pay for a million counters.
+	// 16 leaves every set of 1<<17 rows or more at radixMaxRange.
+	radixRangePerRow = 16
+)
 
-// radixSortIdx stable-sorts idx by the kp precomputed key columns
-// using an LSD counting sort, one pass per column starting from the
-// least significant. The identity start order supplies the
-// original-position tiebreak and counting-sort stability preserves it
-// through every pass, so the permutation is bit-identical to the
-// comparison sort's. Returns false with idx untouched when a column's
-// value range is too wide to count cheaply.
-func radixSortIdx(idx []int32, keys []uint64, kp int, guard *qguard.Guard) bool {
+// radix stable-sorts idx by the kp precomputed key columns using an LSD
+// counting sort, one pass per column group starting from the least
+// significant. The ascending start order supplies the original-position
+// tiebreak and counting-sort stability preserves it through every
+// pass, so the permutation is bit-identical to the comparison sort's.
+// Returns false with idx untouched when the set is too small or a
+// column's value range too wide to count cheaply.
+func (s *IdxSorter) radix(idx []int32, keys []uint64, kp int, guard *qguard.Guard) bool {
 	n := len(idx)
-	if kp == 0 || n < 4096 {
+	if kp == 0 || n < radixMinRows {
 		return false
 	}
-	lo := make([]uint64, kp)
-	hi := make([]uint64, kp)
-	copy(lo, keys[:kp])
-	copy(hi, keys[:kp])
-	for i := 1; i < n; i++ {
-		row := keys[i*kp : i*kp+kp]
+	maxRange := uint64(min(radixMaxRange, radixRangePerRow*n))
+	first := keys[int(idx[0])*kp : int(idx[0])*kp+kp]
+	lo := append(s.lo[:0], first...)
+	hi := append(s.hi[:0], first...)
+	s.lo, s.hi = lo, hi
+	for _, r := range idx[1:] {
+		row := keys[int(r)*kp : int(r)*kp+kp]
 		for t, v := range row {
 			if v < lo[t] {
 				lo[t] = v
@@ -137,7 +166,7 @@ func radixSortIdx(idx []int32, keys []uint64, kp int, guard *qguard.Guard) bool 
 		}
 	}
 	for t := 0; t < kp; t++ {
-		if hi[t]-lo[t] >= radixMaxRange {
+		if hi[t]-lo[t] >= maxRange {
 			return false
 		}
 	}
@@ -145,38 +174,37 @@ func radixSortIdx(idx []int32, keys []uint64, kp int, guard *qguard.Guard) bool 
 	// stays countable: one scatter pass then orders several columns at
 	// once. (Ranges are each ≤ 2^21, so the product test cannot
 	// overflow.)
-	type radixPass struct {
-		t0, t1 int
-		rng    uint64
-	}
-	var passes []radixPass
-	var maxRange uint64
+	passes := s.passes[:0]
+	var widest uint64
 	for t := kp - 1; t >= 0; {
 		rng := hi[t] - lo[t] + 1
 		t0 := t
 		for t0 > 0 {
 			r2 := hi[t0-1] - lo[t0-1] + 1
-			if rng*r2 > radixMaxRange {
+			if rng*r2 > maxRange {
 				break
 			}
 			rng *= r2
 			t0--
 		}
 		passes = append(passes, radixPass{t0: t0, t1: t, rng: rng})
-		if rng > maxRange {
-			maxRange = rng
+		if rng > widest {
+			widest = rng
 		}
 		t = t0 - 1
 	}
-	tmp := make([]int32, n)
-	cnt := make([]int32, maxRange)
-	src, dst := idx, tmp
+	s.passes = passes
+	if cap(s.tmp) < n {
+		s.tmp = make([]int32, n)
+	}
+	if cap(s.cnt) < int(widest) {
+		s.cnt = make([]int32, widest)
+	}
+	src, dst := idx, s.tmp[:n]
 	for _, p := range passes {
 		guard.CheckAbort()
-		c := cnt[:p.rng]
-		for i := range c {
-			c[i] = 0
-		}
+		c := s.cnt[:p.rng]
+		clear(c)
 		val := func(row int32) uint64 {
 			v := keys[int(row)*kp+p.t0] - lo[p.t0]
 			for t := p.t0 + 1; t <= p.t1; t++ {
@@ -337,18 +365,11 @@ func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortK
 	// and spills its rows in order, charging the spill budget.
 	writeRun := func(cs *chunkState, path string) (err error) {
 		defer qguard.RecoverAbort(&err)
-		srt := &chunkSorter{
-			idx:   make([]int32, cs.n),
-			keys:  cs.keys,
-			kp:    kp,
-			guard: guard,
+		idx := make([]int32, cs.n)
+		for i := range idx {
+			idx[i] = int32(i)
 		}
-		for i := range srt.idx {
-			srt.idx[i] = int32(i)
-		}
-		if !radixSortIdx(srt.idx, cs.keys, kp, guard) {
-			sort.Sort(srt)
-		}
+		new(IdxSorter).Sort(idx, cs.keys, kp, guard)
 		runBytes := int64(cs.n) * int64(payloadRow)
 		spillEvents.Add(1)
 		spillBytes.Add(runBytes)
@@ -361,7 +382,7 @@ func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortK
 		if err != nil {
 			return err
 		}
-		for _, i := range srt.idx {
+		for _, i := range idx {
 			if err := w.WriteRow(cs.rows[int(i)*diskRow : int(i)*diskRow+diskRow]); err != nil {
 				w.Close()
 				return err
@@ -437,20 +458,13 @@ func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortK
 	// write the output directly.
 	if len(runPaths) == 0 {
 		var sortErr error
-		srt := &chunkSorter{
-			idx:   make([]int32, cur.n),
-			keys:  cur.keys,
-			kp:    kp,
-			guard: guard,
-		}
-		for i := range srt.idx {
-			srt.idx[i] = int32(i)
+		idx := make([]int32, cur.n)
+		for i := range idx {
+			idx[i] = int32(i)
 		}
 		func() {
 			defer qguard.RecoverAbort(&sortErr)
-			if !radixSortIdx(srt.idx, cur.keys, kp, guard) {
-				sort.Sort(srt)
-			}
+			new(IdxSorter).Sort(idx, cur.keys, kp, guard)
 		}()
 		if sortErr != nil {
 			return stats, sortErr
@@ -464,7 +478,7 @@ func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortK
 		if err != nil {
 			return stats, err
 		}
-		for _, i := range srt.idx {
+		for _, i := range idx {
 			if err := w.WriteRow(cur.rows[int(i)*diskRow : int(i)*diskRow+diskRow]); err != nil {
 				w.Close()
 				os.Remove(outPath)

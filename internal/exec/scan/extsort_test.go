@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,20 +13,49 @@ import (
 	"awra/internal/storage"
 )
 
-// TestRadixSortMatchesComparison: the LSD counting sort must produce
-// the exact permutation of the comparison sort (stability + identity
-// start order = original-position tiebreak), across column counts and
-// duplicate-heavy distributions.
+// refSortIdx is the ordering contract stated directly: rows by key
+// columns, ties by row number.
+func refSortIdx(idx []int32, keys []uint64, kp int) {
+	sort.SliceStable(idx, func(i, j int) bool {
+		a, b := int(idx[i]), int(idx[j])
+		for t := 0; t < kp; t++ {
+			if keys[a*kp+t] != keys[b*kp+t] {
+				return keys[a*kp+t] < keys[b*kp+t]
+			}
+		}
+		return false
+	})
+}
+
+func identity(n int) []int32 {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
+
+// TestRadixSortMatchesComparison: the LSD counting sort, the comparison
+// fallback and the contract's reference must produce the same
+// permutation (stability + ascending start order = original-position
+// tiebreak), across column counts, duplicate-heavy distributions and a
+// sorter reused from one set to the next.
 func TestRadixSortMatchesComparison(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	var s IdxSorter
 	for _, tc := range []struct {
 		n, kp  int
 		ranges []uint64
+		radix  bool
 	}{
-		{5000, 1, []uint64{100}},
-		{5000, 2, []uint64{7, 500000}},
-		{8192, 3, []uint64{2, 3, 50}}, // heavy duplicates, fused passes
-		{4096, 2, []uint64{1, 1}},     // all-equal columns
+		{5000, 1, []uint64{100}, true},
+		{40000, 2, []uint64{7, 500000}, true},
+		{5000, 2, []uint64{7, 500000}, false}, // 5000 rows do not pay for 500000 counters
+		{8192, 3, []uint64{2, 3, 50}, true},   // heavy duplicates, fused passes
+		{4096, 2, []uint64{1, 1}, true},       // all-equal columns
+		{100, 2, []uint64{40, 40}, true},
+		{50, 2, []uint64{40, 40}, false}, // comparison sort is faster there
+		{5000, 1, []uint64{1 << 40}, false},
 	} {
 		keys := make([]uint64, tc.n*tc.kp)
 		for i := 0; i < tc.n; i++ {
@@ -33,49 +63,26 @@ func TestRadixSortMatchesComparison(t *testing.T) {
 				keys[i*tc.kp+j] = uint64(rng.Int63n(int64(r))) + (1 << 63)
 			}
 		}
-		radix := make([]int32, tc.n)
-		cmp := make([]int32, tc.n)
-		for i := range radix {
-			radix[i] = int32(i)
-			cmp[i] = int32(i)
-		}
-		if !radixSortIdx(radix, keys, tc.kp, nil) {
-			t.Fatalf("n=%d kp=%d: radix sort refused narrow ranges", tc.n, tc.kp)
-		}
-		sort.Sort(&chunkSorter{idx: cmp, keys: keys, kp: tc.kp})
-		for i := range radix {
-			if radix[i] != cmp[i] {
-				t.Fatalf("n=%d kp=%d: permutation differs at %d: %d vs %d",
-					tc.n, tc.kp, i, radix[i], cmp[i])
+		want := identity(tc.n)
+		refSortIdx(want, keys, tc.kp)
+		radix := identity(tc.n)
+		if took := s.radix(radix, keys, tc.kp, nil); took != tc.radix {
+			t.Fatalf("n=%d kp=%d ranges=%v: radix sort took the set = %v, want %v", tc.n, tc.kp, tc.ranges, took, tc.radix)
+		} else if !took {
+			for i := range radix {
+				if radix[i] != int32(i) {
+					t.Fatalf("n=%d kp=%d: refused sort mutated idx", tc.n, tc.kp)
+				}
 			}
 		}
-	}
-}
-
-// TestRadixSortFallsBack: wide value ranges and small inputs must
-// refuse (return false, idx untouched) so the caller keeps the
-// comparison sort.
-func TestRadixSortFallsBack(t *testing.T) {
-	n := 5000
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = uint64(i) * (radixMaxRange / 2) // range >> radixMaxRange
-	}
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(n - 1 - i)
-	}
-	if radixSortIdx(idx, keys, 1, nil) {
-		t.Fatal("radix sort accepted a range above radixMaxRange")
-	}
-	for i := range idx {
-		if idx[i] != int32(n-1-i) {
-			t.Fatal("refused sort mutated idx")
+		got := identity(tc.n)
+		s.Sort(got, keys, tc.kp, nil)
+		for i := range want {
+			if got[i] != want[i] || (tc.radix && radix[i] != want[i]) {
+				t.Fatalf("n=%d kp=%d ranges=%v: permutation differs at %d: Sort %d, radix %d, reference %d",
+					tc.n, tc.kp, tc.ranges, i, got[i], radix[i], want[i])
+			}
 		}
-	}
-	small := []int32{2, 0, 1}
-	if radixSortIdx(small, []uint64{5, 1, 3}, 1, nil) {
-		t.Fatal("radix sort accepted a tiny input (comparison sort is faster there)")
 	}
 }
 
@@ -179,5 +186,39 @@ func TestSortAllocatesForTheFile(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*fi.Size()); got >= limit {
 		t.Errorf("sorting a %d-byte file allocated %d bytes, want < %d", fi.Size(), got, limit)
+	}
+}
+
+// BenchmarkIdxSorter sorts flush-batch-shaped sets — two dense code
+// columns — at sizes either side of radixMinRows, through Sort (the
+// algorithm the thresholds pick) and through the comparison sort alone
+// (a column range no counting pass accepts). The sizes where the two
+// lines cross are where radixMinRows comes from.
+func BenchmarkIdxSorter(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{16, 32, 64, 128, 1024, 4096} {
+		keys := make([]uint64, 2*n)
+		wide := make([]uint64, 2*n)
+		for i := 0; i < n; i++ {
+			keys[2*i] = uint64(rng.Intn(100)) + 1<<63
+			keys[2*i+1] = uint64(rng.Intn(100)) + 1<<63
+			wide[2*i], wide[2*i+1] = keys[2*i], keys[2*i+1]
+		}
+		wide[0] = 0 // one outlier makes column 0 uncountable
+		for _, tc := range []struct {
+			name string
+			keys []uint64
+		}{{"sort", keys}, {"comparison", wide}} {
+			b.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(b *testing.B) {
+				var s IdxSorter
+				idx := make([]int32, n)
+				for i := 0; i < b.N; i++ {
+					for j := range idx {
+						idx[j] = int32(j)
+					}
+					s.Sort(idx, tc.keys, 2, nil)
+				}
+			})
+		}
 	}
 }

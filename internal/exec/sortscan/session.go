@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"awra/internal/agg"
 	"awra/internal/core"
 	"awra/internal/exec/cellmap"
 	"awra/internal/exec/scan"
@@ -151,13 +150,7 @@ func (s *Session) Close() (*Result, error) {
 	s.span.End()
 	s.e.stats.ScanTime = time.Since(s.t0)
 	s.e.publish()
-	res := &Result{Tables: make(map[string]*core.Table), Stats: s.e.stats, Plan: s.e.pl}
-	for _, name := range s.e.c.Outputs() {
-		i, _ := s.e.c.Index(name)
-		s.e.nodes[i].materialize()
-		res.Tables[name] = s.e.nodes[i].out
-	}
-	return res, nil
+	return s.e.result(), nil
 }
 
 // newEngine builds the runtime node graph (shared by batch runs and
@@ -179,8 +172,13 @@ func newEngine(c *core.Compiled, pl *plan.Plan, noEarlyFlush bool, rec *obs.Reco
 		}
 		n.srcArc = make([]int, len(m.Sources))
 		for _, a := range pl.Nodes[i].Arcs {
-			n.arcs = append(n.arcs, arcState{pl: a, th: make([]int64, 0, len(a.CmpKey))})
+			as := arcState{pl: a, cellParts: compileProjection(a.CmpKey, m.Codec), th: make([]int64, len(a.CmpKey))}
+			if a.From >= 0 {
+				as.srcParts = compileProjection(a.CmpKey, c.Measures[a.From].Codec)
+			}
+			n.arcs = append(n.arcs, as)
 		}
+		n.outParts = compileProjection(n.pl.OutOrder, m.Codec)
 		ai := 0
 		if m.Kind == core.KindBasic {
 			n.srcArc = nil
@@ -193,14 +191,21 @@ func newEngine(c *core.Compiled, pl *plan.Plan, noEarlyFlush bool, rec *obs.Reco
 				n.baseArc = ai
 			}
 		}
-		if m.Kind == core.KindFromParent {
+		// Cell state slabs by kind; all start empty and grow with the
+		// cells, so a node of a small collection stays small.
+		switch m.Kind {
+		case core.KindBasic, core.KindRollup:
+			n.col = m.Agg.NewColumn()
+		case core.KindSibling:
+			n.col = m.Agg.NewColumn()
+			n.tracksBase = true
+		case core.KindFromParent:
 			n.parentVals = make(map[model.Key]float64)
+			n.parentCol = m.Agg.NewColumn()
+			n.tracksBase = true
+		case core.KindCombine:
+			n.tracksBase = true
 		}
-		// COUNT(*) cells keep their tally inline (no per-cell
-		// aggregator allocation, no interface call per update).
-		// Combine/fromparent cells do not use the cell aggregator.
-		n.isCount = m.Agg == agg.Count &&
-			(m.Kind == core.KindBasic || m.Kind == core.KindRollup || m.Kind == core.KindSibling)
 		e.nodes[i] = n
 	}
 	for i, m := range c.Measures {
@@ -243,6 +248,7 @@ func newEngine(c *core.Compiled, pl *plan.Plan, noEarlyFlush bool, rec *obs.Reco
 		e.cpVals[j] = int64(-1) << 62
 	}
 	e.cpChanged = make([]bool, len(e.cpParts))
+	e.entryDims = make([]int64, e.numDims)
 	if e.needRec {
 		e.frec = model.Record{Dims: make([]int64, e.numDims), Ms: make([]float64, e.numMeasures)}
 	}

@@ -8,8 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/exec/cellmap"
 	"awra/internal/exec/scan"
 	"awra/internal/model"
 	"awra/internal/obs"
@@ -137,13 +137,9 @@ func RunSharded(c *core.Compiled, factPath string, opts ShardedOptions) (*Result
 	// guard divides the live-cell budget across workers while keeping
 	// cancellation and the byte/row budgets query-global.
 	sg := guard.Shard(shards)
-	type shardOut struct {
-		res    *Result
-		states []map[model.Key]agg.Aggregator
-		err    error
-	}
 	t0 := time.Now()
-	outs := make([]shardOut, shards)
+	engines := make([]*engine, shards)
+	errs := make([]error, shards)
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
 		wg.Add(1)
@@ -162,10 +158,10 @@ func RunSharded(c *core.Compiled, factPath string, opts ShardedOptions) (*Result
 			defer func() {
 				if r := recover(); r != nil {
 					if a, ok := r.(qguard.Abort); ok {
-						outs[i].err = a.Err
+						errs[i] = a.Err
 						return
 					}
-					outs[i].err = fmt.Errorf("sortscan: shard %d panic: %v", i, r)
+					errs[i] = fmt.Errorf("sortscan: shard %d panic: %v", i, r)
 				}
 			}()
 			srec := rec.At(sSpan)
@@ -180,95 +176,150 @@ func RunSharded(c *core.Compiled, factPath string, opts ShardedOptions) (*Result
 			sortSpan.SetAttr("runs", fmt.Sprint(ss.Runs))
 			sortSpan.End()
 			if err != nil {
-				outs[i].err = err
+				errs[i] = err
 				return
 			}
 			r, err := scan.Open(sorted, scan.Options{BatchBytes: opts.ReadBatchBytes, Guard: sg})
 			if err != nil {
-				outs[i].err = err
+				errs[i] = err
 				return
 			}
 			defer r.Close()
-			res, states, err := runSortedStates(c, pl, r, false, true, srec, sg, stateIdx)
+			e, err := runSortedStates(c, pl, r, false, true, srec, sg, stateIdx)
 			if err != nil {
-				outs[i].err = err
+				errs[i] = err
 				return
 			}
-			res.Stats.SortTime = sortSpan.Duration()
-			res.Stats.SortRuns = ss.Runs
-			outs[i].res, outs[i].states = res, states
+			e.stats.SortRuns = ss.Runs
+			engines[i] = e
 		}(i, sSpan)
 	}
 	wg.Wait()
 	scanWall := time.Since(t0)
-
-	// Combine: concatenate nesting measures (duplicate regions mean the
-	// shard validation was unsound — fail loudly), then merge the
-	// spanning measures' per-shard states and finalize them.
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("sortscan: shard %d: %w", i, err)
+		}
+	}
 	combSpan := rec.Start(obs.SpanCombine)
 	defer combSpan.End()
-	out := &Result{Tables: make(map[string]*core.Table), Plan: pl}
+	out, err := combineShards(c, pl, sp.Merge, engines, rec, guard)
+	if err != nil {
+		return nil, err
+	}
 	out.Stats.SortTime = splitSpan.Duration()
 	out.Stats.ScanTime = scanWall
+	return out, nil
+}
+
+// combineShards builds the sharded run's result from the workers'
+// engines: measures whose regions nest inside shard units concatenate —
+// each output table is built once, sized from the workers' emission
+// logs and filled from them directly — and the spanning measures
+// (merge, by measure index), whose cells the workers left unfinalized,
+// merge per region through their aggregate columns and finalize here.
+func combineShards(c *core.Compiled, pl *plan.Plan, merge []int, engines []*engine, rec *obs.Recorder, guard *qguard.Guard) (*Result, error) {
+	out := &Result{Tables: make(map[string]*core.Table), Plan: pl}
+	for _, e := range engines {
+		out.Stats.Records += e.stats.Records
+		out.Stats.SortRuns += e.stats.SortRuns
+		out.Stats.PeakCells += e.stats.PeakCells
+		out.Stats.PeakBytes += e.stats.PeakBytes
+		out.Stats.FlushBatches += e.stats.FlushBatches
+	}
+	merged := make([]bool, len(c.Measures))
+	for _, mi := range merge {
+		merged[mi] = true
+	}
+	logs := make([][]logChunk, len(engines))
 	for _, name := range c.Outputs() {
-		m, _ := c.MeasureByName(name)
-		out.Tables[name] = core.NewTable(c.Schema, m.Gran)
-	}
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, fmt.Errorf("sortscan: shard %d: %w", i, outs[i].err)
-		}
-		res := outs[i].res
-		out.Stats.Records += res.Stats.Records
-		out.Stats.SortRuns += res.Stats.SortRuns
-		out.Stats.PeakCells += res.Stats.PeakCells
-		out.Stats.PeakBytes += res.Stats.PeakBytes
-		out.Stats.FlushBatches += res.Stats.FlushBatches
-		for name, tbl := range res.Tables {
-			idx, _ := c.Index(name)
-			if stateIdx != nil && stateIdx[idx] {
-				continue // filled from merged states below
-			}
-			dst := out.Tables[name]
-			for k, v := range tbl.Rows {
-				if _, dup := dst.Rows[k]; dup {
-					return nil, fmt.Errorf("sortscan: region %s of %q produced by two shards; shard validation is unsound",
-						tbl.Codec.Format(k), name)
-				}
-				dst.Rows[k] = v
-			}
-		}
-	}
-	for _, mi := range sp.Merge {
+		mi, _ := c.Index(name)
 		m := c.Measures[mi]
-		acc := make(map[model.Key]agg.Aggregator)
-		for i := range outs {
-			for k, a := range outs[i].states[mi] {
-				if prev, ok := acc[k]; ok {
-					prev.Merge(a)
+		tbl := core.NewTable(c.Schema, m.Gran)
+		out.Tables[name] = tbl
+		if merged[mi] {
+			continue // filled from the merged states below
+		}
+		for i, e := range engines {
+			logs[i] = e.nodes[mi].log
+		}
+		var logged int
+		tbl.Rows, logged = buildRows(m.Codec.KeyBytes(), logs...)
+		// Shards own disjoint regions of a nesting measure, so every
+		// logged row is its own map entry. A shortfall means some key was
+		// logged twice; produced by two shards, the shard validation was
+		// unsound and one shard's partial value overwrote the other's.
+		if len(tbl.Rows) != logged {
+			if err := crossShardDuplicate(m, logs); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, mi := range merge {
+		m := c.Measures[mi]
+		kw := m.Codec.KeyBytes()
+		tab := cellmap.New(kw)
+		acc := m.Agg.NewColumn()
+		for _, e := range engines {
+			n := e.nodes[mi]
+			keys := n.tab.Keys()
+			for i := 0; i < n.tab.Len(); i++ {
+				st := n.col.State(int32(i))
+				at, created := tab.Insert(keys[i*kw : i*kw+kw])
+				var err error
+				if created {
+					_, err = acc.Restore(st)
 				} else {
-					acc[k] = a
+					err = acc.Merge(at, st)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("sortscan: merging %q across shards: %w", m.Name, err)
 				}
 			}
 		}
-		rec.Counter(obs.MCellsFinalized).Add(int64(len(acc)))
-		ns := obs.NodeStats{Node: m.Name, CellsFinalized: int64(len(acc))}
+		cells := tab.Len()
+		rec.Counter(obs.MCellsFinalized).Add(int64(cells))
+		ns := obs.NodeStats{Node: m.Name, CellsFinalized: int64(cells)}
 		if !m.Hidden {
-			ns.RecordsOut = int64(len(acc))
+			ns.RecordsOut = int64(cells)
 		}
 		rec.MergeNodeStats(ns)
 		if m.Hidden {
 			continue
 		}
-		tbl := out.Tables[m.Name]
-		for k, a := range acc {
-			tbl.Rows[k] = a.Final()
+		keys := string(tab.Keys())
+		rows := make(map[model.Key]float64, cells)
+		for i := 0; i < cells; i++ {
+			rows[model.Key(keys[i*kw:i*kw+kw])] = acc.Final(int32(i))
 		}
-		if err := guard.NoteResultRows(int64(len(acc))); err != nil {
+		out.Tables[m.Name].Rows = rows
+		if err := guard.NoteResultRows(int64(cells)); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// crossShardDuplicate names a region of m that two shards both logged.
+// It runs only after combineShards' length check failed, and returns
+// nil when every repeat sits inside one shard's own log, where the
+// fill's emission order already resolved it last-wins.
+func crossShardDuplicate(m *core.Measure, logs [][]logChunk) error {
+	kw := m.Codec.KeyBytes()
+	owner := make(map[model.Key]int)
+	for shard, log := range logs {
+		for _, c := range log {
+			for j := range c.vals {
+				k := model.Key(c.keys[j*kw : j*kw+kw])
+				if prev, dup := owner[k]; dup && prev != shard {
+					return fmt.Errorf("sortscan: region %s of %q produced by two shards; shard validation is unsound",
+						m.Codec.Format(k), m.Name)
+				}
+				owner[k] = shard
+			}
+		}
+	}
+	return nil
 }
 
 // shardAssignment reads the fact file once, counts records per shard

@@ -18,14 +18,20 @@
 // fact rows arrive as zero-copy byte views in multi-megabyte batches,
 // each record's mapped (dimension, level) codes are computed once and
 // shared across all basic nodes, and live cells sit in an
-// open-addressing cellmap.Table plus a dense cell slice instead of a
-// Go map. Guard checks run per batch, not per row.
+// open-addressing cellmap.Table with their state in flat slabs beside
+// it (an agg.Column, base flags, combine operands) instead of a Go map
+// of heap cells. A flush batch is sorted as uint64 code columns by the
+// scan package's index sorter and lands in the output table through a
+// per-batch emission log, so a finalized cell costs no heap object and
+// no string; DESIGN.md §hot-path owns the layout. Guard checks run per
+// batch, not per row.
 package sortscan
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -101,24 +107,19 @@ type Result struct {
 	Plan   *plan.Plan
 }
 
-// cell is one live hash entry. Cells live in a node's dense cellData
-// slice, parallel to its cellmap.Table entries.
-type cell struct {
-	agg     agg.Aggregator // basic/rollup/fromparent/sibling
-	cnt     int64          // devirtualized COUNT(*) state (node.isCount)
-	vals    []float64      // combine: per-source values
-	present []uint8        // combine: which sources delivered
-	inBase  bool           // confirmed by the base/cell-providing stream
-}
-
 // arcState tracks one incoming stream's watermark as a vector of
 // shifted comparable-key codes (compared lexicographically, which is
 // exactly the byte order of the encoded comparable key).
 type arcState struct {
-	pl   plan.Arc
-	th   []int64 // shifted projection of the last update
-	seen bool
-	advanced bool
+	pl plan.Arc
+	// cellParts projects this node's cell keys onto pl.CmpKey (the
+	// finality test); srcParts projects the producer's entry keys onto it
+	// (the watermark a delivery carries; nil on the fact arc).
+	cellParts []keyPart
+	srcParts  []keyPart
+	th        []int64 // shifted projection of the last update, len(pl.CmpKey)
+	seen      bool
+	advanced  bool
 	// advancedCoarse marks a change in the leading comparable-key
 	// component. The scan loop triggers finalization only on coarse
 	// advances — batching flushes the way the paper's examples do
@@ -138,55 +139,62 @@ type node struct {
 	m    *core.Measure
 	pl   *plan.Node
 	arcs []arcState
-	// Live cells: open-addressing table over encoded keys plus the
-	// dense parallel cell slice. Entry i of tab owns cellData[i].
-	tab      *cellmap.Table
-	cellData []cell
-	// Survivor scratch for flush-time table rebuilds (no tombstones:
-	// retiring a batch re-inserts the survivors).
-	keepKeys  []byte
-	keepCells []cell
-	// Scan fast path: consecutive sorted records usually hit the same
-	// cell, so cache its dense index and skip the key encoding and
-	// table probe until a cell code changes (cellDirty, fed by the
+	// Live cells: open-addressing table over encoded keys. Entry i of tab
+	// owns element i of each state slab the measure's kind uses; a flush
+	// compacts table and slabs to the survivors together (no tombstones).
+	tab *cellmap.Table
+	// col is the aggregate state of basic, roll-up and sibling cells.
+	col *agg.Column
+	// inBase marks cells the base (cell-providing) stream confirmed, for
+	// the kinds other streams can also create cells of: fromparent,
+	// sibling and combine (tracksBase). An unconfirmed cell was never a
+	// region of the measure and flushes without a row.
+	tracksBase bool
+	inBase     []bool
+	// Combine operands, stride len(m.Sources) per cell: each source's
+	// delivered value and whether it delivered one.
+	vals    []float64
+	present []bool
+	// Cell fast path: consecutive sorted records (basic nodes) and
+	// consecutive entries of a sorted flush batch (dependents) usually
+	// land on the same cell, so its dense index is cached. A basic node
+	// trusts the cache until a cell code changes (cellDirty, fed by the
 	// engine's shared per-record change flags; it stays sticky across
-	// filtered records, which skip the cache update).
+	// filtered records, which skip the cache update); a dependent
+	// compares the key it assembled with the cached cell's.
 	lastCellIdx int32
 	cellDirty   bool
-	keyBuf      []byte
+	// keyBuf assembles the key about to be probed: a record's cell key, a
+	// roll-up target, a window-shifted sibling key.
+	keyBuf []byte
 	// wmIdx/cellIdx index the engine's shared per-record code table:
 	// wmIdx[j] locates arc 0's CmpKey[j] code, cellIdx[t] the t-th
 	// non-ALL granularity component's code.
 	wmIdx   []int
 	cellIdx []int
-	// isCount devirtualizes COUNT(*): cells keep an inline int64
-	// instead of a heap-allocated aggregator, skipping one allocation
-	// per cell and one interface call per update on the hottest
-	// aggregate. Sharded state extraction turns it off for its marked
-	// nodes (they must hand back real aggregators to merge).
-	isCount bool
 	// appendOnly marks basic nodes whose cell keys are contiguous under
 	// the scan's full tiebreak order (contiguousCells): a changed key is
 	// provably new, so misses skip the hash probe (cellmap.Append).
 	appendOnly bool
-	// projBuf backs the flush batch's output-order projections (code
-	// vectors, stride len(pl.OutOrder)).
-	projBuf []int64
-	// batchBuf is the reusable flush-batch collection buffer.
-	batchBuf []finalEntry
-	// outRows is the emission log behind the public output table:
-	// flushes append here and materialize() builds out.Rows once, with
-	// exact size, instead of paying incremental map growth per row.
-	outRows []outKV
+	// outParts projects cell keys onto pl.OutOrder, the leading sort
+	// columns of a flush batch.
+	outParts []keyPart
+	// log is the emission log behind the public output table: one chunk
+	// per flush batch, in flush order. materialize() builds out.Rows from
+	// it once, with exact size, instead of paying incremental map growth
+	// per row.
+	log []logChunk
 	// srcArc maps "source position" (index into m.Sources) to the arc
 	// index; baseArc is the base stream's arc index (-1 if none).
 	srcArc  []int
 	baseArc int
-	// fromparent staging: parent values keyed by the parent's key.
+	// fromparent staging: parent values keyed by the parent's key, and
+	// the one-cell column that aggregates a cell's parent value.
 	parentVals map[model.Key]float64
+	parentCol  *agg.Column
 	out        *core.Table
-	// dependents: (node index, role) pairs; role is the source
-	// position, or -1 for base.
+	// dependents: (node index, role) pairs in node order; role is the
+	// source position, or -1 for base.
 	deps []depEdge
 	// Per-node tallies (plain fields, published at end of run): the
 	// node-level breakdown of the engine's global counters.
@@ -206,31 +214,45 @@ func (n *node) noteLive(delta int64) {
 	}
 }
 
-// outKV is one emitted output row awaiting table materialization.
-type outKV struct {
-	k model.Key
-	v float64
+// logChunk is one flush batch's emitted rows: the batch's keys, in
+// emission order, as one string of fixed-width keys — the same string
+// the batch's delivery and Emit keys are sliced from, so logging a row
+// copies nothing — and one value per key. A chunk holds two pointers
+// however many rows it carries, so the log is nothing for the collector
+// to walk.
+type logChunk struct {
+	keys string
+	vals []float64
+}
+
+// buildRows builds the row map of one measure from its emission logs —
+// a run's one, or every shard's — sized exactly from their lengths, and
+// returns it with the number of rows logged. Logs are filled in order
+// and each in emission order, so a key logged twice keeps the map's
+// last-wins semantics (and leaves the map shorter than the count).
+func buildRows(kw int, logs ...[]logChunk) (map[model.Key]float64, int) {
+	logged := 0
+	for _, log := range logs {
+		for _, c := range log {
+			logged += len(c.vals)
+		}
+	}
+	rows := make(map[model.Key]float64, logged)
+	for _, log := range logs {
+		for _, c := range log {
+			for j, v := range c.vals {
+				rows[model.Key(c.keys[j*kw:j*kw+kw])] = v
+			}
+		}
+	}
+	return rows, logged
 }
 
 // materialize moves the emission log into the node's public output
-// table as one exact-size map build. Emission order is preserved, so
-// duplicate keys keep the map's last-wins semantics.
+// table as one exact-size map build.
 func (n *node) materialize() {
-	if len(n.outRows) == 0 {
-		return
-	}
-	if len(n.out.Rows) == 0 {
-		rows := make(map[model.Key]float64, len(n.outRows))
-		for _, kv := range n.outRows {
-			rows[kv.k] = kv.v
-		}
-		n.out.Rows = rows
-	} else {
-		for _, kv := range n.outRows {
-			n.out.Rows[kv.k] = kv.v
-		}
-	}
-	n.outRows = n.outRows[:0]
+	n.out.Rows, _ = buildRows(n.tab.KeyLen(), n.log)
+	n.log = nil
 }
 
 // contiguousCells reports whether scanning records in the full sorted
@@ -327,9 +349,6 @@ type engine struct {
 	emit         EmitFunc
 	rec          *obs.Recorder
 	guard        *qguard.Guard
-	// stateIdx, when non-nil, marks nodes whose cells are extracted as
-	// raw aggregator states instead of finalized (sharded runs).
-	stateIdx []bool
 	// Shared per-record code table: every distinct (dimension, level)
 	// pair any basic node maps records through — watermark components
 	// and cell-granularity components alike — is computed exactly once
@@ -342,13 +361,26 @@ type engine struct {
 	// watermark and cell fast paths key off.
 	cpChanged []bool
 	// frec is the decoded-record scratch for basic-measure filters;
-	// it is filled once per record only when a filter exists.
+	// it is filled once per record only when a filter exists. entryDims
+	// and entryMs are its counterpart for filters on delivered entries
+	// (a filter is a func value, so a local would escape per entry).
 	needRec     bool
 	frec        model.Record
+	entryDims   []int64
+	entryMs     [1]float64
 	numDims     int
 	numMeasures int
-	// projScratch backs cellFinal/deliver comparable-key projections.
-	projScratch []int64
+	// Flush scratch, shared by all nodes: a batch is collected, sorted,
+	// turned into its key string and values, and the node compacted,
+	// before any entry is delivered, so nothing here is live across the
+	// recursion into dependents.
+	keepIdx    []int32  // surviving cells, ascending
+	keepKeys   []byte   // their keys, while the table is rebuilt
+	flushCells []int32  // batch row -> cell index
+	sortCols   []uint64 // batch row -> output-order codes, then key words
+	order      []int32  // emission order: a permutation of batch rows
+	flushKeys  []byte   // the batch's keys in emission order
+	sorter     scan.IdxSorter
 	// Per-record tallies stay in plain fields (the scan loop never
 	// touches the recorder); publish() flushes them at end of run.
 	created   int64 // cells created
@@ -488,31 +520,25 @@ func runSorted(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, disableEar
 	if obsRec == nil {
 		obsRec = obs.New()
 	}
-	res, _, err := runSortedStates(c, pl, src, disableEarlyFlush, fullOrder, obsRec, guard, nil)
-	return res, err
+	e, err := runSortedStates(c, pl, src, disableEarlyFlush, fullOrder, obsRec, guard, nil)
+	if err != nil {
+		return nil, err
+	}
+	return e.result(), nil
 }
 
-// runSortedStates is the engine's core loop. When stateIdx is non-nil,
-// the marked nodes (leaf basics whose regions span shard units) are
-// never finalized: their cells stay live through the whole scan and
-// their raw aggregator states are returned, keyed like their output
-// tables, for a cross-shard merge by the sharded driver. All other
-// nodes flush normally. fullOrder asserts the source carries the full
-// tiebreak order (sort key, then base coordinates ascending) — the
-// order this package's own sort produces — not just the plan key.
-func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, disableEarlyFlush, fullOrder bool, obsRec *obs.Recorder, guard *qguard.Guard, stateIdx []bool) (*Result, []map[model.Key]agg.Aggregator, error) {
+// runSortedStates is the engine's core loop; it returns the engine with
+// every output's emission log complete and not yet materialized. When
+// stateIdx is non-nil, the marked nodes (leaf basics whose regions span
+// shard units) are never finalized: their cells stay live through the
+// whole scan and are left in the node's key arena and aggregate column
+// for a cross-shard merge by the sharded driver. All other nodes flush
+// normally. fullOrder asserts the source carries the full tiebreak
+// order (sort key, then base coordinates ascending) — the order this
+// package's own sort produces — not just the plan key.
+func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, disableEarlyFlush, fullOrder bool, obsRec *obs.Recorder, guard *qguard.Guard, stateIdx []bool) (*engine, error) {
 	e := newEngine(c, pl, disableEarlyFlush, obsRec)
 	e.guard = guard
-	e.stateIdx = stateIdx
-	if stateIdx != nil {
-		// State-extraction nodes hand raw aggregators to the sharded
-		// merge; they cannot use the inline COUNT(*) representation.
-		for _, n := range e.nodes {
-			if stateIdx[n.idx] {
-				n.isCount = false
-			}
-		}
-	}
 	if fullOrder {
 		// Under the full tiebreak order, a node whose cell keys are
 		// provably contiguous in the scan never revisits a retired key:
@@ -537,7 +563,7 @@ func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, disa
 	for {
 		batch, err := src.NextBatch()
 		if err != nil {
-			return nil, nil, fmt.Errorf("sortscan: %w", err)
+			return nil, fmt.Errorf("sortscan: %w", err)
 		}
 		if batch == nil {
 			break
@@ -549,13 +575,13 @@ func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, disa
 		// per-row path.
 		scanSpan.SetDone(e.stats.Records)
 		if err := e.checkGuard(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, row := range batch {
 			e.stats.Records++
 			if e.stats.Records&255 == 0 {
 				if err := e.checkGuard(); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
 			e.computeCodes(row)
@@ -572,7 +598,7 @@ func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, disa
 						continue
 					}
 					if err := e.finalizeNode(n, false); err != nil {
-						return nil, nil, err
+						return nil, err
 					}
 				}
 			}
@@ -586,39 +612,30 @@ func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, disa
 	// final "flush the hash tables of all measures"), except the
 	// state-extraction nodes, whose cells are handed back unmerged.
 	finSpan := obsRec.Start(obs.SpanFinalize)
-	var states []map[model.Key]agg.Aggregator
-	if stateIdx != nil {
-		states = make([]map[model.Key]agg.Aggregator, len(e.nodes))
-	}
 	for _, n := range e.nodes {
 		if stateIdx != nil && stateIdx[n.idx] {
-			st := make(map[model.Key]agg.Aggregator, n.tab.Len())
-			for i := 0; i < n.tab.Len(); i++ {
-				st[model.Key(n.tab.KeyAt(int32(i)))] = n.cellData[i].agg
-				e.noteLive(-1)
-				n.noteLive(-1)
-			}
-			n.tab.Reset()
-			n.cellData = n.cellData[:0]
-			n.lastCellIdx = -1
-			states[n.idx] = st
 			continue
 		}
 		if err := e.finalizeNode(n, true); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	finSpan.End()
 	e.stats.ScanTime = scanSpan.Duration() + finSpan.Duration()
 	e.publish()
+	return e, nil
+}
 
-	res := &Result{Tables: make(map[string]*core.Table), Stats: e.stats, Plan: pl}
-	for _, name := range c.Outputs() {
-		i, _ := c.Index(name)
+// result materializes the output measures' emission logs into the
+// run's public tables.
+func (e *engine) result() *Result {
+	res := &Result{Tables: make(map[string]*core.Table), Stats: e.stats, Plan: e.pl}
+	for _, name := range e.c.Outputs() {
+		i, _ := e.c.Index(name)
 		e.nodes[i].materialize()
 		res.Tables[name] = e.nodes[i].out
 	}
-	return res, states, nil
+	return res
 }
 
 func containsIdx(xs []int, x int) bool {
@@ -679,11 +696,9 @@ func (e *engine) scanRecord(n *node, row scan.Record) {
 		}
 	}
 	if wmChanged {
-		th := arc.th[:0]
 		for j, ci := range n.wmIdx {
-			th = append(th, e.cpVals[ci]-arc.pl.Shift[j])
+			arc.th[j] = e.cpVals[ci] - arc.pl.Shift[j]
 		}
-		arc.th = th
 		arc.seen = true
 		arc.advanced = true
 		arc.advances++
@@ -724,57 +739,88 @@ func (e *engine) scanRecord(n *node, row scan.Record) {
 			idx, created = n.tab.Insert(kb)
 		}
 		if created {
-			fresh := cell{inBase: true}
-			if !n.isCount {
-				fresh.agg = m.Agg.New()
-			}
-			n.cellData = append(n.cellData, fresh)
-			e.created++
-			e.noteLive(1)
-			n.nCreated++
-			n.noteLive(1)
+			e.addCell(n)
 		}
 		n.lastCellIdx = idx
 		n.cellDirty = false
 	}
-	cl := &n.cellData[idx]
-	switch {
-	case n.isCount:
-		cl.cnt++
-	case m.FactMeasure >= 0:
-		cl.agg.Update(row.Measure(e.numDims, m.FactMeasure))
-	default:
-		cl.agg.Update(0)
+	if m.FactMeasure >= 0 {
+		n.col.Update(idx, row.Measure(e.numDims, m.FactMeasure))
+	} else {
+		n.col.Update(idx, 0)
 	}
 }
 
-// projectCodes maps a region key (from codec) onto a comparable key
-// as a code vector, optionally applying shifts (for watermarks; nil
-// for entries), reusing dst. Lexicographic comparison of code vectors
-// equals byte comparison of the encoded comparable keys.
-func projectCodes(s *model.Schema, cmp model.SortKey, shift []int64, codec *model.KeyCodec, k model.Key, dst []int64) []int64 {
-	dst = dst[:0]
+// addCell appends the state of the cell tab just created: one element
+// (or one stride) on each slab the node's kind uses.
+func (e *engine) addCell(n *node) {
+	if n.col != nil {
+		n.col.Append()
+	}
+	if n.tracksBase {
+		n.inBase = append(n.inBase, false)
+	}
+	if srcs := len(n.m.Sources); n.m.Kind == core.KindCombine {
+		n.vals = append(n.vals, make([]float64, srcs)...)
+		n.present = append(n.present, make([]bool, srcs)...)
+	}
+	e.created++
+	e.noteLive(1)
+	n.nCreated++
+	n.noteLive(1)
+}
+
+// cellFor returns the dense index of the live cell with key kb,
+// creating it if absent. Consecutive entries of a sorted flush batch
+// usually land on one cell — every child of a region rolls up to it —
+// so the last cell's key is compared before the table is probed.
+func (e *engine) cellFor(n *node, kb []byte) int32 {
+	if n.lastCellIdx >= 0 && bytes.Equal(kb, n.tab.KeyAt(n.lastCellIdx)) {
+		return n.lastCellIdx
+	}
+	idx, created := n.tab.Insert(kb)
+	if created {
+		e.addCell(n)
+	}
+	n.lastCellIdx = idx
+	return idx
+}
+
+// keyPart is one component of a projection of region keys onto a
+// comparable key, compiled against the keys' codec: the 8-byte word of
+// the key that holds the dimension's code, and the generalization from
+// the key's level to the component's.
+type keyPart struct {
+	word     int
+	dim      *model.Dimension
+	from, to model.Level
+}
+
+// compileProjection compiles the projection of codec's keys onto cmp.
+// Every part's dimension must be encoded in the keys.
+func compileProjection(cmp model.SortKey, codec *model.KeyCodec) []keyPart {
+	parts := make([]keyPart, len(cmp))
 	for j, p := range cmp {
-		code := s.Dim(p.Dim).Up(codec.Gran()[p.Dim], p.Lvl, codec.CodeAt(k, p.Dim))
-		if shift != nil {
-			code -= shift[j]
+		w := codec.DimPos(p.Dim)
+		if w < 0 {
+			panic(fmt.Sprintf("sortscan: comparable key part on dimension %d, which is at D_ALL in the region set", p.Dim))
 		}
-		dst = append(dst, code)
+		parts[j] = keyPart{word: w, dim: codec.Schema().Dim(p.Dim), from: codec.Gran()[p.Dim], to: p.Lvl}
 	}
-	return dst
+	return parts
 }
 
-// codesCompare lexicographically compares equal-length code vectors.
-func codesCompare(a, b []int64) int {
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
+// partCode reads the part's code out of a key in place — arena bytes or
+// a model.Key alike. Code vectors compare lexicographically exactly as
+// the encoded comparable keys compare bytewise.
+func partCode[K ~string | ~[]byte](p *keyPart, k K) int64 {
+	k = k[8*p.word : 8*p.word+8]
+	code := int64((uint64(k[7]) | uint64(k[6])<<8 | uint64(k[5])<<16 | uint64(k[4])<<24 |
+		uint64(k[3])<<32 | uint64(k[2])<<40 | uint64(k[1])<<48 | uint64(k[0])<<56) ^ 1<<63)
+	if p.from != p.to {
+		code = p.dim.Up(p.from, p.to, code)
 	}
-	return 0
+	return code
 }
 
 func appendOrdered(b []byte, code int64) []byte {
@@ -801,26 +847,24 @@ func (e *engine) checkGuard() error {
 	return e.guard.NoteLiveCells(e.live)
 }
 
-// finalEntry is one finalized cell ready for emission. Its
-// output-order projection lives in the node's projBuf at
-// [proj*stride, (proj+1)*stride) — code vectors, not encoded keys, so
-// collecting a flush batch does not allocate per cell.
-type finalEntry struct {
-	key   model.Key
-	proj  int
-	value float64
-	emit  bool
-}
-
 // finalizeNode collects finalized cells (all of them when flush is
 // true), emits them in output order, and propagates them to dependent
 // nodes, recursively finalizing those. Retired cells leave no
-// tombstones: the table is rebuilt from the survivors.
+// tombstones: table and slabs are compacted to the survivors.
+//
+// The batch never exists as per-cell objects. Collection writes each
+// finalized cell's sort columns — its output-order codes, then its key
+// as big-endian code words, which order exactly as the key's bytes —
+// into one flat uint64 array; the index sorter orders a permutation of
+// its rows; the keys are written out in that order and become the
+// batch's one string, which the emission log keeps and every Emit and
+// delivery key is sliced from.
 func (e *engine) finalizeNode(n *node, flush bool) error {
 	for i := range n.arcs {
 		n.arcs[i].advanced = false
 	}
-	if n.tab.Len() == 0 {
+	total := n.tab.Len()
+	if total == 0 {
 		return nil
 	}
 	if !flush {
@@ -831,154 +875,183 @@ func (e *engine) finalizeNode(n *node, flush bool) error {
 			}
 		}
 	}
-	batch := n.batchBuf[:0]
-	sch := e.c.Schema
 	kw := n.tab.KeyLen()
-	keepKeys := n.keepKeys[:0]
-	keepCells := n.keepCells[:0]
-	projBuf := n.projBuf[:0]
-	stride := len(n.pl.OutOrder)
-	total := n.tab.Len()
-	// The scan fast-path cache holds a dense index; survivors move
-	// during the rebuild, so track where the cached cell lands (-1 if
-	// it flushed — the next record then provably opens a new cell).
+	keys := n.tab.Keys()
+	width := len(n.outParts) + kw/8 // sort columns per batch row
+	keep, cells, cols := e.keepIdx[:0], e.flushCells[:0], e.sortCols[:0]
+	// The cell cache holds a dense index; survivors move during the
+	// rebuild, so track where the cached cell lands (-1 if it flushed —
+	// a basic node's next record then provably opens a new cell).
 	lastKept := int32(-1)
-	uniformProj := true
+	sorted := true
 	for i := 0; i < total; i++ {
-		k := model.Key(n.tab.KeyAt(int32(i)))
-		cl := &n.cellData[i]
-		if !flush && !e.cellFinal(n, k) {
-			keepKeys = append(keepKeys, n.tab.KeyAt(int32(i))...)
-			keepCells = append(keepCells, *cl)
+		key := keys[i*kw : i*kw+kw]
+		if !flush && !e.cellFinal(n, key) {
 			if int32(i) == n.lastCellIdx {
-				lastKept = int32(len(keepCells) - 1)
+				lastKept = int32(len(keep))
 			}
+			keep = append(keep, int32(i))
 			continue
 		}
-		fe := finalEntry{key: k, proj: len(batch)}
-		fe.value, fe.emit = e.cellValue(n, k, cl)
-		for _, p := range n.pl.OutOrder {
-			projBuf = append(projBuf, sch.Dim(p.Dim).Up(n.m.Codec.Gran()[p.Dim], p.Lvl, n.m.Codec.CodeAt(k, p.Dim)))
+		if n.tracksBase && !n.inBase[i] {
+			// Never a region of this measure (e.g. a sibling update for
+			// a cell the base stream never confirmed): retired, no row.
+			continue
 		}
-		if uniformProj && fe.proj > 0 &&
-			codesCompare(projBuf[fe.proj*stride:fe.proj*stride+stride], projBuf[:stride]) != 0 {
-			uniformProj = false
+		at := len(cols)
+		for j := range n.outParts {
+			cols = append(cols, uint64(partCode(&n.outParts[j], key))^(1<<63))
 		}
-		batch = append(batch, fe)
-		e.finalized++
-		e.noteLive(-1)
-		n.nFinalized++
-		n.noteLive(-1)
-	}
-	n.keepKeys = keepKeys
-	n.keepCells = keepCells
-	n.projBuf = projBuf
-	n.batchBuf = batch
-	if len(batch) == 0 {
-		return nil // table untouched; the scan cache stays valid
-	}
-	n.tab.Reset()
-	n.cellData = n.cellData[:0]
-	for i := range keepCells {
-		if n.appendOnly {
-			n.tab.Append(keepKeys[i*kw : i*kw+kw])
-		} else {
-			n.tab.Insert(keepKeys[i*kw : i*kw+kw])
+		for j := 0; j < kw; j += 8 {
+			cols = append(cols, binary.BigEndian.Uint64(key[j:]))
 		}
-		n.cellData = append(n.cellData, keepCells[i])
+		// Scans often meet cells in emission order already; notice, and
+		// skip the sort.
+		if sorted && at > 0 && colsBefore(cols[at:], cols[at-width:at]) {
+			sorted = false
+		}
+		cells = append(cells, int32(i))
 	}
-	n.lastCellIdx = lastKept
+	e.keepIdx, e.flushCells, e.sortCols = keep, cells, cols
+	retired := int64(total - len(keep))
+	if retired == 0 {
+		return nil // table untouched; the cell cache stays valid
+	}
+	e.finalized += retired
+	e.noteLive(-retired)
+	n.nFinalized += retired
+	n.noteLive(-retired)
 	e.stats.FlushBatches++
 	n.nFlushes++
-	// Emission order is (output-order projection, key). Flush batches
-	// very often hold a single projection class — one finalized region
-	// of the coarse component — so detect that while collecting and
-	// sort by key alone, skipping the vector compares.
-	if uniformProj {
-		sorted := true
-		for i := 1; i < len(batch); i++ {
-			if batch[i].key < batch[i-1].key {
-				sorted = false
-				break
-			}
-		}
-		if !sorted {
-			sort.Slice(batch, func(i, j int) bool { return batch[i].key < batch[j].key })
-		}
-	} else {
-		sort.Slice(batch, func(i, j int) bool {
-			pi := projBuf[batch[i].proj*stride : batch[i].proj*stride+stride]
-			pj := projBuf[batch[j].proj*stride : batch[j].proj*stride+stride]
-			if c := codesCompare(pi, pj); c != 0 {
-				return c < 0
-			}
-			return batch[i].key < batch[j].key
-		})
+
+	// Emission order is (output-order projection, key): sort a
+	// permutation of the batch rows by their columns, write the keys out
+	// in that order, and take each row's value while its cell still
+	// exists.
+	rows := len(cells)
+	order := e.order[:0]
+	for r := 0; r < rows; r++ {
+		order = append(order, int32(r))
 	}
-	// Record output rows and propagate as an update stream.
-	touched := map[int]bool{}
-	var emitted int64
-	for _, fe := range batch {
-		if !fe.emit {
-			continue
+	if !sorted {
+		e.sorter.Sort(order, cols, width, nil)
+	}
+	bk := e.flushKeys[:0]
+	for _, r := range order {
+		for _, w := range cols[int(r)*width+len(n.outParts) : int(r)*width+width] {
+			bk = binary.BigEndian.AppendUint64(bk, w)
 		}
-		if !n.m.Hidden {
-			n.outRows = append(n.outRows, outKV{fe.key, fe.value})
-			emitted++
-			if e.emit != nil {
-				e.emit(n.m.Name, fe.key, fe.value)
-			}
+	}
+	e.order, e.flushKeys = order, bk
+	batchKeys := string(bk)
+	var vals []float64
+	if rows > 0 {
+		vals = make([]float64, rows)
+		for j, r := range order {
+			vals[j] = e.cellValue(n, cells[r], model.Key(batchKeys[j*kw:j*kw+kw]))
+		}
+	}
+	e.compact(n, keep, lastKept)
+	if rows == 0 {
+		return nil
+	}
+
+	// Record output rows and propagate as an update stream.
+	if !n.m.Hidden {
+		n.log = append(n.log, logChunk{keys: batchKeys, vals: vals})
+		n.nRecordsOut += int64(rows)
+		if err := e.guard.NoteResultRows(int64(rows)); err != nil {
+			return err
+		}
+	}
+	for j, v := range vals {
+		key := model.Key(batchKeys[j*kw : j*kw+kw])
+		if e.emit != nil && !n.m.Hidden {
+			e.emit(n.m.Name, key, v)
 		}
 		for _, d := range n.deps {
-			e.deliver(e.nodes[d.node], d.role, n, fe.key, fe.value)
-			touched[d.node] = true
+			e.deliver(e.nodes[d.node], d.role, n, key, v)
 		}
 	}
-	n.nRecordsOut += emitted
-	if err := e.guard.NoteResultRows(emitted); err != nil {
-		return err
-	}
-	// Even emit-less batches advance downstream watermarks? No: a
-	// dropped cell (emit=false) was never a real region of this
-	// measure, so it must not advance watermarks it never would have
-	// produced. Watermarks advance only with delivered entries.
-	var depIdxs []int
-	for d := range touched {
-		depIdxs = append(depIdxs, d)
-	}
-	sort.Ints(depIdxs)
-	for _, d := range depIdxs {
-		dn := e.nodes[d]
-		anyAdv := false
-		for i := range dn.arcs {
-			if dn.arcs[i].advanced {
-				anyAdv = true
-			}
+	// Watermarks advance only with delivered entries: a batch of
+	// unconfirmed cells delivered nothing and returned above. Every
+	// dependent received this batch, so walk them in node order (deps is
+	// built in it; a dependent fed through two roles appears twice,
+	// adjacently).
+	for i, d := range n.deps {
+		if i > 0 && n.deps[i-1].node == d.node {
+			continue
 		}
-		if anyAdv {
-			if err := e.finalizeNode(dn, false); err != nil {
-				return err
+		dn := e.nodes[d.node]
+		for a := range dn.arcs {
+			if dn.arcs[a].advanced {
+				if err := e.finalizeNode(dn, false); err != nil {
+					return err
+				}
+				break
 			}
 		}
 	}
 	return nil
 }
 
+// colsBefore reports whether sort-column row a orders strictly before
+// row b.
+func colsBefore(a, b []uint64) bool {
+	for t := range a {
+		if a[t] != b[t] {
+			return a[t] < b[t]
+		}
+	}
+	return false
+}
+
+// compact rebuilds the node's table and state slabs from the surviving
+// cells keep (ascending), which take the dense indices 0..len(keep)-1.
+func (e *engine) compact(n *node, keep []int32, lastKept int32) {
+	kw := n.tab.KeyLen()
+	kk := e.keepKeys[:0]
+	for _, i := range keep {
+		kk = append(kk, n.tab.KeyAt(i)...)
+	}
+	e.keepKeys = kk
+	n.tab.Reset()
+	for j := range keep {
+		if n.appendOnly {
+			n.tab.Append(kk[j*kw : j*kw+kw])
+		} else {
+			n.tab.Insert(kk[j*kw : j*kw+kw])
+		}
+	}
+	if n.col != nil {
+		n.col.Keep(keep)
+	}
+	if n.tracksBase {
+		for j, i := range keep {
+			n.inBase[j] = n.inBase[i]
+		}
+		n.inBase = n.inBase[:len(keep)]
+	}
+	if srcs := len(n.m.Sources); n.m.Kind == core.KindCombine {
+		for j, i := range keep {
+			copy(n.vals[j*srcs:j*srcs+srcs], n.vals[int(i)*srcs:])
+			copy(n.present[j*srcs:j*srcs+srcs], n.present[int(i)*srcs:])
+		}
+		n.vals, n.present = n.vals[:len(keep)*srcs], n.present[:len(keep)*srcs]
+	}
+	n.lastCellIdx = lastKept
+}
+
 // cellFinal reports whether a cell's projection is strictly below
-// every arc's shifted watermark. The arc that vetoes a finalization
-// counts one held-back event — the per-arc watermark lag surfaced in
-// node stats.
-func (e *engine) cellFinal(n *node, k model.Key) bool {
-	sch := e.c.Schema
+// every arc's shifted watermark, reading the key in place. The arc that
+// vetoes a finalization counts one held-back event — the per-arc
+// watermark lag surfaced in node stats.
+func (e *engine) cellFinal(n *node, key []byte) bool {
 	for i := range n.arcs {
 		a := &n.arcs[i]
-		if len(a.pl.CmpKey) == 0 || !a.seen {
-			a.heldBack++
-			return false // no ordering information from this stream
-		}
-		p := projectCodes(sch, a.pl.CmpKey, nil, n.m.Codec, k, e.projScratch)
-		e.projScratch = p
-		if codesCompare(p, a.th) >= 0 {
+		// An empty comparable key or an unseen stream carries no
+		// ordering information.
+		if len(a.cellParts) == 0 || !a.seen || !a.below(key) {
 			a.heldBack++
 			return false
 		}
@@ -986,44 +1059,42 @@ func (e *engine) cellFinal(n *node, k model.Key) bool {
 	return true
 }
 
-// cellValue computes a finalized cell's measure value; emit=false
-// means the cell never belonged to the measure's region set (e.g. a
-// sibling update for a cell the base stream never confirmed).
-func (e *engine) cellValue(n *node, k model.Key, cl *cell) (float64, bool) {
+// below reports whether key's projection onto the arc's comparable key
+// is lexicographically below the watermark; the first differing
+// component decides, so later ones are not even generalized.
+func (a *arcState) below(key []byte) bool {
+	for j := range a.cellParts {
+		if c := partCode(&a.cellParts[j], key); c != a.th[j] {
+			return c < a.th[j]
+		}
+	}
+	return false
+}
+
+// cellValue computes the measure value of finalized cell ci, whose key
+// is key.
+func (e *engine) cellValue(n *node, ci int32, key model.Key) float64 {
 	switch n.m.Kind {
 	case core.KindCombine:
-		if !cl.inBase {
-			return 0, false
-		}
-		for i := range cl.vals {
-			if cl.present[i] == 0 {
-				cl.vals[i] = agg.Null()
+		srcs := len(n.m.Sources)
+		vals := n.vals[int(ci)*srcs : int(ci)*srcs+srcs]
+		for i, ok := range n.present[int(ci)*srcs : int(ci)*srcs+srcs] {
+			if !ok {
+				vals[i] = agg.Null()
 			}
 		}
-		return n.m.Combine.Eval(cl.vals), true
+		return n.m.Combine.Eval(vals)
 	case core.KindFromParent:
-		if !cl.inBase {
-			return 0, false
-		}
 		src := e.nodes[n.m.Sources[0]]
-		a := n.m.Agg.New()
-		if v, ok := n.parentVals[n.m.Codec.UpTo(k, src.m.Codec)]; ok {
-			a.Update(v)
+		n.keyBuf = n.m.Codec.AppendUpTo(n.keyBuf[:0], key, src.m.Codec)
+		n.parentCol.Reset()
+		a := n.parentCol.Append()
+		if v, ok := n.parentVals[model.Key(n.keyBuf)]; ok {
+			n.parentCol.Update(a, v)
 		}
-		return a.Final(), true
-	case core.KindSibling:
-		if !cl.inBase {
-			return 0, false
-		}
-		if n.isCount {
-			return float64(cl.cnt), true
-		}
-		return cl.agg.Final(), true
+		return n.parentCol.Final(a)
 	default:
-		if n.isCount {
-			return float64(cl.cnt), true
-		}
-		return cl.agg.Final(), true
+		return n.col.Final(ci)
 	}
 }
 
@@ -1032,7 +1103,6 @@ func (e *engine) cellValue(n *node, k model.Key, cl *cell) (float64, bool) {
 // advances the matching watermark.
 func (e *engine) deliver(n *node, role int, src *node, key model.Key, value float64) {
 	m := n.m
-	sch := e.c.Schema
 	var arcIdx int
 	if role < 0 {
 		arcIdx = n.baseArc
@@ -1041,10 +1111,14 @@ func (e *engine) deliver(n *node, role int, src *node, key model.Key, value floa
 	}
 	arc := &n.arcs[arcIdx]
 	n.nRecordsIn++
-	pk := projectCodes(sch, arc.pl.CmpKey, arc.pl.Shift, src.m.Codec, key, e.projScratch)
-	e.projScratch = pk
-	if !arc.seen || codesCompare(pk, arc.th) != 0 {
-		arc.th = append(arc.th[:0], pk...)
+	moved := !arc.seen
+	for j := range arc.srcParts {
+		if c := partCode(&arc.srcParts[j], key) - arc.pl.Shift[j]; c != arc.th[j] {
+			arc.th[j] = c
+			moved = true
+		}
+	}
+	if moved {
 		arc.seen = true
 		arc.advanced = true
 		arc.advances++
@@ -1059,10 +1133,9 @@ func (e *engine) deliver(n *node, role int, src *node, key model.Key, value floa
 		(n.baseArc == -1 && m.Base >= 0 && role >= 0 && m.Sources[role] == m.Base)
 	filtered := false
 	if role >= 0 && m.Filter != nil {
-		ms := [1]float64{value}
-		if !m.Filter.Eval(src.m.Codec.FullDecode(key), ms[:]) {
-			filtered = true
-		}
+		src.m.Codec.FullDecodeInto(e.entryDims, key)
+		e.entryMs[0] = value
+		filtered = !m.Filter.Eval(e.entryDims, e.entryMs[:])
 	}
 
 	switch m.Kind {
@@ -1070,17 +1143,11 @@ func (e *engine) deliver(n *node, role int, src *node, key model.Key, value floa
 		if filtered {
 			return
 		}
-		up := src.m.Codec.UpTo(key, m.Codec)
-		cl := n.getCell(up, e)
-		cl.inBase = true
-		if n.isCount {
-			cl.cnt++
-		} else {
-			cl.agg.Update(value)
-		}
+		n.keyBuf = src.m.Codec.AppendUpTo(n.keyBuf[:0], key, m.Codec)
+		n.col.Update(e.cellFor(n, n.keyBuf), value)
 	case core.KindFromParent:
 		if baseRole {
-			n.getCell(key, e).inBase = true
+			n.inBase[e.cellFor(n, []byte(key))] = true
 			return
 		}
 		if filtered {
@@ -1089,72 +1156,38 @@ func (e *engine) deliver(n *node, role int, src *node, key model.Key, value floa
 		n.parentVals[key] = value
 	case core.KindSibling:
 		if baseRole {
-			n.getCell(key, e).inBase = true
+			n.inBase[e.cellFor(n, []byte(key))] = true
 		}
 		if role < 0 || filtered {
 			return
 		}
 		// An update at key k touches cells in [k-hi, k-lo] per window.
-		forEachShifted(m.Codec, key, m.Windows, func(ck model.Key) {
-			cl := n.getCell(ck, e)
-			if n.isCount {
-				cl.cnt++
-			} else {
-				cl.agg.Update(value)
-			}
-		})
+		n.keyBuf = append(n.keyBuf[:0], key...)
+		e.updateShifted(n, key, 0, value)
 	case core.KindCombine:
-		cl := n.getCell(key, e)
+		ci := e.cellFor(n, []byte(key))
 		if baseRole {
-			cl.inBase = true
+			n.inBase[ci] = true
 		}
-		cl.vals[role] = value
-		cl.present[role] = 1
+		at := int(ci)*len(m.Sources) + role
+		n.vals[at], n.present[at] = value, true
 	}
 }
 
-// getCell returns the live cell for k, creating it if absent. The
-// returned pointer is valid only until the next getCell or scanRecord
-// on the same node (the dense slice may grow).
-func (n *node) getCell(k model.Key, e *engine) *cell {
-	idx, created := n.tab.Insert([]byte(k))
-	if created {
-		var cl cell
-		switch n.m.Kind {
-		case core.KindCombine:
-			cl.vals = make([]float64, len(n.m.Sources))
-			cl.present = make([]uint8, len(n.m.Sources))
-		case core.KindFromParent:
-			// value computed at finalization from parentVals
-		default:
-			if !n.isCount {
-				cl.agg = n.m.Agg.New()
-			}
-		}
-		n.cellData = append(n.cellData, cl)
-		e.created++
-		e.noteLive(1)
-		n.nCreated++
-		n.noteLive(1)
+// updateShifted absorbs value into every cell a sibling-source update
+// at key k affects: the product of [-hi, -lo] offsets per window, in
+// ascending order. n.keyBuf holds k on entry; window i's code is
+// patched in place, so enumerating the product allocates nothing.
+func (e *engine) updateShifted(n *node, k model.Key, i int, value float64) {
+	if i == len(n.m.Windows) {
+		n.col.Update(e.cellFor(n, n.keyBuf), value)
+		return
 	}
-	return &n.cellData[idx]
-}
-
-// forEachShifted enumerates the cell keys affected by a sibling-source
-// update at key k: the product of [-hi, -lo] offsets per window, in
-// ascending order.
-func forEachShifted(c *model.KeyCodec, k model.Key, windows []core.Window, visit func(model.Key)) {
-	var rec func(cur model.Key, i int)
-	rec = func(cur model.Key, i int) {
-		if i == len(windows) {
-			visit(cur)
-			return
-		}
-		w := windows[i]
-		base := c.CodeAt(k, w.Dim)
-		for off := -w.Hi; off <= -w.Lo; off++ {
-			rec(c.WithCodeAt(cur, w.Dim, base+off), i+1)
-		}
+	w := n.m.Windows[i]
+	at := 8 * n.m.Codec.DimPos(w.Dim)
+	base := n.m.Codec.CodeAt(k, w.Dim)
+	for off := -w.Hi; off <= -w.Lo; off++ {
+		binary.BigEndian.PutUint64(n.keyBuf[at:], uint64(base+off)^(1<<63))
+		e.updateShifted(n, k, i+1, value)
 	}
-	rec(k, 0)
 }

@@ -131,10 +131,18 @@ func (c *KeyCodec) DecodeChecked(k Key) ([]int64, error) {
 // D_ALL positions set to 0 (the single ALL value).
 func (c *KeyCodec) FullDecode(k Key) []int64 {
 	out := make([]int64, c.schema.NumDims())
-	for j, i := range c.dims {
-		out[i] = decodeCode([]byte(k[8*j : 8*j+8]))
-	}
+	c.FullDecodeInto(out, k)
 	return out
+}
+
+// FullDecodeInto is FullDecode into dst, which must hold one code per
+// schema dimension, for callers that decode many keys through one
+// reusable buffer.
+func (c *KeyCodec) FullDecodeInto(dst []int64, k Key) {
+	clear(dst)
+	for j, i := range c.dims {
+		dst[i] = decodeCode([]byte(k[8*j : 8*j+8]))
+	}
 }
 
 // DimPos returns the position of dimension i within the key, or -1 if

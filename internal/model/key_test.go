@@ -123,6 +123,16 @@ func TestKeyCodecRoundTrip(t *testing.T) {
 	if c.CodeAt(k3, 0) != 52 {
 		t.Error("WithCodeAt disturbed other component")
 	}
+	// A reused FullDecodeInto buffer carries nothing over: a codec with a
+	// D_ALL dimension must overwrite the previous key's code there with 0.
+	buf := make([]int64, s.NumDims())
+	c.FullDecodeInto(buf, k)
+	gAll, _ := s.Normalize(Gran{1, LevelALL})
+	cAll := NewKeyCodec(s, gAll)
+	cAll.FullDecodeInto(buf, cAll.FromBase([]int64{523, 77}))
+	if want := cAll.FullDecode(cAll.FromBase([]int64{523, 77})); buf[0] != 52 || buf[1] != 0 || want[0] != buf[0] || want[1] != buf[1] {
+		t.Errorf("FullDecodeInto over a used buffer = %v, FullDecode = %v, want [52 0]", buf, want)
+	}
 }
 
 func TestKeyOrderMatchesNumericOrder(t *testing.T) {
