@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"awra/aw"
+	"awra/internal/core"
+	"awra/internal/obs"
 )
 
 func TestStreamMatchesQuery(t *testing.T) {
@@ -134,6 +136,49 @@ func TestAutoStatsAndParallelism(t *testing.T) {
 	}
 	if len(cards) != 4 || cards[0] < 100 {
 		t.Errorf("cards = %v", cards)
+	}
+}
+
+// TestBudgetedSingleScanIgnoresParallelism: single-scan with both a
+// MemoryBudget and Parallelism > 1 — awserved's defaults plus
+// -parallelism — answers the query, through the serial spilling engine
+// (the budget is small enough that it must spill), with the tables of
+// the reference evaluator.
+func TestBudgetedSingleScanIgnoresParallelism(t *testing.T) {
+	s := attackSchema(t)
+	recs := attackRecords(3000, 23)
+	dir := t.TempDir()
+	fact := filepath.Join(dir, "fact.rec")
+	if err := aw.WriteRecords(fact, 4, 0, recs); err != nil {
+		t.Fatal(err)
+	}
+	rec := aw.NewRecorder()
+	got, err := aw.Run(context.Background(), busyWorkflow(t, s, 1), aw.FromFile(fact), aw.QueryOptions{
+		ExecOptions: aw.ExecOptions{Engine: aw.EngineSingleScan, Parallelism: 2, MemoryBudget: 16 << 10, Recorder: rec},
+		TempDir:     dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Counter(obs.MSpillEvents).Value() == 0 {
+		t.Error("a 16 KB budget did not spill: the query did not reach the spilling engine")
+	}
+	c, err := busyWorkflow(t, s, 1).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range c.Outputs() {
+		e, err := core.Translate(c, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Eval(e, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Equal(got[name], 0) {
+			t.Errorf("measure %s differs from core.Eval", name)
+		}
 	}
 }
 

@@ -142,7 +142,10 @@ type ExecOptions struct {
 	// shard count for EngineShardScan, sort workers for the sort/scan
 	// engine's external sort, scan workers for the single-scan engine,
 	// and the default partition count for EnginePartScan. 0 or 1 means
-	// serial. Under EngineAuto, Parallelism > 1 upgrades a sort/scan
+	// serial. Single-scan with a MemoryBudget also runs serial whatever
+	// the count: a budget is a promise about memory that workers with
+	// private tables cannot keep, so the spilling serial engine takes
+	// the query. Under EngineAuto, Parallelism > 1 upgrades a sort/scan
 	// decision to the sharded engine whenever the workflow shards
 	// safely (every measure either nests inside shard units or merges
 	// commutatively). Streaming sessions ignore it.
@@ -498,13 +501,13 @@ func runEngines(c *Compiled, in Input, o QueryOptions, st *plan.Stats, g *qguard
 		return res.Tables, o.Engine, nil
 	case EngineSingleScan:
 		var res *singlescan.Result
-		if par > 1 {
+		if par > 1 && o.MemoryBudget == 0 {
 			r, err := storage.OpenGuarded(in.path, g)
 			if err != nil {
 				return nil, o.Engine, err
 			}
 			defer r.Close()
-			res, err = singlescan.RunParallel(c, r, par, singlescan.Options{TempDir: o.TempDir, MemoryBudget: o.MemoryBudget, Recorder: qrec, Guard: g})
+			res, err = singlescan.RunParallel(c, r, par, singlescan.Options{TempDir: o.TempDir, Recorder: qrec, Guard: g})
 			if err != nil {
 				return nil, o.Engine, err
 			}

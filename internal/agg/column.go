@@ -34,26 +34,51 @@ func (c *Column) Len() int { return c.n }
 // Append adds a cell in the kind's initial state and returns its id,
 // the previous Len.
 func (c *Column) Append() int32 {
+	c.AppendN(1)
+	return int32(c.n - 1)
+}
+
+// AppendN adds n cells in the kind's initial state, ids Len()..Len()+n-1.
+// A full slab doubles, so a column grown cell by cell to any size is
+// allocated and copied about twice over, not append's five times.
+func (c *Column) AppendN(n int) {
 	switch f := c.fresh.(type) {
 	case *countAgg:
-		c.counts = append(c.counts, *f)
+		c.counts = appendN(c.counts, n, *f)
 	case *sumAgg:
-		c.sums = append(c.sums, *f)
+		c.sums = appendN(c.sums, n, *f)
 	case *minmaxAgg:
-		c.minmaxs = append(c.minmaxs, *f)
+		c.minmaxs = appendN(c.minmaxs, n, *f)
 	case *avgAgg:
-		c.avgs = append(c.avgs, *f)
+		c.avgs = appendN(c.avgs, n, *f)
 	case *varAgg:
-		c.vars = append(c.vars, *f)
+		c.vars = appendN(c.vars, n, *f)
 	case *firstLastAgg:
-		c.ends = append(c.ends, *f)
+		c.ends = appendN(c.ends, n, *f)
 	case zeroAgg:
 		// stateless: every cell is the one zero-size value
 	default:
-		c.boxed = append(c.boxed, c.kind.New())
+		c.boxed = appendN(c.boxed, n, nil)
+		for i := c.n; i < c.n+n; i++ {
+			c.boxed[i] = c.kind.New()
+		}
 	}
-	c.n++
-	return int32(c.n - 1)
+	c.n += n
+}
+
+// appendN appends n copies of v to s, doubling a full slab.
+func appendN[T any](s []T, n int, v T) []T {
+	end := len(s) + n
+	if end > cap(s) {
+		grown := make([]T, len(s), max(2*cap(s), end, 8))
+		copy(grown, s)
+		s = grown
+	}
+	s = s[:end]
+	for i := end - n; i < end; i++ {
+		s[i] = v
+	}
+	return s
 }
 
 // cell returns cell i's state machine: a pointer into the slab (valid
@@ -101,6 +126,50 @@ func (c *Column) Update(i int32, v float64) int {
 		before := a.Bytes()
 		a.Update(v)
 		return a.Bytes() - before
+	}
+	return 0
+}
+
+// UpdateAll is Update(ids[j], vs[j]) for every j in order — so cells
+// named more than once absorb their values in the order given — behind
+// one switch on the kind. It returns the total growth in Bytes.
+func (c *Column) UpdateAll(ids []int32, vs []float64) int {
+	vs = vs[:len(ids)]
+	switch c.kind {
+	case Count, CountNonNull:
+		for j, i := range ids {
+			c.counts[i].Update(vs[j])
+		}
+	case Sum:
+		for j, i := range ids {
+			c.sums[i].Update(vs[j])
+		}
+	case Min, Max:
+		for j, i := range ids {
+			c.minmaxs[i].Update(vs[j])
+		}
+	case Avg:
+		for j, i := range ids {
+			c.avgs[i].Update(vs[j])
+		}
+	case Var, StdDev:
+		for j, i := range ids {
+			c.vars[i].Update(vs[j])
+		}
+	case First, Last:
+		for j, i := range ids {
+			c.ends[i].Update(vs[j])
+		}
+	case ConstZero:
+	default:
+		grew := 0
+		for j, i := range ids {
+			a := c.boxed[i]
+			before := a.Bytes()
+			a.Update(vs[j])
+			grew += a.Bytes() - before
+		}
+		return grew
 	}
 	return 0
 }

@@ -59,7 +59,8 @@ func checkCell(t *testing.T, k Kind, c *Column, i int32, a Aggregator) {
 // TestColumnMatchesBoxed: for every kind, a column cell and the boxed
 // Aggregator fed the same stream agree bit for bit after every step —
 // Final, State, Bytes, and the growth Update reports — with cells
-// appended while others are live (slab growth moves them), across Keep
+// appended while others are live (slab growth moves them), singly and
+// through the bulk AppendN and UpdateAll, across Keep
 // compactions to a random subset (the survivors go on absorbing values
 // under their new ids) and across a Reset.
 func TestColumnMatchesBoxed(t *testing.T) {
@@ -88,6 +89,33 @@ func TestColumnMatchesBoxed(t *testing.T) {
 					c.Keep(ids)
 					if twins = kept; c.Len() != len(twins) {
 						t.Fatalf("%v: Len = %d after Keep of %d cells", k, c.Len(), len(twins))
+					}
+					for i, a := range twins {
+						checkCell(t, k, c, int32(i), a)
+					}
+					continue
+				}
+				if step%50 == 49 {
+					// The bulk forms: a run of new cells, then one UpdateAll
+					// over ids that repeat, new cells among them.
+					n := rng.Intn(40)
+					c.AppendN(n)
+					for ; n > 0; n-- {
+						twins = append(twins, k.New())
+					}
+					if c.Len() != len(twins) {
+						t.Fatalf("%v: Len = %d after AppendN with %d cells", k, c.Len(), len(twins))
+					}
+					ids, vs := make([]int32, rng.Intn(64)), make([]float64, 64)
+					grew := 0
+					for j := range ids {
+						ids[j], vs[j] = int32(rng.Intn(len(twins))), hostileValue(rng)
+						before := twins[ids[j]].Bytes()
+						twins[ids[j]].Update(vs[j])
+						grew += twins[ids[j]].Bytes() - before
+					}
+					if got := c.UpdateAll(ids, vs); got != grew {
+						t.Fatalf("%v: UpdateAll reported %d bytes of growth, boxed grew %d", k, got, grew)
 					}
 					for i, a := range twins {
 						checkCell(t, k, c, int32(i), a)

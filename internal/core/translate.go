@@ -117,32 +117,37 @@ func translate(c *Compiled, i int, memo []*Expr) (*Expr, error) {
 // tables is indexed like c.Measures; entries for measures after m may
 // be nil.
 func ComputeComposite(c *Compiled, m *Measure, tables []*Table) (*Table, error) {
-	out := NewTable(c.Schema, m.Gran)
-	filtered := func(j int) func(k model.Key, v float64) bool {
-		src := c.Measures[j]
-		if m.Filter == nil {
-			return func(model.Key, float64) bool { return true }
-		}
-		ms := make([]float64, 1)
-		return func(k model.Key, v float64) bool {
-			ms[0] = v
-			return m.Filter.Eval(src.Codec.FullDecode(k), ms)
-		}
-	}
-	switch m.Kind {
-	case KindRollup:
+	if m.Kind == KindRollup {
 		src := tables[m.Sources[0]]
 		if src == nil {
 			return nil, fmt.Errorf("core: source table for %q not computed", m.Name)
 		}
-		rollUp(m, src, out, filtered(m.Sources[0]), !m.Agg.OrderInsensitive())
+		// Sorted key order pins the result of an aggregate that rounds or
+		// ties by arrival order; the others are read once in map order,
+		// with no key sort and no second lookup per key.
+		each := func(yield func(model.Key, float64)) {
+			for _, k := range src.SortedKeys() {
+				yield(k, src.Rows[k])
+			}
+		}
+		if m.Agg.OrderInsensitive() {
+			each = func(yield func(model.Key, float64)) {
+				for k, v := range src.Rows {
+					yield(k, v)
+				}
+			}
+		}
+		return RollUp(c, m, each), nil
+	}
+	out := NewTable(c.Schema, m.Gran)
+	switch m.Kind {
 	case KindFromParent:
 		src := tables[m.Sources[0]]
 		base := tables[m.Base]
 		if src == nil || base == nil {
 			return nil, fmt.Errorf("core: inputs for %q not computed", m.Name)
 		}
-		keep := filtered(m.Sources[0])
+		keep := sourceFilter(c, m, m.Sources[0])
 		for k := range base.Rows {
 			a := m.Agg.New()
 			pk := out.Codec.UpTo(k, src.Codec)
@@ -157,7 +162,7 @@ func ComputeComposite(c *Compiled, m *Measure, tables []*Table) (*Table, error) 
 		if src == nil || base == nil {
 			return nil, fmt.Errorf("core: inputs for %q not computed", m.Name)
 		}
-		keep := filtered(m.Sources[0])
+		keep := sourceFilter(c, m, m.Sources[0])
 		for k := range base.Rows {
 			a := m.Agg.New()
 			forEachNeighbor(out.Codec, k, m.Windows, func(nk model.Key) {
@@ -194,41 +199,53 @@ func ComputeComposite(c *Compiled, m *Measure, tables []*Table) (*Table, error) 
 	return out, nil
 }
 
-// rollUp fills out, a table at m's granularity, with m's aggregate
-// over the rows of src that pass keep. With ordered set the source is
-// read in sorted key order, which pins the result of an aggregate that
-// rounds or ties by arrival order; without it, once in map order — no
-// key sort and no second lookup per key — which gives the same bits
-// exactly when m.Agg.OrderInsensitive().
-func rollUp(m *Measure, src, out *Table, keep func(model.Key, float64) bool, ordered bool) {
+// sourceFilter returns m's WHERE clause as a test on a row of source
+// measure j.
+func sourceFilter(c *Compiled, m *Measure, j int) func(k model.Key, v float64) bool {
+	if m.Filter == nil {
+		return func(model.Key, float64) bool { return true }
+	}
+	src := c.Measures[j]
+	ms := make([]float64, 1)
+	return func(k model.Key, v float64) bool {
+		ms[0] = v
+		return m.Filter.Eval(src.Codec.FullDecode(k), ms)
+	}
+}
+
+// RollUp evaluates the roll-up measure m over its source measure's rows
+// as each enumerates them: m's aggregate, per cell of m's granularity,
+// over the source rows under it that pass m's filter. each calls yield
+// once per source row. The order it does so in is the order the
+// aggregate absorbs them: sorted key order is the definition, and any
+// other order gives the same bits exactly when m.Agg.OrderInsensitive()
+// — which is what lets an engine that still holds the source in a
+// denser form than a Table's map (a key arena beside an aggregate
+// column) roll it up from there.
+func RollUp(c *Compiled, m *Measure, each func(yield func(k model.Key, v float64))) *Table {
+	out := NewTable(c.Schema, m.Gran)
+	src := c.Measures[m.Sources[0]].Codec
+	keep := sourceFilter(c, m, m.Sources[0])
 	// One aggregate column over the parent cells, found through a
 	// reusable rolled-up key buffer: the map lookup converts the buffer
 	// in place, so only a new parent allocates a key.
 	groups := make(map[model.Key]int32)
 	col := m.Agg.NewColumn()
 	var up []byte
-	update := func(k model.Key, v float64) {
+	each(func(k model.Key, v float64) {
 		if !keep(k, v) {
 			return
 		}
-		up = src.Codec.AppendUpTo(up[:0], k, out.Codec)
+		up = src.AppendUpTo(up[:0], k, out.Codec)
 		id, ok := groups[model.Key(up)]
 		if !ok {
 			id = col.Append()
 			groups[model.Key(up)] = id
 		}
 		col.Update(id, v)
-	}
-	if ordered {
-		for _, k := range src.SortedKeys() {
-			update(k, src.Rows[k])
-		}
-	} else {
-		for k, v := range src.Rows {
-			update(k, v)
-		}
-	}
+	})
 	for k, id := range groups {
 		out.Rows[k] = col.Final(id)
 	}
+	return out
 }

@@ -6,7 +6,8 @@
 // pointer allocations, and hash-iteration overhead. DESIGN.md §hot-path
 // owns the description of the layout (word-wise multiply-mix hash,
 // tagged 8-byte slots indexed by the hash's high bits, linear probing,
-// doubling at half load, append-only key arena).
+// doubling at half load, append-only key arena whose capacity doubles in
+// lock-step with the slots) and of InsertBatch's four probe stages.
 //
 // The table does not support deletion; the engines' watermark flushes
 // retire whole batches of cells at once, so they rebuild the table from
@@ -30,8 +31,14 @@ type Table struct {
 	slots []uint64
 	shift uint   // 64 - log2(len(slots))
 	mask  uint64 // len(slots) - 1
-	keys  []byte // arena: entry i's key at [i*keyLen, (i+1)*keyLen)
-	n     int
+	// keys is the arena: entry i's key at [i*keyLen, (i+1)*keyLen). Its
+	// capacity is set by fit alone — sized for a half-full slot array at
+	// each doubling — never by append's growth policy.
+	keys []byte
+	n    int
+	// InsertBatch's scratch, one element per key of the largest batch
+	// seen: each key's hash, and the slot value found at its home slot.
+	hashes, homes []uint64
 	// Plain-field tallies for the flight recorder, maintained off the
 	// per-probe path (a register increment inside the probe loop, one
 	// compare per insert) and read only at phase boundaries via Stats.
@@ -152,25 +159,21 @@ func (t *Table) KeyAt(i int32) []byte {
 	return t.keys[int(i)*t.keyLen : int(i)*t.keyLen+t.keyLen]
 }
 
-// find walks k's probe sequence. It returns k's entry index, or -1 with
-// the empty slot that ended the walk, the slot value's tag half and the
+// find walks the probe sequence of k, whose hash is h. It returns k's
+// entry index, or -1 with the empty slot that ended the walk and the
 // walk length.
-func (t *Table) find(k []byte) (e int32, slot, tag uint64, walk int64) {
-	if len(k) != t.keyLen {
-		panic("cellmap: key width does not match the table's")
-	}
-	h := hash(k)
-	tag = h &^ idxMask
+func (t *Table) find(k []byte, h uint64) (e int32, slot uint64, walk int64) {
+	tag := h &^ idxMask
 	slot = h >> t.shift
 	for {
 		s := t.slots[slot]
 		if s == 0 {
-			return -1, slot, tag, walk
+			return -1, slot, walk
 		}
 		if s&^idxMask == tag {
 			e = int32(s&idxMask) - 1
 			if keyEq(t.KeyAt(e), k) {
-				return e, slot, tag, walk
+				return e, slot, walk
 			}
 		}
 		slot = (slot + 1) & t.mask
@@ -178,9 +181,16 @@ func (t *Table) find(k []byte) (e int32, slot, tag uint64, walk int64) {
 	}
 }
 
+func (t *Table) checkWidth(k []byte) {
+	if len(k) != t.keyLen {
+		panic("cellmap: key width does not match the table's")
+	}
+}
+
 // Lookup returns the entry index for k, or -1.
 func (t *Table) Lookup(k []byte) int32 {
-	e, _, _, _ := t.find(k)
+	t.checkWidth(k)
+	e, _, _ := t.find(k, hash(k))
 	return e
 }
 
@@ -189,17 +199,22 @@ func (t *Table) Lookup(k []byte) int32 {
 // pass []byte(key): Insert neither retains nor writes k, so the
 // conversion does not copy.
 func (t *Table) Insert(k []byte) (idx int32, created bool) {
-	e, slot, tag, walk := t.find(k)
+	t.checkWidth(k)
+	return t.insert(k, hash(k))
+}
+
+// insert is Insert for a key whose hash is already known: the one
+// probe-and-create body behind Insert and InsertBatch.
+func (t *Table) insert(k []byte, h uint64) (idx int32, created bool) {
+	e, slot, walk := t.find(k, h)
 	if e >= 0 {
 		return e, false
 	}
 	if walk > t.probeHWM {
 		t.probeHWM = walk
 	}
-	e = int32(t.n)
-	t.keys = append(t.keys, k...)
-	t.n++
-	t.slots[slot] = tag | uint64(e+1)
+	e = t.Append(k)
+	t.slots[slot] = h&^idxMask | uint64(e+1)
 	// Double at half load. Under a well-mixed hash the longest walk
 	// grows with log(n)/(load - 1 - ln load): about 35 slots at a
 	// million entries here, against 170 at 3/4 and 700 at 7/8.
@@ -209,6 +224,59 @@ func (t *Table) Insert(k []byte) (idx int32, created bool) {
 	return e, true
 }
 
+// InsertBatch is Insert over len(out) keys packed back to back in keys,
+// leaving each key's entry index in out: the same ids, entries and
+// tallies as Insert on each key in order (Len before and after tells how
+// many were created). It is faster because a key's loads no longer wait
+// on the previous key's — DESIGN.md §hot-path has the four stages.
+func (t *Table) InsertBatch(keys []byte, out []int32) {
+	kl := t.keyLen
+	if len(keys) != len(out)*kl {
+		panic("cellmap: key bytes do not match the batch's length")
+	}
+	if cap(t.hashes) < len(out) {
+		t.hashes, t.homes = make([]uint64, len(out)), make([]uint64, len(out))
+	}
+	hashes, homes := t.hashes[:len(out)], t.homes[:len(out)]
+	// Stage 1: every key's hash.
+	for i := range hashes {
+		hashes[i] = hash(keys[i*kl : i*kl+kl])
+	}
+	if t.n > 0 && kl > 0 && kl%8 == 0 {
+		// Stage 2: every home slot — independent loads, so their cache
+		// misses overlap.
+		for i, h := range hashes {
+			homes[i] = t.slots[h>>t.shift]
+		}
+		// Stage 3: where the home slot's tag matches, compare the key's
+		// first word with its entry's. Arithmetic, not branches: hit and
+		// miss are near even odds, and a mispredicted branch would flush
+		// the arena loads this stage exists to overlap.
+		for i, s := range homes {
+			tagDiff := (s ^ hashes[i]) >> 32
+			e := s & idxMask & -((tagDiff - 1) >> 63) // entry index + 1; 0 on a tag miss or an empty slot
+			some := (e | -e) >> 63                    // e != 0
+			e -= some                                 // the candidate entry, or entry 0 as a harmless load
+			x := binary.LittleEndian.Uint64(t.keys[int(e)*kl:]) ^ binary.LittleEndian.Uint64(keys[i*kl:])
+			hit := some &^ ((x | -x) >> 63)
+			out[i] = int32(e*hit) + int32(hit) - 1 // e on a hit, else -1
+		}
+	} else {
+		for i := range out {
+			out[i] = -1
+		}
+	}
+	// Stage 4, in key order: a stage 3 hit whose remaining words match
+	// keeps its id (an entry index, which no later doubling moves);
+	// every other key takes the ordinary probe with its hash in hand.
+	for i, e := range out {
+		k := keys[i*kl : i*kl+kl]
+		if e < 0 || !keyEq(t.KeyAt(e)[8:], k[8:]) {
+			out[i], _ = t.insert(k, hashes[i])
+		}
+	}
+}
+
 // Append adds k as a new entry without consulting the probe index, for
 // callers that know k was never inserted — the engines' append-only
 // nodes, whose cell keys arrive in contiguous runs. The probe index is
@@ -216,20 +284,38 @@ func (t *Table) Insert(k []byte) (idx int32, created bool) {
 // until the next Reset. Mixing Append with probing calls on one
 // population is a caller bug.
 func (t *Table) Append(k []byte) int32 {
+	if len(t.keys)+len(k) > cap(t.keys) {
+		// A first key, or an appended population outgrowing the slots.
+		t.fit(max(len(t.slots)/2+1, 2*t.n))
+	}
 	e := int32(t.n)
 	t.keys = append(t.keys, k...)
 	t.n++
 	return e
 }
 
-// grow doubles the probe index. Home slots come from the slot values'
-// own tag bits, so the arena is not read and no key is rehashed; old
-// slots are visited in index order, which is also ascending home order
-// in the new table, so the writes run forward through it.
+// fit gives the arena capacity for n entries.
+func (t *Table) fit(n int) {
+	if n*t.keyLen <= cap(t.keys) {
+		return
+	}
+	keys := make([]byte, len(t.keys), n*t.keyLen)
+	copy(keys, t.keys)
+	t.keys = keys
+}
+
+// grow doubles the probe index, and the arena with it: to the entries
+// the new index holds before it doubles again (half its slots, plus the
+// one whose insert trips the doubling), so the arena is allocated and
+// copied once per doubling. Home slots come from the slot values' own
+// tag bits, so the arena is not read and no key is rehashed; old slots
+// are visited in index order, which is also ascending home order in the
+// new table, so the writes run forward through it.
 func (t *Table) grow() {
 	t.grows++
 	old := t.slots
 	t.init(len(old) * 2)
+	t.fit(len(t.slots)/2 + 1)
 	for _, s := range old {
 		if s == 0 {
 			continue

@@ -61,12 +61,15 @@ func TestTableZeroWidthKey(t *testing.T) {
 
 // differential drives a table of keyLen-byte keys from an op stream and
 // checks every answer against a Go map. A population (the entries
-// between two Resets) is either probed (Insert/Lookup) or appended
-// (Append of never-seen keys), never both — the engines' contract — and
-// the stream switches between the two kinds across Resets. Keys come
-// from a small domain so repeats are common.
+// between two Resets) is either probed (Insert/InsertBatch/Lookup) or
+// appended (Append of never-seen keys), never both — the engines'
+// contract — and the stream switches between the two kinds across
+// Resets. Keys come from a small domain so repeats are common. A twin
+// table takes the same stream one key at a time — every batch as
+// Inserts in order — and must stay indistinguishable: ids, Len, Keys
+// and Stats after every batch.
 func differential(t testing.TB, keyLen int, ops []byte) {
-	tab := New(keyLen)
+	tab, twin := New(keyLen), New(keyLen)
 	ref := map[string]int32{}
 	var order []string
 	appended := false // the current population was built by Append
@@ -78,11 +81,31 @@ func differential(t testing.TB, keyLen int, ops []byte) {
 		}
 		if keyLen >= 8 {
 			binary.BigEndian.PutUint64(key[keyLen-8:], lo^(1<<63))
+		} else {
+			for i := range key {
+				key[i] = byte(lo >> (8 * uint(i)))
+			}
 		}
 		if keyLen >= 16 {
 			binary.BigEndian.PutUint64(key, hi^(1<<63))
 		}
 	}
+	// insert checks one probed key's answer against the map.
+	insert := func(idx int32, created bool) {
+		t.Helper()
+		want, ok := ref[string(key)]
+		if ok != !created || (ok && idx != want) || (!ok && int(idx) != len(order)) {
+			t.Fatalf("Insert(%x) = (%d,%v); map has (%d,%v), %d entries", key, idx, created, want, ok, len(order))
+		}
+		if created {
+			ref[string(key)] = idx
+			order = append(order, string(key))
+		}
+	}
+	var (
+		batch []byte
+		ids   []int32
+	)
 	verify := func() {
 		t.Helper()
 		if tab.Len() != len(order) {
@@ -111,6 +134,7 @@ func differential(t testing.TB, keyLen int, ops []byte) {
 		case op < 8: // Reset, and let the next population be of either kind
 			verify()
 			tab.Reset()
+			twin.Reset()
 			clear(ref)
 			order, appended = order[:0], false
 		case op < 64 && len(order) == 0 || appended:
@@ -124,18 +148,44 @@ func differential(t testing.TB, keyLen int, ops []byte) {
 			if idx := tab.Append(key); int(idx) != len(order) {
 				t.Fatalf("Append = %d, want %d", idx, len(order))
 			}
+			twin.Append(key)
 			order, appended = append(order, string(key)), true
+		case op >= 224:
+			// InsertBatch of a+1 keys: odd ops a run of distinct keys (all
+			// new the first time, all hits when the op repeats), even ops
+			// a pseudo-random draw — from 32 keys when op&2 is set, so the
+			// batch repeats keys it has itself just created.
+			n := int(a) + 1
+			batch, ids = batch[:0], ids[:0]
+			x := uint32(b)
+			for j := 0; j < n; j++ {
+				if op&1 == 1 {
+					setKey(uint64(b&7), uint64(j))
+				} else if x = x*1103515245 + 12345; op&2 == 2 {
+					setKey(0, uint64(x>>16&31))
+				} else {
+					setKey(uint64(x>>24&7), uint64(x>>16&255))
+				}
+				batch = append(batch, key...)
+				idx, created := twin.Insert(key)
+				insert(idx, created)
+				ids = append(ids, idx)
+			}
+			got := make([]int32, n)
+			tab.InsertBatch(batch, got)
+			for j, idx := range got {
+				if idx != ids[j] {
+					t.Fatalf("InsertBatch key %d of %d = %d, Insert gave %d", j, n, idx, ids[j])
+				}
+			}
+			if tab.Len() != twin.Len() || string(tab.Keys()) != string(twin.Keys()) || tab.Stats() != twin.Stats() {
+				t.Fatalf("after a batch of %d: %d entries, Stats %+v; one key at a time %d entries, Stats %+v",
+					n, tab.Len(), tab.Stats(), twin.Len(), twin.Stats())
+			}
 		default:
 			setKey(uint64(a&7), uint64(b))
-			idx, created := tab.Insert(key)
-			want, ok := ref[string(key)]
-			if ok != !created || (ok && idx != want) || (!ok && int(idx) != len(order)) {
-				t.Fatalf("Insert(%x) = (%d,%v); map has (%d,%v), %d entries", key, idx, created, want, ok, len(order))
-			}
-			if created {
-				ref[string(key)] = idx
-				order = append(order, string(key))
-			}
+			twin.Insert(key)
+			insert(tab.Insert(key))
 			setKey(uint64(b&7), uint64(a)+256) // outside the inserted domain
 			if got := tab.Lookup(key); keyLen > 0 && got != -1 {
 				t.Fatalf("Lookup of an absent key = %d, want -1", got)
@@ -145,7 +195,9 @@ func differential(t testing.TB, keyLen int, ops []byte) {
 	verify()
 }
 
-var keyWidths = []int{0, 8, 16, 24}
+// keyWidths are the widths the op streams run at: none, the codec's 8,
+// 16 and 24, and 5 for the tail that is not a whole word.
+var keyWidths = []int{0, 8, 16, 24, 5}
 
 // TestDifferentialAgainstMap is the property test: long random op
 // streams at every key width, through growth, Resets and both kinds of
@@ -166,7 +218,76 @@ func TestDifferentialAgainstMap(t *testing.T) {
 	}
 }
 
+// batchEdges are op streams around InsertBatch's edges, by name; they
+// run at every width and seed FuzzInsert.
+var batchEdges = map[string][]byte{
+	// 256 new keys into an empty table (six doublings inside the batch),
+	// then the same batch again: every key a hit.
+	"all new, then all hits": {225, 255, 3, 225, 255, 3},
+	// Eight single inserts fill the 16-slot table to its limit; a batch
+	// of 9 more keys crosses one doubling, one of 25 crosses two.
+	"straddles one doubling":  {200, 0, 0, 200, 0, 1, 200, 0, 2, 200, 0, 3, 200, 0, 4, 200, 0, 5, 200, 0, 6, 200, 0, 7, 225, 8, 1},
+	"straddles two doublings": {200, 0, 0, 200, 0, 1, 200, 0, 2, 200, 0, 3, 200, 0, 4, 200, 0, 5, 200, 0, 6, 200, 0, 7, 225, 24, 1},
+	// A batch drawn from 32 keys creates a key and meets it again.
+	"duplicates inside the batch": {226, 200, 9, 226, 200, 10},
+	// A grown table emptied by Reset keeps its slots: the next batch
+	// takes the staged path's empty-table exit, the one after the stages.
+	"right after Reset":         {225, 99, 0, 0, 0, 0, 224, 99, 5, 224, 99, 5, 0, 0, 0, 225, 0, 7},
+	"mixed with single inserts": {200, 1, 2, 224, 50, 1, 200, 3, 4, 228, 50, 1, 200, 1, 2, 230, 255, 77},
+}
+
+func TestInsertBatchEdges(t *testing.T) {
+	for name, ops := range batchEdges {
+		for _, w := range keyWidths {
+			t.Run(fmt.Sprintf("%s/width=%d", name, w), func(t *testing.T) { differential(t, w, ops) })
+		}
+	}
+}
+
+// TestInsertBatchTagCollision is the case the op streams' small domain
+// never draws: two distinct keys whose hashes share their high 32 bits,
+// so the second finds the first's tag in its home slot. At width 8 the
+// first-word compare must tell them apart; at 16 and 24 they share the
+// first word too and only the tail compare can.
+func TestInsertBatchTagCollision(t *testing.T) {
+	for _, w := range []int{8, 16, 24} {
+		key := func(j uint64) []byte {
+			k := make([]byte, w)
+			binary.BigEndian.PutUint64(k[w-8:], j^(1<<63))
+			return k
+		}
+		// Dense codes give the tags of a Weyl sequence, which never
+		// repeat; random words collide at the birthday bound, ~80k draws.
+		rng := rand.New(rand.NewSource(int64(w)))
+		seen := map[uint32]uint64{}
+		var a, b []byte
+		for tries := 0; b == nil; tries++ {
+			if tries == 1<<22 {
+				t.Fatalf("width %d: no two of %d random keys share a tag", w, tries)
+			}
+			j := rng.Uint64()
+			tag := uint32(hash(key(j)) >> 32)
+			if first, ok := seen[tag]; ok && first != j {
+				a, b = key(first), key(j)
+			}
+			seen[tag] = j
+		}
+		tab := New(w)
+		tab.Insert(a)
+		got := make([]int32, 3)
+		tab.InsertBatch(append(append(append([]byte(nil), b...), a...), b...), got)
+		if got[0] != 1 || got[1] != 0 || got[2] != 1 || tab.Len() != 2 {
+			t.Errorf("width %d: keys %x and %x share a tag; InsertBatch(b, a, b) after Insert(a) = %v with %d entries, want [1 0 1] with 2", w, a, b, got, tab.Len())
+		}
+	}
+}
+
 func FuzzInsert(f *testing.F) {
+	for _, ops := range batchEdges {
+		for w := range keyWidths {
+			f.Add(uint8(w), ops)
+		}
+	}
 	f.Add(uint8(1), []byte{200, 1, 2, 200, 1, 2, 0, 0, 0, 10, 5, 5, 10, 6, 6, 0, 0, 0, 200, 1, 2})
 	f.Add(uint8(0), []byte{200, 0, 0, 200, 0, 0, 0, 0, 0, 10, 0, 0})
 	f.Add(uint8(3), []byte{10, 1, 1, 10, 2, 2, 0, 0, 0, 200, 7, 255, 200, 7, 255})
@@ -241,4 +362,41 @@ func BenchmarkInsert(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkInsertBatch prices the probe where it misses the cache: a
+// million 16-byte keys (16 MB of slots, 16 MB of arena) hit in random
+// order, one Insert at a time against InsertBatch over 512-key batches.
+// The gap between the two is the memory-level parallelism of the staged
+// probe.
+func BenchmarkInsertBatch(b *testing.B) {
+	const n, batch = 1 << 20, 512
+	rng := rand.New(rand.NewSource(7))
+	keys := make([]byte, 0, 16*n)
+	for _, i := range rng.Perm(n) {
+		keys = binary.BigEndian.AppendUint64(keys, uint64(i%1024)^(1<<63))
+		keys = binary.BigEndian.AppendUint64(keys, uint64(i/1024)^(1<<63))
+	}
+	tab := New(16)
+	for i := 0; i < n; i++ {
+		tab.Insert(keys[16*i : 16*i+16])
+	}
+	// Probe in another random order than the insertion's.
+	probes := make([]byte, 0, 16*n)
+	for _, i := range rng.Perm(n) {
+		probes = append(probes, keys[16*i:16*i+16]...)
+	}
+	b.Run("insert", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			j := i % n
+			tab.Insert(probes[16*j : 16*j+16])
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		ids := make([]int32, batch)
+		for done := 0; done < b.N; done += batch {
+			j := done % n
+			tab.InsertBatch(probes[16*j:16*(j+batch)], ids)
+		}
+	})
 }

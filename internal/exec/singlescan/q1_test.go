@@ -1,0 +1,96 @@
+package singlescan
+
+import (
+	"fmt"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"awra/internal/agg"
+	"awra/internal/core"
+	"awra/internal/gen"
+	"awra/internal/model"
+	"awra/internal/obs"
+)
+
+// q1 writes an n-row gen.Synth cube and compiles the paper's Q1 over
+// it as perf/ states it: seven child-granularity counts, each rolled up
+// to A1=L2 by counting child regions, summed into one measure.
+func q1(tb testing.TB, n int64) (*core.Compiled, string) {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "cube.rec")
+	s, err := gen.Synth(path, n, gen.SynthConfig{Seed: 2006})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	all := model.LevelALL
+	w := core.NewWorkflow(s)
+	var ups []string
+	for i, g := range []model.Gran{
+		{0, 1, all, all}, {0, all, 1, all}, {0, all, all, 1},
+		{1, 0, all, all}, {1, all, 0, all}, {1, all, all, all}, {0, 0, all, all},
+	} {
+		child, up := fmt.Sprintf("child%d", i+1), fmt.Sprintf("per_parent%d", i+1)
+		w.Basic(child, g, agg.Count, -1)
+		w.Rollup(up, model.Gran{2, all, all, all}, child, agg.Count)
+		ups = append(ups, up)
+	}
+	w.Combine("q1", ups, core.SumOf())
+	c, err := w.Compile()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, path
+}
+
+// BenchmarkQ1RunFile is perf's batch-singlescan repetition without the
+// harness: Q1 over the 200k-row cube, 613,561 cells in seven tables.
+func BenchmarkQ1RunFile(b *testing.B) {
+	c, path := q1(b, 200_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunFile(c, path, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestScanAllocationBound: the tables' memory is allocated about twice
+// over — every arena and slab doubles when full, the arena in step with
+// the slots — and a morsel allocates nothing. Q1 over a 20k-row cube
+// creates 110,552 cells. The run allocated 290 bytes per cell while the
+// arena and the count slab rode append, which regrows a large slice by
+// a quarter at a time (five copies of the final size in all); it
+// allocates 255 here, most of them the result maps. Mallocs per run are
+// a few per doubling and table (about 1,100), so a scratch buffer
+// allocated per morsel, or a key per cell, fails the second bound.
+func TestScanAllocationBound(t *testing.T) {
+	c, path := q1(t, 20_000)
+	var (
+		cells  int64
+		m0, m1 runtime.MemStats
+	)
+	const runs = 3
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		rec := obs.New()
+		if _, err := RunFile(c, path, Options{Recorder: rec}); err != nil {
+			t.Fatal(err)
+		}
+		cells = rec.Counter(obs.MCellsCreated).Value()
+	}
+	runtime.ReadMemStats(&m1)
+	if cells < 100_000 {
+		t.Fatalf("only %d cells created; the bounds below need the per-cell work to dominate", cells)
+	}
+	perCell := float64(m1.TotalAlloc-m0.TotalAlloc) / runs / float64(cells)
+	mallocs := float64(m1.Mallocs-m0.Mallocs) / runs
+	t.Logf("%d cells: %.0f bytes allocated per cell, %.0f mallocs per run", cells, perCell, mallocs)
+	if perCell >= 270 {
+		t.Errorf("%.0f bytes allocated per created cell, want < 270", perCell)
+	}
+	if mallocs >= 4000 {
+		t.Errorf("%.0f mallocs per run, want < 4000", mallocs)
+	}
+}

@@ -12,9 +12,16 @@
 // externally sorted and merged back — a real out-of-core fallback
 // whose extra disk round-trips produce the paper's "slows down
 // significantly due to insufficient memory" behaviour honestly.
+//
+// The scan is a vectorised hash aggregation: rows are taken a 512-row
+// morsel at a time and, inside a morsel, one table at a time, through
+// cellmap.InsertBatch and the aggregate column's bulk operations.
+// DESIGN.md §hot-path owns the description of that loop and of the
+// dense roll-up source phase 2 reads.
 package singlescan
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -77,13 +84,17 @@ type table struct {
 	tab *cellmap.Table
 	col *agg.Column
 	// Cell key recipe: for each non-ALL dimension (schema order), the
-	// base dimension index, the dimension, and the target level. The
+	// morsel code column holding its codes at the measure's level. The
 	// produced bytes are identical to m.Codec.FromBase.
-	dIdx   []int
-	dims   []*model.Dimension
-	lvls   []model.Level
-	keyBuf []byte
-	bytes  int64
+	cols []int
+	// cellBytes is what a new cell adds to bytes: its key, its aggregate
+	// in the initial state, and 16 of table overhead.
+	cellBytes int64
+	bytes     int64
+	// keys is the key arena as one string once the scan is over and the
+	// table was never spilled — what the result map's keys are cut from,
+	// and what phase 2 reads roll-up sources off.
+	keys string
 	// spill bookkeeping
 	spillPath  string
 	spillGen   int64
@@ -98,19 +109,138 @@ type table struct {
 	liveHWM   int64
 }
 
-func newTable(c *core.Compiled, m *core.Measure, guard *qguard.Guard) *table {
+// morselRows is how many rows the scan takes through one table before
+// moving to the next: enough keys per cellmap.InsertBatch for its
+// cache misses to overlap, few enough that a morsel's code columns, keys
+// and ids stay in L1 beside the table being probed (EXPERIMENTS.md has
+// the measurement). It is also the cancellation stride.
+const morselRows = 512
+
+// morsel is the scan loop's working set, shared by every table: the
+// current rows' generalized codes in columns, and the buffers one
+// table's pass over them fills.
+type morsel struct {
+	// pairs are the distinct (dimension, level) pairs the basic measures
+	// key on; codes[p][r] is row r's code under pairs[p]. A level shared
+	// by several measures is generalized once per row, not once per
+	// measure.
+	pairs []codePair
+	codes [][]int64
+	all   []int32 // 0..morselRows-1: an unfiltered table's selection
+	sel   []int32 // a filtered table's selection
+	keys  []byte  // the selected rows' packed cell keys
+	ids   []int32 // ... their cell ids
+	vals  []float64
+	zeros []float64    // the input of a measure that reads no fact measure
+	rec   model.Record // one decoded row, for filters
+}
+
+type codePair struct {
+	d   int
+	dim *model.Dimension
+	lvl model.Level
+}
+
+func newMorsel(s *model.Schema) *morsel {
+	mo := &morsel{
+		all:   make([]int32, morselRows),
+		sel:   make([]int32, 0, morselRows),
+		ids:   make([]int32, morselRows),
+		vals:  make([]float64, morselRows),
+		zeros: make([]float64, morselRows),
+		rec:   model.Record{Dims: make([]int64, s.NumDims()), Ms: make([]float64, s.NumMeasures())},
+	}
+	for i := range mo.all {
+		mo.all[i] = int32(i)
+	}
+	return mo
+}
+
+// col returns the code column of dimension d at level lvl, adding it on
+// first use.
+func (mo *morsel) col(s *model.Schema, d int, lvl model.Level) int {
+	for i, p := range mo.pairs {
+		if p.d == d && p.lvl == lvl {
+			return i
+		}
+	}
+	mo.pairs = append(mo.pairs, codePair{d, s.Dim(d), lvl})
+	mo.codes = append(mo.codes, make([]int64, morselRows))
+	return len(mo.pairs) - 1
+}
+
+// load fills the code columns from rows.
+func (mo *morsel) load(rows []scan.Record) {
+	for p, pair := range mo.pairs {
+		codes := mo.codes[p][:len(rows)]
+		for r, row := range rows {
+			codes[r] = row.Dim(pair.d)
+		}
+		if pair.lvl > 0 {
+			for r, code := range codes {
+				codes[r] = pair.dim.Up(0, pair.lvl, code)
+			}
+		}
+	}
+}
+
+func newTable(c *core.Compiled, m *core.Measure, mo *morsel, guard *qguard.Guard) *table {
 	t := &table{m: m, tab: cellmap.New(m.Codec.KeyBytes()), col: m.Agg.NewColumn(), guard: guard}
 	for d := 0; d < c.Schema.NumDims(); d++ {
-		dim := c.Schema.Dim(d)
-		if m.Gran[d] == dim.ALL() {
-			continue
+		if m.Gran[d] != c.Schema.Dim(d).ALL() {
+			t.cols = append(t.cols, mo.col(c.Schema, d, m.Gran[d]))
 		}
-		t.dIdx = append(t.dIdx, d)
-		t.dims = append(t.dims, dim)
-		t.lvls = append(t.lvls, m.Gran[d])
 	}
-	t.keyBuf = make([]byte, 0, 8*len(t.dIdx))
+	t.cellBytes = int64(t.tab.KeyLen()+m.Agg.New().Bytes()) + 16
+	if n := morselRows * t.tab.KeyLen(); n > len(mo.keys) {
+		mo.keys = make([]byte, n) // room for the widest table's morsel
+	}
 	return t
+}
+
+// absorb takes the morsel's rows through the table: select, encode the
+// keys from the code columns, probe them as one batch, add the new
+// cells, update every cell in row order. It returns how many cells it
+// created and by how much the table's bytes grew.
+func (t *table) absorb(mo *morsel, rows []scan.Record, numDims int) (created, grew int64) {
+	m := t.m
+	t.recordsIn += int64(len(rows))
+	sel := mo.all[:len(rows)]
+	if m.Filter != nil {
+		sel = mo.sel[:0]
+		for r, row := range rows {
+			row.DecodeInto(mo.rec.Dims, mo.rec.Ms)
+			if m.Filter.Eval(mo.rec.Dims, mo.rec.Ms) {
+				sel = append(sel, int32(r))
+			}
+		}
+	}
+	kl := t.tab.KeyLen()
+	keys, ids := mo.keys[:len(sel)*kl], mo.ids[:len(sel)]
+	for j, p := range t.cols {
+		codes := mo.codes[p]
+		for i, r := range sel {
+			binary.BigEndian.PutUint64(keys[i*kl+8*j:], uint64(codes[r])^(1<<63))
+		}
+	}
+	before := t.tab.Len()
+	t.tab.InsertBatch(keys, ids)
+	created = int64(t.tab.Len() - before)
+	t.col.AppendN(int(created))
+	vals := mo.zeros
+	if m.FactMeasure >= 0 {
+		vals = mo.vals
+		for i, r := range sel {
+			vals[i] = rows[r].Measure(numDims, m.FactMeasure)
+		}
+	}
+	grew = created*t.cellBytes + int64(t.col.UpdateAll(ids, vals))
+	t.bytes += grew
+	t.created += created
+	if t.live += created; t.live > t.liveHWM {
+		t.liveHWM = t.live
+	}
+	return created, grew
 }
 
 // Run evaluates the workflow over the record source.
@@ -144,13 +274,10 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 	var stats Stats
 	var basics []*table
 	var totalBytes int64
-	needRec := false
+	mo := newMorsel(c.Schema)
 	for _, m := range c.Measures {
 		if m.Kind == core.KindBasic {
-			basics = append(basics, newTable(c, m, opts.Guard))
-			if m.Filter != nil {
-				needRec = true
-			}
+			basics = append(basics, newTable(c, m, mo, opts.Guard))
 		}
 	}
 	defer func() {
@@ -166,18 +293,14 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 
 	// Phase 1: one scan, all basic measures at once (Table 7 lines
 	// 3-7, without the sort). Records arrive as verified zero-copy
-	// byte-slice batches; per-record work is key assembly into a
-	// reusable buffer, one open-addressing probe, and the aggregate
-	// update.
+	// byte-slice batches and are taken a morsel at a time and, inside a
+	// morsel, a table at a time: every table's probes, cell creations
+	// and aggregate updates run as one batch each (DESIGN.md §hot-path).
 	scanSpan := orec.Start(obs.SpanScan)
 	if tc, ok := bsrc.(interface{ TotalRecords() int64 }); ok {
 		scanSpan.SetTotal(tc.TotalRecords())
 	}
 	numDims := c.Schema.NumDims()
-	var frec model.Record
-	if needRec {
-		frec = model.Record{Dims: make([]int64, numDims), Ms: make([]float64, c.Schema.NumMeasures())}
-	}
 	var cellsCreated, liveCells, peakLive int64
 	for {
 		batch, err := bsrc.NextBatch()
@@ -187,80 +310,48 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 		if batch == nil {
 			break
 		}
-		for _, row := range batch {
-			stats.Records++
-			// Keep the fine in-batch stride: file batches span tens of
+		for len(batch) > 0 {
+			// The morsel is the stride: file batches span tens of
 			// thousands of rows, too coarse for cancellation latency.
-			if stats.Records&255 == 0 {
-				scanSpan.SetDone(stats.Records)
-				if err := opts.Guard.Err(); err != nil {
-					return nil, err
-				}
-				if err := opts.Guard.NoteLiveCells(liveCells); err != nil {
-					return nil, err
-				}
+			scanSpan.SetDone(stats.Records)
+			if err := opts.Guard.Err(); err != nil {
+				return nil, err
 			}
-			if needRec {
-				row.DecodeInto(frec.Dims, frec.Ms)
+			if err := opts.Guard.NoteLiveCells(liveCells); err != nil {
+				return nil, err
 			}
+			rows := batch[:min(morselRows, len(batch))]
+			batch = batch[len(rows):]
+			stats.Records += int64(len(rows))
+			mo.load(rows)
 			for _, t := range basics {
-				m := t.m
-				t.recordsIn++
-				if m.Filter != nil && !m.Filter.Eval(frec.Dims, frec.Ms) {
-					continue
+				created, grew := t.absorb(mo, rows, numDims)
+				cellsCreated += created
+				if liveCells += created; liveCells > peakLive {
+					peakLive = liveCells
 				}
-				kb := t.keyBuf[:0]
-				for j, d := range t.dIdx {
-					kb = model.AppendKeyCode(kb, t.dims[j].Up(0, t.lvls[j], row.Dim(d)))
+				if totalBytes += grew; totalBytes > stats.PeakBytes {
+					stats.PeakBytes = totalBytes
 				}
-				t.keyBuf = kb
-				idx, created := t.tab.Insert(kb)
-				if created {
-					t.col.Append()
-					cellsCreated++
-					liveCells++
-					if liveCells > peakLive {
-						peakLive = liveCells
+				if opts.MemoryBudget > 0 && totalBytes > opts.MemoryBudget {
+					// Spill the largest table and keep scanning.
+					victim := basics[0]
+					for _, t := range basics {
+						if t.bytes > victim.bytes {
+							victim = t
+						}
 					}
-					t.created++
-					t.live++
-					if t.live > t.liveHWM {
-						t.liveHWM = t.live
+					n, err := victim.spill(tempDir)
+					if err != nil {
+						return nil, err
 					}
-					delta := int64(len(kb)) + int64(t.col.Bytes(idx)) + 16
-					t.bytes += delta
-					totalBytes += delta
+					stats.Spills++
+					stats.SpilledEntries += n
+					liveCells -= n
+					victim.live -= n
+					totalBytes -= victim.bytes
+					victim.bytes = 0
 				}
-				v := 0.0
-				if m.FactMeasure >= 0 {
-					v = row.Measure(numDims, m.FactMeasure)
-				}
-				if d := int64(t.col.Update(idx, v)); d != 0 {
-					t.bytes += d
-					totalBytes += d
-				}
-			}
-			if totalBytes > stats.PeakBytes {
-				stats.PeakBytes = totalBytes
-			}
-			if opts.MemoryBudget > 0 && totalBytes > opts.MemoryBudget {
-				// Spill the largest table and keep scanning.
-				victim := basics[0]
-				for _, t := range basics {
-					if t.bytes > victim.bytes {
-						victim = t
-					}
-				}
-				n, err := victim.spill(tempDir)
-				if err != nil {
-					return nil, err
-				}
-				stats.Spills++
-				stats.SpilledEntries += n
-				liveCells -= n
-				victim.live -= n
-				totalBytes -= victim.bytes
-				victim.bytes = 0
 			}
 		}
 	}
@@ -272,6 +363,7 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 	spillSpan := orec.Start(obs.SpanSpill)
 	var cellsFinalized int64
 	tables := make([]*core.Table, len(c.Measures))
+	dense := make([]*table, len(c.Measures)) // the basics that never spilled
 	for _, t := range basics {
 		if err := opts.Guard.Err(); err != nil {
 			return nil, err
@@ -295,12 +387,9 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 			// insert per cell, in insertion order. The arena is copied
 			// into one string and every key is a substring of it, so the
 			// table costs one allocation and not one per cell.
-			n, kl := t.tab.Len(), t.tab.KeyLen()
-			keys := string(t.tab.Keys())
-			tbl.Rows = make(map[model.Key]float64, n)
-			for i := 0; i < n; i++ {
-				tbl.Rows[model.Key(keys[i*kl:i*kl+kl])] = t.col.Final(int32(i))
-			}
+			t.keys = string(t.tab.Keys())
+			tbl.Rows = make(map[model.Key]float64, t.tab.Len())
+			t.eachCell(func(k model.Key, v float64) { tbl.Rows[k] = v })
 		}
 		cellsFinalized += int64(len(tbl.Rows))
 		t.finalized = int64(len(tbl.Rows))
@@ -314,6 +403,9 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 			return nil, err
 		}
 		tables[i] = tbl
+		if t.spillPath == "" {
+			dense[i] = t
+		}
 	}
 	spillSpan.End()
 	stats.ScanTime = time.Since(start)
@@ -328,9 +420,17 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 		if err := opts.Guard.Err(); err != nil {
 			return nil, err
 		}
-		tbl, err := core.ComputeComposite(c, m, tables)
-		if err != nil {
-			return nil, fmt.Errorf("singlescan: %w", err)
+		var tbl *core.Table
+		if m.Kind == core.KindRollup && m.Agg.OrderInsensitive() && dense[m.Sources[0]] != nil {
+			// Any order will do and the source is still here as a key
+			// arena beside its column: read that front to back, not the
+			// map built from it.
+			tbl = core.RollUp(c, m, dense[m.Sources[0]].eachCell)
+		} else {
+			var err error
+			if tbl, err = core.ComputeComposite(c, m, tables); err != nil {
+				return nil, fmt.Errorf("singlescan: %w", err)
+			}
 		}
 		cellsFinalized += int64(len(tbl.Rows))
 		ns := obs.NodeStats{Node: m.Name, CellsFinalized: int64(len(tbl.Rows))}
@@ -407,6 +507,15 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 		res.Tables[name] = tables[i]
 	}
 	return res, nil
+}
+
+// eachCell yields the table's cells in cell-id order: key and final
+// aggregate. Valid once the scan is over, on a table that never spilled.
+func (t *table) eachCell(yield func(model.Key, float64)) {
+	kl := t.tab.KeyLen()
+	for i, n := 0, t.tab.Len(); i < n; i++ {
+		yield(model.Key(t.keys[i*kl:i*kl+kl]), t.col.Final(int32(i)))
+	}
 }
 
 // spillSeq disambiguates spill paths across concurrent queries in one

@@ -2,6 +2,7 @@ package singlescan
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"awra/internal/agg"
@@ -234,3 +235,157 @@ var errFail = &storageError{}
 type storageError struct{}
 
 func (*storageError) Error() string { return "injected failure" }
+
+// evalTables computes every output of c with the reference evaluator.
+func evalTables(t *testing.T, c *core.Compiled, recs []model.Record) map[string]*core.Table {
+	t.Helper()
+	want := map[string]*core.Table{}
+	for _, name := range c.Outputs() {
+		e, err := core.Translate(c, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[name], err = core.Eval(e, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
+// edgeRecords draws n records whose shape puts every morsel edge in
+// play: the first 512 have A < 500 (a filter on A >= 500 rejects the
+// whole first morsel), only the last has a negative measure (a filter
+// on m < 0 rejects all but the last row), and the measures are either
+// fractions of very different magnitude, so a sum rounds differently in
+// any other order, or — whole set — small integers, whose sums are exact
+// however a spill regroups them.
+func edgeRecords(n int, seed int64, whole bool) []model.Record {
+	rng := rand.New(rand.NewSource(seed))
+	recs := make([]model.Record, n)
+	for i := range recs {
+		a := rng.Int63n(1000)
+		if i < 512 {
+			a = rng.Int63n(500)
+		}
+		v := float64(rng.Intn(100))
+		if !whole {
+			v = rng.Float64() * []float64{1e-9, 1, 1e12}[rng.Intn(3)]
+		}
+		if i == n-1 {
+			v = -1
+		}
+		recs[i] = model.Record{Dims: []int64{a, rng.Int63n(1000)}, Ms: []float64{v}}
+	}
+	return recs
+}
+
+// edgeWorkflow has a measure for every way a table takes a morsel:
+// unfiltered, filtered to nothing, filtered to one row, keyed on nothing
+// (the all-ALL granularity), and — ten cells under hundreds of rows —
+// arrival-order and rounding aggregates that meet the same cell many
+// times inside one morsel, with a roll-up read off each kind of source.
+func edgeWorkflow(t *testing.T, s *model.Schema) *core.Compiled {
+	all := model.LevelALL
+	return compile(t, s, func(w *core.Workflow) {
+		w.Basic("cnt", model.Gran{1, all}, agg.Count, -1)
+		w.Basic("total", model.Gran{all, all}, agg.Sum, 0)
+		w.Basic("first", model.Gran{2, all}, agg.First, 0)
+		w.Basic("last", model.Gran{2, all}, agg.Last, 0)
+		w.Basic("sum", model.Gran{2, 2}, agg.Sum, 0)
+		w.Basic("late", model.Gran{1, 0}, agg.Count, -1, core.Where(core.DimWhere(0, core.Ge, 500)))
+		w.Basic("tail", model.Gran{0, all}, agg.Sum, 0, core.Where(core.MWhere(0, core.Lt, 0)))
+		w.Rollup("cells", model.Gran{2, all}, "cnt", agg.Count)
+		w.Rollup("lateCells", model.Gran{2, all}, "late", agg.CountDistinct)
+		w.Rollup("sumUp", model.Gran{all, all}, "sum", agg.Sum)
+	})
+}
+
+// TestMorselEdges: row counts one short of, equal to, one over and twice
+// over the morsel, from a row source (the Batcher's 512-row batches) and
+// from a file (one batch, cut into morsels), all bit-identical to
+// core.Eval.
+func TestMorselEdges(t *testing.T) {
+	s := schema2(t)
+	c := edgeWorkflow(t, s)
+	for _, n := range []int{1, morselRows - 1, morselRows, morselRows + 1, 2*morselRows + 1} {
+		recs := edgeRecords(n, int64(n), false)
+		want := evalTables(t, c, recs)
+		path := filepath.Join(t.TempDir(), "fact.rec")
+		w, err := storage.Create(path, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range recs {
+			if err := w.Write(&recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fromRows, err := Run(c, &storage.SliceSource{Recs: recs}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromFile, err := RunFile(c, path, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, tbl := range want {
+			if !tbl.Equal(fromRows.Tables[name], 0) {
+				t.Errorf("%d rows: %s from a row source differs from core.Eval", n, name)
+			}
+			if !tbl.Equal(fromFile.Tables[name], 0) {
+				t.Errorf("%d rows: %s from a file differs from core.Eval", n, name)
+			}
+		}
+		if n > 1 && len(want["tail"].Rows) != 1 {
+			t.Fatalf("%d rows: the tail filter kept %d cells, want the last row's", n, len(want["tail"].Rows))
+		}
+		if n <= morselRows && len(want["late"].Rows) != 0 {
+			t.Fatalf("%d rows: the late filter kept rows of the first morsel", n)
+		}
+	}
+}
+
+// TestSpillInsideABatch: a budget the tables cross in the middle of the
+// file's one batch, so spills land between two tables' passes over a
+// morsel; the merged result is still core.Eval's, bit for bit.
+func TestSpillInsideABatch(t *testing.T) {
+	s := schema2(t)
+	c := edgeWorkflow(t, s)
+	recs := edgeRecords(5*morselRows+7, 9, true)
+	want := evalTables(t, c, recs)
+	got, err := Run(c, &storage.SliceSource{Recs: recs}, Options{MemoryBudget: 8 << 10, TempDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.Spills < 3 {
+		t.Fatalf("%d spills; the budget was meant to force several", got.Stats.Spills)
+	}
+	for name, tbl := range want {
+		if !tbl.Equal(got.Tables[name], 0) {
+			t.Errorf("%s differs from core.Eval after %d spills", name, got.Stats.Spills)
+		}
+	}
+}
+
+// TestPeakBytesAtMorselEdges: the byte accounting, now added up a morsel
+// and a table at a time, is still the boxed per-row replay's — for a
+// holistic kind, whose cells grow on update, at every edge row count.
+func TestPeakBytesAtMorselEdges(t *testing.T) {
+	s := schema2(t)
+	c := compile(t, s, func(w *core.Workflow) {
+		w.Basic("x", model.Gran{1, 2}, agg.CountDistinct, 0)
+	})
+	for _, n := range []int{morselRows - 1, morselRows, morselRows + 1, 2*morselRows + 1} {
+		recs := records(n, int64(n), true)
+		res, err := Run(c, &storage.SliceSource{Recs: recs}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if peak := seedPeakBytes(c, recs); res.Stats.PeakBytes != peak {
+			t.Errorf("%d rows: PeakBytes = %d, boxed accounting gives %d", n, res.Stats.PeakBytes, peak)
+		}
+	}
+}
