@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short cover bench perf-smoke figures examples vet fmt clean
+.PHONY: all build test test-short cover bench bench-shard perf-smoke figures examples vet fmt clean
 
 all: vet test build
 
@@ -25,6 +25,11 @@ cover:
 # One benchmark per paper figure (plus ablations and micro-benchmarks).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
+
+# The in-process A/B for a parallel change: perf's batch-parallel
+# repetition (Q1, 200k rows, 2 shard workers) without the harness.
+bench-shard:
+	$(GO) test -run '^$$' -bench ShardedQ1 -benchmem -benchtime 10x -count 5 ./internal/exec/sortscan/
 
 # The benchmark harness is its own module, invisible to `go test ./...`;
 # this compiles it against the hot path's call surface and runs its

@@ -112,7 +112,7 @@ func TestAutoStatsAndParallelism(t *testing.T) {
 			t.Errorf("measure %s differs with AutoStats+Parallelism", name)
 		}
 	}
-	// Parallel single-scan.
+	// Single-scan is serial whatever the worker count.
 	got, err = aw.Run(context.Background(), busyWorkflow(t, s, 1), aw.FromFile(fact), aw.QueryOptions{
 		ExecOptions: aw.ExecOptions{Engine: aw.EngineSingleScan, Parallelism: 3},
 		TempDir:     dir,
@@ -122,7 +122,7 @@ func TestAutoStatsAndParallelism(t *testing.T) {
 	}
 	for name, tbl := range want {
 		if !tbl.Equal(got[name], 1e-9) {
-			t.Errorf("measure %s differs with parallel single-scan", name)
+			t.Errorf("measure %s differs on single-scan with Parallelism set", name)
 		}
 	}
 	// AutoStats over in-memory input is an error.

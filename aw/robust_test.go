@@ -60,17 +60,28 @@ func TestFaultMaxResultRowsBudget(t *testing.T) {
 	}
 }
 
+// TestFaultMaxSpillBytesBudget: MaxSpillBytes bounds bytes written to
+// temporary files. A single-scan whose memory budget forces its tables
+// to disk trips it; a sort/scan whose input fits one sort chunk writes
+// no temporary file and runs to completion under the same cap.
 func TestFaultMaxSpillBytesBudget(t *testing.T) {
 	s := attackSchema(t)
 	recs := attackRecords(5000, 23)
 	fact := writeAttackFact(t, recs)
 	_, err := aw.Run(context.Background(), busyWorkflow(t, s, 1), aw.FromFile(fact), aw.QueryOptions{
-		ExecOptions: aw.ExecOptions{Engine: aw.EngineSortScan, MaxSpillBytes: 1024},
+		ExecOptions: aw.ExecOptions{Engine: aw.EngineSingleScan, MemoryBudget: 4096, MaxSpillBytes: 1024},
 		TempDir:     filepath.Dir(fact),
 	})
 	be, ok := aw.AsBudgetError(err)
 	if !ok || be.Resource != aw.ResSpillBytes {
-		t.Fatalf("got %v, want spill BudgetError", err)
+		t.Fatalf("budgeted single-scan: got %v, want spill BudgetError", err)
+	}
+	_, err = aw.Run(context.Background(), busyWorkflow(t, s, 1), aw.FromFile(fact), aw.QueryOptions{
+		ExecOptions: aw.ExecOptions{Engine: aw.EngineSortScan, MaxSpillBytes: 1024},
+		TempDir:     filepath.Dir(fact),
+	})
+	if err != nil {
+		t.Fatalf("in-memory sort/scan under a spill cap: %v", err)
 	}
 }
 

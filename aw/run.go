@@ -138,14 +138,13 @@ type ExecOptions struct {
 	// per-pass footprint for multi-pass, and the decision input for
 	// EngineAuto. 0 = unlimited / one pass.
 	MemoryBudget int64
-	// Parallelism is the worker count for parallel evaluation: the
-	// shard count for EngineShardScan, sort workers for the sort/scan
-	// engine's external sort, scan workers for the single-scan engine,
-	// and the default partition count for EnginePartScan. 0 or 1 means
-	// serial. Single-scan with a MemoryBudget also runs serial whatever
-	// the count: a budget is a promise about memory that workers with
-	// private tables cannot keep, so the spilling serial engine takes
-	// the query. Under EngineAuto, Parallelism > 1 upgrades a sort/scan
+	// Parallelism is the worker count for parallel evaluation. Three
+	// engines use it: it is the shard count for EngineShardScan, the
+	// run-sorting workers of EngineSortScan's external sort (they only
+	// have work when the input exceeds one sort chunk), and the default
+	// partition count for EnginePartScan. 0 or 1 means serial. The
+	// single-scan, multi-pass and relational engines are serial whatever
+	// the count. Under EngineAuto, Parallelism > 1 upgrades a sort/scan
 	// decision to the sharded engine whenever the workflow shards
 	// safely (every measure either nests inside shard units or merges
 	// commutatively). Streaming sessions ignore it.
@@ -167,9 +166,11 @@ type ExecOptions struct {
 	// MaxResultRows caps total finalized output rows across all
 	// non-hidden measures. 0 = unlimited.
 	MaxResultRows int64
-	// MaxSpillBytes caps bytes written to disk by sorts, spills, and
-	// partition/shard splits, accounted globally across parallel
-	// workers. 0 = unlimited. Streaming sessions never spill.
+	// MaxSpillBytes caps bytes written to temporary files — external-sort
+	// runs, single-scan table spills, partition splits — accounted
+	// globally across parallel workers. 0 = unlimited. A sort whose input
+	// fits one sort chunk writes no file and charges nothing; streaming
+	// sessions never spill.
 	MaxSpillBytes int64
 	// SkipCorruptRows degrades checksummed file reads: rows whose CRC
 	// does not verify are skipped and counted (rows_corrupt_skipped)
@@ -257,7 +258,7 @@ type QueryOptions struct {
 	ExecOptions
 	// SortKey overrides the optimizer's choice (sortscan/shardscan).
 	SortKey SortKey
-	// TempDir receives sort runs, spills, and shard files.
+	// TempDir receives sort runs, spills, and partition files.
 	TempDir string
 	// BaseCards estimates per-dimension base cardinalities for the
 	// optimizer; nil uses defaults.
@@ -500,26 +501,12 @@ func runEngines(c *Compiled, in Input, o QueryOptions, st *plan.Stats, g *qguard
 		}
 		return res.Tables, o.Engine, nil
 	case EngineSingleScan:
-		var res *singlescan.Result
-		if par > 1 && o.MemoryBudget == 0 {
-			r, err := storage.OpenGuarded(in.path, g)
-			if err != nil {
-				return nil, o.Engine, err
-			}
-			defer r.Close()
-			res, err = singlescan.RunParallel(c, r, par, singlescan.Options{TempDir: o.TempDir, Recorder: qrec, Guard: g})
-			if err != nil {
-				return nil, o.Engine, err
-			}
-		} else {
-			var err error
-			res, err = singlescan.RunFile(c, in.path, singlescan.Options{
-				MemoryBudget: o.MemoryBudget, TempDir: o.TempDir,
-				ReadBatchBytes: o.ReadBatchSize, Recorder: qrec, Guard: g,
-			})
-			if err != nil {
-				return nil, o.Engine, err
-			}
+		res, err := singlescan.RunFile(c, in.path, singlescan.Options{
+			MemoryBudget: o.MemoryBudget, TempDir: o.TempDir,
+			ReadBatchBytes: o.ReadBatchSize, Recorder: qrec, Guard: g,
+		})
+		if err != nil {
+			return nil, o.Engine, err
 		}
 		return res.Tables, o.Engine, nil
 	case EngineMultiPass:

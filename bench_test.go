@@ -223,30 +223,6 @@ func BenchmarkParallelSort(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSingleScan measures the sharded scan at several
-// worker counts.
-func BenchmarkParallelSingleScan(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			path, s := synthFact(b, 200000)
-			c := engineWorkflow(b, s)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := aw.RunCompiled(context.Background(), c, aw.FromFile(path), aw.QueryOptions{
-					ExecOptions: aw.ExecOptions{Engine: aw.EngineSingleScan, Parallelism: workers},
-					TempDir:     filepath.Dir(path),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res["ratio"].Rows) == 0 {
-					b.Fatal("empty result")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStreamPush measures per-record streaming-session overhead.
 func BenchmarkStreamPush(b *testing.B) {
 	_, s := synthFact(b, 1000)

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"awra/internal/exec/partscan"
@@ -150,7 +149,6 @@ func ParShard(cfg Config) (*Figure, error) {
 		return nil, err
 	}
 	dSerial := time.Since(t0)
-	os.Remove(fact + ".sorted")
 	cfg.logf("par-shard serial: %v", dSerial)
 	f.Rows = append(f.Rows, []string{"serial", ms(dSerial), "1.00", fmt.Sprint(base.Stats.Records)})
 

@@ -229,7 +229,6 @@ func (c Config) timeSortScan(w *core.Compiled, fact string, cards []float64) (ti
 	if err != nil {
 		return 0, sortscan.Stats{}, err
 	}
-	os.Remove(fact + ".sorted")
 	return time.Since(t0), res.Stats, nil
 }
 

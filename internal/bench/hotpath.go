@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"awra/internal/exec/singlescan"
@@ -56,7 +55,6 @@ func HotPath(cfg Config) (*Figure, error) {
 		return nil, err
 	}
 	dSort := time.Since(t0)
-	os.Remove(fact + ".sorted")
 	row("sortscan", dSort, base.Stats.Records)
 
 	t0 = time.Now()

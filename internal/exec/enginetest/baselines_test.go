@@ -151,43 +151,6 @@ func TestCalendarHierarchyEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelSingleScanMatches: the sharded parallel scan must agree
-// with the sequential engine for every aggregation kind the generator
-// emits (all mergeable).
-func TestParallelSingleScanMatches(t *testing.T) {
-	trials := 20
-	if testing.Short() {
-		trials = 6
-	}
-	for trial := 0; trial < trials; trial++ {
-		g := NewGen(int64(9000+trial), 2+trial%2)
-		c, err := g.Workflow(1+g.Rng.Intn(3), 1+g.Rng.Intn(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs := g.Records(300 + g.Rng.Intn(500))
-		want := runSingle(t, c, recs, singlescan.Options{})
-		for _, workers := range []int{1, 2, 4, 7} {
-			got, err := singlescan.RunParallel(c, &storage.SliceSource{Recs: recs}, workers, singlescan.Options{})
-			if err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
-			}
-			if d := diffTables(want, got.Tables, 1e-9); d != "" {
-				t.Fatalf("trial %d workers %d: %s", trial, workers, d)
-			}
-		}
-	}
-	// Budgets are a sequential-only feature.
-	g := NewGen(1, 2)
-	c, err := g.Workflow(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := singlescan.RunParallel(c, &storage.SliceSource{}, 2, singlescan.Options{MemoryBudget: 1}); err == nil {
-		t.Fatal("parallel run accepted a memory budget")
-	}
-}
-
 // TestEstimateTracksActual: the footprint estimator that drives the
 // optimizer must rank sort keys the same way the engine's measured
 // peak does, and be within an order of magnitude on uniform data.

@@ -3,58 +3,111 @@ package enginetest
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"testing"
+	"time"
 
 	"awra/aw"
 	"awra/internal/agg"
 	"awra/internal/core"
 	"awra/internal/exec/sortscan"
+	"awra/internal/faultfs"
 	"awra/internal/gen"
 	"awra/internal/model"
 	"awra/internal/obs"
 	"awra/internal/qguard"
+	"awra/internal/storage"
 )
 
-// shardCounts is the shard-parallelism matrix: an even split, a
-// power-of-two split, and a prime count that cannot divide the unit
-// space evenly.
-var shardCounts = []int{2, 4, 7}
+// shardCounts is the shard-parallelism matrix: the serial degenerate
+// case, an even split, a power-of-two split, and a prime count that
+// cannot divide the unit space evenly.
+var shardCounts = []int{1, 2, 4, 7}
 
 // runSerialVsSharded evaluates the workflow serially and with every
-// shard count, requiring bit-identical tables (eps 0): every aggregate
-// in these fixtures is integer-valued, so sharding must not perturb a
-// single bit.
+// shard count — each both with the whole input in one sort chunk and
+// with chunks small enough that every shard merges at least three
+// spilled runs — requiring tables bit-identical (eps 0) to the serial
+// run's and to the algebraic reference evaluator's: every aggregate in
+// these fixtures is integer-valued, so neither sharding nor spilling may
+// perturb a single bit.
 func runSerialVsSharded(t *testing.T, c *core.Compiled, fact string, key model.SortKey) {
 	t.Helper()
-	dir := filepath.Dir(fact)
+	dir := t.TempDir()
 	want, err := sortscan.Run(c, fact, sortscan.Options{SortKey: key, TempDir: dir})
 	if err != nil {
 		t.Fatalf("serial sortscan: %v", err)
 	}
+	recs, _, err := storage.ReadAll(fact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffTables(runAlgebra(t, c, recs), want.Tables, 0); d != "" {
+		t.Fatalf("serial sortscan vs core.Eval: %s", d)
+	}
 	for _, shards := range shardCounts {
-		rec := obs.New()
-		got, err := sortscan.RunSharded(c, fact, sortscan.ShardedOptions{
-			SortKey: key, Shards: shards, TempDir: dir, Recorder: rec,
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if d := diffTables(want.Tables, got.Tables, 0); d != "" {
-			t.Fatalf("shards=%d: sharded vs serial: %s", shards, d)
-		}
-		if got.Stats.Records != want.Stats.Records {
-			t.Errorf("shards=%d: records %d, want %d", shards, got.Stats.Records, want.Stats.Records)
-		}
-		snap := rec.Snapshot()
-		if n := snap.Counters[obs.MShardsPlanned]; n != int64(shards) {
-			t.Errorf("shards=%d: shards_planned = %d", shards, n)
-		}
-		if skew := snap.Gauges[obs.GShardSkew]; skew < 1000 {
-			t.Errorf("shards=%d: shard_skew_ratio = %d, want >= 1000 permille", shards, skew)
+		for _, chunk := range []int{0, len(recs) / 16} {
+			name := fmt.Sprintf("shards=%d chunk=%d", shards, chunk)
+			rec := obs.New()
+			got, err := sortscan.RunSharded(c, fact, sortscan.ShardedOptions{
+				SortKey: key, Shards: shards, TempDir: dir, ChunkRecords: chunk, Recorder: rec,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if d := diffTables(want.Tables, got.Tables, 0); d != "" {
+				t.Fatalf("%s: sharded vs serial: %s", name, d)
+			}
+			if got.Stats.Records != want.Stats.Records {
+				t.Errorf("%s: records %d, want %d", name, got.Stats.Records, want.Stats.Records)
+			}
+			assertTempDirClean(t, dir)
+			snap := rec.Snapshot()
+			if chunk > 0 {
+				// Every worker that owns rows merged a run per chunk.
+				for _, runs := range sortRuns(snap.Spans, nil) {
+					if runs < 3 {
+						t.Errorf("%s: a sort merged %d runs, want >= 3 (all: %v)", name, runs, sortRuns(snap.Spans, nil))
+					}
+				}
+				if snap.Counters[obs.MSpillBytes] == 0 {
+					t.Errorf("%s: nothing spilled", name)
+				}
+			} else if n := snap.Counters[obs.MSpillBytes]; n != 0 {
+				t.Errorf("%s: an input of one chunk spilled %d bytes", name, n)
+			}
+			if shards == 1 {
+				continue // plain Run: no shard metrics
+			}
+			if n := snap.Counters[obs.MShardsPlanned]; n != int64(shards) {
+				t.Errorf("%s: shards_planned = %d", name, n)
+			}
+			if n := snap.Counters[obs.MFactScans]; n != 1 {
+				t.Errorf("%s: fact_scans = %d, want the one read", name, n)
+			}
+			if skew := snap.Gauges[obs.GShardSkew]; skew < 1000 {
+				t.Errorf("%s: shard_skew_ratio = %d, want >= 1000 permille", name, skew)
+			}
 		}
 	}
+}
+
+// sortRuns collects the "runs" attribute of every sort span whose
+// worker had rows to sort.
+func sortRuns(spans []*obs.SpanSnapshot, out []int) []int {
+	for _, s := range spans {
+		if s.Name == obs.SpanSort {
+			if n, _ := strconv.Atoi(s.Attrs["runs"]); n > 0 {
+				out = append(out, n)
+			}
+		}
+		out = sortRuns(s.Children, out)
+	}
+	return out
 }
 
 // synthCube writes a synthetic-cube fact file into a fresh temp dir.
@@ -245,18 +298,21 @@ func TestShardedCancellationMidShard(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		g := qguard.New(ctx, qguard.Limits{})
+		before := runtime.NumGoroutine()
 		done := make(chan error, 1)
 		go func() {
+			// Six sort chunks, so run files exist from a sixth of the way
+			// through the read.
 			_, err := sortscan.RunSharded(c, bigFact, sortscan.ShardedOptions{
-				SortKey: key, Shards: 4, TempDir: tempDir, Guard: g,
+				SortKey: key, Shards: 4, TempDir: tempDir, ChunkRecords: 50000, Guard: g,
 			})
 			done <- err
 		}()
-		// Cancel as soon as shard files start appearing, so workers are
-		// mid-sort or mid-scan when the signal lands.
+		// Cancel as soon as run files start appearing, so the sort is
+		// mid-read with run writers in flight when the signal lands.
 		for i := 0; ; i++ {
 			entries, _ := os.ReadDir(tempDir)
-			if len(entries) > 0 || i > 10000 {
+			if len(entries) > 0 || i > 100000 {
 				break
 			}
 		}
@@ -265,7 +321,81 @@ func TestShardedCancellationMidShard(t *testing.T) {
 			t.Fatalf("got %v, want ErrCanceled", err)
 		}
 		assertTempDirClean(t, tempDir)
+		assertNoGoroutinesSince(t, before)
 	})
+}
+
+// assertNoGoroutinesSince fails if more goroutines are running than
+// before the call under test; it allows a moment for ones already past
+// their last statement to be reaped.
+func assertNoGoroutinesSince(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines running, %d before the run", n, before)
+	}
+}
+
+// TestShardedTempFiles: a sharded run whose input fits one sort chunk
+// creates no file at all — the rows go from the one read to the workers
+// through memory — and one that spills, whether it completes, fails on
+// a create or a write, or trips its spill budget, leaves no file behind
+// and no goroutine running.
+func TestShardedTempFiles(t *testing.T) {
+	fact, s := synthCube(t, 20000, 47)
+	all := model.LevelALL
+	c, err := core.NewWorkflow(s).
+		Basic("cnt", model.Gran{0, 1, all, all}, agg.Count, -1).
+		Basic("sum1", model.Gran{1, all, all, all}, agg.Sum, 0).
+		Rollup("roll", model.Gran{0, all, all, all}, "cnt", agg.Sum).
+		Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := model.SortKey{{Dim: 0, Lvl: 0}, {Dim: 1, Lvl: 0}}
+	run := func(fs *faultfs.FS, chunk int, g *qguard.Guard) (string, error) {
+		tempDir := t.TempDir()
+		before := runtime.NumGoroutine()
+		restore := storage.SwapFS(fs)
+		_, err := sortscan.RunSharded(c, fact, sortscan.ShardedOptions{
+			SortKey: key, Shards: 3, TempDir: tempDir, ChunkRecords: chunk, Guard: g,
+		})
+		restore()
+		assertTempDirClean(t, tempDir)
+		assertNoGoroutinesSince(t, before)
+		return tempDir, err
+	}
+
+	fs := faultfs.New()
+	if _, err := run(fs, 0, nil); err != nil {
+		t.Fatalf("in-memory run: %v", err)
+	}
+	if fs.Creates() != 0 || fs.WriteBytes() != 0 {
+		t.Errorf("in-memory run created %d files and wrote %d bytes, want none", fs.Creates(), fs.WriteBytes())
+	}
+
+	fs = faultfs.New()
+	if _, err := run(fs, 4000, nil); err != nil {
+		t.Fatalf("spilled run: %v", err)
+	}
+	if fs.Creates() < 3*5 {
+		t.Errorf("spilled run created %d files, want a run per shard and chunk", fs.Creates())
+	}
+
+	if _, err := run(faultfs.New().FailCreate(7), 4000, nil); !errors.Is(err, faultfs.ErrInjected) {
+		t.Errorf("failing create: got %v, want ErrInjected", err)
+	}
+	if _, err := run(faultfs.New().FailWriteAfter(100<<10), 4000, nil); !errors.Is(err, faultfs.ErrInjected) {
+		t.Errorf("failing write: got %v, want ErrInjected", err)
+	}
+	g := qguard.New(context.Background(), qguard.Limits{MaxSpillBytes: 64 << 10})
+	_, err = run(faultfs.New(), 4000, g)
+	if be, ok := qguard.AsBudget(err); !ok || be.Resource != qguard.ResSpillBytes {
+		t.Errorf("spill budget: got %v, want spill-bytes BudgetError", err)
+	}
 }
 
 // runPublic evaluates through the public context-first API with the

@@ -194,7 +194,6 @@ func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
 				Guard:          opts.Guard,
 			})
 			outs[i] = partOut{pr, err}
-			os.Remove(paths[i] + ".sorted")
 		}(i, pSpan)
 	}
 	wg.Wait()

@@ -19,25 +19,31 @@ import (
 // This file is the byte-level external sort under sortscan: rows never
 // become model.Records. Each chunk precomputes the order-encoded
 // comparator columns of every row — sort-key codes plus the base-dim
-// tiebreak — into a flat uint64 array, sorts a permutation of row
-// indices (no reflection, no record swaps — the 8-byte indices move,
-// the 70-odd-byte rows don't), and writes the rows to the run file
-// verbatim, checksums included. Comparisons, both in-chunk and in the
+// tiebreak — into a flat uint64 array and sorts a permutation of row
+// indices (no reflection, no record swaps — the 4-byte indices move,
+// the 40-odd-byte rows don't). Comparisons, both in-chunk and in the
 // k-way merge, walk only the precomputed columns: a few integer
 // compares, never a row-byte decode or generalization call.
 //
-// The output reproduces storage.SortFile's order bit-identically:
-// rows order by (sort-key codes, full base coordinates, original file
-// position) — the same total order SliceStable plus the run-index
-// merge tiebreak induces — so the engines' tables cannot tell the two
-// sorts apart.
+// The sort's product is a stream, not a file (Sorted): an input that
+// fits one chunk is served as views over the row arena in sorted-index
+// order, and a larger one spills its chunks as sorted run files — rows
+// verbatim, checksums included — and is served from their merge.
+// Key column 0 is also what a parallel plan partitions on, so the same
+// read can divide the rows into parts that sort and stream
+// independently (partRouter).
+//
+// The order reproduces storage.SortFile's bit-identically: rows order
+// by (sort-key codes, full base coordinates, original file position) —
+// the same total order SliceStable plus the run-index merge tiebreak
+// induces — so the engines' tables cannot tell the two sorts apart.
 
-// SortOptions tunes SortFileByKey.
+// SortOptions tunes SortByKey and SortFileByKey.
 type SortOptions struct {
-	// ChunkRecords is the number of records sorted in memory per run.
-	// Zero selects a default sized for roughly 256 MB runs.
+	// ChunkRecords is the number of records held and sorted in memory at
+	// a time. Zero selects a default sized for roughly 256 MB.
 	ChunkRecords int
-	// TempDir receives run files; empty uses the output's directory.
+	// TempDir receives run files; empty uses the input's directory.
 	TempDir string
 	// Parallel sorts and writes run files on Workers goroutines while
 	// the input keeps streaming.
@@ -47,8 +53,8 @@ type SortOptions struct {
 	// BatchBytes is the read-chunk size for the batched input readers
 	// (0 = DefaultBatchBytes).
 	BatchBytes int
-	// Recorder, if non-nil, receives run/merge spans and the standard
-	// sort metrics.
+	// Recorder, if non-nil, receives the run-generation span and the
+	// standard sort metrics.
 	Recorder *obs.Recorder
 	// Guard, if non-nil, makes the sort cooperatively cancelable and
 	// charges run files against the spill-byte budget.
@@ -295,41 +301,94 @@ type chunkState struct {
 	n    int
 }
 
-// SortFileByKey external-sorts a record file by the (normalized) sort
-// key, writing rows to the output verbatim. See the file comment for
-// the ordering contract.
-func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortKey, opts SortOptions) (storage.SortStats, error) {
-	var stats storage.SortStats
+func newChunk(chunk, diskRow, kp int) *chunkState {
+	return &chunkState{rows: make([]byte, 0, chunk*diskRow), keys: make([]uint64, 0, chunk*kp)}
+}
+
+// sortedBatchRows is how many row views a sorted source hands out per
+// batch: enough to amortize the engines' per-batch bookkeeping, few
+// enough that the view slice (24 bytes a row) stays cache-resident.
+const sortedBatchRows = 4096
+
+// Sorted is a record file sorted by a key, as SortByKey leaves it: one
+// ordered stream of rows per part, served from memory when the file
+// fit one chunk and from the parts' spilled runs when it did not.
+// There is no sorted copy of the file in either case.
+type Sorted struct {
+	hdr     storage.Header // the rows' shape, as run files and sorted copies carry it
+	cols    sortCols
+	diskRow int
+	emit    int // bytes of a row a source hands out: the payload, or the whole disk row
+	opts    SortOptions
+	stats   storage.SortStats
+	mem     *chunkState // the whole input, when one chunk held it
+	parts   []sortedPart
+	// unsorted counts the in-memory parts not yet opened: the last index
+	// sort to finish drops the key columns, which only sorting reads, so
+	// the scan does not hold them.
+	unsorted atomic.Int32
+}
+
+// sortedPart is one part's share of the input: its row numbers in the
+// in-memory chunk, or its run files in input order.
+type sortedPart struct {
+	rows int64
+	idx  []int32
+	runs []string
+}
+
+// SortByKey reads a record file once and sorts it by the (normalized)
+// sort key into parts ordered streams; see the file comment for the
+// ordering contract, which holds within every part. Rows that agree on
+// the key's leading part land in the same part, and parts are balanced
+// by row count (see partRouter); one part is the plain external sort.
+//
+// An input that fits one chunk stays in memory, and Open index-sorts a
+// part's rows on the caller's goroutine, so the parts of a parallel
+// plan sort concurrently. A larger input spills one sorted run per
+// part and chunk (on opts.Workers goroutines under opts.Parallel) and
+// Open merges the part's runs. The caller must Close the result.
+func SortByKey(inPath string, schema *model.Schema, key model.SortKey, parts int, opts SortOptions) (*Sorted, error) {
+	return sortByKey(inPath, schema, key, parts, false, opts)
+}
+
+func sortByKey(inPath string, schema *model.Schema, key model.SortKey, parts int, rawRows bool, opts SortOptions) (_ *Sorted, err error) {
 	rec := opts.Recorder
 	guard := opts.Guard
 	in, err := Open(inPath, Options{BatchBytes: opts.BatchBytes, Guard: guard, RawRows: true})
 	if err != nil {
-		return stats, err
+		return nil, err
 	}
 	defer in.Close()
 	hdr := in.Header()
 	diskRow := hdr.DiskRowBytes()
-	payloadRow := hdr.RowBytes()
-	cols := newSortCols(schema, key, hdr.NumDims)
-	kp := len(cols.parts)
+	s := &Sorted{
+		hdr:     storage.Header{NumDims: hdr.NumDims, NumMeasures: hdr.NumMeasures, Version: hdr.Version},
+		cols:    newSortCols(schema, key, hdr.NumDims),
+		diskRow: diskRow,
+		emit:    hdr.RowBytes(),
+		opts:    opts,
+		parts:   make([]sortedPart, max(parts, 1)),
+	}
+	if rawRows {
+		s.emit = diskRow
+	}
+	kp := len(s.cols.parts)
 	// Size the row arena and its key columns for the file, not for the
 	// default 256 MB run: the header says how many rows can arrive.
 	chunk := opts.chunk(diskRow)
 	if hdr.Count < int64(chunk) {
 		chunk = max(int(hdr.Count), 1)
 	}
-	tempDir := opts.TempDir
-	if tempDir == "" {
-		tempDir = filepath.Dir(outPath)
+	if s.opts.TempDir == "" {
+		s.opts.TempDir = filepath.Dir(inPath)
 	}
 
 	var (
-		runPaths []string
-		runSeq   int
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		workErr  error
-		sem      chan struct{}
+		wg      sync.WaitGroup
+		errMu   sync.Mutex
+		workErr error
+		sem     chan struct{}
 	)
 	setErr := func(err error) {
 		errMu.Lock()
@@ -345,8 +404,8 @@ func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortK
 	}
 	defer func() {
 		wg.Wait()
-		for _, p := range runPaths {
-			os.Remove(p)
+		if err != nil {
+			s.Close()
 		}
 	}()
 	if opts.Parallel {
@@ -357,28 +416,24 @@ func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortK
 		sem = make(chan struct{}, w)
 	}
 	runsSpan := rec.Start(obs.SpanSortRuns)
+	defer runsSpan.End()
 	spillEvents := rec.Counter(obs.MSpillEvents)
 	spillBytes := rec.Counter(obs.MSpillBytes)
 	sortID := bsortSeq.Add(1)
+	router := partRouter{parts: len(s.parts)}
 
-	// writeRun index-sorts one chunk (private stride counter per call)
-	// and spills its rows in order, charging the spill budget.
-	writeRun := func(cs *chunkState, path string) (err error) {
+	// writeRun index-sorts one part's rows of a chunk and spills them in
+	// order, charging the spill budget.
+	writeRun := func(cs *chunkState, idx []int32, path string, sorter *IdxSorter) (err error) {
 		defer qguard.RecoverAbort(&err)
-		idx := make([]int32, cs.n)
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		new(IdxSorter).Sort(idx, cs.keys, kp, guard)
-		runBytes := int64(cs.n) * int64(payloadRow)
+		sorter.Sort(idx, cs.keys, kp, guard)
+		runBytes := int64(len(idx)) * int64(hdr.RowBytes())
 		spillEvents.Add(1)
 		spillBytes.Add(runBytes)
 		if err := guard.NoteSpill(runBytes); err != nil {
 			return err
 		}
-		w, err := storage.CreateRaw(path, storage.Header{
-			NumDims: hdr.NumDims, NumMeasures: hdr.NumMeasures, Version: hdr.Version,
-		})
+		w, err := storage.CreateRaw(path, s.hdr)
 		if err != nil {
 			return err
 		}
@@ -391,137 +446,283 @@ func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortK
 		return w.Close()
 	}
 
-	cur := &chunkState{rows: make([]byte, 0, chunk*diskRow), keys: make([]uint64, 0, chunk*kp)}
-	flushRun := func() error {
-		if cur.n == 0 {
-			return nil
-		}
-		p := filepath.Join(tempDir, fmt.Sprintf("awra-bsort-%d-%d-%d.tmp", os.Getpid(), sortID, runSeq))
-		runSeq++
-		runPaths = append(runPaths, p)
-		if !opts.Parallel {
-			err := writeRun(cur, p)
-			cur.rows, cur.keys, cur.n = cur.rows[:0], cur.keys[:0], 0
-			return err
-		}
-		if err := getErr(); err != nil {
-			return err
-		}
-		cs := cur
-		cur = &chunkState{rows: make([]byte, 0, chunk*diskRow), keys: make([]uint64, 0, chunk*kp)}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					setErr(fmt.Errorf("scan: run writer panic: %v", r))
-				}
-			}()
-			if err := writeRun(cs, p); err != nil {
-				setErr(err)
+	cur := newChunk(chunk, diskRow, kp)
+	var sorter IdxSorter // the serial path's; parallel run writers bring their own
+	spill := func() error {
+		for p, idx := range router.split(cur.keys, kp, cur.n) {
+			if len(idx) == 0 {
+				continue
 			}
-		}()
+			path := filepath.Join(s.opts.TempDir, fmt.Sprintf("awra-bsort-%d-%d-%d.tmp", os.Getpid(), sortID, s.stats.Runs))
+			s.stats.Runs++
+			s.parts[p].runs = append(s.parts[p].runs, path)
+			s.parts[p].rows += int64(len(idx))
+			if !opts.Parallel {
+				if err := writeRun(cur, idx, path, &sorter); err != nil {
+					return err
+				}
+				continue
+			}
+			if err := getErr(); err != nil {
+				return err
+			}
+			sem <- struct{}{}
+			wg.Add(1)
+			go func(cs *chunkState) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				defer func() {
+					if r := recover(); r != nil {
+						setErr(fmt.Errorf("scan: run writer panic: %v", r))
+					}
+				}()
+				if err := writeRun(cs, idx, path, new(IdxSorter)); err != nil {
+					setErr(err)
+				}
+			}(cur)
+		}
+		if opts.Parallel {
+			cur = newChunk(chunk, diskRow, kp) // the writers still read the old one
+		} else {
+			cur.rows, cur.keys, cur.n = cur.rows[:0], cur.keys[:0], 0
+		}
 		return nil
 	}
 
-	// Phase 1: read batches, append rows and their encoded keys to the
-	// current chunk, spill full chunks as sorted runs.
+	// Read batches, append rows and their encoded keys to the current
+	// chunk, spill full chunks as sorted runs.
 	for {
 		batch, err := in.NextBatch()
 		if err != nil {
-			return stats, err
+			return nil, err
 		}
 		if batch == nil {
 			break
 		}
 		for _, row := range batch {
-			// A full chunk becomes a run only when a further row arrives:
-			// input that exactly fills one chunk keeps the single-run
-			// fast path below.
+			// A full chunk becomes runs only when a further row arrives:
+			// input that exactly fills one chunk stays in memory.
 			if cur.n >= chunk {
-				if err := flushRun(); err != nil {
-					return stats, err
+				if err := spill(); err != nil {
+					return nil, err
 				}
 			}
-			stats.Records++
+			s.stats.Records++
 			cur.rows = append(cur.rows, row...)
-			cur.keys = cols.appendRow(cur.keys, row)
+			cur.keys = s.cols.appendRow(cur.keys, row)
 			cur.n++
 		}
 	}
+	PublishReadStats(rec, in)
 
-	outHdr := storage.Header{NumDims: hdr.NumDims, NumMeasures: hdr.NumMeasures, Version: hdr.Version}
+	if s.stats.Runs == 0 {
+		// Everything fit one chunk: each part is one in-memory run, sorted
+		// when it is opened.
+		for p, idx := range router.split(cur.keys, kp, cur.n) {
+			s.parts[p].idx, s.parts[p].rows = idx, int64(len(idx))
+		}
+		s.mem = cur
+		s.stats.Runs = len(s.parts)
+		s.unsorted.Store(int32(len(s.parts)))
+	} else {
+		if err := spill(); err != nil {
+			return nil, err
+		}
+		wg.Wait()
+		if err := getErr(); err != nil {
+			return nil, err
+		}
+	}
+	rec.Counter(obs.MSortRuns).Add(int64(s.stats.Runs))
+	return s, nil
+}
 
-	// Single-run fast path: everything fit in one chunk; sort it and
-	// write the output directly.
-	if len(runPaths) == 0 {
-		var sortErr error
-		idx := make([]int32, cur.n)
-		for i := range idx {
-			idx[i] = int32(i)
+// Stats reports the rows read and the sorted runs formed: one per part
+// in memory, one per part and chunk spilled.
+func (s *Sorted) Stats() storage.SortStats { return s.stats }
+
+// Rows returns the number of rows routed to a part.
+func (s *Sorted) Rows(part int) int64 { return s.parts[part].rows }
+
+// Runs returns the number of sorted runs behind a part: the one in
+// memory, or the run files it spilled (none if no row reached it).
+func (s *Sorted) Runs(part int) int {
+	if s.mem != nil {
+		return 1
+	}
+	return len(s.parts[part].runs)
+}
+
+// Close removes the sort's run files and drops its row arena. Sources
+// opened from it must be closed first.
+func (s *Sorted) Close() {
+	s.mem = nil
+	for i := range s.parts {
+		for _, p := range s.parts[i].runs {
+			os.Remove(p)
 		}
-		func() {
-			defer qguard.RecoverAbort(&sortErr)
-			new(IdxSorter).Sort(idx, cur.keys, kp, guard)
-		}()
-		if sortErr != nil {
-			return stats, sortErr
+		s.parts[i] = sortedPart{}
+	}
+}
+
+// Open returns a part's rows as a batch source in sorted order. It does
+// the part's share of the sorting — the index sort of an in-memory
+// part, the opening of a spilled part's runs — so a caller times it as
+// sort work. Parts may be opened concurrently; each at most once.
+func (s *Sorted) Open(part int) (_ *SortedSource, err error) {
+	p := &s.parts[part]
+	src := &SortedSource{s: s, total: p.rows, views: make([]Record, 0, min(p.rows, sortedBatchRows))}
+	if s.mem != nil {
+		defer qguard.RecoverAbort(&err)
+		new(IdxSorter).Sort(p.idx, s.mem.keys, len(s.cols.parts), s.opts.Guard)
+		if s.unsorted.Add(-1) == 0 {
+			s.mem.keys = nil
 		}
-		// The sorted output is disk the query consumed even without
-		// spilled runs; charge it so MaxSpillBytes bounds total sort I/O.
-		if err := guard.NoteSpill(int64(cur.n) * int64(payloadRow)); err != nil {
-			return stats, err
-		}
-		w, err := storage.CreateRaw(outPath, outHdr)
+		src.idx = p.idx
+		return src, nil
+	}
+	for i, path := range p.runs {
+		r, err := Open(path, Options{BatchBytes: s.opts.BatchBytes, Guard: s.opts.Guard, RawRows: true})
 		if err != nil {
-			return stats, err
+			src.Close()
+			return nil, err
 		}
-		for _, i := range idx {
-			if err := w.WriteRow(cur.rows[int(i)*diskRow : int(i)*diskRow+diskRow]); err != nil {
-				w.Close()
-				os.Remove(outPath)
-				return stats, err
+		m := &mergeSrc{r: r, key: make([]uint64, len(s.cols.parts))}
+		src.srcs = append(src.srcs, m)
+		if err := m.load(s.cols); err != nil {
+			src.Close()
+			return nil, err
+		}
+		if !m.done {
+			src.heap = append(src.heap, i)
+		}
+	}
+	for i := len(src.heap)/2 - 1; i >= 0; i-- {
+		src.siftDown(i)
+	}
+	return src, nil
+}
+
+// SortedSource streams one part of a Sorted in order. An in-memory part
+// is served as views over the sort's row arena in sorted-index order; a
+// spilled part as the k-way merge of its runs, straight from the heap.
+type SortedSource struct {
+	s     *Sorted
+	total int64
+	views []Record
+	// In-memory part: the sorted row numbers and the read position.
+	idx []int32
+	pos int
+	// Spilled part: one cursor per run and a heap of run indices ordered
+	// by (head columns, run index) — the columns carry the
+	// base-coordinate tiebreak, and run index is input order.
+	srcs []*mergeSrc
+	heap []int
+	// stale marks a heap top whose head row went out as the last row of
+	// its reader's batch: loading its successor recycles the buffer under
+	// the views just returned, so it waits for the next call.
+	stale bool
+	cmps  int64
+}
+
+// TotalRecords returns the part's row count (the progress denominator).
+func (m *SortedSource) TotalRecords() int64 { return m.total }
+
+// NextBatch returns the next rows in order; (nil, nil) at the end. The
+// views are valid until the next call.
+func (m *SortedSource) NextBatch() ([]Record, error) {
+	if err := m.s.opts.Guard.Err(); err != nil {
+		return nil, err
+	}
+	out := m.views[:0]
+	if mem := m.s.mem; mem != nil {
+		rows, disk, emit := mem.rows, m.s.diskRow, m.s.emit
+		end := min(m.pos+cap(out), len(m.idx))
+		for _, i := range m.idx[m.pos:end] {
+			out = append(out, rows[int(i)*disk:int(i)*disk+emit])
+		}
+		m.pos = end
+	} else {
+		if m.stale {
+			m.stale = false
+			if err := m.advance(); err != nil {
+				return nil, err
 			}
 		}
-		if err := w.Close(); err != nil {
-			os.Remove(outPath)
-			return stats, err
+		for len(m.heap) > 0 && len(out) < cap(out) {
+			top := m.srcs[m.heap[0]]
+			out = append(out, top.row[:m.s.emit])
+			if top.pos >= len(top.batch) {
+				m.stale = true
+				break
+			}
+			if err := m.advance(); err != nil {
+				return nil, err
+			}
 		}
-		stats.Runs = 1
-		runsSpan.End()
-		rec.Counter(obs.MSortRuns).Add(1)
-		return stats, nil
 	}
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return out, nil
+}
 
-	if err := flushRun(); err != nil {
-		return stats, err
+// advance replaces the heap top's head row with its run's next one.
+func (m *SortedSource) advance() error {
+	top := m.srcs[m.heap[0]]
+	if err := top.load(m.s.cols); err != nil {
+		return err
 	}
-	wg.Wait()
-	runsSpan.End()
-	if err := getErr(); err != nil {
-		return stats, err
+	if top.done {
+		m.heap[0] = m.heap[len(m.heap)-1]
+		m.heap = m.heap[:len(m.heap)-1]
 	}
-	stats.Runs = len(runPaths)
-	rec.Counter(obs.MSortRuns).Add(int64(stats.Runs))
-	if err := guard.NoteSpill(stats.Records * int64(payloadRow)); err != nil {
-		return stats, err
+	if len(m.heap) > 0 {
+		m.siftDown(0)
 	}
+	return nil
+}
 
-	// Phase 2: k-way merge of the runs, comparing precomputed head
-	// keys. Run readers carry the guard, so the merge observes
-	// cancellation through their per-batch checks.
-	mergeSpan := rec.Start(obs.SpanMerge)
-	mergeSpan.SetAttr("runs", fmt.Sprint(len(runPaths)))
-	cmps, err := mergeRuns(runPaths, outPath, outHdr, cols, opts, guard)
-	rec.Counter(obs.MHeapComparisons).Add(cmps)
-	mergeSpan.End()
-	if err != nil {
-		os.Remove(outPath)
-		return stats, err
+func (m *SortedSource) less(a, b int) bool {
+	m.cmps++
+	ka, kb := m.srcs[a].key, m.srcs[b].key
+	for t := range ka {
+		if ka[t] != kb[t] {
+			return ka[t] < kb[t]
+		}
 	}
-	return stats, nil
+	return a < b
+}
+
+func (m *SortedSource) siftDown(i int) {
+	h := m.heap
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < len(h) && m.less(h[l], h[small]) {
+			small = l
+		}
+		if r < len(h) && m.less(h[r], h[small]) {
+			small = r
+		}
+		if small == i {
+			return
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+}
+
+// Close closes a spilled part's run readers and publishes the merge's
+// head comparisons (the merge-cost metric).
+func (m *SortedSource) Close() {
+	for _, src := range m.srcs {
+		src.r.Close()
+	}
+	if m.srcs != nil {
+		m.s.opts.Recorder.Counter(obs.MHeapComparisons).Add(m.cmps)
+	}
+	m.srcs, m.heap, m.idx, m.cmps = nil, nil, nil, 0
 }
 
 // mergeSrc is one run's read cursor with its head row's comparator
@@ -553,88 +754,165 @@ func (s *mergeSrc) load(cols sortCols) error {
 	return nil
 }
 
-// mergeRuns merges sorted runs into outPath, returning the number of
-// head comparisons (the merge-cost metric).
-func mergeRuns(runPaths []string, outPath string, outHdr storage.Header, cols sortCols, opts SortOptions, guard *qguard.Guard) (int64, error) {
-	kp := len(cols.parts)
-	srcs := make([]*mergeSrc, 0, len(runPaths))
-	defer func() {
-		for _, s := range srcs {
-			s.r.Close()
-		}
-	}()
-	var heapIdx []int
-	for i, p := range runPaths {
-		r, err := Open(p, Options{BatchBytes: opts.BatchBytes, Guard: guard, RawRows: true})
-		if err != nil {
-			return 0, err
-		}
-		s := &mergeSrc{r: r, key: make([]uint64, kp)}
-		srcs = append(srcs, s)
-		if err := s.load(cols); err != nil {
-			return 0, err
-		}
-		if !s.done {
-			heapIdx = append(heapIdx, i)
-		}
+// SortFileByKey external-sorts a record file by the (normalized) sort
+// key into outPath, rows verbatim, checksums included: SortByKey's one
+// part drained into a file. Run files go to opts.TempDir, or beside the
+// output when that is empty.
+func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortKey, opts SortOptions) (storage.SortStats, error) {
+	if opts.TempDir == "" {
+		opts.TempDir = filepath.Dir(outPath)
 	}
-
-	var cmps int64
-	// less orders heap entries by (head columns, run index) — the
-	// columns carry the base-coordinate tiebreak, and run index
-	// reproduces the stable merge of storage's heap.
-	less := func(a, b int) bool {
-		cmps++
-		sa, sb := srcs[a], srcs[b]
-		for t := 0; t < kp; t++ {
-			if sa.key[t] != sb.key[t] {
-				return sa.key[t] < sb.key[t]
-			}
-		}
-		return a < b
-	}
-	siftDown := func(h []int, i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(h) && less(h[l], h[small]) {
-				small = l
-			}
-			if r < len(h) && less(h[r], h[small]) {
-				small = r
-			}
-			if small == i {
-				return
-			}
-			h[i], h[small] = h[small], h[i]
-			i = small
-		}
-	}
-	for i := len(heapIdx)/2 - 1; i >= 0; i-- {
-		siftDown(heapIdx, i)
-	}
-
-	w, err := storage.CreateRaw(outPath, outHdr)
+	s, err := sortByKey(inPath, schema, key, 1, true, opts)
 	if err != nil {
-		return cmps, err
+		return storage.SortStats{}, err
 	}
-	for len(heapIdx) > 0 {
-		top := heapIdx[0]
-		if err := w.WriteRow(srcs[top].row); err != nil {
+	defer s.Close()
+	stats := s.Stats()
+	src, err := s.Open(0)
+	if err != nil {
+		return stats, err
+	}
+	defer src.Close()
+	w, err := storage.CreateRaw(outPath, s.hdr)
+	if err != nil {
+		return stats, err
+	}
+	for {
+		batch, err := src.NextBatch()
+		if err != nil {
 			w.Close()
-			return cmps, err
+			os.Remove(outPath)
+			return stats, err
 		}
-		if err := srcs[top].load(cols); err != nil {
-			w.Close()
-			return cmps, err
+		if batch == nil {
+			break
 		}
-		if srcs[top].done {
-			heapIdx[0] = heapIdx[len(heapIdx)-1]
-			heapIdx = heapIdx[:len(heapIdx)-1]
-		}
-		if len(heapIdx) > 0 {
-			siftDown(heapIdx, 0)
+		for _, row := range batch {
+			if err := w.WriteRow(row); err != nil {
+				w.Close()
+				os.Remove(outPath)
+				return stats, err
+			}
 		}
 	}
-	return cmps, w.Close()
+	if err := w.Close(); err != nil {
+		os.Remove(outPath)
+		return stats, err
+	}
+	return stats, nil
+}
+
+// partRouter divides a chunk's rows among the parts of a sort by key
+// column 0, the unit a parallel plan partitions on: every row of a unit
+// goes to one part, for the whole input. A chunk's new units are
+// assigned greedily, longest processing time first — units descending
+// by row count, each to the least-loaded part — which balances parts
+// where plain unit hashing cannot (few distinct units). Loads carry
+// over from chunk to chunk; a unit keeps the part it was first given.
+// If the unit space explodes past maxRouteUnits, new units fall back to
+// stateless hashing.
+type partRouter struct {
+	parts  int
+	route  map[uint64]int32 // unit (order-encoded code) -> part
+	loads  []int64
+	hashed bool
+	partOf []int32 // scratch: chunk row -> part
+}
+
+const maxRouteUnits = 1 << 20
+
+// split returns each part's rows of a chunk as ascending row numbers —
+// the start order IdxSorter.Sort requires.
+func (rt *partRouter) split(keys []uint64, kp, n int) [][]int32 {
+	out := make([][]int32, rt.parts)
+	if rt.parts == 1 {
+		idx := make([]int32, n)
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+		out[0] = idx
+		return out
+	}
+	if rt.route == nil {
+		rt.route, rt.loads = make(map[uint64]int32), make([]int64, rt.parts)
+	}
+	if !rt.hashed {
+		rt.assign(keys, kp, n)
+	}
+	if cap(rt.partOf) < n {
+		rt.partOf = make([]int32, n)
+	}
+	partOf, sizes := rt.partOf[:n], make([]int, rt.parts)
+	for r := range partOf {
+		u := keys[r*kp]
+		p, ok := rt.route[u]
+		if !ok {
+			p = int32(mixUnit(u^(1<<63)) % uint64(rt.parts))
+		}
+		partOf[r] = p
+		sizes[p]++
+	}
+	for p, size := range sizes {
+		out[p] = make([]int32, 0, size)
+	}
+	for r, p := range partOf {
+		out[p] = append(out[p], int32(r))
+	}
+	return out
+}
+
+// assign counts the chunk's rows per unit and routes the units not seen
+// before.
+func (rt *partRouter) assign(keys []uint64, kp, n int) {
+	counts := make(map[uint64]int64)
+	for r := 0; r < n; r++ {
+		counts[keys[r*kp]]++
+		if len(counts) > maxRouteUnits {
+			rt.hashed = true // too many units to plan; hash instead
+			return
+		}
+	}
+	type unitCount struct {
+		unit uint64
+		n    int64
+	}
+	var fresh []unitCount
+	for u, c := range counts {
+		if p, ok := rt.route[u]; ok {
+			rt.loads[p] += c
+		} else {
+			fresh = append(fresh, unitCount{u, c})
+		}
+	}
+	if len(rt.route)+len(fresh) > maxRouteUnits {
+		rt.hashed = true
+		return
+	}
+	slices.SortFunc(fresh, func(a, b unitCount) int {
+		if a.n != b.n {
+			return cmp.Compare(b.n, a.n)
+		}
+		return cmp.Compare(a.unit, b.unit) // deterministic ties
+	})
+	for _, uc := range fresh {
+		best := 0
+		for p := 1; p < rt.parts; p++ {
+			if rt.loads[p] < rt.loads[best] {
+				best = p
+			}
+		}
+		rt.route[uc.unit] = int32(best)
+		rt.loads[best] += uc.n
+	}
+}
+
+// mixUnit is SplitMix64's finalizer, so hashed routing is well
+// distributed even for sequential unit codes.
+func mixUnit(u uint64) uint64 {
+	u ^= u >> 30
+	u *= 0xbf58476d1ce4e5b9
+	u ^= u >> 27
+	u *= 0x94d049bb133111eb
+	u ^= u >> 31
+	return u
 }

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -123,9 +124,15 @@ func TestSortFileByKeyMatchesRecordSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantBytes, err := os.ReadFile(oldOut)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Single run by default and when the input exactly fills one chunk:
-	// both must take the fast path, which writes no run file — a TempDir
-	// that does not exist proves it. Then the multi-run merge.
+	// both must stay in memory, which writes no run file — a TempDir
+	// that does not exist proves it. Then the multi-run merge. The file
+	// is the sorted stream drained, and must stay what it was when the
+	// sort wrote it directly: byte for byte the record sort's copy.
 	absent := filepath.Join(dir, "absent")
 	for _, tc := range []struct {
 		chunk, runs int
@@ -145,6 +152,140 @@ func TestSortFileByKeyMatchesRecordSort(t *testing.T) {
 		}
 		if !sameRecords(want, got) {
 			t.Fatalf("ChunkRecords=%d: byte sort order differs from record sort", tc.chunk)
+		}
+		if gotBytes, err := os.ReadFile(newOut); err != nil || !bytes.Equal(gotBytes, wantBytes) {
+			t.Fatalf("ChunkRecords=%d: sorted copy is not byte-identical to the record sort's (%v)", tc.chunk, err)
+		}
+	}
+}
+
+// drainSorted opens every part of a sort and decodes its stream.
+func drainSorted(t *testing.T, s *Sorted, parts, dims, ms int) [][]model.Record {
+	t.Helper()
+	out := make([][]model.Record, parts)
+	for p := range out {
+		src, err := s.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			batch, err := src.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch == nil {
+				break
+			}
+			for _, row := range batch {
+				rec := model.Record{Dims: make([]int64, dims), Ms: make([]float64, ms)}
+				row.DecodeInto(rec.Dims, rec.Ms)
+				out[p] = append(out[p], rec)
+			}
+		}
+		if int64(len(out[p])) != s.Rows(p) || src.TotalRecords() != s.Rows(p) {
+			t.Errorf("part %d streamed %d rows, Rows says %d", p, len(out[p]), s.Rows(p))
+		}
+		src.Close()
+	}
+	return out
+}
+
+// TestSortByKeyParts: a sort into parts is the one-part sort dealt out
+// by key column 0. Every unit (the leading key part's code) lands in
+// exactly one part, each part's stream is the full sorted stream
+// restricted to its units — so the ordering contract holds inside every
+// part — and the greedy assignment keeps the largest part within one
+// unit of the mean. Held in memory, spilled serially and spilled on
+// parallel run writers alike, and with more parts than units.
+func TestSortByKeyParts(t *testing.T) {
+	dims := []*model.Dimension{
+		model.FixedFanout("A", 4, 3),
+		model.FixedFanout("B", 4, 3),
+	}
+	s, err := model.NewSchema(dims, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := randRecords(6000, 2, 1, 11)
+	for i := range recs {
+		recs[i].Dims[0] %= 81 // nine units at level 2, skewed below
+		if i%3 == 0 {
+			recs[i].Dims[0] %= 9
+		}
+	}
+	dir := t.TempDir()
+	fact := filepath.Join(dir, "fact.rec")
+	writeFile(t, fact, recs, 2, 1)
+	nk, err := model.SortKey{{Dim: 0, Lvl: 2}, {Dim: 1, Lvl: 1}}.Normalize(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := func(r model.Record) int64 { return dims[0].Up(0, 2, r.Dims[0]) }
+	whole, err := SortByKey(fact, s, nk, 1, SortOptions{TempDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := drainSorted(t, whole, 1, 2, 1)[0]
+	whole.Close()
+	if len(full) != len(recs) {
+		t.Fatalf("one part streamed %d of %d rows", len(full), len(recs))
+	}
+	unitRows := map[int64]int64{}
+	var maxUnit int64
+	for _, r := range full {
+		unitRows[unit(r)]++
+		maxUnit = max(maxUnit, unitRows[unit(r)])
+	}
+
+	for _, parts := range []int{2, 4, 7, 12} {
+		for _, tc := range []struct {
+			name     string
+			chunk    int
+			parallel bool
+		}{{"memory", 0, false}, {"spilled", 700, false}, {"spilled-parallel", 700, true}} {
+			sorted, err := SortByKey(fact, s, nk, parts, SortOptions{
+				TempDir: dir, ChunkRecords: tc.chunk, Parallel: tc.parallel, Workers: 3,
+			})
+			if err != nil {
+				t.Fatalf("parts=%d %s: %v", parts, tc.name, err)
+			}
+			streams := drainSorted(t, sorted, parts, 2, 1)
+			if wantRuns := parts; tc.chunk == 0 && sorted.Stats().Runs != wantRuns {
+				t.Errorf("parts=%d %s: %d runs, want %d", parts, tc.name, sorted.Stats().Runs, wantRuns)
+			}
+			sorted.Close()
+			if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+				t.Errorf("parts=%d %s: Close left %d entries beside the fact file", parts, tc.name, len(entries)-1)
+			}
+			owner := map[int64]int{}
+			var largest int64
+			for p, rows := range streams {
+				largest = max(largest, int64(len(rows)))
+				for _, r := range rows {
+					if q, seen := owner[unit(r)]; seen && q != p {
+						t.Fatalf("parts=%d %s: unit %d is in parts %d and %d", parts, tc.name, unit(r), q, p)
+					}
+					owner[unit(r)] = p
+				}
+			}
+			want := make([][]model.Record, parts)
+			for _, r := range full {
+				want[owner[unit(r)]] = append(want[owner[unit(r)]], r)
+			}
+			for p, rows := range streams {
+				if !sameRecords(want[p], rows) {
+					t.Fatalf("parts=%d %s: part %d is not the sorted stream restricted to its units", parts, tc.name, p)
+				}
+			}
+			if len(owner) != len(unitRows) {
+				t.Errorf("parts=%d %s: %d units streamed, want %d", parts, tc.name, len(owner), len(unitRows))
+			}
+			// In memory the greedy assignment sees every unit's size, and
+			// longest-first onto the least-loaded part stays within one
+			// unit of the mean; a spilled sort only knows the chunks so far.
+			if mean := int64(len(recs)) / int64(parts); tc.chunk == 0 && largest > mean+maxUnit {
+				t.Errorf("parts=%d %s: largest part %d rows, mean %d, largest unit %d", parts, tc.name, largest, mean, maxUnit)
+			}
 		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"awra/internal/core"
 	"awra/internal/exec/cellmap"
@@ -16,7 +16,6 @@ import (
 	"awra/internal/opt"
 	"awra/internal/plan"
 	"awra/internal/qguard"
-	"awra/internal/storage"
 )
 
 // ShardedOptions configures RunSharded.
@@ -26,20 +25,22 @@ type ShardedOptions struct {
 	SortKey model.SortKey
 	// Shards is the worker count (>= 1; 1 degenerates to Run).
 	Shards int
-	// TempDir receives shard files and per-shard sort runs.
+	// TempDir receives the shards' sort runs, which exist only when the
+	// input exceeds one sort chunk; empty uses os.TempDir().
 	TempDir string
-	// ChunkRecords tunes the per-shard external sorts.
+	// ChunkRecords is how many records the external sort holds in memory
+	// at a time, all shards together (0 = default).
 	ChunkRecords int
 	// ReadBatchBytes is the chunk size of the batched fact reads
 	// (0 = scan.DefaultBatchBytes).
 	ReadBatchBytes int
 	// Stats feeds footprint estimation (informational).
 	Stats *plan.Stats
-	// Recorder, if non-nil, receives a "split" span for the two-pass
-	// balanced partitioning, one "shard"-rooted span subtree per worker
-	// (sort -> scan -> finalize children), a "combine" span for the
-	// concatenate-and-merge phase, and the standard engine metrics plus
-	// shards_planned and shard_skew_ratio.
+	// Recorder, if non-nil, receives a "split" span for the one read that
+	// loads, key-encodes and routes the fact rows, one "shard"-rooted span
+	// subtree per worker (sort -> scan -> finalize children), a "combine"
+	// span for the concatenate-and-merge phase, and the standard engine
+	// metrics plus shards_planned and shard_skew_ratio.
 	Recorder *obs.Recorder
 	// Guard, if non-nil, enforces cancellation and resource budgets:
 	// the live-cell budget is divided evenly across shards, while spill
@@ -48,11 +49,13 @@ type ShardedOptions struct {
 }
 
 // RunSharded evaluates the workflow with partitioned parallelism over
-// the sort order itself: the fact file is split into Shards files by
-// the leading part of the sort key (each shard owns whole prefix
-// groups, balanced greedily by record count), every shard is
-// external-sorted and scanned by an independent one-pass engine on its
-// own goroutine, and the per-shard outputs combine — concatenation for
+// the sort order itself. The fact file is read once; the sort routes
+// each row to one of Shards parts by column 0 of the keys it encodes
+// anyway — the leading part of the sort key, so each shard owns whole
+// prefix groups, balanced greedily by record count (scan.SortByKey).
+// Every worker then index-sorts its own rows over the shared key
+// columns and scans them with an independent one-pass engine on its own
+// goroutine, and the per-shard outputs combine — concatenation for
 // measures whose regions nest inside shard units, aggregator-state
 // merge (agg.Merge, e.g. COUNT DISTINCT set union) for measures whose
 // regions span them. Requires a shardable workflow; see
@@ -87,33 +90,25 @@ func RunSharded(c *core.Compiled, factPath string, opts ShardedOptions) (*Result
 	}
 	rec.Counter(obs.MShardsPlanned).Add(int64(shards))
 
-	// Split: a counting pass sizes every shard unit, a greedy
-	// longest-processing-time assignment balances units across shards,
-	// and a second pass writes the shard files. Two fact-file reads buy
-	// balance that plain unit hashing cannot give when the outermost
-	// level has few distinct values.
+	// Split: the sort's load phase. One read fills the row arena and the
+	// key columns and routes every row by key column 0, the shard unit.
 	splitSpan := rec.Start(obs.SpanSplit)
-	assign, total, err := shardAssignment(c, factPath, sp, shards, guard)
-	if err != nil {
-		return nil, err
-	}
-	paths, counts, err := storage.ShardFile(factPath, shards, assign, storage.ShardOptions{
-		TempDir: opts.TempDir, Prefix: "awra-shard", Guard: guard,
+	defer splitSpan.End()
+	sorted, err := scan.SortByKey(factPath, c.Schema, pl.SortKey, shards, scan.SortOptions{
+		ChunkRecords: opts.ChunkRecords, TempDir: opts.TempDir,
+		Parallel: true, Workers: shards,
+		BatchBytes: opts.ReadBatchBytes,
+		Recorder:   rec.At(splitSpan), Guard: guard,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for _, p := range paths {
-			os.Remove(p)
-		}
-	}()
-	rec.Counter(obs.MFactScans).Add(2) // counting pass + split pass
+	defer sorted.Close()
+	rec.Counter(obs.MFactScans).Add(1)
+	total := sorted.Stats().Records
 	var maxShard int64
-	for _, n := range counts {
-		if n > maxShard {
-			maxShard = n
-		}
+	for i := 0; i < shards; i++ {
+		maxShard = max(maxShard, sorted.Rows(i))
 	}
 	if total > 0 {
 		// permille: 1000 = perfectly balanced.
@@ -132,12 +127,12 @@ func RunSharded(c *core.Compiled, factPath string, opts ShardedOptions) (*Result
 		}
 	}
 
-	// Parallel phase: one full sort+scan pipeline per shard. The plan
-	// is shared read-only; each engine keeps private state. The derived
-	// guard divides the live-cell budget across workers while keeping
-	// cancellation and the byte/row budgets query-global.
+	// Parallel phase: one sort+scan pipeline per shard. The plan and the
+	// sort's rows and key columns are shared read-only; each engine keeps
+	// private state. The derived guard divides the live-cell budget
+	// across workers while keeping cancellation and the byte/row budgets
+	// query-global.
 	sg := guard.Shard(shards)
-	t0 := time.Now()
 	engines := make([]*engine, shards)
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
@@ -145,7 +140,7 @@ func RunSharded(c *core.Compiled, factPath string, opts ShardedOptions) (*Result
 		wg.Add(1)
 		sSpan := rec.Start(obs.SpanShard)
 		sSpan.SetAttr("shard", fmt.Sprint(i))
-		sSpan.SetAttr("records", fmt.Sprint(counts[i]))
+		sSpan.SetAttr("records", fmt.Sprint(sorted.Rows(i)))
 		go func(i int, sSpan *obs.Span) {
 			defer wg.Done()
 			defer sSpan.End()
@@ -165,37 +160,26 @@ func RunSharded(c *core.Compiled, factPath string, opts ShardedOptions) (*Result
 				}
 			}()
 			srec := rec.At(sSpan)
-			sorted := paths[i] + ".sorted"
-			defer os.Remove(sorted)
 			sortSpan := srec.Start(obs.SpanSort)
-			ss, err := scan.SortFileByKey(paths[i], sorted, c.Schema, pl.SortKey, scan.SortOptions{
-				ChunkRecords: opts.ChunkRecords, TempDir: opts.TempDir,
-				BatchBytes: opts.ReadBatchBytes,
-				Recorder:   srec.At(sortSpan), Guard: sg,
-			})
-			sortSpan.SetAttr("runs", fmt.Sprint(ss.Runs))
+			src, err := sorted.Open(i)
+			sortSpan.SetAttr("runs", fmt.Sprint(sorted.Runs(i)))
 			sortSpan.End()
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			r, err := scan.Open(sorted, scan.Options{BatchBytes: opts.ReadBatchBytes, Guard: sg})
+			defer src.Close()
+			e, err := runSortedStates(c, pl, src, false, true, srec, sg, stateIdx)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			defer r.Close()
-			e, err := runSortedStates(c, pl, r, false, true, srec, sg, stateIdx)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			e.stats.SortRuns = ss.Runs
+			e.stats.SortRuns = sorted.Runs(i)
+			e.stats.SortTime = sortSpan.Duration()
 			engines[i] = e
 		}(i, sSpan)
 	}
 	wg.Wait()
-	scanWall := time.Since(t0)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("sortscan: shard %d: %w", i, err)
@@ -207,17 +191,18 @@ func RunSharded(c *core.Compiled, factPath string, opts ShardedOptions) (*Result
 	if err != nil {
 		return nil, err
 	}
-	out.Stats.SortTime = splitSpan.Duration()
-	out.Stats.ScanTime = scanWall
+	out.Stats.SortTime += splitSpan.Duration()
 	return out, nil
 }
 
 // combineShards builds the sharded run's result from the workers'
 // engines: measures whose regions nest inside shard units concatenate —
 // each output table is built once, sized from the workers' emission
-// logs and filled from them directly — and the spanning measures
+// logs and filled from them directly, the tables largest first on as
+// many goroutines as there were workers — and the spanning measures
 // (merge, by measure index), whose cells the workers left unfinalized,
 // merge per region through their aggregate columns and finalize here.
+// Its times are the slowest worker's: the workers ran side by side.
 func combineShards(c *core.Compiled, pl *plan.Plan, merge []int, engines []*engine, rec *obs.Recorder, guard *qguard.Guard) (*Result, error) {
 	out := &Result{Tables: make(map[string]*core.Table), Plan: pl}
 	for _, e := range engines {
@@ -226,12 +211,23 @@ func combineShards(c *core.Compiled, pl *plan.Plan, merge []int, engines []*engi
 		out.Stats.PeakCells += e.stats.PeakCells
 		out.Stats.PeakBytes += e.stats.PeakBytes
 		out.Stats.FlushBatches += e.stats.FlushBatches
+		out.Stats.SortTime = max(out.Stats.SortTime, e.stats.SortTime)
+		out.Stats.ScanTime = max(out.Stats.ScanTime, e.stats.ScanTime)
 	}
 	merged := make([]bool, len(c.Measures))
 	for _, mi := range merge {
 		merged[mi] = true
 	}
-	logs := make([][]logChunk, len(engines))
+	// concat is one nesting output: its table, and every worker's log of
+	// it in shard order.
+	type concat struct {
+		m    *core.Measure
+		tbl  *core.Table
+		logs [][]logChunk
+		size int // rows logged: what the build costs
+		err  error
+	}
+	var jobs []*concat
 	for _, name := range c.Outputs() {
 		mi, _ := c.Index(name)
 		m := c.Measures[mi]
@@ -240,19 +236,49 @@ func combineShards(c *core.Compiled, pl *plan.Plan, merge []int, engines []*engi
 		if merged[mi] {
 			continue // filled from the merged states below
 		}
+		j := &concat{m: m, tbl: tbl, logs: make([][]logChunk, len(engines))}
 		for i, e := range engines {
-			logs[i] = e.nodes[mi].log
-		}
-		var logged int
-		tbl.Rows, logged = buildRows(m.Codec.KeyBytes(), logs...)
-		// Shards own disjoint regions of a nesting measure, so every
-		// logged row is its own map entry. A shortfall means some key was
-		// logged twice; produced by two shards, the shard validation was
-		// unsound and one shard's partial value overwrote the other's.
-		if len(tbl.Rows) != logged {
-			if err := crossShardDuplicate(m, logs); err != nil {
-				return nil, err
+			j.logs[i] = e.nodes[mi].log
+			for _, ch := range j.logs[i] {
+				j.size += len(ch.vals)
 			}
+		}
+		jobs = append(jobs, j)
+	}
+	// The tables are independent map builds; the largest go first so the
+	// last goroutine to finish holds a small one.
+	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].size > jobs[b].size })
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < min(len(engines), len(jobs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				at := int(next.Add(1)) - 1
+				if at >= len(jobs) {
+					return
+				}
+				j := jobs[at]
+				var logged int
+				j.tbl.Rows, logged = buildRows(j.m.Codec.KeyBytes(), j.logs...)
+				// Shards own disjoint regions of a nesting measure, so every
+				// logged row is its own map entry. A shortfall means some key
+				// was logged twice; produced by two shards, the shard
+				// validation was unsound and one shard's partial value
+				// overwrote the other's.
+				if len(j.tbl.Rows) != logged {
+					j.err = crossShardDuplicate(j.m, j.logs)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, j := range jobs {
+		if j.err != nil {
+			return nil, j.err
 		}
 	}
 	for _, mi := range merge {
@@ -320,93 +346,4 @@ func crossShardDuplicate(m *core.Measure, logs [][]logChunk) error {
 		}
 	}
 	return nil
-}
-
-// shardAssignment reads the fact file once, counts records per shard
-// unit (the record's code on the shard dimension lifted to the shard
-// level), and returns a balanced unit -> shard routing function via
-// greedy LPT assignment: units descending by size, each to the
-// least-loaded shard. If the unit space explodes past a bound, it
-// falls back to stateless unit hashing.
-func shardAssignment(c *core.Compiled, factPath string, sp opt.ShardChoice, shards int, g *qguard.Guard) (func(*model.Record) int, int64, error) {
-	dim := c.Schema.Dim(sp.Dim)
-	sdim, slvl := sp.Dim, sp.Level
-	hashed := func(r *model.Record) int {
-		u := dim.Up(0, slvl, r.Dims[sdim])
-		return int(uint64(mixShard(u)) % uint64(shards))
-	}
-	const maxUnits = 1 << 20
-	unitCounts := make(map[int64]int64)
-	var total int64
-	r, err := scan.Open(factPath, scan.Options{Guard: g})
-	if err != nil {
-		return nil, 0, err
-	}
-	defer r.Close()
-	for {
-		batch, err := r.NextBatch()
-		if err != nil {
-			return nil, 0, err
-		}
-		if batch == nil {
-			break
-		}
-		total += int64(len(batch))
-		if unitCounts != nil {
-			for _, row := range batch {
-				unitCounts[dim.Up(0, slvl, row.Dim(sdim))]++
-			}
-			if len(unitCounts) > maxUnits {
-				unitCounts = nil // too many units to plan; hash instead
-			}
-		}
-	}
-	if unitCounts == nil {
-		return hashed, total, nil
-	}
-	type unitCount struct {
-		unit int64
-		n    int64
-	}
-	units := make([]unitCount, 0, len(unitCounts))
-	for u, n := range unitCounts {
-		units = append(units, unitCount{u, n})
-	}
-	sort.Slice(units, func(i, j int) bool {
-		if units[i].n != units[j].n {
-			return units[i].n > units[j].n
-		}
-		return units[i].unit < units[j].unit // deterministic ties
-	})
-	loads := make([]int64, shards)
-	route := make(map[int64]int, len(units))
-	for _, uc := range units {
-		best := 0
-		for s := 1; s < shards; s++ {
-			if loads[s] < loads[best] {
-				best = s
-			}
-		}
-		route[uc.unit] = best
-		loads[best] += uc.n
-	}
-	return func(r *model.Record) int {
-		u := dim.Up(0, slvl, r.Dims[sdim])
-		if s, ok := route[u]; ok {
-			return s
-		}
-		return hashed(r) // unit unseen by the counting pass
-	}, total, nil
-}
-
-// mixShard is SplitMix64's finalizer, so hashed shard assignment is
-// well distributed even for sequential unit codes.
-func mixShard(x int64) int64 {
-	u := uint64(x)
-	u ^= u >> 30
-	u *= 0xbf58476d1ce4e5b9
-	u ^= u >> 27
-	u *= 0x94d049bb133111eb
-	u ^= u >> 31
-	return int64(u)
 }

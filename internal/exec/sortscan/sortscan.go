@@ -31,8 +31,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
-	"sync/atomic"
 	"time"
 
 	"awra/internal/agg"
@@ -51,9 +49,11 @@ type Options struct {
 	// SortKey orders the pass. Use the opt package to choose one that
 	// minimizes the estimated footprint.
 	SortKey model.SortKey
-	// TempDir receives external-sort run files.
+	// TempDir receives external-sort run files, which exist only when the
+	// input exceeds one sort chunk; empty uses the fact file's directory.
 	TempDir string
-	// ChunkRecords tunes the external sort (0 = default).
+	// ChunkRecords is how many records the external sort holds in memory
+	// at a time (0 = default).
 	ChunkRecords int
 	// ReadBatchBytes is the chunk size of the batched fact reads
 	// (0 = scan.DefaultBatchBytes).
@@ -74,7 +74,7 @@ type Options struct {
 	// SortWorkers bounds the parallel sort (0 = GOMAXPROCS).
 	SortWorkers int
 	// Recorder, if non-nil, receives the run's phase spans
-	// (sort/runs/merge, scan, finalize) and the standard engine
+	// (sort/runs, scan, finalize) and the standard engine
 	// metrics. Nil still produces a full Stats (a private recorder is
 	// used); hot loops never touch the recorder either way.
 	Recorder *obs.Recorder
@@ -257,7 +257,7 @@ func (n *node) materialize() {
 
 // contiguousCells reports whether scanning records in the full sorted
 // order — sort key parts, then base coordinates ascending (the order
-// scan.SortFileByKey produces) — visits gran's cell keys contiguously:
+// scan.SortByKey produces) — visits gran's cell keys contiguously:
 // once the cell key changes it never returns to an earlier value.
 //
 // The proof walks the effective comparator sequence. Take two records
@@ -441,12 +441,9 @@ func (e *engine) publish() {
 	}
 }
 
-// sortSeq disambiguates the sorted-copy paths of concurrent runs over
-// the same fact file within this process.
-var sortSeq atomic.Int64
-
 // Run sorts the fact file by the sort key and evaluates the workflow
-// in one streaming pass.
+// in one streaming pass. The sort hands its rows over as a stream
+// (scan.SortByKey): no sorted copy of the file is written.
 func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
 	rec := opts.Recorder
 	if rec == nil {
@@ -456,46 +453,43 @@ func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scanPath := factPath
-	var st Stats
-	if !opts.AssumeSorted {
-		// The sorted copy is private to this run and removed when it
-		// ends, so its name must be unique: concurrent queries over the
-		// same fact file (a serving process) must not overwrite or
-		// delete each other's copy mid-scan.
-		sorted := fmt.Sprintf("%s.sorted.%d.%d", factPath, os.Getpid(), sortSeq.Add(1))
-		defer os.Remove(sorted)
-		sortSpan := rec.Start(obs.SpanSort)
-		ss, err := scan.SortFileByKey(factPath, sorted, c.Schema, pl.SortKey, scan.SortOptions{
-			ChunkRecords: opts.ChunkRecords, TempDir: opts.TempDir,
-			Parallel: opts.ParallelSort, Workers: opts.SortWorkers,
-			BatchBytes: opts.ReadBatchBytes,
-			Recorder:   rec.At(sortSpan), Guard: opts.Guard,
-		})
+	if opts.AssumeSorted {
+		r, err := scan.Open(factPath, scan.Options{BatchBytes: opts.ReadBatchBytes, Guard: opts.Guard})
 		if err != nil {
-			return nil, fmt.Errorf("sortscan: sort: %w", err)
+			return nil, err
 		}
-		sortSpan.SetAttr("runs", fmt.Sprint(ss.Runs))
-		sortSpan.SetAttr("key", pl.SortKey.String(c.Schema))
-		sortSpan.End()
-		st.SortTime = sortSpan.Duration()
-		st.SortRuns = ss.Runs
-		scanPath = sorted
+		defer r.Close()
+		// Caller-sorted input only promises the plan key.
+		return runSorted(c, pl, r, opts.DisableEarlyFlush, false, rec, opts.Guard)
 	}
-	r, err := scan.Open(scanPath, scan.Options{BatchBytes: opts.ReadBatchBytes, Guard: opts.Guard})
+	sortSpan := rec.Start(obs.SpanSort)
+	defer sortSpan.End()
+	sortSpan.SetAttr("key", pl.SortKey.String(c.Schema))
+	sorted, err := scan.SortByKey(factPath, c.Schema, pl.SortKey, 1, scan.SortOptions{
+		ChunkRecords: opts.ChunkRecords, TempDir: opts.TempDir,
+		Parallel: opts.ParallelSort, Workers: opts.SortWorkers,
+		BatchBytes: opts.ReadBatchBytes,
+		Recorder:   rec.At(sortSpan), Guard: opts.Guard,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sortscan: sort: %w", err)
+	}
+	defer sorted.Close()
+	src, err := sorted.Open(0)
+	if err != nil {
+		return nil, fmt.Errorf("sortscan: sort: %w", err)
+	}
+	defer src.Close()
+	sortSpan.SetAttr("runs", fmt.Sprint(sorted.Stats().Runs))
+	sortSpan.End()
+	// Rows sorted by this run carry the full base-coordinate tiebreak
+	// order, which unlocks the append-only cell-table path.
+	res, err := runSorted(c, pl, src, opts.DisableEarlyFlush, true, rec, opts.Guard)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	// A file sorted by this run carries the full base-coordinate
-	// tiebreak order, which unlocks the append-only cell-table path;
-	// caller-sorted input only promises the plan key.
-	res, err := runSorted(c, pl, r, opts.DisableEarlyFlush, !opts.AssumeSorted, rec, opts.Guard)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.SortTime = st.SortTime
-	res.Stats.SortRuns = st.SortRuns
+	res.Stats.SortTime = sortSpan.Duration()
+	res.Stats.SortRuns = sorted.Stats().Runs
 	return res, nil
 }
 

@@ -101,6 +101,10 @@ func (f *FS) TransientReadEvery(n int64) *FS { f.transientEvery.Store(n); return
 // faults have not fired yet.
 func (f *FS) TransientRemaining() int64 { return f.transientReads.Load() }
 
+// Creates reports how many Create calls the FS has seen, failed ones
+// included.
+func (f *FS) Creates() int64 { return f.creates.Load() }
+
 // ReadBytes reports total bytes read through the FS.
 func (f *FS) ReadBytes() int64 { return f.readBytes.Load() }
 

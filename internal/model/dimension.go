@@ -14,6 +14,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -34,6 +35,13 @@ type DomainSpec struct {
 	// generalization in the next coarser domain. It must be monotone
 	// non-decreasing. It is nil for the D_ALL level.
 	UpOne func(int64) int64
+
+	// Div, when positive, declares in place of UpOne that this domain
+	// generalizes by floor division: a code c maps to floor(c / Div),
+	// negative codes included (Second -> Hour, a uniform fan-out, an IP
+	// prefix's >> 8). Up crosses a run of such levels with one division by
+	// the product of their divisors instead of a call per level.
+	Div int64
 
 	// Fanout is the average number of codes in this domain that map to
 	// a single code of the next coarser domain. It is used only for
@@ -61,14 +69,19 @@ type DomainSpec struct {
 type Dimension struct {
 	name   string
 	levels []DomainSpec
+	// div[from*len(levels)+to] is the product of the Div of every level
+	// in [from, to) when all of them declare one (1 when from == to), and
+	// 0 when some level does not or the product overflows: the pairs Up
+	// answers with a single floor division.
+	div []int64
 }
 
 // NewDimension constructs a dimension from base-to-coarse domain specs.
 // The final D_ALL level is appended automatically; callers list only
 // the concrete domains, base first. Every listed spec must have an
-// UpOne function (mapping into the next listed domain, or into D_ALL
-// for the last one — if the last spec's UpOne is nil, a constant-zero
-// mapping to ALL is supplied).
+// UpOne function or a divisor (mapping into the next listed domain, or
+// into D_ALL for the last one — if the last spec has neither, a
+// constant-zero mapping to ALL is supplied).
 func NewDimension(name string, specs ...DomainSpec) (*Dimension, error) {
 	if name == "" {
 		return nil, fmt.Errorf("model: dimension name must be non-empty")
@@ -93,6 +106,12 @@ func NewDimension(name string, specs ...DomainSpec) (*Dimension, error) {
 		if s.MinFanout < 1 || float64(s.MinFanout) > s.Fanout {
 			return nil, fmt.Errorf("model: dimension %q: domain %q has min fanout %d outside [1, %v]", name, s.Name, s.MinFanout, s.Fanout)
 		}
+		if s.Div < 0 || (s.Div > 0 && s.UpOne != nil) {
+			return nil, fmt.Errorf("model: dimension %q: domain %q: Div must be >= 0 and takes the place of UpOne, so set only one of them", name, s.Name)
+		}
+		if div := s.Div; div > 0 {
+			s.UpOne = func(c int64) int64 { return floorDiv(c, div) }
+		}
 		if s.UpOne == nil {
 			s.UpOne = func(int64) int64 { return 0 }
 		}
@@ -104,7 +123,20 @@ func NewDimension(name string, specs ...DomainSpec) (*Dimension, error) {
 		MinFanout: 1,
 		Format:    func(int64) string { return "ALL" },
 	})
-	return &Dimension{name: name, levels: levels}, nil
+	n := len(levels)
+	div := make([]int64, n*n)
+	for from := 0; from < n; from++ {
+		prod := int64(1)
+		for to := from; to < n && prod > 0; to++ {
+			div[from*n+to] = prod
+			if d := levels[to].Div; d > 0 && prod <= math.MaxInt64/d {
+				prod *= d
+			} else {
+				prod = 0
+			}
+		}
+	}
+	return &Dimension{name: name, levels: levels, div: div}, nil
 }
 
 // MustDimension is NewDimension that panics on error; it is intended
@@ -163,6 +195,9 @@ func (d *Dimension) LevelByName(domain string) (Level, error) {
 // (they compose along the chain), matching the consistency requirement
 // in Section 2.1 of the paper.
 func (d *Dimension) Up(from, to Level, code int64) int64 {
+	if from == to {
+		return code
+	}
 	if from == LevelALL {
 		from = d.ALL()
 	}
@@ -171,6 +206,11 @@ func (d *Dimension) Up(from, to Level, code int64) int64 {
 	}
 	if from > to {
 		panic(fmt.Sprintf("model: Up on dimension %q from level %d to finer level %d", d.name, from, to))
+	}
+	// floor(floor(c/a)/b) = floor(c/(a*b)) for positive a and b, so a chain
+	// of divisor levels is one division.
+	if div := d.div[int(from)*len(d.levels)+int(to)]; div != 0 {
+		return floorDiv(code, div)
 	}
 	for l := from; l < to; l++ {
 		code = d.levels[l].UpOne(code)
@@ -272,12 +312,12 @@ func FixedFanout(name string, depth, fanout int) *Dimension {
 	for i := 0; i < depth; i++ {
 		specs[i] = DomainSpec{
 			Name:   fmt.Sprintf("L%d", i),
-			UpOne:  func(c int64) int64 { return floorDiv(c, f) },
+			Div:    f,
 			Fanout: float64(fanout),
 		}
 	}
 	// The coarsest concrete domain maps to ALL.
-	specs[depth-1].UpOne = func(int64) int64 { return 0 }
+	specs[depth-1].Div = 0
 	return MustDimension(name, specs...)
 }
 
@@ -285,7 +325,7 @@ func FixedFanout(name string, depth, fanout int) *Dimension {
 // generalization stays monotone for negative codes too.
 func floorDiv(a, b int64) int64 {
 	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
+	if r := a - q*b; r != 0 && (r^b) < 0 {
 		q--
 	}
 	return q

@@ -19,6 +19,12 @@ func TestNewDimensionValidation(t *testing.T) {
 	if _, err := NewDimension("x", DomainSpec{Name: "base", Fanout: 0.5}); err == nil {
 		t.Error("fanout < 1 accepted")
 	}
+	if _, err := NewDimension("x", DomainSpec{Name: "base", Div: -2}); err == nil {
+		t.Error("negative divisor accepted")
+	}
+	if _, err := NewDimension("x", DomainSpec{Name: "base", Div: 2, UpOne: func(c int64) int64 { return c }}); err == nil {
+		t.Error("divisor beside an UpOne accepted")
+	}
 	d, err := NewDimension("x", DomainSpec{Name: "base"})
 	if err != nil {
 		t.Fatalf("minimal dimension rejected: %v", err)
@@ -182,5 +188,72 @@ func TestFormatCode(t *testing.T) {
 	}
 	if got := d.FormatCode(d.ALL(), 0); got != "ALL" {
 		t.Errorf("ALL format = %q", got)
+	}
+}
+
+// TestUpMatchesUpOneChain: Up answers a (from, to) pair whose levels all
+// declare a divisor with one floor division by the product; for every
+// built-in hierarchy and every from <= to that must equal applying
+// UpOne level by level, on negative, zero, boundary and large codes —
+// including divisor products that overflow and fall back to the chain.
+func TestUpMatchesUpOneChain(t *testing.T) {
+	dict, _, err := NewDictBuilder("geo", "city", "country").
+		Add("Paris", "FR").Add("Lyon", "FR").Add("Rome", "IT").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := []*Dimension{
+		FixedFanout("A", 3, 10),
+		FixedFanout("B", 5, 7),
+		FixedFanout("wide", 4, 1<<30), // 2^90 overflows: 0 -> 3 must take the chain
+		TimeDimension("t"),
+		IPv4Dimension("U"),
+		PortDimension("P"),
+		dict,
+	}
+	rng := rand.New(rand.NewSource(19))
+	codes := []int64{0, 1, -1, 2, -2, 1<<62 + 12345, -(1 << 62) - 12345, 1<<63 - 1, -1 << 63}
+	for i := 0; i < 2000; i++ {
+		codes = append(codes, rng.Int63()-rng.Int63(), int64(rng.Intn(200000))-100000)
+	}
+	// Either side of the multiples of every divisor Up will divide by.
+	for _, d := range dims {
+		for _, p := range d.div {
+			if p > 1 && p < 1<<61 {
+				codes = append(codes, -p-1, -p, -p+1, p-1, p, p+1, 2*p-1, 2*p)
+			}
+		}
+	}
+	for _, d := range dims {
+		fast := 0
+		for from := Level(0); from <= d.ALL(); from++ {
+			for to := from; to <= d.ALL(); to++ {
+				if d.div[int(from)*d.NumLevels()+int(to)] != 0 {
+					fast++
+				}
+				for _, c := range codes {
+					want := c
+					for l := from; l < to; l++ {
+						want = d.levels[l].UpOne(want)
+					}
+					if got := d.Up(from, to, c); got != want {
+						t.Fatalf("%s: Up(%d, %d, %d) = %d, UpOne chain gives %d", d.Name(), from, to, c, got, want)
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d (from, to) pairs divide once", d.Name(), fast)
+	}
+	// The shapes the engines lean on do take the fast path.
+	if d := dims[0]; d.div[2] != 100 {
+		t.Errorf("FixedFanout(3, 10): levels 0 -> 2 divide by %d, want 100", d.div[2])
+	}
+	if d := dims[3]; d.div[2] != 86400 || d.div[3] != 0 {
+		t.Errorf("Time: Second -> Day divides by %d (want 86400), Second -> Month by %d (want 0, the chain)",
+			d.div[2], d.div[3])
+	}
+	if d := dims[2]; d.div[2] != 1<<60 || d.div[3] != 0 {
+		t.Errorf("wide: levels 0 -> 2 divide by %d (want 2^60), 0 -> 3 by %d (want 0: the product overflows)",
+			d.div[2], d.div[3])
 	}
 }

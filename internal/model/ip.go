@@ -18,19 +18,19 @@ func IPv4Dimension(name string) *Dimension {
 	return MustDimension(name,
 		DomainSpec{
 			Name:   "IP",
-			UpOne:  func(c int64) int64 { return c >> 8 },
+			Div:    256, // c >> 8
 			Fanout: 256,
 			Format: func(c int64) string { return formatIPPrefix(c, 4) },
 		},
 		DomainSpec{
 			Name:   "/24",
-			UpOne:  func(c int64) int64 { return c >> 8 },
+			Div:    256, // c >> 8
 			Fanout: 256,
 			Format: func(c int64) string { return formatIPPrefix(c, 3) },
 		},
 		DomainSpec{
 			Name:   "/16",
-			UpOne:  func(c int64) int64 { return c >> 8 },
+			Div:    256, // c >> 8
 			Fanout: 256,
 			Format: func(c int64) string { return formatIPPrefix(c, 2) },
 		},

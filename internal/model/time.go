@@ -28,13 +28,13 @@ func TimeDimension(name string) *Dimension {
 	return MustDimension(name,
 		DomainSpec{
 			Name:   "Second",
-			UpOne:  func(c int64) int64 { return floorDiv(c, secondsPerHour) },
+			Div:    secondsPerHour,
 			Fanout: secondsPerHour,
 			Format: formatSecond,
 		},
 		DomainSpec{
 			Name:   "Hour",
-			UpOne:  func(c int64) int64 { return floorDiv(c, hoursPerDay) },
+			Div:    hoursPerDay,
 			Fanout: hoursPerDay,
 			Format: formatHour,
 		},
@@ -47,7 +47,7 @@ func TimeDimension(name string) *Dimension {
 		},
 		DomainSpec{
 			Name:   "Month",
-			UpOne:  func(c int64) int64 { return floorDiv(c, 12) },
+			Div:    12,
 			Fanout: 12,
 			Format: formatMonth,
 		},

@@ -71,7 +71,8 @@ type Limits struct {
 	MaxLiveCells int64
 	// MaxResultRows caps total finalized output rows across measures.
 	MaxResultRows int64
-	// MaxSpillBytes caps bytes written to disk by sorts and spills.
+	// MaxSpillBytes caps bytes written to temporary files by sorts and
+	// spills.
 	MaxSpillBytes int64
 	// SkipCorruptRows switches checksummed reads into degraded mode:
 	// corrupt rows are counted and skipped instead of failing the query.
