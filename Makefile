@@ -55,8 +55,7 @@ vet:
 fmt:
 	gofmt -w .
 
-# Build and run outputs only (the .gitignore list). benchdata/ holds
-# committed figures, among them the hotpath.json baseline CI's
-# hotpath-smoke compares against.
+# Build and run outputs only (the .gitignore list); benchdata/ holds
+# committed figures and is left alone.
 clean:
 	rm -rf bin .bench_build perf/out

@@ -31,9 +31,10 @@ func TestEngineRoundTrip(t *testing.T) {
 
 func TestParseEngineAliasesAndDefault(t *testing.T) {
 	for name, want := range map[string]Engine{
-		"":     EngineSortScan,
-		"scan": EngineSingleScan,
-		"db":   EngineRelational,
+		"":         EngineSortScan,
+		"scan":     EngineSingleScan,
+		"db":       EngineRelational,
+		"partscan": EngineShardScan,
 	} {
 		got, err := ParseEngine(name)
 		if err != nil {

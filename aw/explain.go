@@ -129,7 +129,7 @@ func ExplainFor(c *Compiled, in Input, opts ...QueryOptions) (*Profile, error) {
 			if o.SortKey == nil {
 				o.SortKey = d.Key
 			}
-			if o.parallelism() > 1 {
+			if o.Parallelism > 1 {
 				if nk, err := SortKey(o.SortKey).Normalize(c.Schema); err == nil {
 					if _, err := opt.ShardPrefix(c, nk); err == nil {
 						engine = EngineShardScan
@@ -180,7 +180,7 @@ func buildEstimates(c *Compiled, o *QueryOptions, st *plan.Stats, p *Profile) er
 	}
 
 	switch o.Engine {
-	case EngineSortScan, EngineShardScan, EnginePartScan:
+	case EngineSortScan, EngineShardScan:
 		key := o.SortKey
 		if key == nil {
 			ch, err := opt.Best(c, st)

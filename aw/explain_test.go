@@ -12,8 +12,7 @@ import (
 )
 
 // profileWorkflow is a small rollup chain that every engine — including
-// shardscan (nests in a t:Day-leading key) and partscan (partitionable
-// on t at Day level) — can evaluate.
+// shardscan, whose measures nest in a t:Day-leading key — can evaluate.
 func profileWorkflow(t *testing.T, s *aw.Schema) *aw.Workflow {
 	t.Helper()
 	gDayIP, err := s.MakeGran(map[string]string{"t": "Day", "U": "IP"})
@@ -82,6 +81,10 @@ func TestExplainAnalyzeAllEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	day := aw.Level(2) // Second -> Hour -> Day
+	partscan, err := aw.ParseEngine("partscan")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
 		opts    aw.QueryOptions
@@ -92,8 +95,10 @@ func TestExplainAnalyzeAllEngines(t *testing.T) {
 		{"shardscan", aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: aw.EngineShardScan, Parallelism: 2}}, true, true},
 		{"singlescan", aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: aw.EngineSingleScan}}, true, false},
 		{"multipass", aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: aw.EngineMultiPass}}, true, true},
-		{"partscan", aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: aw.EnginePartScan},
-			PartitionDim: 0, PartitionLevel: day, Partitions: 2}, true, true},
+		// The retired engine's name, partitioned on t:Day the way it now
+		// is: as the sort key's leading part.
+		{"partscan", aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: partscan, Parallelism: 2},
+			SortKey: aw.SortKey{{Dim: 0, Lvl: day}}}, true, true},
 		{"relational", aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: aw.EngineRelational}}, false, false},
 	}
 	for _, tc := range cases {
@@ -108,7 +113,7 @@ func TestExplainAnalyzeAllEngines(t *testing.T) {
 				t.Fatal("empty result")
 			}
 			p := r.Profile
-			if !p.Analyzed || p.Engine != tc.name {
+			if !p.Analyzed || p.Engine != tc.opts.Engine.String() {
 				t.Fatalf("profile engine/analyzed: %+v", p)
 			}
 			var basic *aw.ProfileNode
@@ -125,7 +130,7 @@ func TestExplainAnalyzeAllEngines(t *testing.T) {
 				t.Fatal("basic node missing")
 			}
 			// Every engine scans the whole file exactly once into the
-			// basic measure (shards/partitions/passes merge their counts).
+			// basic measure (shards/passes merge their counts).
 			if basic.Actual.RecordsIn != int64(len(recs)) {
 				t.Errorf("basic records in: got %d, want %d", basic.Actual.RecordsIn, len(recs))
 			}

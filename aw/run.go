@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"awra/internal/exec/multipass"
-	"awra/internal/exec/partscan"
 	"awra/internal/exec/scan"
 	"awra/internal/exec/singlescan"
 	"awra/internal/exec/sortscan"
@@ -42,14 +41,10 @@ const (
 	// simple scan when every hash table fits the budget, otherwise the
 	// best-key sort/scan, otherwise multi-pass.
 	EngineAuto
-	// EnginePartScan hash-partitions the fact file on a chosen
-	// dimension/level and runs an independent sort/scan per partition in
-	// parallel. Requires a file input and a partition-valid workflow
-	// (see QueryOptions.PartitionDim).
-	EnginePartScan
 	// EngineShardScan splits the fact file into Parallelism shards by
-	// the leading part of the optimizer-chosen sort key, runs an
-	// independent sort/scan per shard in parallel, and combines the
+	// the leading part of the sort key (the optimizer's, or
+	// QueryOptions.SortKey's, which so picks the partition unit), runs
+	// an independent sort/scan per shard in parallel, and combines the
 	// per-shard outputs (concatenation for nesting measures, aggregate
 	// state merge for measures whose regions span shards). Requires a
 	// file input and a shardable workflow; EngineAuto selects it
@@ -68,15 +63,17 @@ var engineNames = [...]string{
 	EngineMultiPass:  "multipass",
 	EngineRelational: "relational",
 	EngineAuto:       "auto",
-	EnginePartScan:   "partscan",
 	EngineShardScan:  "shardscan",
 }
 
 // engineAliases maps accepted non-canonical spellings (String() never
-// produces these, but ParseEngine keeps reading them).
+// produces these, but ParseEngine keeps reading them). "partscan" keeps
+// inputs that name the partitioned engine shardscan replaced working;
+// shardscan's partition unit is the sort key's leading part.
 var engineAliases = map[string]Engine{
-	"scan": EngineSingleScan,
-	"db":   EngineRelational,
+	"scan":     EngineSingleScan,
+	"db":       EngineRelational,
+	"partscan": EngineShardScan,
 }
 
 // EngineNames returns the canonical engine names, in constant order.
@@ -107,8 +104,9 @@ func (e *UnknownEngineError) Error() string {
 }
 
 // ParseEngine resolves an engine name: every canonical String() form,
-// the aliases "scan" and "db", and "" (the default engine). Unknown
-// names return an *UnknownEngineError listing the valid names.
+// the aliases "scan", "db" and "partscan", and "" (the default
+// engine). Unknown names return an *UnknownEngineError listing the
+// valid names.
 func ParseEngine(name string) (Engine, error) {
 	if name == "" {
 		return EngineSortScan, nil
@@ -138,16 +136,15 @@ type ExecOptions struct {
 	// per-pass footprint for multi-pass, and the decision input for
 	// EngineAuto. 0 = unlimited / one pass.
 	MemoryBudget int64
-	// Parallelism is the worker count for parallel evaluation. Three
-	// engines use it: it is the shard count for EngineShardScan, the
+	// Parallelism is the worker count for parallel evaluation. Two
+	// engines use it: it is the shard count for EngineShardScan, and the
 	// run-sorting workers of EngineSortScan's external sort (they only
-	// have work when the input exceeds one sort chunk), and the default
-	// partition count for EnginePartScan. 0 or 1 means serial. The
-	// single-scan, multi-pass and relational engines are serial whatever
-	// the count. Under EngineAuto, Parallelism > 1 upgrades a sort/scan
-	// decision to the sharded engine whenever the workflow shards
-	// safely (every measure either nests inside shard units or merges
-	// commutatively). Streaming sessions ignore it.
+	// have work when the input exceeds one sort chunk). 0 or 1 means
+	// serial. The single-scan, multi-pass and relational engines are
+	// serial whatever the count. Under EngineAuto, Parallelism > 1
+	// upgrades a sort/scan decision to the sharded engine whenever the
+	// workflow shards safely (every measure either nests inside shard
+	// units or merges commutatively). Streaming sessions ignore it.
 	Parallelism int
 	// Recorder, if non-nil, collects the query's span tree (rooted at a
 	// "query" span) and engine metrics. A nil recorder is a no-op; the
@@ -167,10 +164,10 @@ type ExecOptions struct {
 	// non-hidden measures. 0 = unlimited.
 	MaxResultRows int64
 	// MaxSpillBytes caps bytes written to temporary files — external-sort
-	// runs, single-scan table spills, partition splits — accounted
-	// globally across parallel workers. 0 = unlimited. A sort whose input
-	// fits one sort chunk writes no file and charges nothing; streaming
-	// sessions never spill.
+	// runs, single-scan table spills, relational-baseline spools —
+	// accounted globally across parallel workers. 0 = unlimited. A sort
+	// whose input fits one sort chunk writes no file and charges nothing;
+	// streaming sessions never spill.
 	MaxSpillBytes int64
 	// SkipCorruptRows degrades checksummed file reads: rows whose CRC
 	// does not verify are skipped and counted (rows_corrupt_skipped)
@@ -258,7 +255,8 @@ type QueryOptions struct {
 	ExecOptions
 	// SortKey overrides the optimizer's choice (sortscan/shardscan).
 	SortKey SortKey
-	// TempDir receives sort runs, spills, and partition files.
+	// TempDir receives sort runs, single-scan spills and the relational
+	// baseline's spooled intermediates.
 	TempDir string
 	// BaseCards estimates per-dimension base cardinalities for the
 	// optimizer; nil uses defaults.
@@ -267,18 +265,6 @@ type QueryOptions struct {
 	// fact file (one extra sampling scan) before planning, instead of
 	// relying on BaseCards or defaults. File inputs only.
 	AutoStats bool
-	// PartitionDim and PartitionLevel choose the partition unit for
-	// EnginePartScan (dimension index and hierarchy level).
-	PartitionDim   int
-	PartitionLevel Level
-	// Partitions is the EnginePartScan worker count (>= 1; 0 means
-	// max(Parallelism, 1)).
-	Partitions int
-}
-
-// parallelism resolves the effective worker count.
-func (o *QueryOptions) parallelism() int {
-	return o.Parallelism
 }
 
 // Input is a fact-table source for Query.
@@ -382,7 +368,7 @@ func runEngines(c *Compiled, in Input, o QueryOptions, st *plan.Stats, g *qguard
 			// With parallelism requested, upgrade to the sharded engine
 			// when the workflow splits safely by the sort key's leading
 			// part; otherwise stay serial rather than fail.
-			if o.parallelism() > 1 && in.path != "" {
+			if o.Parallelism > 1 && in.path != "" {
 				if nk, err := SortKey(o.SortKey).Normalize(c.Schema); err == nil {
 					if _, err := opt.ShardPrefix(c, nk); err == nil {
 						o.Engine = EngineShardScan
@@ -453,7 +439,7 @@ func runEngines(c *Compiled, in Input, o QueryOptions, st *plan.Stats, g *qguard
 		}
 	}
 
-	par := o.parallelism()
+	par := o.Parallelism
 	switch o.Engine {
 	case EngineSortScan:
 		key := o.SortKey
@@ -514,39 +500,6 @@ func runEngines(c *Compiled, in Input, o QueryOptions, st *plan.Stats, g *qguard
 			MemoryBudget: float64(o.MemoryBudget), Stats: st, TempDir: o.TempDir,
 			ReadBatchBytes: o.ReadBatchSize,
 			Recorder:       qrec, Guard: g,
-		})
-		if err != nil {
-			return nil, o.Engine, err
-		}
-		return res.Tables, o.Engine, nil
-	case EnginePartScan:
-		key := o.SortKey
-		if key == nil {
-			var err error
-			if key, err = chooseKey(); err != nil {
-				return nil, o.Engine, err
-			}
-		}
-		parts := o.Partitions
-		if parts < 1 {
-			parts = par
-		}
-		if parts < 1 {
-			parts = 1
-		}
-		if nk, err := SortKey(key).Normalize(c.Schema); err == nil {
-			setKey(nk)
-		}
-		res, err := partscan.Run(c, in.path, partscan.Options{
-			PartitionDim:   o.PartitionDim,
-			PartitionLevel: o.PartitionLevel,
-			Partitions:     parts,
-			SortKey:        key,
-			TempDir:        o.TempDir,
-			Stats:          st,
-			ReadBatchBytes: o.ReadBatchSize,
-			Recorder:       qrec,
-			Guard:          g,
 		})
 		if err != nil {
 			return nil, o.Engine, err

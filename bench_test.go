@@ -18,6 +18,7 @@ import (
 
 	"awra/aw"
 	"awra/internal/bench"
+	"awra/internal/exec/scan"
 	"awra/internal/gen"
 	"awra/internal/model"
 	"awra/internal/storage"
@@ -73,7 +74,7 @@ func BenchmarkAblKey(b *testing.B) { runFigure(b, "abl-key") }
 // BenchmarkAblFlush: ablation — early flushing on/off.
 func BenchmarkAblFlush(b *testing.B) { runFigure(b, "abl-flush") }
 
-// BenchmarkAblPar: ablation — partitioned-parallel sort/scan.
+// BenchmarkAblPar: ablation — sharded sort/scan at 1, 2 and 4 workers.
 func BenchmarkAblPar(b *testing.B) { runFigure(b, "abl-par") }
 
 // --- substrate micro-benchmarks ---
@@ -100,9 +101,7 @@ func BenchmarkExternalSort(b *testing.B) {
 	out := path + ".sorted"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := storage.SortFile(path, out, func(x, y *model.Record) bool {
-			return key.RecordLess(s, x, y)
-		}, storage.SortOptions{ChunkRecords: 16384})
+		_, err := scan.SortFileByKey(path, out, s, key, scan.SortOptions{ChunkRecords: 16384})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -212,9 +211,7 @@ func BenchmarkParallelSort(b *testing.B) {
 			out := path + ".sorted"
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, err := storage.SortFile(path, out, func(x, y *model.Record) bool {
-					return key.RecordLess(s, x, y)
-				}, storage.SortOptions{ChunkRecords: 8192, Parallel: par})
+				_, err := scan.SortFileByKey(path, out, s, key, scan.SortOptions{ChunkRecords: 8192, Parallel: par})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 
 	"awra/aw"
 	"awra/internal/wfdsl"
@@ -45,11 +44,11 @@ func main() {
 	var (
 		wfPath  = flag.String("wf", "", "workflow file (required)")
 		data    = flag.String("data", "", "binary record file to query")
-		engine  = flag.String("engine", "sortscan", "engine: auto, sortscan, shardscan, singlescan, multipass, partscan, relational")
+		engine  = flag.String("engine", "sortscan", "engine: auto, sortscan, shardscan, singlescan, multipass, relational (partscan is an alias for shardscan)")
 		measure = flag.String("measure", "", "print only this measure (default: all)")
 		limit   = flag.Int("limit", 20, "max rows to print per measure (0 = all)")
 		budget  = flag.Int64("budget", 0, "memory budget in bytes (singlescan spill / multipass per-pass / auto decision)")
-		par     = flag.Int("parallelism", 1, "parallel workers: shardscan shards, sortscan sort workers, partscan partitions")
+		par     = flag.Int("parallelism", 1, "parallel workers: shardscan shards, sortscan sort workers")
 		readBat = flag.Int("read-batch", 0, "fact-read chunk size in bytes for file-backed engines (0 = default)")
 		csvOut  = flag.String("o", "", "write the selected measure(s) as CSV file(s): PATH, or PATH prefix when printing several")
 		explain = flag.Bool("explain", false, "print the plan tree with optimizer estimates (and the workflow DOT graph), then exit")
@@ -64,9 +63,6 @@ func main() {
 		traceID = flag.String("trace-id", "", "flight-recorder trace ID for this run (32 hex digits; default: generated). The ID is printed to stderr so the run's flight trace can be referenced")
 		traceJS = flag.String("trace-json", "", "write the run's full flight-recorder trace as JSON to FILE (\"-\" = stdout)")
 		metrics = flag.String("metrics", "", "write the query's metrics snapshot as JSON to FILE (\"-\" = stdout)")
-		partDim = flag.String("partdim", "", "partscan: partition dimension, by name or index (default: dimension 0)")
-		partLvl = flag.Int("partlevel", 0, "partscan: partition hierarchy level (0 = base)")
-		parts   = flag.Int("partitions", 0, "partscan: partition/worker count (default: -parallelism, else 1)")
 		timeout = flag.Duration("timeout", 0, "abort the query after this duration (exit code 3)")
 		maxRows = flag.Int64("max-result-rows", 0, "fail once the result exceeds this many rows (exit code 4; 0 = unlimited)")
 		maxCell = flag.Int64("max-live-cells", 0, "cap simultaneously live aggregation cells (exit code 4; 0 = unlimited)")
@@ -178,23 +174,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	pd := 0
-	if *partDim != "" {
-		pd = -1
-		for d := 0; d < parsed.Schema.NumDims(); d++ {
-			if parsed.Schema.Dim(d).Name() == *partDim {
-				pd = d
-				break
-			}
-		}
-		if pd < 0 {
-			n, aerr := strconv.Atoi(*partDim)
-			if aerr != nil {
-				fatal(fmt.Errorf("unknown dimension %q", *partDim))
-			}
-			pd = n
-		}
-	}
 	var rec *aw.Recorder
 	if *trace || *metrics != "" {
 		rec = aw.NewRecorder()
@@ -234,10 +213,7 @@ func main() {
 				History:         hist,
 				TraceID:         tid,
 			},
-			AutoStats:      *auto,
-			PartitionDim:   pd,
-			PartitionLevel: aw.Level(*partLvl),
-			Partitions:     *parts,
+			AutoStats: *auto,
 		}
 		if *analyze {
 			var r *aw.Result

@@ -84,7 +84,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		histDir  = flag.String("history", "", "persistent query-history directory (retries stay idempotent by request ID; plans reuse measured stats)")
 		tempDir  = flag.String("tempdir", "", "directory for sort runs and spills (default: system temp)")
-		engine   = flag.String("engine", "auto", "default engine for queries that name none: auto, sortscan, shardscan, singlescan, multipass, partscan, relational")
+		engine   = flag.String("engine", "auto", "default engine for queries that name none: auto, sortscan, shardscan, singlescan, multipass, relational (partscan is an alias for shardscan)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-query execution timeout (0 = none; requests may shorten it, never extend)")
 		maxConc  = flag.Int("max-concurrent", 8, "queries executing at once (admission slots)")
 		tenantLm = flag.Int("tenant-limit", 0, "concurrent queries per tenant (0 = no per-tenant cap)")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"awra/internal/exec/partscan"
 	"awra/internal/exec/sortscan"
 	"awra/internal/gen"
 	"awra/internal/model"
@@ -64,15 +63,16 @@ func AblKey(cfg Config) (*Figure, error) {
 	return f, nil
 }
 
-// AblPar compares single-process sort/scan against the
-// partitioned-parallel engine on a partitionable workload (multi-recon
-// on network data, which keys every measure on t:Day), quantifying the
-// distribution headroom the paper claims for the language design.
+// AblPar runs the sharded sort/scan at 1, 2 and 4 workers on a workload
+// that partitions by day (multi-recon on network data, which keys every
+// measure on t:Day, the sort key's leading part and so the partition
+// unit), quantifying the distribution headroom the paper claims for the
+// language design.
 func AblPar(cfg Config) (*Figure, error) {
 	cfg = cfg.withDefaults()
 	f := &Figure{
 		ID:     "abl-par",
-		Title:  "ablation: partitioned-parallel sort/scan (ms)",
+		Title:  "ablation: sharded sort/scan partitioned by t:Day (ms)",
 		Header: []string{"partitions", "time_ms", "records"},
 	}
 	n := cfg.size(64)
@@ -96,10 +96,9 @@ func AblPar(cfg Config) (*Figure, error) {
 	key := model.SortKey{{Dim: 0, Lvl: day}, {Dim: 2, Lvl: 0}, {Dim: 1, Lvl: 0}}
 	for _, parts := range []int{1, 2, 4} {
 		t0 := time.Now()
-		rec, done := cfg.beginQuery(fmt.Sprintf("abl-par:parts=%d", parts), "partscan")
-		res, err := partscan.Run(w, fact, partscan.Options{
-			PartitionDim: 0, PartitionLevel: day, Partitions: parts,
-			SortKey: key, TempDir: cfg.Dir,
+		rec, done := cfg.beginQuery(fmt.Sprintf("abl-par:parts=%d", parts), "shardscan")
+		res, err := sortscan.RunSharded(w, fact, sortscan.ShardedOptions{
+			SortKey: key, Shards: parts, TempDir: cfg.Dir,
 			Stats:    &plan.Stats{BaseCard: cards},
 			Recorder: rec,
 		})
@@ -112,77 +111,6 @@ func AblPar(cfg Config) (*Figure, error) {
 		f.Rows = append(f.Rows, []string{fmt.Sprint(parts), ms(d), fmt.Sprint(res.Stats.Records)})
 	}
 	f.Notes = append(f.Notes, "multi-recon workload partitioned by t:Day; results validated identical across partition counts in tests")
-	return f, nil
-}
-
-// ParShard compares serial sort/scan against the sharded-parallel
-// engine on Q1 at the paper's 1M-record point, verifying bit-identical
-// tables at every shard count. The key leads with A1 at level 2, so
-// Q1's level-2 rollups and combine nest inside the shard units; this
-// is the first point of the parallel-speedup trajectory.
-func ParShard(cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
-	f := &Figure{
-		ID:     "par-shard",
-		Title:  "sharded parallel sort/scan vs serial on Q1 (ms)",
-		Header: []string{"shards", "time_ms", "speedup", "records"},
-	}
-	n := cfg.size(160) // the paper's 1M-record point at scale 1
-	fact, sc, err := cfg.synthFile(n)
-	if err != nil {
-		return nil, err
-	}
-	w, err := Q1Workflow(mustSynthSchema(sc), 7)
-	if err != nil {
-		return nil, err
-	}
-	key := model.SortKey{{Dim: 0, Lvl: 2}, {Dim: 1, Lvl: 0}}
-	st := &plan.Stats{BaseCard: SynthStats(sc)}
-
-	t0 := time.Now()
-	rec, done := cfg.beginQuery("par-shard:serial", "sortscan")
-	base, err := sortscan.Run(w, fact, sortscan.Options{
-		SortKey: key, TempDir: cfg.Dir, Stats: st, Recorder: rec,
-	})
-	done()
-	if err != nil {
-		return nil, err
-	}
-	dSerial := time.Since(t0)
-	cfg.logf("par-shard serial: %v", dSerial)
-	f.Rows = append(f.Rows, []string{"serial", ms(dSerial), "1.00", fmt.Sprint(base.Stats.Records)})
-
-	counts := []int{2, 4}
-	if p := cfg.Parallelism; p > 1 && p != 2 && p != 4 {
-		counts = append(counts, p)
-	}
-	for _, shards := range counts {
-		t0 := time.Now()
-		rec, done := cfg.beginQuery(fmt.Sprintf("par-shard:shards=%d", shards), "shardscan")
-		res, err := sortscan.RunSharded(w, fact, sortscan.ShardedOptions{
-			SortKey: key, Shards: shards, TempDir: cfg.Dir, Stats: st, Recorder: rec,
-		})
-		done()
-		if err != nil {
-			return nil, err
-		}
-		d := time.Since(t0)
-		for name, tbl := range base.Tables {
-			if !tbl.Equal(res.Tables[name], 0) {
-				return nil, fmt.Errorf("bench: par-shard: shards=%d table %q differs from serial", shards, name)
-			}
-		}
-		cfg.logf("par-shard shards=%d: %v", shards, d)
-		f.Rows = append(f.Rows, []string{
-			fmt.Sprint(shards), ms(d),
-			fmt.Sprintf("%.2f", float64(dSerial)/float64(d)),
-			fmt.Sprint(res.Stats.Records),
-		})
-	}
-	f.Notes = append(f.Notes,
-		"tables verified bit-identical to serial at every shard count",
-		fmt.Sprintf("|D| = %d records, sort key %s", n, key.String(w.Schema)),
-		"wall-clock speedup requires as many physical cores as shards (see host.gomaxprocs)")
 	return f, nil
 }
 

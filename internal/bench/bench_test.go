@@ -26,8 +26,8 @@ func TestAllFiguresRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(figs) != 16 {
-		t.Fatalf("got %d figures, want 16", len(figs))
+	if len(figs) != 14 {
+		t.Fatalf("got %d figures, want 14", len(figs))
 	}
 	for _, f := range figs {
 		if f.Host == nil || f.Host.GoMaxProcs < 1 || f.Host.GoVersion == "" {
@@ -77,7 +77,7 @@ func TestRunUnknownFigure(t *testing.T) {
 }
 
 func TestIDsComplete(t *testing.T) {
-	want := []string{"abl-flush", "abl-key", "abl-par", "fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "fig7a", "fig7b", "hist-feedback", "hotpath", "par-shard", "serve-load", "serve-load-cached"}
+	want := []string{"abl-flush", "abl-key", "abl-par", "fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "fig7a", "fig7b", "hist-feedback", "serve-load", "serve-load-cached"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("IDs = %v", got)

@@ -600,8 +600,6 @@ var runners = map[string]func(Config) (*Figure, error){
 	"abl-key":           AblKey,
 	"abl-par":           AblPar,
 	"hist-feedback":     HistFeedback,
-	"hotpath":           HotPath,
-	"par-shard":         ParShard,
 	"serve-load":        ServeLoad,
 	"serve-load-cached": ServeLoadCached,
 	"fig6a":             Fig6a,

@@ -9,7 +9,6 @@ import (
 	"awra/internal/agg"
 	"awra/internal/core"
 	"awra/internal/exec/multipass"
-	"awra/internal/exec/partscan"
 	"awra/internal/exec/singlescan"
 	"awra/internal/exec/sortscan"
 	"awra/internal/model"
@@ -19,9 +18,9 @@ import (
 )
 
 // obsWorkflow builds a small fixed workflow that every engine —
-// including partscan, which forbids D_ALL, coarser-than-partition
-// granularities, and windows on the partition dimension — can
-// evaluate: a base-granularity count rolled up along dimension 1.
+// including shardscan, whose measures must nest inside the units of the
+// sort key's leading part or merge across them — can evaluate: a
+// base-granularity count rolled up along dimension 1.
 func obsWorkflow(t *testing.T, g *Gen) *core.Compiled {
 	t.Helper()
 	sch := g.Schema
@@ -121,7 +120,7 @@ func TestQuerySpanBoundsPhases(t *testing.T) {
 	}
 }
 
-// TestEnginesShareMetricVocabulary: all four engines plus partscan
+// TestEnginesShareMetricVocabulary: all four engines plus shardscan
 // must publish the same core metric names for the same workload, so
 // snapshots are comparable across evaluators.
 func TestEnginesShareMetricVocabulary(t *testing.T) {
@@ -150,10 +149,9 @@ func TestEnginesShareMetricVocabulary(t *testing.T) {
 			_, err := multipass.Run(c, fact, multipass.Options{TempDir: tempDir, Recorder: rec})
 			return err
 		},
-		"partscan": func(rec *obs.Recorder) error {
-			_, err := partscan.Run(c, fact, partscan.Options{
-				PartitionDim: 0, PartitionLevel: 0, Partitions: 2,
-				SortKey: key, TempDir: tempDir, Recorder: rec,
+		"shardscan": func(rec *obs.Recorder) error {
+			_, err := sortscan.RunSharded(c, fact, sortscan.ShardedOptions{
+				SortKey: key, Shards: 2, TempDir: tempDir, Recorder: rec,
 			})
 			return err
 		},

@@ -124,8 +124,8 @@ func synthCube(t *testing.T, n int64, seed int64) (string, *model.Schema) {
 // TestShardedMatchesSerialSynthCube: mixed workflows (basic, rollup,
 // sliding, combine — all nesting inside shard units, plus one
 // non-nesting basic exercising the cross-shard state-merge path) over
-// the uniform synthetic cube, under fine and coarse shard-prefix
-// levels. Composite granularities stay at or below the shard level on
+// the uniform synthetic cube, under fine, coarse and caller-chosen
+// shard-prefix levels. Composite granularities stay at or below the shard level on
 // the shard dimension; sliding windows stay off it.
 func TestShardedMatchesSerialSynthCube(t *testing.T) {
 	fact, s := synthCube(t, 20000, 2006)
@@ -159,6 +159,19 @@ func TestShardedMatchesSerialSynthCube(t *testing.T) {
 				Rollup("per2", model.Gran{2, all, all, all}, "cnt", agg.Sum).
 				Sliding("trend", "cnt", agg.Sum, []core.Window{{Dim: 1, Lo: -1, Hi: 1}}).
 				Combine("ratio", []string{"cnt", "trend"}, core.Ratio(0, 1)),
+		},
+		{
+			// A partition unit chosen by the caller — A1 at level 1 — as the
+			// key's leading part: every measure nests inside it, the window
+			// moves along A2 only.
+			name: "partition-unit",
+			key:  model.SortKey{{Dim: 0, Lvl: 1}, {Dim: 1, Lvl: 1}},
+			wf: core.NewWorkflow(s).
+				Basic("cnt", model.Gran{0, 1, all, all}, agg.Count, -1).
+				Basic("sum", model.Gran{1, all, all, all}, agg.Sum, 0).
+				Rollup("per1", model.Gran{1, all, all, all}, "cnt", agg.Sum).
+				Combine("ratio", []string{"per1", "sum"}, core.Ratio(0, 1)).
+				Sliding("winB", "cnt", agg.Avg, []core.Window{{Dim: 1, Lo: -1, Hi: 1}}),
 		},
 	}
 	for _, tc := range cases {

@@ -16,9 +16,9 @@ import (
 	"awra/internal/storage"
 )
 
-// This file is the byte-level external sort under sortscan: rows never
-// become model.Records. Each chunk precomputes the order-encoded
-// comparator columns of every row — sort-key codes plus the base-dim
+// This file is the repository's one external sort: rows never become
+// model.Records. Each chunk precomputes the order-encoded comparator
+// columns of every row — sort-key codes plus the input-coordinate
 // tiebreak — into a flat uint64 array and sorts a permutation of row
 // indices (no reflection, no record swaps — the 4-byte indices move,
 // the 40-odd-byte rows don't). Comparisons, both in-chunk and in the
@@ -33,10 +33,10 @@ import (
 // read can divide the rows into parts that sort and stream
 // independently (partRouter).
 //
-// The order reproduces storage.SortFile's bit-identically: rows order
-// by (sort-key codes, full base coordinates, original file position) —
-// the same total order SliceStable plus the run-index merge tiebreak
-// induces — so the engines' tables cannot tell the two sorts apart.
+// Rows order by (sort-key codes, full input coordinates, original file
+// position): a total order, the one a stable record sort under
+// model.SortKey.RecordLess produces, and the one the engines'
+// append-only cell path relies on.
 
 // SortOptions tunes SortByKey and SortFileByKey.
 type SortOptions struct {
@@ -240,55 +240,71 @@ func (s *IdxSorter) radix(idx []int32, keys []uint64, kp int, guard *qguard.Guar
 	return true
 }
 
-// sortCols is the full comparator column set: the sort key's parts
-// followed by every base dimension not already pinned by a level-0 key
-// part, ascending. Ordering rows by (cols, original position) equals
-// the storage.SortFile order (key codes, full base coordinates,
-// position): a base dimension covered by a level-0 part is equal
-// whenever that part is, so dropping it never changes a comparison.
-type sortCols struct {
-	parts []model.SortPart
-	dims  []*model.Dimension
+// sortCol is one comparator column: dimension dim's code, generalized
+// from the input's level to the part's by up, or taken as it is when up
+// is nil.
+type sortCol struct {
+	dim      int
+	from, to model.Level
+	up       *model.Dimension
 }
 
-func newSortCols(schema *model.Schema, key model.SortKey, numDims int) sortCols {
+// sortCols is the full comparator column set: the sort key's parts
+// followed by every input dimension not already pinned by a part at the
+// input's own level, ascending. Ordering rows by (cols, original
+// position) is the order (key codes, full input coordinates, position):
+// a dimension covered by such a part is equal whenever that part is, so
+// dropping it never changes a comparison. Only a part that generalizes
+// looks its dimension up, so raw codes sort without a schema.
+type sortCols []sortCol
+
+func newSortCols(schema *model.Schema, key model.SortKey, from model.Gran, numDims int) sortCols {
+	level := func(d int) model.Level {
+		if from == nil {
+			return 0
+		}
+		return from[d]
+	}
 	covered := make([]bool, numDims)
 	for _, p := range key {
-		if p.Lvl == 0 {
+		if p.Lvl == level(p.Dim) {
 			covered[p.Dim] = true
 		}
 	}
 	parts := append([]model.SortPart{}, key...)
 	for d := 0; d < numDims; d++ {
 		if !covered[d] {
-			parts = append(parts, model.SortPart{Dim: d, Lvl: 0})
+			parts = append(parts, model.SortPart{Dim: d, Lvl: level(d)})
 		}
 	}
-	c := sortCols{parts: parts, dims: make([]*model.Dimension, len(parts))}
+	cols := make(sortCols, len(parts))
 	for t, p := range parts {
-		c.dims[t] = schema.Dim(p.Dim)
+		cols[t] = sortCol{dim: p.Dim, from: level(p.Dim), to: p.Lvl}
+		if p.Lvl != cols[t].from {
+			cols[t].up = schema.Dim(p.Dim)
+		}
 	}
-	return c
+	return cols
 }
 
 // appendRow appends the row's order-encoded comparator columns to dst.
-func (c sortCols) appendRow(dst []uint64, row Record) []uint64 {
-	for t, p := range c.parts {
-		v := row.Dim(p.Dim)
-		if p.Lvl != 0 {
-			v = c.dims[t].Up(0, p.Lvl, v)
+func (cs sortCols) appendRow(dst []uint64, row Record) []uint64 {
+	for _, c := range cs {
+		v := row.Dim(c.dim)
+		if c.up != nil {
+			v = c.up.Up(c.from, c.to, v)
 		}
 		dst = append(dst, uint64(v)^(1<<63))
 	}
 	return dst
 }
 
-// loadRow overwrites dst (length len(c.parts)) with the row's columns.
-func (c sortCols) loadRow(dst []uint64, row Record) {
-	for t, p := range c.parts {
-		v := row.Dim(p.Dim)
-		if p.Lvl != 0 {
-			v = c.dims[t].Up(0, p.Lvl, v)
+// loadRow overwrites dst (length len(cs)) with the row's columns.
+func (cs sortCols) loadRow(dst []uint64, row Record) {
+	for t, c := range cs {
+		v := row.Dim(c.dim)
+		if c.up != nil {
+			v = c.up.Up(c.from, c.to, v)
 		}
 		dst[t] = uint64(v) ^ (1 << 63)
 	}
@@ -343,16 +359,22 @@ type sortedPart struct {
 // the key's leading part land in the same part, and parts are balanced
 // by row count (see partRouter); one part is the plain external sort.
 //
+// from is the level each dimension's codes are at in the input: nil
+// for a fact file, whose codes are all at base, and a relation's own
+// granularity for a spooled intermediate. The schema is consulted only
+// for key parts coarser than their input level, so a caller sorting raw
+// codes by all columns passes nil schema, key and from.
+//
 // An input that fits one chunk stays in memory, and Open index-sorts a
 // part's rows on the caller's goroutine, so the parts of a parallel
 // plan sort concurrently. A larger input spills one sorted run per
 // part and chunk (on opts.Workers goroutines under opts.Parallel) and
 // Open merges the part's runs. The caller must Close the result.
-func SortByKey(inPath string, schema *model.Schema, key model.SortKey, parts int, opts SortOptions) (*Sorted, error) {
-	return sortByKey(inPath, schema, key, parts, false, opts)
+func SortByKey(inPath string, schema *model.Schema, key model.SortKey, from model.Gran, parts int, opts SortOptions) (*Sorted, error) {
+	return sortByKey(inPath, schema, key, from, parts, false, opts)
 }
 
-func sortByKey(inPath string, schema *model.Schema, key model.SortKey, parts int, rawRows bool, opts SortOptions) (_ *Sorted, err error) {
+func sortByKey(inPath string, schema *model.Schema, key model.SortKey, from model.Gran, parts int, rawRows bool, opts SortOptions) (_ *Sorted, err error) {
 	rec := opts.Recorder
 	guard := opts.Guard
 	in, err := Open(inPath, Options{BatchBytes: opts.BatchBytes, Guard: guard, RawRows: true})
@@ -364,7 +386,7 @@ func sortByKey(inPath string, schema *model.Schema, key model.SortKey, parts int
 	diskRow := hdr.DiskRowBytes()
 	s := &Sorted{
 		hdr:     storage.Header{NumDims: hdr.NumDims, NumMeasures: hdr.NumMeasures, Version: hdr.Version},
-		cols:    newSortCols(schema, key, hdr.NumDims),
+		cols:    newSortCols(schema, key, from, hdr.NumDims),
 		diskRow: diskRow,
 		emit:    hdr.RowBytes(),
 		opts:    opts,
@@ -373,7 +395,7 @@ func sortByKey(inPath string, schema *model.Schema, key model.SortKey, parts int
 	if rawRows {
 		s.emit = diskRow
 	}
-	kp := len(s.cols.parts)
+	kp := len(s.cols)
 	// Size the row arena and its key columns for the file, not for the
 	// default 256 MB run: the header says how many rows can arrive.
 	chunk := opts.chunk(diskRow)
@@ -574,7 +596,7 @@ func (s *Sorted) Open(part int) (_ *SortedSource, err error) {
 	src := &SortedSource{s: s, total: p.rows, views: make([]Record, 0, min(p.rows, sortedBatchRows))}
 	if s.mem != nil {
 		defer qguard.RecoverAbort(&err)
-		new(IdxSorter).Sort(p.idx, s.mem.keys, len(s.cols.parts), s.opts.Guard)
+		new(IdxSorter).Sort(p.idx, s.mem.keys, len(s.cols), s.opts.Guard)
 		if s.unsorted.Add(-1) == 0 {
 			s.mem.keys = nil
 		}
@@ -587,7 +609,7 @@ func (s *Sorted) Open(part int) (_ *SortedSource, err error) {
 			src.Close()
 			return nil, err
 		}
-		m := &mergeSrc{r: r, key: make([]uint64, len(s.cols.parts))}
+		m := &mergeSrc{r: r, key: make([]uint64, len(s.cols))}
 		src.srcs = append(src.srcs, m)
 		if err := m.load(s.cols); err != nil {
 			src.Close()
@@ -762,7 +784,7 @@ func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortK
 	if opts.TempDir == "" {
 		opts.TempDir = filepath.Dir(outPath)
 	}
-	s, err := sortByKey(inPath, schema, key, 1, true, opts)
+	s, err := sortByKey(inPath, schema, key, nil, 1, true, opts)
 	if err != nil {
 		return storage.SortStats{}, err
 	}

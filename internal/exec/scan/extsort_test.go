@@ -2,6 +2,8 @@ package scan
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -9,8 +11,11 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"testing/quick"
 
+	"awra/internal/faultfs"
 	"awra/internal/model"
+	"awra/internal/qguard"
 	"awra/internal/storage"
 )
 
@@ -88,10 +93,10 @@ func TestRadixSortMatchesComparison(t *testing.T) {
 }
 
 // TestSortFileByKeyMatchesRecordSort: the byte-level external sort
-// must order records exactly as the record-level storage.SortFile
-// under the same key — including the full-order tiebreak (key, then
-// all base dims, then position) the engines' append-only cell path
-// relies on. Covered on both the single-run and multi-run merge paths.
+// must order records exactly as a stable in-memory sort under the
+// key's RecordLess — including the full-order tiebreak (key, then all
+// base dims, then position) the engines' append-only cell path relies
+// on. Covered on both the single-run and multi-run merge paths.
 func TestSortFileByKeyMatchesRecordSort(t *testing.T) {
 	dims := []*model.Dimension{
 		model.FixedFanout("A", 4, 3),
@@ -115,24 +120,24 @@ func TestSortFileByKeyMatchesRecordSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldOut := filepath.Join(dir, "old.sorted")
-	less := func(a, b *model.Record) bool { return nk.RecordLess(s, a, b) }
-	if _, err := storage.SortFile(fact, oldOut, less, storage.SortOptions{TempDir: dir}); err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := storage.ReadAll(oldOut)
+	want, _, err := storage.ReadAll(fact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBytes, err := os.ReadFile(oldOut)
+	storage.SortRecords(want, func(a, b *model.Record) bool { return nk.RecordLess(s, a, b) })
+	refOut := filepath.Join(dir, "ref.sorted")
+	if err := storage.WriteAll(refOut, 3, 1, want); err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := os.ReadFile(refOut)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Single run by default and when the input exactly fills one chunk:
 	// both must stay in memory, which writes no run file — a TempDir
 	// that does not exist proves it. Then the multi-run merge. The file
-	// is the sorted stream drained, and must stay what it was when the
-	// sort wrote it directly: byte for byte the record sort's copy.
+	// is the sorted stream drained, rows verbatim: byte for byte the
+	// record sort's output written out.
 	absent := filepath.Join(dir, "absent")
 	for _, tc := range []struct {
 		chunk, runs int
@@ -156,6 +161,174 @@ func TestSortFileByKeyMatchesRecordSort(t *testing.T) {
 		if gotBytes, err := os.ReadFile(newOut); err != nil || !bytes.Equal(gotBytes, wantBytes) {
 			t.Fatalf("ChunkRecords=%d: sorted copy is not byte-identical to the record sort's (%v)", tc.chunk, err)
 		}
+	}
+}
+
+// TestSortByKeyInputLevel: a relation whose codes are above base — the
+// relational baseline's spooled intermediates — sorts by a key from its
+// own levels exactly like a stable in-memory sort by (group codes,
+// input coordinates). A key part at the input's level takes the code as
+// it is and pins its dimension; the others generalize from the input
+// level, not from base. In memory, spilled, and spilled in parallel.
+func TestSortByKeyInputLevel(t *testing.T) {
+	dims := []*model.Dimension{
+		model.FixedFanout("A", 4, 3),
+		model.FixedFanout("B", 4, 3),
+		model.FixedFanout("C", 4, 3),
+	}
+	s, err := model.NewSchema(dims, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := model.Gran{1, 1, 2}
+	key := model.SortKey{{Dim: 0, Lvl: 2}, {Dim: 1, Lvl: 1}, {Dim: 2, Lvl: 3}}
+	recs := randRecords(4000, 3, 1, 13)
+	for i := range recs {
+		recs[i].Dims[0] %= 200
+		recs[i].Dims[1] %= 40
+		recs[i].Dims[2] %= 30
+	}
+	recs = append(recs, recs[:800]...) // equal rows: only position orders them
+	for i := range recs {
+		recs[i].Ms[0] = float64(i)
+	}
+	dir := t.TempDir()
+	rel := filepath.Join(dir, "rel.rec")
+	writeFile(t, rel, recs, 3, 1)
+
+	group := func(r *model.Record, p model.SortPart) int64 {
+		return dims[p.Dim].Up(from[p.Dim], p.Lvl, r.Dims[p.Dim])
+	}
+	want := append([]model.Record{}, recs...)
+	storage.SortRecords(want, func(a, b *model.Record) bool {
+		for _, p := range key {
+			if ga, gb := group(a, p), group(b, p); ga != gb {
+				return ga < gb
+			}
+		}
+		for d := range a.Dims {
+			if a.Dims[d] != b.Dims[d] {
+				return a.Dims[d] < b.Dims[d]
+			}
+		}
+		return false
+	})
+	for _, tc := range []struct {
+		name     string
+		chunk    int
+		parallel bool
+	}{{"memory", 0, false}, {"spilled", 500, false}, {"spilled-parallel", 500, true}} {
+		sorted, err := SortByKey(rel, s, key, from, 1, SortOptions{TempDir: dir, ChunkRecords: tc.chunk, Parallel: tc.parallel})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := drainSorted(t, sorted, 1, 3, 1)[0]
+		sorted.Close()
+		if !sameRecords(want, got) {
+			t.Fatalf("%s: order differs from the stable sort by (group codes, input coordinates)", tc.name)
+		}
+	}
+}
+
+// TestSortIsPermutationQuick: with no schema, key or input level the
+// sort orders raw codes by all columns — negative codes included — as a
+// stable lexicographic record sort does, spilling runs of four rows.
+func TestSortIsPermutationQuick(t *testing.T) {
+	dir := t.TempDir()
+	f := func(vals []int16) bool {
+		in := filepath.Join(dir, "in.rec")
+		recs := make([]model.Record, len(vals))
+		for j, v := range vals {
+			recs[j] = model.Record{Dims: []int64{int64(v % 8), int64(v)}, Ms: []float64{float64(j)}}
+		}
+		writeFile(t, in, recs, 2, 1)
+		sorted, err := SortByKey(in, nil, nil, nil, 1, SortOptions{ChunkRecords: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sorted.Close()
+		got := drainSorted(t, sorted, 1, 2, 1)[0]
+		storage.SortRecords(recs, func(a, b *model.Record) bool {
+			return a.Dims[0] < b.Dims[0] || a.Dims[0] == b.Dims[0] && a.Dims[1] < b.Dims[1]
+		})
+		return sameRecords(recs, got)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSortFileByKeyCleansUp: however a sort ends — canceled, over its
+// spill budget, failing to create, write or read a file, or succeeding
+// under a guard — it leaves no run file and no partial output behind.
+func TestSortFileByKeyCleansUp(t *testing.T) {
+	recs := make([]model.Record, 5000)
+	for i := range recs {
+		recs[i] = model.Record{Dims: []int64{int64(i % 7), int64(i)}, Ms: []float64{float64(i)}}
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name     string
+		fs       *faultfs.FS
+		guard    *qguard.Guard
+		parallel bool
+		want     error
+	}{
+		{name: "canceled", guard: qguard.New(canceled, qguard.Limits{}), want: qguard.ErrCanceled},
+		{name: "canceled-parallel", guard: qguard.New(canceled, qguard.Limits{}), parallel: true, want: qguard.ErrCanceled},
+		{name: "spill-budget", guard: qguard.New(context.Background(), qguard.Limits{MaxSpillBytes: 1024}), want: qguard.ErrBudgetExceeded},
+		// The input is written before the swap, so the failures land on
+		// the sort's own files.
+		{name: "write-failure", fs: faultfs.New().FailWriteAfter(8192), want: faultfs.ErrInjected},
+		{name: "write-failure-parallel", fs: faultfs.New().FailWriteAfter(8192), parallel: true, want: faultfs.ErrInjected},
+		{name: "create-failure-parallel", fs: faultfs.New().FailCreate(3), parallel: true, want: faultfs.ErrInjected},
+		{name: "read-failure", fs: faultfs.New().FailReadAfter(16 << 10), want: faultfs.ErrInjected},
+		{name: "under-guard", guard: qguard.New(context.Background(), qguard.Limits{}), parallel: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			in := filepath.Join(dir, "in.rec")
+			out := filepath.Join(dir, "out.rec")
+			writeFile(t, in, recs, 2, 1)
+			if tc.fs != nil {
+				defer storage.SwapFS(tc.fs)()
+			}
+			st, err := SortFileByKey(in, out, nil, nil, SortOptions{
+				ChunkRecords: 100, TempDir: dir, Parallel: tc.parallel, Workers: 4, Guard: tc.guard,
+			})
+			if tc.want != nil {
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("got %v, want %v", err, tc.want)
+				}
+				if _, err := os.Stat(out); !os.IsNotExist(err) {
+					t.Error("partial output left behind")
+				}
+			} else {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Records != 5000 || st.Runs != 50 {
+					t.Errorf("stats %+v, want 5000 records in 50 runs", st)
+				}
+				if tc.guard.SpillBytes() == 0 {
+					t.Error("run files not charged to the guard")
+				}
+				got, _, err := storage.ReadAll(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 1; i < len(got); i++ {
+					if got[i-1].Dims[0] > got[i].Dims[0] {
+						t.Fatalf("not sorted at %d", i)
+					}
+				}
+				os.Remove(out)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+				t.Errorf("%d entries beside the input, want none", len(entries)-1)
+			}
+		})
 	}
 }
 
@@ -221,7 +394,7 @@ func TestSortByKeyParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	unit := func(r model.Record) int64 { return dims[0].Up(0, 2, r.Dims[0]) }
-	whole, err := SortByKey(fact, s, nk, 1, SortOptions{TempDir: dir})
+	whole, err := SortByKey(fact, s, nk, nil, 1, SortOptions{TempDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +416,7 @@ func TestSortByKeyParts(t *testing.T) {
 			chunk    int
 			parallel bool
 		}{{"memory", 0, false}, {"spilled", 700, false}, {"spilled-parallel", 700, true}} {
-			sorted, err := SortByKey(fact, s, nk, parts, SortOptions{
+			sorted, err := SortByKey(fact, s, nk, nil, parts, SortOptions{
 				TempDir: dir, ChunkRecords: tc.chunk, Parallel: tc.parallel, Workers: 3,
 			})
 			if err != nil {

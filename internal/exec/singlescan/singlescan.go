@@ -297,6 +297,7 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 	// morsel, a table at a time: every table's probes, cell creations
 	// and aggregate updates run as one batch each (DESIGN.md §hot-path).
 	scanSpan := orec.Start(obs.SpanScan)
+	defer scanSpan.End()
 	if tc, ok := bsrc.(interface{ TotalRecords() int64 }); ok {
 		scanSpan.SetTotal(tc.TotalRecords())
 	}
@@ -361,6 +362,7 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 
 	// Merge spilled partial states back (external sort + merge).
 	spillSpan := orec.Start(obs.SpanSpill)
+	defer spillSpan.End()
 	var cellsFinalized int64
 	tables := make([]*core.Table, len(c.Measures))
 	dense := make([]*table, len(c.Measures)) // the basics that never spilled
@@ -377,7 +379,7 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 			}
 			stats.Spills++
 			var err error
-			tbl, err = t.mergeSpills(c.Schema, tempDir, orec)
+			tbl, err = t.mergeSpills(c.Schema, tempDir, opts.MemoryBudget, orec)
 			if err != nil {
 				return nil, err
 			}
@@ -413,6 +415,7 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 	// Phase 2: composite measures in topological order (the
 	// workflow's compiled order).
 	compSpan := orec.Start(obs.SpanCombine)
+	defer compSpan.End()
 	for i, m := range c.Measures {
 		if m.Kind == core.KindBasic {
 			continue
@@ -576,34 +579,40 @@ func (t *table) spill(tempDir string) (int64, error) {
 	return n, nil
 }
 
-// mergeSpills sorts the spill file by (key, generation, position),
-// restores per-generation states, and merges them per key.
-func (t *table) mergeSpills(s *model.Schema, tempDir string, orec *obs.Recorder) (*core.Table, error) {
+// mergeChunk is how many spill rows the merge's sort holds at once under
+// the query's memory budget: a row costs its disk bytes (the codes, the
+// state value, a checksum) and one 8-byte order column per code. The
+// floor of 1024 rows, the external sort's own, keeps a tiny budget from
+// fanning the merge out into a run file every few rows.
+func mergeChunk(budget int64, width int) int {
+	cols := int64(width + 2)
+	row := 8*(cols+1) + 4 + 8*cols
+	return int(max(budget/row, 1024))
+}
+
+// mergeSpills sorts the spill file by all of its columns — (key codes,
+// generation, position), ties in file order — and restores and merges
+// the per-generation states per key straight from the sorted stream.
+func (t *table) mergeSpills(s *model.Schema, tempDir string, budget int64, orec *obs.Recorder) (*core.Table, error) {
 	if err := t.writer.Close(); err != nil {
 		return nil, err
 	}
 	t.writer = nil
-	sorted := t.spillPath + ".sorted"
-	defer os.Remove(sorted)
-	less := func(a, b *model.Record) bool {
-		for i := range a.Dims {
-			if a.Dims[i] != b.Dims[i] {
-				return a.Dims[i] < b.Dims[i]
-			}
-		}
-		return false
-	}
-	if _, err := storage.SortFile(t.spillPath, sorted, less, storage.SortOptions{TempDir: tempDir, Recorder: orec, Guard: t.guard}); err != nil {
+	width := t.m.Codec.Width()
+	sorted, err := scan.SortByKey(t.spillPath, nil, nil, nil, 1, scan.SortOptions{
+		ChunkRecords: mergeChunk(budget, width), TempDir: tempDir, Recorder: orec, Guard: t.guard,
+	})
+	if err != nil {
 		return nil, fmt.Errorf("singlescan: sort spill: %w", err)
 	}
-	r, err := storage.OpenGuarded(sorted, t.guard)
+	defer sorted.Close()
+	src, err := sorted.Open(0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("singlescan: sort spill: %w", err)
 	}
-	defer r.Close()
+	defer src.Close()
 
 	tbl := core.NewTable(s, t.m.Gran)
-	width := t.m.Codec.Width()
 	// The emptied column accumulates the current key: its first
 	// generation is restored into cell 0, later ones merge into it.
 	var (
@@ -638,39 +647,45 @@ func (t *table) mergeSpills(s *model.Schema, tempDir string, orec *obs.Recorder)
 		haveKey = false
 		return nil
 	}
-	var rec model.Record
+	codes := make([]int64, width)
+	rowBytes := 8 * (width + 3)
 	lastGen := int64(-1)
 	for {
-		ok, err := r.Next(&rec)
+		batch, err := src.NextBatch()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if batch == nil {
 			break
 		}
-		if len(rec.Dims) < width+2 {
-			return nil, fmt.Errorf("singlescan: malformed spill row: %d codes, want %d", len(rec.Dims), width+2)
-		}
-		k, err := t.m.Codec.FromCodesChecked(rec.Dims[:width])
-		if err != nil {
-			return nil, fmt.Errorf("singlescan: malformed spill row: %w", err)
-		}
-		gen := rec.Dims[width]
-		if !haveKey || k != curKey {
-			if err := flushKey(); err != nil {
-				return nil, err
+		for _, row := range batch {
+			if len(row) != rowBytes {
+				return nil, fmt.Errorf("singlescan: malformed spill row: %d bytes, want %d", len(row), rowBytes)
 			}
-			curKey, haveKey, lastGen = k, true, -1
-		}
-		if gen != lastGen {
-			if err := flushGen(); err != nil {
-				return nil, err
+			for i := range codes {
+				codes[i] = row.Dim(i)
 			}
-			lastGen = gen
-		}
-		haveGen = true
-		if rec.Dims[width+1] >= 0 { // -1 marks an empty serialized state
-			genState = append(genState, rec.Ms[0])
+			k, err := t.m.Codec.FromCodesChecked(codes)
+			if err != nil {
+				return nil, fmt.Errorf("singlescan: malformed spill row: %w", err)
+			}
+			gen := row.Dim(width)
+			if !haveKey || k != curKey {
+				if err := flushKey(); err != nil {
+					return nil, err
+				}
+				curKey, haveKey, lastGen = k, true, -1
+			}
+			if gen != lastGen {
+				if err := flushGen(); err != nil {
+					return nil, err
+				}
+				lastGen = gen
+			}
+			haveGen = true
+			if row.Dim(width+1) >= 0 { // -1 marks an empty serialized state
+				genState = append(genState, row.Measure(width+2, 0))
+			}
 		}
 	}
 	if err := flushKey(); err != nil {

@@ -1,14 +1,19 @@
 package singlescan
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/faultfs"
 	"awra/internal/model"
 	"awra/internal/obs"
+	"awra/internal/qguard"
 	"awra/internal/storage"
 )
 
@@ -103,11 +108,13 @@ func seedPeakBytes(c *core.Compiled, recs []model.Record) int64 {
 }
 
 // TestSpillEveryAggregatorKind forces the spill/restore/merge path —
-// all of it through the measure's aggregate column — for every
-// aggregation function, including the holistic and the arrival-order
-// ones, with NULLs in the data. The unbudgeted run also pins the memory
-// accounting: PeakBytes and the hash_bytes_hwm gauge are what one boxed
-// aggregator per cell would have reported.
+// all of it through the measure's aggregate column, with a budget whose
+// merge sorts the spill file in several runs — for every aggregation
+// function, including the holistic and the arrival-order ones, with
+// NULLs in the data: the tables are core.Eval's bit for bit. The
+// unbudgeted run also pins the memory accounting: PeakBytes and the
+// hash_bytes_hwm gauge are what one boxed aggregator per cell would have
+// reported.
 func TestSpillEveryAggregatorKind(t *testing.T) {
 	s := schema2(t)
 	kinds := []agg.Kind{
@@ -115,7 +122,7 @@ func TestSpillEveryAggregatorKind(t *testing.T) {
 		agg.Avg, agg.Var, agg.StdDev, agg.CountDistinct, agg.ConstZero,
 		agg.First, agg.Last, agg.Median, agg.P95,
 	}
-	recs := records(1200, 2, true)
+	recs := records(4000, 2, true)
 	for _, k := range kinds {
 		k := k
 		fm := 0
@@ -134,8 +141,9 @@ func TestSpillEveryAggregatorKind(t *testing.T) {
 			t.Errorf("%v: PeakBytes = %d, hash_bytes_hwm = %d, boxed accounting gives %d",
 				k, want.Stats.PeakBytes, rec.Gauge(obs.GHashBytesHWM).Value(), peak)
 		}
+		rec = obs.New()
 		got, err := Run(c, &storage.SliceSource{Recs: recs}, Options{
-			MemoryBudget: 4096, TempDir: t.TempDir(),
+			MemoryBudget: 4096, TempDir: t.TempDir(), Recorder: rec,
 		})
 		if err != nil {
 			t.Fatalf("%v (budgeted): %v", k, err)
@@ -143,8 +151,11 @@ func TestSpillEveryAggregatorKind(t *testing.T) {
 		if got.Stats.Spills == 0 {
 			t.Fatalf("%v: budget did not trigger spills", k)
 		}
-		if !want.Tables["x"].Equal(got.Tables["x"], 1e-9) {
-			t.Fatalf("%v: spill path changed results", k)
+		if runs := rec.Counter(obs.MSortRuns).Value(); runs < 2 {
+			t.Fatalf("%v: the spill merge sorted %d run(s), want several", k, runs)
+		}
+		if eval := evalTables(t, c, recs); !eval["x"].Equal(got.Tables["x"], 0) {
+			t.Fatalf("%v: spill path differs from core.Eval", k)
 		}
 	}
 }
@@ -387,5 +398,97 @@ func TestPeakBytesAtMorselEdges(t *testing.T) {
 		if peak := seedPeakBytes(c, recs); res.Stats.PeakBytes != peak {
 			t.Errorf("%d rows: PeakBytes = %d, boxed accounting gives %d", n, res.Stats.PeakBytes, peak)
 		}
+	}
+}
+
+// cancelAfter is a row source that cancels its context once n rows have
+// been read: the run has spilled by then and is still scanning.
+type cancelAfter struct {
+	storage.SliceSource
+	n      int
+	cancel func()
+}
+
+func (c *cancelAfter) Next(rec *model.Record) (bool, error) {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return c.SliceSource.Next(rec)
+}
+
+// TestSpillFiles: a forced spill creates its spill file and nothing
+// else — the merge sorts it in memory, with no sorted copy — and a
+// spilling run leaves no file behind whether it succeeds, is canceled
+// mid-scan, or fails to create the merge's run file.
+func TestSpillFiles(t *testing.T) {
+	s := schema2(t)
+	c := compile(t, s, func(w *core.Workflow) {
+		w.Basic("x", model.Gran{0, 1}, agg.Sum, 0)
+	})
+	run := func(fs *faultfs.FS, src storage.Source, budget int64, g *qguard.Guard) (*Result, error) {
+		t.Helper()
+		dir := t.TempDir()
+		restore := storage.SwapFS(fs)
+		res, err := Run(c, src, Options{MemoryBudget: budget, TempDir: dir, Guard: g})
+		restore()
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("%d files left behind (err %v)", len(entries), err)
+		}
+		return res, err
+	}
+
+	recs := records(300, 7, false)
+	fs := faultfs.New()
+	res, err := run(fs, &storage.SliceSource{Recs: recs}, 4096, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Spills < 2 {
+		t.Fatalf("%d spills, want the budget to force several", res.Stats.Spills)
+	}
+	if fs.Creates() != 1 {
+		t.Errorf("a spilling run created %d files, want its one spill file", fs.Creates())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelAfter{SliceSource: storage.SliceSource{Recs: records(4000, 8, false)}, n: 3000, cancel: cancel}
+	if _, err := run(faultfs.New(), src, 4096, qguard.New(ctx, qguard.Limits{})); !errors.Is(err, qguard.ErrCanceled) {
+		t.Errorf("canceled mid-scan: got %v, want ErrCanceled", err)
+	}
+
+	// 4000 rows overflow one merge chunk: the second create is a run file.
+	if _, err := run(faultfs.New().FailCreate(2), &storage.SliceSource{Recs: records(4000, 9, false)}, 4096, nil); !errors.Is(err, faultfs.ErrInjected) {
+		t.Errorf("failing run-file create: got %v, want ErrInjected", err)
+	}
+}
+
+// runningSpans names every span of the snapshot still running.
+func runningSpans(spans []*obs.SpanSnapshot) []string {
+	var out []string
+	for _, s := range spans {
+		if s.Running {
+			out = append(out, s.Name)
+		}
+		out = append(out, runningSpans(s.Children)...)
+	}
+	return out
+}
+
+// TestSpansEndOnError: a run that stops early — here a live-cell budget
+// trip mid-scan — leaves no phase span running in the recorder.
+func TestSpansEndOnError(t *testing.T) {
+	s := schema2(t)
+	c := compile(t, s, func(w *core.Workflow) {
+		w.Basic("x", model.Gran{0, 0}, agg.Count, -1)
+	})
+	rec := obs.New()
+	g := qguard.New(context.Background(), qguard.Limits{MaxLiveCells: 10})
+	_, err := Run(c, &storage.SliceSource{Recs: records(2000, 10, false)}, Options{Recorder: rec, Guard: g})
+	if !errors.Is(err, qguard.ErrBudgetExceeded) {
+		t.Fatalf("got %v, want a budget trip", err)
+	}
+	if running := runningSpans(rec.Snapshot().Spans); len(running) != 0 {
+		t.Errorf("spans still running after the run returned: %v", running)
 	}
 }

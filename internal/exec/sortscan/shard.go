@@ -94,7 +94,7 @@ func RunSharded(c *core.Compiled, factPath string, opts ShardedOptions) (*Result
 	// key columns and routes every row by key column 0, the shard unit.
 	splitSpan := rec.Start(obs.SpanSplit)
 	defer splitSpan.End()
-	sorted, err := scan.SortByKey(factPath, c.Schema, pl.SortKey, shards, scan.SortOptions{
+	sorted, err := scan.SortByKey(factPath, c.Schema, pl.SortKey, nil, shards, scan.SortOptions{
 		ChunkRecords: opts.ChunkRecords, TempDir: opts.TempDir,
 		Parallel: true, Workers: shards,
 		BatchBytes: opts.ReadBatchBytes,

@@ -465,7 +465,7 @@ func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
 	sortSpan := rec.Start(obs.SpanSort)
 	defer sortSpan.End()
 	sortSpan.SetAttr("key", pl.SortKey.String(c.Schema))
-	sorted, err := scan.SortByKey(factPath, c.Schema, pl.SortKey, 1, scan.SortOptions{
+	sorted, err := scan.SortByKey(factPath, c.Schema, pl.SortKey, nil, 1, scan.SortOptions{
 		ChunkRecords: opts.ChunkRecords, TempDir: opts.TempDir,
 		Parallel: opts.ParallelSort, Workers: opts.SortWorkers,
 		BatchBytes: opts.ReadBatchBytes,

@@ -72,8 +72,8 @@ type QuerySnapshot struct {
 	Nodes    []NodeStats      `json:"nodes,omitempty"`
 }
 
-// WorkerProgress is the progress of one work span (a shard, partition,
-// pass, or serial scan) inside an in-flight query.
+// WorkerProgress is the progress of one work span (a shard, pass,
+// measure query, or serial scan) inside an in-flight query.
 type WorkerProgress struct {
 	Name  string `json:"name"`
 	Done  int64  `json:"done"`
@@ -245,7 +245,7 @@ func workProgress(span *Span) (phase string, done, total int64, workers []Worker
 	var walk func(s *Span, worker string)
 	walk = func(s *Span, worker string) {
 		switch s.name {
-		case SpanShard, SpanPartition, SpanPass, SpanMeasure:
+		case SpanShard, SpanPass, SpanMeasure:
 			worker = workerName(s)
 		}
 		if t := s.total.Load(); t > 0 {
@@ -289,7 +289,7 @@ func deepestRunningLocked(s *Span) string {
 func workerName(s *Span) string {
 	for _, a := range s.attrs {
 		switch a.Key {
-		case "shard", "partition", "pass", "measure", "part":
+		case "shard", "pass", "measure":
 			return s.name + ":" + a.Value
 		}
 	}

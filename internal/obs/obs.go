@@ -52,8 +52,6 @@ const (
 	MSortRuns = "sort_runs"
 	// MPasses counts sort/scan passes (multi-pass engine).
 	MPasses = "passes"
-	// MPartitions counts parallel partitions (partscan engine).
-	MPartitions = "partitions"
 	// MFactScans counts end-to-end reads of the fact file
 	// (relational baseline).
 	MFactScans = "fact_scans"
@@ -175,20 +173,19 @@ const (
 // Standard span names, mapping to the paper's evaluation phases (see
 // DESIGN.md for the correspondence with Tables 7-8).
 const (
-	SpanQuery     = "query"     // whole evaluation
-	SpanOptimize  = "optimize"  // Section 6 sort-order search
-	SpanSort      = "sort"      // external sort (Table 7 line 2)
-	SpanSortRuns  = "runs"      // run generation
-	SpanMerge     = "merge"     // k-way merge
-	SpanScan      = "scan"      // the streaming scan (Table 7 lines 3-7)
-	SpanFinalize  = "finalize"  // end-of-stream flush (Table 7 line 8)
-	SpanCombine   = "combine"   // composite/combine phase
-	SpanSplit     = "split"     // partscan/shardscan fact-file split
-	SpanPartition = "partition" // one partscan worker's sort/scan subtree
-	SpanShard     = "shard"     // one shardscan worker's sort/scan subtree
-	SpanSpill     = "spill_merge"
-	SpanPass      = "pass"    // one multipass sort/scan iteration
-	SpanMeasure   = "measure" // one relational-baseline measure query
+	SpanQuery    = "query"    // whole evaluation
+	SpanOptimize = "optimize" // Section 6 sort-order search
+	SpanSort     = "sort"     // external sort (Table 7 line 2)
+	SpanSortRuns = "runs"     // run generation
+	SpanMerge    = "merge"    // k-way merge
+	SpanScan     = "scan"     // the streaming scan (Table 7 lines 3-7)
+	SpanFinalize = "finalize" // end-of-stream flush (Table 7 line 8)
+	SpanCombine  = "combine"  // composite/combine phase
+	SpanSplit    = "split"    // shardscan's read, key encode and routing
+	SpanShard    = "shard"    // one shardscan worker's sort/scan subtree
+	SpanSpill    = "spill_merge"
+	SpanPass     = "pass"    // one multipass sort/scan iteration
+	SpanMeasure  = "measure" // one relational-baseline measure query
 )
 
 // Recorder collects spans and metrics for one query (or one process).
@@ -226,8 +223,8 @@ func (r *Recorder) Start(name string) *Span {
 // At returns a view of the recorder rooted at span s: it shares the
 // metrics registry and the span tree, but Start creates children of s.
 // Engines use it to nest their phase spans under a caller's span
-// (e.g. each partscan partition's sort/scan under that partition's
-// span). Nil-safe; At(nil) returns r itself.
+// (e.g. each shardscan worker's sort/scan under that shard's span).
+// Nil-safe; At(nil) returns r itself.
 func (r *Recorder) At(s *Span) *Recorder {
 	if r == nil || s == nil {
 		return r

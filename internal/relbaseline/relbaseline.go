@@ -25,11 +25,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/model"
 	"awra/internal/obs"
 	"awra/internal/qguard"
@@ -115,22 +117,26 @@ func RunMeasures(c *core.Compiled, factPath string, names []string, opts Options
 		}
 		mSpan := orec.Start(obs.SpanMeasure)
 		mSpan.SetAttr("measure", name)
+		fail := func(err error) (*Result, error) {
+			mSpan.End()
+			return nil, err
+		}
 		ev.rec = orec.At(mSpan)
 		preScanned, preFinalized := ev.scanned, ev.finalized
 		e, err := core.Translate(c, name)
 		if err != nil {
-			return nil, fmt.Errorf("relbaseline: %w", err)
+			return fail(fmt.Errorf("relbaseline: %w", err))
 		}
 		r, err := ev.eval(e)
 		if err != nil {
-			return nil, fmt.Errorf("relbaseline: measure %q: %w", name, err)
+			return fail(fmt.Errorf("relbaseline: measure %q: %w", name, err))
 		}
 		tbl, err := ev.load(r)
 		if err != nil {
-			return nil, fmt.Errorf("relbaseline: measure %q: %w", name, err)
+			return fail(fmt.Errorf("relbaseline: measure %q: %w", name, err))
 		}
 		if err := opts.Guard.NoteResultRows(int64(len(tbl.Rows))); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		res.Tables[name] = tbl
 		mSpan.End()
@@ -297,7 +303,8 @@ func (ev *evaluator) evalFactFile(e *core.Expr) (string, error) {
 }
 
 // evalAgg is the GROUP BY of Table 2: external sort by the group key,
-// then a group scan, spooled to disk.
+// then a group scan of the sorted stream, spooled to disk. The sort
+// orders a group's rows by their input coordinates, then by position.
 func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 	sch := e.Schema()
 	gran := e.Gran()
@@ -306,7 +313,7 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 	var (
 		inPath   string
 		inIsFact bool
-		srcGran  model.Gran
+		srcGran  model.Gran // the input's level per dimension; nil = base
 	)
 	if in.IsFactLike() {
 		p, err := ev.evalFactFile(in)
@@ -322,37 +329,30 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 		inPath, srcGran = r.path, r.gran
 	}
 
-	// Map a row to its group codes at the target granularity.
-	groupCodes := func(dims []int64, out []int64) {
-		for d := 0; d < sch.NumDims(); d++ {
-			if inIsFact {
-				out[d] = sch.Dim(d).Up(0, gran[d], dims[d])
-			} else {
-				out[d] = sch.Dim(d).Up(srcGran[d], gran[d], dims[d])
-			}
+	// The group key: every dimension the target granularity keeps.
+	nd := sch.NumDims()
+	var key model.SortKey
+	for d := 0; d < nd; d++ {
+		if gran[d] != sch.Dim(d).ALL() {
+			key = append(key, model.SortPart{Dim: d, Lvl: gran[d]})
 		}
 	}
-	ga := make([]int64, sch.NumDims())
-	gb := make([]int64, sch.NumDims())
-	less := func(a, b *model.Record) bool {
-		groupCodes(a.Dims, ga)
-		groupCodes(b.Dims, gb)
-		for d := range ga {
-			if ga[d] != gb[d] {
-				return ga[d] < gb[d]
-			}
-		}
-		return false
-	}
-	sorted := ev.tempFile("srt")
 	t0 := time.Now()
 	sortSpan := ev.rec.Start(obs.SpanSort)
-	if _, err := storage.SortFile(inPath, sorted, less, storage.SortOptions{
+	defer sortSpan.End()
+	sorted, err := scan.SortByKey(inPath, sch, key, srcGran, 1, scan.SortOptions{
 		ChunkRecords: ev.opts.ChunkRecords, TempDir: ev.opts.TempDir,
 		Recorder: ev.rec.At(sortSpan), Guard: ev.guard,
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
+	defer sorted.Close()
+	src, err := sorted.Open(0)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
 	sortSpan.End()
 	ev.stats.SortTime += time.Since(t0)
 	ev.stats.Sorts++
@@ -360,26 +360,31 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 		ev.stats.FactScans++
 	}
 
-	r, err := storage.OpenGuarded(sorted, ev.guard)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
 	w, outPath, err := ev.spool("agg", sch)
 	if err != nil {
 		return nil, err
 	}
 	scanSpan := ev.rec.Start(obs.SpanScan)
-	scanSpan.SetTotal(r.TotalRecords())
+	scanSpan.SetTotal(src.TotalRecords())
 	defer scanSpan.End()
+	// groupCodes maps a row to its group codes at the target granularity.
+	from := srcGran
+	if from == nil {
+		from = make(model.Gran, nd) // a fact file's codes are at base
+	}
+	ga := make([]int64, nd)
+	groupCodes := func(row scan.Record) {
+		for d := range ga {
+			ga[d] = sch.Dim(d).Up(from[d], gran[d], row.Dim(d))
+		}
+	}
 	var (
-		rec     model.Record
 		curKey  []int64
 		curAgg  agg.Aggregator
 		haveKey bool
 		seen    int64
 	)
-	outRec := model.Record{Dims: make([]int64, sch.NumDims()), Ms: make([]float64, 1)}
+	outRec := model.Record{Dims: make([]int64, nd), Ms: make([]float64, 1)}
 	flush := func() error {
 		if !haveKey {
 			return nil
@@ -388,48 +393,42 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 		outRec.Ms[0] = curAgg.Final()
 		return w.Write(&outRec)
 	}
-	sameKey := func(a, b []int64) bool {
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
 	for {
-		ok, err := r.Next(&rec)
+		batch, err := src.NextBatch()
 		if err != nil {
 			w.Close()
 			return nil, err
 		}
-		if !ok {
+		if batch == nil {
 			break
 		}
-		seen++
-		if seen&255 == 0 {
-			scanSpan.SetDone(seen)
-		}
-		if inIsFact {
-			ev.scanned++
-		}
-		groupCodes(rec.Dims, ga)
-		if !haveKey || !sameKey(ga, curKey) {
-			if err := flush(); err != nil {
-				w.Close()
-				return nil, err
+		for _, row := range batch {
+			seen++
+			if seen&255 == 0 {
+				scanSpan.SetDone(seen)
 			}
-			curKey = append(curKey[:0], ga...)
-			curAgg = e.Agg.New()
-			haveKey = true
+			groupCodes(row)
+			if !haveKey || !slices.Equal(ga, curKey) {
+				if err := flush(); err != nil {
+					w.Close()
+					return nil, err
+				}
+				curKey = append(curKey[:0], ga...)
+				curAgg = e.Agg.New()
+				haveKey = true
+			}
+			switch {
+			case inIsFact && e.FactMeasure >= 0:
+				curAgg.Update(row.Measure(nd, e.FactMeasure))
+			case inIsFact:
+				curAgg.Update(0)
+			default:
+				curAgg.Update(row.Measure(nd, 0))
+			}
 		}
-		switch {
-		case inIsFact && e.FactMeasure >= 0:
-			curAgg.Update(rec.Ms[e.FactMeasure])
-		case inIsFact:
-			curAgg.Update(0)
-		default:
-			curAgg.Update(rec.Ms[0])
-		}
+	}
+	if inIsFact {
+		ev.scanned += seen
 	}
 	if err := flush(); err != nil {
 		w.Close()
@@ -437,7 +436,7 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 	}
 	scanSpan.SetDone(seen)
 	ev.finalized += w.Count()
-	if err := ev.noteSpooled(w.Count(), sch.NumDims()+1); err != nil {
+	if err := ev.noteSpooled(w.Count(), nd+1); err != nil {
 		w.Close()
 		return nil, err
 	}

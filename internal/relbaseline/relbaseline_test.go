@@ -1,13 +1,17 @@
 package relbaseline
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/faultfs"
 	"awra/internal/gen"
 	"awra/internal/model"
+	"awra/internal/obs"
 	"awra/internal/storage"
 )
 
@@ -105,5 +109,37 @@ func TestFactSelectionMaterialized(t *testing.T) {
 	}
 	if len(res.Tables["filtered"].Rows) == 0 {
 		t.Error("filter dropped everything unexpectedly")
+	}
+}
+
+// runningSpans names every span of the snapshot still running.
+func runningSpans(spans []*obs.SpanSnapshot) []string {
+	var out []string
+	for _, s := range spans {
+		if s.Running {
+			out = append(out, s.Name)
+		}
+		out = append(out, runningSpans(s.Children)...)
+	}
+	return out
+}
+
+// TestSortFailureEndsSpans: a GROUP BY whose sort fails on a read error
+// returns with its measure and sort spans ended and no file left.
+func TestSortFailureEndsSpans(t *testing.T) {
+	_, c, fact, _ := setup(t)
+	dir := t.TempDir()
+	rec := obs.New()
+	restore := storage.SwapFS(faultfs.New().FailReadAfter(4096).ShortReads())
+	_, err := Run(c, fact, Options{TempDir: dir, Recorder: rec})
+	restore()
+	if !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("got %v, want ErrInjected", err)
+	}
+	if running := runningSpans(rec.Snapshot().Spans); len(running) != 0 {
+		t.Errorf("spans still running after the run returned: %v", running)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("%d files left behind", len(entries))
 	}
 }

@@ -1,9 +1,8 @@
 // Package storage provides the fact-table substrate for the engines:
 // a fixed-width binary record format with self-describing headers and
 // per-row checksums, buffered readers and writers, CSV import/export,
-// and an external merge sort. The paper's evaluation framework is
-// built on "multiple passes of sorting and scanning over the original
-// dataset"; this package is that sorting/scanning layer.
+// and the filesystem seam tests inject faults through. The external
+// sort over this format lives in internal/exec/scan.
 package storage
 
 import (
@@ -13,6 +12,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"sort"
 
 	"awra/internal/model"
 	"awra/internal/qguard"
@@ -145,7 +146,7 @@ func (w *Writer) Write(r *model.Record) error {
 	}
 	off := 8 * len(r.Dims)
 	for i, v := range r.Ms {
-		binary.LittleEndian.PutUint64(b[off+8*i:], mathFloat64bits(v))
+		binary.LittleEndian.PutUint64(b[off+8*i:], math.Float64bits(v))
 	}
 	if w.hdr.Version >= 2 {
 		payload := w.hdr.recordBytes()
@@ -276,7 +277,7 @@ func (r *Reader) Next(rec *model.Record) (bool, error) {
 	}
 	off := 8 * r.hdr.NumDims
 	for i := range rec.Ms {
-		rec.Ms[i] = mathFloat64frombits(binary.LittleEndian.Uint64(r.buf[off+8*i:]))
+		rec.Ms[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.buf[off+8*i:]))
 	}
 	return true, nil
 }
@@ -327,6 +328,18 @@ func (s *SliceSource) TotalRecords() int64 { return int64(len(s.Recs)) }
 
 // Reset rewinds the source to the beginning.
 func (s *SliceSource) Reset() { s.pos = 0 }
+
+// SortRecords sorts an in-memory record slice (stable).
+func SortRecords(recs []model.Record, less func(a, b *model.Record) bool) {
+	sort.SliceStable(recs, func(i, j int) bool { return less(&recs[i], &recs[j]) })
+}
+
+// SortStats reports what an external sort did; the benchmark harness
+// uses it for the paper's sort-vs-scan cost breakdown (Figure 6(e)).
+type SortStats struct {
+	Records int64
+	Runs    int
+}
 
 // WriteAll writes a record slice to a file.
 func WriteAll(path string, numDims, numMeasures int, recs []model.Record) error {

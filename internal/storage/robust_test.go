@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"awra/internal/faultfs"
@@ -29,20 +28,6 @@ func writeFile(t *testing.T, path string, recs []model.Record) {
 	t.Helper()
 	if err := storage.WriteAll(path, 2, 1, recs); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// assertNoTempFiles fails if dir holds leftover run/spill temp files.
-func assertNoTempFiles(t *testing.T, dir string) {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), "awra-run-") || strings.HasSuffix(e.Name(), ".tmp") {
-			t.Fatalf("leftover temp file: %s", e.Name())
-		}
 	}
 }
 
@@ -196,108 +181,6 @@ func TestReaderCancellation(t *testing.T) {
 	}
 }
 
-func sortLess(a, b *model.Record) bool { return a.Dims[0] < b.Dims[0] }
-
-func TestSortFileCanceledCleansRuns(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		dir := t.TempDir()
-		in := filepath.Join(dir, "in.rec")
-		out := filepath.Join(dir, "out.rec")
-		writeFile(t, in, mkRecs(5000))
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err := storage.SortFile(in, out, sortLess, storage.SortOptions{
-			ChunkRecords: 100, TempDir: dir, Parallel: parallel,
-			Guard: qguard.New(ctx, qguard.Limits{}),
-		})
-		if !errors.Is(err, qguard.ErrCanceled) {
-			t.Fatalf("parallel=%v: got %v, want ErrCanceled", parallel, err)
-		}
-		if _, err := os.Stat(out); !os.IsNotExist(err) {
-			t.Fatalf("parallel=%v: partial output left behind", parallel)
-		}
-		assertNoTempFiles(t, dir)
-	}
-}
-
-func TestSortFileSpillBudget(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.rec")
-	out := filepath.Join(dir, "out.rec")
-	writeFile(t, in, mkRecs(5000))
-	g := qguard.New(context.Background(), qguard.Limits{MaxSpillBytes: 1024})
-	_, err := storage.SortFile(in, out, sortLess, storage.SortOptions{ChunkRecords: 100, TempDir: dir, Guard: g})
-	be, ok := qguard.AsBudget(err)
-	if !ok || be.Resource != qguard.ResSpillBytes {
-		t.Fatalf("got %v, want spill BudgetError", err)
-	}
-	assertNoTempFiles(t, dir)
-}
-
-func TestSortFileInjectedWriteFailureCleansUp(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		dir := t.TempDir()
-		in := filepath.Join(dir, "in.rec")
-		out := filepath.Join(dir, "out.rec")
-		writeFile(t, in, mkRecs(5000))
-
-		// A small global write budget makes the failure land while run
-		// files are being written (the input was written before the swap).
-		restore := storage.SwapFS(faultfs.New().FailWriteAfter(8192))
-		_, err := storage.SortFile(in, out, sortLess, storage.SortOptions{
-			ChunkRecords: 100, TempDir: dir, Parallel: parallel,
-		})
-		restore()
-		if !errors.Is(err, faultfs.ErrInjected) {
-			t.Fatalf("parallel=%v: got %v, want ErrInjected", parallel, err)
-		}
-		if _, err := os.Stat(out); !os.IsNotExist(err) {
-			t.Fatalf("parallel=%v: partial output left behind", parallel)
-		}
-		assertNoTempFiles(t, dir)
-	}
-}
-
-func TestSortFileInjectedCreateFailureCleansUp(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.rec")
-	out := filepath.Join(dir, "out.rec")
-	writeFile(t, in, mkRecs(5000))
-
-	// Fail the 3rd file create inside a parallel sort (a run file, since
-	// the input was created before the swap).
-	restore := storage.SwapFS(faultfs.New().FailCreate(3))
-	_, err := storage.SortFile(in, out, sortLess, storage.SortOptions{
-		ChunkRecords: 100, TempDir: dir, Parallel: true, Workers: 4,
-	})
-	restore()
-	if !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("got %v, want ErrInjected", err)
-	}
-	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Fatal("partial output left behind")
-	}
-	assertNoTempFiles(t, dir)
-}
-
-func TestSortFileInjectedReadFailure(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.rec")
-	out := filepath.Join(dir, "out.rec")
-	writeFile(t, in, mkRecs(5000))
-
-	restore := storage.SwapFS(faultfs.New().FailReadAfter(16 * 1024))
-	_, err := storage.SortFile(in, out, sortLess, storage.SortOptions{ChunkRecords: 100, TempDir: dir})
-	restore()
-	if !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("got %v, want ErrInjected", err)
-	}
-	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Fatal("partial output left behind")
-	}
-	assertNoTempFiles(t, dir)
-}
-
 func TestShortReadsResume(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.rec")
@@ -313,34 +196,4 @@ func TestShortReadsResume(t *testing.T) {
 	if len(got) != len(recs) {
 		t.Fatalf("read %d records under short reads, want %d", len(got), len(recs))
 	}
-}
-
-func TestSortFileSucceedsUnderGuard(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.rec")
-	out := filepath.Join(dir, "out.rec")
-	writeFile(t, in, mkRecs(5000))
-	g := qguard.New(context.Background(), qguard.Limits{})
-	st, err := storage.SortFile(in, out, sortLess, storage.SortOptions{
-		ChunkRecords: 100, TempDir: dir, Parallel: true, Guard: g,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Records != 5000 || st.Runs != 50 {
-		t.Fatalf("stats %+v", st)
-	}
-	got, _, err := storage.ReadAll(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1].Dims[0] > got[i].Dims[0] {
-			t.Fatalf("not sorted at %d", i)
-		}
-	}
-	if g.SpillBytes() == 0 {
-		t.Fatal("spill bytes not charged to guard")
-	}
-	assertNoTempFiles(t, dir)
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"testing/quick"
 
 	"awra/internal/model"
 )
@@ -161,174 +160,6 @@ func TestSliceSource(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Error(err)
-	}
-}
-
-func dimLess(a, b *model.Record) bool {
-	for i := range a.Dims {
-		if a.Dims[i] != b.Dims[i] {
-			return a.Dims[i] < b.Dims[i]
-		}
-	}
-	return false
-}
-
-func TestSortFileSmall(t *testing.T) {
-	testSortFile(t, 100, SortOptions{})
-}
-
-func TestSortFileMultiRun(t *testing.T) {
-	testSortFile(t, 5000, SortOptions{ChunkRecords: 128})
-}
-
-func testSortFile(t *testing.T, n int, opts SortOptions) {
-	t.Helper()
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.rec")
-	out := filepath.Join(dir, "out.rec")
-	rng := rand.New(rand.NewSource(4))
-	recs := randRecords(rng, n, 2, 1)
-	if err := WriteAll(in, 2, 1, recs); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := SortFile(in, out, dimLess, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Records != int64(n) {
-		t.Errorf("stats.Records = %d, want %d", stats.Records, n)
-	}
-	got, hdr, err := ReadAll(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Count != int64(n) {
-		t.Errorf("output count = %d", hdr.Count)
-	}
-	for i := 0; i+1 < len(got); i++ {
-		if dimLess(&got[i+1], &got[i]) {
-			t.Fatalf("output not sorted at %d: %v > %v", i, got[i].Dims, got[i+1].Dims)
-		}
-	}
-	// Multiset equality: compare measure sums and per-position dim sums.
-	var sumIn, sumOut float64
-	for i := range recs {
-		sumIn += recs[i].Ms[0] + float64(recs[i].Dims[0])*1e-3
-		sumOut += got[i].Ms[0] + float64(got[i].Dims[0])*1e-3
-	}
-	if math.Abs(sumIn-sumOut) > 1e-6 {
-		t.Error("output is not a permutation of input")
-	}
-	// Run files must have been cleaned up.
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if e.Name() != "in.rec" && e.Name() != "out.rec" {
-			t.Errorf("leftover temp file %s", e.Name())
-		}
-	}
-}
-
-func TestSortFileParallel(t *testing.T) {
-	testSortFile(t, 5000, SortOptions{ChunkRecords: 128, Parallel: true, Workers: 4})
-}
-
-func TestParallelMatchesSequential(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.rec")
-	seq := filepath.Join(dir, "seq.rec")
-	par := filepath.Join(dir, "par.rec")
-	recs := randRecords(rand.New(rand.NewSource(9)), 3000, 2, 1)
-	if err := WriteAll(in, 2, 1, recs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SortFile(in, seq, dimLess, SortOptions{ChunkRecords: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SortFile(in, par, dimLess, SortOptions{ChunkRecords: 100, Parallel: true}); err != nil {
-		t.Fatal(err)
-	}
-	a, _, err := ReadAll(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := ReadAll(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i].Dims[0] != b[i].Dims[0] || a[i].Dims[1] != b[i].Dims[1] || a[i].Ms[0] != b[i].Ms[0] {
-			t.Fatalf("parallel and sequential sorts disagree at record %d", i)
-		}
-	}
-}
-
-func TestSortIsPermutationQuick(t *testing.T) {
-	dir := t.TempDir()
-	i := 0
-	f := func(vals []int16) bool {
-		i++
-		in := filepath.Join(dir, "in.rec")
-		out := filepath.Join(dir, "out.rec")
-		recs := make([]model.Record, len(vals))
-		counts := map[int64]int{}
-		for j, v := range vals {
-			recs[j] = model.Record{Dims: []int64{int64(v)}, Ms: []float64{}}
-			counts[int64(v)]++
-		}
-		if err := WriteAll(in, 1, 0, recs); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := SortFile(in, out, dimLess, SortOptions{ChunkRecords: 4}); err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := ReadAll(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev := int64(math.MinInt64)
-		for _, r := range got {
-			if r.Dims[0] < prev {
-				return false
-			}
-			prev = r.Dims[0]
-			counts[r.Dims[0]]--
-		}
-		for _, c := range counts {
-			if c != 0 {
-				return false
-			}
-		}
-		return len(got) == len(recs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeSourcesStability(t *testing.T) {
-	// Records comparing equal must come out in source order.
-	a := &SliceSource{Recs: []model.Record{
-		{Dims: []int64{1}, Ms: []float64{0}},
-		{Dims: []int64{3}, Ms: []float64{0}},
-	}}
-	b := &SliceSource{Recs: []model.Record{
-		{Dims: []int64{1}, Ms: []float64{1}},
-		{Dims: []int64{2}, Ms: []float64{1}},
-	}}
-	var got []model.Record
-	err := MergeSources([]Source{a, b}, dimLess, func(r *model.Record) error {
-		got = append(got, r.Clone())
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDims := []int64{1, 1, 2, 3}
-	wantMs := []float64{0, 1, 1, 0}
-	for i := range got {
-		if got[i].Dims[0] != wantDims[i] || got[i].Ms[0] != wantMs[i] {
-			t.Fatalf("merge[%d] = %v/%v, want %d/%v", i, got[i].Dims[0], got[i].Ms[0], wantDims[i], wantMs[i])
-		}
 	}
 }
 
