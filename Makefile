@@ -37,9 +37,15 @@ bench-shard:
 perf-smoke:
 	cd perf && $(GO) vet ./... && $(GO) test ./...
 
-# Full-scale figure regeneration (see EXPERIMENTS.md).
-figures: build
-	./bin/awbench -dir ./benchdata
+# The paper's figures at scale 1, committed once as one JSON array with
+# each figure's host block (see EXPERIMENTS.md). Datasets are generated
+# in a temporary directory and removed; only benchdata/figures.json is
+# written, and only when every figure ran.
+figures:
+	$(GO) build -o bin/awbench ./cmd/awbench
+	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+		./bin/awbench -dir "$$d" -scale 1 -json > "$$d/figures.json" && \
+		mkdir -p benchdata && mv "$$d/figures.json" benchdata/figures.json
 
 examples:
 	$(GO) run ./examples/quickstart

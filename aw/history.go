@@ -315,8 +315,10 @@ func hashString(s string) string {
 	return fmt.Sprintf("%016x", f.Sum64())
 }
 
-// outcomeOf classifies a run error into a history outcome.
-func outcomeOf(err error) (outcome, msg string) {
+// OutcomeOf classifies a run error into a history outcome (OutcomeOK,
+// OutcomeCanceled, OutcomeBudget or OutcomeError) and its message.
+// Every site that records or counts a finished query uses it.
+func OutcomeOf(err error) (outcome, msg string) {
 	switch {
 	case err == nil:
 		return qlog.OutcomeOK, ""
@@ -342,7 +344,7 @@ func buildRecord(c *Compiled, in Input, o *QueryOptions, g *qguard.Guard, qSpan 
 		CollectionFP: collectionFingerprint(in),
 		Engine:       engine.String(),
 	}
-	rec.Outcome, rec.Error = outcomeOf(runErr)
+	rec.Outcome, rec.Error = OutcomeOf(runErr)
 	if snap := qSpan.Snapshot(); snap != nil {
 		rec.DurationUs = snap.DurationUs
 		rec.SortKey = snap.Attrs["sort_key"]

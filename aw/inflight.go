@@ -34,7 +34,7 @@ func InflightQueries() []QuerySnapshot {
 }
 
 // WriteInflightJSON writes the registry snapshot as indented JSON —
-// the payload served at /debug/aw/queries by awbench -httpaddr.
+// the payload awserved serves at /debug/aw/queries.
 func WriteInflightJSON(w io.Writer) error {
 	return obs.DefaultInflight.WriteJSON(w)
 }

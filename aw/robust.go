@@ -222,11 +222,10 @@ func reportOutcome(rec *Recorder, g *qguard.Guard, err error) {
 	if n := g.Stats().CorruptRows; n > 0 {
 		rec.Counter(obs.MRowsCorruptSkipped).Add(n)
 	}
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrCanceled), errors.Is(err, ErrDeadlineExceeded):
+	switch outcome, _ := OutcomeOf(err); outcome {
+	case OutcomeCanceled:
 		rec.Counter(obs.MQueriesCanceled).Add(1)
-	case errors.Is(err, ErrBudgetExceeded):
+	case OutcomeBudget:
 		rec.Counter(obs.MBudgetRejections).Add(1)
 	}
 }

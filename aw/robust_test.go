@@ -3,6 +3,7 @@ package aw_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -257,5 +258,31 @@ func TestFaultStreamLiveCellBudget(t *testing.T) {
 	be, ok := aw.AsBudgetError(pushErr)
 	if !ok || be.Resource != aw.ResLiveCells {
 		t.Fatalf("got %v, want live-cells BudgetError", pushErr)
+	}
+}
+
+// TestOutcomeOf pins the one mapping from a run error to its recorded
+// outcome, which history records, served-answer records and the
+// robustness counters all share.
+func TestOutcomeOf(t *testing.T) {
+	budget := &aw.BudgetError{Resource: aw.ResResultRows, Limit: 1, Used: 2}
+	for _, tc := range []struct {
+		name    string
+		err     error
+		outcome string
+	}{
+		{"nil", nil, aw.OutcomeOK},
+		{"canceled", fmt.Errorf("scan: %w", aw.ErrCanceled), aw.OutcomeCanceled},
+		{"deadline", aw.ErrDeadlineExceeded, aw.OutcomeCanceled},
+		{"budget", fmt.Errorf("sort: %w", budget), aw.OutcomeBudget},
+		{"other", errors.New("disk on fire"), aw.OutcomeError},
+	} {
+		outcome, msg := aw.OutcomeOf(tc.err)
+		if outcome != tc.outcome {
+			t.Errorf("%s: outcome %q, want %q", tc.name, outcome, tc.outcome)
+		}
+		if (tc.err == nil) != (msg == "") {
+			t.Errorf("%s: message %q for error %v", tc.name, msg, tc.err)
+		}
 	}
 }

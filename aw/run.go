@@ -454,9 +454,8 @@ func runEngines(c *Compiled, in Input, o QueryOptions, st *plan.Stats, g *qguard
 		}
 		res, err := sortscan.Run(c, in.path, sortscan.Options{
 			SortKey: key, TempDir: o.TempDir, Stats: st,
-			ParallelSort: par > 1, SortWorkers: par,
-			ReadBatchBytes: o.ReadBatchSize,
-			Recorder:       qrec, Guard: g,
+			SortWorkers: par, ReadBatchBytes: o.ReadBatchSize,
+			Recorder: qrec, Guard: g,
 		})
 		if err != nil {
 			return nil, o.Engine, err

@@ -21,7 +21,6 @@ import (
 	"awra/internal/exec/scan"
 	"awra/internal/gen"
 	"awra/internal/model"
-	"awra/internal/storage"
 )
 
 // benchScale keeps benchmark iterations to a few seconds each; the
@@ -108,26 +107,26 @@ func BenchmarkExternalSort(b *testing.B) {
 	}
 }
 
-// BenchmarkScanThroughput measures raw record-file streaming.
+// BenchmarkScanThroughput measures raw record-file streaming through
+// the batched reader every file query uses.
 func BenchmarkScanThroughput(b *testing.B) {
 	path, _ := synthFact(b, 100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := storage.Open(path)
+		r, err := scan.Open(path, scan.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		var rec model.Record
 		n := 0
 		for {
-			ok, err := r.Next(&rec)
+			batch, err := r.NextBatch()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !ok {
+			if batch == nil {
 				break
 			}
-			n++
+			n += len(batch)
 		}
 		r.Close()
 		if n != 100000 {
@@ -197,9 +196,9 @@ func BenchmarkSingleScanEngine(b *testing.B) {
 // BenchmarkParallelSort measures the concurrent run-generation path
 // against the sequential sort on the same input.
 func BenchmarkParallelSort(b *testing.B) {
-	for _, par := range []bool{false, true} {
+	for _, workers := range []int{0, 2} {
 		name := "sequential"
-		if par {
+		if workers > 1 {
 			name = "parallel"
 		}
 		b.Run(name, func(b *testing.B) {
@@ -211,7 +210,7 @@ func BenchmarkParallelSort(b *testing.B) {
 			out := path + ".sorted"
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, err := scan.SortFileByKey(path, out, s, key, scan.SortOptions{ChunkRecords: 8192, Parallel: par})
+				_, err := scan.SortFileByKey(path, out, s, key, scan.SortOptions{ChunkRecords: 8192, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

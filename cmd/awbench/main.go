@@ -4,51 +4,43 @@
 //
 // Usage:
 //
-//	awbench -dir ./benchdata                # all figures
-//	awbench -dir ./benchdata -fig fig6a     # one figure
-//	awbench -dir ./benchdata -scale 4       # larger datasets
+//	awbench -dir ./data                     # all figures; datasets go in ./data
+//	awbench -dir ./data -fig fig6a          # one figure
+//	awbench -dir ./data -scale 4            # larger datasets
 //	awbench -list                           # available figures
+//	awbench -dir ./data -q -json            # all, as one JSON array (make figures)
 //
 // The -scale flag multiplies dataset sizes (1.0 corresponds to
 // 12.5k-400k records; the paper ran 2M-64M on 2006 hardware). Shapes,
-// not absolute milliseconds, are the reproduction target; see
-// EXPERIMENTS.md.
+// not absolute milliseconds, are the reproduction target: each figure
+// is a single run, and speed claims come from perf/. Live /metrics and
+// /debug/aw/* endpoints are awserved's; see EXPERIMENTS.md.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof handlers on -httpaddr
 	"os"
-	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
-	"awra/aw"
 	"awra/internal/bench"
 )
 
 func main() {
 	var (
-		dir      = flag.String("dir", "", "working directory for datasets and temporaries (required)")
-		fig      = flag.String("fig", "all", "figure id to regenerate, or 'all'")
-		scale    = flag.Float64("scale", 1.0, "dataset size multiplier")
-		seed     = flag.Int64("seed", 2006, "dataset generation seed")
-		budget   = flag.Int64("budget", 8<<20, "single-scan memory budget in bytes")
-		par      = flag.Int("parallelism", runtime.GOMAXPROCS(0), "worker count for the sharded-parallel figure")
-		readBat  = flag.Int("read-batch", 0, "batched fact-read chunk size in bytes (0 = scan reader default)")
-		list     = flag.Bool("list", false, "list available figures and exit")
-		quiet    = flag.Bool("q", false, "suppress progress output")
-		jsonOut  = flag.Bool("json", false, "print figures as JSON (rows plus metrics snapshot) instead of text tables")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to FILE")
-		memProf  = flag.String("memprofile", "", "write a heap profile at exit to FILE")
-		httpAddr = flag.String("httpaddr", "", "serve live /metrics (Prometheus), /debug/vars, and /debug/pprof on this address while running")
-		histDir  = flag.String("history-dir", "", "persistent query-history directory for the hist-feedback figure and the /debug/aw/history endpoint (default: DIR/history)")
-		serve    = flag.Bool("serve", false, "with -httpaddr: keep serving after the figures finish, until interrupted")
+		dir     = flag.String("dir", "", "working directory for datasets and temporaries (required)")
+		fig     = flag.String("fig", "all", "figure id to regenerate, or 'all'")
+		scale   = flag.Float64("scale", 1.0, "dataset size multiplier")
+		seed    = flag.Int64("seed", 2006, "dataset generation seed")
+		budget  = flag.Int64("budget", 8<<20, "single-scan memory budget in bytes")
+		list    = flag.Bool("list", false, "list available figures and exit")
+		quiet   = flag.Bool("q", false, "suppress progress output")
+		jsonOut = flag.Bool("json", false, "print figures as JSON (rows, host and metrics snapshot) instead of text tables; -fig all prints one array")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole run to FILE")
+		memProf = flag.String("memprofile", "", "write a heap profile at exit to FILE")
 	)
 	flag.Parse()
 
@@ -69,88 +61,11 @@ func main() {
 		Scale:            *scale,
 		Seed:             *seed,
 		SingleScanBudget: *budget,
-		Parallelism:      *par,
-		History:          *histDir,
-		ReadBatchBytes:   *readBat,
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr
 	}
 
-	if *httpAddr != "" {
-		// One shared recorder so the live endpoints see every figure's
-		// metrics as they accumulate.
-		rec := aw.NewRecorder()
-		cfg.Recorder = rec
-		rec.Publish("awra")
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			rec.WritePrometheus(w)
-		})
-		http.HandleFunc("/debug/aw/queries", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			if err := aw.WriteInflightJSON(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		// /debug/aw/history opens the history directory per request, so
-		// it reflects runs appended by this process and by others (the
-		// log is the source of truth, not process memory).
-		hdir := *histDir
-		if hdir == "" {
-			hdir = filepath.Join(*dir, "history")
-		}
-		http.HandleFunc("/debug/aw/history", func(w http.ResponseWriter, r *http.Request) {
-			h, err := aw.OpenHistory(hdir)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			defer h.Close()
-			n := 50
-			if s := r.URL.Query().Get("n"); s != "" {
-				if v, err := strconv.Atoi(s); err == nil && v > 0 {
-					n = v
-				}
-			}
-			w.Header().Set("Content-Type", "application/json")
-			if err := h.WriteJSON(w, n); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		// Flight-recorder endpoints: every benchmark run commits a trace,
-		// so the ring doubles as a live query post-mortem view here too.
-		http.HandleFunc("/debug/aw/traces", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			if err := aw.WriteTracesJSON(w, 0); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		http.HandleFunc("/debug/aw/traces/", func(w http.ResponseWriter, r *http.Request) {
-			id := strings.TrimPrefix(r.URL.Path, "/debug/aw/traces/")
-			w.Header().Set("Content-Type", "application/json")
-			found, err := aw.WriteTraceJSON(w, id)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			if !found {
-				http.Error(w, "trace not retained", http.StatusNotFound)
-			}
-		})
-		http.HandleFunc("/debug/aw/slow", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			if err := aw.WriteSlowJSON(w, 0); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		go func() {
-			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "awbench: http:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "awbench: serving /metrics, /debug/aw/queries, /debug/aw/traces, /debug/aw/slow, /debug/vars, /debug/pprof on %s\n", *httpAddr)
-	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -180,46 +95,43 @@ func main() {
 		f.Close()
 	}
 
-	emit := func(f *bench.Figure) {
-		if *jsonOut {
-			if err := f.WriteJSON(os.Stdout); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		f.Fprint(os.Stdout)
-	}
+	var (
+		figs []*bench.Figure
+		err  error
+	)
 	if *fig == "all" {
-		figs, err := bench.All(cfg)
-		for _, f := range figs {
-			emit(f)
+		figs, err = bench.All(cfg)
+	} else {
+		var f *bench.Figure
+		if f, err = bench.Run(*fig, cfg); err == nil {
+			figs = append(figs, f)
 		}
-		writeMemProfile()
-		if err != nil {
-			fatal(err)
-		}
-		serveForever(*httpAddr, *serve)
-		return
 	}
-	f, err := bench.Run(*fig, cfg)
+	switch {
+	case *jsonOut && *fig == "all":
+		writeJSON(figs) // one array: the committed benchdata/figures.json
+	case *jsonOut:
+		for _, f := range figs {
+			writeJSON(f)
+		}
+	default:
+		for _, f := range figs {
+			f.Fprint(os.Stdout)
+		}
+	}
+	writeMemProfile()
 	if err != nil {
 		fatal(err)
 	}
-	emit(f)
-	writeMemProfile()
-	serveForever(*httpAddr, *serve)
 }
 
-// serveForever blocks until SIGINT when -serve asked to keep the live
-// endpoints (metrics, history) queryable after the figures finish.
-func serveForever(addr string, serve bool) {
-	if addr == "" || !serve {
-		return
+// writeJSON prints v as indented JSON on stdout.
+func writeJSON(v any) {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "awbench: figures done; still serving on %s (interrupt to exit)\n", addr)
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
-	<-ch
 }
 
 func fatal(err error) {

@@ -32,7 +32,7 @@ func AblKey(cfg Config) (*Figure, error) {
 		return nil, err
 	}
 	st := &plan.Stats{BaseCard: SynthStats(sc)}
-	choices, err := opt.BruteForce(w, st, 0, cfg.Recorder)
+	choices, err := opt.BruteForce(w, st, 0, cfg.rec)
 	if err != nil {
 		return nil, err
 	}
@@ -44,11 +44,9 @@ func AblKey(cfg Config) (*Figure, error) {
 		{"worst", choices[len(choices)-1]},
 	} {
 		t0 := time.Now()
-		rec, done := cfg.beginQuery("abl-key:"+pick.label, "sortscan")
 		res, err := sortscan.Run(w, fact, sortscan.Options{
-			SortKey: pick.ch.Key, TempDir: cfg.Dir, Stats: st, Recorder: rec,
+			SortKey: pick.ch.Key, TempDir: cfg.Dir, Stats: st, Recorder: cfg.rec,
 		})
-		done()
 		if err != nil {
 			return nil, err
 		}
@@ -96,13 +94,11 @@ func AblPar(cfg Config) (*Figure, error) {
 	key := model.SortKey{{Dim: 0, Lvl: day}, {Dim: 2, Lvl: 0}, {Dim: 1, Lvl: 0}}
 	for _, parts := range []int{1, 2, 4} {
 		t0 := time.Now()
-		rec, done := cfg.beginQuery(fmt.Sprintf("abl-par:parts=%d", parts), "shardscan")
 		res, err := sortscan.RunSharded(w, fact, sortscan.ShardedOptions{
 			SortKey: key, Shards: parts, TempDir: cfg.Dir,
 			Stats:    &plan.Stats{BaseCard: cards},
-			Recorder: rec,
+			Recorder: cfg.rec,
 		})
-		done()
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +131,7 @@ func AblFlush(cfg Config) (*Figure, error) {
 		return nil, err
 	}
 	st := &plan.Stats{BaseCard: SynthStats(sc)}
-	best, err := opt.Best(w, st, cfg.Recorder)
+	best, err := opt.Best(w, st, cfg.rec)
 	if err != nil {
 		return nil, err
 	}
@@ -147,13 +143,11 @@ func AblFlush(cfg Config) (*Figure, error) {
 		{"no-flush", true},
 	} {
 		t0 := time.Now()
-		rec, done := cfg.beginQuery("abl-flush:"+mode.label, "sortscan")
 		res, err := sortscan.Run(w, fact, sortscan.Options{
 			SortKey: best.Key, TempDir: cfg.Dir, Stats: st,
 			DisableEarlyFlush: mode.disable,
-			Recorder:          rec,
+			Recorder:          cfg.rec,
 		})
-		done()
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,7 @@ import (
 
 	"awra/internal/exec/singlescan"
 	"awra/internal/gen"
-	"awra/internal/storage"
+	"awra/internal/obs"
 )
 
 // tinyCfg runs the harness at 1/25 scale so tests stay fast.
@@ -26,8 +26,8 @@ func TestAllFiguresRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(figs) != 14 {
-		t.Fatalf("got %d figures, want 14", len(figs))
+	if len(figs) != 11 {
+		t.Fatalf("got %d figures, want 11", len(figs))
 	}
 	for _, f := range figs {
 		if f.Host == nil || f.Host.GoMaxProcs < 1 || f.Host.GoVersion == "" {
@@ -51,22 +51,25 @@ func TestAllFiguresRun(t *testing.T) {
 	}
 }
 
-func TestHistFeedbackSecondRunPlansMeasured(t *testing.T) {
-	f, err := HistFeedback(tinyCfg(t))
+// TestSingleScanSeriesReadsThroughScan: the figures' single-scan
+// column runs the batched file reader that file queries use, so its
+// recorder carries the reader's chunk tallies (the row-at-a-time reader
+// publishes none).
+func TestSingleScanSeriesReadsThroughScan(t *testing.T) {
+	cfg := tinyCfg(t).withDefaults()
+	fact, sc, err := cfg.synthFile(cfg.size(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(f.Rows))
+	w, err := Q1Workflow(mustSynthSchema(sc), 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Header: run, time_ms, engine, measured_nodes, assumed_nodes, collected_nodes.
-	m1, _ := strconv.Atoi(f.Rows[0][3])
-	m2, _ := strconv.Atoi(f.Rows[1][3])
-	if m1 != 0 {
-		t.Errorf("run 1 planned %d measured nodes before any history existed", m1)
+	if _, _, err := cfg.timeSingleScan(w, fact); err != nil {
+		t.Fatal(err)
 	}
-	if m2 == 0 {
-		t.Errorf("run 2 planned no measured nodes; rows: %v", f.Rows)
+	if got := cfg.rec.Counter(obs.MScanChunks).Value(); got == 0 {
+		t.Fatalf("%s = 0: the single-scan series did not read through scan", obs.MScanChunks)
 	}
 }
 
@@ -77,7 +80,7 @@ func TestRunUnknownFigure(t *testing.T) {
 }
 
 func TestIDsComplete(t *testing.T) {
-	want := []string{"abl-flush", "abl-key", "abl-par", "fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "fig7a", "fig7b", "hist-feedback", "serve-load", "serve-load-cached"}
+	want := []string{"abl-flush", "abl-key", "abl-par", "fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "fig7a", "fig7b"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("IDs = %v", got)
@@ -100,18 +103,12 @@ func TestWorkflowsProduceMeaningfulResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := storage.Open(fact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
 	// Multi-recon: every planted sweep day must be flagged.
 	w, err := ReconWorkflow(s, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := singlescan.Run(w, r, singlescan.Options{})
+	res, err := singlescan.RunFile(w, fact, singlescan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,16 +128,11 @@ func TestWorkflowsProduceMeaningfulResults(t *testing.T) {
 	}
 
 	// Escalation: alarms must fire on at least the planted peak hours.
-	r2, err := storage.Open(fact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
 	we, err := EscalationWorkflow(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := singlescan.Run(we, r2, singlescan.Options{})
+	res2, err := singlescan.RunFile(we, fact, singlescan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

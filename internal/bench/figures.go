@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -20,7 +19,6 @@ import (
 	"awra/internal/opt"
 	"awra/internal/plan"
 	"awra/internal/relbaseline"
-	"awra/internal/storage"
 )
 
 // Config tunes the harness.
@@ -36,23 +34,12 @@ type Config struct {
 	// single-scan engine exhibit the paper's out-of-memory cliff;
 	// 0 defaults to 8 MB.
 	SingleScanBudget int64
-	// Parallelism is the maximum worker count for the sharded-parallel
-	// figure; 0 defaults to runtime.GOMAXPROCS(0).
-	Parallelism int
 	// Progress, if non-nil, receives progress lines.
 	Progress io.Writer
-	// Recorder collects engine metrics across the figure's runs; its
-	// snapshot is attached to the Figure (Metrics). Nil allocates a
-	// private recorder per Run call, so each figure's snapshot covers
-	// only its own runs. Supply one (e.g. for a live -httpaddr view) to
-	// accumulate across figures instead.
-	Recorder *obs.Recorder
-	// History is a directory for the persistent query-history log used
-	// by the hist-feedback figure; empty defaults to Dir/history.
-	History string
-	// ReadBatchBytes is the chunk size for the batched fact reads in
-	// the engines under test; 0 uses the scan reader's default.
-	ReadBatchBytes int
+
+	// rec collects engine metrics across one Run's engine runs; its
+	// snapshot becomes the Figure's Metrics.
+	rec *obs.Recorder
 }
 
 func (c Config) withDefaults() Config {
@@ -65,11 +52,8 @@ func (c Config) withDefaults() Config {
 	if c.SingleScanBudget == 0 {
 		c.SingleScanBudget = 8 << 20
 	}
-	if c.Parallelism == 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.Recorder == nil {
-		c.Recorder = obs.New()
+	if c.rec == nil {
+		c.rec = obs.New()
 	}
 	return c
 }
@@ -125,13 +109,6 @@ type Figure struct {
 	// Metrics is the recorder snapshot covering the figure's engine
 	// runs, so the performance trajectory is machine-diffable.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-}
-
-// WriteJSON writes the figure (rows plus metrics snapshot) as JSON.
-func (f *Figure) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
 }
 
 // Fprint renders the figure as an aligned text table.
@@ -196,36 +173,19 @@ func (c Config) netFile(n int64) (string, gen.NetConfig, error) {
 	return path, nc, nil
 }
 
-// beginQuery registers one engine-timing run in the process-global
-// in-flight registry (under a fresh "query" span, so the live
-// /debug/aw/queries endpoint shows the run's phase and scan progress
-// while a figure regenerates). Call the returned func when the run ends.
-func (c Config) beginQuery(label, engine string) (*obs.Recorder, func()) {
-	sp := c.Recorder.Start(obs.SpanQuery)
-	sp.SetAttr("engine", engine)
-	inq := obs.DefaultInflight.Begin(label, c.Recorder, sp)
-	inq.SetEngine(engine)
-	return c.Recorder.At(sp), func() {
-		sp.End()
-		inq.Finish()
-	}
-}
-
 // timeSortScan runs the sort/scan engine with an optimizer-chosen key.
 func (c Config) timeSortScan(w *core.Compiled, fact string, cards []float64) (time.Duration, sortscan.Stats, error) {
-	choice, err := opt.Best(w, &plan.Stats{BaseCard: cards}, c.Recorder)
+	choice, err := opt.Best(w, &plan.Stats{BaseCard: cards}, c.rec)
 	if err != nil {
 		return 0, sortscan.Stats{}, err
 	}
 	t0 := time.Now()
-	rec, done := c.beginQuery("bench:sortscan", "sortscan")
 	res, err := sortscan.Run(w, fact, sortscan.Options{
 		SortKey:  choice.Key,
 		TempDir:  c.Dir,
 		Stats:    &plan.Stats{BaseCard: cards},
-		Recorder: rec,
+		Recorder: c.rec,
 	})
-	done()
 	if err != nil {
 		return 0, sortscan.Stats{}, err
 	}
@@ -233,21 +193,14 @@ func (c Config) timeSortScan(w *core.Compiled, fact string, cards []float64) (ti
 }
 
 // timeSingleScan runs the single-scan engine under the configured
-// memory budget.
+// memory budget, over the batched file reader every file query uses.
 func (c Config) timeSingleScan(w *core.Compiled, fact string) (time.Duration, singlescan.Stats, error) {
-	r, err := storage.Open(fact)
-	if err != nil {
-		return 0, singlescan.Stats{}, err
-	}
-	defer r.Close()
 	t0 := time.Now()
-	rec, done := c.beginQuery("bench:singlescan", "singlescan")
-	res, err := singlescan.Run(w, r, singlescan.Options{
+	res, err := singlescan.RunFile(w, fact, singlescan.Options{
 		MemoryBudget: c.SingleScanBudget,
 		TempDir:      c.Dir,
-		Recorder:     rec,
+		Recorder:     c.rec,
 	})
-	done()
 	if err != nil {
 		return 0, singlescan.Stats{}, err
 	}
@@ -258,9 +211,7 @@ func (c Config) timeSingleScan(w *core.Compiled, fact string) (time.Duration, si
 // measures only (one SQL query per final measure, like the paper).
 func (c Config) timeDB(w *core.Compiled, fact string, finals []string) (time.Duration, relbaseline.Stats, error) {
 	t0 := time.Now()
-	rec, done := c.beginQuery("bench:relational", "relational")
-	res, err := relbaseline.RunMeasures(w, fact, finals, relbaseline.Options{TempDir: c.Dir, Recorder: rec})
-	done()
+	res, err := relbaseline.RunMeasures(w, fact, finals, relbaseline.Options{TempDir: c.Dir, Recorder: c.rec})
 	if err != nil {
 		return 0, relbaseline.Stats{}, err
 	}
@@ -596,20 +547,17 @@ func mustSynthSchema(c gen.SynthConfig) *model.Schema {
 
 // runners maps figure ids to their runners.
 var runners = map[string]func(Config) (*Figure, error){
-	"abl-flush":         AblFlush,
-	"abl-key":           AblKey,
-	"abl-par":           AblPar,
-	"hist-feedback":     HistFeedback,
-	"serve-load":        ServeLoad,
-	"serve-load-cached": ServeLoadCached,
-	"fig6a":             Fig6a,
-	"fig6b":             Fig6b,
-	"fig6c":             Fig6c,
-	"fig6d":             Fig6d,
-	"fig6e":             Fig6e,
-	"fig6f":             Fig6f,
-	"fig7a":             Fig7a,
-	"fig7b":             Fig7b,
+	"abl-flush": AblFlush,
+	"abl-key":   AblKey,
+	"abl-par":   AblPar,
+	"fig6a":     Fig6a,
+	"fig6b":     Fig6b,
+	"fig6c":     Fig6c,
+	"fig6d":     Fig6d,
+	"fig6e":     Fig6e,
+	"fig6f":     Fig6f,
+	"fig7a":     Fig7a,
+	"fig7b":     Fig7b,
 }
 
 // IDs lists the available figures in order.
@@ -634,7 +582,7 @@ func Run(id string, cfg Config) (*Figure, error) {
 	if f != nil {
 		host := HostInfo()
 		f.Host = &host
-		snap := cfg.Recorder.Snapshot()
+		snap := cfg.rec.Snapshot()
 		snap.Spans = nil // span trees grow unboundedly across runs; keep figures compact
 		f.Metrics = &snap
 	}

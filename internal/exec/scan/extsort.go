@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -45,10 +44,9 @@ type SortOptions struct {
 	ChunkRecords int
 	// TempDir receives run files; empty uses the input's directory.
 	TempDir string
-	// Parallel sorts and writes run files on Workers goroutines while
-	// the input keeps streaming.
-	Parallel bool
-	// Workers bounds the run-sorting goroutines (0 = GOMAXPROCS).
+	// Workers, when above 1, sorts and writes run files on that many
+	// goroutines while the input keeps streaming; 0 or 1 writes each run
+	// inline.
 	Workers int
 	// BatchBytes is the read-chunk size for the batched input readers
 	// (0 = DefaultBatchBytes).
@@ -368,7 +366,7 @@ type sortedPart struct {
 // An input that fits one chunk stays in memory, and Open index-sorts a
 // part's rows on the caller's goroutine, so the parts of a parallel
 // plan sort concurrently. A larger input spills one sorted run per
-// part and chunk (on opts.Workers goroutines under opts.Parallel) and
+// part and chunk (on opts.Workers goroutines when that is above 1) and
 // Open merges the part's runs. The caller must Close the result.
 func SortByKey(inPath string, schema *model.Schema, key model.SortKey, from model.Gran, parts int, opts SortOptions) (*Sorted, error) {
 	return sortByKey(inPath, schema, key, from, parts, false, opts)
@@ -430,12 +428,9 @@ func sortByKey(inPath string, schema *model.Schema, key model.SortKey, from mode
 			s.Close()
 		}
 	}()
-	if opts.Parallel {
-		w := opts.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		sem = make(chan struct{}, w)
+	parallel := opts.Workers > 1
+	if parallel {
+		sem = make(chan struct{}, opts.Workers)
 	}
 	runsSpan := rec.Start(obs.SpanSortRuns)
 	defer runsSpan.End()
@@ -479,7 +474,7 @@ func sortByKey(inPath string, schema *model.Schema, key model.SortKey, from mode
 			s.stats.Runs++
 			s.parts[p].runs = append(s.parts[p].runs, path)
 			s.parts[p].rows += int64(len(idx))
-			if !opts.Parallel {
+			if !parallel {
 				if err := writeRun(cur, idx, path, &sorter); err != nil {
 					return err
 				}
@@ -503,7 +498,7 @@ func sortByKey(inPath string, schema *model.Schema, key model.SortKey, from mode
 				}
 			}(cur)
 		}
-		if opts.Parallel {
+		if parallel {
 			cur = newChunk(chunk, diskRow, kp) // the writers still read the old one
 		} else {
 			cur.rows, cur.keys, cur.n = cur.rows[:0], cur.keys[:0], 0

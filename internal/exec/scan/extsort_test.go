@@ -214,11 +214,11 @@ func TestSortByKeyInputLevel(t *testing.T) {
 		return false
 	})
 	for _, tc := range []struct {
-		name     string
-		chunk    int
-		parallel bool
-	}{{"memory", 0, false}, {"spilled", 500, false}, {"spilled-parallel", 500, true}} {
-		sorted, err := SortByKey(rel, s, key, from, 1, SortOptions{TempDir: dir, ChunkRecords: tc.chunk, Parallel: tc.parallel})
+		name    string
+		chunk   int
+		workers int
+	}{{"memory", 0, 0}, {"spilled", 500, 0}, {"spilled-parallel", 500, 2}} {
+		sorted, err := SortByKey(rel, s, key, from, 1, SortOptions{TempDir: dir, ChunkRecords: tc.chunk, Workers: tc.workers})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -269,22 +269,22 @@ func TestSortFileByKeyCleansUp(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct {
-		name     string
-		fs       *faultfs.FS
-		guard    *qguard.Guard
-		parallel bool
-		want     error
+		name    string
+		fs      *faultfs.FS
+		guard   *qguard.Guard
+		workers int
+		want    error
 	}{
 		{name: "canceled", guard: qguard.New(canceled, qguard.Limits{}), want: qguard.ErrCanceled},
-		{name: "canceled-parallel", guard: qguard.New(canceled, qguard.Limits{}), parallel: true, want: qguard.ErrCanceled},
+		{name: "canceled-parallel", guard: qguard.New(canceled, qguard.Limits{}), workers: 4, want: qguard.ErrCanceled},
 		{name: "spill-budget", guard: qguard.New(context.Background(), qguard.Limits{MaxSpillBytes: 1024}), want: qguard.ErrBudgetExceeded},
 		// The input is written before the swap, so the failures land on
 		// the sort's own files.
 		{name: "write-failure", fs: faultfs.New().FailWriteAfter(8192), want: faultfs.ErrInjected},
-		{name: "write-failure-parallel", fs: faultfs.New().FailWriteAfter(8192), parallel: true, want: faultfs.ErrInjected},
-		{name: "create-failure-parallel", fs: faultfs.New().FailCreate(3), parallel: true, want: faultfs.ErrInjected},
+		{name: "write-failure-parallel", fs: faultfs.New().FailWriteAfter(8192), workers: 4, want: faultfs.ErrInjected},
+		{name: "create-failure-parallel", fs: faultfs.New().FailCreate(3), workers: 4, want: faultfs.ErrInjected},
 		{name: "read-failure", fs: faultfs.New().FailReadAfter(16 << 10), want: faultfs.ErrInjected},
-		{name: "under-guard", guard: qguard.New(context.Background(), qguard.Limits{}), parallel: true},
+		{name: "under-guard", guard: qguard.New(context.Background(), qguard.Limits{}), workers: 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -295,7 +295,7 @@ func TestSortFileByKeyCleansUp(t *testing.T) {
 				defer storage.SwapFS(tc.fs)()
 			}
 			st, err := SortFileByKey(in, out, nil, nil, SortOptions{
-				ChunkRecords: 100, TempDir: dir, Parallel: tc.parallel, Workers: 4, Guard: tc.guard,
+				ChunkRecords: 100, TempDir: dir, Workers: tc.workers, Guard: tc.guard,
 			})
 			if tc.want != nil {
 				if !errors.Is(err, tc.want) {
@@ -412,12 +412,12 @@ func TestSortByKeyParts(t *testing.T) {
 
 	for _, parts := range []int{2, 4, 7, 12} {
 		for _, tc := range []struct {
-			name     string
-			chunk    int
-			parallel bool
-		}{{"memory", 0, false}, {"spilled", 700, false}, {"spilled-parallel", 700, true}} {
+			name    string
+			chunk   int
+			workers int
+		}{{"memory", 0, 0}, {"spilled", 700, 0}, {"spilled-parallel", 700, 3}} {
 			sorted, err := SortByKey(fact, s, nk, nil, parts, SortOptions{
-				TempDir: dir, ChunkRecords: tc.chunk, Parallel: tc.parallel, Workers: 3,
+				TempDir: dir, ChunkRecords: tc.chunk, Workers: tc.workers,
 			})
 			if err != nil {
 				t.Fatalf("parts=%d %s: %v", parts, tc.name, err)

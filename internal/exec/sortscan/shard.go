@@ -96,9 +96,8 @@ func RunSharded(c *core.Compiled, factPath string, opts ShardedOptions) (*Result
 	defer splitSpan.End()
 	sorted, err := scan.SortByKey(factPath, c.Schema, pl.SortKey, nil, shards, scan.SortOptions{
 		ChunkRecords: opts.ChunkRecords, TempDir: opts.TempDir,
-		Parallel: true, Workers: shards,
-		BatchBytes: opts.ReadBatchBytes,
-		Recorder:   rec.At(splitSpan), Guard: guard,
+		Workers: shards, BatchBytes: opts.ReadBatchBytes,
+		Recorder: rec.At(splitSpan), Guard: guard,
 	})
 	if err != nil {
 		return nil, err

@@ -58,9 +58,6 @@ type Options struct {
 	// ReadBatchBytes is the chunk size of the batched fact reads
 	// (0 = scan.DefaultBatchBytes).
 	ReadBatchBytes int
-	// AssumeSorted skips the sort phase; the input must already be
-	// ordered by SortKey.
-	AssumeSorted bool
 	// Stats supplies cardinality estimates for the plan's footprint
 	// numbers (informational).
 	Stats *plan.Stats
@@ -68,10 +65,8 @@ type Options struct {
 	// the scan, so everything flushes only at the end (ablation knob:
 	// it isolates the memory benefit of the paper's early flushing).
 	DisableEarlyFlush bool
-	// ParallelSort sorts run files on SortWorkers goroutines during
-	// the sort phase.
-	ParallelSort bool
-	// SortWorkers bounds the parallel sort (0 = GOMAXPROCS).
+	// SortWorkers, when above 1, sorts and writes run files on that many
+	// goroutines during the sort phase.
 	SortWorkers int
 	// Recorder, if non-nil, receives the run's phase spans
 	// (sort/runs, scan, finalize) and the standard engine
@@ -453,23 +448,13 @@ func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.AssumeSorted {
-		r, err := scan.Open(factPath, scan.Options{BatchBytes: opts.ReadBatchBytes, Guard: opts.Guard})
-		if err != nil {
-			return nil, err
-		}
-		defer r.Close()
-		// Caller-sorted input only promises the plan key.
-		return runSorted(c, pl, r, opts.DisableEarlyFlush, false, rec, opts.Guard)
-	}
 	sortSpan := rec.Start(obs.SpanSort)
 	defer sortSpan.End()
 	sortSpan.SetAttr("key", pl.SortKey.String(c.Schema))
 	sorted, err := scan.SortByKey(factPath, c.Schema, pl.SortKey, nil, 1, scan.SortOptions{
 		ChunkRecords: opts.ChunkRecords, TempDir: opts.TempDir,
-		Parallel: opts.ParallelSort, Workers: opts.SortWorkers,
-		BatchBytes: opts.ReadBatchBytes,
-		Recorder:   rec.At(sortSpan), Guard: opts.Guard,
+		Workers: opts.SortWorkers, BatchBytes: opts.ReadBatchBytes,
+		Recorder: rec.At(sortSpan), Guard: opts.Guard,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sortscan: sort: %w", err)

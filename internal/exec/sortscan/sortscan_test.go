@@ -197,35 +197,6 @@ func TestRunFullPath(t *testing.T) {
 	}
 }
 
-// TestAssumeSorted skips the sort phase for pre-sorted input.
-func TestAssumeSorted(t *testing.T) {
-	s := netSchema(t)
-	c := smaxWorkflow(t, s)
-	recs := netRecords(800, 8)
-	day, _ := s.Dim(0).LevelByName("Day")
-	key := model.SortKey{{Dim: 0, Lvl: day}, {Dim: 2, Lvl: 0}}
-	nk, _ := key.Normalize(s)
-	storage.SortRecords(recs, func(a, b *model.Record) bool { return nk.RecordLess(s, a, b) })
-	dir := t.TempDir()
-	fact := filepath.Join(dir, "fact.rec")
-	if err := storage.WriteAll(fact, 4, 0, recs); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(c, fact, Options{SortKey: key, AssumeSorted: true, TempDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.SortTime != 0 {
-		t.Errorf("AssumeSorted still sorted: %v", res.Stats.SortTime)
-	}
-	want := run(t, c, recs, key)
-	for name, tbl := range res.Tables {
-		if !tbl.Equal(want.Tables[name], 0) {
-			t.Errorf("measure %s differs", name)
-		}
-	}
-}
-
 // TestBadSortKeyRejected propagates plan validation.
 func TestBadSortKeyRejected(t *testing.T) {
 	s := netSchema(t)

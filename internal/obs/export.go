@@ -2,12 +2,10 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -259,58 +257,6 @@ func fmtPromValue(v float64) string {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)
-}
-
-// expvarView adapts a Recorder to the expvar.Var interface: String
-// returns the JSON snapshot, so `expvar.Publish("awra", rec.Expvar())`
-// exposes the live registry at /debug/vars.
-type expvarView struct {
-	r *Recorder
-}
-
-func (v expvarView) String() string {
-	b, err := json.Marshal(v.r.Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
-}
-
-// Expvar returns an expvar-compatible live view of the recorder.
-func (r *Recorder) Expvar() expvar.Var { return expvarView{r: r} }
-
-var publishMu sync.Mutex
-
-// Publish registers the recorder's live view under the given expvar
-// name. Unlike expvar.Publish it tolerates re-publishing the same
-// name (the view is replaced). Nil-safe.
-func (r *Recorder) Publish(name string) {
-	if r == nil {
-		return
-	}
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if v := expvar.Get(name); v != nil {
-		if holder, ok := v.(*replaceableVar); ok {
-			holder.mu.Lock()
-			holder.v = r.Expvar()
-			holder.mu.Unlock()
-			return
-		}
-		return // name taken by someone else; leave it
-	}
-	expvar.Publish(name, &replaceableVar{v: r.Expvar()})
-}
-
-type replaceableVar struct {
-	mu sync.Mutex
-	v  expvar.Var
-}
-
-func (rv *replaceableVar) String() string {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	return rv.v.String()
 }
 
 // FormatTree renders the span tree with durations and per-phase

@@ -2,8 +2,8 @@
 // every evaluator: hierarchical spans covering the query lifecycle
 // (query -> optimize -> sort -> runs/merge -> scan -> finalize ->
 // combine), a registry of named counters and gauges, and exporters
-// (JSON snapshot, Prometheus text format, expvar view, and a
-// human-readable span tree).
+// (JSON snapshot, Prometheus text format, and a human-readable span
+// tree).
 //
 // The paper's evaluation (Section 7) is built on per-phase costs —
 // sort vs. scan time, live-cell footprint, early-flush effectiveness —

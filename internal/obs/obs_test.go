@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -145,7 +144,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil WritePrometheus wrote %q (err %v)", sb.String(), err)
 	}
-	r.Publish("nil-recorder") // must not panic
 }
 
 func TestAtSharesRegistry(t *testing.T) {
@@ -225,26 +223,6 @@ func TestFormatTree(t *testing.T) {
 	sLine := strings.Index(tree, SpanSort)
 	if qLine > sLine {
 		t.Fatalf("child printed before parent:\n%s", tree)
-	}
-}
-
-func TestExpvarPublish(t *testing.T) {
-	r := New()
-	r.Counter("published").Add(1)
-	r.Publish("awra-test")
-	v := expvar.Get("awra-test")
-	if v == nil {
-		t.Fatal("expvar name not registered")
-	}
-	if !strings.Contains(v.String(), `"published":1`) {
-		t.Fatalf("expvar view = %s", v.String())
-	}
-	// Re-publishing a new recorder must replace, not panic.
-	r2 := New()
-	r2.Counter("published").Add(7)
-	r2.Publish("awra-test")
-	if !strings.Contains(expvar.Get("awra-test").String(), `"published":7`) {
-		t.Fatalf("republish did not replace view: %s", expvar.Get("awra-test").String())
 	}
 }
 

@@ -639,7 +639,7 @@ func (s *Server) recordServed(req QueryRequest, reqID, traceID, factPath string,
 	outcome := aw.OutcomeCacheHit
 	errMsg := ""
 	if servedFrom == "shared" {
-		outcome, errMsg = servedOutcome(runErr)
+		outcome, errMsg = aw.OutcomeOf(runErr)
 	}
 	label := strings.Join(parsed.Compiled.Outputs(), ",")
 	rec := &aw.HistoryRecord{
@@ -668,21 +668,6 @@ func (s *Server) recordServed(req QueryRequest, reqID, traceID, factPath string,
 		ServedFrom:    servedFrom,
 		SourceTraceID: sourceTrace,
 	})
-}
-
-// servedOutcome classifies a shared run's error for a follower's
-// synthesized history record, mirroring aw's own outcome mapping.
-func servedOutcome(err error) (string, string) {
-	switch {
-	case err == nil:
-		return aw.OutcomeOK, ""
-	case errors.Is(err, aw.ErrCanceled), errors.Is(err, aw.ErrDeadlineExceeded):
-		return aw.OutcomeCanceled, err.Error()
-	case errors.Is(err, aw.ErrBudgetExceeded):
-		return aw.OutcomeBudget, err.Error()
-	default:
-		return aw.OutcomeError, err.Error()
-	}
 }
 
 // handleCache serves the result cache's state at /debug/aw/cache.
