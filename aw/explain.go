@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"awra/internal/exec/multipass"
-	"awra/internal/obs"
 	"awra/internal/opt"
 	"awra/internal/plan"
 )
@@ -110,42 +109,34 @@ func ExplainFor(c *Compiled, in Input, opts ...QueryOptions) (*Profile, error) {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	engine := o.Engine
 	st := planStats(c, in, &o)
 	p := &Profile{}
-	if engine == EngineAuto {
-		d, err := opt.Choose(c, st, float64(o.MemoryBudget), nil)
-		if err != nil {
+	if o.Engine == EngineAuto {
+		// No input at all (Explain) describes a file run: what awquery
+		// -explain without -data means.
+		if err := p.resolveAuto(c, st, &o, in.path != "" || in.recs == nil); err != nil {
 			return nil, err
 		}
-		p.Strategy = d.Strategy.String()
-		p.SingleScanBytes = d.SingleScanBytes
-		p.SortScanBytes = d.SortScanBytes
-		switch d.Strategy {
-		case opt.StrategySingleScan:
-			engine = EngineSingleScan
-		case opt.StrategySortScan:
-			engine = EngineSortScan
-			if o.SortKey == nil {
-				o.SortKey = d.Key
-			}
-			if o.Parallelism > 1 {
-				if nk, err := SortKey(o.SortKey).Normalize(c.Schema); err == nil {
-					if _, err := opt.ShardPrefix(c, nk); err == nil {
-						engine = EngineShardScan
-					}
-				}
-			}
-		default:
-			engine = EngineMultiPass
-		}
 	}
-	o.Engine = engine
-	p.Engine = engine.String()
+	p.Engine = o.Engine.String()
 	if err := buildEstimates(c, &o, st, p); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// resolveAuto resolves EngineAuto in o exactly as a run would
+// (resolveAuto in run.go) and records the Section 6 decision inputs in
+// the profile's headline.
+func (p *Profile) resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions, file bool) error {
+	d, err := resolveAuto(c, st, o, file, nil)
+	if err != nil {
+		return err
+	}
+	p.Strategy = d.Strategy.String()
+	p.SingleScanBytes = d.SingleScanBytes
+	p.SortScanBytes = d.SortScanBytes
+	return nil
 }
 
 // buildEstimates fills p.Nodes (and the key/footprint headline fields)
@@ -299,33 +290,21 @@ func ExplainAnalyzeCompiled(ctx context.Context, c *Compiled, in Input, opts ...
 	// Rebuild the estimate view under the engine that actually ran, then
 	// overlay the recorder's per-node actuals.
 	eo := o
-	eo.Engine = engine
 	p := &Profile{Engine: engine.String(), Analyzed: true}
 	if o.Engine == EngineAuto {
-		if d, err := opt.Choose(c, st, float64(o.MemoryBudget), nil); err == nil {
-			p.Strategy = d.Strategy.String()
-			p.SingleScanBytes = d.SingleScanBytes
-			p.SortScanBytes = d.SortScanBytes
-		}
+		// The run succeeded, so the decision it resolved does too.
+		_ = p.resolveAuto(c, st, &eo, in.path != "")
 	}
+	eo.Engine = engine
 	if err := buildEstimates(c, &eo, st, p); err != nil {
 		return nil, err
 	}
 	snap := o.Recorder.Snapshot()
 	p.Counters, p.Gauges = snap.Counters, snap.Gauges
-	byName := make(map[string]*obs.NodeStats, len(snap.Nodes))
-	for i := range snap.Nodes {
-		byName[snap.Nodes[i].Node] = &snap.Nodes[i]
-	}
+	actual := nodeActuals(snap.Nodes)
 	for i := range p.Nodes {
-		ns := byName[p.Nodes[i].Name]
-		if ns == nil && strings.HasPrefix(p.Nodes[i].Name, "__") {
-			// Multipass re-declares hidden bases under an exported name.
-			ns = byName["hidden"+p.Nodes[i].Name[2:]]
-		}
-		if ns != nil {
-			cp := *ns
-			p.Nodes[i].Actual = &cp
+		if ns, ok := actual[p.Nodes[i].Name]; ok {
+			p.Nodes[i].Actual = &ns
 		}
 	}
 	return &Result{Tables: tables, Profile: p}, nil

@@ -28,6 +28,50 @@ func profileWorkflow(t *testing.T, s *aw.Schema) *aw.Workflow {
 		Rollup("dayCount", gDay, "srcDay", aw.Count)
 }
 
+// TestExplainAutoNamesTheEngineThatRuns: EngineAuto with Parallelism 2
+// over in-memory records runs serial sort/scan (shardscan needs a
+// file); EXPLAIN must predict that, while a plain Explain with no input
+// keeps describing a file run.
+func TestExplainAutoNamesTheEngineThatRuns(t *testing.T) {
+	s := attackSchema(t)
+	gT, err := s.MakeGran(map[string]string{"t": "Second"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gU, err := s.MakeGran(map[string]string{"U": "IP"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := aw.NewWorkflow(s).Basic("mT", gT, aw.Count, -1).Basic("mU", gU, aw.Count, -1).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := aw.QueryOptions{
+		ExecOptions: aw.ExecOptions{Engine: aw.EngineAuto, Parallelism: 2},
+		TempDir:     t.TempDir(),
+		BaseCards:   []float64{1.5e7, 1.5e7, 1, 1},
+	}
+	in := aw.FromRecords(attackRecords(3000, 24))
+	predicted, err := aw.ExplainFor(c, in, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran, err := aw.ExplainAnalyzeCompiled(context.Background(), c, in, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if predicted.Engine != ran.Profile.Engine || predicted.Strategy != ran.Profile.Strategy {
+		t.Fatalf("EXPLAIN predicted %s (%s), the run used %s (%s)",
+			predicted.Engine, predicted.Strategy, ran.Profile.Engine, ran.Profile.Strategy)
+	}
+	if ran.Profile.Engine != "sortscan" {
+		t.Fatalf("in-memory auto run used %s, want sortscan", ran.Profile.Engine)
+	}
+	if file, err := aw.Explain(c, o); err != nil || file.Engine != "shardscan" {
+		t.Fatalf("Explain without input = %v (err %v), want the file run's shardscan", file, err)
+	}
+}
+
 func TestExplainEstimates(t *testing.T) {
 	s := attackSchema(t)
 	c, err := profileWorkflow(t, s).Compile()

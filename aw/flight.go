@@ -1,22 +1,19 @@
 package aw
 
 import (
-	"encoding/json"
 	"io"
 
-	"awra/internal/obs"
 	"awra/internal/obs/flight"
-	"awra/internal/qlog"
 )
 
 // Flight-recorder surface of the public API. Every Run/RunCompiled
-// commits its finished trace — span tree, per-node profile, guard
-// stats, retry-attempt chain — into the process-global flight ring
-// under ExecOptions.TraceID (generated when empty). Pinned traces
-// (errors, cancellations, budget trips, retries, slow queries) are
-// additionally persisted into the history directory's traces log when
-// the run carries a History, so slow-query post-mortems survive
-// restarts.
+// commits its finished attempt's record — span tree, per-node profile,
+// guard stats — into the process-global flight ring under
+// ExecOptions.TraceID (generated when empty); attempts sharing a trace
+// ID form one trace's retry chain. When the run carries a History, a
+// pinned attempt's history line (errors, cancellations, budget trips,
+// retries, slow queries) keeps its span tree, so slow-query
+// post-mortems survive restarts.
 
 // FlightTrace is one completed query's flight-recorder entry.
 type FlightTrace = flight.Trace
@@ -60,79 +57,4 @@ func WriteSlowJSON(w io.Writer, n int) error { return flight.Default.WriteSlowJS
 // the ID is not retained.
 func WriteTraceJSON(w io.Writer, id string) (found bool, err error) {
 	return flight.Default.WriteTraceJSON(w, id)
-}
-
-// commitFlightTrace folds one finished run into the flight ring as a
-// single attempt (the ring merges attempts sharing a trace ID), then
-// persists the merged trace through the run's History when the ring
-// pinned it. Re-persisting on every pinned commit means the trace
-// log's last line for an ID carries the full attempt chain, and replay
-// (last word wins) restores it whole.
-func commitFlightTrace(o *QueryOptions, rec *HistoryRecord, span *obs.SpanSnapshot) {
-	t := &flight.Trace{
-		ID:         o.TraceID,
-		Time:       rec.Time,
-		RequestID:  rec.RequestID,
-		Label:      rec.Label,
-		Engine:     rec.Engine,
-		SortKey:    rec.SortKey,
-		Outcome:    rec.Outcome,
-		Error:      rec.Error,
-		DurationUs: rec.DurationUs,
-		Attempts: []flight.Attempt{{
-			Engine:     rec.Engine,
-			Outcome:    rec.Outcome,
-			Error:      rec.Error,
-			DurationUs: rec.DurationUs,
-			Guard: flight.GuardStats{
-				ResultRows:  rec.ResultRows,
-				SpillBytes:  rec.SpillBytes,
-				CorruptRows: rec.CorruptRows,
-			},
-			Nodes: rec.Nodes,
-			Span:  span,
-		}},
-	}
-	merged, pinned := flight.Default.Commit(t)
-	if pinned && o.History != nil {
-		_ = o.History.AppendTrace(&merged)
-	}
-}
-
-// tracesLogName is the base name of the pinned-trace log inside a
-// history directory (traces.jsonl beside history.jsonl).
-const tracesLogName = "traces"
-
-// AppendTrace persists one pinned flight trace into the history
-// directory's traces log. Nil-safe (drops the trace). Best effort at
-// the call sites — a full disk must not fail a finished query.
-func (h *History) AppendTrace(t *FlightTrace) error {
-	if h == nil || t == nil {
-		return nil
-	}
-	h.mu.Lock()
-	tl := h.traces
-	h.mu.Unlock()
-	if tl == nil {
-		return nil
-	}
-	b, err := json.Marshal(t)
-	if err != nil {
-		return err
-	}
-	return tl.AppendJSON(b)
-}
-
-// replayTraces restores the traces log into the flight ring so pinned
-// traces — slow queries especially — survive restarts. Later lines for
-// the same trace ID supersede earlier ones.
-func replayTraces(dir string) {
-	_, _ = qlog.ReplayLines(dir, tracesLogName, func(line []byte) bool {
-		t := &flight.Trace{}
-		if json.Unmarshal(line, t) != nil {
-			return false
-		}
-		flight.Default.Restore(t)
-		return true
-	})
 }

@@ -1,9 +1,10 @@
 package aw_test
 
 // Flight-recorder behavior at the library layer: every run commits a
-// trace under its (given or generated) trace ID, pinned traces persist
-// into the history directory's traces log, and replay on open restores
-// them — slow-query post-mortems survive restarts.
+// trace under its (given or generated) trace ID, a pinned attempt's
+// history line carries its span tree, and replay on open restores the
+// trace from the one history log — slow-query post-mortems survive
+// restarts.
 
 import (
 	"bytes"
@@ -66,20 +67,29 @@ func TestFlightTraceCommittedAndPersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The pinned trace was persisted beside the run log.
-	b, err := os.ReadFile(filepath.Join(dir, "traces.jsonl"))
+	// The pinned attempt's history line carries its span tree, and the
+	// history directory holds that one log.
+	b, err := os.ReadFile(filepath.Join(dir, "history.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(b, []byte(tid)) {
-		t.Fatalf("traces.jsonl does not contain trace %s", tid)
+	if !bytes.Contains(b, []byte(tid)) || !bytes.Contains(b, []byte(`"span":{`)) {
+		t.Fatalf("history.jsonl lacks trace %s with its span:\n%s", tid, b)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "history.jsonl" {
+		t.Fatalf("history directory holds %v, want history.jsonl alone", ents)
 	}
 
 	// "Restart": the process-global ring has never seen tid2, so finding
-	// it after reopening proves the traces log was replayed. (Rewriting
-	// the ID simulates an entry from a previous process's lifetime.)
+	// it after reopening proves the history log was replayed into the
+	// ring. (Rewriting the ID simulates an entry from a previous
+	// process's lifetime.)
 	tid2 := aw.NewTraceID()
-	if err := os.WriteFile(filepath.Join(dir, "traces.jsonl"),
+	if err := os.WriteFile(filepath.Join(dir, "history.jsonl"),
 		bytes.ReplaceAll(b, []byte(tid), []byte(tid2)), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +104,41 @@ func TestFlightTraceCommittedAndPersisted(t *testing.T) {
 	}
 	if !got.Pinned || got.RequestID != "req-flight" || len(got.Attempts) != 1 {
 		t.Fatalf("restored trace = %+v", got)
+	}
+	if att := got.Attempts[0]; att.Span == nil || len(att.Nodes) == 0 || att.Outcome != aw.OutcomeBudget {
+		t.Fatalf("restored attempt lost its span, profile or outcome: %+v", att)
+	}
+}
+
+// TestUnpinnedRunLogsNoSpan: a healthy, fast run's history line carries
+// no span tree — only pinned attempts pay for persisting one.
+func TestUnpinnedRunLogsNoSpan(t *testing.T) {
+	s := attackSchema(t)
+	fact := writeAttackFact(t, attackRecords(500, 44))
+	dir := t.TempDir()
+	h, err := aw.OpenHistory(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An operator threshold no run reaches keeps the slow pin out of play.
+	aw.SetSlowThresholdUs(1 << 50)
+	defer aw.SetSlowThresholdUs(0)
+	tid := aw.NewTraceID()
+	if _, err := aw.Run(context.Background(), busyWorkflow(t, s, 1), aw.FromFile(fact), aw.QueryOptions{
+		ExecOptions: aw.ExecOptions{History: h, TraceID: tid},
+		TempDir:     filepath.Dir(fact),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "history.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(b, []byte(tid)) || bytes.Contains(b, []byte(`"span"`)) {
+		t.Fatalf("unpinned run's line must name its trace and carry no span:\n%s", b)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"awra/internal/obs"
+	"awra/internal/obs/flight"
 	"awra/internal/qguard"
 	"awra/internal/qlog"
 )
@@ -39,8 +40,11 @@ const (
 const historyRecent = 512
 
 // History is the persistent query-history subsystem: an append-only
-// JSONL log of completed runs, a measured-statistics store derived
-// from it, and latency/throughput histograms aggregated across runs.
+// JSONL log of finished query attempts, a measured-statistics store
+// derived from it, and latency/throughput histograms aggregated across
+// runs. The log is also the flight recorder's persistence: a pinned
+// attempt's line carries its span tree, and OpenHistory restores those
+// attempt chains into the flight ring.
 //
 // Open it once per process (OpenHistory) and share it through
 // ExecOptions.History: every Run/RunCompiled completion — success,
@@ -52,12 +56,8 @@ const historyRecent = 512
 // All methods are safe for concurrent use; a nil *History disables
 // history without branching at call sites.
 type History struct {
-	log *qlog.Log
-	// traces is the pinned-trace sibling log (traces.jsonl): full
-	// flight-recorder entries for errored, retried, budget-tripped, and
-	// slow queries, replayed into the flight ring on open.
-	traces *qlog.Log
-	store  *qlog.Store
+	log   *qlog.Log
+	store *qlog.Store
 	// rec aggregates the cross-run histograms (query/phase latency,
 	// rows/sec); replayed on open so percentiles survive restarts.
 	rec *obs.Recorder
@@ -68,29 +68,38 @@ type History struct {
 }
 
 // OpenHistory opens (creating if needed) a history directory and
-// replays its log: the measured-statistics store, the recent-run ring,
-// and the latency histograms all resume where the last process left
-// off.
+// replays its log once: the measured-statistics store, the recent-run
+// ring, and the latency histograms all resume where the last process
+// left off, and pinned traces return to the flight ring, so
+// /debug/aw/traces/{id} answers for past slow or failed queries at
+// once. The separate pinned-trace log older builds kept beside it is
+// neither read nor deleted.
 func OpenHistory(dir string) (*History, error) {
 	l, err := qlog.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	tl, err := qlog.OpenNamed(dir, tracesLogName)
-	if err != nil {
+	h := &History{log: l, store: qlog.NewStore(), rec: obs.New()}
+	// Span-bearing lines are pinned attempts: group them by trace ID
+	// into attempt chains, oldest first, and restore each chain whole.
+	chains := map[string][]HistoryRecord{}
+	var order []string
+	if _, err := qlog.Replay(dir, func(r *HistoryRecord) {
+		if r.Span != nil && r.TraceID != "" {
+			if _, seen := chains[r.TraceID]; !seen {
+				order = append(order, r.TraceID)
+			}
+			chains[r.TraceID] = append(chains[r.TraceID], *r)
+			r.Span = nil
+		}
+		h.absorb(r)
+	}); err != nil {
 		l.Close()
 		return nil, err
 	}
-	h := &History{log: l, traces: tl, store: qlog.NewStore(), rec: obs.New()}
-	if _, err := qlog.Replay(dir, func(r *HistoryRecord) { h.absorb(r) }); err != nil {
-		l.Close()
-		tl.Close()
-		return nil, err
+	for _, id := range order {
+		flight.Default.Restore(chains[id])
 	}
-	// Pinned flight traces survive restarts: restore them into the
-	// in-memory ring so /debug/aw/traces/{id} answers for past slow or
-	// failed queries immediately.
-	replayTraces(dir)
 	return h, nil
 }
 
@@ -129,16 +138,29 @@ func (h *History) absorb(r *HistoryRecord) {
 	}
 }
 
-// Append persists one record and folds it into the in-memory views.
-// Nil-safe (drops the record).
+// Append is the one finisher of a query attempt. It commits r to the
+// flight recorder under r.TraceID — on a nil History too — then
+// persists r as one history line and folds it into the in-memory
+// views. The line keeps r's span tree only when the recorder pinned the
+// trace, so healthy runs log no spans while pinned traces survive a
+// restart; the in-memory views keep none. Append owns r. Callers treat
+// it as best effort: a full disk must not fail a finished query.
 func (h *History) Append(r *HistoryRecord) error {
-	if h == nil || r == nil {
+	if r == nil {
 		return nil
 	}
 	if r.Time.IsZero() {
 		r.Time = time.Now()
 	}
+	pinned := flight.Default.Commit(r)
+	if h == nil {
+		return nil
+	}
+	if !pinned {
+		r.Span = nil
+	}
 	err := h.log.Append(r)
+	r.Span = nil
 	h.absorb(r)
 	return err
 }
@@ -151,18 +173,12 @@ func (h *History) Dir() string {
 	return h.log.Dir()
 }
 
-// Close closes the underlying logs. Nil-safe.
+// Close closes the underlying log. Nil-safe.
 func (h *History) Close() error {
 	if h == nil {
 		return nil
 	}
-	err := h.log.Close()
-	if h.traces != nil {
-		if terr := h.traces.Close(); err == nil {
-			err = terr
-		}
-	}
-	return err
+	return h.log.Close()
 }
 
 // Len returns the total number of records seen (replayed plus
@@ -331,9 +347,9 @@ func OutcomeOf(err error) (outcome, msg string) {
 	}
 }
 
-// buildRecord assembles the history record for one finished run from
-// the query span's subtree, the guard's resource stats, and the
-// recorder's per-node actuals.
+// buildRecord assembles the record of one finished attempt from the
+// query span's subtree, the guard's resource stats, and the recorder's
+// per-node actuals.
 func buildRecord(c *Compiled, in Input, o *QueryOptions, g *qguard.Guard, qSpan *obs.Span, engine Engine, runErr error) *HistoryRecord {
 	rec := &HistoryRecord{
 		Time:         time.Now(),
@@ -349,6 +365,7 @@ func buildRecord(c *Compiled, in Input, o *QueryOptions, g *qguard.Guard, qSpan 
 		rec.DurationUs = snap.DurationUs
 		rec.SortKey = snap.Attrs["sort_key"]
 		rec.Phases = phaseDurations(snap)
+		rec.Span = snap
 	}
 	if g != nil {
 		gs := g.Stats()
@@ -362,33 +379,28 @@ func buildRecord(c *Compiled, in Input, o *QueryOptions, g *qguard.Guard, qSpan 
 	// so the measured store can feed later plans. Estimate provenance
 	// mirrors what plan.Build decided for this run.
 	st := planStats(c, in, o)
-	byName := map[string]*obs.NodeStats{}
-	nodes := o.Recorder.NodeStats()
-	for i := range nodes {
-		byName[nodes[i].Node] = &nodes[i]
-	}
+	actual := nodeActuals(o.Recorder.NodeStats())
 	for i, m := range c.Measures {
-		ns := byName[m.Name]
-		if ns == nil && strings.HasPrefix(m.Name, "__") {
-			// Multipass re-declares hidden bases under an exported name.
-			ns = byName["hidden"+m.Name[2:]]
-		}
-		np := qlog.NodeProfile{Node: m.Name, Sig: c.NodeSignature(i), EstSource: st.SourceLabel()}
+		np := qlog.NodeProfile{NodeStats: actual[m.Name], Sig: c.NodeSignature(i), EstSource: st.SourceLabel()}
+		np.Node = m.Name
 		if st.Measured != nil {
 			if _, ok := st.Measured(np.Sig); ok {
 				np.EstSource = SourceMeasured
 			}
 		}
-		if ns != nil {
-			np.EstCells = ns.EstCells
-			np.CellsFinalized = ns.CellsFinalized
-			np.LiveCellsHWM = ns.LiveCellsHWM
-			np.RecordsIn = ns.RecordsIn
-			np.RecordsOut = ns.RecordsOut
-		}
 		rec.Nodes = append(rec.Nodes, np)
 	}
 	return rec
+}
+
+// nodeActuals indexes the per-node stats the engines published by node
+// name — the workflow's own measure names, hidden bases included.
+func nodeActuals(nodes []obs.NodeStats) map[string]obs.NodeStats {
+	out := make(map[string]obs.NodeStats, len(nodes))
+	for _, ns := range nodes {
+		out[ns.Node] = ns
+	}
+	return out
 }
 
 // phaseDurations flattens the query span's subtree into summed

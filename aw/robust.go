@@ -60,11 +60,13 @@ func Run(ctx context.Context, w *Workflow, in Input, opts ...QueryOptions) (Resu
 		// Compile failures never reach the engine (or the in-flight
 		// registry), but the history must not have silent gaps: record
 		// the rejection with what little identity the inputs give us.
-		if len(opts) > 0 && opts[0].History != nil {
-			opts[0].History.Append(&HistoryRecord{
-				RequestID:    opts[0].RequestID,
+		if len(opts) > 0 {
+			o := opts[0]
+			_ = o.History.Append(&HistoryRecord{
+				RequestID:    o.RequestID,
+				TraceID:      o.TraceID,
 				CollectionFP: collectionFingerprint(in),
-				Engine:       opts[0].Engine.String(),
+				Engine:       o.Engine.String(),
 				Outcome:      OutcomeError,
 				Error:        err.Error(),
 			})
@@ -160,15 +162,11 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 		}
 		qSpan.End()
 		reportOutcome(o.Recorder, g, err)
-		rec := buildRecord(c, in, &o, g, qSpan, engine, err)
-		if o.History != nil {
-			// Best effort: a full disk must not turn a finished query
-			// into a failure.
-			_ = o.History.Append(rec)
-		}
-		// Commit the finished attempt into the flight recorder (one
-		// trace per trace ID; serve-layer retries merge as attempts).
-		commitFlightTrace(&o, rec, qSpan.Snapshot())
+		// One record per finished attempt: the flight recorder chains it
+		// under the trace ID (serve-layer retries share theirs) and the
+		// history logs it. Best effort: a full disk must not turn a
+		// finished query into a failure.
+		_ = o.History.Append(buildRecord(c, in, &o, g, qSpan, engine, err))
 	}()
 
 	if o.AutoStats {

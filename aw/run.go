@@ -327,6 +327,39 @@ func planStats(c *Compiled, in Input, o *QueryOptions) *plan.Stats {
 	return st
 }
 
+// resolveAuto applies the paper's Section 6 decision procedure to an
+// EngineAuto query, rewriting o.Engine — and o.SortKey, when sort/scan
+// wins and none was given — to the engine that will run. With
+// Parallelism > 1, a sort/scan decision over a file input upgrades to
+// the sharded engine when the workflow splits safely by the sort key's
+// leading part; otherwise it stays serial rather than fail. Runs and
+// EXPLAIN both resolve here, so EXPLAIN names the engine a run uses.
+func resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions, file bool, rec *Recorder) (opt.Decision, error) {
+	d, err := opt.Choose(c, st, float64(o.MemoryBudget), rec)
+	if err != nil {
+		return d, err
+	}
+	switch d.Strategy {
+	case opt.StrategySingleScan:
+		o.Engine = EngineSingleScan
+	case opt.StrategySortScan:
+		o.Engine = EngineSortScan
+		if o.SortKey == nil {
+			o.SortKey = d.Key
+		}
+		if o.Parallelism > 1 && file {
+			if nk, err := SortKey(o.SortKey).Normalize(c.Schema); err == nil {
+				if _, err := opt.ShardPrefix(c, nk); err == nil {
+					o.Engine = EngineShardScan
+				}
+			}
+		}
+	default:
+		o.Engine = EngineMultiPass
+	}
+	return d, nil
+}
+
 // runEngines dispatches one evaluation attempt to the selected engine
 // under the given guard and query span, returning the engine that
 // actually ran (the EngineAuto decision resolved).
@@ -352,31 +385,10 @@ func runEngines(c *Compiled, in Input, o QueryOptions, st *plan.Stats, g *qguard
 
 	if o.Engine == EngineAuto {
 		optSpan := qrec.Start(obs.SpanOptimize)
-		d, err := opt.Choose(c, st, float64(o.MemoryBudget), qrec.At(optSpan))
+		_, err := resolveAuto(c, st, &o, in.path != "", qrec.At(optSpan))
 		optSpan.End()
 		if err != nil {
 			return nil, o.Engine, err
-		}
-		switch d.Strategy {
-		case opt.StrategySingleScan:
-			o.Engine = EngineSingleScan
-		case opt.StrategySortScan:
-			o.Engine = EngineSortScan
-			if o.SortKey == nil {
-				o.SortKey = d.Key
-			}
-			// With parallelism requested, upgrade to the sharded engine
-			// when the workflow splits safely by the sort key's leading
-			// part; otherwise stay serial rather than fail.
-			if o.Parallelism > 1 && in.path != "" {
-				if nk, err := SortKey(o.SortKey).Normalize(c.Schema); err == nil {
-					if _, err := opt.ShardPrefix(c, nk); err == nil {
-						o.Engine = EngineShardScan
-					}
-				}
-			}
-		default:
-			o.Engine = EngineMultiPass
 		}
 	}
 

@@ -140,6 +140,29 @@ func (c *Compiled) Index(name string) (int, error) {
 // declaration order.
 func (c *Compiled) Outputs() []string { return c.outputs }
 
+// Basics returns the workflow of the named basic measures alone, each
+// an output under its own name — hidden bases included, so their
+// tables and published node stats keep the names this workflow uses.
+// Multi-pass evaluation runs one such workflow per pass.
+func (c *Compiled) Basics(names []string) (*Compiled, error) {
+	sub := &Compiled{Schema: c.Schema, byName: make(map[string]int, len(names))}
+	for _, name := range names {
+		m, err := c.MeasureByName(name)
+		if err != nil {
+			return nil, err
+		}
+		if m.Kind != KindBasic {
+			return nil, fmt.Errorf("core: measure %q is not a basic measure", name)
+		}
+		b := *m
+		b.Hidden = false
+		sub.byName[name] = len(sub.Measures)
+		sub.Measures = append(sub.Measures, &b)
+		sub.outputs = append(sub.outputs, name)
+	}
+	return sub, nil
+}
+
 // Dependents returns, for each measure index, the indices of measures
 // that consume its values (including as base).
 func (c *Compiled) Dependents() [][]int {

@@ -187,21 +187,9 @@ func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
 		if err := opts.Guard.Err(); err != nil {
 			return nil, err
 		}
-		// Build the pass sub-workflow: just this pass's basic
-		// measures, re-declared over the same schema.
-		w := core.NewWorkflow(c.Schema)
-		for _, name := range p.Measures {
-			m, err := c.MeasureByName(name)
-			if err != nil {
-				return nil, err
-			}
-			var mopts []core.MeasureOpt
-			if m.Filter != nil {
-				mopts = append(mopts, core.Where(*m.Filter))
-			}
-			w.Basic(exportName(name), m.Gran, m.Agg, m.FactMeasure, mopts...)
-		}
-		sub, err := w.Compile()
+		// The pass sub-workflow: just this pass's basic measures, under
+		// their own names so tables and node stats match the workflow's.
+		sub, err := c.Basics(p.Measures)
 		if err != nil {
 			return nil, fmt.Errorf("multipass: pass workflow: %w", err)
 		}
@@ -209,13 +197,13 @@ func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
 		passSpan.SetAttr("pass", fmt.Sprint(pi))
 		passSpan.SetAttr("key", p.SortKey.String(c.Schema))
 		pr, err := sortscan.Run(sub, factPath, sortscan.Options{
-			SortKey:      p.SortKey,
-			TempDir:      opts.TempDir,
-			ChunkRecords: opts.ChunkRecords,
+			SortKey:        p.SortKey,
+			TempDir:        opts.TempDir,
+			ChunkRecords:   opts.ChunkRecords,
 			ReadBatchBytes: opts.ReadBatchBytes,
-			Stats:        opts.Stats,
-			Recorder:     orec.At(passSpan),
-			Guard:        opts.Guard,
+			Stats:          opts.Stats,
+			Recorder:       orec.At(passSpan),
+			Guard:          opts.Guard,
 		})
 		passSpan.End()
 		if err != nil {
@@ -232,7 +220,7 @@ func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			tables[i] = pr.Tables[exportName(name)]
+			tables[i] = pr.Tables[name]
 		}
 	}
 
@@ -276,13 +264,4 @@ func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
 		res.Tables[name] = tables[i]
 	}
 	return res, nil
-}
-
-// exportName works around the reserved "__" prefix for hidden base
-// measures when re-declaring them in a pass sub-workflow.
-func exportName(name string) string {
-	if len(name) >= 2 && name[:2] == "__" {
-		return "hidden" + name[2:]
-	}
-	return name
 }

@@ -3,11 +3,13 @@ package multipass
 import (
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"awra/internal/agg"
 	"awra/internal/core"
 	"awra/internal/model"
+	"awra/internal/obs"
 	"awra/internal/plan"
 	"awra/internal/storage"
 )
@@ -131,14 +133,50 @@ func TestRunCleansUpAndReports(t *testing.T) {
 	}
 }
 
-func TestExportName(t *testing.T) {
-	if exportName("__base(t:Hour)") != "hidden"+"base(t:Hour)" {
-		t.Errorf("exportName hidden = %q", exportName("__base(t:Hour)"))
+// TestRunPublishesHiddenBasesUnderTheirOwnNames: a pass evaluates a
+// hidden base under the name the workflow gives it, so its node stats
+// line up with the workflow's measures and no "hidden…" alias appears.
+func TestRunPublishesHiddenBasesUnderTheirOwnNames(t *testing.T) {
+	s := schema3(t)
+	all := model.LevelALL
+	c, err := core.NewWorkflow(s).
+		Basic("byA1", model.Gran{1, all, all}, agg.Count, -1).
+		FromParent("down", model.Gran{0, all, all}, "byA1", agg.Sum).
+		Compile()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if exportName("plain") != "plain" {
-		t.Errorf("exportName plain = %q", exportName("plain"))
+	var base string
+	for _, m := range c.Measures {
+		if m.Hidden {
+			base = m.Name
+		}
 	}
-	if exportName("_") != "_" {
-		t.Errorf("exportName short = %q", exportName("_"))
+	if base == "" {
+		t.Fatal("workflow synthesized no hidden base")
+	}
+	dir := t.TempDir()
+	fact := filepath.Join(dir, "fact.rec")
+	recs := []model.Record{{Dims: []int64{1, 2, 3}, Ms: []float64{1}}, {Dims: []int64{40, 2, 3}, Ms: []float64{1}}}
+	if err := storage.WriteAll(fact, 3, 1, recs); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	res, err := Run(c, fact, Options{TempDir: dir, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tables["down"].Rows) != 2 {
+		t.Fatalf("down has %d rows, want 2", len(res.Tables["down"].Rows))
+	}
+	found := false
+	for _, ns := range rec.NodeStats() {
+		if strings.HasPrefix(ns.Node, "hidden") {
+			t.Errorf("node stats published under the alias %q", ns.Node)
+		}
+		found = found || (ns.Node == base && ns.CellsFinalized == 2)
+	}
+	if !found {
+		t.Fatalf("no node stats for hidden base %q: %+v", base, rec.NodeStats())
 	}
 }

@@ -1,10 +1,10 @@
 // Package flight is the query flight recorder: a bounded in-memory
-// ring of completed query traces with tail-based retention. Every
-// aw.Run* commits its finished trace — the finalized span tree with
-// durations and attrs, per-node estimate-vs-actual profile, guard
-// stats, engine, outcome, and retry-attempt chain — keyed by a stable
-// trace ID that callers can supply (e.g. ingested from a W3C
-// traceparent header) or let the library generate.
+// ring of completed query traces with tail-based retention. A trace is
+// a chain of qlog.Records — one per execution attempt, each with its
+// finalized span tree, per-node estimate-vs-actual profile, guard
+// stats, engine and outcome — keyed by a stable trace ID that callers
+// can supply (e.g. ingested from a W3C traceparent header) or let the
+// library generate.
 //
 // Tail-based retention means the interesting tail is pinned: errored,
 // canceled, budget-tripped, retried, and slow traces survive eviction
@@ -16,9 +16,10 @@
 // recorder self-calibrates even without a serving layer.
 //
 // The ring is the queryable runtime artifact behind /debug/aw/traces,
-// /debug/aw/traces/{id}, and /debug/aw/slow; pinned traces can be
-// mirrored to a persistence sink (the aw history layer appends them to
-// a rotating JSONL log) so post-mortems survive restarts.
+// /debug/aw/traces/{id}, and /debug/aw/slow. Its persistence is the
+// query history: a pinned attempt's history line carries its span
+// tree, and replaying the history restores those chains (Restore), so
+// post-mortems survive restarts.
 package flight
 
 import (
@@ -30,67 +31,33 @@ import (
 	"sync"
 	"time"
 
-	"awra/internal/obs"
 	"awra/internal/qlog"
 )
 
 // Pin reasons recorded on a retained trace.
 const (
-	PinError   = "error"   // outcome error
-	PinBudget  = "budget"  // budget-tripped
+	PinError   = "error"  // outcome error
+	PinBudget  = "budget" // budget-tripped
 	PinCancel  = "canceled"
 	PinRetried = "retried" // more than one attempt
 	PinSlow    = "slow"    // duration at or above the slow threshold
 )
 
-// GuardStats is one attempt's resource-guard accumulators.
-type GuardStats struct {
-	ResultRows  int64 `json:"result_rows,omitempty"`
-	SpillBytes  int64 `json:"spill_bytes,omitempty"`
-	CorruptRows int64 `json:"corrupt_rows,omitempty"`
-}
-
-// Attempt is one execution attempt within a trace. A query retried
-// after a transient fault commits one trace with N attempts — not N
-// traces — so the retry chain reads as a single story.
-type Attempt struct {
-	Seq        int                `json:"seq"`
-	Engine     string             `json:"engine,omitempty"`
-	Outcome    string             `json:"outcome"`
-	Error      string             `json:"error,omitempty"`
-	DurationUs int64              `json:"duration_us"`
-	Guard      GuardStats         `json:"guard,omitempty"`
-	Nodes      []qlog.NodeProfile `json:"nodes,omitempty"`
-	// Span is the attempt's finalized span tree (query root), with
-	// durations, attrs, and per-span record progress.
-	Span *obs.SpanSnapshot `json:"span,omitempty"`
-}
-
-// Trace is one completed query's flight record. Top-level fields
-// reflect the latest attempt; the full chain is in Attempts.
+// Trace is one query's flight record. The embedded Record is the
+// latest record committed under the trace ID, without its span tree,
+// node profile and phases (those stay on the attempts): its fields are
+// the trace's top-level view. Attempts is the chain of engine attempts,
+// oldest first — a query retried after a transient fault is one trace
+// with N attempts, not N traces. A query served from the result cache
+// or a shared run commits one record and no attempts.
 type Trace struct {
-	ID         string    `json:"trace_id"`
-	Time       time.Time `json:"time"`
-	RequestID  string    `json:"request_id,omitempty"`
-	Label      string    `json:"label,omitempty"`
-	Engine     string    `json:"engine,omitempty"`
-	SortKey    string    `json:"sort_key,omitempty"`
-	Outcome    string    `json:"outcome"`
-	Error      string    `json:"error,omitempty"`
-	DurationUs int64     `json:"duration_us"`
-	Pinned     bool      `json:"pinned,omitempty"`
-	PinReasons []string  `json:"pin_reasons,omitempty"`
+	qlog.Record
+	Pinned     bool     `json:"pinned,omitempty"`
+	PinReasons []string `json:"pin_reasons,omitempty"`
 	// Sampled marks a healthy fast trace retained by probabilistic
 	// sampling rather than pinning.
-	Sampled bool `json:"sampled,omitempty"`
-	// ServedFrom marks a query answered without executing: "cache"
-	// (serve result-cache hit) or "shared" (fanned out from a merged
-	// scan-sharing run). Such traces have no engine attempts.
-	ServedFrom string `json:"served_from,omitempty"`
-	// SourceTraceID links back to the trace of the run that actually
-	// computed the tables this query was served from.
-	SourceTraceID string    `json:"source_trace_id,omitempty"`
-	Attempts      []Attempt `json:"attempts,omitempty"`
+	Sampled  bool          `json:"sampled,omitempty"`
+	Attempts []qlog.Record `json:"attempts,omitempty"`
 }
 
 // Summary is the list-view projection of a trace (no span trees), the
@@ -221,112 +188,108 @@ func (r *Ring) slowThresholdLocked() int64 {
 	return s[idx]
 }
 
-// Commit folds one finished attempt-bearing trace into the ring. A
-// trace whose ID already exists absorbs the new attempts (the retry
-// chain grows; top-level fields follow the latest attempt); otherwise
-// the trace is inserted, evicting the oldest unpinned entry when full.
-// It returns the retained state (a private copy) and whether the trace
-// is pinned; a healthy fast trace that misses the sampling draw
-// returns a zero Trace and false.
-func (r *Ring) Commit(t *Trace) (Trace, bool) {
-	if r == nil || t == nil || t.ID == "" {
-		return Trace{}, false
-	}
-	if t.Time.IsZero() {
-		t.Time = time.Now()
+// Commit folds one finished record into the ring under its TraceID
+// and reports whether the trace is pinned. The record becomes the
+// trace's top-level view; an engine attempt (ServedFrom empty) also
+// extends its attempt chain. A new trace is inserted, evicting the
+// oldest unpinned entry when full, unless it is healthy, fast, and
+// misses the sampling draw.
+func (r *Ring) Commit(rec *qlog.Record) bool {
+	if r == nil || rec == nil || rec.TraceID == "" {
+		return false
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.seq++
 	// Slide the duration window (every commit, pinned or not, so the
 	// p99 fallback sees the true distribution).
 	if len(r.win) < slowWindow {
-		r.win = append(r.win, t.DurationUs)
+		r.win = append(r.win, rec.DurationUs)
 	} else {
-		r.win[r.pos] = t.DurationUs
+		r.win[r.pos] = rec.DurationUs
 	}
 	r.pos = (r.pos + 1) % slowWindow
 
-	existing := r.traces[t.ID]
-	if existing != nil {
-		// Merge: append attempts, renumbering the chain; latest attempt
-		// wins the top-level fields.
-		for i := range t.Attempts {
-			a := t.Attempts[i]
-			a.Seq = len(existing.Attempts) + 1
-			existing.Attempts = append(existing.Attempts, a)
-		}
-		existing.Engine, existing.Outcome, existing.Error = t.Engine, t.Outcome, t.Error
-		existing.DurationUs = t.DurationUs
-		if t.SortKey != "" {
-			existing.SortKey = t.SortKey
-		}
-		t = existing
-	} else {
-		for i := range t.Attempts {
-			t.Attempts[i].Seq = i + 1
-		}
+	t := r.traces[rec.TraceID]
+	fresh := t == nil
+	if fresh {
+		t = &Trace{}
 	}
-	r.pinLocked(t)
-	if existing == nil {
+	t.fold(rec)
+	if th := r.slowThresholdLocked(); th > 0 && rec.DurationUs >= th {
+		t.pin(PinSlow)
+	}
+	if fresh {
 		if !t.Pinned && !r.sampleLocked() {
-			r.mu.Unlock()
-			return Trace{}, false
+			return false
 		}
 		t.Sampled = !t.Pinned
 		r.insertLocked(t)
 	} else if t.Pinned {
 		t.Sampled = false
 	}
-	out := copyTrace(t)
-	pinned := t.Pinned
-	r.mu.Unlock()
-	return out, pinned
+	return t.Pinned
 }
 
-// Restore inserts a replayed trace (e.g. from the persisted trace log)
-// without sampling, window updates, or re-persisting. Later restores
-// of the same ID supersede earlier ones (the log's last word wins).
-func (r *Ring) Restore(t *Trace) {
-	if r == nil || t == nil || t.ID == "" {
+// Restore installs a replayed attempt chain — the records of one
+// trace, oldest first, as the history log persisted them — replacing
+// any trace the ring holds under the same ID; it never appends to one.
+// No sampling, no window update. Only pinned attempts are persisted
+// with the span trees replay restores from, so the trace is pinned;
+// its reasons are re-derived from the chain, and a chain that nothing
+// else explains was pinned for being slow.
+func (r *Ring) Restore(chain []qlog.Record) {
+	if r == nil || len(chain) == 0 || chain[0].TraceID == "" {
 		return
 	}
+	t := &Trace{}
+	for i := range chain {
+		t.fold(&chain[i])
+	}
+	if !t.Pinned {
+		t.pin(PinSlow)
+	}
 	r.mu.Lock()
-	c := copyTrace(t)
-	if _, ok := r.traces[t.ID]; ok {
-		r.traces[t.ID] = &c
+	if _, ok := r.traces[t.TraceID]; ok {
+		r.traces[t.TraceID] = t
 	} else {
-		r.insertLocked(&c)
+		r.insertLocked(t)
 	}
 	r.mu.Unlock()
 }
 
-// pinLocked re-evaluates a trace's pin state from its outcome, retry
-// chain, and duration against the slow threshold. Pinning is sticky:
-// reasons accumulate, a pinned trace never unpins.
-func (r *Ring) pinLocked(t *Trace) {
-	add := func(reason string) {
-		for _, have := range t.PinReasons {
-			if have == reason {
-				return
-			}
-		}
-		t.PinReasons = append(t.PinReasons, reason)
-		t.Pinned = true
+// fold makes rec the trace's top-level view, appends it to the attempt
+// chain when it is an engine attempt, and pins the trace for a bad
+// outcome or a retry.
+func (t *Trace) fold(rec *qlog.Record) {
+	t.Record = *rec
+	t.Nodes, t.Phases, t.Span = nil, nil, nil
+	if rec.ServedFrom == "" {
+		t.Attempts = append(t.Attempts, *rec)
 	}
-	switch t.Outcome {
+	switch rec.Outcome {
 	case qlog.OutcomeError:
-		add(PinError)
+		t.pin(PinError)
 	case qlog.OutcomeBudget:
-		add(PinBudget)
+		t.pin(PinBudget)
 	case qlog.OutcomeCanceled:
-		add(PinCancel)
+		t.pin(PinCancel)
 	}
 	if len(t.Attempts) > 1 {
-		add(PinRetried)
+		t.pin(PinRetried)
 	}
-	if th := r.slowThresholdLocked(); th > 0 && t.DurationUs >= th {
-		add(PinSlow)
+}
+
+// pin adds a pin reason. Pinning is sticky: reasons accumulate, a
+// pinned trace never unpins.
+func (t *Trace) pin(reason string) {
+	for _, have := range t.PinReasons {
+		if have == reason {
+			return
+		}
 	}
+	t.PinReasons = append(t.PinReasons, reason)
+	t.Pinned = true
 }
 
 // sampleLocked draws the deterministic 1-in-N retention lot for a
@@ -343,8 +306,8 @@ func (r *Ring) sampleLocked() bool {
 // unpinned trace first; if everything is pinned, the oldest pinned one
 // (bounded memory wins over retention).
 func (r *Ring) insertLocked(t *Trace) {
-	r.traces[t.ID] = t
-	r.order = append(r.order, t.ID)
+	r.traces[t.TraceID] = t
+	r.order = append(r.order, t.TraceID)
 	for len(r.order) > r.cap {
 		victim := -1
 		for i, id := range r.order {
@@ -363,7 +326,7 @@ func (r *Ring) insertLocked(t *Trace) {
 
 func copyTrace(t *Trace) Trace {
 	c := *t
-	c.Attempts = append([]Attempt(nil), t.Attempts...)
+	c.Attempts = append([]qlog.Record(nil), t.Attempts...)
 	c.PinReasons = append([]string(nil), t.PinReasons...)
 	return c
 }
@@ -394,7 +357,7 @@ func (r *Ring) Len() int {
 
 func summarize(t *Trace) Summary {
 	return Summary{
-		ID:         t.ID,
+		ID:         t.TraceID,
 		Time:       t.Time,
 		RequestID:  t.RequestID,
 		Label:      t.Label,
@@ -407,7 +370,7 @@ func summarize(t *Trace) Summary {
 		PinReasons: append([]string(nil), t.PinReasons...),
 		Sampled:    t.Sampled,
 		ServedFrom: t.ServedFrom,
-		Path:       TracePath(t.ID),
+		Path:       TracePath(t.TraceID),
 	}
 }
 

@@ -8,16 +8,20 @@ import (
 	"sync"
 	"testing"
 
+	"awra/internal/obs"
 	"awra/internal/qlog"
 )
 
-func mkTrace(id, outcome string, durUs int64) *Trace {
-	return &Trace{
-		ID:         id,
-		Outcome:    outcome,
-		DurationUs: durUs,
-		Attempts:   []Attempt{{Outcome: outcome, DurationUs: durUs}},
-	}
+func mkRec(id, outcome string, durUs int64) *qlog.Record {
+	return &qlog.Record{TraceID: id, Outcome: outcome, DurationUs: durUs}
+}
+
+// commit commits rec and returns the retained trace (zero when the
+// ring dropped it) with the pin verdict.
+func commit(r *Ring, rec *qlog.Record) (Trace, bool) {
+	pinned := r.Commit(rec)
+	got, _ := r.Get(rec.TraceID)
+	return got, pinned
 }
 
 func reasons(t Trace) string { return strings.Join(t.PinReasons, ",") }
@@ -32,7 +36,7 @@ func TestPinOnBadOutcomes(t *testing.T) {
 		{qlog.OutcomeCanceled, PinCancel},
 	} {
 		r := NewRing(8, 4)
-		got, pinned := r.Commit(mkTrace("t-"+tc.outcome, tc.outcome, 100))
+		got, pinned := commit(r, mkRec("t-"+tc.outcome, tc.outcome, 100))
 		if !pinned || !got.Pinned {
 			t.Fatalf("%s: not pinned", tc.outcome)
 		}
@@ -49,11 +53,11 @@ func TestHealthySampling(t *testing.T) {
 		if _, ok := r.Get(fmt.Sprintf("h%d", i)); ok {
 			t.Fatal("trace present before commit")
 		}
-		got, pinned := r.Commit(mkTrace(fmt.Sprintf("h%d", i), qlog.OutcomeOK, 50))
+		got, pinned := commit(r, mkRec(fmt.Sprintf("h%d", i), qlog.OutcomeOK, 50))
 		if pinned {
 			t.Fatalf("healthy trace %d pinned: %v", i, got.PinReasons)
 		}
-		if got.ID != "" {
+		if got.TraceID != "" {
 			retained++
 			if !got.Sampled {
 				t.Fatalf("retained healthy trace %d not marked sampled", i)
@@ -71,22 +75,21 @@ func TestHealthySampling(t *testing.T) {
 
 func TestRetryMergesIntoOneTrace(t *testing.T) {
 	r := NewRing(8, 1)
-	first := mkTrace("tr", qlog.OutcomeError, 80)
-	first.Attempts[0].Error = "transient read fault"
+	first := mkRec("tr", qlog.OutcomeError, 80)
+	first.Error = "transient read fault"
 	r.Commit(first)
-	second := mkTrace("tr", qlog.OutcomeOK, 120)
-	got, pinned := r.Commit(second)
+	got, pinned := commit(r, mkRec("tr", qlog.OutcomeOK, 120))
 	if !pinned {
 		t.Fatal("retried trace not pinned")
 	}
 	if len(got.Attempts) != 2 {
 		t.Fatalf("attempts = %d, want 2 (one trace, N attempts)", len(got.Attempts))
 	}
-	if got.Attempts[0].Seq != 1 || got.Attempts[1].Seq != 2 {
-		t.Fatalf("attempt seqs = %d,%d", got.Attempts[0].Seq, got.Attempts[1].Seq)
+	if got.Attempts[0].Error != "transient read fault" || got.Attempts[1].Outcome != qlog.OutcomeOK {
+		t.Fatalf("attempt chain out of order: %+v", got.Attempts)
 	}
 	// Top-level fields follow the final attempt; pin reasons accumulate.
-	if got.Outcome != qlog.OutcomeOK || got.DurationUs != 120 {
+	if got.Outcome != qlog.OutcomeOK || got.DurationUs != 120 || got.Error != "" {
 		t.Fatalf("merged top-level = %s/%d", got.Outcome, got.DurationUs)
 	}
 	for _, want := range []string{PinError, PinRetried} {
@@ -99,14 +102,38 @@ func TestRetryMergesIntoOneTrace(t *testing.T) {
 	}
 }
 
+// TestTopLevelIsLatestRecord: the trace's top-level view is its latest
+// record without the span tree and node profile (those stay on the
+// attempt), and a served record adds no attempt.
+func TestTopLevelIsLatestRecord(t *testing.T) {
+	r := NewRing(8, 1)
+	run := mkRec("run", qlog.OutcomeOK, 40)
+	run.Engine = "sortscan"
+	run.Span = &obs.SpanSnapshot{Name: "query"}
+	run.Nodes = []qlog.NodeProfile{{NodeStats: obs.NodeStats{Node: "n"}}}
+	got, _ := commit(r, run)
+	if got.Engine != "sortscan" || got.Span != nil || got.Nodes != nil {
+		t.Fatalf("top level = %+v, want the record minus span and nodes", got.Record)
+	}
+	if len(got.Attempts) != 1 || got.Attempts[0].Span == nil || len(got.Attempts[0].Nodes) != 1 {
+		t.Fatalf("attempt lost its span or profile: %+v", got.Attempts)
+	}
+	hit := mkRec("hit", qlog.OutcomeCacheHit, 3)
+	hit.ServedFrom, hit.SourceTraceID = "cache", "run"
+	got, _ = commit(r, hit)
+	if got.ServedFrom != "cache" || got.SourceTraceID != "run" || len(got.Attempts) != 0 {
+		t.Fatalf("served trace = %+v, want served_from=cache and 0 attempts", got)
+	}
+}
+
 func TestSlowPinAgainstOperatorThreshold(t *testing.T) {
 	r := NewRing(8, 1)
 	r.SetSlowThreshold(1000)
-	fast, _ := r.Commit(mkTrace("fast", qlog.OutcomeOK, 500))
+	fast, _ := commit(r, mkRec("fast", qlog.OutcomeOK, 500))
 	if fast.Pinned {
 		t.Fatal("fast trace pinned")
 	}
-	slow, pinned := r.Commit(mkTrace("slow", qlog.OutcomeOK, 1500))
+	slow, pinned := commit(r, mkRec("slow", qlog.OutcomeOK, 1500))
 	if !pinned || reasons(slow) != PinSlow {
 		t.Fatalf("slow trace: pinned=%v reasons=%q", pinned, reasons(slow))
 	}
@@ -124,12 +151,12 @@ func TestInternalP99Fallback(t *testing.T) {
 	// Fill the window with uniform fast traces, then one outlier: once
 	// the window has signal, the outlier lands at/above its p99.
 	for i := 0; i < minSlowWindow; i++ {
-		r.Commit(mkTrace(fmt.Sprintf("w%d", i), qlog.OutcomeOK, 100))
+		r.Commit(mkRec(fmt.Sprintf("w%d", i), qlog.OutcomeOK, 100))
 	}
 	if th := r.SlowThresholdUs(); th == 0 {
 		t.Fatal("p99 fallback threshold still 0 after warm-up")
 	}
-	got, pinned := r.Commit(mkTrace("outlier", qlog.OutcomeOK, 10000))
+	got, pinned := commit(r, mkRec("outlier", qlog.OutcomeOK, 10000))
 	if !pinned || !strings.Contains(reasons(got), PinSlow) {
 		t.Fatalf("outlier: pinned=%v reasons=%q", pinned, reasons(got))
 	}
@@ -137,10 +164,10 @@ func TestInternalP99Fallback(t *testing.T) {
 
 func TestEvictionPrefersUnpinned(t *testing.T) {
 	r := NewRing(3, 1)
-	r.Commit(mkTrace("bad1", qlog.OutcomeError, 10))
-	r.Commit(mkTrace("ok1", qlog.OutcomeOK, 10))
-	r.Commit(mkTrace("bad2", qlog.OutcomeError, 10))
-	r.Commit(mkTrace("bad3", qlog.OutcomeError, 10)) // evicts ok1, not bad1
+	r.Commit(mkRec("bad1", qlog.OutcomeError, 10))
+	r.Commit(mkRec("ok1", qlog.OutcomeOK, 10))
+	r.Commit(mkRec("bad2", qlog.OutcomeError, 10))
+	r.Commit(mkRec("bad3", qlog.OutcomeError, 10)) // evicts ok1, not bad1
 	if _, ok := r.Get("ok1"); ok {
 		t.Fatal("unpinned trace survived eviction over pinned ones")
 	}
@@ -150,7 +177,7 @@ func TestEvictionPrefersUnpinned(t *testing.T) {
 		}
 	}
 	// All pinned: the oldest pinned trace goes (bounded memory wins).
-	r.Commit(mkTrace("bad4", qlog.OutcomeError, 10))
+	r.Commit(mkRec("bad4", qlog.OutcomeError, 10))
 	if _, ok := r.Get("bad1"); ok {
 		t.Fatal("oldest pinned trace survived an all-pinned eviction")
 	}
@@ -161,10 +188,10 @@ func TestEvictionPrefersUnpinned(t *testing.T) {
 
 func TestRestoreLastWordWins(t *testing.T) {
 	r := NewRing(8, 1)
-	r.Restore(mkTrace("p", qlog.OutcomeError, 100))
-	merged := mkTrace("p", qlog.OutcomeOK, 150)
-	merged.Attempts = append(merged.Attempts, Attempt{Outcome: qlog.OutcomeOK})
-	r.Restore(merged)
+	r.Restore([]qlog.Record{*mkRec("p", qlog.OutcomeError, 100)})
+	// A later restore of the same ID replaces the chain whole; it never
+	// appends to the one the ring holds.
+	r.Restore([]qlog.Record{*mkRec("p", qlog.OutcomeError, 100), *mkRec("p", qlog.OutcomeOK, 150)})
 	got, ok := r.Get("p")
 	if !ok || len(got.Attempts) != 2 || got.Outcome != qlog.OutcomeOK {
 		t.Fatalf("restored trace = %+v", got)
@@ -172,12 +199,21 @@ func TestRestoreLastWordWins(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("restore of the same ID duplicated the entry: len=%d", r.Len())
 	}
+	// Reasons are re-derived from the chain; a restored chain nothing
+	// else explains was pinned for being slow.
+	if !got.Pinned || reasons(got) != PinError+","+PinRetried {
+		t.Fatalf("restored reasons = %q", reasons(got))
+	}
+	r.Restore([]qlog.Record{*mkRec("s", qlog.OutcomeOK, 900)})
+	if s, _ := r.Get("s"); !s.Pinned || reasons(s) != PinSlow {
+		t.Fatalf("restored healthy chain: pinned=%v reasons=%q", s.Pinned, reasons(s))
+	}
 }
 
 func TestWriteJSONEndpoints(t *testing.T) {
 	r := NewRing(8, 1)
 	r.SetSlowThreshold(100)
-	r.Commit(mkTrace("a", qlog.OutcomeBudget, 500))
+	r.Commit(mkRec("a", qlog.OutcomeBudget, 500))
 	var buf bytes.Buffer
 	if err := r.WriteListJSON(&buf, 0); err != nil {
 		t.Fatal(err)
@@ -201,7 +237,7 @@ func TestWriteJSONEndpoints(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
 		t.Fatal(err)
 	}
-	if tr.ID != "a" || len(tr.Attempts) != 1 {
+	if tr.TraceID != "a" || len(tr.Attempts) != 1 {
 		t.Fatalf("trace payload = %+v", tr)
 	}
 	if found, _ := r.WriteTraceJSON(&buf, "missing"); found {
@@ -230,9 +266,9 @@ func TestConcurrentCommitSnapshotEvict(t *testing.T) {
 				if i%7 == 0 {
 					id = fmt.Sprintf("shared-%d", i)
 				}
-				r.Commit(mkTrace(id, outcome, int64(50+i)))
+				r.Commit(mkRec(id, outcome, int64(50+i)))
 				if i%11 == 0 {
-					r.Restore(mkTrace(fmt.Sprintf("restored-%d-%d", w, i), qlog.OutcomeBudget, 10))
+					r.Restore([]qlog.Record{*mkRec(fmt.Sprintf("restored-%d-%d", w, i), qlog.OutcomeBudget, 10)})
 				}
 				if i%13 == 0 {
 					r.SetSlowThreshold(int64(i))

@@ -1,24 +1,29 @@
 // Package qlog is the persistent query-history layer: an append-only
-// JSONL log of completed query runs (with size-based rotation) and a
+// JSONL log of finished query attempts (with size-based rotation) and a
 // measured-statistics store derived from it.
 //
-// Every aw.Run* completion — success, budget trip, cancellation, or
-// error — appends one Record. Replaying the log on startup rebuilds
-// the measured-statistics store, closing the estimate→actual loop the
-// paper leaves open: its Table 6 card() estimates are "imprecise"
-// (Section 6), but the engine measures true per-node cell counts on
-// every execution, so later runs of the same workflow on the same
-// collection can plan from measurements instead of guesses.
+// A Record is the one description of a finished attempt. Every aw.Run*
+// completion — success, budget trip, cancellation, or error — appends
+// one, and the flight recorder's traces are chains of the same records.
+// Replaying the log on startup rebuilds the measured-statistics store,
+// closing the estimate→actual loop the paper leaves open: its Table 6
+// card() estimates are "imprecise" (Section 6), but the engine measures
+// true per-node cell counts on every execution, so later runs of the
+// same workflow on the same collection can plan from measurements
+// instead of guesses.
 package qlog
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
+
+	"awra/internal/obs"
 )
 
 // Outcome values for Record.Outcome.
@@ -36,20 +41,17 @@ const (
 )
 
 // NodeProfile is one measure node's estimate-vs-actual profile within
-// a Record. Sig is the content signature from core.NodeSignature — the
-// key under which measured statistics are stored and looked up.
+// a Record: the engine's published actuals (the same obs.NodeStats
+// EXPLAIN ANALYZE shows) plus the node's content signature from
+// core.NodeSignature — the key under which measured statistics are
+// stored and looked up — and where the plan's estimate came from.
 type NodeProfile struct {
-	Node           string  `json:"node"`
-	Sig            string  `json:"sig,omitempty"`
-	EstCells       float64 `json:"est_cells,omitempty"`
-	EstSource      string  `json:"est_source,omitempty"`
-	CellsFinalized int64   `json:"cells_finalized,omitempty"`
-	LiveCellsHWM   int64   `json:"live_cells_hwm,omitempty"`
-	RecordsIn      int64   `json:"records_in,omitempty"`
-	RecordsOut     int64   `json:"records_out,omitempty"`
+	obs.NodeStats
+	Sig       string `json:"sig,omitempty"`
+	EstSource string `json:"est_source,omitempty"`
 }
 
-// Record is one completed query run, serialized as a single JSONL
+// Record is one finished query attempt, serialized as a single JSONL
 // line. Fields mirror the in-flight registry's vocabulary so live and
 // historical views of a query agree.
 type Record struct {
@@ -60,16 +62,16 @@ type Record struct {
 	// query retried after a transient fault logs one final outcome, not
 	// one per attempt.
 	RequestID string `json:"request_id,omitempty"`
-	// TraceID is the run's flight-recorder trace ID; the full span tree
-	// lives in the flight ring (and the pinned-trace log) under it.
+	// TraceID is the run's flight-recorder trace ID: the records sharing
+	// it are one trace's attempt chain.
 	TraceID      string `json:"trace_id,omitempty"`
 	Label        string `json:"label,omitempty"`
-	QueryFP      string    `json:"query_fp,omitempty"`
-	CollectionFP string    `json:"collection_fp,omitempty"`
-	Engine       string    `json:"engine,omitempty"`
-	SortKey      string    `json:"sort_key,omitempty"`
-	Outcome      string    `json:"outcome"`
-	Error        string    `json:"error,omitempty"`
+	QueryFP      string `json:"query_fp,omitempty"`
+	CollectionFP string `json:"collection_fp,omitempty"`
+	Engine       string `json:"engine,omitempty"`
+	SortKey      string `json:"sort_key,omitempty"`
+	Outcome      string `json:"outcome"`
+	Error        string `json:"error,omitempty"`
 	// ServedFrom records how the answer was produced without running
 	// the full engine: "cache" (result-cache hit) or "shared" (fanned
 	// out from a merged scan-sharing run). Empty for ordinary runs.
@@ -82,17 +84,22 @@ type Record struct {
 	// summed durations in microseconds for this query.
 	Phases         map[string]int64 `json:"phases_us,omitempty"`
 	RecordsScanned int64            `json:"records_scanned,omitempty"`
-	ResultRows     int64            `json:"result_rows,omitempty"`
-	SpillBytes     int64            `json:"spill_bytes,omitempty"`
-	CorruptRows    int64            `json:"corrupt_rows,omitempty"`
-	Nodes          []NodeProfile    `json:"nodes,omitempty"`
+	// ResultRows, SpillBytes and CorruptRows are the resource guard's
+	// accumulators for the attempt.
+	ResultRows  int64         `json:"result_rows,omitempty"`
+	SpillBytes  int64         `json:"spill_bytes,omitempty"`
+	CorruptRows int64         `json:"corrupt_rows,omitempty"`
+	Nodes       []NodeProfile `json:"nodes,omitempty"`
+	// Span is the attempt's finalized span tree (query root), with
+	// durations, attrs and per-span record progress. The flight recorder
+	// always holds it; a history line carries it only when the recorder
+	// pinned the trace, which is what restores pinned traces on replay.
+	Span *obs.SpanSnapshot `json:"span,omitempty"`
 }
 
 const (
-	// defaultBase is the base name of the classic history log; sibling
-	// logs (e.g. the pinned-trace log) share the directory under their
-	// own base names via OpenNamed.
-	defaultBase = "history"
+	// logBase is the base name of the history log's segments.
+	logBase = "history"
 	// DefaultMaxBytes rotates the active log segment past ~4 MiB.
 	DefaultMaxBytes = 4 << 20
 	// DefaultMaxFiles keeps the active segment plus two rotated ones.
@@ -112,36 +119,47 @@ type Log struct {
 
 	mu   sync.Mutex
 	dir  string
-	base string
 	f    *os.File
 	size int64
 }
 
 // Open creates (if needed) the history directory and opens the active
-// log segment for appending.
-func Open(dir string) (*Log, error) { return OpenNamed(dir, defaultBase) }
-
-// OpenNamed opens a rotating JSONL log under dir with the given base
-// name (active segment <base>.jsonl, rotated <base>.N.jsonl). The
-// history log and its siblings — e.g. the pinned-trace log — share one
-// directory this way.
-func OpenNamed(dir, base string) (*Log, error) {
-	if base == "" {
-		base = defaultBase
-	}
+// log segment for appending. A segment whose last line was torn by a
+// crash mid-append is first terminated with a newline, so the next
+// record starts a line of its own instead of being glued onto the
+// fragment (replay then skips only the fragment).
+func Open(dir string) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("qlog: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, base+".jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, logBase+".jsonl"), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("qlog: %w", err)
 	}
-	st, err := f.Stat()
+	size, err := terminateTornTail(f)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("qlog: %w", err)
 	}
-	return &Log{dir: dir, base: base, f: f, size: st.Size(), MaxBytes: DefaultMaxBytes, MaxFiles: DefaultMaxFiles}, nil
+	return &Log{dir: dir, f: f, size: size, MaxBytes: DefaultMaxBytes, MaxFiles: DefaultMaxFiles}, nil
+}
+
+// terminateTornTail appends a newline to a non-empty segment that does
+// not end in one and returns the segment's size.
+func terminateTornTail(f *os.File) (int64, error) {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return 0, err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil && err != io.EOF {
+		return 0, err
+	}
+	if last[0] == '\n' {
+		return st.Size(), nil
+	}
+	n, err := f.Write([]byte{'\n'})
+	return st.Size() + int64(n), err
 }
 
 // Dir returns the history directory.
@@ -154,14 +172,6 @@ func (l *Log) Append(rec *Record) error {
 	if err != nil {
 		return fmt.Errorf("qlog: %w", err)
 	}
-	return l.AppendJSON(b)
-}
-
-// AppendJSON writes one pre-marshaled JSON value as a JSONL line,
-// rotating first if the active segment is full. Logs whose line type
-// is not Record (e.g. the pinned-trace log) append through here. Safe
-// for concurrent use.
-func (l *Log) AppendJSON(b []byte) error {
 	b = append(b, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -200,10 +210,10 @@ func (l *Log) rotateLocked() error {
 			}
 		}
 	}
-	if err := os.Rename(filepath.Join(l.dir, l.base+".jsonl"), l.segPath(1)); err != nil {
+	if err := os.Rename(filepath.Join(l.dir, logBase+".jsonl"), l.segPath(1)); err != nil {
 		return fmt.Errorf("qlog: rotate: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(l.dir, l.base+".jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(l.dir, logBase+".jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("qlog: rotate: %w", err)
 	}
@@ -212,7 +222,7 @@ func (l *Log) rotateLocked() error {
 }
 
 func (l *Log) segPath(i int) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%s.%d.jsonl", l.base, i))
+	return filepath.Join(l.dir, fmt.Sprintf("%s.%d.jsonl", logBase, i))
 }
 
 // Close closes the active segment. Further Appends fail.
@@ -233,30 +243,12 @@ func (l *Log) Close() error {
 // count is returned. A missing directory or missing log is not an
 // error: replay of an empty history calls fn zero times.
 func Replay(dir string, fn func(*Record)) (skipped int, err error) {
-	return ReplayLines(dir, defaultBase, func(line []byte) bool {
-		rec := &Record{}
-		if json.Unmarshal(line, rec) != nil {
-			return false
-		}
-		fn(rec)
-		return true
-	})
-}
-
-// ReplayLines streams every JSONL line of the named log in dir, oldest
-// segment first, calling fn for each non-empty line. fn returns false
-// for lines it could not parse; those count as skipped. Missing logs
-// replay as empty, and torn lines are tolerated, matching Replay.
-func ReplayLines(dir, base string, fn func(line []byte) bool) (skipped int, err error) {
-	if base == "" {
-		base = defaultBase
-	}
 	var paths []string
 	// Oldest rotated segment first. Segments are numbered contiguously
 	// from 1, so stop at the first gap.
 	var rotated []string
 	for i := 1; ; i++ {
-		p := filepath.Join(dir, fmt.Sprintf("%s.%d.jsonl", base, i))
+		p := filepath.Join(dir, fmt.Sprintf("%s.%d.jsonl", logBase, i))
 		if _, statErr := os.Stat(p); statErr != nil {
 			break
 		}
@@ -265,7 +257,7 @@ func ReplayLines(dir, base string, fn func(line []byte) bool) (skipped int, err 
 	for i := len(rotated) - 1; i >= 0; i-- {
 		paths = append(paths, rotated[i])
 	}
-	paths = append(paths, filepath.Join(dir, base+".jsonl"))
+	paths = append(paths, filepath.Join(dir, logBase+".jsonl"))
 	for _, p := range paths {
 		f, openErr := os.Open(p)
 		if openErr != nil {
@@ -281,9 +273,12 @@ func ReplayLines(dir, base string, fn func(line []byte) bool) (skipped int, err 
 			if len(line) == 0 {
 				continue
 			}
-			if !fn(line) {
+			rec := &Record{}
+			if json.Unmarshal(line, rec) != nil {
 				skipped++
+				continue
 			}
+			fn(rec)
 		}
 		scanErr := sc.Err()
 		f.Close()

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"awra/internal/obs"
 )
 
 func rec(label, outcome, collFP string, nodes ...NodeProfile) *Record {
@@ -28,7 +30,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []*Record{
-		rec("q1", OutcomeOK, "c1", NodeProfile{Node: "n", Sig: "s1", CellsFinalized: 42, EstCells: 10, EstSource: "assumed"}),
+		rec("q1", OutcomeOK, "c1", NodeProfile{NodeStats: obs.NodeStats{Node: "n", CellsFinalized: 42, EstCells: 10}, Sig: "s1", EstSource: "assumed"}),
 		rec("q2", OutcomeBudget, "c1"),
 		rec("q3", OutcomeError, "c2"),
 	}
@@ -126,6 +128,35 @@ func TestReplaySkipsTornLine(t *testing.T) {
 	}
 }
 
+// TestAppendAfterTornTailSurvives: the process after a crash opens a
+// log whose last line is torn; its first record must start a line of
+// its own, not be glued onto the fragment and skipped with it.
+func TestAppendAfterTornTailSurvives(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := Open(dir)
+	l.Append(rec("good", OutcomeOK, "c1"))
+	l.Close()
+	f, _ := os.OpenFile(filepath.Join(dir, "history.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
+	f.WriteString(`{"time":"2026-08-08T12:`)
+	f.Close()
+	l2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Append(rec("next", OutcomeOK, "c1")); err != nil {
+		t.Fatal(err)
+	}
+	l2.Close()
+	var labels []string
+	skipped, err := Replay(dir, func(r *Record) { labels = append(labels, r.Label) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(labels, ",") != "good,next" || skipped != 1 {
+		t.Fatalf("labels=%v skipped=%d, want [good next] with the fragment skipped", labels, skipped)
+	}
+}
+
 func TestReplayMissingDir(t *testing.T) {
 	n := 0
 	skipped, err := Replay(filepath.Join(t.TempDir(), "nope"), func(*Record) { n++ })
@@ -137,9 +168,9 @@ func TestReplayMissingDir(t *testing.T) {
 func TestStoreObserveAndLookup(t *testing.T) {
 	s := NewStore()
 	s.Observe(rec("q", OutcomeOK, "c1",
-		NodeProfile{Node: "a", Sig: "sa", CellsFinalized: 100},
-		NodeProfile{Node: "b", Sig: "sb", CellsFinalized: 7},
-		NodeProfile{Node: "skip", CellsFinalized: 5}, // no sig
+		NodeProfile{NodeStats: obs.NodeStats{Node: "a", CellsFinalized: 100}, Sig: "sa"},
+		NodeProfile{NodeStats: obs.NodeStats{Node: "b", CellsFinalized: 7}, Sig: "sb"},
+		NodeProfile{NodeStats: obs.NodeStats{Node: "skip", CellsFinalized: 5}}, // no sig
 	))
 	if m, ok := s.Lookup("c1", "sa"); !ok || m.Cells != 100 || m.Runs != 1 {
 		t.Fatalf("sa: %+v ok=%v", m, ok)
@@ -154,7 +185,7 @@ func TestStoreObserveAndLookup(t *testing.T) {
 		t.Fatalf("len = %d, want 2", s.Len())
 	}
 	// Latest measurement wins.
-	s.Observe(rec("q", OutcomeOK, "c1", NodeProfile{Node: "a", Sig: "sa", CellsFinalized: 120}))
+	s.Observe(rec("q", OutcomeOK, "c1", NodeProfile{NodeStats: obs.NodeStats{Node: "a", CellsFinalized: 120}, Sig: "sa"}))
 	if m, _ := s.Lookup("c1", "sa"); m.Cells != 120 || m.Runs != 2 {
 		t.Fatalf("after second run: %+v", m)
 	}
@@ -163,7 +194,7 @@ func TestStoreObserveAndLookup(t *testing.T) {
 func TestStoreIgnoresPartialRuns(t *testing.T) {
 	s := NewStore()
 	for _, outcome := range []string{OutcomeBudget, OutcomeCanceled, OutcomeError} {
-		s.Observe(rec("q", outcome, "c1", NodeProfile{Node: "a", Sig: "sa", CellsFinalized: 100}))
+		s.Observe(rec("q", outcome, "c1", NodeProfile{NodeStats: obs.NodeStats{Node: "a", CellsFinalized: 100}, Sig: "sa"}))
 	}
 	if s.Len() != 0 {
 		t.Fatalf("partial runs contributed %d entries", s.Len())

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"awra/internal/obs"
 )
 
 func TestStoreIgnoresCacheHitRecords(t *testing.T) {
@@ -19,7 +21,7 @@ func TestStoreIgnoresCacheHitRecords(t *testing.T) {
 	now := time.Now()
 	s.Observe(&Record{
 		Time: now, CollectionFP: "c1", Outcome: OutcomeOK,
-		Nodes: []NodeProfile{{Node: "Count", Sig: "sigA", CellsFinalized: 42}},
+		Nodes: []NodeProfile{{NodeStats: obs.NodeStats{Node: "Count", CellsFinalized: 42}, Sig: "sigA"}},
 	})
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d after one OK record, want 1", s.Len())
@@ -35,8 +37,8 @@ func TestStoreIgnoresCacheHitRecords(t *testing.T) {
 		Time: now.Add(time.Minute), CollectionFP: "c1",
 		Outcome: OutcomeCacheHit, ServedFrom: "cache", SourceTraceID: "t-src",
 		Nodes: []NodeProfile{
-			{Node: "Count", Sig: "sigA", CellsFinalized: 7},
-			{Node: "Busy", Sig: "sigB", CellsFinalized: 9},
+			{NodeStats: obs.NodeStats{Node: "Count", CellsFinalized: 7}, Sig: "sigA"},
+			{NodeStats: obs.NodeStats{Node: "Busy", CellsFinalized: 9}, Sig: "sigB"},
 		},
 	})
 	if s.Len() != 1 {
@@ -92,9 +94,9 @@ func TestReplayedCacheHitsStayOutOfStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	ok := &Record{Time: time.Now(), RequestID: "a", CollectionFP: "c1", Outcome: OutcomeOK,
-		Nodes: []NodeProfile{{Node: "Count", Sig: "sigA", CellsFinalized: 11}}}
+		Nodes: []NodeProfile{{NodeStats: obs.NodeStats{Node: "Count", CellsFinalized: 11}, Sig: "sigA"}}}
 	hit := &Record{Time: time.Now(), RequestID: "b", CollectionFP: "c1", Outcome: OutcomeCacheHit,
-		ServedFrom: "cache", Nodes: []NodeProfile{{Node: "Count", Sig: "sigC", CellsFinalized: 99}}}
+		ServedFrom: "cache", Nodes: []NodeProfile{{NodeStats: obs.NodeStats{Node: "Count", CellsFinalized: 99}, Sig: "sigC"}}}
 	for _, r := range []*Record{ok, hit} {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)

@@ -553,7 +553,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// the one-record-per-request invariant holds, linked to the
 		// leader's trace, with no per-node profile (no work happened
 		// here — stats must not see zero-cardinality nodes).
-		s.recordServed(req, reqID, traceID, factPath, parsed, "shared", sourceTrace, engineName, latency, runErr)
+		s.recordServed(reqID, traceID, factPath, parsed, "shared", sourceTrace, latency, runErr)
 	}
 	if runErr == nil {
 		// Populate the cache for every batch member's own key (and for
@@ -615,7 +615,7 @@ func topkMeasures(res aw.Results, req QueryRequest) map[string][]ValueAt {
 func (s *Server) serveFromCache(w http.ResponseWriter, req QueryRequest, reqID, traceID, factPath string, parsed *wfdsl.Parsed, e *cacheEntry, t0 time.Time) {
 	latency := time.Since(t0)
 	s.rec.Histogram(obs.HServeLatencyUs, "outcome", "cache_hit").Observe(latency.Microseconds())
-	s.recordServed(req, reqID, traceID, factPath, parsed, "cache", e.traceID, e.engine, latency, nil)
+	s.recordServed(reqID, traceID, factPath, parsed, "cache", e.traceID, latency, nil)
 	resp := QueryResponse{
 		RequestID:     reqID,
 		TraceID:       traceID,
@@ -630,23 +630,22 @@ func (s *Server) serveFromCache(w http.ResponseWriter, req QueryRequest, reqID, 
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// recordServed writes the history record and flight trace for a query
-// answered without its own engine run (cache hit or shared fan-out).
-// The record carries no per-node profile: the measured-statistics
-// store folds only OutcomeOK records, so zero-work answers can never
-// skew per-node cardinalities.
-func (s *Server) recordServed(req QueryRequest, reqID, traceID, factPath string, parsed *wfdsl.Parsed, servedFrom, sourceTrace, engine string, latency time.Duration, runErr error) {
+// recordServed finishes a query answered without its own engine run
+// (cache hit or shared fan-out): one record, committed to the flight
+// recorder and the history alike, with served_from set so the trace
+// reports zero attempts. The record carries no per-node profile: the
+// measured-statistics store folds only OutcomeOK records, so zero-work
+// answers can never skew per-node cardinalities.
+func (s *Server) recordServed(reqID, traceID, factPath string, parsed *wfdsl.Parsed, servedFrom, sourceTrace string, latency time.Duration, runErr error) {
 	outcome := aw.OutcomeCacheHit
 	errMsg := ""
 	if servedFrom == "shared" {
 		outcome, errMsg = aw.OutcomeOf(runErr)
 	}
-	label := strings.Join(parsed.Compiled.Outputs(), ",")
-	rec := &aw.HistoryRecord{
-		Time:          time.Now(),
+	_ = s.hist.Append(&aw.HistoryRecord{
 		RequestID:     reqID,
 		TraceID:       traceID,
-		Label:         label,
+		Label:         strings.Join(parsed.Compiled.Outputs(), ","),
 		QueryFP:       parsed.Compiled.Fingerprint(),
 		CollectionFP:  aw.CollectionFingerprint(aw.FromFile(factPath)),
 		Engine:        servedFrom,
@@ -655,18 +654,6 @@ func (s *Server) recordServed(req QueryRequest, reqID, traceID, factPath string,
 		ServedFrom:    servedFrom,
 		SourceTraceID: sourceTrace,
 		DurationUs:    latency.Microseconds(),
-	}
-	_ = s.hist.Append(rec)
-	flight.Default.Commit(&flight.Trace{
-		ID:            traceID,
-		RequestID:     reqID,
-		Label:         label,
-		Engine:        engine,
-		Outcome:       outcome,
-		Error:         errMsg,
-		DurationUs:    latency.Microseconds(),
-		ServedFrom:    servedFrom,
-		SourceTraceID: sourceTrace,
 	})
 }
 
