@@ -112,9 +112,7 @@ func ExplainFor(c *Compiled, in Input, opts ...QueryOptions) (*Profile, error) {
 	st := planStats(c, in, &o)
 	p := &Profile{}
 	if o.Engine == EngineAuto {
-		// No input at all (Explain) describes a file run: what awquery
-		// -explain without -data means.
-		if err := p.resolveAuto(c, st, &o, in.path != "" || in.recs == nil); err != nil {
+		if err := p.resolveAuto(c, st, &o); err != nil {
 			return nil, err
 		}
 	}
@@ -128,8 +126,8 @@ func ExplainFor(c *Compiled, in Input, opts ...QueryOptions) (*Profile, error) {
 // resolveAuto resolves EngineAuto in o exactly as a run would
 // (resolveAuto in run.go) and records the Section 6 decision inputs in
 // the profile's headline.
-func (p *Profile) resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions, file bool) error {
-	d, err := resolveAuto(c, st, o, file, nil)
+func (p *Profile) resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions) error {
+	d, err := resolveAuto(c, st, o, nil)
 	if err != nil {
 		return err
 	}
@@ -293,7 +291,7 @@ func ExplainAnalyzeCompiled(ctx context.Context, c *Compiled, in Input, opts ...
 	p := &Profile{Engine: engine.String(), Analyzed: true}
 	if o.Engine == EngineAuto {
 		// The run succeeded, so the decision it resolved does too.
-		_ = p.resolveAuto(c, st, &eo, in.path != "")
+		_ = p.resolveAuto(c, st, &eo)
 	}
 	eo.Engine = engine
 	if err := buildEstimates(c, &eo, st, p); err != nil {

@@ -29,9 +29,8 @@ func profileWorkflow(t *testing.T, s *aw.Schema) *aw.Workflow {
 }
 
 // TestExplainAutoNamesTheEngineThatRuns: EngineAuto with Parallelism 2
-// over in-memory records runs serial sort/scan (shardscan needs a
-// file); EXPLAIN must predict that, while a plain Explain with no input
-// keeps describing a file run.
+// over in-memory records runs shardscan, as over a file; EXPLAIN must
+// predict that, with the input and without it.
 func TestExplainAutoNamesTheEngineThatRuns(t *testing.T) {
 	s := attackSchema(t)
 	gT, err := s.MakeGran(map[string]string{"t": "Second"})
@@ -64,11 +63,11 @@ func TestExplainAutoNamesTheEngineThatRuns(t *testing.T) {
 		t.Fatalf("EXPLAIN predicted %s (%s), the run used %s (%s)",
 			predicted.Engine, predicted.Strategy, ran.Profile.Engine, ran.Profile.Strategy)
 	}
-	if ran.Profile.Engine != "sortscan" {
-		t.Fatalf("in-memory auto run used %s, want sortscan", ran.Profile.Engine)
+	if ran.Profile.Engine != "shardscan" {
+		t.Fatalf("in-memory auto run used %s, want shardscan", ran.Profile.Engine)
 	}
-	if file, err := aw.Explain(c, o); err != nil || file.Engine != "shardscan" {
-		t.Fatalf("Explain without input = %v (err %v), want the file run's shardscan", file, err)
+	if none, err := aw.Explain(c, o); err != nil || none.Engine != "shardscan" {
+		t.Fatalf("Explain without input = %v (err %v), want shardscan", none, err)
 	}
 }
 

@@ -125,9 +125,13 @@ func TestAutoStatsAndParallelism(t *testing.T) {
 			t.Errorf("measure %s differs on single-scan with Parallelism set", name)
 		}
 	}
-	// AutoStats over in-memory input is an error.
-	if _, err := aw.Run(context.Background(), busyWorkflow(t, s, 1), aw.FromRecords(recs), aw.QueryOptions{AutoStats: true}); err == nil {
-		t.Error("AutoStats over records accepted")
+	// AutoStats samples in-memory records as it does a file.
+	got, err = aw.Run(context.Background(), busyWorkflow(t, s, 1), aw.FromRecords(recs), aw.QueryOptions{AutoStats: true})
+	if err != nil {
+		t.Fatalf("AutoStats over records: %v", err)
+	}
+	if !aw.ResultsEqual(want, got, 0) {
+		t.Error("AutoStats over records changed the tables")
 	}
 	// CollectStats sanity.
 	cards, err := aw.CollectStats(fact, 0)

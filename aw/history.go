@@ -302,16 +302,12 @@ func (h *History) FormatRecent(n int) string {
 // CollectionFingerprint identifies the dataset a query runs against —
 // the CollectionFP of its history records. The serve layer uses it to
 // stamp synthesized records (cache hits, shared fan-outs) consistently
-// with the records real runs write.
-func CollectionFingerprint(in Input) string { return collectionFingerprint(in) }
-
-// collectionFingerprint identifies the dataset a query ran against.
-// File inputs hash the absolute path plus size and mtime, so the
-// fingerprint changes when the file is rewritten (stale measurements
-// stop matching); in-memory inputs get a length-based tag — cheap and
-// deterministic, but different slices of equal length collide, which
-// is acceptable for advisory statistics.
-func collectionFingerprint(in Input) string {
+// with the records real runs write. File inputs hash the absolute path
+// plus size and mtime, so the fingerprint changes when the file is
+// rewritten (stale measurements stop matching); in-memory inputs get a
+// length-based tag — cheap and deterministic, but different slices of
+// equal length collide, which is acceptable for advisory statistics.
+func CollectionFingerprint(in Input) string {
 	if in.path == "" {
 		return fmt.Sprintf("mem-%d", len(in.recs))
 	}
@@ -357,7 +353,7 @@ func buildRecord(c *Compiled, in Input, o *QueryOptions, g *qguard.Guard, qSpan 
 		TraceID:      o.TraceID,
 		Label:        strings.Join(c.Outputs(), ","),
 		QueryFP:      c.Fingerprint(),
-		CollectionFP: collectionFingerprint(in),
+		CollectionFP: CollectionFingerprint(in),
 		Engine:       engine.String(),
 	}
 	rec.Outcome, rec.Error = OutcomeOf(runErr)

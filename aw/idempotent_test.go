@@ -33,8 +33,9 @@ func corruptAttackRecord(t *testing.T, path string, i int) {
 // TestFaultFallbackCorruptSkipCountedOnce: a degraded read whose
 // sort/scan attempt trips the live-cell budget is retried as
 // multi-pass, re-reading the file and re-skipping the same corrupt
-// rows. The published rows_corrupt_skipped must match a direct
-// multi-pass run — the failed attempt's skips must not be added on top.
+// rows. The published rows_corrupt_skipped must be the three corrupt
+// rows — neither the failed attempt's skips nor the passes' re-reads
+// are added on top.
 func TestFaultFallbackCorruptSkipCountedOnce(t *testing.T) {
 	s := attackSchema(t)
 	recs := attackRecords(3000, 24)
@@ -61,10 +62,8 @@ func TestFaultFallbackCorruptSkipCountedOnce(t *testing.T) {
 	baseCards := []float64{1.5e7, 1.5e7, 1, 1}
 
 	// Baseline: a direct multi-pass run with the budget the fallback
-	// retry will compute (MaxLiveCells * 64 bytes/cell). Its corrupt
-	// count is what one final attempt reports — multi-pass may lawfully
-	// skip a corrupt row once per pass, so the baseline is measured, not
-	// assumed to be 3.
+	// retry will compute (MaxLiveCells * 64 bytes/cell). Every pass
+	// skips the same three rows, and they count once.
 	recMP := aw.NewRecorder()
 	if _, err := aw.Run(context.Background(), wf(), aw.FromFile(fact), aw.QueryOptions{
 		ExecOptions: aw.ExecOptions{
@@ -79,9 +78,9 @@ func TestFaultFallbackCorruptSkipCountedOnce(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("baseline multipass: %v", err)
 	}
-	want := recMP.Counter(obs.MRowsCorruptSkipped).Value()
-	if want == 0 {
-		t.Fatal("baseline skipped no corrupt rows; corruption setup is wrong")
+	const want = 3
+	if n := recMP.Counter(obs.MRowsCorruptSkipped).Value(); n != want {
+		t.Fatalf("baseline multipass: rows_corrupt_skipped = %d, want %d", n, want)
 	}
 
 	rec := aw.NewRecorder()

@@ -9,9 +9,11 @@ import (
 	"strconv"
 	"strings"
 
+	"awra/internal/exec/scan"
 	"awra/internal/obs"
 	"awra/internal/obs/flight"
 	"awra/internal/qguard"
+	"awra/internal/stats"
 )
 
 // Typed errors returned by Run and RunCompiled. Match them with
@@ -50,6 +52,11 @@ const (
 // AsBudgetError extracts a *BudgetError from an error chain.
 func AsBudgetError(err error) (*BudgetError, bool) { return qguard.AsBudget(err) }
 
+// RecordShapeError reports an in-memory record (FromRecords) whose
+// dimension or measure count is not the schema's; Index names it. The
+// run fails with it before any engine starts.
+type RecordShapeError = scan.ShapeError
+
 // Run compiles the workflow (if needed) and evaluates it under ctx:
 // canceling the context aborts the query promptly (engines check
 // cooperatively at scan strides) with ErrCanceled, and a context or
@@ -65,7 +72,7 @@ func Run(ctx context.Context, w *Workflow, in Input, opts ...QueryOptions) (Resu
 			_ = o.History.Append(&HistoryRecord{
 				RequestID:    o.RequestID,
 				TraceID:      o.TraceID,
-				CollectionFP: collectionFingerprint(in),
+				CollectionFP: CollectionFingerprint(in),
 				Engine:       o.Engine.String(),
 				Outcome:      OutcomeError,
 				Error:        err.Error(),
@@ -169,25 +176,26 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 		_ = o.History.Append(buildRecord(c, in, &o, g, qSpan, engine, err))
 	}()
 
+	// The engines' one input: in-memory records are shape-checked here.
+	src := scan.FileInput(in.path)
+	if in.path == "" {
+		if src, err = scan.RecordsInput(in.recs, c.Schema.NumDims(), c.Schema.NumMeasures()); err != nil {
+			return nil, o.Engine, err
+		}
+	}
 	if o.AutoStats {
-		if in.path == "" {
-			return nil, o.Engine, fmt.Errorf("aw: AutoStats requires a file input")
+		st, err := stats.Collect(src, g, stats.Options{SampleLimit: 200000})
+		if err != nil {
+			return nil, o.Engine, err
 		}
-		cards, statsErr := CollectStats(in.path, 200000)
-		if statsErr != nil {
-			return nil, o.Engine, statsErr
-		}
-		o.BaseCards = cards
+		o.BaseCards = st.PlanStats().BaseCard
 		o.AutoStats = false
 	}
 	st := planStats(c, in, &o)
 
 	wasAuto := o.Engine == EngineAuto
-	res, engine, err = runEngines(c, in, o, st, g, inq, qSpan)
-	// The multipass fallback needs a file input; for in-memory inputs the
-	// original BudgetError stands (retrying would replace it with an
-	// unrelated "requires a file input" error).
-	if err != nil && wasAuto && (engine == EngineSortScan || engine == EngineShardScan) && in.path != "" {
+	res, engine, err = runEngines(c, src, o, st, g, inq, qSpan)
+	if err != nil && wasAuto && (engine == EngineSortScan || engine == EngineShardScan) {
 		if be, ok := qguard.AsBudget(err); ok && be.Resource == qguard.ResLiveCells {
 			// The optimizer judged one sort/scan pass affordable but the
 			// run-time frontier disagreed; degrade to multi-pass, whose
@@ -201,13 +209,12 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 				// planner's own cost model).
 				retry.MemoryBudget = limits.MaxLiveCells * 64
 			}
-			// The retry re-reads the same file and re-skips the same
-			// corrupt rows, so the first attempt's degraded-mode count is
-			// NOT pre-published here: the deferred reportOutcome publishes
-			// the final guard's count once, and a retried-then-successful
-			// read never double-counts rows_corrupt_skipped.
+			// The retry re-reads the same input on a fresh guard, so the
+			// deferred reportOutcome publishes the final attempt's corrupt
+			// rows once: a retried-then-successful read never adds the
+			// first attempt's skips to rows_corrupt_skipped.
 			g = qguard.New(ctx, limits)
-			res, engine, err = runEngines(c, in, retry, st, g, inq, qSpan)
+			res, engine, err = runEngines(c, src, retry, st, g, inq, qSpan)
 		}
 	}
 	return res, engine, err

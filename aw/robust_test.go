@@ -86,25 +86,46 @@ func TestFaultMaxSpillBytesBudget(t *testing.T) {
 	}
 }
 
-// TestFaultPanicRecovered: malformed in-memory records (fewer dims than
-// the schema) panic deep inside an engine; the public API must turn
-// that into an error, not crash the caller.
+// TestFaultPanicRecovered: a panic deep inside an engine — here a
+// combine function that panics — must come back from the public API as
+// an error, not crash the caller.
 func TestFaultPanicRecovered(t *testing.T) {
 	s := attackSchema(t)
-	bad := []aw.Record{{Dims: []int64{1}, Ms: nil}, {Dims: []int64{2}, Ms: nil}}
-	_, err := aw.Run(context.Background(), busyWorkflow(t, s, 1), aw.FromRecords(bad))
+	boom := aw.CombineFunc{Name: "boom", Fn: func([]float64) float64 { panic("combine function failed") }}
+	w := busyWorkflow(t, s, 0).Combine("boom", []string{"sCount", "sTraffic"}, boom)
+	_, err := aw.Run(context.Background(), w, aw.FromRecords(attackRecords(200, 20)))
 	if err == nil {
-		t.Fatal("malformed records evaluated without error")
+		t.Fatal("a panicking engine returned no error")
 	}
 	if !strings.Contains(err.Error(), "internal error") {
 		t.Fatalf("got %v, want an internal-error report", err)
 	}
 }
 
+// TestRecordShapeRejected: an in-memory record with the wrong number of
+// dimensions fails the run with a typed error naming it, on every
+// engine — it once returned tables under single-scan and panicked under
+// the default engine.
+func TestRecordShapeRejected(t *testing.T) {
+	s := attackSchema(t)
+	recs := attackRecords(100, 27)
+	recs[42].Dims = recs[42].Dims[:1]
+	for _, eng := range []aw.Engine{aw.EngineSortScan, aw.EngineSingleScan} {
+		res, err := aw.Run(context.Background(), busyWorkflow(t, s, 1), aw.FromRecords(recs), aw.QueryOptions{
+			ExecOptions: aw.ExecOptions{Engine: eng},
+		})
+		var se *aw.RecordShapeError
+		if !errors.As(err, &se) || se.Index != 42 || se.Dims != 1 || se.WantDims != 4 {
+			t.Fatalf("%v: got %d tables, error %v; want a RecordShapeError naming record 42", eng, len(res), err)
+		}
+	}
+}
+
 // TestFaultAutoFallbackMultipass: EngineAuto picks sort/scan off wildly
 // wrong cardinality estimates; the run-time live-cell guardrail trips,
 // and the query must degrade to multi-pass and still produce correct
-// results, counting one fallback_engine_switches.
+// results, counting one fallback_engine_switches — from a file and from
+// in-memory records alike.
 func TestFaultAutoFallbackMultipass(t *testing.T) {
 	s := attackSchema(t)
 	recs := attackRecords(3000, 24)
@@ -135,67 +156,59 @@ func TestFaultAutoFallbackMultipass(t *testing.T) {
 	// default budget while one sorted pass looks fine; the real data has
 	// ~3000 distinct seconds and ~750 distinct IPs, so whichever
 	// dimension the chosen key leaves unsorted overflows MaxLiveCells.
-	rec := aw.NewRecorder()
-	got, err := aw.Run(context.Background(), wf(), aw.FromFile(fact), aw.QueryOptions{
-		ExecOptions: aw.ExecOptions{
-			Engine:       aw.EngineAuto,
-			MaxLiveCells: 400,
-			Recorder:     rec,
-		},
-		TempDir:   filepath.Dir(fact),
-		BaseCards: []float64{1.5e7, 1.5e7, 1, 1},
-	})
-	if err != nil {
-		t.Fatalf("fallback did not rescue the query: %v", err)
-	}
-	if n := rec.Counter(obs.MFallbackSwitches).Value(); n != 1 {
-		t.Errorf("fallback_engine_switches = %d, want 1", n)
-	}
-	for name, tbl := range want {
-		if !tbl.Equal(got[name], 1e-9) {
-			t.Errorf("measure %s differs after fallback", name)
+	for _, tc := range []struct {
+		name string
+		in   aw.Input
+	}{{"file", aw.FromFile(fact)}, {"records", aw.FromRecords(recs)}} {
+		rec := aw.NewRecorder()
+		got, err := aw.Run(context.Background(), wf(), tc.in, aw.QueryOptions{
+			ExecOptions: aw.ExecOptions{
+				Engine:       aw.EngineAuto,
+				MaxLiveCells: 400,
+				Recorder:     rec,
+			},
+			TempDir:   t.TempDir(),
+			BaseCards: []float64{1.5e7, 1.5e7, 1, 1},
+		})
+		if err != nil {
+			t.Fatalf("%s: fallback did not rescue the query: %v", tc.name, err)
+		}
+		if n := rec.Counter(obs.MFallbackSwitches).Value(); n != 1 {
+			t.Errorf("%s: fallback_engine_switches = %d, want 1", tc.name, n)
+		}
+		if !aw.ResultsEqual(want, got, 0) {
+			t.Errorf("%s: tables differ after fallback", tc.name)
 		}
 	}
 }
 
-// TestFaultAutoInMemoryBudgetKeepsTypedError: with an in-memory input
-// the multipass fallback is unavailable, so an EngineAuto sort/scan
-// attempt that blows the live-cell budget must surface the original
-// typed BudgetError (counted as a budget rejection), not a
-// "requires a file input" retry failure.
-func TestFaultAutoInMemoryBudgetKeepsTypedError(t *testing.T) {
+// TestAutoStatsReadsUnderGuard: AutoStats samples the input under the
+// query's guard, so a corrupt row the degraded read skips is skipped by
+// the sampler too — counted once — instead of failing the query.
+func TestAutoStatsReadsUnderGuard(t *testing.T) {
 	s := attackSchema(t)
-	recs := attackRecords(3000, 24)
-	gT, err := s.MakeGran(map[string]string{"t": "Second"})
-	if err != nil {
-		t.Fatal(err)
+	fact := writeAttackFact(t, attackRecords(3000, 28))
+	corruptAttackRecord(t, fact, 100)
+	run := func(autoStats bool) (aw.Results, int64) {
+		t.Helper()
+		rec := aw.NewRecorder()
+		res, err := aw.Run(context.Background(), busyWorkflow(t, s, 1), aw.FromFile(fact), aw.QueryOptions{
+			ExecOptions: aw.ExecOptions{SkipCorruptRows: true, Recorder: rec},
+			TempDir:     t.TempDir(),
+			AutoStats:   autoStats,
+		})
+		if err != nil {
+			t.Fatalf("AutoStats=%v: %v", autoStats, err)
+		}
+		return res, rec.Counter(obs.MRowsCorruptSkipped).Value()
 	}
-	gU, err := s.MakeGran(map[string]string{"U": "IP"})
-	if err != nil {
-		t.Fatal(err)
+	want, _ := run(false)
+	got, skipped := run(true)
+	if skipped != 1 {
+		t.Errorf("rows_corrupt_skipped = %d, want 1", skipped)
 	}
-	wf := aw.NewWorkflow(s).
-		Basic("mT", gT, aw.Count, -1).
-		Basic("mU", gU, aw.Count, -1)
-
-	rec := aw.NewRecorder()
-	_, err = aw.Run(context.Background(), wf, aw.FromRecords(recs), aw.QueryOptions{
-		ExecOptions: aw.ExecOptions{
-			Engine:       aw.EngineAuto,
-			MaxLiveCells: 400,
-			Recorder:     rec,
-		},
-		BaseCards: []float64{1.5e7, 1.5e7, 1, 1},
-	})
-	be, ok := aw.AsBudgetError(err)
-	if !ok || be.Resource != aw.ResLiveCells {
-		t.Fatalf("got %v, want live-cells BudgetError", err)
-	}
-	if n := rec.Counter(obs.MFallbackSwitches).Value(); n != 0 {
-		t.Errorf("fallback_engine_switches = %d, want 0 for in-memory input", n)
-	}
-	if n := rec.Counter(obs.MBudgetRejections).Value(); n != 1 {
-		t.Errorf("budget_rejections = %d, want 1", n)
+	if !aw.ResultsEqual(want, got, 0) {
+		t.Error("AutoStats changed the tables")
 	}
 }
 

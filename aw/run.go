@@ -9,7 +9,6 @@ import (
 	"awra/internal/exec/scan"
 	"awra/internal/exec/singlescan"
 	"awra/internal/exec/sortscan"
-	"awra/internal/model"
 	"awra/internal/obs"
 	"awra/internal/opt"
 	"awra/internal/plan"
@@ -17,7 +16,6 @@ import (
 	"awra/internal/relbaseline"
 	"awra/internal/resultstore"
 	"awra/internal/stats"
-	"awra/internal/storage"
 )
 
 // Engine selects an evaluation strategy.
@@ -41,14 +39,14 @@ const (
 	// simple scan when every hash table fits the budget, otherwise the
 	// best-key sort/scan, otherwise multi-pass.
 	EngineAuto
-	// EngineShardScan splits the fact file into Parallelism shards by
+	// EngineShardScan splits the fact records into Parallelism shards by
 	// the leading part of the sort key (the optimizer's, or
 	// QueryOptions.SortKey's, which so picks the partition unit), runs
 	// an independent sort/scan per shard in parallel, and combines the
 	// per-shard outputs (concatenation for nesting measures, aggregate
 	// state merge for measures whose regions span shards). Requires a
-	// file input and a shardable workflow; EngineAuto selects it
-	// automatically when Parallelism > 1 and the workflow qualifies.
+	// shardable workflow; EngineAuto selects it automatically when
+	// Parallelism > 1 and the workflow qualifies.
 	EngineShardScan
 )
 
@@ -169,9 +167,10 @@ type ExecOptions struct {
 	// whose input fits one sort chunk writes no file and charges nothing;
 	// streaming sessions never spill.
 	MaxSpillBytes int64
-	// SkipCorruptRows degrades checksummed file reads: rows whose CRC
-	// does not verify are skipped and counted (rows_corrupt_skipped)
-	// instead of failing the query. File inputs only.
+	// SkipCorruptRows degrades checksummed reads: rows whose CRC does not
+	// verify are skipped instead of failing the query, and counted once
+	// each in rows_corrupt_skipped however many times the plan reads
+	// them. In-memory records carry no checksums.
 	SkipCorruptRows bool
 	// History, if non-nil, records every run's completion (success,
 	// budget trip, cancel, or error) in the persistent query-history
@@ -192,12 +191,11 @@ type ExecOptions struct {
 	// CLI printing the trace — generate one and pass it here; a retried
 	// request reuses its ID so all attempts land in one trace.
 	TraceID string
-	// ReadBatchSize is the chunk size in bytes for the batched fact
-	// reads under every file-backed engine (the internal/exec/scan
-	// reader). 0 uses the default (a few MB); positive values below the
-	// reader's minimum are clamped up; negative values are rejected at
-	// entry. In-memory and streaming inputs batch at a fixed record
-	// count and ignore it.
+	// ReadBatchSize is the chunk size in bytes for every engine's
+	// batched file reads (the internal/exec/scan reader). 0 uses the
+	// default (a few MB); positive values below the reader's minimum are
+	// clamped up; negative values are rejected at entry. In-memory
+	// records and streaming sessions batch at a fixed record count.
 	ReadBatchSize int
 }
 
@@ -256,29 +254,31 @@ type QueryOptions struct {
 	// SortKey overrides the optimizer's choice (sortscan/shardscan).
 	SortKey SortKey
 	// TempDir receives sort runs, single-scan spills and the relational
-	// baseline's spooled intermediates.
+	// baseline's spooled intermediates; empty uses os.TempDir().
 	TempDir string
 	// BaseCards estimates per-dimension base cardinalities for the
 	// optimizer; nil uses defaults.
 	BaseCards []float64
 	// AutoStats collects per-dimension cardinality estimates from the
-	// fact file (one extra sampling scan) before planning, instead of
-	// relying on BaseCards or defaults. File inputs only.
+	// input (one extra sampling scan, under the query's guard) before
+	// planning, instead of relying on BaseCards or defaults.
 	AutoStats bool
 }
 
-// Input is a fact-table source for Query.
+// Input is a fact-table source for Run. Every engine and AutoStats
+// accept either kind.
 type Input struct {
 	path string
 	recs []Record
-	n    int
 }
 
 // FromFile reads the fact table from a binary record file.
 func FromFile(path string) Input { return Input{path: path} }
 
-// FromRecords evaluates over an in-memory record slice.
-func FromRecords(recs []Record) Input { return Input{recs: recs, n: len(recs)} }
+// FromRecords evaluates over an in-memory record slice. Every record
+// must have the schema's dimension and measure counts; the first that
+// does not fails the run with a *RecordShapeError.
+func FromRecords(recs []Record) Input { return Input{recs: recs} }
 
 // Results maps measure names to their computed tables.
 type Results map[string]*Table
@@ -318,7 +318,7 @@ func planStats(c *Compiled, in Input, o *QueryOptions) *plan.Stats {
 		st.Source = plan.SourceCollected
 	}
 	if h := o.History; h != nil {
-		fp := collectionFingerprint(in)
+		fp := CollectionFingerprint(in)
 		st.Measured = func(sig string) (float64, bool) {
 			m, ok := h.store.Lookup(fp, sig)
 			return m.Cells, ok
@@ -330,11 +330,11 @@ func planStats(c *Compiled, in Input, o *QueryOptions) *plan.Stats {
 // resolveAuto applies the paper's Section 6 decision procedure to an
 // EngineAuto query, rewriting o.Engine — and o.SortKey, when sort/scan
 // wins and none was given — to the engine that will run. With
-// Parallelism > 1, a sort/scan decision over a file input upgrades to
-// the sharded engine when the workflow splits safely by the sort key's
-// leading part; otherwise it stays serial rather than fail. Runs and
-// EXPLAIN both resolve here, so EXPLAIN names the engine a run uses.
-func resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions, file bool, rec *Recorder) (opt.Decision, error) {
+// Parallelism > 1, a sort/scan decision upgrades to the sharded engine
+// when the workflow splits safely by the sort key's leading part;
+// otherwise it stays serial rather than fail. Runs and EXPLAIN both
+// resolve here, so EXPLAIN names the engine a run uses.
+func resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions, rec *Recorder) (opt.Decision, error) {
 	d, err := opt.Choose(c, st, float64(o.MemoryBudget), rec)
 	if err != nil {
 		return d, err
@@ -347,7 +347,7 @@ func resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions, file bool, rec *R
 		if o.SortKey == nil {
 			o.SortKey = d.Key
 		}
-		if o.Parallelism > 1 && file {
+		if o.Parallelism > 1 {
 			if nk, err := SortKey(o.SortKey).Normalize(c.Schema); err == nil {
 				if _, err := opt.ShardPrefix(c, nk); err == nil {
 					o.Engine = EngineShardScan
@@ -363,174 +363,77 @@ func resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions, file bool, rec *R
 // runEngines dispatches one evaluation attempt to the selected engine
 // under the given guard and query span, returning the engine that
 // actually ran (the EngineAuto decision resolved).
-func runEngines(c *Compiled, in Input, o QueryOptions, st *plan.Stats, g *qguard.Guard, inq *obs.InflightQuery, qSpan *obs.Span) (Results, Engine, error) {
+func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *qguard.Guard, inq *obs.InflightQuery, qSpan *obs.Span) (Results, Engine, error) {
 	qrec := o.Recorder.At(qSpan)
-
-	// setKey records the resolved sort order on the query span, where
-	// ExplainAnalyze, in-flight snapshots, and history records read it.
-	setKey := func(key model.SortKey) {
-		qSpan.SetAttr("sort_key", key.String(c.Schema))
-	}
-
-	// chooseKey runs the optimizer under an "optimize" span.
-	chooseKey := func() (SortKey, error) {
-		optSpan := qrec.Start(obs.SpanOptimize)
-		defer optSpan.End()
-		ch, err := opt.Best(c, st, qrec.At(optSpan))
-		if err != nil {
-			return nil, err
-		}
-		return ch.Key, nil
-	}
-
 	if o.Engine == EngineAuto {
 		optSpan := qrec.Start(obs.SpanOptimize)
-		_, err := resolveAuto(c, st, &o, in.path != "", qrec.At(optSpan))
+		_, err := resolveAuto(c, st, &o, qrec.At(optSpan))
 		optSpan.End()
 		if err != nil {
 			return nil, o.Engine, err
 		}
 	}
-
 	qSpan.SetAttr("engine", o.Engine.String())
 	inq.SetEngine(o.Engine.String())
+	eo := scan.EngineOptions{TempDir: o.TempDir, ReadBatchBytes: o.ReadBatchSize, Recorder: qrec, Guard: g}
 
-	// In-memory input paths.
-	if in.path == "" {
-		switch o.Engine {
-		case EngineSingleScan:
-			res, err := singlescan.Run(c, &storage.SliceSource{Recs: in.recs}, singlescan.Options{
-				MemoryBudget: o.MemoryBudget, TempDir: o.TempDir, Recorder: qrec, Guard: g,
-			})
-			if err != nil {
-				return nil, o.Engine, err
-			}
-			return res.Tables, o.Engine, nil
-		case EngineSortScan:
-			key := o.SortKey
-			if key == nil {
-				var err error
-				if key, err = chooseKey(); err != nil {
-					return nil, o.Engine, err
-				}
-			}
-			nk, err := SortKey(key).Normalize(c.Schema)
-			if err != nil {
-				return nil, o.Engine, err
-			}
-			setKey(nk)
-			sorted := make([]Record, len(in.recs))
-			copy(sorted, in.recs)
-			sortSpan := qrec.Start(obs.SpanSort)
-			var sortErr error
-			func() {
-				defer qguard.RecoverAbort(&sortErr)
-				var n int
-				storage.SortRecords(sorted, func(a, b *Record) bool {
-					if n++; n&4095 == 0 {
-						g.CheckAbort()
-					}
-					return nk.RecordLess(c.Schema, a, b)
-				})
-			}()
-			sortSpan.End()
-			if sortErr != nil {
-				return nil, o.Engine, sortErr
-			}
-			pl, err := plan.Build(c, nk, st)
-			if err != nil {
-				return nil, o.Engine, err
-			}
-			res, err := sortscan.RunSortedGuarded(c, pl, &storage.SliceSource{Recs: sorted}, g, qrec)
-			if err != nil {
-				return nil, o.Engine, err
-			}
-			return res.Tables, o.Engine, nil
-		default:
-			return nil, o.Engine, fmt.Errorf("aw: engine %v requires a file input (use FromFile)", o.Engine)
-		}
-	}
-
-	par := o.Parallelism
+	var tables Results
+	var err error
 	switch o.Engine {
-	case EngineSortScan:
-		key := o.SortKey
-		if key == nil {
-			var err error
-			if key, err = chooseKey(); err != nil {
+	case EngineSortScan, EngineShardScan:
+		// The one sort key of a one-pass plan: the caller's or the
+		// optimizer's, recorded on the query span, where ExplainAnalyze,
+		// in-flight snapshots, and history records read it.
+		if o.SortKey == nil {
+			optSpan := qrec.Start(obs.SpanOptimize)
+			ch, err := opt.Best(c, st, qrec.At(optSpan))
+			optSpan.End()
+			if err != nil {
 				return nil, o.Engine, err
 			}
+			o.SortKey = ch.Key
 		}
-		if nk, err := SortKey(key).Normalize(c.Schema); err == nil {
-			setKey(nk)
+		if nk, err := o.SortKey.Normalize(c.Schema); err == nil {
+			qSpan.SetAttr("sort_key", nk.String(c.Schema))
 		}
-		res, err := sortscan.Run(c, in.path, sortscan.Options{
-			SortKey: key, TempDir: o.TempDir, Stats: st,
-			SortWorkers: par, ReadBatchBytes: o.ReadBatchSize,
-			Recorder: qrec, Guard: g,
-		})
-		if err != nil {
-			return nil, o.Engine, err
+		// Parallelism is the shard count of a sharded run and the run
+		// writers of a serial one (RunSharded runs Run below two shards).
+		so := sortscan.ShardedOptions{Options: sortscan.Options{EngineOptions: eo, SortKey: o.SortKey, Stats: st}}
+		if o.Engine == EngineShardScan {
+			so.Shards = o.Parallelism
+		} else {
+			so.SortWorkers = o.Parallelism
 		}
-		return res.Tables, o.Engine, nil
-	case EngineShardScan:
-		key := o.SortKey
-		if key == nil {
-			var err error
-			if key, err = chooseKey(); err != nil {
-				return nil, o.Engine, err
-			}
+		var res *sortscan.Result
+		if res, err = sortscan.RunSharded(c, in, so); err == nil {
+			tables = res.Tables
 		}
-		shards := par
-		if shards < 1 {
-			shards = 1
-		}
-		if nk, err := SortKey(key).Normalize(c.Schema); err == nil {
-			setKey(nk)
-		}
-		res, err := sortscan.RunSharded(c, in.path, sortscan.ShardedOptions{
-			SortKey: key, Shards: shards, TempDir: o.TempDir, Stats: st,
-			ReadBatchBytes: o.ReadBatchSize,
-			Recorder:       qrec, Guard: g,
-		})
-		if err != nil {
-			return nil, o.Engine, err
-		}
-		return res.Tables, o.Engine, nil
 	case EngineSingleScan:
-		res, err := singlescan.RunFile(c, in.path, singlescan.Options{
-			MemoryBudget: o.MemoryBudget, TempDir: o.TempDir,
-			ReadBatchBytes: o.ReadBatchSize, Recorder: qrec, Guard: g,
-		})
-		if err != nil {
-			return nil, o.Engine, err
+		var res *singlescan.Result
+		if res, err = singlescan.Run(c, in, singlescan.Options{EngineOptions: eo, MemoryBudget: o.MemoryBudget}); err == nil {
+			tables = res.Tables
 		}
-		return res.Tables, o.Engine, nil
 	case EngineMultiPass:
-		res, err := multipass.Run(c, in.path, multipass.Options{
-			MemoryBudget: float64(o.MemoryBudget), Stats: st, TempDir: o.TempDir,
-			ReadBatchBytes: o.ReadBatchSize,
-			Recorder:       qrec, Guard: g,
-		})
-		if err != nil {
-			return nil, o.Engine, err
+		var res *multipass.Result
+		if res, err = multipass.Run(c, in, multipass.Options{EngineOptions: eo, MemoryBudget: float64(o.MemoryBudget), Stats: st}); err == nil {
+			tables = res.Tables
 		}
-		return res.Tables, o.Engine, nil
 	case EngineRelational:
-		res, err := relbaseline.Run(c, in.path, relbaseline.Options{TempDir: o.TempDir, Recorder: qrec, Guard: g})
-		if err != nil {
-			return nil, o.Engine, err
+		var res *relbaseline.Result
+		if res, err = relbaseline.Run(c, in, eo); err == nil {
+			tables = res.Tables
 		}
-		return res.Tables, o.Engine, nil
+	default:
+		err = fmt.Errorf("aw: unknown engine %v", o.Engine)
 	}
-	return nil, o.Engine, fmt.Errorf("aw: unknown engine %v", o.Engine)
+	return tables, o.Engine, err
 }
 
 // CollectStats samples a fact file (up to sampleLimit records; 0 =
 // all) and returns per-dimension distinct-value estimates suitable for
 // QueryOptions.BaseCards.
 func CollectStats(path string, sampleLimit int64) ([]float64, error) {
-	st, err := stats.CollectFile(path, stats.Options{SampleLimit: sampleLimit})
+	st, err := stats.Collect(scan.FileInput(path), nil, stats.Options{SampleLimit: sampleLimit})
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 
+	"awra/internal/exec/scan"
 	"awra/internal/gen"
 	"awra/internal/storage"
 )
@@ -85,7 +86,7 @@ func main() {
 		fatal(fmt.Errorf("unknown -kind %q (synth, net)", *kind))
 	}
 
-	r, err := storage.Open(*out)
+	r, err := scan.FileInput(*out).Open(scan.Options{})
 	if err != nil {
 		fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"awra/internal/exec/scan"
 	"awra/internal/exec/sortscan"
 	"awra/internal/gen"
 	"awra/internal/model"
@@ -44,8 +45,8 @@ func AblKey(cfg Config) (*Figure, error) {
 		{"worst", choices[len(choices)-1]},
 	} {
 		t0 := time.Now()
-		res, err := sortscan.Run(w, fact, sortscan.Options{
-			SortKey: pick.ch.Key, TempDir: cfg.Dir, Stats: st, Recorder: cfg.rec,
+		res, err := sortscan.Run(w, scan.FileInput(fact), sortscan.Options{
+			EngineOptions: cfg.engineOptions(), SortKey: pick.ch.Key, Stats: st,
 		})
 		if err != nil {
 			return nil, err
@@ -94,11 +95,8 @@ func AblPar(cfg Config) (*Figure, error) {
 	key := model.SortKey{{Dim: 0, Lvl: day}, {Dim: 2, Lvl: 0}, {Dim: 1, Lvl: 0}}
 	for _, parts := range []int{1, 2, 4} {
 		t0 := time.Now()
-		res, err := sortscan.RunSharded(w, fact, sortscan.ShardedOptions{
-			SortKey: key, Shards: parts, TempDir: cfg.Dir,
-			Stats:    &plan.Stats{BaseCard: cards},
-			Recorder: cfg.rec,
-		})
+		so := sortscan.Options{EngineOptions: cfg.engineOptions(), SortKey: key, Stats: &plan.Stats{BaseCard: cards}}
+		res, err := sortscan.RunSharded(w, scan.FileInput(fact), sortscan.ShardedOptions{Options: so, Shards: parts})
 		if err != nil {
 			return nil, err
 		}
@@ -143,10 +141,9 @@ func AblFlush(cfg Config) (*Figure, error) {
 		{"no-flush", true},
 	} {
 		t0 := time.Now()
-		res, err := sortscan.Run(w, fact, sortscan.Options{
-			SortKey: best.Key, TempDir: cfg.Dir, Stats: st,
+		res, err := sortscan.Run(w, scan.FileInput(fact), sortscan.Options{
+			EngineOptions: cfg.engineOptions(), SortKey: best.Key, Stats: st,
 			DisableEarlyFlush: mode.disable,
-			Recorder:          cfg.rec,
 		})
 		if err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"awra/internal/exec/scan"
 	"awra/internal/exec/singlescan"
 	"awra/internal/gen"
 	"awra/internal/obs"
@@ -108,7 +109,7 @@ func TestWorkflowsProduceMeaningfulResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := singlescan.RunFile(w, fact, singlescan.Options{})
+	res, err := singlescan.Run(w, scan.FileInput(fact), singlescan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestWorkflowsProduceMeaningfulResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := singlescan.RunFile(we, fact, singlescan.Options{})
+	res2, err := singlescan.Run(we, scan.FileInput(fact), singlescan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/exec/singlescan"
 	"awra/internal/exec/sortscan"
 	"awra/internal/gen"
@@ -56,6 +57,12 @@ func (c Config) withDefaults() Config {
 		c.rec = obs.New()
 	}
 	return c
+}
+
+// engineOptions is the engines' option block for one of the harness's
+// runs: temporaries in Dir, metrics into the run's recorder.
+func (c Config) engineOptions() scan.EngineOptions {
+	return scan.EngineOptions{TempDir: c.Dir, Recorder: c.rec}
 }
 
 func (c Config) logf(format string, args ...interface{}) {
@@ -180,11 +187,8 @@ func (c Config) timeSortScan(w *core.Compiled, fact string, cards []float64) (ti
 		return 0, sortscan.Stats{}, err
 	}
 	t0 := time.Now()
-	res, err := sortscan.Run(w, fact, sortscan.Options{
-		SortKey:  choice.Key,
-		TempDir:  c.Dir,
-		Stats:    &plan.Stats{BaseCard: cards},
-		Recorder: c.rec,
+	res, err := sortscan.Run(w, scan.FileInput(fact), sortscan.Options{
+		EngineOptions: c.engineOptions(), SortKey: choice.Key, Stats: &plan.Stats{BaseCard: cards},
 	})
 	if err != nil {
 		return 0, sortscan.Stats{}, err
@@ -193,13 +197,11 @@ func (c Config) timeSortScan(w *core.Compiled, fact string, cards []float64) (ti
 }
 
 // timeSingleScan runs the single-scan engine under the configured
-// memory budget, over the batched file reader every file query uses.
+// memory budget.
 func (c Config) timeSingleScan(w *core.Compiled, fact string) (time.Duration, singlescan.Stats, error) {
 	t0 := time.Now()
-	res, err := singlescan.RunFile(w, fact, singlescan.Options{
-		MemoryBudget: c.SingleScanBudget,
-		TempDir:      c.Dir,
-		Recorder:     c.rec,
+	res, err := singlescan.Run(w, scan.FileInput(fact), singlescan.Options{
+		EngineOptions: c.engineOptions(), MemoryBudget: c.SingleScanBudget,
 	})
 	if err != nil {
 		return 0, singlescan.Stats{}, err
@@ -211,7 +213,7 @@ func (c Config) timeSingleScan(w *core.Compiled, fact string) (time.Duration, si
 // measures only (one SQL query per final measure, like the paper).
 func (c Config) timeDB(w *core.Compiled, fact string, finals []string) (time.Duration, relbaseline.Stats, error) {
 	t0 := time.Now()
-	res, err := relbaseline.RunMeasures(w, fact, finals, relbaseline.Options{TempDir: c.Dir, Recorder: c.rec})
+	res, err := relbaseline.RunMeasures(w, scan.FileInput(fact), finals, c.engineOptions())
 	if err != nil {
 		return 0, relbaseline.Stats{}, err
 	}

@@ -8,6 +8,7 @@ import (
 	"awra/internal/agg"
 	"awra/internal/core"
 	"awra/internal/exec/multipass"
+	"awra/internal/exec/scan"
 	"awra/internal/exec/singlescan"
 	"awra/internal/exec/sortscan"
 	"awra/internal/model"
@@ -27,9 +28,19 @@ func writeFact(t *testing.T, g *Gen, recs []model.Record) string {
 	return path
 }
 
+// memInput is the in-memory input of generated records, in c's shape.
+func memInput(t *testing.T, c *core.Compiled, recs []model.Record) scan.Input {
+	t.Helper()
+	in, err := scan.RecordsInput(recs, c.Schema.NumDims(), c.Schema.NumMeasures())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 // TestRelBaselineMatchesSingleScan: the relational comparator must be
 // a correct evaluator too — otherwise benchmark comparisons are
-// meaningless.
+// meaningless. The reference evaluator is the oracle.
 func TestRelBaselineMatchesSingleScan(t *testing.T) {
 	trials := 25
 	if testing.Short() {
@@ -43,13 +54,13 @@ func TestRelBaselineMatchesSingleScan(t *testing.T) {
 		}
 		recs := g.Records(150 + g.Rng.Intn(300))
 		fact := writeFact(t, g, recs)
-		want := runSingle(t, c, recs, singlescan.Options{})
-		got, err := relbaseline.Run(c, fact, relbaseline.Options{TempDir: filepath.Dir(fact)})
+		want := runAlgebra(t, c, recs)
+		got, err := relbaseline.Run(c, scan.FileInput(fact), relbaseline.Options{TempDir: filepath.Dir(fact)})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if d := diffTables(want, got.Tables, 1e-9); d != "" {
-			t.Fatalf("trial %d: relbaseline vs singlescan: %s", trial, d)
+			t.Fatalf("trial %d: relbaseline vs algebra: %s", trial, d)
 		}
 		if got.Stats.FactScans == 0 {
 			t.Error("baseline claims zero fact scans")
@@ -58,7 +69,8 @@ func TestRelBaselineMatchesSingleScan(t *testing.T) {
 }
 
 // TestMultiPassMatchesSingleScan: the multi-pass executor must agree
-// with single-scan regardless of how small the per-pass budget is.
+// with the reference evaluator regardless of how small the per-pass
+// budget is.
 func TestMultiPassMatchesSingleScan(t *testing.T) {
 	trials := 15
 	if testing.Short() {
@@ -72,17 +84,17 @@ func TestMultiPassMatchesSingleScan(t *testing.T) {
 		}
 		recs := g.Records(200 + g.Rng.Intn(200))
 		fact := writeFact(t, g, recs)
-		want := runSingle(t, c, recs, singlescan.Options{})
+		want := runAlgebra(t, c, recs)
 		for _, budget := range []float64{0, 1e9, 2000, 100} {
-			got, err := multipass.Run(c, fact, multipass.Options{
-				MemoryBudget: budget,
-				TempDir:      filepath.Dir(fact),
+			got, err := multipass.Run(c, scan.FileInput(fact), multipass.Options{
+				EngineOptions: scan.EngineOptions{TempDir: filepath.Dir(fact)},
+				MemoryBudget:  budget,
 			})
 			if err != nil {
 				t.Fatalf("trial %d budget %v: %v", trial, budget, err)
 			}
 			if d := diffTables(want, got.Tables, 1e-9); d != "" {
-				t.Fatalf("trial %d budget %v: multipass vs singlescan: %s", trial, budget, d)
+				t.Fatalf("trial %d budget %v: multipass vs algebra: %s", trial, budget, d)
 			}
 		}
 	}
@@ -187,10 +199,7 @@ func TestEstimateTracksActual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sorted := append([]model.Record{}, recs...)
-		nk, _ := key.Normalize(s)
-		storage.SortRecords(sorted, func(a, b *model.Record) bool { return nk.RecordLess(s, a, b) })
-		res, err := sortscan.RunSorted(c, pl, &storage.SliceSource{Recs: sorted})
+		res, err := sortscan.Run(c, memInput(t, c, recs), sortscan.Options{SortKey: key, Stats: st})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,17 +7,17 @@ import (
 
 	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/exec/singlescan"
 	"awra/internal/exec/sortscan"
 	"awra/internal/model"
-	"awra/internal/plan"
 	"awra/internal/storage"
 )
 
 // runSingle evaluates via the single-scan engine (the oracle).
 func runSingle(t *testing.T, c *core.Compiled, recs []model.Record, opts singlescan.Options) map[string]*core.Table {
 	t.Helper()
-	res, err := singlescan.Run(c, &storage.SliceSource{Recs: recs}, opts)
+	res, err := singlescan.Run(c, memInput(t, c, recs), opts)
 	if err != nil {
 		t.Fatalf("singlescan: %v", err)
 	}
@@ -27,19 +27,7 @@ func runSingle(t *testing.T, c *core.Compiled, recs []model.Record, opts singles
 // runSort evaluates via the streaming sort/scan engine under a sort key.
 func runSort(t *testing.T, c *core.Compiled, recs []model.Record, key model.SortKey) map[string]*core.Table {
 	t.Helper()
-	sorted := append([]model.Record{}, recs...)
-	nk, err := key.Normalize(c.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	storage.SortRecords(sorted, func(a, b *model.Record) bool {
-		return nk.RecordLess(c.Schema, a, b)
-	})
-	pl, err := plan.Build(c, nk, nil)
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	res, err := sortscan.RunSorted(c, pl, &storage.SliceSource{Recs: sorted})
+	res, err := sortscan.Run(c, memInput(t, c, recs), sortscan.Options{SortKey: key})
 	if err != nil {
 		t.Fatalf("sortscan: %v", err)
 	}
@@ -90,8 +78,8 @@ func describe(tbl *core.Table) map[string]float64 {
 
 // TestSortScanMatchesSingleScanRandomized is the load-bearing
 // correctness test: random workflows over random data, evaluated by
-// single-scan, the algebra evaluator, and sort/scan under several
-// random sort keys — all must agree exactly.
+// the algebra evaluator (the oracle), single-scan, and sort/scan under
+// several random sort keys — all must agree exactly.
 func TestSortScanMatchesSingleScanRandomized(t *testing.T) {
 	trials := 60
 	if testing.Short() {
@@ -105,9 +93,9 @@ func TestSortScanMatchesSingleScanRandomized(t *testing.T) {
 		}
 		recs := g.Records(100 + g.Rng.Intn(400))
 
-		want := runSingle(t, c, recs, singlescan.Options{})
-		alg := runAlgebra(t, c, recs)
-		if d := diffTables(want, alg, 1e-9); d != "" {
+		want := runAlgebra(t, c, recs)
+		single := runSingle(t, c, recs, singlescan.Options{})
+		if d := diffTables(single, want, 1e-9); d != "" {
 			t.Fatalf("trial %d: singlescan vs algebra: %s", trial, d)
 		}
 
@@ -120,7 +108,7 @@ func TestSortScanMatchesSingleScanRandomized(t *testing.T) {
 						t.Logf("measure %s\n  want %v\n  got  %v", name, describe(want[name]), describe(got[name]))
 					}
 				}
-				t.Fatalf("trial %d key %v (%s): sortscan vs singlescan: %s",
+				t.Fatalf("trial %d key %v (%s): sortscan vs algebra: %s",
 					trial, ki, model.SortKey(key).String(c.Schema), d)
 			}
 		}
@@ -233,8 +221,8 @@ func TestBudgetedSingleScanMatches(t *testing.T) {
 	recs := g.Records(800)
 	want := runSingle(t, c, recs, singlescan.Options{})
 	dir := t.TempDir()
-	got, err := singlescan.Run(c, &storage.SliceSource{Recs: recs}, singlescan.Options{
-		MemoryBudget: 2000, TempDir: dir,
+	got, err := singlescan.Run(c, memInput(t, c, recs), singlescan.Options{
+		EngineOptions: scan.EngineOptions{TempDir: dir}, MemoryBudget: 2000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,9 +249,9 @@ func TestSortScanFromFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := runSingle(t, c, recs, singlescan.Options{})
-	res, err := sortscan.Run(c, fact, sortscan.Options{
-		SortKey: model.SortKey{{Dim: 0, Lvl: 1}, {Dim: 1, Lvl: 0}},
-		TempDir: dir, ChunkRecords: 100,
+	res, err := sortscan.Run(c, scan.FileInput(fact), sortscan.Options{
+		EngineOptions: scan.EngineOptions{TempDir: dir, ChunkRecords: 100},
+		SortKey:       model.SortKey{{Dim: 0, Lvl: 1}, {Dim: 1, Lvl: 0}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,14 +282,7 @@ func TestEarlyFlushingBoundsMemory(t *testing.T) {
 	got := runSort(t, c, recs, model.SortKey{{Dim: 0, Lvl: 0}, {Dim: 1, Lvl: 0}})
 	total := len(got["cnt"].Rows)
 
-	sorted := append([]model.Record{}, recs...)
-	nk, _ := model.SortKey{{Dim: 0, Lvl: 0}, {Dim: 1, Lvl: 0}}.Normalize(c.Schema)
-	storage.SortRecords(sorted, func(a, b *model.Record) bool { return nk.RecordLess(c.Schema, a, b) })
-	pl, err := plan.Build(c, nk, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sortscan.RunSorted(c, pl, &storage.SliceSource{Recs: sorted})
+	res, err := sortscan.Run(c, memInput(t, c, recs), sortscan.Options{SortKey: model.SortKey{{Dim: 0, Lvl: 0}, {Dim: 1, Lvl: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}

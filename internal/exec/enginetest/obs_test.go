@@ -9,12 +9,12 @@ import (
 	"awra/internal/agg"
 	"awra/internal/core"
 	"awra/internal/exec/multipass"
+	"awra/internal/exec/scan"
 	"awra/internal/exec/singlescan"
 	"awra/internal/exec/sortscan"
 	"awra/internal/model"
 	"awra/internal/obs"
 	"awra/internal/relbaseline"
-	"awra/internal/storage"
 )
 
 // obsWorkflow builds a small fixed workflow that every engine —
@@ -48,8 +48,8 @@ func TestSortScanEmitsMetrics(t *testing.T) {
 
 	rec := obs.New()
 	key := model.SortKey{{Dim: 0, Lvl: 0}, {Dim: 1, Lvl: 0}}
-	res, err := sortscan.Run(c, fact, sortscan.Options{
-		SortKey: key, TempDir: filepath.Dir(fact), Recorder: rec,
+	res, err := sortscan.Run(c, scan.FileInput(fact), sortscan.Options{
+		EngineOptions: scan.EngineOptions{TempDir: filepath.Dir(fact), Recorder: rec}, SortKey: key,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,32 +131,29 @@ func TestEnginesShareMetricVocabulary(t *testing.T) {
 	tempDir := filepath.Dir(fact)
 	key := model.SortKey{{Dim: 0, Lvl: 0}, {Dim: 1, Lvl: 0}}
 
+	in := scan.FileInput(fact)
+	eo := func(rec *obs.Recorder) scan.EngineOptions { return scan.EngineOptions{TempDir: tempDir, Recorder: rec} }
 	engines := map[string]func(rec *obs.Recorder) error{
 		"sortscan": func(rec *obs.Recorder) error {
-			_, err := sortscan.Run(c, fact, sortscan.Options{SortKey: key, TempDir: tempDir, Recorder: rec})
+			_, err := sortscan.Run(c, in, sortscan.Options{EngineOptions: eo(rec), SortKey: key})
 			return err
 		},
 		"singlescan": func(rec *obs.Recorder) error {
-			r, err := storage.Open(fact)
-			if err != nil {
-				return err
-			}
-			defer r.Close()
-			_, err = singlescan.Run(c, r, singlescan.Options{TempDir: tempDir, Recorder: rec})
+			_, err := singlescan.Run(c, in, singlescan.Options{EngineOptions: eo(rec)})
 			return err
 		},
 		"multipass": func(rec *obs.Recorder) error {
-			_, err := multipass.Run(c, fact, multipass.Options{TempDir: tempDir, Recorder: rec})
+			_, err := multipass.Run(c, in, multipass.Options{EngineOptions: eo(rec)})
 			return err
 		},
 		"shardscan": func(rec *obs.Recorder) error {
-			_, err := sortscan.RunSharded(c, fact, sortscan.ShardedOptions{
-				SortKey: key, Shards: 2, TempDir: tempDir, Recorder: rec,
+			_, err := sortscan.RunSharded(c, in, sortscan.ShardedOptions{
+				Options: sortscan.Options{EngineOptions: eo(rec), SortKey: key}, Shards: 2,
 			})
 			return err
 		},
 		"relational": func(rec *obs.Recorder) error {
-			_, err := relbaseline.Run(c, fact, relbaseline.Options{TempDir: tempDir, Recorder: rec})
+			_, err := relbaseline.Run(c, in, eo(rec))
 			return err
 		},
 	}

@@ -6,6 +6,7 @@ import (
 
 	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/exec/singlescan"
 	"awra/internal/exec/sortscan"
 	"awra/internal/gen"
@@ -30,7 +31,9 @@ func runBatchedEngines(t *testing.T, c *core.Compiled, fact string, key model.So
 	}
 	want := runAlgebra(t, c, recs)
 
-	ss, err := sortscan.Run(c, fact, sortscan.Options{SortKey: key, TempDir: dir})
+	in := scan.FileInput(fact)
+	so := sortscan.Options{EngineOptions: scan.EngineOptions{TempDir: dir}, SortKey: key}
+	ss, err := sortscan.Run(c, in, so)
 	if err != nil {
 		t.Fatalf("sortscan: %v", err)
 	}
@@ -38,7 +41,7 @@ func runBatchedEngines(t *testing.T, c *core.Compiled, fact string, key model.So
 		t.Fatalf("sortscan vs seed decoder: %s", d)
 	}
 
-	sg, err := singlescan.RunFile(c, fact, singlescan.Options{TempDir: dir})
+	sg, err := singlescan.Run(c, in, singlescan.Options{EngineOptions: so.EngineOptions})
 	if err != nil {
 		t.Fatalf("singlescan: %v", err)
 	}
@@ -46,7 +49,7 @@ func runBatchedEngines(t *testing.T, c *core.Compiled, fact string, key model.So
 		t.Fatalf("singlescan vs seed decoder: %s", d)
 	}
 
-	sh, err := sortscan.RunSharded(c, fact, sortscan.ShardedOptions{SortKey: key, Shards: 3, TempDir: dir})
+	sh, err := sortscan.RunSharded(c, in, sortscan.ShardedOptions{Options: so, Shards: 3})
 	if err != nil {
 		t.Fatalf("shardscan: %v", err)
 	}

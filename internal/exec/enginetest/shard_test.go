@@ -14,6 +14,7 @@ import (
 	"awra/aw"
 	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/exec/sortscan"
 	"awra/internal/faultfs"
 	"awra/internal/gen"
@@ -38,7 +39,7 @@ var shardCounts = []int{1, 2, 4, 7}
 func runSerialVsSharded(t *testing.T, c *core.Compiled, fact string, key model.SortKey) {
 	t.Helper()
 	dir := t.TempDir()
-	want, err := sortscan.Run(c, fact, sortscan.Options{SortKey: key, TempDir: dir})
+	want, err := sortscan.Run(c, scan.FileInput(fact), sortscan.Options{EngineOptions: scan.EngineOptions{TempDir: dir}, SortKey: key})
 	if err != nil {
 		t.Fatalf("serial sortscan: %v", err)
 	}
@@ -53,9 +54,9 @@ func runSerialVsSharded(t *testing.T, c *core.Compiled, fact string, key model.S
 		for _, chunk := range []int{0, len(recs) / 16} {
 			name := fmt.Sprintf("shards=%d chunk=%d", shards, chunk)
 			rec := obs.New()
-			got, err := sortscan.RunSharded(c, fact, sortscan.ShardedOptions{
-				SortKey: key, Shards: shards, TempDir: dir, ChunkRecords: chunk, Recorder: rec,
-			})
+			got, err := sortscan.RunSharded(c, scan.FileInput(fact), shardOpts(key, shards, scan.EngineOptions{
+				TempDir: dir, ChunkRecords: chunk, Recorder: rec,
+			}))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -249,9 +250,8 @@ func TestShardedRejectsUnshardable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sortscan.RunSharded(c, fact, sortscan.ShardedOptions{
-		SortKey: model.SortKey{{Dim: 0, Lvl: 1}}, Shards: 2, TempDir: filepath.Dir(fact),
-	})
+	_, err = sortscan.RunSharded(c, scan.FileInput(fact), shardOpts(model.SortKey{{Dim: 0, Lvl: 1}}, 2,
+		scan.EngineOptions{TempDir: filepath.Dir(fact)}))
 	if err == nil {
 		t.Fatal("unshardable workflow accepted")
 	}
@@ -274,10 +274,9 @@ func TestShardedCancellationMidShard(t *testing.T) {
 		tempDir := t.TempDir()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err := sortscan.RunSharded(c, fact, sortscan.ShardedOptions{
-			SortKey: key, Shards: 4, TempDir: tempDir,
-			Guard: qguard.New(ctx, qguard.Limits{}),
-		})
+		_, err := sortscan.RunSharded(c, scan.FileInput(fact), shardOpts(key, 4, scan.EngineOptions{
+			TempDir: tempDir, Guard: qguard.New(ctx, qguard.Limits{}),
+		}))
 		if !errors.Is(err, qguard.ErrCanceled) {
 			t.Fatalf("got %v, want ErrCanceled", err)
 		}
@@ -288,10 +287,9 @@ func TestShardedCancellationMidShard(t *testing.T) {
 		tempDir := t.TempDir()
 		// 10 live cells across 4 shards: each worker gets a 3-cell slice
 		// and must trip while scanning its shard.
-		_, err := sortscan.RunSharded(c, fact, sortscan.ShardedOptions{
-			SortKey: key, Shards: 4, TempDir: tempDir,
-			Guard: qguard.New(context.Background(), qguard.Limits{MaxLiveCells: 10}),
-		})
+		_, err := sortscan.RunSharded(c, scan.FileInput(fact), shardOpts(key, 4, scan.EngineOptions{
+			TempDir: tempDir, Guard: qguard.New(context.Background(), qguard.Limits{MaxLiveCells: 10}),
+		}))
 		be, ok := qguard.AsBudget(err)
 		if !ok || be.Resource != qguard.ResLiveCells {
 			t.Fatalf("got %v, want live-cells BudgetError", err)
@@ -316,9 +314,9 @@ func TestShardedCancellationMidShard(t *testing.T) {
 		go func() {
 			// Six sort chunks, so run files exist from a sixth of the way
 			// through the read.
-			_, err := sortscan.RunSharded(c, bigFact, sortscan.ShardedOptions{
-				SortKey: key, Shards: 4, TempDir: tempDir, ChunkRecords: 50000, Guard: g,
-			})
+			_, err := sortscan.RunSharded(c, scan.FileInput(bigFact), shardOpts(key, 4, scan.EngineOptions{
+				TempDir: tempDir, ChunkRecords: 50000, Guard: g,
+			}))
 			done <- err
 		}()
 		// Cancel as soon as run files start appearing, so the sort is
@@ -373,9 +371,9 @@ func TestShardedTempFiles(t *testing.T) {
 		tempDir := t.TempDir()
 		before := runtime.NumGoroutine()
 		restore := storage.SwapFS(fs)
-		_, err := sortscan.RunSharded(c, fact, sortscan.ShardedOptions{
-			SortKey: key, Shards: 3, TempDir: tempDir, ChunkRecords: chunk, Guard: g,
-		})
+		_, err := sortscan.RunSharded(c, scan.FileInput(fact), shardOpts(key, 3, scan.EngineOptions{
+			TempDir: tempDir, ChunkRecords: chunk, Guard: g,
+		}))
 		restore()
 		assertTempDirClean(t, tempDir)
 		assertNoGoroutinesSince(t, before)
@@ -451,4 +449,10 @@ func TestShardedThroughPublicAPI(t *testing.T) {
 	if d := diffTables(want, got, 0); d != "" {
 		t.Fatalf("auto parallel: %s", d)
 	}
+}
+
+// shardOpts is a sharded sort/scan's options: the key, the shard count
+// and the engines' option block.
+func shardOpts(key model.SortKey, shards int, eo scan.EngineOptions) sortscan.ShardedOptions {
+	return sortscan.ShardedOptions{Options: sortscan.Options{EngineOptions: eo, SortKey: key}, Shards: shards}
 }

@@ -16,35 +16,25 @@ import (
 	"time"
 
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/exec/sortscan"
 	"awra/internal/model"
 	"awra/internal/obs"
 	"awra/internal/opt"
 	"awra/internal/plan"
-	"awra/internal/qguard"
 )
 
-// Options configures a run.
+// Options configures a run. The recorder receives one "pass" span per
+// sort/scan iteration (each containing the sortscan engine's spans)
+// plus a "combine" span; the guard is checked inside each pass and
+// between passes.
 type Options struct {
+	scan.EngineOptions
 	// MemoryBudget bounds the estimated footprint of each pass's
 	// streaming plan, in bytes. 0 means a single pass.
 	MemoryBudget float64
 	// Stats supplies cardinality estimates for footprint estimation.
 	Stats *plan.Stats
-	// TempDir receives external-sort files.
-	TempDir string
-	// ChunkRecords tunes the external sort.
-	ChunkRecords int
-	// ReadBatchBytes is the chunk size of the batched fact reads in
-	// each pass (0 = scan.DefaultBatchBytes).
-	ReadBatchBytes int
-	// Recorder, if non-nil, receives one "pass" span per sort/scan
-	// iteration (each containing the sortscan engine's spans) plus a
-	// "combine" span, and the standard engine metrics.
-	Recorder *obs.Recorder
-	// Guard, if non-nil, enforces cancellation and resource budgets
-	// across every pass (checked inside each pass and between passes).
-	Guard *qguard.Guard
 }
 
 // Pass describes one sort/scan iteration of the chosen plan.
@@ -167,20 +157,17 @@ func PlanPasses(c *core.Compiled, budget float64, stats *plan.Stats) ([]Pass, er
 	return passes, nil
 }
 
-// Run plans the passes and executes them over the fact file, then
+// Run plans the passes and executes them over the input, then
 // combines cross-pass composites.
-func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
+func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
+	opts.EngineOptions = opts.WithDefaults()
 	orec := opts.Recorder
-	if orec == nil {
-		orec = obs.New()
-	}
 	passes, err := PlanPasses(c, opts.MemoryBudget, opts.Stats)
 	if err != nil {
 		return nil, err
 	}
 	orec.Counter(obs.MPasses).Add(int64(len(passes)))
-	res := &Result{Tables: make(map[string]*core.Table)}
-	res.Stats.Passes = passes
+	res := &Result{Stats: Stats{Passes: passes}}
 
 	tables := make([]*core.Table, len(c.Measures))
 	for pi, p := range passes {
@@ -196,15 +183,9 @@ func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
 		passSpan := orec.Start(obs.SpanPass)
 		passSpan.SetAttr("pass", fmt.Sprint(pi))
 		passSpan.SetAttr("key", p.SortKey.String(c.Schema))
-		pr, err := sortscan.Run(sub, factPath, sortscan.Options{
-			SortKey:        p.SortKey,
-			TempDir:        opts.TempDir,
-			ChunkRecords:   opts.ChunkRecords,
-			ReadBatchBytes: opts.ReadBatchBytes,
-			Stats:          opts.Stats,
-			Recorder:       orec.At(passSpan),
-			Guard:          opts.Guard,
-		})
+		po := sortscan.Options{EngineOptions: opts.EngineOptions, SortKey: p.SortKey, Stats: opts.Stats}
+		po.Recorder = orec.At(passSpan)
+		pr, err := sortscan.Run(sub, in, po)
 		passSpan.End()
 		if err != nil {
 			return nil, fmt.Errorf("multipass: pass %s: %w", p.SortKey.String(c.Schema), err)
@@ -226,42 +207,8 @@ func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
 
 	// Combine composites with traditional in-memory strategies, in
 	// topological order.
-	combSpan := orec.Start(obs.SpanCombine)
-	var combined int64
-	for i, m := range c.Measures {
-		if m.Kind == core.KindBasic {
-			continue
-		}
-		if err := opts.Guard.Err(); err != nil {
-			return nil, err
-		}
-		tbl, err := core.ComputeComposite(c, m, tables)
-		if err != nil {
-			return nil, fmt.Errorf("multipass: combining %q: %w", m.Name, err)
-		}
-		combined += int64(len(tbl.Rows))
-		ns := obs.NodeStats{Node: m.Name, CellsFinalized: int64(len(tbl.Rows))}
-		for _, si := range m.Sources {
-			if tables[si] != nil {
-				ns.RecordsIn += int64(len(tables[si].Rows))
-			}
-		}
-		if !m.Hidden {
-			ns.RecordsOut = int64(len(tbl.Rows))
-			if err := opts.Guard.NoteResultRows(int64(len(tbl.Rows))); err != nil {
-				return nil, err
-			}
-		}
-		orec.MergeNodeStats(ns)
-		tables[i] = tbl
-	}
-	combSpan.End()
-	res.Stats.JoinTime = combSpan.Duration()
-	orec.Counter(obs.MCellsFinalized).Add(combined)
-
-	for _, name := range c.Outputs() {
-		i, _ := c.Index(name)
-		res.Tables[name] = tables[i]
+	if res.Tables, res.Stats.JoinTime, err = opts.Composites(c, tables, nil); err != nil {
+		return nil, fmt.Errorf("multipass: %w", err)
 	}
 	return res, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/model"
 	"awra/internal/obs"
 	"awra/internal/plan"
@@ -105,10 +106,10 @@ func TestRunCleansUpAndReports(t *testing.T) {
 	if err := storage.WriteAll(fact, 3, 1, recs); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c, fact, Options{
-		MemoryBudget: 4000,
-		Stats:        &plan.Stats{BaseCard: []float64{1e6, 1e6, 1e6}},
-		TempDir:      dir,
+	res, err := Run(c, scan.FileInput(fact), Options{
+		EngineOptions: scan.EngineOptions{TempDir: dir},
+		MemoryBudget:  4000,
+		Stats:         &plan.Stats{BaseCard: []float64{1e6, 1e6, 1e6}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +163,7 @@ func TestRunPublishesHiddenBasesUnderTheirOwnNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.New()
-	res, err := Run(c, fact, Options{TempDir: dir, Recorder: rec})
+	res, err := Run(c, scan.FileInput(fact), Options{EngineOptions: scan.EngineOptions{TempDir: dir, Recorder: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}

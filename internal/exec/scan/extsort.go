@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -32,7 +31,7 @@ import (
 // read can divide the rows into parts that sort and stream
 // independently (partRouter).
 //
-// Rows order by (sort-key codes, full input coordinates, original file
+// Rows order by (sort-key codes, full input coordinates, original input
 // position): a total order, the one a stable record sort under
 // model.SortKey.RecordLess produces, and the one the engines'
 // append-only cell path relies on.
@@ -42,7 +41,7 @@ type SortOptions struct {
 	// ChunkRecords is the number of records held and sorted in memory at
 	// a time. Zero selects a default sized for roughly 256 MB.
 	ChunkRecords int
-	// TempDir receives run files; empty uses the input's directory.
+	// TempDir receives run files; empty uses os.TempDir().
 	TempDir string
 	// Workers, when above 1, sorts and writes run files on that many
 	// goroutines while the input keeps streaming; 0 or 1 writes each run
@@ -72,10 +71,6 @@ func (o SortOptions) chunk(diskRow int) int {
 	}
 	return c
 }
-
-// bsortSeq disambiguates run-file names across concurrent sorts in one
-// process sharing a temp directory.
-var bsortSeq atomic.Int64
 
 // IdxSorter sorts permutations of row indices by precomputed key
 // columns: row r's kp order-encoded columns sit at keys[r*kp : r*kp+kp],
@@ -324,10 +319,10 @@ func newChunk(chunk, diskRow, kp int) *chunkState {
 // enough that the view slice (24 bytes a row) stays cache-resident.
 const sortedBatchRows = 4096
 
-// Sorted is a record file sorted by a key, as SortByKey leaves it: one
-// ordered stream of rows per part, served from memory when the file
+// Sorted is an input sorted by a key, as SortByKey leaves it: one
+// ordered stream of rows per part, served from memory when the input
 // fit one chunk and from the parts' spilled runs when it did not.
-// There is no sorted copy of the file in either case.
+// There is no sorted copy of the input in either case.
 type Sorted struct {
 	hdr     storage.Header // the rows' shape, as run files and sorted copies carry it
 	cols    sortCols
@@ -351,14 +346,19 @@ type sortedPart struct {
 	runs []string
 }
 
-// SortByKey reads a record file once and sorts it by the (normalized)
-// sort key into parts ordered streams; see the file comment for the
+// SortByKey reads its input once and sorts it by the (normalized) sort
+// key into parts ordered streams; see the file comment for the
 // ordering contract, which holds within every part. Rows that agree on
 // the key's leading part land in the same part, and parts are balanced
 // by row count (see partRouter); one part is the plain external sort.
 //
+// In-memory records enter the chunk arena as the rows of a
+// checksum-free (version 1) file, so they sort through the same index
+// sorter into the same order as that file would, and a spilled run of
+// them is such a file.
+//
 // from is the level each dimension's codes are at in the input: nil
-// for a fact file, whose codes are all at base, and a relation's own
+// for fact records, whose codes are all at base, and a relation's own
 // granularity for a spooled intermediate. The schema is consulted only
 // for key parts coarser than their input level, so a caller sorting raw
 // codes by all columns passes nil schema, key and from.
@@ -368,14 +368,14 @@ type sortedPart struct {
 // plan sort concurrently. A larger input spills one sorted run per
 // part and chunk (on opts.Workers goroutines when that is above 1) and
 // Open merges the part's runs. The caller must Close the result.
-func SortByKey(inPath string, schema *model.Schema, key model.SortKey, from model.Gran, parts int, opts SortOptions) (*Sorted, error) {
-	return sortByKey(inPath, schema, key, from, parts, false, opts)
+func SortByKey(input Input, schema *model.Schema, key model.SortKey, from model.Gran, parts int, opts SortOptions) (*Sorted, error) {
+	return sortByKey(input, schema, key, from, parts, false, opts)
 }
 
-func sortByKey(inPath string, schema *model.Schema, key model.SortKey, from model.Gran, parts int, rawRows bool, opts SortOptions) (_ *Sorted, err error) {
+func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.Gran, parts int, rawRows bool, opts SortOptions) (_ *Sorted, err error) {
 	rec := opts.Recorder
 	guard := opts.Guard
-	in, err := Open(inPath, Options{BatchBytes: opts.BatchBytes, Guard: guard, RawRows: true})
+	in, err := input.Open(Options{BatchBytes: opts.BatchBytes, Guard: guard, RawRows: true})
 	if err != nil {
 		return nil, err
 	}
@@ -394,14 +394,11 @@ func sortByKey(inPath string, schema *model.Schema, key model.SortKey, from mode
 		s.emit = diskRow
 	}
 	kp := len(s.cols)
-	// Size the row arena and its key columns for the file, not for the
+	// Size the row arena and its key columns for the input, not for the
 	// default 256 MB run: the header says how many rows can arrive.
 	chunk := opts.chunk(diskRow)
 	if hdr.Count < int64(chunk) {
 		chunk = max(int(hdr.Count), 1)
-	}
-	if s.opts.TempDir == "" {
-		s.opts.TempDir = filepath.Dir(inPath)
 	}
 
 	var (
@@ -436,7 +433,6 @@ func sortByKey(inPath string, schema *model.Schema, key model.SortKey, from mode
 	defer runsSpan.End()
 	spillEvents := rec.Counter(obs.MSpillEvents)
 	spillBytes := rec.Counter(obs.MSpillBytes)
-	sortID := bsortSeq.Add(1)
 	router := partRouter{parts: len(s.parts)}
 
 	// writeRun index-sorts one part's rows of a chunk and spills them in
@@ -470,7 +466,7 @@ func sortByKey(inPath string, schema *model.Schema, key model.SortKey, from mode
 			if len(idx) == 0 {
 				continue
 			}
-			path := filepath.Join(s.opts.TempDir, fmt.Sprintf("awra-bsort-%d-%d-%d.tmp", os.Getpid(), sortID, s.stats.Runs))
+			path := EngineOptions{TempDir: s.opts.TempDir}.TempPath("bsort")
 			s.stats.Runs++
 			s.parts[p].runs = append(s.parts[p].runs, path)
 			s.parts[p].rows += int64(len(idx))
@@ -642,8 +638,13 @@ type SortedSource struct {
 	cmps  int64
 }
 
-// TotalRecords returns the part's row count (the progress denominator).
-func (m *SortedSource) TotalRecords() int64 { return m.total }
+// Header returns the rows' shape and the part's row count (the progress
+// denominator).
+func (m *SortedSource) Header() storage.Header {
+	h := m.s.hdr
+	h.Count = m.total
+	return h
+}
 
 // NextBatch returns the next rows in order; (nil, nil) at the end. The
 // views are valid until the next call.
@@ -732,7 +733,7 @@ func (m *SortedSource) siftDown(i int) {
 
 // Close closes a spilled part's run readers and publishes the merge's
 // head comparisons (the merge-cost metric).
-func (m *SortedSource) Close() {
+func (m *SortedSource) Close() error {
 	for _, src := range m.srcs {
 		src.r.Close()
 	}
@@ -740,6 +741,7 @@ func (m *SortedSource) Close() {
 		m.s.opts.Recorder.Counter(obs.MHeapComparisons).Add(m.cmps)
 	}
 	m.srcs, m.heap, m.idx, m.cmps = nil, nil, nil, 0
+	return nil
 }
 
 // mergeSrc is one run's read cursor with its head row's comparator
@@ -773,13 +775,9 @@ func (s *mergeSrc) load(cols sortCols) error {
 
 // SortFileByKey external-sorts a record file by the (normalized) sort
 // key into outPath, rows verbatim, checksums included: SortByKey's one
-// part drained into a file. Run files go to opts.TempDir, or beside the
-// output when that is empty.
+// part drained into a file.
 func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortKey, opts SortOptions) (storage.SortStats, error) {
-	if opts.TempDir == "" {
-		opts.TempDir = filepath.Dir(outPath)
-	}
-	s, err := sortByKey(inPath, schema, key, nil, 1, true, opts)
+	s, err := sortByKey(FileInput(inPath), schema, key, nil, 1, true, opts)
 	if err != nil {
 		return storage.SortStats{}, err
 	}
@@ -794,29 +792,24 @@ func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortK
 	if err != nil {
 		return stats, err
 	}
-	for {
-		batch, err := src.NextBatch()
-		if err != nil {
-			w.Close()
-			os.Remove(outPath)
-			return stats, err
-		}
-		if batch == nil {
+	for err == nil {
+		var batch []Record
+		if batch, err = src.NextBatch(); batch == nil {
 			break
 		}
 		for _, row := range batch {
-			if err := w.WriteRow(row); err != nil {
-				w.Close()
-				os.Remove(outPath)
-				return stats, err
+			if err = w.WriteRow(row); err != nil {
+				break
 			}
 		}
 	}
-	if err := w.Close(); err != nil {
-		os.Remove(outPath)
-		return stats, err
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
-	return stats, nil
+	if err != nil {
+		os.Remove(outPath)
+	}
+	return stats, err
 }
 
 // partRouter divides a chunk's rows among the parts of a sort by key

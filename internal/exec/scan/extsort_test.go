@@ -164,6 +164,62 @@ func TestSortFileByKeyMatchesRecordSort(t *testing.T) {
 	}
 }
 
+// TestSortByKeyRecordsInput: in-memory records sort into exactly the
+// order a stable record sort under RecordLess gives — the order their
+// file sorts into — held in memory, spilled to run files, spilled on
+// parallel writers, and dealt into parts; the run files go when the
+// sort closes.
+func TestSortByKeyRecordsInput(t *testing.T) {
+	dims := []*model.Dimension{
+		model.FixedFanout("A", 4, 3),
+		model.FixedFanout("B", 4, 3),
+	}
+	s, err := model.NewSchema(dims, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := randRecords(3000, 2, 1, 17)
+	recs = append(recs, recs[:600]...) // ties: only position orders them
+	for i := range recs {
+		recs[i].Ms[0] = float64(i)
+	}
+	nk, err := model.SortKey{{Dim: 1, Lvl: 1}, {Dim: 0, Lvl: 2}}.Normalize(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]model.Record{}, recs...)
+	storage.SortRecords(want, func(a, b *model.Record) bool { return nk.RecordLess(s, a, b) })
+	in, err := RecordsInput(recs, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name                  string
+		chunk, workers, parts int
+	}{{"memory", 0, 0, 1}, {"spilled", 500, 0, 1}, {"spilled-parallel", 500, 3, 1}, {"parts", 500, 2, 3}} {
+		sorted, err := SortByKey(in, s, nk, nil, tc.parts, SortOptions{TempDir: dir, ChunkRecords: tc.chunk, Workers: tc.workers})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		streams := drainSorted(t, sorted, tc.parts, 2, 1)
+		sorted.Close()
+		var got []model.Record
+		for _, part := range streams {
+			got = append(got, part...)
+		}
+		if tc.parts == 1 && !sameRecords(want, got) {
+			t.Fatalf("%s: in-memory records sort differently from the record sort", tc.name)
+		}
+		if len(got) != len(recs) {
+			t.Fatalf("%s: %d of %d rows streamed", tc.name, len(got), len(recs))
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("%s: %d run files left after Close", tc.name, len(entries))
+		}
+	}
+}
+
 // TestSortByKeyInputLevel: a relation whose codes are above base — the
 // relational baseline's spooled intermediates — sorts by a key from its
 // own levels exactly like a stable in-memory sort by (group codes,
@@ -218,7 +274,7 @@ func TestSortByKeyInputLevel(t *testing.T) {
 		chunk   int
 		workers int
 	}{{"memory", 0, 0}, {"spilled", 500, 0}, {"spilled-parallel", 500, 2}} {
-		sorted, err := SortByKey(rel, s, key, from, 1, SortOptions{TempDir: dir, ChunkRecords: tc.chunk, Workers: tc.workers})
+		sorted, err := SortByKey(FileInput(rel), s, key, from, 1, SortOptions{TempDir: dir, ChunkRecords: tc.chunk, Workers: tc.workers})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -242,7 +298,7 @@ func TestSortIsPermutationQuick(t *testing.T) {
 			recs[j] = model.Record{Dims: []int64{int64(v % 8), int64(v)}, Ms: []float64{float64(j)}}
 		}
 		writeFile(t, in, recs, 2, 1)
-		sorted, err := SortByKey(in, nil, nil, nil, 1, SortOptions{ChunkRecords: 4})
+		sorted, err := SortByKey(FileInput(in), nil, nil, nil, 1, SortOptions{ChunkRecords: 4, TempDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +411,7 @@ func drainSorted(t *testing.T, s *Sorted, parts, dims, ms int) [][]model.Record 
 				out[p] = append(out[p], rec)
 			}
 		}
-		if int64(len(out[p])) != s.Rows(p) || src.TotalRecords() != s.Rows(p) {
+		if int64(len(out[p])) != s.Rows(p) || src.Header().Count != s.Rows(p) {
 			t.Errorf("part %d streamed %d rows, Rows says %d", p, len(out[p]), s.Rows(p))
 		}
 		src.Close()
@@ -394,7 +450,7 @@ func TestSortByKeyParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	unit := func(r model.Record) int64 { return dims[0].Up(0, 2, r.Dims[0]) }
-	whole, err := SortByKey(fact, s, nk, nil, 1, SortOptions{TempDir: dir})
+	whole, err := SortByKey(FileInput(fact), s, nk, nil, 1, SortOptions{TempDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +472,7 @@ func TestSortByKeyParts(t *testing.T) {
 			chunk   int
 			workers int
 		}{{"memory", 0, 0}, {"spilled", 700, 0}, {"spilled-parallel", 700, 3}} {
-			sorted, err := SortByKey(fact, s, nk, nil, parts, SortOptions{
+			sorted, err := SortByKey(FileInput(fact), s, nk, nil, parts, SortOptions{
 				TempDir: dir, ChunkRecords: tc.chunk, Workers: tc.workers,
 			})
 			if err != nil {

@@ -6,8 +6,9 @@
 // the aggregate updates themselves; guard checks (cancellation,
 // budgets) move to batch boundaries.
 //
-// The same Record view is produced by Batcher for in-memory and
-// streaming sources, so engines keep exactly one hot loop.
+// An Input names where the records live — a file, or an in-memory
+// slice — and opens either as the same Record views, so engines keep
+// exactly one hot loop.
 package scan
 
 import (
@@ -52,6 +53,11 @@ func (r Record) DecodeInto(dims []int64, ms []float64) {
 // end of input. Returned views are valid until the next call.
 type BatchSource interface {
 	NextBatch() ([]Record, error)
+	// Header is the rows' shape, and how many the stream holds (the
+	// progress denominator).
+	Header() storage.Header
+	// Close releases the stream's files.
+	Close() error
 }
 
 // DefaultBatchBytes is the chunk size Open reads per batch when the
@@ -183,14 +189,6 @@ func Open(path string, opts Options) (*Reader, error) {
 // Header returns the file's header.
 func (r *Reader) Header() storage.Header { return r.hdr }
 
-// TotalRecords returns the header's record count (the progress
-// denominator).
-func (r *Reader) TotalRecords() int64 { return r.hdr.Count }
-
-// CorruptSkipped returns how many checksum-failing rows this reader
-// skipped in degraded mode.
-func (r *Reader) CorruptSkipped() int64 { return r.corrupt }
-
 // NextBatch reads one chunk and returns the verified row views in it.
 // It returns (nil, nil) once the header's record count has been
 // delivered. Rows failing their checksum return storage.ErrCorrupt,
@@ -240,7 +238,7 @@ func (r *Reader) NextBatch() ([]Record, error) {
 				if storage.Checksum(row[:r.rowBytes]) != want {
 					if r.guard.SkipCorruptRows() {
 						r.corrupt++
-						r.guard.NoteCorruptRow()
+						r.guard.NoteCorruptRows(r.corrupt)
 						continue
 					}
 					return nil, fmt.Errorf("storage: checksum mismatch (record %d of %d): %w",

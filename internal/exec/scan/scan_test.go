@@ -109,8 +109,8 @@ func TestReaderMatchesRowDecoder(t *testing.T) {
 		if !sameRecords(want, got) {
 			t.Fatalf("BatchBytes=%d: batched rows differ from row decoder", bb)
 		}
-		if r.TotalRecords() != int64(len(recs)) {
-			t.Fatalf("TotalRecords = %d, want %d", r.TotalRecords(), len(recs))
+		if r.Header().Count != int64(len(recs)) {
+			t.Fatalf("Header().Count = %d, want %d", r.Header().Count, len(recs))
 		}
 	}
 }
@@ -242,8 +242,8 @@ func TestReaderCorruptRow(t *testing.T) {
 	if len(got) != len(recs)-1 {
 		t.Fatalf("degraded read kept %d rows, want %d", len(got), len(recs)-1)
 	}
-	if r.CorruptSkipped() != 1 {
-		t.Fatalf("CorruptSkipped = %d, want 1", r.CorruptSkipped())
+	if n := r.ReadStats().CorruptRows; n != 1 {
+		t.Fatalf("ReadStats().CorruptRows = %d, want 1", n)
 	}
 }
 
@@ -280,11 +280,22 @@ func TestReaderTornTail(t *testing.T) {
 	}
 }
 
-// TestBatcherRoundTrip: the in-memory adapter yields the same view
-// layout as the file reader.
+// TestBatcherRoundTrip: in-memory records open as the same view layout
+// as the file reader's.
 func TestBatcherRoundTrip(t *testing.T) {
 	recs := randRecords(1300, 4, 2, 5)
-	b := NewBatcher(&storage.SliceSource{Recs: recs}, 4, 2)
+	in, err := RecordsInput(recs, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := in.Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if h := b.Header(); h.NumDims != 4 || h.NumMeasures != 2 || h.Count != 1300 {
+		t.Fatalf("header %+v, want 4 dims, 2 measures, 1300 rows", h)
+	}
 	var got []model.Record
 	for {
 		batch, err := b.NextBatch()
@@ -302,5 +313,20 @@ func TestBatcherRoundTrip(t *testing.T) {
 	}
 	if !sameRecords(recs, got) {
 		t.Fatal("batcher rows differ from source records")
+	}
+}
+
+// TestRecordsInputShape: a record of the wrong shape is rejected when
+// the input is made, with its index, and never reaches a reader.
+func TestRecordsInputShape(t *testing.T) {
+	recs := randRecords(10, 4, 2, 6)
+	recs[7].Dims = recs[7].Dims[:1]
+	_, err := RecordsInput(recs, 4, 2)
+	var se *ShapeError
+	if !errors.As(err, &se) || se.Index != 7 || se.Dims != 1 || se.WantDims != 4 {
+		t.Fatalf("got %v, want a ShapeError naming record 7", err)
+	}
+	if _, err := RecordsInput(recs[:7], 4, 1); !errors.As(err, &se) || se.Index != 0 || se.Measures != 2 {
+		t.Fatalf("got %v, want a ShapeError naming record 0's measures", err)
 	}
 }

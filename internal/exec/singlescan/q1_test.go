@@ -8,6 +8,7 @@ import (
 
 	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/gen"
 	"awra/internal/model"
 	"awra/internal/obs"
@@ -43,14 +44,14 @@ func q1(tb testing.TB, n int64) (*core.Compiled, string) {
 	return c, path
 }
 
-// BenchmarkQ1RunFile is perf's batch-singlescan repetition without the
+// BenchmarkQ1 is perf's batch-singlescan repetition without the
 // harness: Q1 over the 200k-row cube, 613,561 cells in seven tables.
-func BenchmarkQ1RunFile(b *testing.B) {
+func BenchmarkQ1(b *testing.B) {
 	c, path := q1(b, 200_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFile(c, path, Options{}); err != nil {
+		if _, err := Run(c, scan.FileInput(path), Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -75,7 +76,7 @@ func TestScanAllocationBound(t *testing.T) {
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < runs; i++ {
 		rec := obs.New()
-		if _, err := RunFile(c, path, Options{Recorder: rec}); err != nil {
+		if _, err := Run(c, scan.FileInput(path), Options{EngineOptions: scan.EngineOptions{Recorder: rec}}); err != nil {
 			t.Fatal(err)
 		}
 		cells = rec.Counter(obs.MCellsCreated).Value()

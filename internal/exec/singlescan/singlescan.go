@@ -24,8 +24,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"awra/internal/agg"
@@ -34,27 +32,15 @@ import (
 	"awra/internal/exec/scan"
 	"awra/internal/model"
 	"awra/internal/obs"
-	"awra/internal/qguard"
 	"awra/internal/storage"
 )
 
 // Options configures a run.
 type Options struct {
+	scan.EngineOptions
 	// MemoryBudget caps the estimated bytes of live basic-measure hash
 	// tables; 0 means unlimited. Exceeding it triggers spilling.
 	MemoryBudget int64
-	// TempDir receives spill files; empty uses os.TempDir().
-	TempDir string
-	// ReadBatchBytes is the chunk size of the batched fact reads in
-	// RunFile (0 = scan.DefaultBatchBytes).
-	ReadBatchBytes int
-	// Recorder, if non-nil, receives the run's phase spans (scan,
-	// spill_merge, combine) and the standard engine metrics.
-	Recorder *obs.Recorder
-	// Guard, if non-nil, enforces cancellation and resource budgets.
-	// Checks happen at scan strides and phase boundaries, so budgets
-	// may overshoot slightly before the run aborts.
-	Guard *qguard.Guard
 }
 
 // Stats reports what a run did.
@@ -100,7 +86,7 @@ type table struct {
 	spillGen   int64
 	writer     *storage.Writer
 	spillBytes int64 // bytes written to the spill file
-	guard      *qguard.Guard
+	opts       *scan.EngineOptions
 	// Per-node tallies (plain fields, published at end of run).
 	recordsIn int64
 	created   int64
@@ -184,8 +170,8 @@ func (mo *morsel) load(rows []scan.Record) {
 	}
 }
 
-func newTable(c *core.Compiled, m *core.Measure, mo *morsel, guard *qguard.Guard) *table {
-	t := &table{m: m, tab: cellmap.New(m.Codec.KeyBytes()), col: m.Agg.NewColumn(), guard: guard}
+func newTable(c *core.Compiled, m *core.Measure, mo *morsel, opts *scan.EngineOptions) *table {
+	t := &table{m: m, tab: cellmap.New(m.Codec.KeyBytes()), col: m.Agg.NewColumn(), opts: opts}
 	for d := 0; d < c.Schema.NumDims(); d++ {
 		if m.Gran[d] != c.Schema.Dim(d).ALL() {
 			t.cols = append(t.cols, mo.col(c.Schema, d, m.Gran[d]))
@@ -243,33 +229,16 @@ func (t *table) absorb(mo *morsel, rows []scan.Record, numDims int) (created, gr
 	return created, grew
 }
 
-// Run evaluates the workflow over the record source.
-func Run(c *core.Compiled, src storage.Source, opts Options) (*Result, error) {
-	bsrc := scan.NewBatcher(src, c.Schema.NumDims(), c.Schema.NumMeasures())
-	return run(c, bsrc, opts)
-}
-
-// RunFile evaluates the workflow over a record file through the
-// batched zero-copy reader — the fast path for file-backed runs.
-func RunFile(c *core.Compiled, path string, opts Options) (*Result, error) {
-	r, err := scan.Open(path, scan.Options{BatchBytes: opts.ReadBatchBytes, Guard: opts.Guard})
+// Run evaluates the workflow over the input.
+func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
+	opts.EngineOptions = opts.WithDefaults()
+	orec := opts.Recorder
+	bsrc, err := opts.Open(in)
 	if err != nil {
 		return nil, fmt.Errorf("singlescan: %w", err)
 	}
-	defer r.Close()
-	return run(c, r, opts)
-}
-
-func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error) {
-	orec := opts.Recorder
-	if orec == nil {
-		orec = obs.New() // private recorder so Stats stays complete
-	}
+	defer bsrc.Close()
 	start := time.Now()
-	tempDir := opts.TempDir
-	if tempDir == "" {
-		tempDir = os.TempDir()
-	}
 
 	var stats Stats
 	var basics []*table
@@ -277,7 +246,7 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 	mo := newMorsel(c.Schema)
 	for _, m := range c.Measures {
 		if m.Kind == core.KindBasic {
-			basics = append(basics, newTable(c, m, mo, opts.Guard))
+			basics = append(basics, newTable(c, m, mo, &opts.EngineOptions))
 		}
 	}
 	defer func() {
@@ -298,9 +267,7 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 	// and aggregate updates run as one batch each (DESIGN.md §hot-path).
 	scanSpan := orec.Start(obs.SpanScan)
 	defer scanSpan.End()
-	if tc, ok := bsrc.(interface{ TotalRecords() int64 }); ok {
-		scanSpan.SetTotal(tc.TotalRecords())
-	}
+	scanSpan.SetTotal(bsrc.Header().Count)
 	numDims := c.Schema.NumDims()
 	var cellsCreated, liveCells, peakLive int64
 	for {
@@ -342,7 +309,7 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 							victim = t
 						}
 					}
-					n, err := victim.spill(tempDir)
+					n, err := victim.spill()
 					if err != nil {
 						return nil, err
 					}
@@ -365,7 +332,10 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 	defer spillSpan.End()
 	var cellsFinalized int64
 	tables := make([]*core.Table, len(c.Measures))
-	dense := make([]*table, len(c.Measures)) // the basics that never spilled
+	// A basic that never spilled is still a key arena beside its column,
+	// which an order-insensitive roll-up of it reads front to back
+	// instead of the map built from it.
+	cells := make([]func(yield func(model.Key, float64)), len(c.Measures))
 	for _, t := range basics {
 		if err := opts.Guard.Err(); err != nil {
 			return nil, err
@@ -374,12 +344,12 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 		if t.spillPath != "" {
 			// Spill the in-memory remainder so everything is on disk,
 			// then sort and merge.
-			if _, err := t.spill(tempDir); err != nil {
+			if _, err := t.spill(); err != nil {
 				return nil, err
 			}
 			stats.Spills++
 			var err error
-			tbl, err = t.mergeSpills(c.Schema, tempDir, opts.MemoryBudget, orec)
+			tbl, err = t.mergeSpills(c.Schema, opts.MemoryBudget)
 			if err != nil {
 				return nil, err
 			}
@@ -406,53 +376,19 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 		}
 		tables[i] = tbl
 		if t.spillPath == "" {
-			dense[i] = t
+			cells[i] = t.eachCell
 		}
 	}
 	spillSpan.End()
 	stats.ScanTime = time.Since(start)
 
-	// Phase 2: composite measures in topological order (the
-	// workflow's compiled order).
-	compSpan := orec.Start(obs.SpanCombine)
-	defer compSpan.End()
-	for i, m := range c.Measures {
-		if m.Kind == core.KindBasic {
-			continue
-		}
-		if err := opts.Guard.Err(); err != nil {
-			return nil, err
-		}
-		var tbl *core.Table
-		if m.Kind == core.KindRollup && m.Agg.OrderInsensitive() && dense[m.Sources[0]] != nil {
-			// Any order will do and the source is still here as a key
-			// arena beside its column: read that front to back, not the
-			// map built from it.
-			tbl = core.RollUp(c, m, dense[m.Sources[0]].eachCell)
-		} else {
-			var err error
-			if tbl, err = core.ComputeComposite(c, m, tables); err != nil {
-				return nil, fmt.Errorf("singlescan: %w", err)
-			}
-		}
-		cellsFinalized += int64(len(tbl.Rows))
-		ns := obs.NodeStats{Node: m.Name, CellsFinalized: int64(len(tbl.Rows))}
-		for _, si := range m.Sources {
-			if tables[si] != nil {
-				ns.RecordsIn += int64(len(tables[si].Rows))
-			}
-		}
-		if !m.Hidden {
-			ns.RecordsOut = int64(len(tbl.Rows))
-			if err := opts.Guard.NoteResultRows(int64(len(tbl.Rows))); err != nil {
-				return nil, err
-			}
-		}
-		orec.MergeNodeStats(ns)
-		tables[i] = tbl
+	// Phase 2: composite measures in topological order (the workflow's
+	// compiled order).
+	outputs, compositeTime, err := opts.Composites(c, tables, cells)
+	if err != nil {
+		return nil, fmt.Errorf("singlescan: %w", err)
 	}
-	compSpan.End()
-	stats.CompositeTime = compSpan.Duration()
+	stats.CompositeTime = compositeTime
 
 	var peak2 int64
 	for i := range tables {
@@ -478,18 +414,11 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 	orec.Gauge(obs.GLiveCellsHWM).SetMax(peakLive)
 	orec.Gauge(obs.GHashBytesHWM).SetMax(stats.PeakBytes)
 	scan.PublishReadStats(orec, bsrc)
-	var probeHWM, grows, arena int64
-	for _, t := range basics {
-		ts := t.tab.Stats()
-		if ts.ProbeHWM > probeHWM {
-			probeHWM = ts.ProbeHWM
-		}
-		grows += ts.Grows
-		arena += ts.ArenaBytesHWM
+	tabs := make([]*cellmap.Table, len(basics))
+	for i, t := range basics {
+		tabs[i] = t.tab
 	}
-	orec.Counter(obs.MCellTableGrows).Add(grows)
-	orec.Gauge(obs.GCellProbeHWM).SetMax(probeHWM)
-	orec.Gauge(obs.GCellArenaBytes).SetMax(arena)
+	scan.PublishCellStats(orec, tabs)
 	for _, t := range basics {
 		ns := obs.NodeStats{
 			Node:           t.m.Name,
@@ -504,12 +433,7 @@ func run(c *core.Compiled, bsrc scan.BatchSource, opts Options) (*Result, error)
 		orec.MergeNodeStats(ns)
 	}
 
-	res := &Result{Tables: make(map[string]*core.Table), Stats: stats}
-	for _, name := range c.Outputs() {
-		i, _ := c.Index(name)
-		res.Tables[name] = tables[i]
-	}
-	return res, nil
+	return &Result{Tables: outputs, Stats: stats}, nil
 }
 
 // eachCell yields the table's cells in cell-id order: key and final
@@ -521,19 +445,12 @@ func (t *table) eachCell(yield func(model.Key, float64)) {
 	}
 }
 
-// spillSeq disambiguates spill paths across concurrent queries in one
-// process sharing a temp directory.
-var spillSeq atomic.Int64
-
 // spill writes every live entry's aggregator state to the measure's
 // spill file as fixed-width rows (key codes..., generation, position)
 // -> state value, then clears the hash table.
-func (t *table) spill(tempDir string) (int64, error) {
+func (t *table) spill() (int64, error) {
 	if t.writer == nil {
-		// Measure names repeat across concurrent queries; the sequence
-		// keeps one query's spill from clobbering another's.
-		t.spillPath = filepath.Join(tempDir, fmt.Sprintf("awra-spill-%d-%d-%s.tmp",
-			os.Getpid(), spillSeq.Add(1), sanitize(t.m.Name)))
+		t.spillPath = t.opts.TempPath("spill")
 		w, err := storage.Create(t.spillPath, t.m.Codec.Width()+2, 1)
 		if err != nil {
 			return 0, fmt.Errorf("singlescan: create spill: %w", err)
@@ -573,7 +490,7 @@ func (t *table) spill(tempDir string) (int64, error) {
 	t.tab.Reset()
 	t.col.Reset()
 	t.spillGen++
-	if err := t.guard.NoteSpill(t.spillBytes - bytesBefore); err != nil {
+	if err := t.opts.Guard.NoteSpill(t.spillBytes - bytesBefore); err != nil {
 		return n, err
 	}
 	return n, nil
@@ -593,15 +510,15 @@ func mergeChunk(budget int64, width int) int {
 // mergeSpills sorts the spill file by all of its columns — (key codes,
 // generation, position), ties in file order — and restores and merges
 // the per-generation states per key straight from the sorted stream.
-func (t *table) mergeSpills(s *model.Schema, tempDir string, budget int64, orec *obs.Recorder) (*core.Table, error) {
+func (t *table) mergeSpills(s *model.Schema, budget int64) (*core.Table, error) {
 	if err := t.writer.Close(); err != nil {
 		return nil, err
 	}
 	t.writer = nil
 	width := t.m.Codec.Width()
-	sorted, err := scan.SortByKey(t.spillPath, nil, nil, nil, 1, scan.SortOptions{
-		ChunkRecords: mergeChunk(budget, width), TempDir: tempDir, Recorder: orec, Guard: t.guard,
-	})
+	so := *t.opts
+	so.ChunkRecords = mergeChunk(budget, width)
+	sorted, err := so.Sort(scan.FileInput(t.spillPath), nil, nil, nil, 1, 0, so.Recorder)
 	if err != nil {
 		return nil, fmt.Errorf("singlescan: sort spill: %w", err)
 	}
@@ -692,16 +609,4 @@ func (t *table) mergeSpills(s *model.Schema, tempDir string, budget int64, orec 
 		return nil, err
 	}
 	return tbl, nil
-}
-
-func sanitize(name string) string {
-	out := make([]rune, 0, len(name))
-	for _, r := range name {
-		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' {
-			out = append(out, r)
-		} else {
-			out = append(out, '_')
-		}
-	}
-	return string(out)
 }

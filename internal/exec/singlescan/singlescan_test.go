@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/faultfs"
 	"awra/internal/model"
 	"awra/internal/obs"
@@ -62,7 +64,7 @@ func TestBasicCounts(t *testing.T) {
 		w.Basic("cnt", model.Gran{1, model.LevelALL}, agg.Count, -1)
 	})
 	recs := records(500, 1, false)
-	res, err := Run(c, &storage.SliceSource{Recs: recs}, Options{})
+	res, err := Run(c, mem(t, recs), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestSpillEveryAggregatorKind(t *testing.T) {
 			w.Basic("x", model.Gran{0, 1}, k, fm)
 		})
 		rec := obs.New()
-		want, err := Run(c, &storage.SliceSource{Recs: recs}, Options{Recorder: rec})
+		want, err := Run(c, mem(t, recs), Options{EngineOptions: scan.EngineOptions{Recorder: rec}})
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
@@ -142,8 +144,8 @@ func TestSpillEveryAggregatorKind(t *testing.T) {
 				k, want.Stats.PeakBytes, rec.Gauge(obs.GHashBytesHWM).Value(), peak)
 		}
 		rec = obs.New()
-		got, err := Run(c, &storage.SliceSource{Recs: recs}, Options{
-			MemoryBudget: 4096, TempDir: t.TempDir(), Recorder: rec,
+		got, err := Run(c, mem(t, recs), Options{
+			EngineOptions: scan.EngineOptions{TempDir: t.TempDir(), Recorder: rec}, MemoryBudget: 4096,
 		})
 		if err != nil {
 			t.Fatalf("%v (budgeted): %v", k, err)
@@ -171,7 +173,7 @@ func TestFilterAndMeasureSelection(t *testing.T) {
 		{Dims: []int64{600, 7}, Ms: []float64{100}}, // filtered out
 		{Dims: []int64{200, 7}, Ms: []float64{4}},
 	}
-	res, err := Run(c, &storage.SliceSource{Recs: recs}, Options{})
+	res, err := Run(c, mem(t, recs), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestHiddenBasesNotReported(t *testing.T) {
 		w.Basic("cnt", model.Gran{1, model.LevelALL}, agg.Count, -1)
 		w.Sliding("sm", "cnt", agg.Avg, []core.Window{{Dim: 0, Lo: -1, Hi: 1}})
 	})
-	res, err := Run(c, &storage.SliceSource{Recs: records(100, 3, false)}, Options{})
+	res, err := Run(c, mem(t, records(100, 3, false)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +214,7 @@ func TestPhaseTimers(t *testing.T) {
 		w.Basic("cnt", model.Gran{0, 0}, agg.Count, -1)
 		w.Rollup("up", model.Gran{2, model.LevelALL}, "cnt", agg.Sum)
 	})
-	res, err := Run(c, &storage.SliceSource{Recs: records(2000, 4, false)}, Options{})
+	res, err := Run(c, mem(t, records(2000, 4, false)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,23 +231,33 @@ func TestSourceError(t *testing.T) {
 	c := compile(t, s, func(w *core.Workflow) {
 		w.Basic("cnt", model.Gran{1, model.LevelALL}, agg.Count, -1)
 	})
-	if _, err := Run(c, failingSource{}, Options{}); err == nil {
-		t.Fatal("source error swallowed")
+	path := writeRecords(t, records(5000, 5, false))
+	restore := storage.SwapFS(faultfs.New().FailReadAfter(4096).ShortReads())
+	defer restore()
+	if _, err := Run(c, scan.FileInput(path), Options{}); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("got %v, want the read error", err)
 	}
 }
 
-type failingSource struct{}
-
-func (failingSource) Next(*model.Record) (bool, error) {
-	return false, errFail
+// mem is the in-memory input of recs, over schema2's shape.
+func mem(t *testing.T, recs []model.Record) scan.Input {
+	t.Helper()
+	in, err := scan.RecordsInput(recs, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
 }
-func (failingSource) Close() error { return nil }
 
-var errFail = &storageError{}
-
-type storageError struct{}
-
-func (*storageError) Error() string { return "injected failure" }
+// writeRecords writes recs, in schema2's shape, to a new record file.
+func writeRecords(t *testing.T, recs []model.Record) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "fact.rec")
+	if err := storage.WriteAll(path, 2, 1, recs); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 // evalTables computes every output of c with the reference evaluator.
 func evalTables(t *testing.T, c *core.Compiled, recs []model.Record) map[string]*core.Table {
@@ -312,33 +324,19 @@ func edgeWorkflow(t *testing.T, s *model.Schema) *core.Compiled {
 }
 
 // TestMorselEdges: row counts one short of, equal to, one over and twice
-// over the morsel, from a row source (the Batcher's 512-row batches) and
-// from a file (one batch, cut into morsels), all bit-identical to
-// core.Eval.
+// over the morsel, from in-memory records (512-row batches) and from a
+// file (one batch, cut into morsels), all bit-identical to core.Eval.
 func TestMorselEdges(t *testing.T) {
 	s := schema2(t)
 	c := edgeWorkflow(t, s)
 	for _, n := range []int{1, morselRows - 1, morselRows, morselRows + 1, 2*morselRows + 1} {
 		recs := edgeRecords(n, int64(n), false)
 		want := evalTables(t, c, recs)
-		path := filepath.Join(t.TempDir(), "fact.rec")
-		w, err := storage.Create(path, 2, 1)
+		fromRows, err := Run(c, mem(t, recs), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range recs {
-			if err := w.Write(&recs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		fromRows, err := Run(c, &storage.SliceSource{Recs: recs}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromFile, err := RunFile(c, path, Options{})
+		fromFile, err := Run(c, scan.FileInput(writeRecords(t, recs)), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +365,7 @@ func TestSpillInsideABatch(t *testing.T) {
 	c := edgeWorkflow(t, s)
 	recs := edgeRecords(5*morselRows+7, 9, true)
 	want := evalTables(t, c, recs)
-	got, err := Run(c, &storage.SliceSource{Recs: recs}, Options{MemoryBudget: 8 << 10, TempDir: t.TempDir()})
+	got, err := Run(c, mem(t, recs), Options{EngineOptions: scan.EngineOptions{TempDir: t.TempDir()}, MemoryBudget: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +389,7 @@ func TestPeakBytesAtMorselEdges(t *testing.T) {
 	})
 	for _, n := range []int{morselRows - 1, morselRows, morselRows + 1, 2*morselRows + 1} {
 		recs := records(n, int64(n), true)
-		res, err := Run(c, &storage.SliceSource{Recs: recs}, Options{})
+		res, err := Run(c, mem(t, recs), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,19 +399,32 @@ func TestPeakBytesAtMorselEdges(t *testing.T) {
 	}
 }
 
-// cancelAfter is a row source that cancels its context once n rows have
-// been read: the run has spilled by then and is still scanning.
-type cancelAfter struct {
-	storage.SliceSource
-	n      int
+// cancelFS cancels a context on its files' third read: a fact file read
+// in MinBatchBytes chunks has spilled by then and is still scanning.
+type cancelFS struct {
+	storage.OSFS
+	reads  atomic.Int64
 	cancel func()
 }
 
-func (c *cancelAfter) Next(rec *model.Record) (bool, error) {
-	if c.n--; c.n == 0 {
-		c.cancel()
+func (fs *cancelFS) Open(name string) (storage.File, error) {
+	f, err := fs.OSFS.Open(name)
+	if err != nil {
+		return nil, err
 	}
-	return c.SliceSource.Next(rec)
+	return cancelFile{f, fs}, nil
+}
+
+type cancelFile struct {
+	storage.File
+	fs *cancelFS
+}
+
+func (f cancelFile) Read(p []byte) (int, error) {
+	if f.fs.reads.Add(1) == 3 {
+		f.fs.cancel()
+	}
+	return f.File.Read(p)
 }
 
 // TestSpillFiles: a forced spill creates its spill file and nothing
@@ -425,11 +436,14 @@ func TestSpillFiles(t *testing.T) {
 	c := compile(t, s, func(w *core.Workflow) {
 		w.Basic("x", model.Gran{0, 1}, agg.Sum, 0)
 	})
-	run := func(fs *faultfs.FS, src storage.Source, budget int64, g *qguard.Guard) (*Result, error) {
+	run := func(fs storage.FileSystem, in scan.Input, g *qguard.Guard) (*Result, error) {
 		t.Helper()
 		dir := t.TempDir()
 		restore := storage.SwapFS(fs)
-		res, err := Run(c, src, Options{MemoryBudget: budget, TempDir: dir, Guard: g})
+		res, err := Run(c, in, Options{
+			EngineOptions: scan.EngineOptions{TempDir: dir, ReadBatchBytes: scan.MinBatchBytes, Guard: g},
+			MemoryBudget:  4096,
+		})
 		restore()
 		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 			t.Errorf("%d files left behind (err %v)", len(entries), err)
@@ -439,7 +453,7 @@ func TestSpillFiles(t *testing.T) {
 
 	recs := records(300, 7, false)
 	fs := faultfs.New()
-	res, err := run(fs, &storage.SliceSource{Recs: recs}, 4096, nil)
+	res, err := run(fs, mem(t, recs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,13 +466,13 @@ func TestSpillFiles(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	src := &cancelAfter{SliceSource: storage.SliceSource{Recs: records(4000, 8, false)}, n: 3000, cancel: cancel}
-	if _, err := run(faultfs.New(), src, 4096, qguard.New(ctx, qguard.Limits{})); !errors.Is(err, qguard.ErrCanceled) {
+	fact := scan.FileInput(writeRecords(t, records(8000, 8, false)))
+	if _, err := run(&cancelFS{cancel: cancel}, fact, qguard.New(ctx, qguard.Limits{})); !errors.Is(err, qguard.ErrCanceled) {
 		t.Errorf("canceled mid-scan: got %v, want ErrCanceled", err)
 	}
 
 	// 4000 rows overflow one merge chunk: the second create is a run file.
-	if _, err := run(faultfs.New().FailCreate(2), &storage.SliceSource{Recs: records(4000, 9, false)}, 4096, nil); !errors.Is(err, faultfs.ErrInjected) {
+	if _, err := run(faultfs.New().FailCreate(2), mem(t, records(4000, 9, false)), nil); !errors.Is(err, faultfs.ErrInjected) {
 		t.Errorf("failing run-file create: got %v, want ErrInjected", err)
 	}
 }
@@ -484,7 +498,7 @@ func TestSpansEndOnError(t *testing.T) {
 	})
 	rec := obs.New()
 	g := qguard.New(context.Background(), qguard.Limits{MaxLiveCells: 10})
-	_, err := Run(c, &storage.SliceSource{Recs: records(2000, 10, false)}, Options{Recorder: rec, Guard: g})
+	_, err := Run(c, mem(t, records(2000, 10, false)), Options{EngineOptions: scan.EngineOptions{Recorder: rec, Guard: g}})
 	if !errors.Is(err, qguard.ErrBudgetExceeded) {
 		t.Fatalf("got %v, want a budget trip", err)
 	}

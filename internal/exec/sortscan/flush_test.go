@@ -65,17 +65,21 @@ func TestFlushAllocationBound(t *testing.T) {
 	q1 := q1Workflow(t, synth)
 	net := netSchema(t)
 	mixed, mixedPlan := mixedWorkflow(t, net)
-	mixedRecs := mixedRecords(net, mixedPlan, 60000, 20, 32)
+	mixedRecs := mem(t, net, mixedRecords(net, mixedPlan, 60000, 20, 32))
 	for _, tc := range []struct {
 		name string
 		run  func(rec *obs.Recorder) error
 	}{
 		{"q1", func(rec *obs.Recorder) error {
-			_, err := Run(q1, fact, Options{SortKey: q1SortKey, TempDir: dir, Recorder: rec})
+			_, err := Run(q1, scan.FileInput(fact), Options{
+				EngineOptions: scan.EngineOptions{TempDir: dir, Recorder: rec}, SortKey: q1SortKey,
+			})
 			return err
 		}},
 		{"mixed", func(rec *obs.Recorder) error {
-			_, err := RunSorted(mixed, mixedPlan, &storage.SliceSource{Recs: mixedRecs}, rec)
+			_, err := Run(mixed, mixedRecs, Options{
+				EngineOptions: scan.EngineOptions{Recorder: rec}, SortKey: mixedPlan.SortKey,
+			})
 			return err
 		}},
 	} {
@@ -204,8 +208,11 @@ func TestCombineShardsDetectsSharedRegion(t *testing.T) {
 		}
 	}
 	shard := func(part []model.Record) *engine {
-		src := scan.NewBatcher(&storage.SliceSource{Recs: part}, s.NumDims(), s.NumMeasures())
-		e, err := runSortedStates(c, pl, src, false, false, obs.New(), nil, nil)
+		src, err := mem(t, s, part).Open(scan.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := runSortedStates(c, pl, src, false, obs.New(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +223,7 @@ func TestCombineShardsDetectsSharedRegion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("disjoint shards: %v", err)
 	}
-	whole, err := RunSorted(c, pl, &storage.SliceSource{Recs: recs})
+	whole, err := Run(c, mem(t, s, recs), Options{SortKey: key})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package sortscan
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"awra/internal/core"
@@ -73,54 +71,45 @@ func NewSession(c *core.Compiled, pl *plan.Plan, opts SessionOptions) *Session {
 }
 
 // Push feeds one record. Records must arrive in the plan sort-key
-// order (ValidateOrder enforces it).
+// order (ValidateOrder enforces it), and have the schema's shape: a
+// record that does not is rejected with a *scan.ShapeError.
 func (s *Session) Push(rec *model.Record) error {
+	e := s.e
 	if s.closed {
 		return fmt.Errorf("sortscan: push on closed session")
 	}
+	if len(rec.Dims) != e.numDims || len(rec.Ms) != e.numMeasures {
+		return &scan.ShapeError{Index: int(e.stats.Records), Dims: len(rec.Dims), Measures: len(rec.Ms),
+			WantDims: e.numDims, WantMeasures: e.numMeasures}
+	}
 	if s.strict {
-		if s.last != nil && s.e.pl.SortKey.RecordLess(s.e.c.Schema, rec, s.last) {
+		if s.last != nil && e.pl.SortKey.RecordLess(e.c.Schema, rec, s.last) {
 			return fmt.Errorf("sortscan: record out of order (violates %s)",
-				s.e.pl.SortKey.String(s.e.c.Schema))
+				e.pl.SortKey.String(e.c.Schema))
 		}
 		cl := rec.Clone()
 		s.last = &cl
 	}
-	s.e.stats.Records++
-	if s.e.stats.Records&255 == 0 {
-		if err := s.e.checkGuard(); err != nil {
+	e.stats.Records++
+	if e.stats.Records&255 == 0 {
+		if err := e.checkGuard(); err != nil {
 			return err
 		}
 	}
 	// Encode into the batched row layout so streaming shares the batch
 	// engines' byte-level hot path exactly.
-	e := s.e
 	if s.rowBuf == nil {
 		s.rowBuf = make([]byte, 8*(e.numDims+e.numMeasures))
 	}
-	for i := 0; i < e.numDims; i++ {
-		var v int64
-		if i < len(rec.Dims) {
-			v = rec.Dims[i]
-		}
-		binary.LittleEndian.PutUint64(s.rowBuf[8*i:], uint64(v))
-	}
-	for i := 0; i < e.numMeasures; i++ {
-		var v float64
-		if i < len(rec.Ms) {
-			v = rec.Ms[i]
-		}
-		binary.LittleEndian.PutUint64(s.rowBuf[8*(e.numDims+i):], math.Float64bits(v))
-	}
-	row := scan.Record(s.rowBuf)
+	row := scan.EncodeRow(s.rowBuf, rec)
 	e.computeCodes(row)
 	for _, n := range s.basics {
-		s.e.scanRecord(n, row)
+		e.scanRecord(n, row)
 	}
 	for _, n := range s.basics {
 		if n.arcs[0].advancedCoarse {
 			n.arcs[0].advancedCoarse = false
-			if err := s.e.finalizeNode(n, false); err != nil {
+			if err := e.finalizeNode(n, false); err != nil {
 				return err
 			}
 		}

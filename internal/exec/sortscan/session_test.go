@@ -2,6 +2,7 @@ package sortscan
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 
 	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/model"
 	"awra/internal/plan"
 	"awra/internal/storage"
@@ -29,7 +31,7 @@ func TestSessionMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batch, err := RunSorted(c, pl, &storage.SliceSource{Recs: recs})
+	batch, err := Run(c, mem(t, s, recs), Options{SortKey: nk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +150,11 @@ func TestSessionOrderValidation(t *testing.T) {
 	}
 	if err := sess.Push(&r2); err == nil {
 		t.Fatal("out-of-order push accepted")
+	}
+	short := model.Record{Dims: r1.Dims[:2], Ms: []float64{}}
+	var se *scan.ShapeError
+	if err := sess.Push(&short); !errors.As(err, &se) || se.Index != 1 || se.Dims != 2 {
+		t.Fatalf("short record: got %v, want a ShapeError naming push 1", err)
 	}
 	if _, err := sess.Close(); err != nil {
 		t.Fatal(err)

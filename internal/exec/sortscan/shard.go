@@ -2,7 +2,6 @@ package sortscan
 
 import (
 	"fmt"
-	"os"
 	"runtime/pprof"
 	"sort"
 	"sync"
@@ -18,63 +17,36 @@ import (
 	"awra/internal/qguard"
 )
 
-// ShardedOptions configures RunSharded.
+// ShardedOptions configures RunSharded: a sort/scan run's options,
+// whose sort key's leading part is the shard unit. The guard's
+// live-cell budget is divided across shards; ChunkRecords counts all of
+// them. The recorder gets a "split" span for the one routing read, one
+// "shard" span subtree per worker, a "combine" span, and shards_planned
+// and shard_skew_ratio beside the standard engine metrics.
 type ShardedOptions struct {
-	// SortKey orders every shard's pass (same key everywhere); its
-	// leading part is the shard unit.
-	SortKey model.SortKey
-	// Shards is the worker count (>= 1; 1 degenerates to Run).
+	Options
+	// Shards is the worker count (1 or less runs Run).
 	Shards int
-	// TempDir receives the shards' sort runs, which exist only when the
-	// input exceeds one sort chunk; empty uses os.TempDir().
-	TempDir string
-	// ChunkRecords is how many records the external sort holds in memory
-	// at a time, all shards together (0 = default).
-	ChunkRecords int
-	// ReadBatchBytes is the chunk size of the batched fact reads
-	// (0 = scan.DefaultBatchBytes).
-	ReadBatchBytes int
-	// Stats feeds footprint estimation (informational).
-	Stats *plan.Stats
-	// Recorder, if non-nil, receives a "split" span for the one read that
-	// loads, key-encodes and routes the fact rows, one "shard"-rooted span
-	// subtree per worker (sort -> scan -> finalize children), a "combine"
-	// span for the concatenate-and-merge phase, and the standard engine
-	// metrics plus shards_planned and shard_skew_ratio.
-	Recorder *obs.Recorder
-	// Guard, if non-nil, enforces cancellation and resource budgets:
-	// the live-cell budget is divided evenly across shards, while spill
-	// bytes and result rows stay query-global.
-	Guard *qguard.Guard
 }
 
 // RunSharded evaluates the workflow with partitioned parallelism over
-// the sort order itself. The fact file is read once; the sort routes
-// each row to one of Shards parts by column 0 of the keys it encodes
-// anyway — the leading part of the sort key, so each shard owns whole
-// prefix groups, balanced greedily by record count (scan.SortByKey).
-// Every worker then index-sorts its own rows over the shared key
-// columns and scans them with an independent one-pass engine on its own
-// goroutine, and the per-shard outputs combine — concatenation for
-// measures whose regions nest inside shard units, aggregator-state
-// merge (agg.Merge, e.g. COUNT DISTINCT set union) for measures whose
-// regions span them. Requires a shardable workflow; see
-// opt.ShardPrefix for the exact condition.
-func RunSharded(c *core.Compiled, factPath string, opts ShardedOptions) (*Result, error) {
-	if opts.Shards < 1 {
-		opts.Shards = 1
+// the sort order itself. The input is read once; the sort routes each
+// row to one of Shards parts by column 0 of the keys it encodes anyway
+// — the leading part of the sort key, so each shard owns whole prefix
+// groups, balanced greedily by record count (scan.SortByKey). Every
+// worker then index-sorts its own rows over the shared key columns and
+// scans them with an independent one-pass engine on its own goroutine,
+// and the per-shard outputs combine — concatenation for measures whose
+// regions nest inside shard units, aggregator-state merge (agg.Merge,
+// e.g. COUNT DISTINCT set union) for measures whose regions span them.
+// Requires a shardable workflow; see opt.ShardPrefix for the exact
+// condition.
+func RunSharded(c *core.Compiled, in scan.Input, opts ShardedOptions) (*Result, error) {
+	if opts.Shards <= 1 {
+		return Run(c, in, opts.Options)
 	}
-	if opts.Shards == 1 {
-		return Run(c, factPath, Options{
-			SortKey: opts.SortKey, TempDir: opts.TempDir, ChunkRecords: opts.ChunkRecords,
-			ReadBatchBytes: opts.ReadBatchBytes,
-			Stats:          opts.Stats, Recorder: opts.Recorder, Guard: opts.Guard,
-		})
-	}
+	opts.EngineOptions = opts.WithDefaults()
 	rec := opts.Recorder
-	if rec == nil {
-		rec = obs.New()
-	}
 	pl, err := plan.Build(c, opts.SortKey, opts.Stats)
 	if err != nil {
 		return nil, err
@@ -85,20 +57,13 @@ func RunSharded(c *core.Compiled, factPath string, opts ShardedOptions) (*Result
 	}
 	guard := opts.Guard
 	shards := opts.Shards
-	if opts.TempDir == "" {
-		opts.TempDir = os.TempDir()
-	}
 	rec.Counter(obs.MShardsPlanned).Add(int64(shards))
 
 	// Split: the sort's load phase. One read fills the row arena and the
 	// key columns and routes every row by key column 0, the shard unit.
 	splitSpan := rec.Start(obs.SpanSplit)
 	defer splitSpan.End()
-	sorted, err := scan.SortByKey(factPath, c.Schema, pl.SortKey, nil, shards, scan.SortOptions{
-		ChunkRecords: opts.ChunkRecords, TempDir: opts.TempDir,
-		Workers: shards, BatchBytes: opts.ReadBatchBytes,
-		Recorder: rec.At(splitSpan), Guard: guard,
-	})
+	sorted, err := opts.Sort(in, c.Schema, pl.SortKey, nil, shards, shards, rec.At(splitSpan))
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +133,7 @@ func RunSharded(c *core.Compiled, factPath string, opts ShardedOptions) (*Result
 				return
 			}
 			defer src.Close()
-			e, err := runSortedStates(c, pl, src, false, true, srec, sg, stateIdx)
+			e, err := runSortedStates(c, pl, src, opts.DisableEarlyFlush, srec, sg, stateIdx)
 			if err != nil {
 				errs[i] = err
 				return

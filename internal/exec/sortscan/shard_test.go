@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"awra/internal/exec/scan"
 	"awra/internal/gen"
 )
 
@@ -21,7 +22,8 @@ func q1Sharded(tb testing.TB, rows int64) func() {
 	}
 	c := q1Workflow(tb, synth)
 	return func() {
-		if _, err := RunSharded(c, fact, ShardedOptions{SortKey: q1SortKey, Shards: 2, TempDir: dir}); err != nil {
+		opts := ShardedOptions{Options: Options{EngineOptions: scan.EngineOptions{TempDir: dir}, SortKey: q1SortKey}, Shards: 2}
+		if _, err := RunSharded(c, scan.FileInput(fact), opts); err != nil {
 			tb.Fatal(err)
 		}
 	}

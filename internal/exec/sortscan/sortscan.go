@@ -41,23 +41,14 @@ import (
 	"awra/internal/obs"
 	"awra/internal/plan"
 	"awra/internal/qguard"
-	"awra/internal/storage"
 )
 
 // Options configures a run.
 type Options struct {
+	scan.EngineOptions
 	// SortKey orders the pass. Use the opt package to choose one that
 	// minimizes the estimated footprint.
 	SortKey model.SortKey
-	// TempDir receives external-sort run files, which exist only when the
-	// input exceeds one sort chunk; empty uses the fact file's directory.
-	TempDir string
-	// ChunkRecords is how many records the external sort holds in memory
-	// at a time (0 = default).
-	ChunkRecords int
-	// ReadBatchBytes is the chunk size of the batched fact reads
-	// (0 = scan.DefaultBatchBytes).
-	ReadBatchBytes int
 	// Stats supplies cardinality estimates for the plan's footprint
 	// numbers (informational).
 	Stats *plan.Stats
@@ -66,18 +57,9 @@ type Options struct {
 	// it isolates the memory benefit of the paper's early flushing).
 	DisableEarlyFlush bool
 	// SortWorkers, when above 1, sorts and writes run files on that many
-	// goroutines during the sort phase.
+	// goroutines during the sort phase. RunSharded sorts on its shards'
+	// workers instead.
 	SortWorkers int
-	// Recorder, if non-nil, receives the run's phase spans
-	// (sort/runs, scan, finalize) and the standard engine
-	// metrics. Nil still produces a full Stats (a private recorder is
-	// used); hot loops never touch the recorder either way.
-	Recorder *obs.Recorder
-	// Guard, if non-nil, makes the run cooperatively cancelable and
-	// enforces resource budgets (live cells, result rows, spill bytes).
-	// Budgets are checked at batch and flush boundaries, so a small
-	// overshoot within one batch is possible by design.
-	Guard *qguard.Guard
 }
 
 // Stats reports a run's cost breakdown — the data behind the paper's
@@ -399,20 +381,11 @@ func (e *engine) publish() {
 	rec.Counter(obs.MSpillBytes)
 	rec.Gauge(obs.GLiveCellsHWM).SetMax(e.stats.PeakCells)
 	rec.Gauge(obs.GHashBytesHWM).SetMax(e.stats.PeakBytes)
-	// Cell-table probe/arena behavior, aggregated across nodes from the
-	// tables' plain-field tallies (one Stats read per node, end of run).
-	var probeHWM, grows, arena int64
-	for _, n := range e.nodes {
-		ts := n.tab.Stats()
-		if ts.ProbeHWM > probeHWM {
-			probeHWM = ts.ProbeHWM
-		}
-		grows += ts.Grows
-		arena += ts.ArenaBytesHWM
+	tabs := make([]*cellmap.Table, len(e.nodes))
+	for i, n := range e.nodes {
+		tabs[i] = n.tab
 	}
-	rec.Counter(obs.MCellTableGrows).Add(grows)
-	rec.Gauge(obs.GCellProbeHWM).SetMax(probeHWM)
-	rec.Gauge(obs.GCellArenaBytes).SetMax(arena)
+	scan.PublishCellStats(rec, tabs)
 	for _, n := range e.nodes {
 		ns := obs.NodeStats{
 			Node:           n.m.Name,
@@ -436,14 +409,12 @@ func (e *engine) publish() {
 	}
 }
 
-// Run sorts the fact file by the sort key and evaluates the workflow
-// in one streaming pass. The sort hands its rows over as a stream
-// (scan.SortByKey): no sorted copy of the file is written.
-func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
+// Run sorts the input by the sort key and evaluates the workflow in
+// one streaming pass. The sort hands its rows over as a stream
+// (scan.SortByKey): no sorted copy of the input is written.
+func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
+	opts.EngineOptions = opts.WithDefaults()
 	rec := opts.Recorder
-	if rec == nil {
-		rec = obs.New() // private recorder so Stats stays complete
-	}
 	pl, err := plan.Build(c, opts.SortKey, opts.Stats)
 	if err != nil {
 		return nil, err
@@ -451,11 +422,7 @@ func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
 	sortSpan := rec.Start(obs.SpanSort)
 	defer sortSpan.End()
 	sortSpan.SetAttr("key", pl.SortKey.String(c.Schema))
-	sorted, err := scan.SortByKey(factPath, c.Schema, pl.SortKey, nil, 1, scan.SortOptions{
-		ChunkRecords: opts.ChunkRecords, TempDir: opts.TempDir,
-		Workers: opts.SortWorkers, BatchBytes: opts.ReadBatchBytes,
-		Recorder: rec.At(sortSpan), Guard: opts.Guard,
-	})
+	sorted, err := opts.Sort(in, c.Schema, pl.SortKey, nil, 1, opts.SortWorkers, rec.At(sortSpan))
 	if err != nil {
 		return nil, fmt.Errorf("sortscan: sort: %w", err)
 	}
@@ -467,72 +434,38 @@ func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
 	defer src.Close()
 	sortSpan.SetAttr("runs", fmt.Sprint(sorted.Stats().Runs))
 	sortSpan.End()
-	// Rows sorted by this run carry the full base-coordinate tiebreak
-	// order, which unlocks the append-only cell-table path.
-	res, err := runSorted(c, pl, src, opts.DisableEarlyFlush, true, rec, opts.Guard)
+	e, err := runSortedStates(c, pl, src, opts.DisableEarlyFlush, rec, opts.Guard, nil)
 	if err != nil {
 		return nil, err
 	}
+	res := e.result()
 	res.Stats.SortTime = sortSpan.Duration()
 	res.Stats.SortRuns = sorted.Stats().Runs
 	return res, nil
 }
 
-// RunSorted evaluates the workflow over a source already ordered by
-// the plan's sort key. An optional recorder receives phase spans and
-// engine metrics.
-func RunSorted(c *core.Compiled, pl *plan.Plan, src storage.Source, recorder ...*obs.Recorder) (*Result, error) {
-	var rec *obs.Recorder
-	if len(recorder) > 0 {
-		rec = recorder[0]
-	}
-	return runSorted(c, pl, scan.NewBatcher(src, c.Schema.NumDims(), c.Schema.NumMeasures()), false, false, rec, nil)
-}
-
-// RunSortedGuarded is RunSorted under a query guard (cancellation and
-// resource budgets).
-func RunSortedGuarded(c *core.Compiled, pl *plan.Plan, src storage.Source, g *qguard.Guard, rec *obs.Recorder) (*Result, error) {
-	return runSorted(c, pl, scan.NewBatcher(src, c.Schema.NumDims(), c.Schema.NumMeasures()), false, false, rec, g)
-}
-
-func runSorted(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, disableEarlyFlush, fullOrder bool, obsRec *obs.Recorder, guard *qguard.Guard) (*Result, error) {
-	if obsRec == nil {
-		obsRec = obs.New()
-	}
-	e, err := runSortedStates(c, pl, src, disableEarlyFlush, fullOrder, obsRec, guard, nil)
-	if err != nil {
-		return nil, err
-	}
-	return e.result(), nil
-}
-
-// runSortedStates is the engine's core loop; it returns the engine with
-// every output's emission log complete and not yet materialized. When
-// stateIdx is non-nil, the marked nodes (leaf basics whose regions span
-// shard units) are never finalized: their cells stay live through the
-// whole scan and are left in the node's key arena and aggregate column
-// for a cross-shard merge by the sharded driver. All other nodes flush
-// normally. fullOrder asserts the source carries the full tiebreak
-// order (sort key, then base coordinates ascending) — the order this
-// package's own sort produces — not just the plan key.
-func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, disableEarlyFlush, fullOrder bool, obsRec *obs.Recorder, guard *qguard.Guard, stateIdx []bool) (*engine, error) {
+// runSortedStates is the engine's core loop over a source in the full
+// order this package's sort produces — sort key, then base coordinates
+// ascending — which unlocks the append-only cell-table path. It
+// returns the engine with every output's emission log complete and not
+// yet materialized. When stateIdx is non-nil, the marked nodes (leaf
+// basics whose regions span shard units) are never finalized: their
+// cells stay live through the whole scan and are left in the node's key
+// arena and aggregate column for a cross-shard merge by the sharded
+// driver. All other nodes flush normally.
+func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, disableEarlyFlush bool, obsRec *obs.Recorder, guard *qguard.Guard, stateIdx []bool) (*engine, error) {
 	e := newEngine(c, pl, disableEarlyFlush, obsRec)
 	e.guard = guard
-	if fullOrder {
-		// Under the full tiebreak order, a node whose cell keys are
-		// provably contiguous in the scan never revisits a retired key:
-		// a changed key is always new, so its table skips hash probes
-		// entirely (cellmap.Append).
-		for _, n := range e.nodes {
-			if n.m.Kind == core.KindBasic && contiguousCells(c.Schema, pl.SortKey, n.m.Gran) {
-				n.appendOnly = true
-			}
+	// A node whose cell keys are provably contiguous in the scan never
+	// revisits a retired key: a changed key is always new, so its table
+	// skips hash probes entirely (cellmap.Append).
+	for _, n := range e.nodes {
+		if n.m.Kind == core.KindBasic && contiguousCells(c.Schema, pl.SortKey, n.m.Gran) {
+			n.appendOnly = true
 		}
 	}
 	scanSpan := obsRec.Start(obs.SpanScan)
-	if tc, ok := src.(interface{ TotalRecords() int64 }); ok {
-		scanSpan.SetTotal(tc.TotalRecords())
-	}
+	scanSpan.SetTotal(src.Header().Count)
 	var basics []*node
 	for _, n := range e.nodes {
 		if n.m.Kind == core.KindBasic {

@@ -7,8 +7,8 @@ import (
 
 	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/model"
-	"awra/internal/plan"
 	"awra/internal/storage"
 )
 
@@ -64,19 +64,20 @@ func smaxWorkflow(t *testing.T, s *model.Schema) *core.Compiled {
 	return c
 }
 
+// mem is the in-memory input of recs, in s's shape.
+func mem(t testing.TB, s *model.Schema, recs []model.Record) scan.Input {
+	t.Helper()
+	in, err := scan.RecordsInput(recs, s.NumDims(), s.NumMeasures())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// run evaluates c over in-memory records sorted by key.
 func run(t *testing.T, c *core.Compiled, recs []model.Record, key model.SortKey) *Result {
 	t.Helper()
-	nk, err := key.Normalize(c.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted := append([]model.Record{}, recs...)
-	storage.SortRecords(sorted, func(a, b *model.Record) bool { return nk.RecordLess(c.Schema, a, b) })
-	pl, err := plan.Build(c, nk, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunSorted(c, pl, &storage.SliceSource{Recs: sorted})
+	res, err := Run(c, mem(t, c.Schema, recs), Options{SortKey: key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +174,9 @@ func TestRunFullPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	day, _ := s.Dim(0).LevelByName("Day")
-	res, err := Run(c, fact, Options{
-		SortKey: model.SortKey{{Dim: 0, Lvl: day}, {Dim: 2, Lvl: 0}},
-		TempDir: dir, ChunkRecords: 200,
+	res, err := Run(c, scan.FileInput(fact), Options{
+		EngineOptions: scan.EngineOptions{TempDir: dir, ChunkRecords: 200},
+		SortKey:       model.SortKey{{Dim: 0, Lvl: day}, {Dim: 2, Lvl: 0}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,11 +202,11 @@ func TestRunFullPath(t *testing.T) {
 func TestBadSortKeyRejected(t *testing.T) {
 	s := netSchema(t)
 	c := smaxWorkflow(t, s)
-	_, err := Run(c, "/nonexistent", Options{SortKey: model.SortKey{{Dim: 99, Lvl: 0}}})
+	_, err := Run(c, scan.FileInput("/nonexistent"), Options{SortKey: model.SortKey{{Dim: 99, Lvl: 0}}})
 	if err == nil {
 		t.Fatal("bad sort key accepted")
 	}
-	_, err = Run(c, "/nonexistent/path.rec", Options{SortKey: model.SortKey{{Dim: 0, Lvl: 0}}})
+	_, err = Run(c, scan.FileInput("/nonexistent/path.rec"), Options{SortKey: model.SortKey{{Dim: 0, Lvl: 0}}})
 	if err == nil {
 		t.Fatal("missing fact file accepted")
 	}

@@ -1,0 +1,52 @@
+// Package leakcheck is the TestMain of the packages that run queries.
+// Their tests run with TMPDIR pointed at a fresh directory, and pass only
+// if, once they finish, that directory is empty and the goroutine count
+// is back where it started: an engine that leaves a sort run, spill or
+// spool behind, or a worker running, fails its own package's tests.
+package leakcheck
+
+import (
+	"fmt"
+	"os"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// Main runs the package's tests under the leak check and exits with
+// their status.
+func Main(m *testing.M) {
+	dir, err := os.MkdirTemp("", "awra-leakcheck-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "leakcheck:", err)
+		os.Exit(1)
+	}
+	os.Setenv("TMPDIR", dir)
+	start := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 {
+		code = check(dir, start)
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// check reports files left in dir, and goroutines beyond start that do
+// not exit within a few seconds.
+func check(dir string, start int) int {
+	if entries, _ := os.ReadDir(dir); len(entries) > 0 {
+		for _, e := range entries {
+			fmt.Fprintln(os.Stderr, "leakcheck: the tests left a temporary file:", e.Name())
+		}
+		return 1
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			fmt.Fprintf(os.Stderr, "leakcheck: %d goroutines before the tests, %d after:\n%s\n",
+				start, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			return 1
+		}
+	}
+	return 0
+}

@@ -60,8 +60,9 @@ const (
 	// MQueriesCanceled counts queries that ended with cancellation or a
 	// deadline instead of completing.
 	MQueriesCanceled = "queries_canceled"
-	// MRowsCorruptSkipped counts checksum-failing rows skipped in
-	// degraded mode (QueryOptions.SkipCorruptRows).
+	// MRowsCorruptSkipped counts the distinct checksum-failing rows a
+	// query skipped in degraded mode (QueryOptions.SkipCorruptRows): a
+	// row that several reads of the file skip counts once.
 	MRowsCorruptSkipped = "rows_corrupt_skipped"
 	// MBudgetRejections counts queries rejected by a hard resource
 	// guardrail (live cells, result rows, spill bytes).

@@ -253,14 +253,20 @@ func (g *Guard) NoteSpill(bytes int64) error {
 // counted instead of failing the read.
 func (g *Guard) SkipCorruptRows() bool { return g != nil && g.limits.SkipCorruptRows }
 
-// NoteCorruptRow counts one skipped corrupt row (degraded mode).
-func (g *Guard) NoteCorruptRow() {
-	if g != nil {
-		g.base().corrupt.Add(1)
+// NoteCorruptRows records how many corrupt rows one read has skipped
+// so far (degraded mode). The guard keeps the largest read's count:
+// every read of a file skips the same rows, which count once.
+func (g *Guard) NoteCorruptRows(n int64) {
+	if g == nil {
+		return
+	}
+	c := &g.base().corrupt
+	for old := c.Load(); n > old && !c.CompareAndSwap(old, n); old = c.Load() {
 	}
 }
 
-// CorruptRows returns how many corrupt rows were skipped.
+// CorruptRows returns the largest number of corrupt rows one read
+// skipped.
 func (g *Guard) CorruptRows() int64 {
 	if g == nil {
 		return 0

@@ -25,7 +25,7 @@ func TestNilGuardIsNoOp(t *testing.T) {
 	if g.SkipCorruptRows() {
 		t.Fatal("nil guard should not skip corrupt rows")
 	}
-	g.NoteCorruptRow() // must not panic
+	g.NoteCorruptRows(1) // must not panic
 	if g.Context() == nil {
 		t.Fatal("nil guard Context must not be nil")
 	}
@@ -85,6 +85,25 @@ func TestResultRowsAccumulate(t *testing.T) {
 	be, ok := AsBudget(err)
 	if !ok || be.Resource != ResResultRows || be.Used != 6 {
 		t.Fatalf("got %v", err)
+	}
+}
+
+// TestCorruptRowsKeepLargestRead: reads of one file skip the same rows,
+// so the guard keeps the largest read's count, not the sum — across
+// shard views too.
+func TestCorruptRowsKeepLargestRead(t *testing.T) {
+	g := New(context.Background(), Limits{SkipCorruptRows: true})
+	for _, n := range []int64{1, 2, 3} { // the first read
+		g.NoteCorruptRows(n)
+	}
+	for _, n := range []int64{1, 2} { // a second read, not yet as far
+		g.Shard(2).NoteCorruptRows(n)
+	}
+	if got := g.CorruptRows(); got != 3 {
+		t.Fatalf("CorruptRows = %d, want 3", got)
+	}
+	if got := g.Stats().CorruptRows; got != 3 {
+		t.Fatalf("Stats().CorruptRows = %d, want 3", got)
 	}
 }
 

@@ -24,9 +24,7 @@ package relbaseline
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"awra/internal/agg"
@@ -34,28 +32,18 @@ import (
 	"awra/internal/exec/scan"
 	"awra/internal/model"
 	"awra/internal/obs"
-	"awra/internal/qguard"
 	"awra/internal/storage"
 )
 
-// Options configures a run.
-type Options struct {
-	// TempDir receives materialized intermediates and sort runs.
-	TempDir string
-	// ChunkRecords tunes the external sort.
-	ChunkRecords int
-	// Recorder, if non-nil, receives one "measure" span per evaluated
-	// measure (each holding that query's sort spans) and the standard
-	// engine metrics.
-	Recorder *obs.Recorder
-	// Guard, if non-nil, enforces cancellation and resource budgets
-	// across every operator scan, sort, and spool.
-	Guard *qguard.Guard
-}
+// Options configures a run: the engines' option block. The recorder
+// receives one "measure" span per evaluated measure (each holding that
+// query's sort spans); the guard covers every operator scan, sort and
+// spool.
+type Options = scan.EngineOptions
 
 // Stats reports what the baseline did.
 type Stats struct {
-	FactScans   int // end-to-end reads of the fact file
+	FactScans   int // end-to-end reads of the fact records
 	Sorts       int // external sorts (fact or intermediate)
 	Materials   int // operator results spooled to disk
 	RowsSpooled int64
@@ -79,10 +67,9 @@ type rel struct {
 
 type evaluator struct {
 	c     *core.Compiled
-	fact  string
+	fact  scan.Input
 	opts  Options
 	stats *Stats
-	guard *qguard.Guard
 	temps []string
 	// rec is the current measure's recorder view; scanned/finalized
 	// accumulate across operators and publish at end of run.
@@ -92,24 +79,19 @@ type evaluator struct {
 }
 
 // Run evaluates every output measure of the workflow independently.
-func Run(c *core.Compiled, factPath string, opts Options) (*Result, error) {
-	return RunMeasures(c, factPath, c.Outputs(), opts)
+func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
+	return RunMeasures(c, in, c.Outputs(), opts)
 }
 
 // RunMeasures evaluates only the named measures, one independent
 // query each. Benchmarks use it to compare engines on the final
 // measure of a workflow, matching the paper's single-query SQL runs.
-func RunMeasures(c *core.Compiled, factPath string, names []string, opts Options) (*Result, error) {
-	if opts.TempDir == "" {
-		opts.TempDir = os.TempDir()
-	}
+func RunMeasures(c *core.Compiled, in scan.Input, names []string, opts Options) (*Result, error) {
+	opts = opts.WithDefaults()
 	orec := opts.Recorder
-	if orec == nil {
-		orec = obs.New()
-	}
 	start := time.Now()
 	res := &Result{Tables: make(map[string]*core.Table)}
-	ev := &evaluator{c: c, fact: factPath, opts: opts, stats: &res.Stats, guard: opts.Guard}
+	ev := &evaluator{c: c, fact: in, opts: opts, stats: &res.Stats}
 	defer ev.cleanup()
 	for _, name := range names {
 		if err := opts.Guard.Err(); err != nil {
@@ -163,39 +145,58 @@ func RunMeasures(c *core.Compiled, factPath string, names []string, opts Options
 	return res, nil
 }
 
-// noteSpooled records rows written to a spool against both the spool
-// statistic and the guard's spill-byte budget (cols 8-byte columns per
-// row approximates the on-disk footprint).
-func (ev *evaluator) noteSpooled(rows int64, cols int) error {
-	ev.stats.RowsSpooled += rows
-	return ev.guard.NoteSpill(rows * int64(8*cols))
-}
-
 func (ev *evaluator) cleanup() {
 	for _, p := range ev.temps {
 		os.Remove(p)
 	}
 }
 
-// tempSeq disambiguates temp paths across concurrent evaluators in one
-// process sharing a temp directory.
-var tempSeq atomic.Int64
-
-func (ev *evaluator) tempFile(tag string) string {
-	p := filepath.Join(ev.opts.TempDir, fmt.Sprintf("awra-rel-%d-%s-%d.tmp", os.Getpid(), tag, tempSeq.Add(1)))
-	ev.temps = append(ev.temps, p)
-	return p
-}
-
-// spool creates a writer for a new intermediate relation at gran.
-func (ev *evaluator) spool(tag string, s *model.Schema) (*storage.Writer, string, error) {
-	path := ev.tempFile(tag)
-	w, err := storage.Create(path, s.NumDims(), 1)
+// spool materializes an operator's result as a new relation file of
+// full-length codes and the given number of measures: fill writes its
+// rows, then the spool is closed and its rows charged to the spool
+// statistic and the guard's spill-byte budget.
+func (ev *evaluator) spool(tag string, measures int, fill func(w *storage.Writer) error) (string, error) {
+	path := ev.opts.TempPath("rel-" + tag)
+	ev.temps = append(ev.temps, path)
+	nd := ev.c.Schema.NumDims()
+	w, err := storage.Create(path, nd, measures)
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	ev.stats.Materials++
-	return w, path, nil
+	if err := fill(w); err != nil {
+		w.Close()
+		return "", err
+	}
+	ev.stats.RowsSpooled += w.Count()
+	if err := ev.opts.Guard.NoteSpill(w.Count() * int64(8*(nd+measures))); err != nil {
+		w.Close()
+		return "", err
+	}
+	return path, w.Close()
+}
+
+// each decodes every row of in — fact records, or a spool's one
+// measure — into one record and hands it to fn.
+func (ev *evaluator) each(in scan.Input, measures int, fn func(rec *model.Record) error) error {
+	src, err := ev.opts.Open(in)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	rec := model.Record{Dims: make([]int64, ev.c.Schema.NumDims()), Ms: make([]float64, measures)}
+	for {
+		batch, err := src.NextBatch()
+		if err != nil || batch == nil {
+			return err
+		}
+		for _, row := range batch {
+			row.DecodeInto(rec.Dims, rec.Ms)
+			if err := fn(&rec); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // keyOf builds the region key of a full-codes row.
@@ -211,23 +212,8 @@ func keyOf(codec *model.KeyCodec, s *model.Schema, gran model.Gran, codes []int6
 
 // load reads a spooled relation into a core.Table.
 func (ev *evaluator) load(r *rel) (*core.Table, error) {
-	tbl := core.NewTable(ev.c.Schema, r.gran)
-	reader, err := storage.OpenGuarded(r.path, ev.guard)
-	if err != nil {
-		return nil, err
-	}
-	defer reader.Close()
-	var rec model.Record
-	for {
-		ok, err := reader.Next(&rec)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return tbl, nil
-		}
-		tbl.Rows[keyOf(tbl.Codec, ev.c.Schema, r.gran, rec.Dims)] = rec.Ms[0]
-	}
+	read := scan.Options{BatchBytes: ev.opts.ReadBatchBytes, Guard: ev.opts.Guard}
+	return scan.ReadTable(scan.FileInput(r.path), read, ev.c.Schema, r.gran)
 }
 
 // loadMap reads a spooled relation into a key->value hash (the build
@@ -256,50 +242,31 @@ func (ev *evaluator) eval(e *core.Expr) (*rel, error) {
 	}
 }
 
-// evalFactFile resolves a fact-like expression (D or sigma(D) chains)
-// to a record file, materializing selections.
-func (ev *evaluator) evalFactFile(e *core.Expr) (string, error) {
+// evalFact resolves a fact-like expression (D or sigma(D) chains) to
+// the records it selects, materializing selections.
+func (ev *evaluator) evalFact(e *core.Expr) (scan.Input, error) {
 	if e.Kind == core.FactExpr {
 		return ev.fact, nil
 	}
-	in, err := ev.evalFactFile(e.Children()[0])
+	in, err := ev.evalFact(e.Children()[0])
 	if err != nil {
-		return "", err
+		return scan.Input{}, err
 	}
-	r, err := storage.OpenGuarded(in, ev.guard)
-	if err != nil {
-		return "", err
-	}
-	defer r.Close()
 	ev.stats.FactScans++
-	out := ev.tempFile("sel")
-	w, err := storage.Create(out, r.Header().NumDims, r.Header().NumMeasures)
-	if err != nil {
-		return "", err
-	}
-	ev.stats.Materials++
-	var rec model.Record
-	for {
-		ok, err := r.Next(&rec)
-		if err != nil {
-			w.Close()
-			return "", err
-		}
-		if !ok {
-			break
-		}
-		if e.Pred.Eval(rec.Dims, rec.Ms) {
-			if err := w.Write(&rec); err != nil {
-				w.Close()
-				return "", err
+	path, err := ev.selectInto(in, ev.c.Schema.NumMeasures(), e.Pred)
+	return scan.FileInput(path), err
+}
+
+// selectInto spools the rows of in that satisfy pred.
+func (ev *evaluator) selectInto(in scan.Input, measures int, pred core.Predicate) (string, error) {
+	return ev.spool("sel", measures, func(w *storage.Writer) error {
+		return ev.each(in, measures, func(rec *model.Record) error {
+			if pred.Eval(rec.Dims, rec.Ms) {
+				return w.Write(rec)
 			}
-		}
-	}
-	if err := ev.noteSpooled(w.Count(), r.Header().NumDims+r.Header().NumMeasures); err != nil {
-		w.Close()
-		return "", err
-	}
-	return out, w.Close()
+			return nil
+		})
+	})
 }
 
 // evalAgg is the GROUP BY of Table 2: external sort by the group key,
@@ -308,25 +275,25 @@ func (ev *evaluator) evalFactFile(e *core.Expr) (string, error) {
 func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 	sch := e.Schema()
 	gran := e.Gran()
-	in := e.Children()[0]
+	child := e.Children()[0]
 
 	var (
-		inPath   string
+		in       scan.Input
 		inIsFact bool
 		srcGran  model.Gran // the input's level per dimension; nil = base
 	)
-	if in.IsFactLike() {
-		p, err := ev.evalFactFile(in)
+	if child.IsFactLike() {
+		f, err := ev.evalFact(child)
 		if err != nil {
 			return nil, err
 		}
-		inPath, inIsFact = p, true
+		in, inIsFact = f, true
 	} else {
-		r, err := ev.eval(in)
+		r, err := ev.eval(child)
 		if err != nil {
 			return nil, err
 		}
-		inPath, srcGran = r.path, r.gran
+		in, srcGran = scan.FileInput(r.path), r.gran
 	}
 
 	// The group key: every dimension the target granularity keeps.
@@ -340,10 +307,7 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 	t0 := time.Now()
 	sortSpan := ev.rec.Start(obs.SpanSort)
 	defer sortSpan.End()
-	sorted, err := scan.SortByKey(inPath, sch, key, srcGran, 1, scan.SortOptions{
-		ChunkRecords: ev.opts.ChunkRecords, TempDir: ev.opts.TempDir,
-		Recorder: ev.rec.At(sortSpan), Guard: ev.guard,
-	})
+	sorted, err := ev.opts.Sort(in, sch, key, srcGran, 1, 0, ev.rec.At(sortSpan))
 	if err != nil {
 		return nil, err
 	}
@@ -360,17 +324,13 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 		ev.stats.FactScans++
 	}
 
-	w, outPath, err := ev.spool("agg", sch)
-	if err != nil {
-		return nil, err
-	}
 	scanSpan := ev.rec.Start(obs.SpanScan)
-	scanSpan.SetTotal(src.TotalRecords())
+	scanSpan.SetTotal(src.Header().Count)
 	defer scanSpan.End()
 	// groupCodes maps a row to its group codes at the target granularity.
 	from := srcGran
 	if from == nil {
-		from = make(model.Gran, nd) // a fact file's codes are at base
+		from = make(model.Gran, nd) // fact codes are at base
 	}
 	ga := make([]int64, nd)
 	groupCodes := func(row scan.Record) {
@@ -385,62 +345,58 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 		seen    int64
 	)
 	outRec := model.Record{Dims: make([]int64, nd), Ms: make([]float64, 1)}
-	flush := func() error {
-		if !haveKey {
-			return nil
-		}
-		copy(outRec.Dims, curKey)
-		outRec.Ms[0] = curAgg.Final()
-		return w.Write(&outRec)
-	}
-	for {
-		batch, err := src.NextBatch()
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		if batch == nil {
-			break
-		}
-		for _, row := range batch {
-			seen++
-			if seen&255 == 0 {
-				scanSpan.SetDone(seen)
+	outPath, err := ev.spool("agg", 1, func(w *storage.Writer) error {
+		flush := func() error {
+			if !haveKey {
+				return nil
 			}
-			groupCodes(row)
-			if !haveKey || !slices.Equal(ga, curKey) {
-				if err := flush(); err != nil {
-					w.Close()
-					return nil, err
+			copy(outRec.Dims, curKey)
+			outRec.Ms[0] = curAgg.Final()
+			return w.Write(&outRec)
+		}
+		for {
+			batch, err := src.NextBatch()
+			if err != nil {
+				return err
+			}
+			if batch == nil {
+				break
+			}
+			for _, row := range batch {
+				seen++
+				if seen&255 == 0 {
+					scanSpan.SetDone(seen)
 				}
-				curKey = append(curKey[:0], ga...)
-				curAgg = e.Agg.New()
-				haveKey = true
-			}
-			switch {
-			case inIsFact && e.FactMeasure >= 0:
-				curAgg.Update(row.Measure(nd, e.FactMeasure))
-			case inIsFact:
-				curAgg.Update(0)
-			default:
-				curAgg.Update(row.Measure(nd, 0))
+				groupCodes(row)
+				if !haveKey || !slices.Equal(ga, curKey) {
+					if err := flush(); err != nil {
+						return err
+					}
+					curKey = append(curKey[:0], ga...)
+					curAgg = e.Agg.New()
+					haveKey = true
+				}
+				switch {
+				case inIsFact && e.FactMeasure >= 0:
+					curAgg.Update(row.Measure(nd, e.FactMeasure))
+				case inIsFact:
+					curAgg.Update(0)
+				default:
+					curAgg.Update(row.Measure(nd, 0))
+				}
 			}
 		}
-	}
-	if inIsFact {
-		ev.scanned += seen
-	}
-	if err := flush(); err != nil {
-		w.Close()
-		return nil, err
-	}
-	scanSpan.SetDone(seen)
-	ev.finalized += w.Count()
-	if err := ev.noteSpooled(w.Count(), nd+1); err != nil {
-		w.Close()
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
+		if inIsFact {
+			ev.scanned += seen
+		}
+		if err := flush(); err != nil {
+			return err
+		}
+		scanSpan.SetDone(seen)
+		ev.finalized += w.Count()
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &rel{path: outPath, gran: gran, codec: model.NewKeyCodec(sch, gran)}, nil
@@ -452,38 +408,8 @@ func (ev *evaluator) evalSelect(e *core.Expr) (*rel, error) {
 	if err != nil {
 		return nil, err
 	}
-	sch := e.Schema()
-	r, err := storage.OpenGuarded(src.path, ev.guard)
+	outPath, err := ev.selectInto(scan.FileInput(src.path), 1, e.Pred)
 	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	w, outPath, err := ev.spool("sel", sch)
-	if err != nil {
-		return nil, err
-	}
-	var rec model.Record
-	for {
-		ok, err := r.Next(&rec)
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if e.Pred.Eval(rec.Dims, rec.Ms) {
-			if err := w.Write(&rec); err != nil {
-				w.Close()
-				return nil, err
-			}
-		}
-	}
-	if err := ev.noteSpooled(w.Count(), sch.NumDims()+1); err != nil {
-		w.Close()
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
 		return nil, err
 	}
 	return &rel{path: outPath, gran: src.gran, codec: src.codec}, nil
@@ -504,39 +430,17 @@ func (ev *evaluator) evalMatchJoin(e *core.Expr) (*rel, error) {
 
 	// Build side: T, keyed for the probe.
 	var tMap map[model.Key]float64
+	var cpAggs map[model.Key]agg.Aggregator
 	switch e.Cond.Kind {
 	case core.MatchSelf, core.MatchParentChild, core.MatchSibling:
 		tMap, err = ev.loadMap(t)
-		if err != nil {
-			return nil, err
-		}
 	case core.MatchChildParent:
 		// Hash-aggregate T up to S's granularity (the output size is
 		// |S|, not |T|).
-		tMap = nil
-	default:
-		return nil, fmt.Errorf("unknown match kind %v", e.Cond.Kind)
-	}
-
-	var cpAggs map[model.Key]agg.Aggregator
-	if e.Cond.Kind == core.MatchChildParent {
 		cpAggs = make(map[model.Key]agg.Aggregator)
-		r, err := storage.OpenGuarded(t.path, ev.guard)
-		if err != nil {
-			return nil, err
-		}
 		sCodec := model.NewKeyCodec(sch, s.gran)
-		var rec model.Record
 		codes := make([]int64, sch.NumDims())
-		for {
-			ok, nerr := r.Next(&rec)
-			if nerr != nil {
-				r.Close()
-				return nil, nerr
-			}
-			if !ok {
-				break
-			}
+		err = ev.each(scan.FileInput(t.path), 1, func(rec *model.Record) error {
 			for d := 0; d < sch.NumDims(); d++ {
 				codes[d] = sch.Dim(d).Up(t.gran[d], s.gran[d], rec.Dims[d])
 			}
@@ -547,70 +451,52 @@ func (ev *evaluator) evalMatchJoin(e *core.Expr) (*rel, error) {
 				cpAggs[k] = a
 			}
 			a.Update(rec.Ms[0])
-		}
-		r.Close()
+			return nil
+		})
+	default:
+		return nil, fmt.Errorf("unknown match kind %v", e.Cond.Kind)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	sCodec := model.NewKeyCodec(sch, s.gran)
 	tCodec := model.NewKeyCodec(sch, t.gran)
-	r, err := storage.OpenGuarded(s.path, ev.guard)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	w, outPath, err := ev.spool("mj", sch)
-	if err != nil {
-		return nil, err
-	}
-	var rec model.Record
 	out := model.Record{Dims: make([]int64, sch.NumDims()), Ms: make([]float64, 1)}
 	codes := make([]int64, sch.NumDims())
-	for {
-		ok, nerr := r.Next(&rec)
-		if nerr != nil {
-			w.Close()
-			return nil, nerr
-		}
-		if !ok {
-			break
-		}
-		sk := keyOf(sCodec, sch, s.gran, rec.Dims)
-		a := e.Agg.New()
-		switch e.Cond.Kind {
-		case core.MatchSelf:
-			if v, ok := tMap[sCodec.UpTo(sk, tCodec)]; ok {
-				a.Update(v)
-			}
-		case core.MatchParentChild:
-			for d := 0; d < sch.NumDims(); d++ {
-				codes[d] = sch.Dim(d).Up(s.gran[d], t.gran[d], rec.Dims[d])
-			}
-			if v, ok := tMap[keyOf(tCodec, sch, t.gran, codes)]; ok {
-				a.Update(v)
-			}
-		case core.MatchChildParent:
-			if ca, ok := cpAggs[sk]; ok {
-				a = ca
-			}
-		case core.MatchSibling:
-			forEachWindowKey(sCodec, sk, e.Cond.Windows, func(nk model.Key) {
-				if v, ok := tMap[nk]; ok {
+	outPath, err := ev.spool("mj", 1, func(w *storage.Writer) error {
+		return ev.each(scan.FileInput(s.path), 1, func(rec *model.Record) error {
+			sk := keyOf(sCodec, sch, s.gran, rec.Dims)
+			a := e.Agg.New()
+			switch e.Cond.Kind {
+			case core.MatchSelf:
+				if v, ok := tMap[sCodec.UpTo(sk, tCodec)]; ok {
 					a.Update(v)
 				}
-			})
-		}
-		copy(out.Dims, rec.Dims)
-		out.Ms[0] = a.Final()
-		if err := w.Write(&out); err != nil {
-			w.Close()
-			return nil, err
-		}
-	}
-	if err := ev.noteSpooled(w.Count(), sch.NumDims()+1); err != nil {
-		w.Close()
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
+			case core.MatchParentChild:
+				for d := 0; d < sch.NumDims(); d++ {
+					codes[d] = sch.Dim(d).Up(s.gran[d], t.gran[d], rec.Dims[d])
+				}
+				if v, ok := tMap[keyOf(tCodec, sch, t.gran, codes)]; ok {
+					a.Update(v)
+				}
+			case core.MatchChildParent:
+				if ca, ok := cpAggs[sk]; ok {
+					a = ca
+				}
+			case core.MatchSibling:
+				forEachWindowKey(sCodec, sk, e.Cond.Windows, func(nk model.Key) {
+					if v, ok := tMap[nk]; ok {
+						a.Update(v)
+					}
+				})
+			}
+			copy(out.Dims, rec.Dims)
+			out.Ms[0] = a.Final()
+			return w.Write(&out)
+		})
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &rel{path: outPath, gran: s.gran, codec: sCodec}, nil
@@ -655,48 +541,25 @@ func (ev *evaluator) evalCombineJoin(e *core.Expr) (*rel, error) {
 		}
 	}
 	sCodec := model.NewKeyCodec(sch, s.gran)
-	r, err := storage.OpenGuarded(s.path, ev.guard)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	w, outPath, err := ev.spool("cj", sch)
-	if err != nil {
-		return nil, err
-	}
-	var rec model.Record
 	out := model.Record{Dims: make([]int64, sch.NumDims()), Ms: make([]float64, 1)}
 	vals := make([]float64, len(children))
-	for {
-		ok, nerr := r.Next(&rec)
-		if nerr != nil {
-			w.Close()
-			return nil, nerr
-		}
-		if !ok {
-			break
-		}
-		sk := keyOf(sCodec, sch, s.gran, rec.Dims)
-		vals[0] = rec.Ms[0]
-		for i, m := range tMaps {
-			if v, ok := m[sk]; ok {
-				vals[i+1] = v
-			} else {
-				vals[i+1] = agg.Null()
+	outPath, err := ev.spool("cj", 1, func(w *storage.Writer) error {
+		return ev.each(scan.FileInput(s.path), 1, func(rec *model.Record) error {
+			sk := keyOf(sCodec, sch, s.gran, rec.Dims)
+			vals[0] = rec.Ms[0]
+			for i, m := range tMaps {
+				if v, ok := m[sk]; ok {
+					vals[i+1] = v
+				} else {
+					vals[i+1] = agg.Null()
+				}
 			}
-		}
-		copy(out.Dims, rec.Dims)
-		out.Ms[0] = e.Combine.Eval(vals)
-		if err := w.Write(&out); err != nil {
-			w.Close()
-			return nil, err
-		}
-	}
-	if err := ev.noteSpooled(w.Count(), sch.NumDims()+1); err != nil {
-		w.Close()
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
+			copy(out.Dims, rec.Dims)
+			out.Ms[0] = e.Combine.Eval(vals)
+			return w.Write(&out)
+		})
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &rel{path: outPath, gran: s.gran, codec: sCodec}, nil

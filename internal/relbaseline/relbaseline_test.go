@@ -8,6 +8,7 @@ import (
 
 	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/faultfs"
 	"awra/internal/gen"
 	"awra/internal/model"
@@ -15,7 +16,7 @@ import (
 	"awra/internal/storage"
 )
 
-func setup(t *testing.T) (*model.Schema, *core.Compiled, string, string) {
+func setup(t *testing.T) (*model.Schema, *core.Compiled, scan.Input, string) {
 	t.Helper()
 	s, recs, err := gen.SynthRecords(2000, gen.SynthConfig{Dims: 2, Seed: 9})
 	if err != nil {
@@ -36,7 +37,7 @@ func setup(t *testing.T) (*model.Schema, *core.Compiled, string, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, c, fact, dir
+	return s, c, scan.FileInput(fact), dir
 }
 
 func TestRunMeasuresSubset(t *testing.T) {
@@ -86,7 +87,7 @@ func TestSpoolCleanup(t *testing.T) {
 
 func TestMissingFactFile(t *testing.T) {
 	_, c, _, dir := setup(t)
-	if _, err := Run(c, filepath.Join(dir, "missing.rec"), Options{TempDir: dir}); err == nil {
+	if _, err := Run(c, scan.FileInput(filepath.Join(dir, "missing.rec")), Options{TempDir: dir}); err == nil {
 		t.Fatal("missing fact file accepted")
 	}
 }

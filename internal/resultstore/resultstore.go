@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/model"
 	"awra/internal/storage"
 )
@@ -181,33 +182,9 @@ func loadMeasure(dir string, schema *model.Schema, info MeasureInfo) (*core.Tabl
 		}
 		gran[d] = l
 	}
-	tbl := core.NewTable(schema, gran)
-	r, err := storage.Open(filepath.Join(dir, info.File))
+	tbl, err := scan.ReadTable(scan.FileInput(filepath.Join(dir, info.File)), scan.Options{}, schema, gran)
 	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	var rec model.Record
-	codes := make([]int64, 0, schema.NumDims())
-	for {
-		ok, err := r.Next(&rec)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		codes = codes[:0]
-		for d := 0; d < schema.NumDims(); d++ {
-			if gran[d] != schema.Dim(d).ALL() {
-				codes = append(codes, rec.Dims[d])
-			}
-		}
-		k, err := tbl.Codec.FromCodesChecked(codes)
-		if err != nil {
-			return nil, fmt.Errorf("resultstore: %s: %w", info.File, err)
-		}
-		tbl.Rows[k] = rec.Ms[0]
+		return nil, fmt.Errorf("resultstore: %s: %w", info.File, err)
 	}
 	if int64(len(tbl.Rows)) != info.Rows {
 		return nil, fmt.Errorf("expected %d rows, loaded %d (duplicate or missing regions)",

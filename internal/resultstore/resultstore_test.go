@@ -8,10 +8,10 @@ import (
 
 	"awra/internal/agg"
 	"awra/internal/core"
+	"awra/internal/exec/scan"
 	"awra/internal/exec/singlescan"
 	"awra/internal/gen"
 	"awra/internal/model"
-	"awra/internal/storage"
 )
 
 func computedTables(t *testing.T) (*model.Schema, map[string]*core.Table) {
@@ -30,7 +30,11 @@ func computedTables(t *testing.T) (*model.Schema, map[string]*core.Table) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := singlescan.Run(c, &storage.SliceSource{Recs: recs}, singlescan.Options{})
+	in, err := scan.RecordsInput(recs, s.NumDims(), s.NumMeasures())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := singlescan.Run(c, in, singlescan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // paper's Table 6 relies on a card() function and notes that "for most
 // datasets, this number is not fixed. But the precision of this
 // function will only affect the size estimation" — this package turns
-// that into practice: one scan (or a prefix sample) of the fact file
+// that into practice: one scan (or a prefix sample) of the fact records
 // yields per-dimension distinct-value estimates via linear counting,
 // which plug into plan.Stats and replace guessed cardinalities.
 package stats
@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"math"
 
-	"awra/internal/model"
+	"awra/internal/exec/scan"
 	"awra/internal/plan"
-	"awra/internal/storage"
+	"awra/internal/qguard"
 )
 
 // bitmapBits is the linear-counting bitmap size per dimension (64 Ki
@@ -47,8 +47,16 @@ type Options struct {
 	SampleLimit int64
 }
 
-// Collect scans a record source and estimates per-dimension stats.
-func Collect(src storage.Source, numDims int, opts Options) (*Stats, error) {
+// Collect reads the input — or its first SampleLimit records — under
+// the query's guard, whose cancellation and degraded-read policy it
+// follows, and estimates per-dimension stats.
+func Collect(in scan.Input, guard *qguard.Guard, opts Options) (*Stats, error) {
+	src, err := in.Open(scan.Options{Guard: guard})
+	if err != nil {
+		return nil, fmt.Errorf("stats: %w", err)
+	}
+	defer src.Close()
+	numDims := src.Header().NumDims
 	if numDims <= 0 {
 		return nil, fmt.Errorf("stats: need at least one dimension")
 	}
@@ -59,30 +67,25 @@ func Collect(src storage.Source, numDims int, opts Options) (*Stats, error) {
 		st.Dims[i].Min = math.MaxInt64
 		st.Dims[i].Max = math.MinInt64
 	}
-	var rec model.Record
-	for {
-		if opts.SampleLimit > 0 && st.Records >= opts.SampleLimit {
-			break
-		}
-		ok, err := src.Next(&rec)
+	for opts.SampleLimit <= 0 || st.Records < opts.SampleLimit {
+		batch, err := src.NextBatch()
 		if err != nil {
 			return nil, fmt.Errorf("stats: %w", err)
 		}
-		if !ok {
+		if batch == nil {
 			break
 		}
-		if len(rec.Dims) != numDims {
-			return nil, fmt.Errorf("stats: record has %d dimensions, expected %d", len(rec.Dims), numDims)
+		if opts.SampleLimit > 0 {
+			batch = batch[:min(int64(len(batch)), opts.SampleLimit-st.Records)]
 		}
-		st.Records++
-		for d, v := range rec.Dims {
-			h := mix64(uint64(v)) & (bitmapBits - 1)
-			bitmaps[d][h/64] |= 1 << (h % 64)
-			if v < st.Dims[d].Min {
-				st.Dims[d].Min = v
-			}
-			if v > st.Dims[d].Max {
-				st.Dims[d].Max = v
+		st.Records += int64(len(batch))
+		for _, row := range batch {
+			for d := range st.Dims {
+				v := row.Dim(d)
+				h := mix64(uint64(v)) & (bitmapBits - 1)
+				bitmaps[d][h/64] |= 1 << (h % 64)
+				st.Dims[d].Min = min(st.Dims[d].Min, v)
+				st.Dims[d].Max = max(st.Dims[d].Max, v)
 			}
 		}
 	}
@@ -98,16 +101,6 @@ func Collect(src storage.Source, numDims int, opts Options) (*Stats, error) {
 		st.Dims[d].Distinct, st.Dims[d].Saturated = estimateFromZeros(zeros)
 	}
 	return st, nil
-}
-
-// CollectFile collects stats from a record file.
-func CollectFile(path string, opts Options) (*Stats, error) {
-	r, err := storage.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return Collect(r, r.Header().NumDims, opts)
 }
 
 // PlanStats converts the collected statistics into the optimizer's

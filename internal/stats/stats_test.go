@@ -1,14 +1,30 @@
 package stats
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"awra/internal/exec/scan"
 	"awra/internal/model"
+	"awra/internal/qguard"
 	"awra/internal/storage"
 )
+
+// mem is the in-memory input of recs, each with nd dimensions and no
+// measures.
+func mem(t *testing.T, recs []model.Record, nd int) scan.Input {
+	t.Helper()
+	in, err := scan.RecordsInput(recs, nd, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
 
 func recordsWithCards(n int, cards []int64, seed int64) []model.Record {
 	rng := rand.New(rand.NewSource(seed))
@@ -26,7 +42,7 @@ func recordsWithCards(n int, cards []int64, seed int64) []model.Record {
 func TestDistinctEstimates(t *testing.T) {
 	cards := []int64{10, 1000, 30000}
 	recs := recordsWithCards(200000, cards, 1)
-	st, err := Collect(&storage.SliceSource{Recs: recs}, 3, Options{})
+	st, err := Collect(mem(t, recs, 3), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +71,7 @@ func TestBeyondBitmapStillAccurate(t *testing.T) {
 	for i := range recs {
 		recs[i] = model.Record{Dims: []int64{int64(i)}, Ms: []float64{}}
 	}
-	st, err := Collect(&storage.SliceSource{Recs: recs}, 1, Options{})
+	st, err := Collect(mem(t, recs, 1), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +97,7 @@ func TestSaturationCeiling(t *testing.T) {
 
 func TestSampleLimit(t *testing.T) {
 	recs := recordsWithCards(10000, []int64{100}, 2)
-	st, err := Collect(&storage.SliceSource{Recs: recs}, 1, Options{SampleLimit: 500})
+	st, err := Collect(mem(t, recs, 1), nil, Options{SampleLimit: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +107,7 @@ func TestSampleLimit(t *testing.T) {
 }
 
 func TestEmptyAndErrors(t *testing.T) {
-	st, err := Collect(&storage.SliceSource{}, 2, Options{})
+	st, err := Collect(mem(t, nil, 2), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +116,8 @@ func TestEmptyAndErrors(t *testing.T) {
 			t.Errorf("empty input distinct = %v", d.Distinct)
 		}
 	}
-	if _, err := Collect(&storage.SliceSource{}, 0, Options{}); err == nil {
+	if _, err := Collect(mem(t, nil, 0), nil, Options{}); err == nil {
 		t.Error("zero dims accepted")
-	}
-	bad := &storage.SliceSource{Recs: []model.Record{{Dims: []int64{1}}}}
-	if _, err := Collect(bad, 2, Options{}); err == nil {
-		t.Error("dimension mismatch accepted")
 	}
 }
 
@@ -116,7 +128,7 @@ func TestCollectFileAndPlanStats(t *testing.T) {
 	if err := storage.WriteAll(path, 2, 0, recs); err != nil {
 		t.Fatal(err)
 	}
-	st, err := CollectFile(path, Options{})
+	st, err := Collect(scan.FileInput(path), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +139,42 @@ func TestCollectFileAndPlanStats(t *testing.T) {
 	if math.Abs(ps.BaseCard[0]-50) > 7 {
 		t.Errorf("plan stats card = %v", ps.BaseCard[0])
 	}
-	if _, err := CollectFile(filepath.Join(dir, "none.rec"), Options{}); err == nil {
+	if _, err := Collect(scan.FileInput(filepath.Join(dir, "none.rec")), nil, Options{}); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestCollectUnderGuard: the sampler reads under the query's guard. A
+// corrupt row fails a strict read, is skipped and counted in degraded
+// mode, and a canceled query stops the scan.
+func TestCollectUnderGuard(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.rec")
+	if err := storage.WriteAll(path, 2, 0, recordsWithCards(3000, []int64{50, 500}, 4)); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[storage.HeaderBytes+100*20] ^= 0xFF // record 100 of 20-byte rows
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Collect(scan.FileInput(path), nil, Options{}); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("strict read: got %v, want ErrCorrupt", err)
+	}
+	g := qguard.New(context.Background(), qguard.Limits{SkipCorruptRows: true})
+	st, err := Collect(scan.FileInput(path), g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 2999 || g.CorruptRows() != 1 {
+		t.Fatalf("degraded read: %d records, %d corrupt skipped; want 2999 and 1", st.Records, g.CorruptRows())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Collect(scan.FileInput(path), qguard.New(ctx, qguard.Limits{}), Options{}); !errors.Is(err, qguard.ErrCanceled) {
+		t.Fatalf("canceled: got %v, want ErrCanceled", err)
 	}
 }
 

@@ -28,10 +28,6 @@ func (h Header) DiskRowBytes() int { return h.diskRecordBytes() }
 // hardware-accelerated where available) over a row payload.
 func Checksum(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
 
-// ParseHeader validates and decodes a file header from its first
-// HeaderBytes bytes.
-func ParseHeader(b []byte) (Header, error) { return unmarshalHeader(b) }
-
 // OpenRaw opens a record file through the active FileSystem, reads and
 // validates its header, and returns the file positioned at the first
 // record byte. The caller owns the file and must Close it.

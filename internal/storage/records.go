@@ -201,21 +201,11 @@ func Open(path string) (*Reader, error) { return OpenGuarded(path, nil) }
 // the guard's degraded-read policy (skip and count vs. fail). A nil
 // guard behaves exactly like Open.
 func OpenGuarded(path string, g *qguard.Guard) (*Reader, error) {
-	f, err := filesystem.Open(path)
+	f, hdr, err := OpenRaw(path)
 	if err != nil {
-		return nil, fmt.Errorf("storage: open %s: %w", path, err)
+		return nil, err
 	}
 	br := bufio.NewReaderSize(f, 1<<20)
-	hb := make([]byte, headerSize)
-	if _, err := io.ReadFull(br, hb); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: read header of %s: %w (%w)", path, err, ErrCorrupt)
-	}
-	hdr, err := unmarshalHeader(hb)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: %s: %w", path, err)
-	}
 	return &Reader{f: f, r: br, hdr: hdr, buf: make([]byte, hdr.diskRecordBytes()), guard: g}, nil
 }
 
@@ -256,7 +246,7 @@ func (r *Reader) Next(rec *model.Record) (bool, error) {
 			if crc32.Checksum(r.buf[:payload], castagnoli) != want {
 				if r.guard.SkipCorruptRows() {
 					r.corrupt++
-					r.guard.NoteCorruptRow()
+					r.guard.NoteCorruptRows(r.corrupt)
 					continue
 				}
 				return false, fmt.Errorf("storage: checksum mismatch (record %d of %d): %w", r.read-1, r.hdr.Count, ErrCorrupt)
@@ -285,51 +275,9 @@ func (r *Reader) Next(rec *model.Record) (bool, error) {
 // Close closes the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
 
-// TotalRecords returns the exact number of records in the file — the
-// header count, which fixed-width rows make exact from the file size.
-// Engines use it as the denominator for in-flight progress.
-func (r *Reader) TotalRecords() int64 { return r.hdr.Count }
-
-// Source is a sequential stream of records; engines consume fact
-// tables and materialized measure tables through it.
-type Source interface {
-	// Next fills rec with the next record, returning false at the end.
-	Next(rec *model.Record) (bool, error)
-	// Close releases resources.
-	Close() error
-}
-
-// FileSource adapts a Reader to Source. (Reader already satisfies it.)
-var _ Source = (*Reader)(nil)
-
-// SliceSource streams an in-memory record slice.
-type SliceSource struct {
-	Recs []model.Record
-	pos  int
-}
-
-// Next implements Source.
-func (s *SliceSource) Next(rec *model.Record) (bool, error) {
-	if s.pos >= len(s.Recs) {
-		return false, nil
-	}
-	src := &s.Recs[s.pos]
-	s.pos++
-	rec.Dims = append(rec.Dims[:0], src.Dims...)
-	rec.Ms = append(rec.Ms[:0], src.Ms...)
-	return true, nil
-}
-
-// Close implements Source.
-func (s *SliceSource) Close() error { return nil }
-
-// TotalRecords returns the slice length (progress denominator).
-func (s *SliceSource) TotalRecords() int64 { return int64(len(s.Recs)) }
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// SortRecords sorts an in-memory record slice (stable).
+// SortRecords sorts an in-memory record slice (stable): with
+// model.SortKey.RecordLess, the reference for the order the engines'
+// external sort produces.
 func SortRecords(recs []model.Record, less func(a, b *model.Record) bool) {
 	sort.SliceStable(recs, func(i, j int) bool { return less(&recs[i], &recs[j]) })
 }

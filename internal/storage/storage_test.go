@@ -132,37 +132,6 @@ func TestTruncatedBody(t *testing.T) {
 	}
 }
 
-func TestSliceSource(t *testing.T) {
-	recs := randRecords(rand.New(rand.NewSource(3)), 5, 2, 1)
-	s := &SliceSource{Recs: recs}
-	var rec model.Record
-	n := 0
-	for {
-		ok, err := s.Next(&rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if rec.Dims[0] != recs[n].Dims[0] {
-			t.Fatalf("record %d mismatch", n)
-		}
-		n++
-	}
-	if n != 5 {
-		t.Fatalf("streamed %d records", n)
-	}
-	s.Reset()
-	ok, _ := s.Next(&rec)
-	if !ok {
-		t.Error("Reset did not rewind")
-	}
-	if err := s.Close(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	rec1 := filepath.Join(dir, "a.rec")
