@@ -3,6 +3,7 @@ package scan
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"os"
 	"slices"
 	"sync"
@@ -81,26 +82,42 @@ func (o SortOptions) chunk(diskRow int) int {
 type IdxSorter struct {
 	tmp, cnt []int32
 	lo, hi   []uint64
+	digits   []radixDigit
 	passes   []radixPass
 }
 
-// radixPass is one counting-sort pass over the fused columns t0..t1,
-// whose composite value range is rng.
+// radixDigit is one counted field: bits shift and up of column t's
+// offset value (key - lo), masked to rng values. A column narrow enough
+// to count whole is one digit with shift 0 and no mask.
+type radixDigit struct {
+	t         int
+	lo        uint64
+	shift     uint
+	mask, rng uint64
+}
+
+// radixPass is one counting-sort pass over the fused digits d0..d1-1,
+// least significant first, whose composite value range is rng.
 type radixPass struct {
-	t0, t1 int
+	d0, d1 int
 	rng    uint64
 }
 
 // Sort orders idx, which must hold ascending row numbers on entry, by
 // (key columns, row number): a total order, so the result does not
-// depend on which of the two algorithms produced it. Narrow dense
-// columns — dimension codes — take the LSD counting sort; anything
-// else takes a comparison sort over the same columns, which never
-// touches row bytes either.
+// depend on which of the two algorithms produced it. Sets large enough
+// to amortize counting take the LSD counting sort, over as many
+// cache-sized digits as their columns' ranges need; the rest take a
+// comparison sort over the same columns, which never touches row bytes
+// either.
 func (s *IdxSorter) Sort(idx []int32, keys []uint64, kp int, guard *qguard.Guard) {
-	if s.radix(idx, keys, kp, guard) {
-		return
+	if !s.radix(idx, keys, kp, guard) {
+		compareSort(idx, keys, kp, guard)
 	}
+}
+
+// compareSort is Sort's comparison sort.
+func compareSort(idx []int32, keys []uint64, kp int, guard *qguard.Guard) {
 	n := 0
 	slices.SortFunc(idx, func(a, b int32) int {
 		if n++; n&4095 == 0 {
@@ -124,31 +141,41 @@ const (
 	// ahead at 64, 11× at 4096; below, its range scan and counter passes
 	// cost more than the few compares they replace.
 	radixMinRows = 64
-	// radixMaxRange caps a pass's counting range at 1<<21 counters
-	// (8 MB of int32): dimension codes are dense small integers in every
-	// realistic schema, and beyond this the counter memory and scatter
-	// locality stop beating the comparison sort.
-	radixMaxRange = 1 << 21
+	// radixMaxRange caps a pass's counting range at 1<<16 counters
+	// (256 KB of int32), which stay cache-resident while the pass
+	// scatters; a wider column is counted in digits of up to 16 bits.
+	// Q1's 200k-row sort (BenchmarkIdxSorter's q1 set) runs about 1.4×
+	// as fast under it as under a cap of 1<<21, with a sixth of the
+	// scratch.
+	radixMaxRange = 1 << 16
 	// radixRangePerRow bounds a pass's counters by the rows they order:
 	// clearing and prefix-summing counters is per-pass work no row
-	// amortizes, so a few thousand rows never pay for a million counters.
-	// 16 leaves every set of 1<<17 rows or more at radixMaxRange.
+	// amortizes, so a few hundred rows never pay for 65,536 counters.
+	// 16 leaves every set of 4096 rows or more at radixMaxRange.
 	radixRangePerRow = 16
 )
 
 // radix stable-sorts idx by the kp precomputed key columns using an LSD
-// counting sort, one pass per column group starting from the least
-// significant. The ascending start order supplies the original-position
-// tiebreak and counting-sort stability preserves it through every
-// pass, so the permutation is bit-identical to the comparison sort's.
-// Returns false with idx untouched when the set is too small or a
-// column's value range too wide to count cheaply.
+// counting sort when that is cheaper than comparing, and reports
+// whether it did; idx is untouched when it did not: the set is too
+// small, or its columns need more passes than a comparison sort of it
+// costs.
 func (s *IdxSorter) radix(idx []int32, keys []uint64, kp int, guard *qguard.Guard) bool {
 	n := len(idx)
 	if kp == 0 || n < radixMinRows {
 		return false
 	}
-	maxRange := uint64(min(radixMaxRange, radixRangePerRow*n))
+	s.bounds(idx, keys, kp)
+	if s.plan(kp, uint64(min(radixMaxRange, radixRangePerRow*n))) > radixMaxPasses(n) {
+		return false
+	}
+	s.count(idx, keys, kp, guard)
+	return true
+}
+
+// bounds sets s.lo and s.hi to each column's least and greatest value
+// over the rows of idx.
+func (s *IdxSorter) bounds(idx []int32, keys []uint64, kp int) {
 	first := keys[int(idx[0])*kp : int(idx[0])*kp+kp]
 	lo := append(s.lo[:0], first...)
 	hi := append(s.hi[:0], first...)
@@ -164,50 +191,76 @@ func (s *IdxSorter) radix(idx []int32, keys []uint64, kp int, guard *qguard.Guar
 			}
 		}
 	}
-	for t := 0; t < kp; t++ {
-		if hi[t]-lo[t] >= maxRange {
-			return false
-		}
-	}
-	// Fuse adjacent columns right-to-left while the composite range
-	// stays countable: one scatter pass then orders several columns at
-	// once. (Ranges are each ≤ 2^21, so the product test cannot
-	// overflow.)
-	passes := s.passes[:0]
-	var widest uint64
-	for t := kp - 1; t >= 0; {
-		rng := hi[t] - lo[t] + 1
-		t0 := t
-		for t0 > 0 {
-			r2 := hi[t0-1] - lo[t0-1] + 1
-			if rng*r2 > maxRange {
-				break
+}
+
+// plan lays the columns' ranges, from s.lo and s.hi, out as counting
+// passes of at most maxRange counters each, and returns how many. A
+// constant column orders nothing and gets no digit; a column whose
+// range fits maxRange is one digit; a wider one is split into digits of
+// the largest power of two that fits, lowest first. Adjacent digits
+// fuse into one pass while their composite range stays within maxRange
+// (each is at most maxRange, so the product test cannot overflow).
+func (s *IdxSorter) plan(kp int, maxRange uint64) int {
+	width := uint(bits.Len64(maxRange) - 1)
+	digits := s.digits[:0]
+	for t := kp - 1; t >= 0; t-- {
+		lo, span := s.lo[t], s.hi[t]-s.lo[t]
+		if span < maxRange {
+			if span > 0 {
+				digits = append(digits, radixDigit{t: t, lo: lo, mask: ^uint64(0), rng: span + 1})
 			}
-			rng *= r2
-			t0--
+			continue
 		}
-		passes = append(passes, radixPass{t0: t0, t1: t, rng: rng})
-		if rng > widest {
-			widest = rng
+		for shift := uint(0); span>>shift != 0; shift += width {
+			d := radixDigit{t: t, lo: lo, shift: shift, mask: 1<<width - 1, rng: 1 << width}
+			if top := span >> shift; top < d.rng {
+				d.mask, d.rng = ^uint64(0), top+1
+			}
+			digits = append(digits, d)
 		}
-		t = t0 - 1
 	}
-	s.passes = passes
+	passes := s.passes[:0]
+	for d0 := 0; d0 < len(digits); {
+		rng, d1 := digits[d0].rng, d0+1
+		for d1 < len(digits) && rng*digits[d1].rng <= maxRange {
+			rng *= digits[d1].rng
+			d1++
+		}
+		passes = append(passes, radixPass{d0: d0, d1: d1, rng: rng})
+		d0 = d1
+	}
+	s.digits, s.passes = digits, passes
+	return len(passes)
+}
+
+// count runs the planned passes over idx, least significant first. The
+// ascending start order supplies the original-position tiebreak and
+// counting-sort stability preserves it through every pass, so the
+// permutation is bit-identical to the comparison sort's.
+func (s *IdxSorter) count(idx []int32, keys []uint64, kp int, guard *qguard.Guard) {
+	n := len(idx)
 	if cap(s.tmp) < n {
 		s.tmp = make([]int32, n)
+	}
+	var widest uint64
+	for _, p := range s.passes {
+		widest = max(widest, p.rng)
 	}
 	if cap(s.cnt) < int(widest) {
 		s.cnt = make([]int32, widest)
 	}
 	src, dst := idx, s.tmp[:n]
-	for _, p := range passes {
+	for _, p := range s.passes {
 		guard.CheckAbort()
 		c := s.cnt[:p.rng]
 		clear(c)
+		ds := s.digits[p.d0:p.d1]
 		val := func(row int32) uint64 {
-			v := keys[int(row)*kp+p.t0] - lo[p.t0]
-			for t := p.t0 + 1; t <= p.t1; t++ {
-				v = v*(hi[t]-lo[t]+1) + (keys[int(row)*kp+t] - lo[t])
+			base := int(row) * kp
+			var v uint64
+			for k := len(ds) - 1; k >= 0; k-- {
+				d := &ds[k]
+				v = v*d.rng + (keys[base+d.t]-d.lo)>>d.shift&d.mask
 			}
 			return v
 		}
@@ -227,10 +280,20 @@ func (s *IdxSorter) radix(idx []int32, keys []uint64, kp int, guard *qguard.Guar
 		}
 		src, dst = dst, src
 	}
-	if len(passes)%2 == 1 {
+	if len(s.passes)%2 == 1 {
 		copy(idx, src)
 	}
-	return true
+}
+
+// radixMaxPasses is how many counting passes beat a comparison sort of
+// n rows: a pass costs a few row visits however large n is, the
+// comparison sort about log2(n) compares a row. Timing one wide column
+// cut into one to seven digits against the comparison sort puts the
+// break-even at 2 passes for 64 rows, 3 for 256, 4 for 1024 and past 5
+// from 4096 on, which half the bit length less one tracks;
+// BenchmarkIdxSorter's wide sets sit on both sides of it.
+func radixMaxPasses(n int) int {
+	return bits.Len(uint(n))/2 - 1
 }
 
 // sortCol is one comparator column: dimension dim's code, generalized
@@ -314,11 +377,6 @@ func newChunk(chunk, diskRow, kp int) *chunkState {
 	return &chunkState{rows: make([]byte, 0, chunk*diskRow), keys: make([]uint64, 0, chunk*kp)}
 }
 
-// sortedBatchRows is how many row views a sorted source hands out per
-// batch: enough to amortize the engines' per-batch bookkeeping, few
-// enough that the view slice (24 bytes a row) stays cache-resident.
-const sortedBatchRows = 4096
-
 // Sorted is an input sorted by a key, as SortByKey leaves it: one
 // ordered stream of rows per part, served from memory when the input
 // fit one chunk and from the parts' spilled runs when it did not.
@@ -375,7 +433,7 @@ func SortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.Gran, parts int, rawRows bool, opts SortOptions) (_ *Sorted, err error) {
 	rec := opts.Recorder
 	guard := opts.Guard
-	in, err := input.Open(Options{BatchBytes: opts.BatchBytes, Guard: guard, RawRows: true})
+	in, err := input.open(Options{BatchBytes: opts.BatchBytes, Guard: guard})
 	if err != nil {
 		return nil, err
 	}
@@ -502,29 +560,28 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 		return nil
 	}
 
-	// Read batches, append rows and their encoded keys to the current
-	// chunk, spill full chunks as sorted runs.
-	for {
-		batch, err := in.NextBatch()
+	// Fill the current chunk's arena straight from the input, a read
+	// chunk at a time, encode the new rows' keys, and spill full chunks
+	// as sorted runs.
+	for in.more() {
+		// A full chunk becomes runs only when the input holds a further
+		// row: input that exactly fills one chunk stays in memory.
+		if cur.n >= chunk {
+			if err := spill(); err != nil {
+				return nil, err
+			}
+		}
+		at := len(cur.rows)
+		n, err := in.fill(cur.rows[at : chunk*diskRow])
 		if err != nil {
 			return nil, err
 		}
-		if batch == nil {
-			break
+		cur.rows = cur.rows[:at+n*diskRow]
+		for off := at; off < len(cur.rows); off += diskRow {
+			cur.keys = s.cols.appendRow(cur.keys, cur.rows[off:off+diskRow])
 		}
-		for _, row := range batch {
-			// A full chunk becomes runs only when a further row arrives:
-			// input that exactly fills one chunk stays in memory.
-			if cur.n >= chunk {
-				if err := spill(); err != nil {
-					return nil, err
-				}
-			}
-			s.stats.Records++
-			cur.rows = append(cur.rows, row...)
-			cur.keys = s.cols.appendRow(cur.keys, row)
-			cur.n++
-		}
+		cur.n += n
+		s.stats.Records += int64(n)
 	}
 	PublishReadStats(rec, in)
 
@@ -584,7 +641,7 @@ func (s *Sorted) Close() {
 // sort work. Parts may be opened concurrently; each at most once.
 func (s *Sorted) Open(part int) (_ *SortedSource, err error) {
 	p := &s.parts[part]
-	src := &SortedSource{s: s, total: p.rows, views: make([]Record, 0, min(p.rows, sortedBatchRows))}
+	src := &SortedSource{s: s, total: p.rows, views: make([]Record, 0, min(p.rows, batchRows))}
 	if s.mem != nil {
 		defer qguard.RecoverAbort(&err)
 		new(IdxSorter).Sort(p.idx, s.mem.keys, len(s.cols), s.opts.Guard)

@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -56,12 +58,15 @@ func TestRadixSortMatchesComparison(t *testing.T) {
 	}{
 		{5000, 1, []uint64{100}, true},
 		{40000, 2, []uint64{7, 500000}, true},
-		{5000, 2, []uint64{7, 500000}, false}, // 5000 rows do not pay for 500000 counters
-		{8192, 3, []uint64{2, 3, 50}, true},   // heavy duplicates, fused passes
-		{4096, 2, []uint64{1, 1}, true},       // all-equal columns
+		{5000, 2, []uint64{7, 500000}, true}, // a 16-bit digit, then 3 bits fused with column 0
+		{8192, 3, []uint64{2, 3, 50}, true},  // heavy duplicates, fused passes
+		{4096, 2, []uint64{1, 1}, true},      // all-equal columns: no pass at all
 		{100, 2, []uint64{40, 40}, true},
 		{50, 2, []uint64{40, 40}, false}, // comparison sort is faster there
-		{5000, 1, []uint64{1 << 40}, false},
+		{5000, 1, []uint64{1 << 40}, true},
+		{40000, 2, []uint64{3, 1 << 30}, true},      // wider than 2^21 counters
+		{100, 1, []uint64{1 << 62}, false},          // seven 10-bit passes for 100 rows
+		{256, 2, []uint64{1 << 20, 1 << 20}, false}, // four passes for 256 rows
 	} {
 		keys := make([]uint64, tc.n*tc.kp)
 		for i := 0; i < tc.n; i++ {
@@ -88,6 +93,67 @@ func TestRadixSortMatchesComparison(t *testing.T) {
 				t.Fatalf("n=%d kp=%d ranges=%v: permutation differs at %d: Sort %d, radix %d, reference %d",
 					tc.n, tc.kp, tc.ranges, i, got[i], radix[i], want[i])
 			}
+		}
+	}
+}
+
+// TestDigitPlanMatchesComparison: whatever digits the plan cuts the
+// columns into — random column ranges from 1 to 2^40, offset anywhere
+// in the order-encoded space, duplicate rows, n on both sides of
+// radixMinRows, counter caps from 2 to radixMaxRange — the counting
+// passes produce exactly the comparison sort's permutation. The plan is
+// run even where Sort would pick the comparison sort, so every cut is
+// checked, not only the cheap ones.
+func TestDigitPlanMatchesComparison(t *testing.T) {
+	rng := rand.New(rand.NewSource(2006))
+	var s IdxSorter
+	for c := 0; c < 400; c++ {
+		n := 1 + rng.Intn(2*radixMinRows)
+		if c%4 == 0 {
+			n = 1 + rng.Intn(5000)
+		}
+		kp := 1 + rng.Intn(4)
+		ranges := make([]uint64, kp)
+		base := make([]uint64, kp)
+		for t := range ranges {
+			ranges[t] = 1 + uint64(rng.Int63n(1<<uint(rng.Intn(41))))
+			base[t] = rng.Uint64()
+		}
+		distinct := n
+		if c%3 == 0 {
+			distinct = 1 + rng.Intn(n) // duplicate rows: only position orders them
+		}
+		pool := make([]uint64, distinct*kp)
+		for i := range pool {
+			pool[i] = base[i%kp] + uint64(rng.Int63n(int64(ranges[i%kp])))
+		}
+		keys := make([]uint64, 0, n*kp)
+		for i := 0; i < n; i++ {
+			j := rng.Intn(distinct)
+			keys = append(keys, pool[j*kp:j*kp+kp]...)
+		}
+		maxRange := uint64(2) << uint(rng.Intn(16))
+		want := identity(n)
+		refSortIdx(want, keys, kp)
+		got := identity(n)
+		s.bounds(got, keys, kp)
+		passes := s.plan(kp, maxRange)
+		s.count(got, keys, kp, nil)
+		for _, d := range s.digits {
+			if d.rng > maxRange {
+				t.Fatalf("case %d: a digit of %d counters, cap %d", c, d.rng, maxRange)
+			}
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("case %d: n=%d ranges=%v cap=%d (%d passes): permutation differs at %d: %d, want %d",
+					c, n, ranges, maxRange, passes, i, got[i], want[i])
+			}
+		}
+		sorted := identity(n)
+		s.Sort(sorted, keys, kp, nil)
+		if !slices.Equal(sorted, want) {
+			t.Fatalf("case %d: n=%d ranges=%v: Sort differs from the reference", c, n, ranges)
 		}
 	}
 }
@@ -533,7 +599,7 @@ func TestSortAllocatesForTheFile(t *testing.T) {
 	dir := t.TempDir()
 	fact := filepath.Join(dir, "fact.rec")
 	// Codes below 100: the radix sort's counters scale with the code
-	// range (up to 8 MB), not with the file, and are not under test.
+	// range (up to 256 KB), not with the file, and are not under test.
 	recs := randRecords(10000, 2, 1, 3)
 	for i := range recs {
 		recs[i].Dims[0] %= 100
@@ -559,34 +625,64 @@ func TestSortAllocatesForTheFile(t *testing.T) {
 	}
 }
 
-// BenchmarkIdxSorter sorts flush-batch-shaped sets — two dense code
-// columns — at sizes either side of radixMinRows, through Sort (the
-// algorithm the thresholds pick) and through the comparison sort alone
-// (a column range no counting pass accepts). The sizes where the two
-// lines cross are where radixMinRows comes from.
+// BenchmarkIdxSorter sorts three shapes of set, each through Sort (the
+// algorithm and digit plan the thresholds pick) and through the
+// comparison sort alone:
+//   - flush: flush-batch-shaped sets — two dense code columns — at
+//     sizes either side of radixMinRows; where the two lines cross is
+//     where radixMinRows comes from;
+//   - wide: a code column wider than any counter array (2^24 and 2^48)
+//     beside a narrow one, which Sort counts in digits; the sizes where
+//     the lines cross are radixMaxPasses';
+//   - q1: the external sort of Q1's 200k-row cube, five columns of
+//     ranges 10/1000/1000/1000/1000.
+//
+// Sets of 4096 rows and fewer reuse one sorter, as sortscan keeps one
+// for its flush batches; larger ones get a fresh sorter per sort, as
+// Sorted.Open makes one, so their B/op is one sort's scratch.
 func BenchmarkIdxSorter(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
+	type set struct {
+		name   string
+		n      int
+		ranges []uint64
+	}
+	var sets []set
 	for _, n := range []int{16, 32, 64, 128, 1024, 4096} {
-		keys := make([]uint64, 2*n)
-		wide := make([]uint64, 2*n)
-		for i := 0; i < n; i++ {
-			keys[2*i] = uint64(rng.Intn(100)) + 1<<63
-			keys[2*i+1] = uint64(rng.Intn(100)) + 1<<63
-			wide[2*i], wide[2*i+1] = keys[2*i], keys[2*i+1]
+		sets = append(sets, set{"flush", n, []uint64{100, 100}})
+	}
+	for _, n := range []int{256, 1024, 4096, 200_000} {
+		sets = append(sets, set{"wide", n, []uint64{4, 1 << 24}}, set{"wide", n, []uint64{4, 1 << 48}})
+	}
+	sets = append(sets, set{"q1", 200_000, []uint64{10, 1000, 1000, 1000, 1000}})
+	for _, st := range sets {
+		kp := len(st.ranges)
+		keys := make([]uint64, st.n*kp)
+		for i := range keys {
+			keys[i] = uint64(rng.Int63n(int64(st.ranges[i%kp]))) + 1<<63
 		}
-		wide[0] = 0 // one outlier makes column 0 uncountable
-		for _, tc := range []struct {
-			name string
-			keys []uint64
-		}{{"sort", keys}, {"comparison", wide}} {
-			b.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(b *testing.B) {
+		name := fmt.Sprintf("%s/n=%d", st.name, st.n)
+		if st.name == "wide" {
+			name = fmt.Sprintf("%s/n=%d/range=2^%d", st.name, st.n, bits.Len64(st.ranges[1])-1)
+		}
+		for _, alg := range []string{"sort", "comparison"} {
+			b.Run(name+"/"+alg, func(b *testing.B) {
+				b.ReportAllocs()
 				var s IdxSorter
-				idx := make([]int32, n)
+				idx := make([]int32, st.n)
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if st.n > 4096 {
+						s = IdxSorter{}
+					}
 					for j := range idx {
 						idx[j] = int32(j)
 					}
-					s.Sort(idx, tc.keys, 2, nil)
+					if alg == "sort" {
+						s.Sort(idx, keys, kp, nil)
+					} else {
+						compareSort(idx, keys, kp, nil)
+					}
 				}
 			})
 		}

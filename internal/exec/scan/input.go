@@ -56,6 +56,23 @@ func (e *ShapeError) Error() string {
 // in-memory records encoded a batch at a time into the rows of a
 // checksum-free (version 1) file. The caller must Close the source.
 func (in Input) Open(opts Options) (BatchSource, error) {
+	return in.open(opts)
+}
+
+// rowSource is an opened input as the sort reads it: rows written
+// straight into the sort's chunk arena rather than handed out as views.
+type rowSource interface {
+	BatchSource
+	// fill writes the input's next rows — one read chunk's worth at
+	// most, and no more than dst holds — into dst, a whole number of
+	// disk rows, and returns how many. It returns 0 only at the end of
+	// the input.
+	fill(dst []byte) (int, error)
+	// more reports whether the input holds rows not yet filled.
+	more() bool
+}
+
+func (in Input) open(opts Options) (rowSource, error) {
 	if in.mem {
 		return &batcher{recs: in.recs, hdr: in.hdr, guard: opts.Guard}, nil
 	}
@@ -86,25 +103,40 @@ type batcher struct {
 // NextBatch encodes the next batch of records. Views are valid until
 // the next call.
 func (b *batcher) NextBatch() ([]Record, error) {
-	if b.pos >= len(b.recs) {
-		return nil, nil
-	}
-	if err := b.guard.Err(); err != nil {
-		return nil, err
-	}
 	rb := b.hdr.RowBytes()
 	if b.buf == nil {
 		n := min(len(b.recs), batcherRecords)
 		b.buf, b.rows = make([]byte, n*rb), make([]Record, 0, n)
 	}
-	end := min(b.pos+batcherRecords, len(b.recs))
-	b.rows = b.rows[:0]
-	for i := range b.recs[b.pos:end] {
-		b.rows = append(b.rows, EncodeRow(b.buf[i*rb:i*rb+rb], &b.recs[b.pos+i]))
+	n, err := b.fill(b.buf)
+	if n == 0 || err != nil {
+		return nil, err
 	}
-	b.pos = end
+	b.rows = b.rows[:0]
+	for i := 0; i < n; i++ {
+		b.rows = append(b.rows, b.buf[i*rb:i*rb+rb])
+	}
 	return b.rows, nil
 }
+
+// fill encodes up to a batch of records into dst.
+func (b *batcher) fill(dst []byte) (int, error) {
+	if !b.more() {
+		return 0, nil
+	}
+	if err := b.guard.Err(); err != nil {
+		return 0, err
+	}
+	rb := b.hdr.RowBytes()
+	n := min(len(dst)/rb, batcherRecords, len(b.recs)-b.pos)
+	for i := 0; i < n; i++ {
+		EncodeRow(dst[i*rb:i*rb+rb], &b.recs[b.pos+i])
+	}
+	b.pos += n
+	return n, nil
+}
+
+func (b *batcher) more() bool { return b.pos < len(b.recs) }
 
 // EncodeRow writes rec into row, which must be exactly its size, in the
 // payload layout of a record file's row, and returns the row's view.

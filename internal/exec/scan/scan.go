@@ -1,10 +1,11 @@
 // Package scan is the batched record pipeline under the engines: it
-// reads fact files in large chunks through storage.FileSystem, splits
-// the chunks at record boundaries, verifies each row's CRC32-C in
-// place, and hands engines batches of zero-copy byte-slice row views
-// instead of one decoded model.Record at a time. Per-row work drops to
-// the aggregate updates themselves; guard checks (cancellation,
-// budgets) move to batch boundaries.
+// reads fact files in large chunks of whole rows through
+// storage.FileSystem, verifies each row's CRC32-C in place, and hands
+// engines bounded batches of zero-copy byte-slice row views instead of
+// one decoded model.Record at a time. Per-row work drops to the
+// aggregate updates themselves; guard checks (cancellation, budgets)
+// move to batch boundaries. The external sort reads through the same
+// fill routine, straight into its chunk arena.
 //
 // An Input names where the records live — a file, or an in-memory
 // slice — and opens either as the same Record views, so engines keep
@@ -60,6 +61,12 @@ type BatchSource interface {
 	Close() error
 }
 
+// batchRows bounds the views any source hands out per batch: enough to
+// amortize the engines' per-batch bookkeeping, few enough that the view
+// slice (24 bytes a row) stays cache-resident. A file chunk holds many
+// batches.
+const batchRows = 4096
+
 // DefaultBatchBytes is the chunk size Open reads per batch when the
 // caller does not override it: large enough to amortize syscall and
 // split overhead, small enough to stay cache- and memory-friendly per
@@ -74,8 +81,8 @@ const MinBatchBytes = 64 << 10
 // Options configures a Reader.
 type Options struct {
 	// BatchBytes is the read-chunk size (0 = DefaultBatchBytes; values
-	// below MinBatchBytes are clamped up). A file smaller than that is
-	// read as one chunk of its own size.
+	// below MinBatchBytes are clamped up), rounded down to whole rows. A
+	// file smaller than that is read as one chunk of its own size.
 	BatchBytes int
 	// Guard, if non-nil, is checked once per batch for cancellation,
 	// and its degraded-read policy decides whether checksum-failing
@@ -87,22 +94,28 @@ type Options struct {
 	RawRows bool
 }
 
-// Reader reads a record file in large chunks and yields batches of
-// verified zero-copy row views.
+// Reader reads a record file in chunks of whole rows and yields
+// bounded batches of verified zero-copy row views. One fill routine
+// reads and verifies every chunk, whether it lands in the reader's own
+// buffer (NextBatch) or in a caller's (the sort's chunk arena).
 type Reader struct {
-	f        storage.File
-	hdr      storage.Header
-	sp       *Splitter
-	buf      []byte
-	rows     []Record
-	disk     []Record
-	rowBytes int // payload size
-	emit     int // emitted view size (payload, or full disk row)
-	seen     int64
-	corrupt  int64
+	f         storage.File
+	hdr       storage.Header
+	diskRow   int
+	rowBytes  int // payload size
+	emit      int // emitted view size (payload, or full disk row)
+	chunkRows int // rows one fill reads at most
+	// buf holds NextBatch's current chunk, rows [next, avail) not yet
+	// handed out; it and views are made on the first NextBatch call, so
+	// a reader that only fills a caller's arena allocates neither.
+	buf         []byte
+	views       []Record
+	next, avail int
+	seen        int64
+	corrupt     int64
 	// chunks/bytesRead tally the batched read pattern in plain fields
-	// (one increment per NextBatch, never per row); engines publish
-	// them at phase boundaries via ReadStats.
+	// (one increment per fill, never per row); engines publish them at
+	// phase boundaries via ReadStats.
 	chunks    int64
 	bytesRead int64
 	guard     *qguard.Guard
@@ -115,7 +128,8 @@ type Reader struct {
 // (chunk count, bytes moved, average chunk fill) of the hot path is
 // observable without any per-row instrumentation.
 type ReadStats struct {
-	// Chunks is the number of read chunks consumed so far.
+	// Chunks is the number of read chunks consumed so far (not batches:
+	// a chunk is handed out as several).
 	Chunks int64
 	// BytesRead is the total bytes filled into chunk buffers.
 	BytesRead int64
@@ -139,8 +153,8 @@ func (r *Reader) ReadStats() ReadStats {
 		Records:     r.seen - r.corrupt,
 		CorruptRows: r.corrupt,
 	}
-	if r.chunks > 0 && len(r.buf) > 0 {
-		st.FillPermille = r.bytesRead * 1000 / (r.chunks * int64(len(r.buf)))
+	if r.chunks > 0 {
+		st.FillPermille = r.bytesRead * 1000 / (r.chunks * int64(r.chunkRows*r.diskRow))
 	}
 	return st
 }
@@ -159,100 +173,139 @@ func Open(path string, opts Options) (*Reader, error) {
 	if bb < MinBatchBytes {
 		bb = MinBatchBytes
 	}
-	// A file smaller than the chunk gets a buffer of its own size (the
-	// header's count; at least one disk row), and the view slices are
-	// sized once for the most rows a chunk can complete.
 	db := hdr.DiskRowBytes()
-	if hdr.Count < int64(bb/db) {
-		bb = int(hdr.Count) * db
+	if db == 0 {
+		f.Close()
+		return nil, fmt.Errorf("storage: %s: rows of no columns (%w)", path, storage.ErrCorrupt)
 	}
-	if bb < db {
-		bb = db
+	// A file smaller than the chunk is read as one chunk of its own size
+	// (the header's count; at least one disk row).
+	chunkRows := bb / db
+	if hdr.Count < int64(chunkRows) {
+		chunkRows = int(hdr.Count)
 	}
 	emit := hdr.RowBytes()
 	if opts.RawRows {
 		emit = db
 	}
 	return &Reader{
-		f:        f,
-		hdr:      hdr,
-		sp:       NewSplitter(db),
-		buf:      make([]byte, bb),
-		rows:     make([]Record, 0, bb/db+1),
-		disk:     make([]Record, 0, bb/db+1),
-		rowBytes: hdr.RowBytes(),
-		emit:     emit,
-		guard:    opts.Guard,
+		f:         f,
+		hdr:       hdr,
+		diskRow:   db,
+		rowBytes:  hdr.RowBytes(),
+		emit:      emit,
+		chunkRows: max(chunkRows, 1),
+		guard:     opts.Guard,
 	}, nil
 }
 
 // Header returns the file's header.
 func (r *Reader) Header() storage.Header { return r.hdr }
 
-// NextBatch reads one chunk and returns the verified row views in it.
-// It returns (nil, nil) once the header's record count has been
-// delivered. Rows failing their checksum return storage.ErrCorrupt,
-// or are skipped and counted when the guard enables degraded reads.
+// NextBatch returns the next verified row views, at most batchRows of
+// them, reading a new chunk when the current one is spent. It returns
+// (nil, nil) once the header's record count has been delivered. Rows
+// failing their checksum return storage.ErrCorrupt, or are skipped and
+// counted when the guard enables degraded reads.
 func (r *Reader) NextBatch() ([]Record, error) {
-	for {
-		if r.seen >= r.hdr.Count {
-			return nil, nil
-		}
+	if r.next < r.avail {
 		if err := r.guard.Err(); err != nil {
 			return nil, err
 		}
+	} else {
+		if r.buf == nil {
+			r.buf = make([]byte, r.chunkRows*r.diskRow)
+			r.views = make([]Record, 0, min(r.chunkRows, batchRows))
+		}
+		n, err := r.fill(r.buf)
+		if n == 0 || err != nil {
+			return nil, err
+		}
+		r.next, r.avail = 0, n
+	}
+	end := min(r.next+cap(r.views), r.avail)
+	views := r.views[:0]
+	for i := r.next; i < end; i++ {
+		views = append(views, r.buf[i*r.diskRow:i*r.diskRow+r.emit])
+	}
+	r.next = end
+	return views, nil
+}
+
+// fill reads the next chunk — at most chunkRows rows, and no more than
+// dst holds — straight into dst, verifies each row's checksum there,
+// and compacts skipped corrupt rows out, so dst[:n*diskRow] holds the n
+// rows it returns, verbatim, checksums included. It returns 0 only once
+// the header's record count has been consumed; a chunk whose every row
+// was skipped is followed by the next.
+func (r *Reader) fill(dst []byte) (int, error) {
+	db := r.diskRow
+	room := min(len(dst)/db, r.chunkRows)
+	for {
+		if r.seen >= r.hdr.Count {
+			return 0, nil
+		}
+		if err := r.guard.Err(); err != nil {
+			return 0, err
+		}
 		if r.eof {
-			return nil, fmt.Errorf("storage: truncated file (record %d of %d): %w (%w)",
+			return 0, fmt.Errorf("storage: truncated file (record %d of %d): %w (%w)",
 				r.seen, r.hdr.Count, io.ErrUnexpectedEOF, storage.ErrCorrupt)
 		}
-		// Fill the chunk buffer as far as the file allows. Short reads
-		// are retried; a clean EOF before the next full row is a torn
-		// file (caught above on the next iteration).
+		// Read whole rows, up to the declared count: trailing bytes past
+		// it are never read. Short reads are retried; a clean EOF before
+		// the last declared row is a torn file (caught above on the next
+		// iteration, after the whole rows before it).
+		want := int(min(int64(room), r.hdr.Count-r.seen)) * db
 		n := 0
-		for n < len(r.buf) {
-			m, err := r.f.Read(r.buf[n:])
+		for n < want {
+			m, err := r.f.Read(dst[n:want])
 			n += m
 			if err == io.EOF {
 				r.eof = true
 				break
 			}
 			if err != nil {
-				return nil, fmt.Errorf("storage: read records: %w", err)
+				return 0, fmt.Errorf("storage: read records: %w", err)
 			}
 		}
 		r.chunks++
 		r.bytesRead += int64(n)
-		r.disk = r.sp.Split(r.buf[:n], r.disk[:0])
-		if len(r.disk) == 0 {
-			continue
+		kept, err := r.verify(dst, n/db)
+		if kept > 0 || err != nil {
+			return kept, err
 		}
-		r.rows = r.rows[:0]
-		checksummed := r.hdr.Version >= 2
-		for _, row := range r.disk {
-			if r.seen >= r.hdr.Count {
-				break // ignore trailing bytes past the declared count
-			}
-			r.seen++
-			if checksummed {
-				want := binary.LittleEndian.Uint32(row[r.rowBytes:])
-				if storage.Checksum(row[:r.rowBytes]) != want {
-					if r.guard.SkipCorruptRows() {
-						r.corrupt++
-						r.guard.NoteCorruptRows(r.corrupt)
-						continue
-					}
-					return nil, fmt.Errorf("storage: checksum mismatch (record %d of %d): %w",
-						r.seen-1, r.hdr.Count, storage.ErrCorrupt)
-				}
-			}
-			r.rows = append(r.rows, row[:r.emit])
-		}
-		if len(r.rows) == 0 {
-			continue // every row in the chunk was skipped
-		}
-		return r.rows, nil
 	}
 }
+
+// verify checks the checksums of the rows rows at the head of chunk and
+// moves the good ones down over any skipped, returning how many remain.
+func (r *Reader) verify(chunk []byte, rows int) (int, error) {
+	db, rb := r.diskRow, r.rowBytes
+	checksummed := r.hdr.Version >= 2
+	kept := 0
+	for i := 0; i < rows; i++ {
+		row := chunk[i*db : i*db+db]
+		r.seen++
+		if checksummed && storage.Checksum(row[:rb]) != binary.LittleEndian.Uint32(row[rb:]) {
+			if r.guard.SkipCorruptRows() {
+				r.corrupt++
+				r.guard.NoteCorruptRows(r.corrupt)
+				continue
+			}
+			return 0, fmt.Errorf("storage: checksum mismatch (record %d of %d): %w",
+				r.seen-1, r.hdr.Count, storage.ErrCorrupt)
+		}
+		if kept != i {
+			copy(chunk[kept*db:], row)
+		}
+		kept++
+	}
+	return kept, nil
+}
+
+// more reports whether the header promises rows not yet filled.
+func (r *Reader) more() bool { return r.seen < r.hdr.Count }
 
 // Close closes the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -117,18 +118,23 @@ func TestReaderMatchesRowDecoder(t *testing.T) {
 
 // TestReaderBufferSizedFromHeader: a file smaller than the chunk is
 // read as one full chunk of its own size, an empty one still gets a
-// one-row buffer, a larger one keeps the requested chunk — and the view
-// slices sized at Open never grow.
+// one-row chunk, a larger one keeps the requested chunk rounded down to
+// whole rows. Each chunk goes out in batches of at most batchRows
+// views, through one view slice that is sized for a batch, not for a
+// chunk, and never grows; ReadStats counts the chunks, not the batches.
 func TestReaderBufferSizedFromHeader(t *testing.T) {
 	dir := t.TempDir()
 	const disk = 3*8 + 2*8 + 4
+	const oddRows = (MinBatchBytes + 13) / disk // rows in a chunk of MinBatchBytes+13
 	for _, tc := range []struct {
-		rows, batchBytes int
-		wantBuf, chunks  int
+		rows, batchBytes  int
+		chunkRows, chunks int
+		viewCap, batches  int
 	}{
-		{3000, 0, 3000 * disk, 1},
-		{3000, MinBatchBytes + 13, MinBatchBytes + 13, 3},
-		{0, 0, disk, 0},
+		{3000, 0, 3000, 1, 3000, 1},
+		{10000, 0, 10000, 1, batchRows, 3},
+		{3000, MinBatchBytes + 13, oddRows, 3, oddRows, 3},
+		{0, 0, 1, 0, 1, 0},
 	} {
 		path := filepath.Join(dir, "f.rec")
 		writeFile(t, path, randRecords(tc.rows, 3, 2, 5), 3, 2)
@@ -136,22 +142,41 @@ func TestReaderBufferSizedFromHeader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(r.buf) != tc.wantBuf {
-			t.Errorf("%d rows, BatchBytes %d: buffer of %d bytes, want %d", tc.rows, tc.batchBytes, len(r.buf), tc.wantBuf)
+		name := fmt.Sprintf("%d rows, BatchBytes %d", tc.rows, tc.batchBytes)
+		if r.buf != nil || r.views != nil {
+			t.Errorf("%s: buffers allocated before the first batch", name)
 		}
-		rowsCap, diskCap := cap(r.rows), cap(r.disk)
-		if got := len(readAllBatched(t, r, 3, 2)); got != tc.rows {
-			t.Errorf("read %d rows, want %d", got, tc.rows)
+		rows, batches, viewCap := 0, 0, -1
+		for {
+			batch, err := r.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if viewCap < 0 {
+				viewCap = cap(r.views)
+			}
+			if batch == nil {
+				break
+			}
+			if len(batch) > batchRows {
+				t.Errorf("%s: a batch of %d views, want at most %d", name, len(batch), batchRows)
+			}
+			rows += len(batch)
+			batches++
 		}
 		r.Close()
-		if cap(r.rows) != rowsCap || cap(r.disk) != diskCap {
-			t.Errorf("%d rows, BatchBytes %d: view slices grew from %d/%d to %d/%d",
-				tc.rows, tc.batchBytes, rowsCap, diskCap, cap(r.rows), cap(r.disk))
+		if len(r.buf) != tc.chunkRows*disk {
+			t.Errorf("%s: chunk of %d bytes, want %d", name, len(r.buf), tc.chunkRows*disk)
+		}
+		if rows != tc.rows || batches != tc.batches {
+			t.Errorf("%s: read %d rows in %d batches, want %d in %d", name, rows, batches, tc.rows, tc.batches)
+		}
+		if viewCap != tc.viewCap || cap(r.views) != viewCap {
+			t.Errorf("%s: view slice of %d, then %d, want %d throughout", name, viewCap, cap(r.views), tc.viewCap)
 		}
 		st := r.ReadStats()
 		if st.Chunks != int64(tc.chunks) || (tc.chunks == 1 && st.FillPermille != 1000) {
-			t.Errorf("%d rows, BatchBytes %d: %d chunks filled to %d permille, want %d chunks",
-				tc.rows, tc.batchBytes, st.Chunks, st.FillPermille, tc.chunks)
+			t.Errorf("%s: %d chunks filled to %d permille, want %d chunks", name, st.Chunks, st.FillPermille, tc.chunks)
 		}
 	}
 }
@@ -200,6 +225,17 @@ func TestReaderVersion1(t *testing.T) {
 	got := readAllBatched(t, r, 2, 1)
 	if !sameRecords(recs, got) {
 		t.Fatal("v1 rows differ")
+	}
+
+	// A v1 header with no columns declares rows of no bytes: corrupt, not
+	// a division by zero.
+	empty := make([]model.Record, 3)
+	for i := range empty {
+		empty[i] = model.Record{Dims: []int64{}, Ms: []float64{}}
+	}
+	writeV1File(t, path, empty, 0, 0)
+	if _, err := Open(path, Options{}); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("rows of no columns: got %v, want ErrCorrupt", err)
 	}
 }
 

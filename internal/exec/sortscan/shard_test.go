@@ -9,10 +9,10 @@ import (
 	"awra/internal/gen"
 )
 
-// q1Sharded is perf's batch-parallel repetition without the harness: Q1
-// over the synthetic cube under the benchmark's sort key, two shard
-// workers.
-func q1Sharded(tb testing.TB, rows int64) func() {
+// q1Run is perf's batch-sortscan (shards 0) or batch-parallel
+// repetition without the harness: Q1 over the synthetic cube under the
+// benchmark's sort key, serial or on that many shard workers.
+func q1Run(tb testing.TB, rows int64, shards int) func() {
 	tb.Helper()
 	dir := tb.TempDir()
 	fact := filepath.Join(dir, "cube.rec")
@@ -22,8 +22,13 @@ func q1Sharded(tb testing.TB, rows int64) func() {
 	}
 	c := q1Workflow(tb, synth)
 	return func() {
-		opts := ShardedOptions{Options: Options{EngineOptions: scan.EngineOptions{TempDir: dir}, SortKey: q1SortKey}, Shards: 2}
-		if _, err := RunSharded(c, scan.FileInput(fact), opts); err != nil {
+		opts := Options{EngineOptions: scan.EngineOptions{TempDir: dir}, SortKey: q1SortKey}
+		if shards == 0 {
+			_, err = Run(c, scan.FileInput(fact), opts)
+		} else {
+			_, err = RunSharded(c, scan.FileInput(fact), ShardedOptions{Options: opts, Shards: shards})
+		}
+		if err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -32,7 +37,7 @@ func q1Sharded(tb testing.TB, rows int64) func() {
 // BenchmarkShardedQ1 is the in-process A/B for a parallel change: the
 // 200k-row cube, `make bench-shard`.
 func BenchmarkShardedQ1(b *testing.B) {
-	run := q1Sharded(b, 200_000)
+	run := q1Run(b, 200_000, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,18 +45,11 @@ func BenchmarkShardedQ1(b *testing.B) {
 	}
 }
 
-// TestShardedAllocationBound: the rows of a sharded run exist once — in
-// the sort's arena, which the workers scan in place — beside their key
-// columns, the workers' cell tables and the result maps. Q1 over a
-// 20k-row cube with two workers allocates about 780 bytes per fact row
-// that way. The shard files this replaced cost a writer buffer per
-// shard and, per worker, a second arena, key columns, a read buffer and
-// a sorted copy's write buffer: 1,214 bytes per row on the same input.
-// The bound sits between the two, so buffers of that kind cannot come
-// back unnoticed.
-func TestShardedAllocationBound(t *testing.T) {
-	const rows, runs = 20_000, 3
-	run := q1Sharded(t, rows)
+// allocPerRow is the bytes a Q1 run over rows fact rows allocates per
+// row, averaged over three runs after a warm-up.
+func allocPerRow(t *testing.T, rows int64, shards int) float64 {
+	const runs = 3
+	run := q1Run(t, rows, shards)
 	run()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -59,9 +57,37 @@ func TestShardedAllocationBound(t *testing.T) {
 		run()
 	}
 	runtime.ReadMemStats(&m1)
-	perRow := float64(m1.TotalAlloc-m0.TotalAlloc) / runs / rows
+	perRow := float64(m1.TotalAlloc-m0.TotalAlloc) / runs / float64(rows)
 	t.Logf("%.0f bytes allocated per fact row", perRow)
-	if perRow >= 1000 {
-		t.Errorf("%.0f bytes allocated per fact row, want < 1000", perRow)
+	return perRow
+}
+
+// TestSortAllocationBound: a serial sort/scan run reads the fact file
+// straight into the sort's arena and counts it with cache-sized
+// counters, so beside the arena, its key columns and the index sort's
+// scratch, the sort allocates nothing per row. Q1 over a 20k-row cube
+// allocates about 590 bytes per fact row that way. A reader chunk sized
+// for the file, two view slices of a chunk's rows and a row copy into
+// the arena cost 684 bytes per row on the same input. The bound sits
+// between the two, so buffers of that kind cannot come back unnoticed.
+func TestSortAllocationBound(t *testing.T) {
+	if perRow := allocPerRow(t, 20_000, 0); perRow >= 640 {
+		t.Errorf("%.0f bytes allocated per fact row, want < 640", perRow)
+	}
+}
+
+// TestShardedAllocationBound: the rows of a sharded run exist once — in
+// the sort's arena, which the sort fills straight from the file and the
+// workers scan in place — beside their key columns, the workers' cell
+// tables and the result maps. Q1 over a 20k-row cube with two workers
+// allocates about 690 bytes per fact row that way. The reader chunk and
+// view slices the sort read through before cost 779 bytes per row; the
+// shard files before those, a writer buffer per shard and, per worker,
+// a second arena, key columns, a read buffer and a sorted copy's write
+// buffer, 1,214. The bound sits below the 779, so buffers of either
+// kind cannot come back unnoticed.
+func TestShardedAllocationBound(t *testing.T) {
+	if perRow := allocPerRow(t, 20_000, 2); perRow >= 735 {
+		t.Errorf("%.0f bytes allocated per fact row, want < 735", perRow)
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"hash/fnv"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -251,13 +252,12 @@ type ValueAt struct {
 	Value  float64 `json:"value"`
 }
 
-// writeJSON writes v with the given status.
+// writeJSON writes v, compact and newline-terminated, with the given
+// status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // retryAfterHeader formats a Retry-After value in whole seconds,
@@ -395,6 +395,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, QueryResponse{RequestID: reqID, TraceID: traceID, Outcome: "error", Error: err.Error()})
 			return
 		}
+	}
+	// A measure the workflow does not output would run the whole query
+	// and answer with no table: refuse it before the cache or a slot.
+	if outputs := parsed.Compiled.Outputs(); req.Measure != "" && !slices.Contains(outputs, req.Measure) {
+		writeJSON(w, http.StatusBadRequest, QueryResponse{RequestID: reqID, TraceID: traceID, Outcome: "error",
+			Error: fmt.Sprintf("unknown measure %q (the workflow outputs %s)", req.Measure, strings.Join(outputs, ", "))})
+		return
 	}
 	tenant := req.Tenant
 	if tenant == "" {

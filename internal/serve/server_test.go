@@ -189,6 +189,78 @@ func TestServeErrorMapping(t *testing.T) {
 	}
 }
 
+// TestServeUnknownMeasureRejected: a measure the workflow does not
+// output is a bad request, refused before the cache and admission — with
+// the cache warm and the only slot taken, it still gets a 400 naming the
+// measure and the outputs, not a 200 with no table — while a measure the
+// workflow does output is answered alone.
+func TestServeUnknownMeasureRejected(t *testing.T) {
+	s, ts := newTestServer(t, func(c *Config) {
+		c.Gate = GateConfig{MaxConcurrent: 1, QueueDepth: 0, RetryAfter: time.Second}
+	})
+	if status, qr, _ := postQuery(t, ts.URL, QueryRequest{Workflow: testWorkflow, Collection: "net"}); status != http.StatusOK {
+		t.Fatalf("warm-up: status=%d %+v", status, qr)
+	}
+	release, err := s.Gate().Admit(context.Background(), "hog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+
+	status, qr, _ := postQuery(t, ts.URL, QueryRequest{Workflow: testWorkflow, Collection: "net", Measure: "Bussy", RequestID: "typo-1"})
+	if status != http.StatusBadRequest || qr.Outcome != "error" || qr.Measures != nil {
+		t.Fatalf("unknown measure: status=%d %+v", status, qr)
+	}
+	for _, want := range []string{`"Bussy"`, "Count", "Busy"} {
+		if !strings.Contains(qr.Error, want) {
+			t.Errorf("error %q does not name %s", qr.Error, want)
+		}
+	}
+	for _, r := range s.History().Recent(50) {
+		if r.RequestID == "typo-1" {
+			t.Errorf("a rejected request reached the history: %+v", r)
+		}
+	}
+
+	status, qr, _ = postQuery(t, ts.URL, QueryRequest{Workflow: testWorkflow, Collection: "net", Measure: "Busy"})
+	if status != http.StatusOK || qr.ServedFrom != "cache" || len(qr.Measures) != 1 || len(qr.Measures["Busy"]) == 0 {
+		t.Fatalf("known measure: status=%d %+v", status, qr)
+	}
+}
+
+// TestServeResponseIsCompactJSON: a /query answer is one line, exactly
+// the compact encoding of the QueryResponse it decodes to.
+func TestServeResponseIsCompactJSON(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	body, err := json.Marshal(QueryRequest{Workflow: testWorkflow, Collection: "net", Limit: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, ok := bytes.CutSuffix(raw, []byte("\n"))
+	if !ok || bytes.ContainsAny(line, "\n") {
+		t.Fatalf("response is not one newline-terminated line:\n%s", raw)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(line, &qr); err != nil {
+		t.Fatal(err)
+	}
+	if qr.Outcome != "ok" || len(qr.Measures["Busy"]) == 0 {
+		t.Fatalf("response %+v", qr)
+	}
+	if again, err := json.Marshal(qr); err != nil || !bytes.Equal(again, line) {
+		t.Fatalf("body is not the compact encoding of its response (%v):\n%s\n%s", err, line, again)
+	}
+}
+
 func TestServeOverLimit429(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Gate = GateConfig{MaxConcurrent: 1, QueueDepth: 0, RetryAfter: 2 * time.Second}
