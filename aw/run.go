@@ -377,7 +377,7 @@ func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *q
 	inq.SetEngine(o.Engine.String())
 	eo := scan.EngineOptions{TempDir: o.TempDir, ReadBatchBytes: o.ReadBatchSize, Recorder: qrec, Guard: g}
 
-	var tables Results
+	var res *scan.Result
 	var err error
 	switch o.Engine {
 	case EngineSortScan, EngineShardScan:
@@ -397,36 +397,25 @@ func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *q
 			qSpan.SetAttr("sort_key", nk.String(c.Schema))
 		}
 		// Parallelism is the shard count of a sharded run and the run
-		// writers of a serial one (RunSharded runs Run below two shards).
-		so := sortscan.ShardedOptions{Options: sortscan.Options{EngineOptions: eo, SortKey: o.SortKey, Stats: st}}
+		// writers of a serial one.
+		run := sortscan.Run
 		if o.Engine == EngineShardScan {
-			so.Shards = o.Parallelism
-		} else {
-			so.SortWorkers = o.Parallelism
+			run = sortscan.RunSharded
 		}
-		var res *sortscan.Result
-		if res, err = sortscan.RunSharded(c, in, so); err == nil {
-			tables = res.Tables
-		}
+		res, err = run(c, in, sortscan.Options{EngineOptions: eo, SortKey: o.SortKey, Stats: st, Workers: o.Parallelism})
 	case EngineSingleScan:
-		var res *singlescan.Result
-		if res, err = singlescan.Run(c, in, singlescan.Options{EngineOptions: eo, MemoryBudget: o.MemoryBudget}); err == nil {
-			tables = res.Tables
-		}
+		res, err = singlescan.Run(c, in, singlescan.Options{EngineOptions: eo, MemoryBudget: o.MemoryBudget})
 	case EngineMultiPass:
-		var res *multipass.Result
-		if res, err = multipass.Run(c, in, multipass.Options{EngineOptions: eo, MemoryBudget: float64(o.MemoryBudget), Stats: st}); err == nil {
-			tables = res.Tables
-		}
+		res, err = multipass.Run(c, in, multipass.Options{EngineOptions: eo, MemoryBudget: float64(o.MemoryBudget), Stats: st})
 	case EngineRelational:
-		var res *relbaseline.Result
-		if res, err = relbaseline.Run(c, in, eo); err == nil {
-			tables = res.Tables
-		}
+		res, err = relbaseline.Run(c, in, eo)
 	default:
 		err = fmt.Errorf("aw: unknown engine %v", o.Engine)
 	}
-	return tables, o.Engine, err
+	if err != nil {
+		return nil, o.Engine, err
+	}
+	return res.Tables, o.Engine, nil
 }
 
 // CollectStats samples a fact file (up to sampleLimit records; 0 =

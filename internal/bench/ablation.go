@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"awra/internal/exec/scan"
 	"awra/internal/exec/sortscan"
@@ -44,18 +43,16 @@ func AblKey(cfg Config) (*Figure, error) {
 		{"best", choices[0]},
 		{"worst", choices[len(choices)-1]},
 	} {
-		t0 := time.Now()
-		res, err := sortscan.Run(w, scan.FileInput(fact), sortscan.Options{
-			EngineOptions: cfg.engineOptions(), SortKey: pick.ch.Key, Stats: st,
+		d, stats, err := timed(func() (*scan.Result, error) {
+			return sortscan.Run(w, scan.FileInput(fact), sortscan.Options{EngineOptions: cfg.engineOptions(), SortKey: pick.ch.Key, Stats: st})
 		})
 		if err != nil {
 			return nil, err
 		}
-		d := time.Since(t0)
-		cfg.logf("abl-key %s %s: %v, %d cells", pick.label, pick.ch.Key.String(w.Schema), d, res.Stats.PeakCells)
+		cfg.logf("abl-key %s %s: %v, %d cells", pick.label, pick.ch.Key.String(w.Schema), d, stats.PeakCells)
 		f.Rows = append(f.Rows, []string{
 			fmt.Sprintf("%s %s", pick.label, pick.ch.Key.String(w.Schema)),
-			ms(d), fmt.Sprint(res.Stats.PeakCells), fmt.Sprintf("%.0f", pick.ch.EstBytes),
+			ms(d), fmt.Sprint(stats.PeakCells), fmt.Sprintf("%.0f", pick.ch.EstBytes),
 		})
 	}
 	f.Notes = append(f.Notes, fmt.Sprintf("|D| = %d records; %d candidate keys scored", n, len(choices)))
@@ -94,15 +91,16 @@ func AblPar(cfg Config) (*Figure, error) {
 	cards := NetStats(nc.Days, nc.Sources, nc.Subnets)
 	key := model.SortKey{{Dim: 0, Lvl: day}, {Dim: 2, Lvl: 0}, {Dim: 1, Lvl: 0}}
 	for _, parts := range []int{1, 2, 4} {
-		t0 := time.Now()
-		so := sortscan.Options{EngineOptions: cfg.engineOptions(), SortKey: key, Stats: &plan.Stats{BaseCard: cards}}
-		res, err := sortscan.RunSharded(w, scan.FileInput(fact), sortscan.ShardedOptions{Options: so, Shards: parts})
+		d, stats, err := timed(func() (*scan.Result, error) {
+			return sortscan.RunSharded(w, scan.FileInput(fact), sortscan.Options{
+				EngineOptions: cfg.engineOptions(), SortKey: key, Stats: &plan.Stats{BaseCard: cards}, Workers: parts,
+			})
+		})
 		if err != nil {
 			return nil, err
 		}
-		d := time.Since(t0)
 		cfg.logf("abl-par parts=%d: %v", parts, d)
-		f.Rows = append(f.Rows, []string{fmt.Sprint(parts), ms(d), fmt.Sprint(res.Stats.Records)})
+		f.Rows = append(f.Rows, []string{fmt.Sprint(parts), ms(d), fmt.Sprint(stats.Records)})
 	}
 	f.Notes = append(f.Notes, "multi-recon workload partitioned by t:Day; results validated identical across partition counts in tests")
 	return f, nil
@@ -140,17 +138,16 @@ func AblFlush(cfg Config) (*Figure, error) {
 		{"early-flush", false},
 		{"no-flush", true},
 	} {
-		t0 := time.Now()
-		res, err := sortscan.Run(w, scan.FileInput(fact), sortscan.Options{
-			EngineOptions: cfg.engineOptions(), SortKey: best.Key, Stats: st,
-			DisableEarlyFlush: mode.disable,
+		d, stats, err := timed(func() (*scan.Result, error) {
+			return sortscan.Run(w, scan.FileInput(fact), sortscan.Options{
+				EngineOptions: cfg.engineOptions(), SortKey: best.Key, Stats: st, DisableEarlyFlush: mode.disable,
+			})
 		})
 		if err != nil {
 			return nil, err
 		}
-		d := time.Since(t0)
-		cfg.logf("abl-flush %s: %v, %d cells", mode.label, d, res.Stats.PeakCells)
-		f.Rows = append(f.Rows, []string{mode.label, ms(d), fmt.Sprint(res.Stats.PeakCells)})
+		cfg.logf("abl-flush %s: %v, %d cells", mode.label, d, stats.PeakCells)
+		f.Rows = append(f.Rows, []string{mode.label, ms(d), fmt.Sprint(stats.PeakCells)})
 	}
 	f.Notes = append(f.Notes, fmt.Sprintf("|D| = %d records, sort key %s", n, best.Key.String(w.Schema)))
 	return f, nil

@@ -180,44 +180,42 @@ func (c Config) netFile(n int64) (string, gen.NetConfig, error) {
 	return path, nc, nil
 }
 
-// timeSortScan runs the sort/scan engine with an optimizer-chosen key.
-func (c Config) timeSortScan(w *core.Compiled, fact string, cards []float64) (time.Duration, sortscan.Stats, error) {
-	choice, err := opt.Best(w, &plan.Stats{BaseCard: cards}, c.rec)
-	if err != nil {
-		return 0, sortscan.Stats{}, err
-	}
+// timed runs one engine and returns its wall-clock time and stats.
+func timed(run func() (*scan.Result, error)) (time.Duration, scan.Stats, error) {
 	t0 := time.Now()
-	res, err := sortscan.Run(w, scan.FileInput(fact), sortscan.Options{
-		EngineOptions: c.engineOptions(), SortKey: choice.Key, Stats: &plan.Stats{BaseCard: cards},
-	})
+	res, err := run()
 	if err != nil {
-		return 0, sortscan.Stats{}, err
+		return 0, scan.Stats{}, err
 	}
 	return time.Since(t0), res.Stats, nil
+}
+
+// timeSortScan runs the sort/scan engine with an optimizer-chosen key.
+func (c Config) timeSortScan(w *core.Compiled, fact string, cards []float64) (time.Duration, scan.Stats, error) {
+	st := &plan.Stats{BaseCard: cards}
+	choice, err := opt.Best(w, st, c.rec)
+	if err != nil {
+		return 0, scan.Stats{}, err
+	}
+	return timed(func() (*scan.Result, error) {
+		return sortscan.Run(w, scan.FileInput(fact), sortscan.Options{EngineOptions: c.engineOptions(), SortKey: choice.Key, Stats: st})
+	})
 }
 
 // timeSingleScan runs the single-scan engine under the configured
 // memory budget.
-func (c Config) timeSingleScan(w *core.Compiled, fact string) (time.Duration, singlescan.Stats, error) {
-	t0 := time.Now()
-	res, err := singlescan.Run(w, scan.FileInput(fact), singlescan.Options{
-		EngineOptions: c.engineOptions(), MemoryBudget: c.SingleScanBudget,
+func (c Config) timeSingleScan(w *core.Compiled, fact string) (time.Duration, scan.Stats, error) {
+	return timed(func() (*scan.Result, error) {
+		return singlescan.Run(w, scan.FileInput(fact), singlescan.Options{EngineOptions: c.engineOptions(), MemoryBudget: c.SingleScanBudget})
 	})
-	if err != nil {
-		return 0, singlescan.Stats{}, err
-	}
-	return time.Since(t0), res.Stats, nil
 }
 
 // timeDB runs the relational baseline on the workflow's final
 // measures only (one SQL query per final measure, like the paper).
-func (c Config) timeDB(w *core.Compiled, fact string, finals []string) (time.Duration, relbaseline.Stats, error) {
-	t0 := time.Now()
-	res, err := relbaseline.RunMeasures(w, scan.FileInput(fact), finals, c.engineOptions())
-	if err != nil {
-		return 0, relbaseline.Stats{}, err
-	}
-	return time.Since(t0), res.Stats, nil
+func (c Config) timeDB(w *core.Compiled, fact string, finals []string) (time.Duration, scan.Stats, error) {
+	return timed(func() (*scan.Result, error) {
+		return relbaseline.RunMeasures(w, scan.FileInput(fact), finals, c.engineOptions())
+	})
 }
 
 // Fig6a: Q1 (seven child/parent measures) across dataset sizes, all

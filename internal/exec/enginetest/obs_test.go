@@ -14,6 +14,7 @@ import (
 	"awra/internal/exec/sortscan"
 	"awra/internal/model"
 	"awra/internal/obs"
+	"awra/internal/qguard"
 	"awra/internal/relbaseline"
 )
 
@@ -120,57 +121,74 @@ func TestQuerySpanBoundsPhases(t *testing.T) {
 	}
 }
 
+// engineRun runs one engine over in under the given engine options.
+type engineRun func(c *core.Compiled, in scan.Input, eo scan.EngineOptions) (*scan.Result, error)
+
+// obsEngines is every batch engine, shardscan at two workers, as they
+// run obsWorkflow sorted by key.
+func obsEngines(key model.SortKey) map[string]engineRun {
+	return map[string]engineRun{
+		"sortscan": func(c *core.Compiled, in scan.Input, eo scan.EngineOptions) (*scan.Result, error) {
+			return sortscan.Run(c, in, sortscan.Options{EngineOptions: eo, SortKey: key})
+		},
+		"shardscan": func(c *core.Compiled, in scan.Input, eo scan.EngineOptions) (*scan.Result, error) {
+			return sortscan.RunSharded(c, in, shardOpts(key, 2, eo))
+		},
+		"singlescan": func(c *core.Compiled, in scan.Input, eo scan.EngineOptions) (*scan.Result, error) {
+			return singlescan.Run(c, in, singlescan.Options{EngineOptions: eo})
+		},
+		"multipass": func(c *core.Compiled, in scan.Input, eo scan.EngineOptions) (*scan.Result, error) {
+			return multipass.Run(c, in, multipass.Options{EngineOptions: eo})
+		},
+		"relational": func(c *core.Compiled, in scan.Input, eo scan.EngineOptions) (*scan.Result, error) {
+			return relbaseline.Run(c, in, eo)
+		},
+	}
+}
+
+// vocabulary pairs each engine metric with the Stats field mirroring it:
+// counters first, then the two high-water-mark gauges.
+func vocabulary(st scan.Stats) (counters, gauges map[string]int64) {
+	return map[string]int64{
+			obs.MRecordsScanned:    st.Records,
+			obs.MFactScans:         st.FactScans,
+			obs.MPasses:            st.Passes,
+			obs.MCellsCreated:      st.CellsCreated,
+			obs.MCellsFinalized:    st.CellsFinalized,
+			obs.MFlushBatches:      st.FlushBatches,
+			obs.MWatermarkAdvances: st.WatermarkAdvances,
+			obs.MSpillEvents:       st.Spills,
+			obs.MSpillBytes:        st.SpillBytes,
+			obs.MSpilledEntries:    st.SpilledEntries,
+			obs.MSortRuns:          st.SortRuns,
+		}, map[string]int64{
+			obs.GLiveCellsHWM: st.PeakCells,
+			obs.GHashBytesHWM: st.PeakBytes,
+		}
+}
+
 // TestEnginesShareMetricVocabulary: all four engines plus shardscan
-// must publish the same core metric names for the same workload, so
-// snapshots are comparable across evaluators.
+// must publish every engine metric for the same workload, so snapshots
+// are comparable across evaluators.
 func TestEnginesShareMetricVocabulary(t *testing.T) {
 	g := NewGen(44, 2)
 	c := obsWorkflow(t, g)
 	recs := g.Records(600)
 	fact := writeFact(t, g, recs)
-	tempDir := filepath.Dir(fact)
 	key := model.SortKey{{Dim: 0, Lvl: 0}, {Dim: 1, Lvl: 0}}
-
-	in := scan.FileInput(fact)
-	eo := func(rec *obs.Recorder) scan.EngineOptions { return scan.EngineOptions{TempDir: tempDir, Recorder: rec} }
-	engines := map[string]func(rec *obs.Recorder) error{
-		"sortscan": func(rec *obs.Recorder) error {
-			_, err := sortscan.Run(c, in, sortscan.Options{EngineOptions: eo(rec), SortKey: key})
-			return err
-		},
-		"singlescan": func(rec *obs.Recorder) error {
-			_, err := singlescan.Run(c, in, singlescan.Options{EngineOptions: eo(rec)})
-			return err
-		},
-		"multipass": func(rec *obs.Recorder) error {
-			_, err := multipass.Run(c, in, multipass.Options{EngineOptions: eo(rec)})
-			return err
-		},
-		"shardscan": func(rec *obs.Recorder) error {
-			_, err := sortscan.RunSharded(c, in, sortscan.ShardedOptions{
-				Options: sortscan.Options{EngineOptions: eo(rec), SortKey: key}, Shards: 2,
-			})
-			return err
-		},
-		"relational": func(rec *obs.Recorder) error {
-			_, err := relbaseline.Run(c, in, eo(rec))
-			return err
-		},
-	}
-	core := []string{obs.MRecordsScanned, obs.MCellsCreated, obs.MCellsFinalized, obs.MSpillEvents, obs.MSpillBytes}
-	gauges := []string{obs.GLiveCellsHWM, obs.GHashBytesHWM}
-	for name, run := range engines {
+	counters, gauges := vocabulary(scan.Stats{})
+	for name, run := range obsEngines(key) {
 		rec := obs.New()
-		if err := run(rec); err != nil {
+		if _, err := run(c, scan.FileInput(fact), scan.EngineOptions{TempDir: filepath.Dir(fact), Recorder: rec}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		snap := rec.Snapshot()
-		for _, m := range core {
+		for m := range counters {
 			if _, ok := snap.Counters[m]; !ok {
 				t.Errorf("%s: counter %q missing from snapshot (have %v)", name, m, snap.Counters)
 			}
 		}
-		for _, m := range gauges {
+		for m := range gauges {
 			if _, ok := snap.Gauges[m]; !ok {
 				t.Errorf("%s: gauge %q missing from snapshot (have %v)", name, m, snap.Gauges)
 			}
@@ -182,4 +200,86 @@ func TestEnginesShareMetricVocabulary(t *testing.T) {
 			t.Errorf("%s: cells_finalized = 0, want > 0", name)
 		}
 	}
+}
+
+// TestEngineStatsMirrorMetrics: every engine's returned Stats agree
+// field for field with the metrics the run published into a fresh
+// recorder — shardscan's high-water marks are its largest worker's, as
+// the gauge says, and a budgeted single-scan's spill counts include the
+// run files of its spill merge.
+func TestEngineStatsMirrorMetrics(t *testing.T) {
+	g := NewGen(45, 2)
+	c := obsWorkflow(t, g)
+	fact := writeFact(t, g, g.Records(6000))
+	key := model.SortKey{{Dim: 0, Lvl: 0}, {Dim: 1, Lvl: 0}}
+	runs := obsEngines(key)
+	runs["singlescan-budget"] = func(c *core.Compiled, in scan.Input, eo scan.EngineOptions) (*scan.Result, error) {
+		return singlescan.Run(c, in, singlescan.Options{EngineOptions: eo, MemoryBudget: 2000})
+	}
+	for name, run := range runs {
+		rec := obs.New()
+		res, err := run(c, scan.FileInput(fact), scan.EngineOptions{TempDir: filepath.Dir(fact), Recorder: rec})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		snap := rec.Snapshot()
+		counters, gauges := vocabulary(res.Stats)
+		for m, v := range counters {
+			if got := snap.Counters[m]; got != v {
+				t.Errorf("%s: Stats gives %s = %d, the recorder %d", name, m, v, got)
+			}
+		}
+		for m, v := range gauges {
+			if got := snap.Gauges[m]; got != v {
+				t.Errorf("%s: Stats gives %s = %d, the recorder %d", name, m, v, got)
+			}
+		}
+		if name == "singlescan-budget" && (res.Stats.Spills == 0 || res.Stats.SortRuns < 2) {
+			t.Errorf("%s: %d spills, %d merge runs; the budget was meant to force a multi-run merge",
+				name, res.Stats.Spills, res.Stats.SortRuns)
+		}
+	}
+}
+
+// TestEnginesEndSpansOnTrip: a run that a budget trip or cancellation
+// ends leaves no span of its phase tree running — budget trips are
+// pinned in the flight recorder, which would show a phase that never
+// ended.
+func TestEnginesEndSpansOnTrip(t *testing.T) {
+	g := NewGen(46, 2)
+	c := obsWorkflow(t, g)
+	fact := writeFact(t, g, g.Records(5000))
+	key := model.SortKey{{Dim: 0, Lvl: 0}, {Dim: 1, Lvl: 0}}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	trips := map[string]func() *qguard.Guard{
+		"live-cells":  func() *qguard.Guard { return qguard.New(context.Background(), qguard.Limits{MaxLiveCells: 5}) },
+		"result-rows": func() *qguard.Guard { return qguard.New(context.Background(), qguard.Limits{MaxResultRows: 3}) },
+		"cancel":      func() *qguard.Guard { return qguard.New(canceled, qguard.Limits{}) },
+	}
+	for name, run := range obsEngines(key) {
+		for trip, guard := range trips {
+			rec := obs.New()
+			_, err := run(c, scan.FileInput(fact), scan.EngineOptions{TempDir: filepath.Dir(fact), Recorder: rec, Guard: guard()})
+			// The relational baseline holds no live cells to trip on.
+			if err == nil && !(name == "relational" && trip == "live-cells") {
+				t.Errorf("%s under %s: the run did not fail", name, trip)
+			}
+			if running := runningSpans(rec.Snapshot().Spans); len(running) > 0 {
+				t.Errorf("%s under %s: spans %v still running", name, trip, running)
+			}
+		}
+	}
+}
+
+// runningSpans names every span of the trees still running.
+func runningSpans(spans []*obs.SpanSnapshot) []string {
+	var out []string
+	for _, s := range spans {
+		if s.Running {
+			out = append(out, s.Name)
+		}
+		out = append(out, runningSpans(s.Children)...)
+	}
+	return out
 }

@@ -49,7 +49,7 @@ func runBatchedEngines(t *testing.T, c *core.Compiled, fact string, key model.So
 		t.Fatalf("singlescan vs seed decoder: %s", d)
 	}
 
-	sh, err := sortscan.RunSharded(c, in, sortscan.ShardedOptions{Options: so, Shards: 3})
+	sh, err := sortscan.RunSharded(c, in, shardOpts(so.SortKey, 3, so.EngineOptions))
 	if err != nil {
 		t.Fatalf("shardscan: %v", err)
 	}

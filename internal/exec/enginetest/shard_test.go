@@ -453,6 +453,6 @@ func TestShardedThroughPublicAPI(t *testing.T) {
 
 // shardOpts is a sharded sort/scan's options: the key, the shard count
 // and the engines' option block.
-func shardOpts(key model.SortKey, shards int, eo scan.EngineOptions) sortscan.ShardedOptions {
-	return sortscan.ShardedOptions{Options: sortscan.Options{EngineOptions: eo, SortKey: key}, Shards: shards}
+func shardOpts(key model.SortKey, shards int, eo scan.EngineOptions) sortscan.Options {
+	return sortscan.Options{EngineOptions: eo, SortKey: key, Workers: shards}
 }

@@ -13,7 +13,6 @@ package multipass
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"awra/internal/core"
 	"awra/internal/exec/scan"
@@ -42,22 +41,6 @@ type Pass struct {
 	SortKey  model.SortKey
 	Measures []string // basic measures evaluated in this pass
 	EstBytes float64
-}
-
-// Stats aggregates per-pass costs.
-type Stats struct {
-	Passes    []Pass
-	SortTime  time.Duration
-	ScanTime  time.Duration
-	JoinTime  time.Duration
-	Records   int64
-	PeakCells int64
-}
-
-// Result holds the final measure tables (outputs only).
-type Result struct {
-	Tables map[string]*core.Table
-	Stats  Stats
 }
 
 // PlanPasses partitions the workflow's basic measures into passes:
@@ -158,16 +141,17 @@ func PlanPasses(c *core.Compiled, budget float64, stats *plan.Stats) ([]Pass, er
 }
 
 // Run plans the passes and executes them over the input, then
-// combines cross-pass composites.
-func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
+// combines cross-pass composites. The passes' stats fold as the
+// recorder folds them.
+func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 	opts.EngineOptions = opts.WithDefaults()
 	orec := opts.Recorder
 	passes, err := PlanPasses(c, opts.MemoryBudget, opts.Stats)
 	if err != nil {
 		return nil, err
 	}
-	orec.Counter(obs.MPasses).Add(int64(len(passes)))
-	res := &Result{Stats: Stats{Passes: passes}}
+	res := &scan.Result{}
+	own := scan.Stats{Passes: int64(len(passes))}
 
 	tables := make([]*core.Table, len(c.Measures))
 	for pi, p := range passes {
@@ -190,12 +174,7 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("multipass: pass %s: %w", p.SortKey.String(c.Schema), err)
 		}
-		res.Stats.SortTime += pr.Stats.SortTime
-		res.Stats.ScanTime += pr.Stats.ScanTime
-		res.Stats.Records += pr.Stats.Records
-		if pr.Stats.PeakCells > res.Stats.PeakCells {
-			res.Stats.PeakCells = pr.Stats.PeakCells
-		}
+		res.Stats.Add(pr.Stats)
 		for _, name := range p.Measures {
 			i, err := c.Index(name)
 			if err != nil {
@@ -207,8 +186,10 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
 
 	// Combine composites with traditional in-memory strategies, in
 	// topological order.
-	if res.Tables, res.Stats.JoinTime, err = opts.Composites(c, tables, nil); err != nil {
+	if res.Tables, err = opts.Composites(c, tables, nil, &own); err != nil {
 		return nil, fmt.Errorf("multipass: %w", err)
 	}
+	own.Publish(orec)
+	res.Stats.Add(own)
 	return res, nil
 }

@@ -114,12 +114,12 @@ func TestRunCleansUpAndReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Stats.Passes) < 2 {
-		t.Errorf("expected multiple passes, got %d", len(res.Stats.Passes))
+	if res.Stats.Passes < 2 {
+		t.Errorf("expected multiple passes, got %d", res.Stats.Passes)
 	}
 	// Each pass scans the whole file.
-	if res.Stats.Records != int64(len(res.Stats.Passes))*500 {
-		t.Errorf("records = %d across %d passes", res.Stats.Records, len(res.Stats.Passes))
+	if res.Stats.Records != res.Stats.Passes*500 {
+		t.Errorf("records = %d across %d passes", res.Stats.Records, res.Stats.Passes)
 	}
 	// total must equal the count of all records.
 	sum := 0.0
@@ -129,7 +129,7 @@ func TestRunCleansUpAndReports(t *testing.T) {
 	if sum != 500 {
 		t.Errorf("total sums to %v", sum)
 	}
-	if res.Stats.SortTime <= 0 || res.Stats.JoinTime < 0 {
+	if res.Stats.SortTime <= 0 || res.Stats.CombineTime < 0 {
 		t.Errorf("timers: %+v", res.Stats)
 	}
 }

@@ -611,6 +611,19 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 // in memory, one per part and chunk spilled.
 func (s *Sorted) Stats() storage.SortStats { return s.stats }
 
+// EngineStats is the sort's share of an engine run's Stats, counts it
+// published itself: the runs it formed and, when it spilled, their run
+// files and bytes — a spilling sort writes every row to some run.
+// Valid until Close.
+func (s *Sorted) EngineStats() Stats {
+	st := Stats{SortRuns: int64(s.stats.Runs)}
+	if s.mem == nil {
+		st.Spills = int64(s.stats.Runs)
+		st.SpillBytes = s.stats.Records * int64(s.hdr.RowBytes())
+	}
+	return st
+}
+
 // Rows returns the number of rows routed to a part.
 func (s *Sorted) Rows(part int) int64 { return s.parts[part].rows }
 

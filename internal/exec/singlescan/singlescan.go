@@ -43,25 +43,6 @@ type Options struct {
 	MemoryBudget int64
 }
 
-// Stats reports what a run did.
-type Stats struct {
-	Records   int64
-	PeakBytes int64
-	// Spills counts spill events; SpilledEntries the entries written.
-	Spills         int
-	SpilledEntries int64
-	// ScanTime and CompositeTime split the two phases.
-	ScanTime      time.Duration
-	CompositeTime time.Duration
-}
-
-// Result holds the computed measure tables, keyed by measure name
-// (outputs only; hidden bases are dropped).
-type Result struct {
-	Tables map[string]*core.Table
-	Stats  Stats
-}
-
 // table is the in-flight state of one basic measure: an open-addressing
 // cell table over encoded region keys plus the measure's aggregate
 // column, indexed by the table's dense cell ids.
@@ -87,12 +68,10 @@ type table struct {
 	writer     *storage.Writer
 	spillBytes int64 // bytes written to the spill file
 	opts       *scan.EngineOptions
-	// Per-node tallies (plain fields, published at end of run).
-	recordsIn int64
-	created   int64
-	finalized int64
-	live      int64
-	liveHWM   int64
+	// ns holds the node's tallies (plain fields, published at end of
+	// run); live is its currently live cells.
+	ns   obs.NodeStats
+	live int64
 }
 
 // morselRows is how many rows the scan takes through one table before
@@ -171,7 +150,7 @@ func (mo *morsel) load(rows []scan.Record) {
 }
 
 func newTable(c *core.Compiled, m *core.Measure, mo *morsel, opts *scan.EngineOptions) *table {
-	t := &table{m: m, tab: cellmap.New(m.Codec.KeyBytes()), col: m.Agg.NewColumn(), opts: opts}
+	t := &table{m: m, tab: cellmap.New(m.Codec.KeyBytes()), col: m.Agg.NewColumn(), opts: opts, ns: obs.NodeStats{Node: m.Name}}
 	for d := 0; d < c.Schema.NumDims(); d++ {
 		if m.Gran[d] != c.Schema.Dim(d).ALL() {
 			t.cols = append(t.cols, mo.col(c.Schema, d, m.Gran[d]))
@@ -190,7 +169,7 @@ func newTable(c *core.Compiled, m *core.Measure, mo *morsel, opts *scan.EngineOp
 // created and by how much the table's bytes grew.
 func (t *table) absorb(mo *morsel, rows []scan.Record, numDims int) (created, grew int64) {
 	m := t.m
-	t.recordsIn += int64(len(rows))
+	t.ns.RecordsIn += int64(len(rows))
 	sel := mo.all[:len(rows)]
 	if m.Filter != nil {
 		sel = mo.sel[:0]
@@ -222,15 +201,15 @@ func (t *table) absorb(mo *morsel, rows []scan.Record, numDims int) (created, gr
 	}
 	grew = created*t.cellBytes + int64(t.col.UpdateAll(ids, vals))
 	t.bytes += grew
-	t.created += created
-	if t.live += created; t.live > t.liveHWM {
-		t.liveHWM = t.live
+	t.ns.CellsCreated += created
+	if t.live += created; t.live > t.ns.LiveCellsHWM {
+		t.ns.LiveCellsHWM = t.live
 	}
 	return created, grew
 }
 
 // Run evaluates the workflow over the input.
-func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
+func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 	opts.EngineOptions = opts.WithDefaults()
 	orec := opts.Recorder
 	bsrc, err := opts.Open(in)
@@ -240,9 +219,11 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
 	defer bsrc.Close()
 	start := time.Now()
 
-	var stats Stats
+	// stats holds the run's own counts; merged, what the spill merges'
+	// sorts published themselves.
+	var stats, merged scan.Stats
 	var basics []*table
-	var totalBytes int64
+	var totalBytes, liveCells int64
 	mo := newMorsel(c.Schema)
 	for _, m := range c.Measures {
 		if m.Kind == core.KindBasic {
@@ -265,72 +246,48 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
 	// byte-slice batches and are taken a morsel at a time and, inside a
 	// morsel, a table at a time: every table's probes, cell creations
 	// and aggregate updates run as one batch each (DESIGN.md §hot-path).
-	scanSpan := orec.Start(obs.SpanScan)
-	defer scanSpan.End()
-	scanSpan.SetTotal(bsrc.Header().Count)
+	// The morsel is the guard stride too.
 	numDims := c.Schema.NumDims()
-	var cellsCreated, liveCells, peakLive int64
-	for {
-		batch, err := bsrc.NextBatch()
-		if err != nil {
-			return nil, fmt.Errorf("singlescan: %w", err)
-		}
-		if batch == nil {
-			break
-		}
-		for len(batch) > 0 {
-			// The morsel is the stride: file batches span tens of
-			// thousands of rows, too coarse for cancellation latency.
-			scanSpan.SetDone(stats.Records)
-			if err := opts.Guard.Err(); err != nil {
-				return nil, err
+	stats.Records, _, err = opts.ScanPhase(bsrc, morselRows, func() int64 { return liveCells }, func(rows []scan.Record) error {
+		mo.load(rows)
+		for _, t := range basics {
+			created, grew := t.absorb(mo, rows, numDims)
+			stats.CellsCreated += created
+			if liveCells += created; liveCells > stats.PeakCells {
+				stats.PeakCells = liveCells
 			}
-			if err := opts.Guard.NoteLiveCells(liveCells); err != nil {
-				return nil, err
+			if totalBytes += grew; totalBytes > stats.PeakBytes {
+				stats.PeakBytes = totalBytes
 			}
-			rows := batch[:min(morselRows, len(batch))]
-			batch = batch[len(rows):]
-			stats.Records += int64(len(rows))
-			mo.load(rows)
-			for _, t := range basics {
-				created, grew := t.absorb(mo, rows, numDims)
-				cellsCreated += created
-				if liveCells += created; liveCells > peakLive {
-					peakLive = liveCells
-				}
-				if totalBytes += grew; totalBytes > stats.PeakBytes {
-					stats.PeakBytes = totalBytes
-				}
-				if opts.MemoryBudget > 0 && totalBytes > opts.MemoryBudget {
-					// Spill the largest table and keep scanning.
-					victim := basics[0]
-					for _, t := range basics {
-						if t.bytes > victim.bytes {
-							victim = t
-						}
+			if opts.MemoryBudget > 0 && totalBytes > opts.MemoryBudget {
+				// Spill the largest table and keep scanning.
+				victim := basics[0]
+				for _, t := range basics {
+					if t.bytes > victim.bytes {
+						victim = t
 					}
-					n, err := victim.spill()
-					if err != nil {
-						return nil, err
-					}
-					stats.Spills++
-					stats.SpilledEntries += n
-					liveCells -= n
-					victim.live -= n
-					totalBytes -= victim.bytes
-					victim.bytes = 0
 				}
+				n, err := victim.spill()
+				if err != nil {
+					return err
+				}
+				stats.Spills++
+				stats.SpilledEntries += n
+				liveCells -= n
+				victim.live -= n
+				totalBytes -= victim.bytes
+				victim.bytes = 0
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	scanSpan.SetDone(stats.Records)
-	scanSpan.SetAttr("records", fmt.Sprint(stats.Records))
-	scanSpan.End()
 
 	// Merge spilled partial states back (external sort + merge).
 	spillSpan := orec.Start(obs.SpanSpill)
 	defer spillSpan.End()
-	var cellsFinalized int64
 	tables := make([]*core.Table, len(c.Measures))
 	// A basic that never spilled is still a key arena beside its column,
 	// which an order-insensitive roll-up of it reads front to back
@@ -348,11 +305,13 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
 				return nil, err
 			}
 			stats.Spills++
+			var sorted scan.Stats
 			var err error
-			tbl, err = t.mergeSpills(c.Schema, opts.MemoryBudget)
+			tbl, sorted, err = t.mergeSpills(c.Schema, opts.MemoryBudget)
 			if err != nil {
 				return nil, err
 			}
+			merged.Add(sorted)
 		} else {
 			tbl = core.NewTable(c.Schema, t.m.Gran)
 			// Exact-size map build from the dense arena: one growth-free
@@ -363,9 +322,10 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
 			tbl.Rows = make(map[model.Key]float64, t.tab.Len())
 			t.eachCell(func(k model.Key, v float64) { tbl.Rows[k] = v })
 		}
-		cellsFinalized += int64(len(tbl.Rows))
-		t.finalized = int64(len(tbl.Rows))
+		stats.CellsFinalized += int64(len(tbl.Rows))
+		t.ns.CellsFinalized = int64(len(tbl.Rows))
 		if !t.m.Hidden {
+			t.ns.RecordsOut = t.ns.CellsFinalized
 			if err := opts.Guard.NoteResultRows(int64(len(tbl.Rows))); err != nil {
 				return nil, err
 			}
@@ -384,11 +344,10 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
 
 	// Phase 2: composite measures in topological order (the workflow's
 	// compiled order).
-	outputs, compositeTime, err := opts.Composites(c, tables, cells)
+	outputs, err := opts.Composites(c, tables, cells, &stats)
 	if err != nil {
 		return nil, fmt.Errorf("singlescan: %w", err)
 	}
-	stats.CompositeTime = compositeTime
 
 	var peak2 int64
 	for i := range tables {
@@ -400,40 +359,17 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
 		stats.PeakBytes = peak2
 	}
 
-	// Publish the standard engine vocabulary (phase-boundary only).
-	var spilledBytes int64
-	for _, t := range basics {
-		spilledBytes += t.spillBytes
-	}
-	orec.Counter(obs.MRecordsScanned).Add(stats.Records)
-	orec.Counter(obs.MCellsCreated).Add(cellsCreated)
-	orec.Counter(obs.MCellsFinalized).Add(cellsFinalized)
-	orec.Counter(obs.MSpillEvents).Add(int64(stats.Spills))
-	orec.Counter(obs.MSpillBytes).Add(spilledBytes)
-	orec.Counter(obs.MSpilledEntries).Add(stats.SpilledEntries)
-	orec.Gauge(obs.GLiveCellsHWM).SetMax(peakLive)
-	orec.Gauge(obs.GHashBytesHWM).SetMax(stats.PeakBytes)
-	scan.PublishReadStats(orec, bsrc)
+	// Publish (phase-boundary only); the merges' sorts published theirs.
 	tabs := make([]*cellmap.Table, len(basics))
 	for i, t := range basics {
+		stats.SpillBytes += t.spillBytes
 		tabs[i] = t.tab
+		orec.MergeNodeStats(t.ns)
 	}
+	stats.Publish(orec)
 	scan.PublishCellStats(orec, tabs)
-	for _, t := range basics {
-		ns := obs.NodeStats{
-			Node:           t.m.Name,
-			RecordsIn:      t.recordsIn,
-			CellsCreated:   t.created,
-			CellsFinalized: t.finalized,
-			LiveCellsHWM:   t.liveHWM,
-		}
-		if !t.m.Hidden {
-			ns.RecordsOut = t.finalized
-		}
-		orec.MergeNodeStats(ns)
-	}
-
-	return &Result{Tables: outputs, Stats: stats}, nil
+	stats.Add(merged)
+	return &scan.Result{Tables: outputs, Stats: stats}, nil
 }
 
 // eachCell yields the table's cells in cell-id order: key and final
@@ -510,9 +446,10 @@ func mergeChunk(budget int64, width int) int {
 // mergeSpills sorts the spill file by all of its columns — (key codes,
 // generation, position), ties in file order — and restores and merges
 // the per-generation states per key straight from the sorted stream.
-func (t *table) mergeSpills(s *model.Schema, budget int64) (*core.Table, error) {
+// It returns the table and the sort's share of the run's Stats.
+func (t *table) mergeSpills(s *model.Schema, budget int64) (*core.Table, scan.Stats, error) {
 	if err := t.writer.Close(); err != nil {
-		return nil, err
+		return nil, scan.Stats{}, err
 	}
 	t.writer = nil
 	width := t.m.Codec.Width()
@@ -520,12 +457,12 @@ func (t *table) mergeSpills(s *model.Schema, budget int64) (*core.Table, error) 
 	so.ChunkRecords = mergeChunk(budget, width)
 	sorted, err := so.Sort(scan.FileInput(t.spillPath), nil, nil, nil, 1, 0, so.Recorder)
 	if err != nil {
-		return nil, fmt.Errorf("singlescan: sort spill: %w", err)
+		return nil, scan.Stats{}, fmt.Errorf("singlescan: sort spill: %w", err)
 	}
 	defer sorted.Close()
 	src, err := sorted.Open(0)
 	if err != nil {
-		return nil, fmt.Errorf("singlescan: sort spill: %w", err)
+		return nil, scan.Stats{}, fmt.Errorf("singlescan: sort spill: %w", err)
 	}
 	defer src.Close()
 
@@ -570,32 +507,32 @@ func (t *table) mergeSpills(s *model.Schema, budget int64) (*core.Table, error) 
 	for {
 		batch, err := src.NextBatch()
 		if err != nil {
-			return nil, err
+			return nil, scan.Stats{}, err
 		}
 		if batch == nil {
 			break
 		}
 		for _, row := range batch {
 			if len(row) != rowBytes {
-				return nil, fmt.Errorf("singlescan: malformed spill row: %d bytes, want %d", len(row), rowBytes)
+				return nil, scan.Stats{}, fmt.Errorf("singlescan: malformed spill row: %d bytes, want %d", len(row), rowBytes)
 			}
 			for i := range codes {
 				codes[i] = row.Dim(i)
 			}
 			k, err := t.m.Codec.FromCodesChecked(codes)
 			if err != nil {
-				return nil, fmt.Errorf("singlescan: malformed spill row: %w", err)
+				return nil, scan.Stats{}, fmt.Errorf("singlescan: malformed spill row: %w", err)
 			}
 			gen := row.Dim(width)
 			if !haveKey || k != curKey {
 				if err := flushKey(); err != nil {
-					return nil, err
+					return nil, scan.Stats{}, err
 				}
 				curKey, haveKey, lastGen = k, true, -1
 			}
 			if gen != lastGen {
 				if err := flushGen(); err != nil {
-					return nil, err
+					return nil, scan.Stats{}, err
 				}
 				lastGen = gen
 			}
@@ -606,7 +543,7 @@ func (t *table) mergeSpills(s *model.Schema, budget int64) (*core.Table, error) 
 		}
 	}
 	if err := flushKey(); err != nil {
-		return nil, err
+		return nil, scan.Stats{}, err
 	}
-	return tbl, nil
+	return tbl, sorted.EngineStats(), nil
 }

@@ -221,8 +221,8 @@ func TestPhaseTimers(t *testing.T) {
 	if res.Stats.ScanTime <= 0 {
 		t.Error("scan timer not populated")
 	}
-	if res.Stats.CompositeTime < 0 {
-		t.Error("composite timer negative")
+	if res.Stats.CombineTime < 0 {
+		t.Error("combine timer negative")
 	}
 }
 
@@ -436,7 +436,7 @@ func TestSpillFiles(t *testing.T) {
 	c := compile(t, s, func(w *core.Workflow) {
 		w.Basic("x", model.Gran{0, 1}, agg.Sum, 0)
 	})
-	run := func(fs storage.FileSystem, in scan.Input, g *qguard.Guard) (*Result, error) {
+	run := func(fs storage.FileSystem, in scan.Input, g *qguard.Guard) (*scan.Result, error) {
 		t.Helper()
 		dir := t.TempDir()
 		restore := storage.SwapFS(fs)

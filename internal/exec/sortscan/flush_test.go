@@ -212,14 +212,14 @@ func TestCombineShardsDetectsSharedRegion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := runSortedStates(c, pl, src, false, obs.New(), nil, nil)
+		e, err := runSortedStates(c, pl, src, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
 
-	res, err := combineShards(c, pl, nil, []*engine{shard(recs[:cut]), shard(recs[cut:])}, obs.New(), nil)
+	res, err := combineShards(c, nil, []*engine{shard(recs[:cut]), shard(recs[cut:])}, obs.New(), nil)
 	if err != nil {
 		t.Fatalf("disjoint shards: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestCombineShardsDetectsSharedRegion(t *testing.T) {
 	split := cut + 10
 	third := whole.Tables["perDay"].Codec.Format(
 		whole.Tables["perDay"].Codec.FromBase(recs[cut].Dims))
-	_, err = combineShards(c, pl, nil, []*engine{shard(recs[:split]), shard(recs[split:])}, obs.New(), nil)
+	_, err = combineShards(c, nil, []*engine{shard(recs[:split]), shard(recs[split:])}, obs.New(), nil)
 	if err == nil {
 		t.Fatal("a region produced by two shards combined without error")
 	}

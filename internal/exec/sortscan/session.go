@@ -2,6 +2,7 @@ package sortscan
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"awra/internal/core"
@@ -101,20 +102,8 @@ func (s *Session) Push(rec *model.Record) error {
 	if s.rowBuf == nil {
 		s.rowBuf = make([]byte, 8*(e.numDims+e.numMeasures))
 	}
-	row := scan.EncodeRow(s.rowBuf, rec)
-	e.computeCodes(row)
-	for _, n := range s.basics {
-		e.scanRecord(n, row)
-	}
-	for _, n := range s.basics {
-		if n.arcs[0].advancedCoarse {
-			n.arcs[0].advancedCoarse = false
-			if err := e.finalizeNode(n, false); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	rows := [1]scan.Record{scan.EncodeRow(s.rowBuf, rec)}
+	return e.scanRows(s.basics, nil, rows[:])
 }
 
 // Records reports how many records have been pushed.
@@ -125,11 +114,12 @@ func (s *Session) Records() int64 { return s.e.stats.Records }
 func (s *Session) LiveCells() int64 { return s.e.live }
 
 // Close flushes every remaining cell and returns the complete result.
-func (s *Session) Close() (*Result, error) {
+func (s *Session) Close() (*scan.Result, error) {
 	if s.closed {
 		return nil, fmt.Errorf("sortscan: session closed twice")
 	}
 	s.closed = true
+	defer s.span.End()
 	for _, n := range s.e.nodes {
 		if err := s.e.finalizeNode(n, true); err != nil {
 			return nil, err
@@ -158,6 +148,7 @@ func newEngine(c *core.Compiled, pl *plan.Plan, noEarlyFlush bool, rec *obs.Reco
 			lastCellIdx: -1,
 			baseArc:     -1,
 			out:         core.NewTable(c.Schema, m.Gran),
+			ns:          obs.NodeStats{Node: m.Name, EstCells: pl.Nodes[i].EstCells},
 		}
 		n.srcArc = make([]int, len(m.Sources))
 		for _, a := range pl.Nodes[i].Arcs {
@@ -176,7 +167,7 @@ func newEngine(c *core.Compiled, pl *plan.Plan, noEarlyFlush bool, rec *obs.Reco
 				n.srcArc[si] = ai
 				ai++
 			}
-			if m.Base >= 0 && !containsIdx(m.Sources, m.Base) {
+			if m.Base >= 0 && !slices.Contains(m.Sources, m.Base) {
 				n.baseArc = ai
 			}
 		}
@@ -201,7 +192,7 @@ func newEngine(c *core.Compiled, pl *plan.Plan, noEarlyFlush bool, rec *obs.Reco
 		for si, src := range m.Sources {
 			e.nodes[src].deps = append(e.nodes[src].deps, depEdge{node: i, role: si})
 		}
-		if m.Base >= 0 && !containsIdx(m.Sources, m.Base) {
+		if m.Base >= 0 && !slices.Contains(m.Sources, m.Base) {
 			e.nodes[m.Base].deps = append(e.nodes[m.Base].deps, depEdge{node: i, role: -1})
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"awra/internal/core"
 	"awra/internal/exec/cellmap"
@@ -17,22 +18,11 @@ import (
 	"awra/internal/qguard"
 )
 
-// ShardedOptions configures RunSharded: a sort/scan run's options,
-// whose sort key's leading part is the shard unit. The guard's
-// live-cell budget is divided across shards; ChunkRecords counts all of
-// them. The recorder gets a "split" span for the one routing read, one
-// "shard" span subtree per worker, a "combine" span, and shards_planned
-// and shard_skew_ratio beside the standard engine metrics.
-type ShardedOptions struct {
-	Options
-	// Shards is the worker count (1 or less runs Run).
-	Shards int
-}
-
 // RunSharded evaluates the workflow with partitioned parallelism over
-// the sort order itself. The input is read once; the sort routes each
-// row to one of Shards parts by column 0 of the keys it encodes anyway
-// — the leading part of the sort key, so each shard owns whole prefix
+// the sort order itself, on opts.Workers shards (1 or less runs Run).
+// The input is read once; the sort routes each row to one of the parts
+// by column 0 of the keys it encodes anyway — the leading part of the
+// sort key, the shard unit, so each shard owns whole prefix
 // groups, balanced greedily by record count (scan.SortByKey). Every
 // worker then index-sorts its own rows over the shared key columns and
 // scans them with an independent one-pass engine on its own goroutine,
@@ -41,9 +31,15 @@ type ShardedOptions struct {
 // e.g. COUNT DISTINCT set union) for measures whose regions span them.
 // Requires a shardable workflow; see opt.ShardPrefix for the exact
 // condition.
-func RunSharded(c *core.Compiled, in scan.Input, opts ShardedOptions) (*Result, error) {
-	if opts.Shards <= 1 {
-		return Run(c, in, opts.Options)
+//
+// The guard's live-cell budget is divided across shards; ChunkRecords
+// counts all of them. The recorder gets a "split" span for the one
+// routing read, one "shard" span subtree per worker, a "combine" span,
+// and shards_planned and shard_skew_ratio beside the engine vocabulary.
+// The run's high-water marks are its largest worker's.
+func RunSharded(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
+	if opts.Workers <= 1 {
+		return Run(c, in, opts)
 	}
 	opts.EngineOptions = opts.WithDefaults()
 	rec := opts.Recorder
@@ -56,7 +52,7 @@ func RunSharded(c *core.Compiled, in scan.Input, opts ShardedOptions) (*Result, 
 		return nil, fmt.Errorf("sortscan: %w", err)
 	}
 	guard := opts.Guard
-	shards := opts.Shards
+	shards := opts.Workers
 	rec.Counter(obs.MShardsPlanned).Add(int64(shards))
 
 	// Split: the sort's load phase. One read fills the row arena and the
@@ -68,7 +64,6 @@ func RunSharded(c *core.Compiled, in scan.Input, opts ShardedOptions) (*Result, 
 		return nil, err
 	}
 	defer sorted.Close()
-	rec.Counter(obs.MFactScans).Add(1)
 	total := sorted.Stats().Records
 	var maxShard int64
 	for i := 0; i < shards; i++ {
@@ -123,8 +118,9 @@ func RunSharded(c *core.Compiled, in scan.Input, opts ShardedOptions) (*Result, 
 					errs[i] = fmt.Errorf("sortscan: shard %d panic: %v", i, r)
 				}
 			}()
-			srec := rec.At(sSpan)
-			sortSpan := srec.Start(obs.SpanSort)
+			wo := opts
+			wo.Recorder, wo.Guard = rec.At(sSpan), sg
+			sortSpan := wo.Recorder.Start(obs.SpanSort)
 			src, err := sorted.Open(i)
 			sortSpan.SetAttr("runs", fmt.Sprint(sorted.Runs(i)))
 			sortSpan.End()
@@ -133,12 +129,11 @@ func RunSharded(c *core.Compiled, in scan.Input, opts ShardedOptions) (*Result, 
 				return
 			}
 			defer src.Close()
-			e, err := runSortedStates(c, pl, src, opts.DisableEarlyFlush, srec, sg, stateIdx)
+			e, err := runSortedStates(c, pl, src, wo, stateIdx)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			e.stats.SortRuns = sorted.Runs(i)
 			e.stats.SortTime = sortSpan.Duration()
 			engines[i] = e
 		}(i, sSpan)
@@ -151,11 +146,14 @@ func RunSharded(c *core.Compiled, in scan.Input, opts ShardedOptions) (*Result, 
 	}
 	combSpan := rec.Start(obs.SpanCombine)
 	defer combSpan.End()
-	out, err := combineShards(c, pl, sp.Merge, engines, rec, guard)
+	out, err := combineShards(c, sp.Merge, engines, rec, guard)
 	if err != nil {
 		return nil, err
 	}
+	combSpan.End()
 	out.Stats.SortTime += splitSpan.Duration()
+	out.Stats.CombineTime = combSpan.Duration()
+	out.Stats.Add(sorted.EngineStats())
 	return out, nil
 }
 
@@ -166,18 +164,19 @@ func RunSharded(c *core.Compiled, in scan.Input, opts ShardedOptions) (*Result, 
 // many goroutines as there were workers — and the spanning measures
 // (merge, by measure index), whose cells the workers left unfinalized,
 // merge per region through their aggregate columns and finalize here.
-// Its times are the slowest worker's: the workers ran side by side.
-func combineShards(c *core.Compiled, pl *plan.Plan, merge []int, engines []*engine, rec *obs.Recorder, guard *qguard.Guard) (*Result, error) {
-	out := &Result{Tables: make(map[string]*core.Table), Plan: pl}
+// The workers' stats fold as the recorder folds them, except that the
+// times are the slowest worker's: the workers ran side by side. It
+// publishes its own counts: the one fact scan and the merged cells.
+func combineShards(c *core.Compiled, merge []int, engines []*engine, rec *obs.Recorder, guard *qguard.Guard) (*scan.Result, error) {
+	out := &scan.Result{Tables: make(map[string]*core.Table)}
+	own := scan.Stats{FactScans: 1}
+	var sortTime, scanTime time.Duration
 	for _, e := range engines {
-		out.Stats.Records += e.stats.Records
-		out.Stats.SortRuns += e.stats.SortRuns
-		out.Stats.PeakCells += e.stats.PeakCells
-		out.Stats.PeakBytes += e.stats.PeakBytes
-		out.Stats.FlushBatches += e.stats.FlushBatches
-		out.Stats.SortTime = max(out.Stats.SortTime, e.stats.SortTime)
-		out.Stats.ScanTime = max(out.Stats.ScanTime, e.stats.ScanTime)
+		out.Stats.Add(e.stats)
+		sortTime = max(sortTime, e.stats.SortTime)
+		scanTime = max(scanTime, e.stats.ScanTime)
 	}
+	out.Stats.SortTime, out.Stats.ScanTime = sortTime, scanTime
 	merged := make([]bool, len(c.Measures))
 	for _, mi := range merge {
 		merged[mi] = true
@@ -268,7 +267,7 @@ func combineShards(c *core.Compiled, pl *plan.Plan, merge []int, engines []*engi
 			}
 		}
 		cells := tab.Len()
-		rec.Counter(obs.MCellsFinalized).Add(int64(cells))
+		own.CellsFinalized += int64(cells)
 		ns := obs.NodeStats{Node: m.Name, CellsFinalized: int64(cells)}
 		if !m.Hidden {
 			ns.RecordsOut = int64(cells)
@@ -287,6 +286,8 @@ func combineShards(c *core.Compiled, pl *plan.Plan, merge []int, engines []*engi
 			return nil, err
 		}
 	}
+	own.Publish(rec)
+	out.Stats.Add(own)
 	return out, nil
 }
 

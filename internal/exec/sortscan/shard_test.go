@@ -22,13 +22,8 @@ func q1Run(tb testing.TB, rows int64, shards int) func() {
 	}
 	c := q1Workflow(tb, synth)
 	return func() {
-		opts := Options{EngineOptions: scan.EngineOptions{TempDir: dir}, SortKey: q1SortKey}
-		if shards == 0 {
-			_, err = Run(c, scan.FileInput(fact), opts)
-		} else {
-			_, err = RunSharded(c, scan.FileInput(fact), ShardedOptions{Options: opts, Shards: shards})
-		}
-		if err != nil {
+		opts := Options{EngineOptions: scan.EngineOptions{TempDir: dir}, SortKey: q1SortKey, Workers: shards}
+		if _, err = RunSharded(c, scan.FileInput(fact), opts); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -31,7 +31,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"awra/internal/agg"
 	"awra/internal/core"
@@ -56,33 +55,13 @@ type Options struct {
 	// the scan, so everything flushes only at the end (ablation knob:
 	// it isolates the memory benefit of the paper's early flushing).
 	DisableEarlyFlush bool
-	// SortWorkers, when above 1, sorts and writes run files on that many
-	// goroutines during the sort phase. RunSharded sorts on its shards'
-	// workers instead.
-	SortWorkers int
+	// Workers is the shard count of RunSharded, and the goroutines Run's
+	// sort writes run files on; 1 or less is serial.
+	Workers int
 }
 
-// Stats reports a run's cost breakdown — the data behind the paper's
-// Figure 6(e) sort-vs-scan comparison — and memory behaviour. It is a
-// fixed-shape view over the measurements the run's obs.Recorder
-// exports: the timing fields are span durations and the remaining
-// fields mirror the standard metric names.
-type Stats struct {
-	Records      int64
-	SortTime     time.Duration
-	ScanTime     time.Duration
-	SortRuns     int
-	PeakCells    int64 // max simultaneously live hash entries, all nodes
-	PeakBytes    int64 // estimated bytes at that moment
-	FlushBatches int64
-}
-
-// Result holds the computed measure tables (outputs only) and stats.
-type Result struct {
-	Tables map[string]*core.Table
-	Stats  Stats
-	Plan   *plan.Plan
-}
+// scanStride is how many rows the scan takes between guard checks.
+const scanStride = 256
 
 // arcState tracks one incoming stream's watermark as a vector of
 // shifted comparable-key codes (compared lexicographically, which is
@@ -173,22 +152,16 @@ type node struct {
 	// dependents: (node index, role) pairs in node order; role is the
 	// source position, or -1 for base.
 	deps []depEdge
-	// Per-node tallies (plain fields, published at end of run): the
-	// node-level breakdown of the engine's global counters.
-	nRecordsIn  int64 // fact records or upstream entries delivered
-	nRecordsOut int64 // rows emitted into the output table
-	nCreated    int64 // cells created
-	nFinalized  int64 // cells flushed
-	nFlushes    int64 // flush batches
-	nLive       int64 // currently live cells
-	nLiveHWM    int64 // peak live cells
+	// ns holds the node's tallies (plain fields, published at end of
+	// run): the node-level breakdown of the engine's counts. live is its
+	// currently live cells.
+	ns   obs.NodeStats
+	live int64
 }
 
 func (n *node) noteLive(delta int64) {
-	n.nLive += delta
-	if n.nLive > n.nLiveHWM {
-		n.nLiveHWM = n.nLive
-	}
+	n.live += delta
+	n.ns.LiveCellsHWM = max(n.ns.LiveCellsHWM, n.live)
 }
 
 // logChunk is one flush batch's emitted rows: the batch's keys, in
@@ -317,10 +290,12 @@ type depEdge struct {
 }
 
 type engine struct {
-	c            *core.Compiled
-	pl           *plan.Plan
-	nodes        []*node
-	stats        Stats
+	c     *core.Compiled
+	pl    *plan.Plan
+	nodes []*node
+	// stats holds the run's tallies in plain fields (the scan loop never
+	// touches the recorder); publish() flushes them at end of run.
+	stats        scan.Stats
 	live         int64
 	noEarlyFlush bool
 	emit         EmitFunc
@@ -358,45 +333,20 @@ type engine struct {
 	order      []int32  // emission order: a permutation of batch rows
 	flushKeys  []byte   // the batch's keys in emission order
 	sorter     scan.IdxSorter
-	// Per-record tallies stay in plain fields (the scan loop never
-	// touches the recorder); publish() flushes them at end of run.
-	created   int64 // cells created
-	finalized int64 // cells flushed
-	wmAdv     int64 // watermark advances across all arcs
 }
 
-// publish flushes the engine's tallies into its recorder under the
-// standard metric names, plus one NodeStats per measure node (the
-// per-operator breakdown behind EXPLAIN ANALYZE). It also registers
-// the spill metrics so every engine exports the same vocabulary even
-// when nothing spilled.
+// publish flushes the engine's stats into its recorder, plus one
+// NodeStats per measure node (the per-operator breakdown behind EXPLAIN
+// ANALYZE).
 func (e *engine) publish() {
-	rec := e.rec
-	rec.Counter(obs.MRecordsScanned).Add(e.stats.Records)
-	rec.Counter(obs.MCellsCreated).Add(e.created)
-	rec.Counter(obs.MCellsFinalized).Add(e.finalized)
-	rec.Counter(obs.MFlushBatches).Add(e.stats.FlushBatches)
-	rec.Counter(obs.MWatermarkAdvances).Add(e.wmAdv)
-	rec.Counter(obs.MSpillEvents)
-	rec.Counter(obs.MSpillBytes)
-	rec.Gauge(obs.GLiveCellsHWM).SetMax(e.stats.PeakCells)
-	rec.Gauge(obs.GHashBytesHWM).SetMax(e.stats.PeakBytes)
+	e.stats.Publish(e.rec)
 	tabs := make([]*cellmap.Table, len(e.nodes))
 	for i, n := range e.nodes {
 		tabs[i] = n.tab
 	}
-	scan.PublishCellStats(rec, tabs)
+	scan.PublishCellStats(e.rec, tabs)
 	for _, n := range e.nodes {
-		ns := obs.NodeStats{
-			Node:           n.m.Name,
-			RecordsIn:      n.nRecordsIn,
-			RecordsOut:     n.nRecordsOut,
-			CellsCreated:   n.nCreated,
-			CellsFinalized: n.nFinalized,
-			FlushBatches:   n.nFlushes,
-			LiveCellsHWM:   n.nLiveHWM,
-			EstCells:       n.pl.EstCells,
-		}
+		ns := n.ns
 		for i := range n.arcs {
 			a := &n.arcs[i]
 			ns.Arcs = append(ns.Arcs, obs.ArcStats{
@@ -405,42 +355,30 @@ func (e *engine) publish() {
 				HeldBack: a.heldBack,
 			})
 		}
-		rec.MergeNodeStats(ns)
+		e.rec.MergeNodeStats(ns)
 	}
 }
 
 // Run sorts the input by the sort key and evaluates the workflow in
 // one streaming pass. The sort hands its rows over as a stream
 // (scan.SortByKey): no sorted copy of the input is written.
-func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
+func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 	opts.EngineOptions = opts.WithDefaults()
-	rec := opts.Recorder
 	pl, err := plan.Build(c, opts.SortKey, opts.Stats)
 	if err != nil {
 		return nil, err
 	}
-	sortSpan := rec.Start(obs.SpanSort)
-	defer sortSpan.End()
-	sortSpan.SetAttr("key", pl.SortKey.String(c.Schema))
-	sorted, err := opts.Sort(in, c.Schema, pl.SortKey, nil, 1, opts.SortWorkers, rec.At(sortSpan))
-	if err != nil {
-		return nil, fmt.Errorf("sortscan: sort: %w", err)
-	}
-	defer sorted.Close()
-	src, err := sorted.Open(0)
+	src, sorted, err := opts.SortStream(in, c.Schema, pl.SortKey, nil, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("sortscan: sort: %w", err)
 	}
 	defer src.Close()
-	sortSpan.SetAttr("runs", fmt.Sprint(sorted.Stats().Runs))
-	sortSpan.End()
-	e, err := runSortedStates(c, pl, src, opts.DisableEarlyFlush, rec, opts.Guard, nil)
+	e, err := runSortedStates(c, pl, src, opts, nil)
 	if err != nil {
 		return nil, err
 	}
 	res := e.result()
-	res.Stats.SortTime = sortSpan.Duration()
-	res.Stats.SortRuns = sorted.Stats().Runs
+	res.Stats.Add(sorted)
 	return res, nil
 }
 
@@ -453,77 +391,31 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
 // cells stay live through the whole scan and are left in the node's key
 // arena and aggregate column for a cross-shard merge by the sharded
 // driver. All other nodes flush normally.
-func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, disableEarlyFlush bool, obsRec *obs.Recorder, guard *qguard.Guard, stateIdx []bool) (*engine, error) {
-	e := newEngine(c, pl, disableEarlyFlush, obsRec)
-	e.guard = guard
+func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, opts Options, stateIdx []bool) (*engine, error) {
+	e := newEngine(c, pl, opts.DisableEarlyFlush, opts.Recorder)
+	e.guard = opts.Guard
 	// A node whose cell keys are provably contiguous in the scan never
 	// revisits a retired key: a changed key is always new, so its table
 	// skips hash probes entirely (cellmap.Append).
-	for _, n := range e.nodes {
-		if n.m.Kind == core.KindBasic && contiguousCells(c.Schema, pl.SortKey, n.m.Gran) {
-			n.appendOnly = true
-		}
-	}
-	scanSpan := obsRec.Start(obs.SpanScan)
-	scanSpan.SetTotal(src.Header().Count)
 	var basics []*node
 	for _, n := range e.nodes {
 		if n.m.Kind == core.KindBasic {
 			basics = append(basics, n)
+			n.appendOnly = contiguousCells(c.Schema, pl.SortKey, n.m.Gran)
 		}
 	}
-	for {
-		batch, err := src.NextBatch()
-		if err != nil {
-			return nil, fmt.Errorf("sortscan: %w", err)
-		}
-		if batch == nil {
-			break
-		}
-		// Cooperative cancellation + live-cell guardrail, once per
-		// batch, plus a cheap in-batch stride so budgets still trip
-		// promptly when a whole input fits in one batch. The stride
-		// test is a bitmask branch; the guard itself is off the
-		// per-row path.
-		scanSpan.SetDone(e.stats.Records)
-		if err := e.checkGuard(); err != nil {
-			return nil, err
-		}
-		for _, row := range batch {
-			e.stats.Records++
-			if e.stats.Records&255 == 0 {
-				if err := e.checkGuard(); err != nil {
-					return nil, err
-				}
-			}
-			e.computeCodes(row)
-			for _, n := range basics {
-				e.scanRecord(n, row)
-			}
-			if e.noEarlyFlush {
-				continue
-			}
-			for _, n := range basics {
-				if n.arcs[0].advancedCoarse {
-					n.arcs[0].advancedCoarse = false
-					if stateIdx != nil && stateIdx[n.idx] {
-						continue
-					}
-					if err := e.finalizeNode(n, false); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
+	records, scanTime, err := opts.ScanPhase(src, scanStride, func() int64 { return e.live }, func(rows []scan.Record) error {
+		return e.scanRows(basics, stateIdx, rows)
+	})
+	e.stats.Records = records
+	if err != nil {
+		return nil, err
 	}
-	scanSpan.SetDone(e.stats.Records)
-	scanSpan.SetAttr("records", fmt.Sprint(e.stats.Records))
-	scanSpan.End()
-	scan.PublishReadStats(obsRec, src)
 	// End of scan: flush everything in topological order (Table 7's
 	// final "flush the hash tables of all measures"), except the
 	// state-extraction nodes, whose cells are handed back unmerged.
-	finSpan := obsRec.Start(obs.SpanFinalize)
+	finSpan := opts.Recorder.Start(obs.SpanFinalize)
+	defer finSpan.End()
 	for _, n := range e.nodes {
 		if stateIdx != nil && stateIdx[n.idx] {
 			continue
@@ -533,30 +425,48 @@ func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, disa
 		}
 	}
 	finSpan.End()
-	e.stats.ScanTime = scanSpan.Duration() + finSpan.Duration()
+	e.stats.ScanTime = scanTime + finSpan.Duration()
 	e.publish()
 	return e, nil
 }
 
+// scanRows feeds sorted fact rows through the basic nodes, finalizing a
+// node whenever its fact watermark advances coarsely — unless early
+// flushing is off or the node is marked in stateIdx.
+func (e *engine) scanRows(basics []*node, stateIdx []bool, rows []scan.Record) error {
+	for _, row := range rows {
+		e.computeCodes(row)
+		for _, n := range basics {
+			e.scanRecord(n, row)
+		}
+		if e.noEarlyFlush {
+			continue
+		}
+		for _, n := range basics {
+			if n.arcs[0].advancedCoarse {
+				n.arcs[0].advancedCoarse = false
+				if stateIdx != nil && stateIdx[n.idx] {
+					continue
+				}
+				if err := e.finalizeNode(n, false); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // result materializes the output measures' emission logs into the
 // run's public tables.
-func (e *engine) result() *Result {
-	res := &Result{Tables: make(map[string]*core.Table), Stats: e.stats, Plan: e.pl}
+func (e *engine) result() *scan.Result {
+	res := &scan.Result{Tables: make(map[string]*core.Table), Stats: e.stats}
 	for _, name := range e.c.Outputs() {
 		i, _ := e.c.Index(name)
 		e.nodes[i].materialize()
 		res.Tables[name] = e.nodes[i].out
 	}
 	return res
-}
-
-func containsIdx(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // registerCode interns one (dimension, level) mapping in the engine's
@@ -593,7 +503,7 @@ func (e *engine) computeCodes(row scan.Record) {
 func (e *engine) scanRecord(n *node, row scan.Record) {
 	m := n.m
 	arc := &n.arcs[0]
-	n.nRecordsIn++
+	n.ns.RecordsIn++
 
 	// Watermark first: it must advance even for filtered-out records.
 	// computeCodes already flagged which shared codes changed since the
@@ -614,7 +524,7 @@ func (e *engine) scanRecord(n *node, row scan.Record) {
 		arc.seen = true
 		arc.advanced = true
 		arc.advances++
-		e.wmAdv++
+		e.stats.WatermarkAdvances++
 	}
 
 	// cellDirty accumulates cell-code changes across records so the
@@ -676,9 +586,9 @@ func (e *engine) addCell(n *node) {
 		n.vals = append(n.vals, make([]float64, srcs)...)
 		n.present = append(n.present, make([]bool, srcs)...)
 	}
-	e.created++
+	e.stats.CellsCreated++
 	e.noteLive(1)
-	n.nCreated++
+	n.ns.CellsCreated++
 	n.noteLive(1)
 }
 
@@ -829,12 +739,12 @@ func (e *engine) finalizeNode(n *node, flush bool) error {
 	if retired == 0 {
 		return nil // table untouched; the cell cache stays valid
 	}
-	e.finalized += retired
+	e.stats.CellsFinalized += retired
 	e.noteLive(-retired)
-	n.nFinalized += retired
+	n.ns.CellsFinalized += retired
 	n.noteLive(-retired)
 	e.stats.FlushBatches++
-	n.nFlushes++
+	n.ns.FlushBatches++
 
 	// Emission order is (output-order projection, key): sort a
 	// permutation of the batch rows by their columns, write the keys out
@@ -871,7 +781,7 @@ func (e *engine) finalizeNode(n *node, flush bool) error {
 	// Record output rows and propagate as an update stream.
 	if !n.m.Hidden {
 		n.log = append(n.log, logChunk{keys: batchKeys, vals: vals})
-		n.nRecordsOut += int64(rows)
+		n.ns.RecordsOut += int64(rows)
 		if err := e.guard.NoteResultRows(int64(rows)); err != nil {
 			return err
 		}
@@ -1022,7 +932,7 @@ func (e *engine) deliver(n *node, role int, src *node, key model.Key, value floa
 		arcIdx = n.srcArc[role]
 	}
 	arc := &n.arcs[arcIdx]
-	n.nRecordsIn++
+	n.ns.RecordsIn++
 	moved := !arc.seen
 	for j := range arc.srcParts {
 		if c := partCode(&arc.srcParts[j], key) - arc.pl.Shift[j]; c != arc.th[j] {
@@ -1034,7 +944,7 @@ func (e *engine) deliver(n *node, role int, src *node, key model.Key, value floa
 		arc.seen = true
 		arc.advanced = true
 		arc.advances++
-		e.wmAdv++
+		e.stats.WatermarkAdvances++
 	}
 
 	// baseRole: this delivery provides cells. It is the dedicated base

@@ -75,7 +75,7 @@ func mem(t testing.TB, s *model.Schema, recs []model.Record) scan.Input {
 }
 
 // run evaluates c over in-memory records sorted by key.
-func run(t *testing.T, c *core.Compiled, recs []model.Record, key model.SortKey) *Result {
+func run(t *testing.T, c *core.Compiled, recs []model.Record, key model.SortKey) *scan.Result {
 	t.Helper()
 	res, err := Run(c, mem(t, c.Schema, recs), Options{SortKey: key})
 	if err != nil {

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"time"
 
 	"awra/internal/agg"
 	"awra/internal/core"
@@ -41,22 +40,6 @@ import (
 // spool.
 type Options = scan.EngineOptions
 
-// Stats reports what the baseline did.
-type Stats struct {
-	FactScans   int // end-to-end reads of the fact records
-	Sorts       int // external sorts (fact or intermediate)
-	Materials   int // operator results spooled to disk
-	RowsSpooled int64
-	SortTime    time.Duration
-	TotalTime   time.Duration
-}
-
-// Result holds the computed tables, keyed by output measure name.
-type Result struct {
-	Tables map[string]*core.Table
-	Stats  Stats
-}
-
 // rel is a spooled relation: a record file of full-length granularity
 // codes plus the single measure column M.
 type rel struct {
@@ -66,32 +49,31 @@ type rel struct {
 }
 
 type evaluator struct {
-	c     *core.Compiled
-	fact  scan.Input
+	c    *core.Compiled
+	fact scan.Input
+	// opts.Recorder is the current measure's recorder view.
 	opts  Options
-	stats *Stats
 	temps []string
-	// rec is the current measure's recorder view; scanned/finalized
-	// accumulate across operators and publish at end of run.
-	rec       *obs.Recorder
-	scanned   int64
-	finalized int64
+	// own accumulates the run's counts across operators and publishes at
+	// end of run: fact scans, spools (spill events), group-scan records
+	// and cells, and the largest join hash. sorted holds the sorts'
+	// share, which they published themselves.
+	own, sorted scan.Stats
 }
 
 // Run evaluates every output measure of the workflow independently.
-func Run(c *core.Compiled, in scan.Input, opts Options) (*Result, error) {
+func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 	return RunMeasures(c, in, c.Outputs(), opts)
 }
 
 // RunMeasures evaluates only the named measures, one independent
 // query each. Benchmarks use it to compare engines on the final
 // measure of a workflow, matching the paper's single-query SQL runs.
-func RunMeasures(c *core.Compiled, in scan.Input, names []string, opts Options) (*Result, error) {
+func RunMeasures(c *core.Compiled, in scan.Input, names []string, opts Options) (*scan.Result, error) {
 	opts = opts.WithDefaults()
 	orec := opts.Recorder
-	start := time.Now()
-	res := &Result{Tables: make(map[string]*core.Table)}
-	ev := &evaluator{c: c, fact: in, opts: opts, stats: &res.Stats}
+	res := &scan.Result{Tables: make(map[string]*core.Table)}
+	ev := &evaluator{c: c, fact: in, opts: opts}
 	defer ev.cleanup()
 	for _, name := range names {
 		if err := opts.Guard.Err(); err != nil {
@@ -99,50 +81,46 @@ func RunMeasures(c *core.Compiled, in scan.Input, names []string, opts Options) 
 		}
 		mSpan := orec.Start(obs.SpanMeasure)
 		mSpan.SetAttr("measure", name)
-		fail := func(err error) (*Result, error) {
-			mSpan.End()
+		ev.opts.Recorder = orec.At(mSpan)
+		pre := ev.own
+		tbl, err := ev.measure(name)
+		mSpan.End()
+		if err != nil {
 			return nil, err
 		}
-		ev.rec = orec.At(mSpan)
-		preScanned, preFinalized := ev.scanned, ev.finalized
-		e, err := core.Translate(c, name)
-		if err != nil {
-			return fail(fmt.Errorf("relbaseline: %w", err))
-		}
-		r, err := ev.eval(e)
-		if err != nil {
-			return fail(fmt.Errorf("relbaseline: measure %q: %w", name, err))
-		}
-		tbl, err := ev.load(r)
-		if err != nil {
-			return fail(fmt.Errorf("relbaseline: measure %q: %w", name, err))
-		}
-		if err := opts.Guard.NoteResultRows(int64(len(tbl.Rows))); err != nil {
-			return fail(err)
-		}
 		res.Tables[name] = tbl
-		mSpan.End()
 		// Per-node actuals: everything this measure's operator tree did.
+		cells := ev.own.CellsFinalized - pre.CellsFinalized
 		orec.MergeNodeStats(obs.NodeStats{
 			Node:           name,
-			RecordsIn:      ev.scanned - preScanned,
+			RecordsIn:      ev.own.Records - pre.Records,
 			RecordsOut:     int64(len(tbl.Rows)),
-			CellsCreated:   ev.finalized - preFinalized,
-			CellsFinalized: ev.finalized - preFinalized,
+			CellsCreated:   cells,
+			CellsFinalized: cells,
 		})
 	}
-	res.Stats.TotalTime = time.Since(start)
-	orec.Counter(obs.MRecordsScanned).Add(ev.scanned)
-	orec.Counter(obs.MCellsCreated).Add(ev.finalized) // one pass per cell: created == finalized
-	orec.Counter(obs.MCellsFinalized).Add(ev.finalized)
-	orec.Counter(obs.MFactScans).Add(int64(res.Stats.FactScans))
-	orec.Counter(obs.MSpillBytes).Add(res.Stats.RowsSpooled * int64(8*(c.Schema.NumDims()+1)))
-	orec.Counter(obs.MSpillEvents).Add(int64(res.Stats.Materials))
-	// Registered for vocabulary parity: no live frontier here, and the
-	// hash gauge only moves when a measure query joins a dimension map.
-	orec.Gauge(obs.GLiveCellsHWM)
-	orec.Gauge(obs.GHashBytesHWM)
+	ev.own.CellsCreated = ev.own.CellsFinalized // one pass per cell: created == finalized
+	ev.own.Publish(orec)
+	res.Stats = ev.own
+	res.Stats.Add(ev.sorted)
 	return res, nil
+}
+
+// measure evaluates one output measure as its own query.
+func (ev *evaluator) measure(name string) (*core.Table, error) {
+	e, err := core.Translate(ev.c, name)
+	if err != nil {
+		return nil, fmt.Errorf("relbaseline: %w", err)
+	}
+	r, err := ev.eval(e)
+	if err != nil {
+		return nil, fmt.Errorf("relbaseline: measure %q: %w", name, err)
+	}
+	tbl, err := ev.load(r)
+	if err != nil {
+		return nil, fmt.Errorf("relbaseline: measure %q: %w", name, err)
+	}
+	return tbl, ev.opts.Guard.NoteResultRows(int64(len(tbl.Rows)))
 }
 
 func (ev *evaluator) cleanup() {
@@ -163,13 +141,14 @@ func (ev *evaluator) spool(tag string, measures int, fill func(w *storage.Writer
 	if err != nil {
 		return "", err
 	}
-	ev.stats.Materials++
+	ev.own.Spills++
 	if err := fill(w); err != nil {
 		w.Close()
 		return "", err
 	}
-	ev.stats.RowsSpooled += w.Count()
-	if err := ev.opts.Guard.NoteSpill(w.Count() * int64(8*(nd+measures))); err != nil {
+	bytes := w.Count() * int64(8*(nd+measures))
+	ev.own.SpillBytes += bytes
+	if err := ev.opts.Guard.NoteSpill(bytes); err != nil {
 		w.Close()
 		return "", err
 	}
@@ -223,7 +202,7 @@ func (ev *evaluator) loadMap(r *rel) (map[model.Key]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev.rec.Gauge(obs.GHashBytesHWM).SetMax(int64(len(tbl.Rows)) * int64(tbl.Codec.KeyBytes()+24))
+	ev.own.PeakBytes = max(ev.own.PeakBytes, int64(len(tbl.Rows))*int64(tbl.Codec.KeyBytes()+24))
 	return tbl.Rows, nil
 }
 
@@ -252,7 +231,7 @@ func (ev *evaluator) evalFact(e *core.Expr) (scan.Input, error) {
 	if err != nil {
 		return scan.Input{}, err
 	}
-	ev.stats.FactScans++
+	ev.own.FactScans++
 	path, err := ev.selectInto(in, ev.c.Schema.NumMeasures(), e.Pred)
 	return scan.FileInput(path), err
 }
@@ -268,6 +247,9 @@ func (ev *evaluator) selectInto(in scan.Input, measures int, pred core.Predicate
 		})
 	})
 }
+
+// groupStride is how many rows a group scan takes between guard checks.
+const groupStride = 256
 
 // evalAgg is the GROUP BY of Table 2: external sort by the group key,
 // then a group scan of the sorted stream, spooled to disk. The sort
@@ -304,29 +286,16 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 			key = append(key, model.SortPart{Dim: d, Lvl: gran[d]})
 		}
 	}
-	t0 := time.Now()
-	sortSpan := ev.rec.Start(obs.SpanSort)
-	defer sortSpan.End()
-	sorted, err := ev.opts.Sort(in, sch, key, srcGran, 1, 0, ev.rec.At(sortSpan))
-	if err != nil {
-		return nil, err
-	}
-	defer sorted.Close()
-	src, err := sorted.Open(0)
+	src, sorted, err := ev.opts.SortStream(in, sch, key, srcGran, 0)
 	if err != nil {
 		return nil, err
 	}
 	defer src.Close()
-	sortSpan.End()
-	ev.stats.SortTime += time.Since(t0)
-	ev.stats.Sorts++
+	ev.sorted.Add(sorted)
 	if inIsFact {
-		ev.stats.FactScans++
+		ev.own.FactScans++
 	}
 
-	scanSpan := ev.rec.Start(obs.SpanScan)
-	scanSpan.SetTotal(src.Header().Count)
-	defer scanSpan.End()
 	// groupCodes maps a row to its group codes at the target granularity.
 	from := srcGran
 	if from == nil {
@@ -342,7 +311,6 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 		curKey  []int64
 		curAgg  agg.Aggregator
 		haveKey bool
-		seen    int64
 	)
 	outRec := model.Record{Dims: make([]int64, nd), Ms: make([]float64, 1)}
 	outPath, err := ev.spool("agg", 1, func(w *storage.Writer) error {
@@ -354,19 +322,8 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 			outRec.Ms[0] = curAgg.Final()
 			return w.Write(&outRec)
 		}
-		for {
-			batch, err := src.NextBatch()
-			if err != nil {
-				return err
-			}
-			if batch == nil {
-				break
-			}
-			for _, row := range batch {
-				seen++
-				if seen&255 == 0 {
-					scanSpan.SetDone(seen)
-				}
+		seen, scanTime, err := ev.opts.ScanPhase(src, groupStride, nil, func(rows []scan.Record) error {
+			for _, row := range rows {
 				groupCodes(row)
 				if !haveKey || !slices.Equal(ga, curKey) {
 					if err := flush(); err != nil {
@@ -385,15 +342,19 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 					curAgg.Update(row.Measure(nd, 0))
 				}
 			}
+			return nil
+		})
+		ev.own.ScanTime += scanTime
+		if err != nil {
+			return err
 		}
 		if inIsFact {
-			ev.scanned += seen
+			ev.own.Records += seen
 		}
 		if err := flush(); err != nil {
 			return err
 		}
-		scanSpan.SetDone(seen)
-		ev.finalized += w.Count()
+		ev.own.CellsFinalized += w.Count()
 		return nil
 	})
 	if err != nil {

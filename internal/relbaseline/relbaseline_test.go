@@ -57,16 +57,16 @@ func TestRunMeasuresSubset(t *testing.T) {
 		t.Fatal("subset evaluation differs from full run")
 	}
 	// The full run recomputes everything per measure: strictly more
-	// sorts than the single-measure run.
-	if full.Stats.Sorts <= sub.Stats.Sorts {
-		t.Errorf("full run sorts %d <= subset sorts %d; no per-measure recomputation?",
-			full.Stats.Sorts, sub.Stats.Sorts)
+	// sorts, so more sorted runs, than the single-measure run.
+	if full.Stats.SortRuns <= sub.Stats.SortRuns {
+		t.Errorf("full run sorts %d runs <= subset's %d; no per-measure recomputation?",
+			full.Stats.SortRuns, sub.Stats.SortRuns)
 	}
-	if sub.Stats.Materials == 0 || sub.Stats.RowsSpooled == 0 {
+	if sub.Stats.Spills == 0 || sub.Stats.SpillBytes == 0 {
 		t.Errorf("materialization stats empty: %+v", sub.Stats)
 	}
-	if sub.Stats.TotalTime <= 0 {
-		t.Errorf("total time not recorded")
+	if sub.Stats.SortTime <= 0 || sub.Stats.ScanTime <= 0 {
+		t.Errorf("sort and scan times not recorded")
 	}
 }
 
