@@ -1,10 +1,6 @@
 package aw
 
-import (
-	"io"
-
-	"awra/internal/obs/flight"
-)
+import "awra/internal/obs/flight"
 
 // Flight-recorder surface of the public API. Every Run/RunCompiled
 // commits its finished attempt's record — span tree, per-node profile,
@@ -18,7 +14,8 @@ import (
 // FlightTrace is one completed query's flight-recorder entry.
 type FlightTrace = flight.Trace
 
-// FlightSummary is the list-view projection of a flight trace.
+// FlightSummary is the list-view row of a flight trace: its record
+// header, attempt count and debug-endpoint path.
 type FlightSummary = flight.Summary
 
 // NewTraceID returns a fresh flight-recorder trace ID (32 hex digits,
@@ -43,18 +40,3 @@ func SlowTraces(n int) []FlightSummary { return flight.Default.Slow(n) }
 // The serve layer feeds it from its overload controller's sliding
 // latency window.
 func SetSlowThresholdUs(us int64) { flight.Default.SetSlowThreshold(us) }
-
-// WriteTracesJSON writes the newest n trace summaries as indented JSON
-// — the /debug/aw/traces payload.
-func WriteTracesJSON(w io.Writer, n int) error { return flight.Default.WriteListJSON(w, n) }
-
-// WriteSlowJSON writes the slow-query log as indented JSON — the
-// /debug/aw/slow payload.
-func WriteSlowJSON(w io.Writer, n int) error { return flight.Default.WriteSlowJSON(w, n) }
-
-// WriteTraceJSON writes one full trace (span tree included) as
-// indented JSON — the /debug/aw/traces/{id} payload; found=false means
-// the ID is not retained.
-func WriteTraceJSON(w io.Writer, id string) (found bool, err error) {
-	return flight.Default.WriteTraceJSON(w, id)
-}

@@ -1,7 +1,6 @@
 package aw
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -258,15 +257,6 @@ func (h *History) Summary(n int) HistorySummary {
 		})
 	}
 	return s
-}
-
-// WriteJSON writes the summary (newest n runs + latency percentiles)
-// as indented JSON — the /debug/aw/history payload. Nil-safe (writes
-// an empty summary).
-func (h *History) WriteJSON(w io.Writer, n int) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(h.Summary(n))
 }
 
 // WritePrometheus exports the history's cross-run histograms in the

@@ -107,11 +107,12 @@ func RunCompiled(ctx context.Context, c *Compiled, in Input, opts ...QueryOption
 
 // runResolved is RunCompiled with the EngineAuto decision surfaced, so
 // ExplainAnalyze can label the profile with the engine that actually
-// ran. It also owns the query's process-level registration: every run
-// appears in obs.DefaultInflight for its duration (with an internal
-// recorder when the caller supplied none, so live snapshots still carry
-// phase and progress), and the goroutine runs under runtime/pprof
-// labels (query_id) that engine workers extend with a phase label.
+// ran. It also owns the query's process-level registration: every run's
+// query span appears in obs.DefaultInflight for its duration (on an
+// internal recorder when the caller supplied none, so live snapshots
+// still carry phase and progress), and the goroutine runs under
+// runtime/pprof labels (query_id) that engine workers extend with a
+// phase label.
 func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (res Results, engine Engine, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -136,8 +137,13 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 	if o.TraceID == "" {
 		o.TraceID = flight.NewTraceID()
 	}
-	inq := obs.DefaultInflight.Begin(strings.Join(c.Outputs(), ","), o.Recorder, nil)
-	inq.SetTraceID(o.TraceID)
+	// One query span covers the whole run, including any multipass
+	// fallback retry, so history and in-flight views see a single
+	// query with its true end-to-end phases. It is the run's in-flight
+	// registration: snapshots read its attrs, subtree and recorder.
+	qSpan := o.Recorder.Start(obs.SpanQuery)
+	qSpan.SetAttr("trace_id", o.TraceID)
+	inq := obs.DefaultInflight.Begin(strings.Join(c.Outputs(), ","), qSpan)
 	defer inq.Finish()
 	// Label this goroutine (and, through the guard's context, every
 	// engine worker) so CPU profiles attribute samples to the query.
@@ -152,12 +158,6 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 		SkipCorruptRows: o.SkipCorruptRows,
 	}
 	g := qguard.New(ctx, limits)
-	// One query span covers the whole run, including any multipass
-	// fallback retry, so history and in-flight views see a single
-	// query with its true end-to-end phases.
-	qSpan := o.Recorder.Start(obs.SpanQuery)
-	qSpan.SetAttr("trace_id", o.TraceID)
-	inq.SetSpan(qSpan)
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
@@ -194,7 +194,7 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 	st := planStats(c, in, &o)
 
 	wasAuto := o.Engine == EngineAuto
-	res, engine, err = runEngines(c, src, o, st, g, inq, qSpan)
+	res, engine, err = runEngines(c, src, o, st, g, qSpan)
 	if err != nil && wasAuto && (engine == EngineSortScan || engine == EngineShardScan) {
 		if be, ok := qguard.AsBudget(err); ok && be.Resource == qguard.ResLiveCells {
 			// The optimizer judged one sort/scan pass affordable but the
@@ -214,7 +214,7 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 			// rows once: a retried-then-successful read never adds the
 			// first attempt's skips to rows_corrupt_skipped.
 			g = qguard.New(ctx, limits)
-			res, engine, err = runEngines(c, src, retry, st, g, inq, qSpan)
+			res, engine, err = runEngines(c, src, retry, st, g, qSpan)
 		}
 	}
 	return res, engine, err

@@ -363,7 +363,7 @@ func resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions, rec *Recorder) (o
 // runEngines dispatches one evaluation attempt to the selected engine
 // under the given guard and query span, returning the engine that
 // actually ran (the EngineAuto decision resolved).
-func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *qguard.Guard, inq *obs.InflightQuery, qSpan *obs.Span) (Results, Engine, error) {
+func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *qguard.Guard, qSpan *obs.Span) (Results, Engine, error) {
 	qrec := o.Recorder.At(qSpan)
 	if o.Engine == EngineAuto {
 		optSpan := qrec.Start(obs.SpanOptimize)
@@ -374,7 +374,6 @@ func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *q
 		}
 	}
 	qSpan.SetAttr("engine", o.Engine.String())
-	inq.SetEngine(o.Engine.String())
 	eo := scan.EngineOptions{TempDir: o.TempDir, ReadBatchBytes: o.ReadBatchSize, Recorder: qrec, Guard: g}
 
 	var res *scan.Result

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -85,9 +86,7 @@ func main() {
 		}
 		defer h.Close()
 		if *jsonOut {
-			if err := h.WriteJSON(os.Stdout, *histN); err != nil {
-				fatal(err)
-			}
+			writeJSON(os.Stdout, h.Summary(*histN))
 		} else {
 			fmt.Printf("%d runs, %d measured statistics in %s\n", h.Len(), h.MeasuredStats(), h.Dir())
 			fmt.Print(h.FormatRecent(*histN))
@@ -144,7 +143,7 @@ func main() {
 			fatal(err)
 		}
 		if *jsonOut {
-			writeProfile(prof)
+			writeJSON(os.Stdout, prof)
 			return
 		}
 		fmt.Print(prof.String())
@@ -267,7 +266,7 @@ func main() {
 
 	if prof != nil {
 		if *jsonOut {
-			writeProfile(prof)
+			writeJSON(os.Stdout, prof)
 		} else {
 			fmt.Print(prof.String())
 		}
@@ -342,20 +341,20 @@ func writeFlightTrace(dst, tid string) {
 		}()
 		out = f
 	}
-	found, err := aw.WriteTraceJSON(out, tid)
-	if err != nil {
-		fatal(err)
-	}
-	if !found {
+	t, found := aw.LookupTrace(tid)
+	if found {
+		writeJSON(out, t)
+	} else {
 		fmt.Fprintf(os.Stderr, "awquery: trace %s not retained (healthy fast runs are sampled)\n", tid)
 	}
 }
 
-// writeProfile emits a profile as indented JSON on stdout.
-func writeProfile(p *aw.Profile) {
-	enc := json.NewEncoder(os.Stdout)
+// writeJSON emits a profile, history summary or flight trace as
+// indented JSON.
+func writeJSON(w io.Writer, v any) {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(p); err != nil {
+	if err := enc.Encode(v); err != nil {
 		fatal(err)
 	}
 }

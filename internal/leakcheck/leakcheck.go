@@ -1,8 +1,10 @@
 // Package leakcheck is the TestMain of the packages that run queries.
 // Their tests run with TMPDIR pointed at a fresh directory, and pass only
-// if, once they finish, that directory is empty and the goroutine count
-// is back where it started: an engine that leaves a sort run, spill or
-// spool behind, or a worker running, fails its own package's tests.
+// if, once they finish, that directory is empty, the goroutine count is
+// back where it started, and no query is left registered in
+// obs.DefaultInflight: an engine that leaves a sort run, spill or spool
+// behind, a worker running, or a query listed as in flight, fails its
+// own package's tests.
 package leakcheck
 
 import (
@@ -11,6 +13,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"awra/internal/obs"
 )
 
 // Main runs the package's tests under the leak check and exits with
@@ -31,8 +35,8 @@ func Main(m *testing.M) {
 	os.Exit(code)
 }
 
-// check reports files left in dir, and goroutines beyond start that do
-// not exit within a few seconds.
+// check reports files left in dir, goroutines beyond start that do not
+// exit within a few seconds, and queries still registered in flight.
 func check(dir string, start int) int {
 	if entries, _ := os.ReadDir(dir); len(entries) > 0 {
 		for _, e := range entries {
@@ -47,6 +51,12 @@ func check(dir string, start int) int {
 				start, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 			return 1
 		}
+	}
+	if qs := obs.DefaultInflight.Snapshot(); len(qs) > 0 {
+		for _, q := range qs {
+			fmt.Fprintf(os.Stderr, "leakcheck: the tests left query %d (%s) registered in flight\n", q.ID, q.Label)
+		}
+		return 1
 	}
 	return 0
 }

@@ -25,11 +25,8 @@ package flight
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
-	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"awra/internal/qlog"
 )
@@ -60,23 +57,23 @@ type Trace struct {
 	Attempts []qlog.Record `json:"attempts,omitempty"`
 }
 
-// Summary is the list-view projection of a trace (no span trees), the
-// row format of /debug/aw/traces.
+// Summary is the list-view row of /debug/aw/traces and /debug/aw/slow:
+// the trace's record header and retention flags, without its attempt
+// chain, plus the attempt count and the trace's debug-endpoint path.
 type Summary struct {
-	ID         string    `json:"trace_id"`
-	Time       time.Time `json:"time"`
-	RequestID  string    `json:"request_id,omitempty"`
-	Label      string    `json:"label,omitempty"`
-	Engine     string    `json:"engine,omitempty"`
-	Outcome    string    `json:"outcome"`
-	Error      string    `json:"error,omitempty"`
-	DurationUs int64     `json:"duration_us"`
-	Attempts   int       `json:"attempts"`
-	Pinned     bool      `json:"pinned,omitempty"`
-	PinReasons []string  `json:"pin_reasons,omitempty"`
-	Sampled    bool      `json:"sampled,omitempty"`
-	ServedFrom string    `json:"served_from,omitempty"`
-	Path       string    `json:"path"`
+	Trace
+	Attempts int    `json:"attempts"`
+	Path     string `json:"path"`
+}
+
+// Page is the JSON envelope of /debug/aw/traces and /debug/aw/slow: the
+// ring's size, its effective slow threshold, and one list of rows. List
+// and Slow return non-nil rows on a non-nil ring, so an empty page
+// encodes its traces as [].
+type Page struct {
+	Total           int       `json:"total"`
+	SlowThresholdUs int64     `json:"slow_threshold_us,omitempty"`
+	Traces          []Summary `json:"traces"`
 }
 
 // TracePath returns the debug-endpoint path for a trace ID — the
@@ -356,22 +353,10 @@ func (r *Ring) Len() int {
 }
 
 func summarize(t *Trace) Summary {
-	return Summary{
-		ID:         t.TraceID,
-		Time:       t.Time,
-		RequestID:  t.RequestID,
-		Label:      t.Label,
-		Engine:     t.Engine,
-		Outcome:    t.Outcome,
-		Error:      t.Error,
-		DurationUs: t.DurationUs,
-		Attempts:   len(t.Attempts),
-		Pinned:     t.Pinned,
-		PinReasons: append([]string(nil), t.PinReasons...),
-		Sampled:    t.Sampled,
-		ServedFrom: t.ServedFrom,
-		Path:       TracePath(t.TraceID),
-	}
+	s := Summary{Trace: *t, Attempts: len(t.Attempts), Path: TracePath(t.TraceID)}
+	s.Trace.Attempts = nil
+	s.PinReasons = append([]string(nil), t.PinReasons...)
+	return s
 }
 
 // List returns up to n trace summaries, newest first (n <= 0 = all).
@@ -393,14 +378,14 @@ func (r *Ring) List(n int) []Summary {
 
 // Slow returns up to n retained traces at or above the effective slow
 // threshold, slowest first — the slow-query log. With no threshold
-// signal yet it returns nothing (an empty log, not a noisy one).
+// signal yet it returns an empty log, not a noisy one.
 func (r *Ring) Slow(n int) []Summary {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	th := r.slowThresholdLocked()
-	var out []Summary
+	out := []Summary{}
 	if th > 0 {
 		for _, id := range r.order {
 			if t := r.traces[id]; t.DurationUs >= th {
@@ -414,46 +399,4 @@ func (r *Ring) Slow(n int) []Summary {
 		out = out[:n]
 	}
 	return out
-}
-
-// listPayload is the JSON envelope of /debug/aw/traces and
-// /debug/aw/slow.
-type listPayload struct {
-	Total           int       `json:"total"`
-	SlowThresholdUs int64     `json:"slow_threshold_us,omitempty"`
-	Traces          []Summary `json:"traces"`
-}
-
-// WriteListJSON writes the newest n trace summaries as indented JSON.
-func (r *Ring) WriteListJSON(w io.Writer, n int) error {
-	p := listPayload{Total: r.Len(), SlowThresholdUs: r.SlowThresholdUs(), Traces: r.List(n)}
-	if p.Traces == nil {
-		p.Traces = []Summary{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
-}
-
-// WriteSlowJSON writes the slow-query log as indented JSON.
-func (r *Ring) WriteSlowJSON(w io.Writer, n int) error {
-	p := listPayload{Total: r.Len(), SlowThresholdUs: r.SlowThresholdUs(), Traces: r.Slow(n)}
-	if p.Traces == nil {
-		p.Traces = []Summary{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
-}
-
-// WriteTraceJSON writes one full trace (span tree included) as
-// indented JSON; found=false means the ID is not retained.
-func (r *Ring) WriteTraceJSON(w io.Writer, id string) (bool, error) {
-	t, ok := r.Get(id)
-	if !ok {
-		return false, nil
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return true, enc.Encode(t)
 }

@@ -138,7 +138,7 @@ func TestSlowPinAgainstOperatorThreshold(t *testing.T) {
 		t.Fatalf("slow trace: pinned=%v reasons=%q", pinned, reasons(slow))
 	}
 	log := r.Slow(0)
-	if len(log) != 1 || log[0].ID != "slow" {
+	if len(log) != 1 || log[0].TraceID != "slow" {
 		t.Fatalf("slow log = %+v, want [slow]", log)
 	}
 	if log[0].Path != "/debug/aw/traces/slow" {
@@ -214,33 +214,49 @@ func TestWriteJSONEndpoints(t *testing.T) {
 	r := NewRing(8, 1)
 	r.SetSlowThreshold(100)
 	r.Commit(mkRec("a", qlog.OutcomeBudget, 500))
-	var buf bytes.Buffer
-	if err := r.WriteListJSON(&buf, 0); err != nil {
+	b, err := json.Marshal(Page{Total: r.Len(), SlowThresholdUs: r.SlowThresholdUs(), Traces: r.List(0)})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var list struct {
-		Total  int       `json:"total"`
-		Traces []Summary `json:"traces"`
+		Total  int              `json:"total"`
+		Traces []map[string]any `json:"traces"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &list); err != nil {
+	if err := json.Unmarshal(b, &list); err != nil {
 		t.Fatal(err)
 	}
-	if list.Total != 1 || len(list.Traces) != 1 || !list.Traces[0].Pinned {
-		t.Fatalf("list payload = %+v", list)
+	if list.Total != 1 || len(list.Traces) != 1 {
+		t.Fatalf("list payload = %s", b)
 	}
-	buf.Reset()
-	found, err := r.WriteTraceJSON(&buf, "a")
-	if err != nil || !found {
-		t.Fatalf("WriteTraceJSON: found=%v err=%v", found, err)
+	// A row is the record header with the attempt count in place of the
+	// attempt chain, and the trace's link.
+	row := list.Traces[0]
+	if row["trace_id"] != "a" || row["outcome"] != qlog.OutcomeBudget || row["pinned"] != true ||
+		row["attempts"] != 1.0 || row["path"] != "/debug/aw/traces/a" || row["duration_us"] != 500.0 {
+		t.Fatalf("list row = %v", row)
+	}
+	if _, ok := row["span"]; ok {
+		t.Fatalf("list row carries a span tree: %v", row)
+	}
+	if b, _ := json.Marshal(Page{Traces: NewRing(8, 1).Slow(0)}); !bytes.Contains(b, []byte(`"traces":[]`)) {
+		t.Fatalf("empty slow log = %s, want an empty list", b)
+	}
+
+	got, found := r.Get("a")
+	if !found {
+		t.Fatal("retained trace not found")
+	}
+	if b, err = json.Marshal(got); err != nil {
+		t.Fatal(err)
 	}
 	var tr Trace
-	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
+	if err := json.Unmarshal(b, &tr); err != nil {
 		t.Fatal(err)
 	}
 	if tr.TraceID != "a" || len(tr.Attempts) != 1 {
 		t.Fatalf("trace payload = %+v", tr)
 	}
-	if found, _ := r.WriteTraceJSON(&buf, "missing"); found {
+	if _, found := r.Get("missing"); found {
 		t.Fatal("missing trace reported found")
 	}
 }
@@ -280,13 +296,10 @@ func TestConcurrentCommitSnapshotEvict(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf bytes.Buffer
 			for i := 0; i < per; i++ {
-				r.List(10)
 				r.Slow(10)
 				r.Get(fmt.Sprintf("shared-%d", i%per))
-				buf.Reset()
-				_ = r.WriteListJSON(&buf, 5)
+				_, _ = json.Marshal(r.List(5))
 			}
 		}()
 	}

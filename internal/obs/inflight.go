@@ -1,13 +1,10 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Inflight is a registry of currently running queries. A process
@@ -15,10 +12,13 @@ import (
 // registers every query there so operators can list live work via
 // aw.InflightQueries() or the /debug/aw/queries endpoint.
 //
-// All methods are nil-safe, and Begin/Finish are query-boundary
-// events — the registry is never touched per record. Progress flows
-// through span Total/Done fields, which scan loops update atomically
-// at their existing guard strides.
+// A registered query is its root span: the snapshot reads the engine
+// and trace ID from the span's attrs, the elapsed time from its running
+// duration, the phase and progress from its subtree, and the live
+// metrics from its recorder. All methods are nil-safe, and Begin/Finish
+// are query-boundary events — the registry is never touched per record.
+// Progress flows through span Total/Done fields, which scan loops
+// update atomically at their existing guard strides.
 type Inflight struct {
 	mu      sync.Mutex
 	nextID  int64
@@ -34,13 +34,7 @@ type InflightQuery struct {
 	reg   *Inflight
 	id    int64
 	label string
-	start time.Time
-	rec   *Recorder
-
-	mu      sync.Mutex
-	span    *Span
-	engine  string
-	traceID string
+	span  *Span
 	// maxProgress (float64 bits) smooths the reported fraction into a
 	// monotonic non-decreasing series even when new work spans appear
 	// and grow the denominator (e.g. a second multipass pass).
@@ -80,14 +74,15 @@ type WorkerProgress struct {
 	Total int64  `json:"total"`
 }
 
-// Begin registers a running query. The span (usually the query-root
-// span) scopes phase detection and progress aggregation; rec supplies
-// live metric snapshots. Either may be nil. Nil-safe on the registry.
-func (f *Inflight) Begin(label string, rec *Recorder, span *Span) *InflightQuery {
+// Begin registers a running query by its root span, whose "engine" and
+// "trace_id" attrs, duration, subtree and recorder the snapshots read.
+// A nil span lists the query by ID and label alone. Nil-safe on the
+// registry.
+func (f *Inflight) Begin(label string, span *Span) *InflightQuery {
 	if f == nil {
 		return nil
 	}
-	q := &InflightQuery{reg: f, label: label, start: time.Now(), rec: rec, span: span}
+	q := &InflightQuery{reg: f, label: label, span: span}
 	f.mu.Lock()
 	f.nextID++
 	q.id = f.nextID
@@ -117,41 +112,6 @@ func (q *InflightQuery) ID() int64 {
 	return q.id
 }
 
-// SetEngine records the engine the query resolved to. Nil-safe.
-func (q *InflightQuery) SetEngine(name string) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	q.engine = name
-	q.mu.Unlock()
-}
-
-// SetTraceID records the query's flight-recorder trace ID so live
-// snapshots link to where the completed trace will be retrievable.
-// Nil-safe.
-func (q *InflightQuery) SetTraceID(id string) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	q.traceID = id
-	q.mu.Unlock()
-}
-
-// SetSpan attaches the query-root span that scopes phase detection and
-// progress aggregation. Callers that must register the query before the
-// span exists (to obtain the ID for pprof labels) pass nil to Begin and
-// attach the span here. Nil-safe.
-func (q *InflightQuery) SetSpan(span *Span) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	q.span = span
-	q.mu.Unlock()
-}
-
 // Snapshot lists every in-flight query, sorted by ID. Nil-safe.
 func (f *Inflight) Snapshot() []QuerySnapshot {
 	if f == nil {
@@ -171,41 +131,23 @@ func (f *Inflight) Snapshot() []QuerySnapshot {
 	return out
 }
 
-// WriteJSON writes {"queries": [...]} as indented JSON — the payload
-// of the /debug/aw/queries endpoint.
-func (f *Inflight) WriteJSON(w io.Writer) error {
-	snap := f.Snapshot()
-	if snap == nil {
-		snap = []QuerySnapshot{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Queries []QuerySnapshot `json:"queries"`
-	}{snap})
-}
-
 func (q *InflightQuery) snapshot() QuerySnapshot {
-	q.mu.Lock()
-	engine, span, traceID := q.engine, q.span, q.traceID
-	q.mu.Unlock()
-	s := QuerySnapshot{
-		ID:        q.id,
-		Label:     q.label,
-		TraceID:   traceID,
-		Engine:    engine,
-		ElapsedUs: time.Since(q.start).Microseconds(),
+	s := QuerySnapshot{ID: q.id, Label: q.label}
+	if q.span == nil {
+		return s
 	}
-	if traceID != "" {
+	o := q.span.rec.owner()
+	s.Counters, s.Gauges, s.Nodes = o.counterValues(), o.gaugeValues(), o.NodeStats()
+	s.ElapsedUs = q.span.Duration().Microseconds()
+	o.mu.Lock()
+	s.Engine, s.TraceID = attrLocked(q.span, "engine"), attrLocked(q.span, "trace_id")
+	s.Phase, s.Done, s.Total, s.Workers = workProgressLocked(q.span)
+	o.mu.Unlock()
+	if s.TraceID != "" {
 		// Mirrors flight.TracePath (obs cannot import flight — the flight
 		// recorder is built on obs).
-		s.TracePath = "/debug/aw/traces/" + traceID
+		s.TracePath = "/debug/aw/traces/" + s.TraceID
 	}
-	if q.rec != nil {
-		snap := q.rec.Snapshot()
-		s.Counters, s.Gauges, s.Nodes = snap.Counters, snap.Gauges, snap.Nodes
-	}
-	s.Phase, s.Done, s.Total, s.Workers = workProgress(span)
 	raw := 0.0
 	if s.Total > 0 {
 		raw = float64(s.Done) / float64(s.Total)
@@ -228,19 +170,22 @@ func (q *InflightQuery) snapshot() QuerySnapshot {
 	return s
 }
 
-// workProgress walks the query's span subtree collecting the current
-// phase (the deepest still-running span) and record progress from
-// every span that declared a total.
-func workProgress(span *Span) (phase string, done, total int64, workers []WorkerProgress) {
-	if span == nil || span.rec == nil {
-		return "", 0, 0, nil
+// attrLocked returns the span's value for key, or "". Caller holds the
+// owning recorder's mutex.
+func attrLocked(s *Span, key string) string {
+	for _, a := range s.attrs {
+		if a.Key == key {
+			return a.Value
+		}
 	}
-	o := span.rec.owner()
-	if o == nil {
-		return "", 0, 0, nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	return ""
+}
+
+// workProgressLocked walks the query's span subtree collecting the
+// current phase (the deepest still-running span) and record progress
+// from every span that declared a total. Caller holds the owning
+// recorder's mutex.
+func workProgressLocked(span *Span) (phase string, done, total int64, workers []WorkerProgress) {
 	phase = deepestRunningLocked(span)
 	var walk func(s *Span, worker string)
 	walk = func(s *Span, worker string) {

@@ -9,13 +9,16 @@ import (
 func TestInflightLifecycle(t *testing.T) {
 	reg := &Inflight{}
 	r := New()
-	q := reg.Begin("test query", r, nil)
+	span := r.Start(SpanQuery)
+	span.SetAttr("trace_id", "abc")
+	q := reg.Begin("test query", span)
 	if q.ID() == 0 {
 		t.Fatal("want nonzero query ID")
 	}
-	span := r.Start(SpanQuery)
-	q.SetSpan(span)
-	q.SetEngine("sortscan")
+	// The engine resolves after registration; the snapshot reads it off
+	// the span.
+	span.SetAttr("engine", "sortscan")
+	r.Counter(MRecordsScanned).Add(7)
 
 	scan := r.At(span).Start(SpanScan)
 	scan.SetTotal(1000)
@@ -28,6 +31,12 @@ func TestInflightLifecycle(t *testing.T) {
 	s := snaps[0]
 	if s.Label != "test query" || s.Engine != "sortscan" {
 		t.Errorf("label/engine: %+v", s)
+	}
+	if s.TraceID != "abc" || s.TracePath != "/debug/aw/traces/abc" {
+		t.Errorf("trace link: id=%q path=%q", s.TraceID, s.TracePath)
+	}
+	if s.ElapsedUs <= 0 || s.Counters[MRecordsScanned] != 7 {
+		t.Errorf("elapsed/counters: elapsed=%d counters=%v", s.ElapsedUs, s.Counters)
 	}
 	if s.Phase != SpanScan {
 		t.Errorf("phase should be the deepest running span, got %q", s.Phase)
@@ -57,9 +66,7 @@ func TestInflightLifecycle(t *testing.T) {
 
 func TestInflightNilSafety(t *testing.T) {
 	var reg *Inflight
-	q := reg.Begin("x", nil, nil)
-	q.SetEngine("e")
-	q.SetSpan(nil)
+	q := reg.Begin("x", nil)
 	q.Finish()
 	if q.ID() != 0 {
 		t.Fatal("nil registry handle should have ID 0")
@@ -69,34 +76,11 @@ func TestInflightNilSafety(t *testing.T) {
 	}
 }
 
-func TestInflightWriteJSON(t *testing.T) {
-	reg := &Inflight{}
-	var b strings.Builder
-	if err := reg.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	// Empty registry serializes as an empty array, not null.
-	if !strings.Contains(b.String(), `"queries": []`) {
-		t.Fatalf("empty registry JSON: %s", b.String())
-	}
-
-	r := New()
-	q := reg.Begin("q1", r, nil)
-	defer q.Finish()
-	b.Reset()
-	if err := reg.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `"label": "q1"`) {
-		t.Fatalf("registered query missing from JSON: %s", b.String())
-	}
-}
-
 func TestWorkerProgressNames(t *testing.T) {
 	reg := &Inflight{}
 	r := New()
 	span := r.Start(SpanQuery)
-	q := reg.Begin("sharded", r, span)
+	q := reg.Begin("sharded", span)
 	defer q.Finish()
 	for i := 0; i < 2; i++ {
 		sh := r.At(span).Start(SpanShard)
@@ -158,7 +142,7 @@ func TestInflightSnapshotWhilePublishing(t *testing.T) {
 	reg := &Inflight{}
 	r := New()
 	span := r.Start(SpanQuery)
-	q := reg.Begin("stress", r, span)
+	q := reg.Begin("stress", span)
 	defer q.Finish()
 	scan := r.At(span).Start(SpanScan)
 	scan.SetTotal(10000)

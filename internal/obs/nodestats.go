@@ -100,14 +100,6 @@ func (r *Recorder) MergeNodeStats(ns NodeStats) {
 	cur.add(ns)
 }
 
-// SetNodeEstimate records the optimizer's estimated cell count for a
-// node without touching its actuals. Planners call this before
-// execution so EXPLAIN ANALYZE can show estimate-vs-actual columns.
-// Nil-safe.
-func (r *Recorder) SetNodeEstimate(node string, estCells float64) {
-	r.MergeNodeStats(NodeStats{Node: node, EstCells: estCells})
-}
-
 // NodeStats returns a copy of every published node's stats, sorted by
 // node name. Nil-safe (returns nil).
 func (r *Recorder) NodeStats() []NodeStats {

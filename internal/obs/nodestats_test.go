@@ -44,7 +44,7 @@ func TestMergeNodeStats(t *testing.T) {
 func TestNodeStatsNilAndIsolation(t *testing.T) {
 	var r *Recorder
 	r.MergeNodeStats(NodeStats{Node: "x", RecordsIn: 1}) // must not panic
-	r.SetNodeEstimate("x", 5)
+	r.MergeNodeStats(NodeStats{Node: "x", EstCells: 5})
 	if got := r.NodeStats(); got != nil {
 		t.Fatalf("nil recorder NodeStats: got %v", got)
 	}
@@ -57,16 +57,6 @@ func TestNodeStatsNilAndIsolation(t *testing.T) {
 	snap[0].Arcs[0].Advances = 999
 	if r2.NodeStats()[0].Arcs[0].Advances != 1 {
 		t.Fatal("NodeStats must deep-copy arcs")
-	}
-}
-
-func TestSetNodeEstimate(t *testing.T) {
-	r := New()
-	r.SetNodeEstimate("cnt", 100)
-	r.MergeNodeStats(NodeStats{Node: "cnt", RecordsIn: 5})
-	ns := r.NodeStats()
-	if len(ns) != 1 || ns[0].EstCells != 100 || ns[0].RecordsIn != 5 {
-		t.Fatalf("estimate + actuals on one node: %+v", ns)
 	}
 }
 
@@ -134,7 +124,7 @@ func TestConcurrentNodeStatsPublish(t *testing.T) {
 					Node: "cnt", RecordsIn: 1, CellsCreated: 1, LiveCellsHWM: int64(w + 1),
 					Arcs: []ArcStats{{Label: "fact", Advances: 1}},
 				})
-				sub.SetNodeEstimate("cnt", float64(w))
+				sub.MergeNodeStats(NodeStats{Node: "cnt", EstCells: float64(w)})
 			}
 		}(w)
 	}

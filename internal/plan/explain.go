@@ -1,21 +1,5 @@
 package plan
 
-import "awra/internal/obs"
-
-// PublishEstimates records each node's optimizer-estimated cell count
-// into the recorder's per-node metric family before execution, so
-// post-run profiles (EXPLAIN ANALYZE) can show estimate-vs-actual
-// columns without re-deriving the plan. Nil-safe on rec.
-func (p *Plan) PublishEstimates(rec *obs.Recorder) {
-	if p == nil || rec == nil {
-		return
-	}
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		rec.SetNodeEstimate(p.Workflow.Measures[n.Measure].Name, n.EstCells)
-	}
-}
-
 // ArcLabel names an arc for per-node stats: "fact", or the producing
 // measure's name, suffixed with the arc kind for base arcs.
 func (p *Plan) ArcLabel(a *Arc) string {

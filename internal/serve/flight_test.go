@@ -8,16 +8,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"awra/aw"
 	"awra/internal/faultfs"
 	"awra/internal/obs/flight"
+	"awra/internal/storage"
 )
 
 // getTrace fetches /debug/aw/traces/{id} and decodes the full trace.
@@ -254,9 +257,8 @@ func TestServeErrorResponsesCarryCorrelationIDs(t *testing.T) {
 	}
 }
 
-func TestServeInflightLinksTraces(t *testing.T) {
-	// The in-flight registry's snapshots carry trace_id + trace_path;
-	// validated via the library surface the endpoint serializes.
+func TestServeTraceListLinksTraces(t *testing.T) {
+	// Every trace list row links to its full trace.
 	_, ts := newTestServer(t, nil)
 	_, qr, _ := postQuery(t, ts.URL, QueryRequest{
 		Workflow: testWorkflow, Collection: "net", RequestID: "q-link",
@@ -273,7 +275,7 @@ func TestServeInflightLinksTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range list.Traces {
-		if s.ID == qr.TraceID {
+		if s.TraceID == qr.TraceID {
 			if s.Path != "/debug/aw/traces/"+qr.TraceID {
 				t.Fatalf("trace list path = %q", s.Path)
 			}
@@ -286,6 +288,97 @@ func TestServeInflightLinksTraces(t *testing.T) {
 	// package share the global ring, so only assert when present — the
 	// by-ID and pinning paths are covered above.
 	t.Logf("trace %s not in list (sampled out by shared-ring sequence)", qr.TraceID)
+}
+
+// heldFS holds every read of a file opened through it until release
+// is closed, so a query stays in flight while a test looks at it.
+type heldFS struct{ release chan struct{} }
+
+func (h heldFS) Create(name string) (storage.File, error) { return storage.OSFS{}.Create(name) }
+
+func (h heldFS) Open(name string) (storage.File, error) {
+	f, err := storage.OSFS{}.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return heldFile{f, h.release}, nil
+}
+
+type heldFile struct {
+	storage.File
+	release chan struct{}
+}
+
+func (f heldFile) Read(p []byte) (int, error) {
+	<-f.release
+	return f.File.Read(p)
+}
+
+// TestServeInflightEndpoint: /debug/aw/queries lists no query as an
+// empty list, and a running query's row carries the engine its
+// EngineAuto run resolved to, its trace ID and the link to its trace.
+func TestServeInflightEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, nil) // EngineAuto
+	queries := func() (string, []aw.QuerySnapshot) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/debug/aw/queries")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		var v struct {
+			Queries []aw.QuerySnapshot `json:"queries"`
+		}
+		if err := json.Unmarshal(b, &v); err != nil {
+			t.Fatalf("queries payload %q: %v", b, err)
+		}
+		return string(b), v.Queries
+	}
+	if body, _ := queries(); !strings.Contains(body, `"queries": []`) {
+		t.Fatalf("empty registry = %s, want an empty list", body)
+	}
+
+	held := heldFS{release: make(chan struct{})}
+	defer storage.SwapFS(held)()
+	release := sync.OnceFunc(func() { close(held.release) })
+	defer release()
+	want := "0af7651916cd43dd8448eb211c80319c"
+	body := fmt.Sprintf(`{"workflow": %q, "collection": "net"}`, testWorkflow)
+	done := make(chan int, 1)
+	go func() {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/query", strings.NewReader(body))
+		req.Header.Set("traceparent", "00-"+want+"-00f067aa0ba902b7-01")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+
+	var row aw.QuerySnapshot
+	waitFor(t, func() bool {
+		_, qs := queries()
+		for _, q := range qs {
+			if q.TraceID == want && q.Engine != "" {
+				row = q
+				return true
+			}
+		}
+		return false
+	})
+	release()
+	if status := <-done; status != http.StatusOK {
+		t.Fatalf("held query: status %d", status)
+	}
+	if _, err := aw.ParseEngine(row.Engine); err != nil || row.Engine == aw.EngineAuto.String() {
+		t.Errorf("engine = %q, want the engine auto resolved to", row.Engine)
+	}
+	if row.TracePath != "/debug/aw/traces/"+want || row.Label == "" || row.ElapsedUs <= 0 {
+		t.Errorf("running query row = %+v", row)
+	}
 }
 
 func TestServeSlowEndpoint(t *testing.T) {

@@ -128,9 +128,10 @@ type Server struct {
 	sharer *sharer
 	state  atomic.Int32
 	seq    atomic.Int64
-
-	mu       sync.Mutex
-	inflight map[int64]context.CancelFunc
+	// life is the server-lifetime context every query context follows:
+	// Drain cancels it (endLife) to cancel the stragglers.
+	life    context.Context
+	endLife context.CancelFunc
 
 	// wfCache caches compiled workflows by text hash: compilation is
 	// pure, so concurrent recomputation is only wasted work.
@@ -150,7 +151,8 @@ func New(cfg Config) (*Server, error) {
 	if rec == nil {
 		rec = obs.New()
 	}
-	s := &Server{cfg: cfg, rec: rec, inflight: make(map[int64]context.CancelFunc)}
+	s := &Server{cfg: cfg, rec: rec}
+	s.life, s.endLife = context.WithCancel(context.Background())
 	s.gate = NewGate(cfg.Gate, rec)
 	s.ctl = NewController(cfg.Overload, s.gate, rec)
 	s.cache = newResultCache(cfg.Cache, rec)
@@ -286,42 +288,13 @@ func (s *Server) parseWorkflow(text string) (*wfdsl.Parsed, error) {
 	return p, nil
 }
 
-// track registers an in-flight query's cancel func for drain.
-func (s *Server) track(id int64, cancel context.CancelFunc) {
-	s.mu.Lock()
-	s.inflight[id] = cancel
-	s.mu.Unlock()
-}
-
-func (s *Server) untrack(id int64) {
-	s.mu.Lock()
-	delete(s.inflight, id)
-	s.mu.Unlock()
-}
-
-// cancelInflight cancels every tracked query (drain stragglers) and
-// returns how many it canceled.
-func (s *Server) cancelInflight() int {
-	s.mu.Lock()
-	cancels := make([]context.CancelFunc, 0, len(s.inflight))
-	for _, c := range s.inflight {
-		cancels = append(cancels, c)
-	}
-	s.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-	return len(cancels)
-}
-
 // mergeAttempt folds one finished attempt's engine metrics into the
 // server recorder. Only the FINAL attempt of a request is merged:
 // earlier transiently-failed attempts re-read the same data, so
 // folding every attempt would double-count per-row metrics — most
 // visibly rows_corrupt_skipped after a retried-then-successful
 // degraded read.
-func (s *Server) mergeAttempt(att *obs.Recorder) (liveCells int64) {
-	snap := att.Snapshot()
+func (s *Server) mergeAttempt(snap obs.Snapshot) (liveCells int64) {
 	for name, v := range snap.Counters {
 		if v != 0 {
 			s.rec.Counter(name).Add(v)
@@ -336,8 +309,7 @@ func (s *Server) mergeAttempt(att *obs.Recorder) (liveCells int64) {
 // resolvedEngine pulls the engine that actually ran from the attempt's
 // query span (EngineAuto decisions resolved), falling back to the
 // requested engine.
-func resolvedEngine(att *obs.Recorder, fallback aw.Engine) string {
-	snap := att.Snapshot()
+func resolvedEngine(snap obs.Snapshot, fallback aw.Engine) string {
 	for _, sp := range snap.Spans {
 		if sp.Name == obs.SpanQuery && sp.Attrs["engine"] != "" {
 			return sp.Attrs["engine"]
@@ -468,11 +440,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	degraded := s.ctl.Apply(&opts)
 
-	// The query context is the client's, cancelable by drain.
+	// The query context is the client's, and ends with the server's
+	// life: drain cancels the stragglers through it.
 	qctx, cancel := context.WithCancel(r.Context())
-	qid := s.seq.Add(1)
-	s.track(qid, cancel)
-	defer func() { s.untrack(qid); cancel() }()
+	defer cancel()
+	defer context.AfterFunc(s.life, cancel)()
 
 	in := aw.FromFile(factPath)
 	// Fingerprint the collection file before running: Put revalidates
@@ -482,8 +454,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	preFP, _ := fileFingerprint(factPath)
 
 	// runWorkflow executes one compiled workflow (the request's own, or
-	// a merged batch) under this request's options and retry policy.
-	runWorkflow := func(c *aw.Compiled) (aw.Results, *obs.Recorder, int, error) {
+	// a merged batch) under this request's options and retry policy, and
+	// returns one snapshot of the final attempt's recorder.
+	runWorkflow := func(c *aw.Compiled) (aw.Results, obs.Snapshot, int, error) {
 		var (
 			res        aw.Results
 			attemptRec *obs.Recorder
@@ -499,12 +472,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			res, err = aw.RunCompiled(qctx, c, in, o)
 			return err
 		})
-		return res, attemptRec, attempts, runErr
+		return res, attemptRec.Snapshot(), attempts, runErr
 	}
 
 	var (
 		res         aw.Results
-		attemptRec  *obs.Recorder
+		attempt     obs.Snapshot
 		attempts    int
 		runErr      error
 		engineName  string
@@ -521,9 +494,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var out shareOutcome
 		out, shared = s.sharer.submit(qctx, groupKey, parsed.Compiled, traceID,
 			func(merged *aw.Compiled) (aw.Results, string, int, error) {
-				mres, mrec, matt, err := runWorkflow(merged)
-				attemptRec = mrec // runner == leader: single-goroutine capture
-				return mres, resolvedEngine(mrec, engine), matt, err
+				mres, msnap, matt, err := runWorkflow(merged)
+				attempt = msnap // runner == leader: single-goroutine capture
+				return mres, resolvedEngine(msnap, engine), matt, err
 			})
 		if shared {
 			res, runErr = out.res, out.err
@@ -534,16 +507,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !shared {
-		res, attemptRec, attempts, runErr = runWorkflow(parsed.Compiled)
-		engineName = resolvedEngine(attemptRec, engine)
+		res, attempt, attempts, runErr = runWorkflow(parsed.Compiled)
+		engineName = resolvedEngine(attempt, engine)
 	}
 
 	latency := time.Since(t0)
-	var liveCells int64
-	if attemptRec != nil {
-		liveCells = s.mergeAttempt(attemptRec)
-	}
-	s.ctl.Observe(latency, liveCells)
+	// A follower's zero snapshot merges nothing: the leader merged the
+	// batch's run.
+	s.ctl.Observe(latency, s.mergeAttempt(attempt))
 	// The slow-query threshold tracks the service's recent latency
 	// distribution: 2× the overload window's p95 (0 until the window
 	// has signal, which leaves the flight ring on its own p99 fallback).
@@ -725,39 +696,47 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = s.hist.WritePrometheus(w)
 }
 
-func (s *Server) handleInflight(w http.ResponseWriter, _ *http.Request) {
+// writeIndented serves one /debug/aw view: a store's snapshot as
+// indented JSON.
+func writeIndented(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := aw.WriteInflightJSON(w); err != nil {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
 
+// countParam reads a view's ?n= row cap: a positive integer, else def.
+func countParam(r *http.Request, def int) int {
+	if v, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && v > 0 {
+		return v
+	}
+	return def
+}
+
+// tracePage wraps flight-recorder rows in the list envelope.
+func tracePage(rows []flight.Summary) flight.Page {
+	return flight.Page{Total: flight.Default.Len(), SlowThresholdUs: flight.Default.SlowThresholdUs(), Traces: rows}
+}
+
+// handleInflight lists the running queries at /debug/aw/queries.
+func (s *Server) handleInflight(w http.ResponseWriter, _ *http.Request) {
+	writeIndented(w, struct {
+		Queries []aw.QuerySnapshot `json:"queries"`
+	}{aw.InflightQueries()})
+}
+
+// handleHistory serves the newest runs (?n=, default 50) and the
+// per-engine latency percentiles at /debug/aw/history.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	n := 50
-	if q := r.URL.Query().Get("n"); q != "" {
-		if v, err := strconv.Atoi(q); err == nil && v > 0 {
-			n = v
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.hist.WriteJSON(w, n); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeIndented(w, s.hist.Summary(countParam(r, 50)))
 }
 
 // handleTraces lists the flight recorder's retained traces, newest
 // first (?n= caps the count).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	if q := r.URL.Query().Get("n"); q != "" {
-		if v, err := strconv.Atoi(q); err == nil && v > 0 {
-			n = v
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := aw.WriteTracesJSON(w, n); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeIndented(w, tracePage(flight.Default.List(countParam(r, 0))))
 }
 
 // handleTraceByID serves one full flight trace (span tree, per-node
@@ -768,30 +747,18 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 		s.handleTraces(w, r)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	found, err := aw.WriteTraceJSON(w, id)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	t, ok := aw.LookupTrace(id)
+	if !ok {
+		http.Error(w, fmt.Sprintf("trace %q not retained", id), http.StatusNotFound)
 		return
 	}
-	if !found {
-		http.Error(w, fmt.Sprintf("trace %q not retained", id), http.StatusNotFound)
-	}
+	writeIndented(w, t)
 }
 
 // handleSlow serves the slow-query log: retained traces at or above
 // the effective slow threshold, slowest first.
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	if q := r.URL.Query().Get("n"); q != "" {
-		if v, err := strconv.Atoi(q); err == nil && v > 0 {
-			n = v
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := aw.WriteSlowJSON(w, n); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeIndented(w, tracePage(flight.Default.Slow(countParam(r, 0))))
 }
 
 // Draining reports whether the server has left the ready state.
@@ -818,8 +785,10 @@ func (s *Server) Drain() error {
 		time.Sleep(5 * time.Millisecond)
 	}
 	var drainErr error
-	if s.gate.Active() > 0 {
-		n := s.cancelInflight()
+	if n := s.gate.Active(); n > 0 {
+		// Every admitted query's context follows the server's life, so
+		// one cancel reaches all n stragglers.
+		s.endLife()
 		s.rec.Counter(obs.MServeDrainCanceled).Add(int64(n))
 		// Cooperative cancellation bounds are sub-250ms on engine
 		// strides; allow a generous grace for unwinding and history
