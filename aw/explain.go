@@ -281,12 +281,12 @@ func ExplainAnalyzeCompiled(ctx context.Context, c *Compiled, in Input, opts ...
 	// itself appends to the history, and the profile must reflect the
 	// estimates the planner actually saw, not post-run knowledge.
 	st := freezeStats(c, planStats(c, in, &o))
-	tables, engine, err := runResolved(ctx, c, in, o)
+	res, engine, err := runResolved(ctx, c, in, o)
 	if err != nil {
 		return nil, err
 	}
 	// Rebuild the estimate view under the engine that actually ran, then
-	// overlay the recorder's per-node actuals.
+	// overlay the run's per-node actuals.
 	eo := o
 	p := &Profile{Engine: engine.String(), Analyzed: true}
 	if o.Engine == EngineAuto {
@@ -299,13 +299,13 @@ func ExplainAnalyzeCompiled(ctx context.Context, c *Compiled, in Input, opts ...
 	}
 	snap := o.Recorder.Snapshot()
 	p.Counters, p.Gauges = snap.Counters, snap.Gauges
-	actual := nodeActuals(snap.Nodes)
+	actual := res.Stats.NodeTotals()
 	for i := range p.Nodes {
 		if ns, ok := actual[p.Nodes[i].Name]; ok {
 			p.Nodes[i].Actual = &ns
 		}
 	}
-	return &Result{Tables: tables, Profile: p}, nil
+	return &Result{Tables: res.Tables, Profile: p}, nil
 }
 
 // String renders the profile as a tree rooted at the workflow's output

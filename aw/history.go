@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"awra/internal/exec/scan"
 	"awra/internal/obs"
 	"awra/internal/obs/flight"
 	"awra/internal/qguard"
@@ -131,9 +132,9 @@ func (h *History) absorb(r *HistoryRecord) {
 	for phase, us := range r.Phases {
 		h.rec.Histogram(obs.HPhaseLatencyUs, "phase", phase).Observe(us)
 	}
-	if r.RecordsScanned > 0 && r.DurationUs > 0 {
+	if r.Records > 0 && r.DurationUs > 0 {
 		h.rec.Histogram(obs.HRowsPerSec, "engine", r.Engine).
-			Observe(r.RecordsScanned * 1e6 / r.DurationUs)
+			Observe(r.Records * 1e6 / r.DurationUs)
 	}
 }
 
@@ -284,7 +285,7 @@ func (h *History) FormatRecent(n int) string {
 		}
 		fmt.Fprintf(&b, "%-20s %-10s %-9s %10s %12d  %s\n",
 			r.Time.Format("2006-01-02 15:04:05"), r.Engine, r.Outcome,
-			(time.Duration(r.DurationUs) * time.Microsecond).String(), r.RecordsScanned, label)
+			(time.Duration(r.DurationUs) * time.Microsecond).String(), r.Records, label)
 	}
 	return b.String()
 }
@@ -334,9 +335,9 @@ func OutcomeOf(err error) (outcome, msg string) {
 }
 
 // buildRecord assembles the record of one finished attempt from the
-// query span's subtree, the guard's resource stats, and the recorder's
-// per-node actuals.
-func buildRecord(c *Compiled, in Input, o *QueryOptions, g *qguard.Guard, qSpan *obs.Span, engine Engine, runErr error) *HistoryRecord {
+// query span's subtree, the guard's resource stats, and the engine's
+// stats with their per-node actuals (res is nil when the run failed).
+func buildRecord(c *Compiled, in Input, o *QueryOptions, g *qguard.Guard, qSpan *obs.Span, engine Engine, res *scan.Result, runErr error) *HistoryRecord {
 	rec := &HistoryRecord{
 		Time:         time.Now(),
 		RequestID:    o.RequestID,
@@ -359,13 +360,17 @@ func buildRecord(c *Compiled, in Input, o *QueryOptions, g *qguard.Guard, qSpan 
 		rec.SpillBytes = gs.SpillBytes
 		rec.CorruptRows = gs.CorruptRows
 	}
-	rec.RecordsScanned = o.Recorder.Counter(obs.MRecordsScanned).Value()
+	var actual map[string]obs.NodeStats
+	if res != nil {
+		// The node list lives on folded, as the profiles in rec.Nodes.
+		rec.EngineStats, rec.EngineStats.Nodes = res.Stats, nil
+		actual = res.Stats.NodeTotals()
+	}
 
 	// Per-node estimate-vs-actual profile, keyed by content signature
 	// so the measured store can feed later plans. Estimate provenance
 	// mirrors what plan.Build decided for this run.
 	st := planStats(c, in, o)
-	actual := nodeActuals(o.Recorder.NodeStats())
 	for i, m := range c.Measures {
 		np := qlog.NodeProfile{NodeStats: actual[m.Name], Sig: c.NodeSignature(i), EstSource: st.SourceLabel()}
 		np.Node = m.Name
@@ -377,16 +382,6 @@ func buildRecord(c *Compiled, in Input, o *QueryOptions, g *qguard.Guard, qSpan 
 		rec.Nodes = append(rec.Nodes, np)
 	}
 	return rec
-}
-
-// nodeActuals indexes the per-node stats the engines published by node
-// name — the workflow's own measure names, hidden bases included.
-func nodeActuals(nodes []obs.NodeStats) map[string]obs.NodeStats {
-	out := make(map[string]obs.NodeStats, len(nodes))
-	for _, ns := range nodes {
-		out[ns.Node] = ns
-	}
-	return out
 }
 
 // phaseDurations flattens the query span's subtree into summed

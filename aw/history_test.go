@@ -301,7 +301,7 @@ func TestHistoryRecordContents(t *testing.T) {
 	if r.QueryFP == "" || !strings.HasPrefix(r.CollectionFP, "f-") {
 		t.Fatalf("missing fingerprints: %q %q", r.QueryFP, r.CollectionFP)
 	}
-	if r.DurationUs <= 0 || r.RecordsScanned == 0 {
+	if r.DurationUs <= 0 || r.Records == 0 {
 		t.Fatalf("missing run totals: %+v", r)
 	}
 	if len(r.Phases) == 0 {

@@ -102,18 +102,21 @@ func RunCompiled(ctx context.Context, c *Compiled, in Input, opts ...QueryOption
 		o = opts[0]
 	}
 	res, _, err := runResolved(ctx, c, in, o)
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	return res.Tables, nil
 }
 
-// runResolved is RunCompiled with the EngineAuto decision surfaced, so
-// ExplainAnalyze can label the profile with the engine that actually
-// ran. It also owns the query's process-level registration: every run's
-// query span appears in obs.DefaultInflight for its duration (on an
-// internal recorder when the caller supplied none, so live snapshots
-// still carry phase and progress), and the goroutine runs under
-// runtime/pprof labels (query_id) that engine workers extend with a
-// phase label.
-func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (res Results, engine Engine, err error) {
+// runResolved is RunCompiled with the engine's whole result and the
+// EngineAuto decision surfaced, so ExplainAnalyze can label the profile
+// with the engine that actually ran and read its node stats. It also
+// owns the query's process-level registration: every run's query span
+// appears in obs.DefaultInflight for its duration (on an internal
+// recorder when the caller supplied none, so live snapshots still carry
+// phase and progress), and the goroutine runs under runtime/pprof
+// labels (query_id) that engine workers extend with a phase label.
+func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (res *scan.Result, engine Engine, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -173,7 +176,7 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 		// under the trace ID (serve-layer retries share theirs) and the
 		// history logs it. Best effort: a full disk must not turn a
 		// finished query into a failure.
-		_ = o.History.Append(buildRecord(c, in, &o, g, qSpan, engine, err))
+		_ = o.History.Append(buildRecord(c, in, &o, g, qSpan, engine, res, err))
 	}()
 
 	// The engines' one input: in-memory records are shape-checked here.

@@ -145,8 +145,8 @@ type ExecOptions struct {
 	// units or merges commutatively). Streaming sessions ignore it.
 	Parallelism int
 	// Recorder, if non-nil, collects the query's span tree (rooted at a
-	// "query" span) and engine metrics. A nil recorder is a no-op; the
-	// engines then keep private recorders so their Stats stay complete.
+	// "query" span) and engine metrics, published once per run. A nil
+	// recorder is a no-op.
 	Recorder *Recorder
 	// Timeout, if positive, bounds the query's wall-clock time; when it
 	// lapses the run aborts with ErrDeadlineExceeded. It composes with
@@ -361,9 +361,10 @@ func resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions, rec *Recorder) (o
 }
 
 // runEngines dispatches one evaluation attempt to the selected engine
-// under the given guard and query span, returning the engine that
-// actually ran (the EngineAuto decision resolved).
-func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *qguard.Guard, qSpan *obs.Span) (Results, Engine, error) {
+// under the given guard and query span, returning the engine's result
+// and the engine that actually ran (the EngineAuto decision resolved).
+// It publishes the result's stats to the recorder, once per run.
+func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *qguard.Guard, qSpan *obs.Span) (*scan.Result, Engine, error) {
 	qrec := o.Recorder.At(qSpan)
 	if o.Engine == EngineAuto {
 		optSpan := qrec.Start(obs.SpanOptimize)
@@ -414,7 +415,8 @@ func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *q
 	if err != nil {
 		return nil, o.Engine, err
 	}
-	return res.Tables, o.Engine, nil
+	res.Stats.Publish(qrec)
+	return res, o.Engine, nil
 }
 
 // CollectStats samples a fact file (up to sampleLimit records; 0 =

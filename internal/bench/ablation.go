@@ -43,7 +43,7 @@ func AblKey(cfg Config) (*Figure, error) {
 		{"best", choices[0]},
 		{"worst", choices[len(choices)-1]},
 	} {
-		d, stats, err := timed(func() (*scan.Result, error) {
+		d, stats, err := cfg.timed(func() (*scan.Result, error) {
 			return sortscan.Run(w, scan.FileInput(fact), sortscan.Options{EngineOptions: cfg.engineOptions(), SortKey: pick.ch.Key, Stats: st})
 		})
 		if err != nil {
@@ -91,7 +91,7 @@ func AblPar(cfg Config) (*Figure, error) {
 	cards := NetStats(nc.Days, nc.Sources, nc.Subnets)
 	key := model.SortKey{{Dim: 0, Lvl: day}, {Dim: 2, Lvl: 0}, {Dim: 1, Lvl: 0}}
 	for _, parts := range []int{1, 2, 4} {
-		d, stats, err := timed(func() (*scan.Result, error) {
+		d, stats, err := cfg.timed(func() (*scan.Result, error) {
 			return sortscan.RunSharded(w, scan.FileInput(fact), sortscan.Options{
 				EngineOptions: cfg.engineOptions(), SortKey: key, Stats: &plan.Stats{BaseCard: cards}, Workers: parts,
 			})
@@ -138,7 +138,7 @@ func AblFlush(cfg Config) (*Figure, error) {
 		{"early-flush", false},
 		{"no-flush", true},
 	} {
-		d, stats, err := timed(func() (*scan.Result, error) {
+		d, stats, err := cfg.timed(func() (*scan.Result, error) {
 			return sortscan.Run(w, scan.FileInput(fact), sortscan.Options{
 				EngineOptions: cfg.engineOptions(), SortKey: best.Key, Stats: st, DisableEarlyFlush: mode.disable,
 			})

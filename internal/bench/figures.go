@@ -180,40 +180,43 @@ func (c Config) netFile(n int64) (string, gen.NetConfig, error) {
 	return path, nc, nil
 }
 
-// timed runs one engine and returns its wall-clock time and stats.
-func timed(run func() (*scan.Result, error)) (time.Duration, scan.Stats, error) {
+// timed runs one engine, publishes its stats to the harness recorder,
+// and returns its wall-clock time and stats.
+func (c Config) timed(run func() (*scan.Result, error)) (time.Duration, obs.EngineStats, error) {
 	t0 := time.Now()
 	res, err := run()
 	if err != nil {
-		return 0, scan.Stats{}, err
+		return 0, obs.EngineStats{}, err
 	}
-	return time.Since(t0), res.Stats, nil
+	d := time.Since(t0)
+	res.Stats.Publish(c.rec)
+	return d, res.Stats, nil
 }
 
 // timeSortScan runs the sort/scan engine with an optimizer-chosen key.
-func (c Config) timeSortScan(w *core.Compiled, fact string, cards []float64) (time.Duration, scan.Stats, error) {
+func (c Config) timeSortScan(w *core.Compiled, fact string, cards []float64) (time.Duration, obs.EngineStats, error) {
 	st := &plan.Stats{BaseCard: cards}
 	choice, err := opt.Best(w, st, c.rec)
 	if err != nil {
-		return 0, scan.Stats{}, err
+		return 0, obs.EngineStats{}, err
 	}
-	return timed(func() (*scan.Result, error) {
+	return c.timed(func() (*scan.Result, error) {
 		return sortscan.Run(w, scan.FileInput(fact), sortscan.Options{EngineOptions: c.engineOptions(), SortKey: choice.Key, Stats: st})
 	})
 }
 
 // timeSingleScan runs the single-scan engine under the configured
 // memory budget.
-func (c Config) timeSingleScan(w *core.Compiled, fact string) (time.Duration, scan.Stats, error) {
-	return timed(func() (*scan.Result, error) {
+func (c Config) timeSingleScan(w *core.Compiled, fact string) (time.Duration, obs.EngineStats, error) {
+	return c.timed(func() (*scan.Result, error) {
 		return singlescan.Run(w, scan.FileInput(fact), singlescan.Options{EngineOptions: c.engineOptions(), MemoryBudget: c.SingleScanBudget})
 	})
 }
 
 // timeDB runs the relational baseline on the workflow's final
 // measures only (one SQL query per final measure, like the paper).
-func (c Config) timeDB(w *core.Compiled, fact string, finals []string) (time.Duration, scan.Stats, error) {
-	return timed(func() (*scan.Result, error) {
+func (c Config) timeDB(w *core.Compiled, fact string, finals []string) (time.Duration, obs.EngineStats, error) {
+	return c.timed(func() (*scan.Result, error) {
 		return relbaseline.RunMeasures(w, scan.FileInput(fact), finals, c.engineOptions())
 	})
 }

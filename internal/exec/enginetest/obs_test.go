@@ -40,7 +40,8 @@ func obsWorkflow(t *testing.T, g *Gen) *core.Compiled {
 
 // TestSortScanEmitsMetrics pins the tentpole contract on a golden
 // workflow: a sort/scan run must report every record it consumed and
-// every cell it flushed through the shared metric vocabulary.
+// every cell it flushed in the stats it returns, and leave publishing
+// them to its caller.
 func TestSortScanEmitsMetrics(t *testing.T) {
 	g := NewGen(42, 2)
 	c := obsWorkflow(t, g)
@@ -55,25 +56,24 @@ func TestSortScanEmitsMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := rec.Snapshot()
-	if got := snap.Counters[obs.MRecordsScanned]; got != int64(len(recs)) {
+	if got := res.Stats.Records; got != int64(len(recs)) {
 		t.Errorf("records_scanned = %d, want %d", got, len(recs))
 	}
-	if snap.Counters[obs.MCellsFinalized] == 0 {
+	if res.Stats.CellsFinalized == 0 {
 		t.Error("cells_finalized = 0, want > 0")
 	}
-	if snap.Counters[obs.MCellsCreated] == 0 {
+	if res.Stats.CellsCreated == 0 {
 		t.Error("cells_created = 0, want > 0")
 	}
-	if snap.Gauges[obs.GLiveCellsHWM] == 0 {
+	if res.Stats.PeakCells == 0 {
 		t.Error("live_cells_hwm = 0, want > 0")
 	}
-	// Stats stays a consistent view over the recorder.
-	if res.Stats.Records != snap.Counters[obs.MRecordsScanned] {
-		t.Errorf("Stats.Records %d != records_scanned %d", res.Stats.Records, snap.Counters[obs.MRecordsScanned])
+	if len(res.Stats.Nodes) != len(c.Measures) {
+		t.Errorf("%d node stats, want one per measure (%d)", len(res.Stats.Nodes), len(c.Measures))
 	}
-	if res.Stats.PeakCells != snap.Gauges[obs.GLiveCellsHWM] {
-		t.Errorf("Stats.PeakCells %d != live_cells_hwm %d", res.Stats.PeakCells, snap.Gauges[obs.GLiveCellsHWM])
+	snap := rec.Snapshot()
+	if _, ok := snap.Counters[obs.MRecordsScanned]; ok || len(snap.Nodes) != 0 {
+		t.Errorf("the engine published its stats itself: %v, %d nodes", snap.Counters, len(snap.Nodes))
 	}
 	// Span tree: sort and scan phases must be present and ended.
 	names := map[string]bool{}
@@ -146,9 +146,9 @@ func obsEngines(key model.SortKey) map[string]engineRun {
 	}
 }
 
-// vocabulary pairs each engine metric with the Stats field mirroring it:
-// counters first, then the two high-water-mark gauges.
-func vocabulary(st scan.Stats) (counters, gauges map[string]int64) {
+// vocabulary pairs each engine metric with the stats field mirroring
+// it: counters first, then the two high-water-mark gauges.
+func vocabulary(st obs.EngineStats) (counters, gauges map[string]int64) {
 	return map[string]int64{
 			obs.MRecordsScanned:    st.Records,
 			obs.MFactScans:         st.FactScans,
@@ -167,19 +167,34 @@ func vocabulary(st scan.Stats) (counters, gauges map[string]int64) {
 		}
 }
 
-// TestEnginesShareMetricVocabulary: all four engines plus shardscan
-// must publish every engine metric for the same workload, so snapshots
-// are comparable across evaluators.
+// awEngines is every batch engine as aw.RunCompiled runs obsWorkflow,
+// shardscan at two workers, sorting by key where the engine sorts.
+func awEngines(key model.SortKey, dir string) map[string]aw.QueryOptions {
+	out := map[string]aw.QueryOptions{}
+	for _, e := range []aw.Engine{aw.EngineSortScan, aw.EngineShardScan, aw.EngineSingleScan, aw.EngineMultiPass, aw.EngineRelational} {
+		o := aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: e}, SortKey: key, TempDir: dir}
+		if e == aw.EngineShardScan {
+			o.Parallelism = 2
+		}
+		out[e.String()] = o
+	}
+	return out
+}
+
+// TestEnginesShareMetricVocabulary: every engine, run through the
+// public API, must publish every engine metric for the same workload,
+// so snapshots are comparable across evaluators.
 func TestEnginesShareMetricVocabulary(t *testing.T) {
 	g := NewGen(44, 2)
 	c := obsWorkflow(t, g)
 	recs := g.Records(600)
 	fact := writeFact(t, g, recs)
 	key := model.SortKey{{Dim: 0, Lvl: 0}, {Dim: 1, Lvl: 0}}
-	counters, gauges := vocabulary(scan.Stats{})
-	for name, run := range obsEngines(key) {
+	counters, gauges := vocabulary(obs.EngineStats{})
+	for name, o := range awEngines(key, filepath.Dir(fact)) {
 		rec := obs.New()
-		if _, err := run(c, scan.FileInput(fact), scan.EngineOptions{TempDir: filepath.Dir(fact), Recorder: rec}); err != nil {
+		o.Recorder = rec
+		if _, err := aw.RunCompiled(context.Background(), c, aw.FromFile(fact), o); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		snap := rec.Snapshot()
@@ -202,41 +217,57 @@ func TestEnginesShareMetricVocabulary(t *testing.T) {
 	}
 }
 
-// TestEngineStatsMirrorMetrics: every engine's returned Stats agree
-// field for field with the metrics the run published into a fresh
-// recorder — shardscan's high-water marks are its largest worker's, as
-// the gauge says, and a budgeted single-scan's spill counts include the
-// run files of its spill merge.
+// TestEngineStatsMirrorMetrics: every engine's history line carries
+// field for field the stats its run published into a fresh recorder,
+// and the same per-node actuals — shardscan's high-water marks are its
+// largest worker's, and a budgeted single-scan's spill counts include
+// the run files of its spill merge.
 func TestEngineStatsMirrorMetrics(t *testing.T) {
 	g := NewGen(45, 2)
 	c := obsWorkflow(t, g)
 	fact := writeFact(t, g, g.Records(6000))
 	key := model.SortKey{{Dim: 0, Lvl: 0}, {Dim: 1, Lvl: 0}}
-	runs := obsEngines(key)
-	runs["singlescan-budget"] = func(c *core.Compiled, in scan.Input, eo scan.EngineOptions) (*scan.Result, error) {
-		return singlescan.Run(c, in, singlescan.Options{EngineOptions: eo, MemoryBudget: 2000})
-	}
-	for name, run := range runs {
+	runs := awEngines(key, filepath.Dir(fact))
+	budget := runs["singlescan"]
+	budget.MemoryBudget = 2000
+	runs["singlescan-budget"] = budget
+	for name, o := range runs {
+		h, err := aw.OpenHistory(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
 		rec := obs.New()
-		res, err := run(c, scan.FileInput(fact), scan.EngineOptions{TempDir: filepath.Dir(fact), Recorder: rec})
+		o.Recorder, o.History = rec, h
+		_, err = aw.RunCompiled(context.Background(), c, aw.FromFile(fact), o)
+		h.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		r := h.Recent(1)[0]
 		snap := rec.Snapshot()
-		counters, gauges := vocabulary(res.Stats)
+		counters, gauges := vocabulary(r.EngineStats)
 		for m, v := range counters {
 			if got := snap.Counters[m]; got != v {
-				t.Errorf("%s: Stats gives %s = %d, the recorder %d", name, m, v, got)
+				t.Errorf("%s: the history line gives %s = %d, the recorder %d", name, m, v, got)
 			}
 		}
 		for m, v := range gauges {
 			if got := snap.Gauges[m]; got != v {
-				t.Errorf("%s: Stats gives %s = %d, the recorder %d", name, m, v, got)
+				t.Errorf("%s: the history line gives %s = %d, the recorder %d", name, m, v, got)
 			}
 		}
-		if name == "singlescan-budget" && (res.Stats.Spills == 0 || res.Stats.SortRuns < 2) {
+		published := map[string]obs.NodeStats{}
+		for _, ns := range snap.Nodes {
+			published[ns.Node] = ns
+		}
+		for _, np := range r.Nodes {
+			if got := published[np.Node]; got.CellsFinalized != np.CellsFinalized || got.RecordsIn != np.RecordsIn {
+				t.Errorf("%s: node %s: the history line gives %+v, the recorder %+v", name, np.Node, np.NodeStats, got)
+			}
+		}
+		if name == "singlescan-budget" && (r.EngineStats.Spills == 0 || r.EngineStats.SortRuns < 2) {
 			t.Errorf("%s: %d spills, %d merge runs; the budget was meant to force a multi-run merge",
-				name, res.Stats.Spills, res.Stats.SortRuns)
+				name, r.EngineStats.Spills, r.EngineStats.SortRuns)
 		}
 	}
 }

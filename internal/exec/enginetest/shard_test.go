@@ -75,10 +75,10 @@ func runSerialVsSharded(t *testing.T, c *core.Compiled, fact string, key model.S
 						t.Errorf("%s: a sort merged %d runs, want >= 3 (all: %v)", name, runs, sortRuns(snap.Spans, nil))
 					}
 				}
-				if snap.Counters[obs.MSpillBytes] == 0 {
+				if got.Stats.SpillBytes == 0 {
 					t.Errorf("%s: nothing spilled", name)
 				}
-			} else if n := snap.Counters[obs.MSpillBytes]; n != 0 {
+			} else if n := got.Stats.SpillBytes; n != 0 {
 				t.Errorf("%s: an input of one chunk spilled %d bytes", name, n)
 			}
 			if shards == 1 {
@@ -87,7 +87,7 @@ func runSerialVsSharded(t *testing.T, c *core.Compiled, fact string, key model.S
 			if n := snap.Counters[obs.MShardsPlanned]; n != int64(shards) {
 				t.Errorf("%s: shards_planned = %d", name, n)
 			}
-			if n := snap.Counters[obs.MFactScans]; n != 1 {
+			if n := got.Stats.FactScans; n != 1 {
 				t.Errorf("%s: fact_scans = %d, want the one read", name, n)
 			}
 			if skew := snap.Gauges[obs.GShardSkew]; skew < 1000 {

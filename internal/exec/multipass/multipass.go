@@ -150,8 +150,7 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &scan.Result{}
-	own := scan.Stats{Passes: int64(len(passes))}
+	res := &scan.Result{Stats: obs.EngineStats{Passes: int64(len(passes))}}
 
 	tables := make([]*core.Table, len(c.Measures))
 	for pi, p := range passes {
@@ -186,10 +185,8 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 
 	// Combine composites with traditional in-memory strategies, in
 	// topological order.
-	if res.Tables, err = opts.Composites(c, tables, nil, &own); err != nil {
+	if res.Tables, err = opts.Composites(c, tables, nil, &res.Stats); err != nil {
 		return nil, fmt.Errorf("multipass: %w", err)
 	}
-	own.Publish(orec)
-	res.Stats.Add(own)
 	return res, nil
 }

@@ -171,13 +171,13 @@ func TestRunPublishesHiddenBasesUnderTheirOwnNames(t *testing.T) {
 		t.Fatalf("down has %d rows, want 2", len(res.Tables["down"].Rows))
 	}
 	found := false
-	for _, ns := range rec.NodeStats() {
+	for _, ns := range res.Stats.Nodes {
 		if strings.HasPrefix(ns.Node, "hidden") {
 			t.Errorf("node stats published under the alias %q", ns.Node)
 		}
 		found = found || (ns.Node == base && ns.CellsFinalized == 2)
 	}
 	if !found {
-		t.Fatalf("no node stats for hidden base %q: %+v", base, rec.NodeStats())
+		t.Fatalf("no node stats for hidden base %q: %+v", base, res.Stats.Nodes)
 	}
 }

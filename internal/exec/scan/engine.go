@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
-	"time"
 
 	"awra/internal/core"
 	"awra/internal/model"
@@ -29,9 +28,9 @@ type EngineOptions struct {
 	// at a time (0 = a default sized for roughly 256 MB).
 	ChunkRecords int
 	// Recorder, if non-nil, receives the run's phase spans and the
-	// standard engine metrics. A nil one is replaced by a private
-	// recorder (WithDefaults), so the engine's Stats stay complete; hot
-	// loops never touch it either way.
+	// read, cell-table and shard tallies; the engine vocabulary travels
+	// in the returned Result.Stats instead. A nil one is replaced by a
+	// private recorder (WithDefaults); hot loops never touch it.
 	Recorder *obs.Recorder
 	// Guard, if non-nil, enforces cancellation, resource budgets and the
 	// degraded-read policy. Checks run at batch and phase boundaries, so
@@ -39,76 +38,12 @@ type EngineOptions struct {
 	Guard *qguard.Guard
 }
 
-// Stats is one engine run's costs in the engine vocabulary — the
-// paper's §7 cost terms: sort vs. scan time (Figure 6(e)) and the
-// live-cell footprint of Tables 7-8. Each count mirrors the metric
-// named beside it in the run's recorder; the durations are the run's
-// sort, scan and combine phases.
-type Stats struct {
-	Records           int64 // records_scanned
-	FactScans         int64 // fact_scans
-	Passes            int64 // passes
-	CellsCreated      int64 // cells_created
-	CellsFinalized    int64 // cells_finalized
-	FlushBatches      int64 // flush_batches
-	WatermarkAdvances int64 // watermark_advances
-	PeakCells         int64 // live_cells_hwm
-	PeakBytes         int64 // hashtable_bytes_hwm
-	Spills            int64 // spill_events
-	SpillBytes        int64 // spill_bytes
-	SpilledEntries    int64 // spilled_entries
-	SortRuns          int64 // sort_runs
-
-	SortTime, ScanTime, CombineTime time.Duration
-}
-
 // Result is what every engine returns: the workflow's output tables by
-// measure name (hidden measures dropped) and the run's stats.
+// measure name (hidden measures dropped) and the run's stats, which the
+// engine fills but never publishes.
 type Result struct {
 	Tables map[string]*core.Table
-	Stats  Stats
-}
-
-// Add folds o into s the way the recorder folds two publishes: counts
-// and durations add, high-water marks take the larger.
-func (s *Stats) Add(o Stats) {
-	s.Records += o.Records
-	s.FactScans += o.FactScans
-	s.Passes += o.Passes
-	s.CellsCreated += o.CellsCreated
-	s.CellsFinalized += o.CellsFinalized
-	s.FlushBatches += o.FlushBatches
-	s.WatermarkAdvances += o.WatermarkAdvances
-	s.PeakCells = max(s.PeakCells, o.PeakCells)
-	s.PeakBytes = max(s.PeakBytes, o.PeakBytes)
-	s.Spills += o.Spills
-	s.SpillBytes += o.SpillBytes
-	s.SpilledEntries += o.SpilledEntries
-	s.SortRuns += o.SortRuns
-	s.SortTime += o.SortTime
-	s.ScanTime += o.ScanTime
-	s.CombineTime += o.CombineTime
-}
-
-// Publish writes the stats to the recorder under the engine vocabulary,
-// every name whether zero or not, so all engines export one set. It
-// takes an engine's own counts: what the sort publishes itself (its
-// runs and run files, see Sorted.EngineStats) joins a run's Stats after
-// this, never through it.
-func (s Stats) Publish(rec *obs.Recorder) {
-	rec.Counter(obs.MRecordsScanned).Add(s.Records)
-	rec.Counter(obs.MFactScans).Add(s.FactScans)
-	rec.Counter(obs.MPasses).Add(s.Passes)
-	rec.Counter(obs.MCellsCreated).Add(s.CellsCreated)
-	rec.Counter(obs.MCellsFinalized).Add(s.CellsFinalized)
-	rec.Counter(obs.MFlushBatches).Add(s.FlushBatches)
-	rec.Counter(obs.MWatermarkAdvances).Add(s.WatermarkAdvances)
-	rec.Gauge(obs.GLiveCellsHWM).SetMax(s.PeakCells)
-	rec.Gauge(obs.GHashBytesHWM).SetMax(s.PeakBytes)
-	rec.Counter(obs.MSpillEvents).Add(s.Spills)
-	rec.Counter(obs.MSpillBytes).Add(s.SpillBytes)
-	rec.Counter(obs.MSpilledEntries).Add(s.SpilledEntries)
-	rec.Counter(obs.MSortRuns).Add(s.SortRuns)
+	Stats  obs.EngineStats
 }
 
 // WithDefaults returns the options with a private recorder in place of
@@ -140,19 +75,19 @@ func (o EngineOptions) Sort(in Input, schema *model.Schema, key model.SortKey, f
 // with the key and the runs formed, and opens the sorted rows as one
 // stream, writing runs on workers goroutines. Closing the stream also
 // removes the sort's run files. It returns the sort's share of the
-// run's Stats: its duration, and the counts the sort published itself.
-func (o EngineOptions) SortStream(in Input, schema *model.Schema, key model.SortKey, from model.Gran, workers int) (BatchSource, Stats, error) {
+// run's stats: its duration, runs and run files.
+func (o EngineOptions) SortStream(in Input, schema *model.Schema, key model.SortKey, from model.Gran, workers int) (BatchSource, obs.EngineStats, error) {
 	span := o.Recorder.Start(obs.SpanSort)
 	defer span.End()
 	span.SetAttr("key", key.String(schema))
 	sorted, err := o.Sort(in, schema, key, from, 1, workers, o.Recorder.At(span))
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, obs.EngineStats{}, err
 	}
 	src, err := sorted.Open(0)
 	if err != nil {
 		sorted.Close()
-		return nil, Stats{}, err
+		return nil, obs.EngineStats{}, err
 	}
 	span.SetAttr("runs", fmt.Sprint(sorted.Stats().Runs))
 	span.End()
@@ -179,38 +114,40 @@ func (s sortedStream) Close() error {
 // kernel the rows in slices of at most stride, and before each slice
 // checks cancellation and, when live is non-nil, the live-cell budget
 // against live(), keeping the span's progress current. On every return
-// it ends the span, with the rows scanned as its records attribute, and
-// publishes the source's read stats. It returns the rows the kernel
-// took and the span's duration.
-func (o EngineOptions) ScanPhase(src BatchSource, stride int, live func() int64, kernel func(rows []Record) error) (records int64, d time.Duration, err error) {
+// it ends the span, with the rows scanned as its records attribute,
+// adds the rows the kernel took and the span's duration to st, and
+// publishes the source's read stats.
+func (o EngineOptions) ScanPhase(src BatchSource, stride int, live func() int64, kernel func(rows []Record) error, st *obs.EngineStats) error {
 	span := o.Recorder.Start(obs.SpanScan)
 	span.SetTotal(src.Header().Count)
+	var records int64
 	defer func() {
 		span.SetDone(records)
 		span.SetAttr("records", fmt.Sprint(records))
 		span.End()
-		d = span.Duration()
+		st.Records += records
+		st.ScanTime += span.Duration()
 		PublishReadStats(o.Recorder, src)
 	}()
 	for {
 		batch, err := src.NextBatch()
 		if err != nil || batch == nil {
-			return records, 0, err
+			return err
 		}
 		for len(batch) > 0 {
 			span.SetDone(records)
 			if err := o.Guard.Err(); err != nil {
-				return records, 0, err
+				return err
 			}
 			if live != nil {
 				if err := o.Guard.NoteLiveCells(live()); err != nil {
-					return records, 0, err
+					return err
 				}
 			}
 			rows := batch[:min(stride, len(batch))]
 			batch = batch[len(rows):]
 			if err := kernel(rows); err != nil {
-				return records, 0, err
+				return err
 			}
 			records += int64(len(rows))
 		}
@@ -235,11 +172,11 @@ func (o EngineOptions) TempPath(kind string) string {
 // basic measures first: it computes every composite measure into tables
 // in the workflow's topological order, under one "combine" span. An
 // order-insensitive roll-up whose source has a cell stream in cells
-// reads that stream instead of the source's table. It publishes each
-// node's stats, charges non-hidden rows to the guard, adds the cells
+// reads that stream instead of the source's table. It charges
+// non-hidden rows to the guard, adds each node's stats, the cells
 // finalized and the phase's duration to st, and returns the workflow's
 // output tables by name.
-func (o EngineOptions) Composites(c *core.Compiled, tables []*core.Table, cells []func(yield func(model.Key, float64)), st *Stats) (map[string]*core.Table, error) {
+func (o EngineOptions) Composites(c *core.Compiled, tables []*core.Table, cells []func(yield func(model.Key, float64)), st *obs.EngineStats) (map[string]*core.Table, error) {
 	span := o.Recorder.Start(obs.SpanCombine)
 	defer span.End()
 	for i, m := range c.Measures {
@@ -271,7 +208,7 @@ func (o EngineOptions) Composites(c *core.Compiled, tables []*core.Table, cells 
 				return nil, err
 			}
 		}
-		o.Recorder.MergeNodeStats(ns)
+		st.Nodes = append(st.Nodes, ns)
 		tables[i] = tbl
 	}
 	span.End()

@@ -51,8 +51,8 @@ type SortOptions struct {
 	// BatchBytes is the read-chunk size for the batched input readers
 	// (0 = DefaultBatchBytes).
 	BatchBytes int
-	// Recorder, if non-nil, receives the run-generation span and the
-	// standard sort metrics.
+	// Recorder, if non-nil, receives the run-generation span, the read
+	// stats and the merge's heap comparisons.
 	Recorder *obs.Recorder
 	// Guard, if non-nil, makes the sort cooperatively cancelable and
 	// charges run files against the spill-byte budget.
@@ -489,8 +489,6 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 	}
 	runsSpan := rec.Start(obs.SpanSortRuns)
 	defer runsSpan.End()
-	spillEvents := rec.Counter(obs.MSpillEvents)
-	spillBytes := rec.Counter(obs.MSpillBytes)
 	router := partRouter{parts: len(s.parts)}
 
 	// writeRun index-sorts one part's rows of a chunk and spills them in
@@ -499,8 +497,6 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 		defer qguard.RecoverAbort(&err)
 		sorter.Sort(idx, cs.keys, kp, guard)
 		runBytes := int64(len(idx)) * int64(hdr.RowBytes())
-		spillEvents.Add(1)
-		spillBytes.Add(runBytes)
 		if err := guard.NoteSpill(runBytes); err != nil {
 			return err
 		}
@@ -603,7 +599,6 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 			return nil, err
 		}
 	}
-	rec.Counter(obs.MSortRuns).Add(int64(s.stats.Runs))
 	return s, nil
 }
 
@@ -611,12 +606,11 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 // in memory, one per part and chunk spilled.
 func (s *Sorted) Stats() storage.SortStats { return s.stats }
 
-// EngineStats is the sort's share of an engine run's Stats, counts it
-// published itself: the runs it formed and, when it spilled, their run
-// files and bytes — a spilling sort writes every row to some run.
-// Valid until Close.
-func (s *Sorted) EngineStats() Stats {
-	st := Stats{SortRuns: int64(s.stats.Runs)}
+// EngineStats is the sort's share of an engine run's stats: the runs it
+// formed and, when it spilled, their run files and bytes — a spilling
+// sort writes every row to some run. Valid until Close.
+func (s *Sorted) EngineStats() obs.EngineStats {
+	st := obs.EngineStats{SortRuns: int64(s.stats.Runs)}
 	if s.mem == nil {
 		st.Spills = int64(s.stats.Runs)
 		st.SpillBytes = s.stats.Records * int64(s.hdr.RowBytes())
@@ -845,13 +839,15 @@ func (s *mergeSrc) load(cols sortCols) error {
 
 // SortFileByKey external-sorts a record file by the (normalized) sort
 // key into outPath, rows verbatim, checksums included: SortByKey's one
-// part drained into a file.
+// part drained into a file. It publishes the sort's engine stats to
+// opts.Recorder.
 func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortKey, opts SortOptions) (storage.SortStats, error) {
 	s, err := sortByKey(FileInput(inPath), schema, key, nil, 1, true, opts)
 	if err != nil {
 		return storage.SortStats{}, err
 	}
 	defer s.Close()
+	s.EngineStats().Publish(opts.Recorder)
 	stats := s.Stats()
 	src, err := s.Open(0)
 	if err != nil {

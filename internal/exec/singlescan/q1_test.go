@@ -75,11 +75,11 @@ func TestScanAllocationBound(t *testing.T) {
 	const runs = 3
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < runs; i++ {
-		rec := obs.New()
-		if _, err := Run(c, scan.FileInput(path), Options{EngineOptions: scan.EngineOptions{Recorder: rec}}); err != nil {
+		res, err := Run(c, scan.FileInput(path), Options{EngineOptions: scan.EngineOptions{Recorder: obs.New()}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		cells = rec.Counter(obs.MCellsCreated).Value()
+		cells = res.Stats.CellsCreated
 	}
 	runtime.ReadMemStats(&m1)
 	if cells < 100_000 {

@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"time"
 
 	"awra/internal/agg"
 	"awra/internal/core"
@@ -68,8 +67,8 @@ type table struct {
 	writer     *storage.Writer
 	spillBytes int64 // bytes written to the spill file
 	opts       *scan.EngineOptions
-	// ns holds the node's tallies (plain fields, published at end of
-	// run); live is its currently live cells.
+	// ns holds the node's tallies (plain fields, returned in the run's
+	// stats); live is its currently live cells.
 	ns   obs.NodeStats
 	live int64
 }
@@ -217,11 +216,8 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 		return nil, fmt.Errorf("singlescan: %w", err)
 	}
 	defer bsrc.Close()
-	start := time.Now()
 
-	// stats holds the run's own counts; merged, what the spill merges'
-	// sorts published themselves.
-	var stats, merged scan.Stats
+	var stats obs.EngineStats
 	var basics []*table
 	var totalBytes, liveCells int64
 	mo := newMorsel(c.Schema)
@@ -248,7 +244,7 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 	// and aggregate updates run as one batch each (DESIGN.md §hot-path).
 	// The morsel is the guard stride too.
 	numDims := c.Schema.NumDims()
-	stats.Records, _, err = opts.ScanPhase(bsrc, morselRows, func() int64 { return liveCells }, func(rows []scan.Record) error {
+	err = opts.ScanPhase(bsrc, morselRows, func() int64 { return liveCells }, func(rows []scan.Record) error {
 		mo.load(rows)
 		for _, t := range basics {
 			created, grew := t.absorb(mo, rows, numDims)
@@ -280,7 +276,7 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 			}
 		}
 		return nil
-	})
+	}, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -305,13 +301,10 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 				return nil, err
 			}
 			stats.Spills++
-			var sorted scan.Stats
 			var err error
-			tbl, sorted, err = t.mergeSpills(c.Schema, opts.MemoryBudget)
-			if err != nil {
+			if tbl, err = t.mergeSpills(c.Schema, opts.MemoryBudget, &stats); err != nil {
 				return nil, err
 			}
-			merged.Add(sorted)
 		} else {
 			tbl = core.NewTable(c.Schema, t.m.Gran)
 			// Exact-size map build from the dense arena: one growth-free
@@ -340,7 +333,7 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 		}
 	}
 	spillSpan.End()
-	stats.ScanTime = time.Since(start)
+	stats.ScanTime += spillSpan.Duration()
 
 	// Phase 2: composite measures in topological order (the workflow's
 	// compiled order).
@@ -359,16 +352,13 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 		stats.PeakBytes = peak2
 	}
 
-	// Publish (phase-boundary only); the merges' sorts published theirs.
 	tabs := make([]*cellmap.Table, len(basics))
 	for i, t := range basics {
 		stats.SpillBytes += t.spillBytes
 		tabs[i] = t.tab
-		orec.MergeNodeStats(t.ns)
+		stats.Nodes = append(stats.Nodes, t.ns)
 	}
-	stats.Publish(orec)
 	scan.PublishCellStats(orec, tabs)
-	stats.Add(merged)
 	return &scan.Result{Tables: outputs, Stats: stats}, nil
 }
 
@@ -446,10 +436,10 @@ func mergeChunk(budget int64, width int) int {
 // mergeSpills sorts the spill file by all of its columns — (key codes,
 // generation, position), ties in file order — and restores and merges
 // the per-generation states per key straight from the sorted stream.
-// It returns the table and the sort's share of the run's Stats.
-func (t *table) mergeSpills(s *model.Schema, budget int64) (*core.Table, scan.Stats, error) {
+// It adds the sort's share of the run's stats to st.
+func (t *table) mergeSpills(s *model.Schema, budget int64, st *obs.EngineStats) (*core.Table, error) {
 	if err := t.writer.Close(); err != nil {
-		return nil, scan.Stats{}, err
+		return nil, err
 	}
 	t.writer = nil
 	width := t.m.Codec.Width()
@@ -457,12 +447,12 @@ func (t *table) mergeSpills(s *model.Schema, budget int64) (*core.Table, scan.St
 	so.ChunkRecords = mergeChunk(budget, width)
 	sorted, err := so.Sort(scan.FileInput(t.spillPath), nil, nil, nil, 1, 0, so.Recorder)
 	if err != nil {
-		return nil, scan.Stats{}, fmt.Errorf("singlescan: sort spill: %w", err)
+		return nil, fmt.Errorf("singlescan: sort spill: %w", err)
 	}
 	defer sorted.Close()
 	src, err := sorted.Open(0)
 	if err != nil {
-		return nil, scan.Stats{}, fmt.Errorf("singlescan: sort spill: %w", err)
+		return nil, fmt.Errorf("singlescan: sort spill: %w", err)
 	}
 	defer src.Close()
 
@@ -507,32 +497,32 @@ func (t *table) mergeSpills(s *model.Schema, budget int64) (*core.Table, scan.St
 	for {
 		batch, err := src.NextBatch()
 		if err != nil {
-			return nil, scan.Stats{}, err
+			return nil, err
 		}
 		if batch == nil {
 			break
 		}
 		for _, row := range batch {
 			if len(row) != rowBytes {
-				return nil, scan.Stats{}, fmt.Errorf("singlescan: malformed spill row: %d bytes, want %d", len(row), rowBytes)
+				return nil, fmt.Errorf("singlescan: malformed spill row: %d bytes, want %d", len(row), rowBytes)
 			}
 			for i := range codes {
 				codes[i] = row.Dim(i)
 			}
 			k, err := t.m.Codec.FromCodesChecked(codes)
 			if err != nil {
-				return nil, scan.Stats{}, fmt.Errorf("singlescan: malformed spill row: %w", err)
+				return nil, fmt.Errorf("singlescan: malformed spill row: %w", err)
 			}
 			gen := row.Dim(width)
 			if !haveKey || k != curKey {
 				if err := flushKey(); err != nil {
-					return nil, scan.Stats{}, err
+					return nil, err
 				}
 				curKey, haveKey, lastGen = k, true, -1
 			}
 			if gen != lastGen {
 				if err := flushGen(); err != nil {
-					return nil, scan.Stats{}, err
+					return nil, err
 				}
 				lastGen = gen
 			}
@@ -543,7 +533,8 @@ func (t *table) mergeSpills(s *model.Schema, budget int64) (*core.Table, scan.St
 		}
 	}
 	if err := flushKey(); err != nil {
-		return nil, scan.Stats{}, err
+		return nil, err
 	}
-	return tbl, sorted.EngineStats(), nil
+	st.Add(sorted.EngineStats())
+	return tbl, nil
 }

@@ -68,28 +68,26 @@ func TestFlushAllocationBound(t *testing.T) {
 	mixedRecs := mem(t, net, mixedRecords(net, mixedPlan, 60000, 20, 32))
 	for _, tc := range []struct {
 		name string
-		run  func(rec *obs.Recorder) error
+		run  func(rec *obs.Recorder) (*scan.Result, error)
 	}{
-		{"q1", func(rec *obs.Recorder) error {
-			_, err := Run(q1, scan.FileInput(fact), Options{
+		{"q1", func(rec *obs.Recorder) (*scan.Result, error) {
+			return Run(q1, scan.FileInput(fact), Options{
 				EngineOptions: scan.EngineOptions{TempDir: dir, Recorder: rec}, SortKey: q1SortKey,
 			})
-			return err
 		}},
-		{"mixed", func(rec *obs.Recorder) error {
-			_, err := Run(mixed, mixedRecs, Options{
+		{"mixed", func(rec *obs.Recorder) (*scan.Result, error) {
+			return Run(mixed, mixedRecs, Options{
 				EngineOptions: scan.EngineOptions{Recorder: rec}, SortKey: mixedPlan.SortKey,
 			})
-			return err
 		}},
 	} {
 		var finalized int64
 		mallocs := testing.AllocsPerRun(3, func() {
-			rec := obs.New()
-			if err := tc.run(rec); err != nil {
+			res, err := tc.run(obs.New())
+			if err != nil {
 				t.Fatal(err)
 			}
-			finalized = rec.Counter(obs.MCellsFinalized).Value()
+			finalized = res.Stats.CellsFinalized
 		})
 		if finalized < 50000 {
 			t.Fatalf("%s: only %d cells finalized; the bound below needs the per-cell work to dominate", tc.name, finalized)
@@ -219,7 +217,7 @@ func TestCombineShardsDetectsSharedRegion(t *testing.T) {
 		return e
 	}
 
-	res, err := combineShards(c, nil, []*engine{shard(recs[:cut]), shard(recs[cut:])}, obs.New(), nil)
+	res, err := combineShards(c, nil, []*engine{shard(recs[:cut]), shard(recs[cut:])}, nil)
 	if err != nil {
 		t.Fatalf("disjoint shards: %v", err)
 	}
@@ -235,7 +233,7 @@ func TestCombineShardsDetectsSharedRegion(t *testing.T) {
 	split := cut + 10
 	third := whole.Tables["perDay"].Codec.Format(
 		whole.Tables["perDay"].Codec.FromBase(recs[cut].Dims))
-	_, err = combineShards(c, nil, []*engine{shard(recs[:split]), shard(recs[split:])}, obs.New(), nil)
+	_, err = combineShards(c, nil, []*engine{shard(recs[:split]), shard(recs[split:])}, nil)
 	if err == nil {
 		t.Fatal("a region produced by two shards combined without error")
 	}

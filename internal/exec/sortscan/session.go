@@ -45,7 +45,7 @@ type SessionOptions struct {
 	// producing wrong results (costs one comparison per record).
 	ValidateOrder bool
 	// Recorder, if non-nil, receives the session's scan span and
-	// engine metrics (published at Close).
+	// engine metrics (published at Close, once).
 	Recorder *obs.Recorder
 	// Guard, if non-nil, makes Push fail with the guard's typed error
 	// once the session's context is canceled or a budget trips.
@@ -128,8 +128,10 @@ func (s *Session) Close() (*scan.Result, error) {
 	s.span.SetAttr("records", fmt.Sprint(s.e.stats.Records))
 	s.span.End()
 	s.e.stats.ScanTime = time.Since(s.t0)
-	s.e.publish()
-	return s.e.result(), nil
+	s.e.finish()
+	res := s.e.result()
+	res.Stats.Publish(s.e.rec)
+	return res, nil
 }
 
 // newEngine builds the runtime node graph (shared by batch runs and

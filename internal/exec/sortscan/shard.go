@@ -35,7 +35,7 @@ import (
 // The guard's live-cell budget is divided across shards; ChunkRecords
 // counts all of them. The recorder gets a "split" span for the one
 // routing read, one "shard" span subtree per worker, a "combine" span,
-// and shards_planned and shard_skew_ratio beside the engine vocabulary.
+// and shards_planned and shard_skew_ratio.
 // The run's high-water marks are its largest worker's.
 func RunSharded(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 	if opts.Workers <= 1 {
@@ -146,7 +146,7 @@ func RunSharded(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, er
 	}
 	combSpan := rec.Start(obs.SpanCombine)
 	defer combSpan.End()
-	out, err := combineShards(c, sp.Merge, engines, rec, guard)
+	out, err := combineShards(c, sp.Merge, engines, guard)
 	if err != nil {
 		return nil, err
 	}
@@ -165,11 +165,10 @@ func RunSharded(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, er
 // (merge, by measure index), whose cells the workers left unfinalized,
 // merge per region through their aggregate columns and finalize here.
 // The workers' stats fold as the recorder folds them, except that the
-// times are the slowest worker's: the workers ran side by side. It
-// publishes its own counts: the one fact scan and the merged cells.
-func combineShards(c *core.Compiled, merge []int, engines []*engine, rec *obs.Recorder, guard *qguard.Guard) (*scan.Result, error) {
-	out := &scan.Result{Tables: make(map[string]*core.Table)}
-	own := scan.Stats{FactScans: 1}
+// times are the slowest worker's: the workers ran side by side. It adds
+// the one fact scan and the merged cells.
+func combineShards(c *core.Compiled, merge []int, engines []*engine, guard *qguard.Guard) (*scan.Result, error) {
+	out := &scan.Result{Tables: make(map[string]*core.Table), Stats: obs.EngineStats{FactScans: 1}}
 	var sortTime, scanTime time.Duration
 	for _, e := range engines {
 		out.Stats.Add(e.stats)
@@ -267,12 +266,12 @@ func combineShards(c *core.Compiled, merge []int, engines []*engine, rec *obs.Re
 			}
 		}
 		cells := tab.Len()
-		own.CellsFinalized += int64(cells)
+		out.Stats.CellsFinalized += int64(cells)
 		ns := obs.NodeStats{Node: m.Name, CellsFinalized: int64(cells)}
 		if !m.Hidden {
 			ns.RecordsOut = int64(cells)
 		}
-		rec.MergeNodeStats(ns)
+		out.Stats.Nodes = append(out.Stats.Nodes, ns)
 		if m.Hidden {
 			continue
 		}
@@ -286,8 +285,6 @@ func combineShards(c *core.Compiled, merge []int, engines []*engine, rec *obs.Re
 			return nil, err
 		}
 	}
-	own.Publish(rec)
-	out.Stats.Add(own)
 	return out, nil
 }
 

@@ -82,7 +82,7 @@ type arcState struct {
 	// ("entries are finalized when the day switches") instead of
 	// re-scanning the hash table on every record.
 	advancedCoarse bool
-	// Per-arc tallies (plain fields, published at end of run):
+	// Per-arc tallies (plain fields, returned at end of run):
 	// advances counts watermark advances on this arc; heldBack counts
 	// cell-finalization checks this arc's lagging watermark deferred.
 	advances int64
@@ -152,9 +152,9 @@ type node struct {
 	// dependents: (node index, role) pairs in node order; role is the
 	// source position, or -1 for base.
 	deps []depEdge
-	// ns holds the node's tallies (plain fields, published at end of
-	// run): the node-level breakdown of the engine's counts. live is its
-	// currently live cells.
+	// ns holds the node's tallies (plain fields, returned in the run's
+	// stats): the node-level breakdown of the engine's counts. live is
+	// its currently live cells.
 	ns   obs.NodeStats
 	live int64
 }
@@ -294,8 +294,8 @@ type engine struct {
 	pl    *plan.Plan
 	nodes []*node
 	// stats holds the run's tallies in plain fields (the scan loop never
-	// touches the recorder); publish() flushes them at end of run.
-	stats        scan.Stats
+	// touches the recorder); finish() adds the node stats at end of run.
+	stats        obs.EngineStats
 	live         int64
 	noEarlyFlush bool
 	emit         EmitFunc
@@ -335,11 +335,10 @@ type engine struct {
 	sorter     scan.IdxSorter
 }
 
-// publish flushes the engine's stats into its recorder, plus one
-// NodeStats per measure node (the per-operator breakdown behind EXPLAIN
-// ANALYZE).
-func (e *engine) publish() {
-	e.stats.Publish(e.rec)
+// finish adds one NodeStats per measure node to the run's stats (the
+// per-operator breakdown behind EXPLAIN ANALYZE) and publishes the cell
+// tables' tallies.
+func (e *engine) finish() {
 	tabs := make([]*cellmap.Table, len(e.nodes))
 	for i, n := range e.nodes {
 		tabs[i] = n.tab
@@ -355,7 +354,7 @@ func (e *engine) publish() {
 				HeldBack: a.heldBack,
 			})
 		}
-		e.rec.MergeNodeStats(ns)
+		e.stats.Nodes = append(e.stats.Nodes, ns)
 	}
 }
 
@@ -404,10 +403,9 @@ func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, opts
 			n.appendOnly = contiguousCells(c.Schema, pl.SortKey, n.m.Gran)
 		}
 	}
-	records, scanTime, err := opts.ScanPhase(src, scanStride, func() int64 { return e.live }, func(rows []scan.Record) error {
+	err := opts.ScanPhase(src, scanStride, func() int64 { return e.live }, func(rows []scan.Record) error {
 		return e.scanRows(basics, stateIdx, rows)
-	})
-	e.stats.Records = records
+	}, &e.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -425,8 +423,8 @@ func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, opts
 		}
 	}
 	finSpan.End()
-	e.stats.ScanTime = scanTime + finSpan.Duration()
-	e.publish()
+	e.stats.ScanTime += finSpan.Duration()
+	e.finish()
 	return e, nil
 }
 

@@ -6,8 +6,8 @@ import "sort"
 // of the workflow DAG — the per-operator "actual rows / actual time"
 // view that Tables 7-8 of the paper reason about. Engines accumulate
 // these in plain local fields during the scan (never touching the
-// recorder per record) and publish one NodeStats per node at phase
-// boundaries via MergeNodeStats.
+// recorder) and return them in EngineStats.Nodes, which the entry
+// point publishes through MergeNodeStats.
 //
 // Counter-like fields (records, cells, batches, arc advances) add
 // across publishes, so sharded and multi-pass engines publishing the
@@ -48,8 +48,8 @@ type ArcStats struct {
 	HeldBack int64 `json:"held_back,omitempty"`
 }
 
-// add folds src into dst with the family's merge semantics.
-func (dst *NodeStats) add(src NodeStats) {
+// Add folds src into dst with the family's merge semantics.
+func (dst *NodeStats) Add(src NodeStats) {
 	dst.RecordsIn += src.RecordsIn
 	dst.RecordsOut += src.RecordsOut
 	dst.CellsCreated += src.CellsCreated
@@ -97,7 +97,7 @@ func (r *Recorder) MergeNodeStats(ns NodeStats) {
 		cur = &NodeStats{Node: ns.Node}
 		o.reg.nodes[ns.Node] = cur
 	}
-	cur.add(ns)
+	cur.Add(ns)
 }
 
 // NodeStats returns a copy of every published node's stats, sorted by

@@ -153,3 +153,48 @@ func TestConcurrentNodeStatsPublish(t *testing.T) {
 		t.Fatalf("HWM should be max across workers: %d", ns[0].LiveCellsHWM)
 	}
 }
+
+// TestEngineStatsPublishWholeVocabulary: Publish registers all 13
+// engine metrics even when every count is zero, so every engine exports
+// one set of names.
+func TestEngineStatsPublishWholeVocabulary(t *testing.T) {
+	r := New()
+	EngineStats{}.Publish(r)
+	snap := r.Snapshot()
+	for _, m := range []string{
+		MRecordsScanned, MFactScans, MPasses, MCellsCreated, MCellsFinalized,
+		MFlushBatches, MWatermarkAdvances, MSpillEvents, MSpillBytes,
+		MSpilledEntries, MSortRuns,
+	} {
+		if v, ok := snap.Counters[m]; !ok || v != 0 {
+			t.Errorf("counter %q = %d, present %v; want a registered 0", m, v, ok)
+		}
+	}
+	for _, m := range []string{GLiveCellsHWM, GHashBytesHWM} {
+		if v, ok := snap.Gauges[m]; !ok || v != 0 {
+			t.Errorf("gauge %q = %d, present %v; want a registered 0", m, v, ok)
+		}
+	}
+	if len(snap.Counters)+len(snap.Gauges) != 13 {
+		t.Errorf("published %d counters and %d gauges, want 13 names", len(snap.Counters), len(snap.Gauges))
+	}
+}
+
+// TestEngineStatsAddFolds: counts add, high-water marks take the
+// larger, and the node list appends, folded by name on read.
+func TestEngineStatsAddFolds(t *testing.T) {
+	a := EngineStats{Records: 3, PeakCells: 7, Nodes: []NodeStats{{Node: "x", CellsFinalized: 2, LiveCellsHWM: 5}}}
+	a.Add(EngineStats{Records: 4, PeakCells: 2, Nodes: []NodeStats{{Node: "x", CellsFinalized: 1, LiveCellsHWM: 9}, {Node: "y", RecordsIn: 1}}})
+	if a.Records != 7 || a.PeakCells != 7 || len(a.Nodes) != 3 {
+		t.Fatalf("Add = %+v", a)
+	}
+	tot := a.NodeTotals()
+	if x := tot["x"]; x.CellsFinalized != 3 || x.LiveCellsHWM != 9 || tot["y"].RecordsIn != 1 {
+		t.Fatalf("NodeTotals = %+v", tot)
+	}
+	r := New()
+	a.Publish(r)
+	if got := r.NodeStats(); len(got) != 2 || got[0].CellsFinalized != 3 {
+		t.Fatalf("published nodes = %+v", got)
+	}
+}

@@ -14,8 +14,10 @@
 // Span, Counter, and Gauge is nil-safe, so instrumented code threads a
 // possibly-nil recorder without branching and hot loops pay one
 // pointer check at most. Engines keep per-record tallies in plain
-// local fields and publish them to the recorder only at phase
-// boundaries, so instrumentation never touches the scan loop.
+// local fields, so instrumentation never touches the scan loop: the
+// engine vocabulary comes back as an EngineStats value that the entry
+// point publishes once, and the reader and cell-table tallies are
+// published at phase boundaries.
 package obs
 
 import (

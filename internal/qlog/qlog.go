@@ -82,8 +82,11 @@ type Record struct {
 	DurationUs    int64  `json:"duration_us"`
 	// Phases maps span names (sort, scan, optimize, ...) to their
 	// summed durations in microseconds for this query.
-	Phases         map[string]int64 `json:"phases_us,omitempty"`
-	RecordsScanned int64            `json:"records_scanned,omitempty"`
+	Phases map[string]int64 `json:"phases_us,omitempty"`
+	// EngineStats is the engine's run stats under the metric names
+	// (records_scanned, cells_created, live_cells_hwm, ...). Its
+	// spill_bytes key is the guard's SpillBytes below, which shadows it.
+	obs.EngineStats
 	// ResultRows, SpillBytes and CorruptRows are the resource guard's
 	// accumulators for the attempt.
 	ResultRows  int64         `json:"result_rows,omitempty"`

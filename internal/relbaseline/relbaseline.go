@@ -54,11 +54,10 @@ type evaluator struct {
 	// opts.Recorder is the current measure's recorder view.
 	opts  Options
 	temps []string
-	// own accumulates the run's counts across operators and publishes at
-	// end of run: fact scans, spools (spill events), group-scan records
-	// and cells, and the largest join hash. sorted holds the sorts'
-	// share, which they published themselves.
-	own, sorted scan.Stats
+	// st accumulates the run's counts across operators: fact scans,
+	// spools (spill events), the sorts' runs and run files, group-scan
+	// records and cells, and the largest join hash.
+	st obs.EngineStats
 }
 
 // Run evaluates every output measure of the workflow independently.
@@ -82,7 +81,7 @@ func RunMeasures(c *core.Compiled, in scan.Input, names []string, opts Options) 
 		mSpan := orec.Start(obs.SpanMeasure)
 		mSpan.SetAttr("measure", name)
 		ev.opts.Recorder = orec.At(mSpan)
-		pre := ev.own
+		pre := ev.st
 		tbl, err := ev.measure(name)
 		mSpan.End()
 		if err != nil {
@@ -90,19 +89,17 @@ func RunMeasures(c *core.Compiled, in scan.Input, names []string, opts Options) 
 		}
 		res.Tables[name] = tbl
 		// Per-node actuals: everything this measure's operator tree did.
-		cells := ev.own.CellsFinalized - pre.CellsFinalized
-		orec.MergeNodeStats(obs.NodeStats{
+		cells := ev.st.CellsFinalized - pre.CellsFinalized
+		ev.st.Nodes = append(ev.st.Nodes, obs.NodeStats{
 			Node:           name,
-			RecordsIn:      ev.own.Records - pre.Records,
+			RecordsIn:      ev.st.Records - pre.Records,
 			RecordsOut:     int64(len(tbl.Rows)),
 			CellsCreated:   cells,
 			CellsFinalized: cells,
 		})
 	}
-	ev.own.CellsCreated = ev.own.CellsFinalized // one pass per cell: created == finalized
-	ev.own.Publish(orec)
-	res.Stats = ev.own
-	res.Stats.Add(ev.sorted)
+	ev.st.CellsCreated = ev.st.CellsFinalized // one pass per cell: created == finalized
+	res.Stats = ev.st
 	return res, nil
 }
 
@@ -141,13 +138,13 @@ func (ev *evaluator) spool(tag string, measures int, fill func(w *storage.Writer
 	if err != nil {
 		return "", err
 	}
-	ev.own.Spills++
+	ev.st.Spills++
 	if err := fill(w); err != nil {
 		w.Close()
 		return "", err
 	}
 	bytes := w.Count() * int64(8*(nd+measures))
-	ev.own.SpillBytes += bytes
+	ev.st.SpillBytes += bytes
 	if err := ev.opts.Guard.NoteSpill(bytes); err != nil {
 		w.Close()
 		return "", err
@@ -202,7 +199,7 @@ func (ev *evaluator) loadMap(r *rel) (map[model.Key]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev.own.PeakBytes = max(ev.own.PeakBytes, int64(len(tbl.Rows))*int64(tbl.Codec.KeyBytes()+24))
+	ev.st.PeakBytes = max(ev.st.PeakBytes, int64(len(tbl.Rows))*int64(tbl.Codec.KeyBytes()+24))
 	return tbl.Rows, nil
 }
 
@@ -231,7 +228,7 @@ func (ev *evaluator) evalFact(e *core.Expr) (scan.Input, error) {
 	if err != nil {
 		return scan.Input{}, err
 	}
-	ev.own.FactScans++
+	ev.st.FactScans++
 	path, err := ev.selectInto(in, ev.c.Schema.NumMeasures(), e.Pred)
 	return scan.FileInput(path), err
 }
@@ -291,9 +288,9 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 		return nil, err
 	}
 	defer src.Close()
-	ev.sorted.Add(sorted)
+	ev.st.Add(sorted)
 	if inIsFact {
-		ev.own.FactScans++
+		ev.st.FactScans++
 	}
 
 	// groupCodes maps a row to its group codes at the target granularity.
@@ -322,7 +319,8 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 			outRec.Ms[0] = curAgg.Final()
 			return w.Write(&outRec)
 		}
-		seen, scanTime, err := ev.opts.ScanPhase(src, groupStride, nil, func(rows []scan.Record) error {
+		var phase obs.EngineStats
+		err := ev.opts.ScanPhase(src, groupStride, nil, func(rows []scan.Record) error {
 			for _, row := range rows {
 				groupCodes(row)
 				if !haveKey || !slices.Equal(ga, curKey) {
@@ -343,18 +341,18 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 				}
 			}
 			return nil
-		})
-		ev.own.ScanTime += scanTime
+		}, &phase)
+		ev.st.ScanTime += phase.ScanTime
 		if err != nil {
 			return err
 		}
 		if inIsFact {
-			ev.own.Records += seen
+			ev.st.Records += phase.Records
 		}
 		if err := flush(); err != nil {
 			return err
 		}
-		ev.own.CellsFinalized += w.Count()
+		ev.st.CellsFinalized += w.Count()
 		return nil
 	})
 	if err != nil {

@@ -10,7 +10,6 @@ const (
 )
 
 var (
-	CreateVersionForTest   = createVersion
 	UnmarshalHeaderForTest = unmarshalHeader
 )
 

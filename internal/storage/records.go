@@ -46,8 +46,8 @@ type Header struct {
 	NumMeasures int
 	Count       int64
 	// Version is the on-disk format version the file was written with
-	// (1 = no row checksums, 2 = CRC32-C per row). Create always writes
-	// the current version; the field is informational on write.
+	// (1 = no row checksums, 2 = CRC32-C per row). Create writes the
+	// current version, CreateRaw the one given (0 = current).
 	Version int
 }
 
@@ -96,41 +96,40 @@ func unmarshalHeader(b []byte) (Header, error) {
 	return h, nil
 }
 
-// Writer writes records to a file. It buffers writes and fixes up the
-// record count in the header on Close.
+// Writer writes a record file, buffering rows and fixing up the record
+// count in the header on Close. Write encodes model records; WriteRow
+// appends pre-encoded disk rows verbatim, which is how the byte sort
+// moves rows: checksums computed when the rows were first written
+// travel with them, so a sorted copy needs no re-hashing and carries
+// torn-write detection through.
 type Writer struct {
 	f     File
-	w     *bufio.Writer
 	hdr   Header
 	buf   []byte
+	row   []byte // Write's encoding scratch
 	count int64
+	werr  error
 }
 
 // Create opens a new record file for writing, truncating any existing
 // file at the path. Files are written in the current format version
 // (per-row checksums).
 func Create(path string, numDims, numMeasures int) (*Writer, error) {
-	return createVersion(path, numDims, numMeasures, formatVersion)
+	return CreateRaw(path, Header{NumDims: numDims, NumMeasures: numMeasures})
 }
 
-// createVersion writes the given on-disk version; tests use it to
-// produce version-1 (checksum-less) files for compatibility coverage.
-func createVersion(path string, numDims, numMeasures, version int) (*Writer, error) {
+// CreateRaw opens a new record file with the given shape and format
+// version (0 means the current version).
+func CreateRaw(path string, hdr Header) (*Writer, error) {
+	if hdr.Version == 0 {
+		hdr.Version = formatVersion
+	}
 	f, err := filesystem.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: create %s: %w", path, err)
 	}
-	hdr := Header{NumDims: numDims, NumMeasures: numMeasures, Version: version}
-	w := &Writer{
-		f:   f,
-		w:   bufio.NewWriterSize(f, 1<<20),
-		hdr: hdr,
-		buf: make([]byte, hdr.diskRecordBytes()),
-	}
-	if _, err := w.w.Write(w.hdr.marshal()); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: write header: %w", err)
-	}
+	w := &Writer{f: f, hdr: hdr, buf: make([]byte, 0, 1<<20), row: make([]byte, hdr.diskRecordBytes())}
+	w.buf = append(w.buf, w.hdr.marshal()...)
 	return w, nil
 }
 
@@ -140,7 +139,7 @@ func (w *Writer) Write(r *model.Record) error {
 		return fmt.Errorf("storage: record shape (%d,%d) does not match file (%d,%d)",
 			len(r.Dims), len(r.Ms), w.hdr.NumDims, w.hdr.NumMeasures)
 	}
-	b := w.buf
+	b := w.row
 	for i, v := range r.Dims {
 		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
 	}
@@ -152,22 +151,41 @@ func (w *Writer) Write(r *model.Record) error {
 		payload := w.hdr.recordBytes()
 		binary.LittleEndian.PutUint32(b[payload:], crc32.Checksum(b[:payload], castagnoli))
 	}
-	if _, err := w.w.Write(b); err != nil {
-		return fmt.Errorf("storage: write record: %w", err)
-	}
+	return w.WriteRow(b)
+}
+
+// WriteRow appends one disk row (DiskRowBytes bytes, checksum
+// included for v2 shapes). The bytes are copied.
+func (w *Writer) WriteRow(row []byte) error {
+	w.buf = append(w.buf, row...)
 	w.count++
+	if len(w.buf) >= 1<<20 {
+		return w.flush()
+	}
+	return nil
+}
+
+func (w *Writer) flush() error {
+	if len(w.buf) == 0 || w.werr != nil {
+		return w.werr
+	}
+	if _, err := w.f.Write(w.buf); err != nil {
+		w.werr = fmt.Errorf("storage: write rows: %w", err)
+		return w.werr
+	}
+	w.buf = w.buf[:0]
 	return nil
 }
 
 // Count returns the number of records written so far.
 func (w *Writer) Count() int64 { return w.count }
 
-// Close flushes buffered data, rewrites the header with the final
+// Close flushes buffered rows, rewrites the header with the final
 // record count, and closes the file.
 func (w *Writer) Close() error {
-	if err := w.w.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		w.f.Close()
-		return fmt.Errorf("storage: flush: %w", err)
+		return err
 	}
 	w.hdr.Count = w.count
 	if _, err := w.f.WriteAt(w.hdr.marshal(), 0); err != nil {

@@ -55,7 +55,7 @@ func TestChecksumRoundTrip(t *testing.T) {
 func TestVersion1FilesStillReadable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.rec")
 	recs := mkRecs(100)
-	w, err := storage.CreateVersionForTest(path, 2, 1, 1)
+	w, err := storage.CreateRaw(path, storage.Header{NumDims: 2, NumMeasures: 1, Version: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
