@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"awra/aw"
+	"awra/internal/exec/scan"
 	"awra/internal/serve"
 )
 
@@ -83,7 +84,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		histDir  = flag.String("history", "", "persistent query-history directory (retries stay idempotent by request ID; plans reuse measured stats)")
-		tempDir  = flag.String("tempdir", "", "directory for sort runs and spills (default: system temp)")
+		tempDir  = flag.String("tempdir", "", "directory for sort runs and spills (default: system temp); those of exited processes are removed at start")
 		engine   = flag.String("engine", "auto", "default engine for queries that name none: auto, sortscan, shardscan, singlescan, multipass, relational (partscan is an alias for shardscan)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-query execution timeout (0 = none; requests may shorten it, never extend)")
 		maxConc  = flag.Int("max-concurrent", 8, "queries executing at once (admission slots)")
@@ -125,6 +126,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "awserved: collection %s: %v\n", name, err)
 			os.Exit(2)
 		}
+	}
+
+	// A crashed run leaves its sort runs and spills behind; nothing else
+	// removes them.
+	if n, err := scan.SweepTemp(*tempDir); err != nil {
+		log.Printf("awserved: sweeping stale temporary files: %v", err)
+	} else if n > 0 {
+		log.Printf("awserved: removed %d stale temporary files", n)
 	}
 
 	s, err := serve.New(serve.Config{

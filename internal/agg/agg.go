@@ -181,9 +181,9 @@ type Aggregator interface {
 func (k Kind) New() Aggregator {
 	switch k {
 	case Count:
-		return &countAgg{countStar: true}
-	case CountNonNull:
 		return &countAgg{}
+	case CountNonNull:
+		return &countNonNullAgg{}
 	case Sum:
 		return &sumAgg{}
 	case Min:
@@ -228,6 +228,8 @@ func loadState(a Aggregator, state []float64) error {
 			return fmt.Errorf("count state has %d values", len(state))
 		}
 		ag.n = int64(state[0])
+	case *countNonNullAgg:
+		return loadState(&ag.countAgg, state)
 	case *sumAgg:
 		if len(state) != 2 {
 			return fmt.Errorf("sum state has %d values", len(state))
@@ -267,20 +269,25 @@ func loadState(a Aggregator, state []float64) error {
 	return nil
 }
 
-type countAgg struct {
-	countStar bool
-	n         int64
-}
+// countAgg is COUNT(*) and countNonNullAgg COUNT(M): one register each.
+// Bytes reports 16 for either, the per-cell figure memory budgets are
+// set against.
+type countAgg struct{ n int64 }
 
-func (a *countAgg) Update(v float64) {
-	if a.countStar || !IsNull(v) {
-		a.n++
-	}
-}
+func (a *countAgg) Update(float64)     { a.n++ }
 func (a *countAgg) Merge(o Aggregator) { a.n += o.(*countAgg).n }
 func (a *countAgg) Final() float64     { return float64(a.n) }
 func (a *countAgg) State() []float64   { return []float64{float64(a.n)} }
 func (a *countAgg) Bytes() int         { return 16 }
+
+type countNonNullAgg struct{ countAgg }
+
+func (a *countNonNullAgg) Update(v float64) {
+	if !IsNull(v) {
+		a.n++
+	}
+}
+func (a *countNonNullAgg) Merge(o Aggregator) { a.n += o.(*countNonNullAgg).n }
 
 type sumAgg struct {
 	sum float64

@@ -6,7 +6,7 @@ import "fmt"
 // cells 0..Len()-1 — the hash engines' per-measure state, indexed by
 // cell id. The distributive and algebraic kinds (Gray et al.'s
 // classes), whose state is a fixed number of registers, live in one
-// typed slab of the very structs Kind.New boxes, so a cell costs no
+// paged slab of the very structs Kind.New boxes, so a cell costs no
 // heap object and an update is a direct call on a slab element. The
 // holistic kinds, whose state grows with the input, fall back to one
 // boxed Aggregator per cell. Either way a cell behaves bit for bit as
@@ -16,13 +16,65 @@ type Column struct {
 	fresh Aggregator // Kind.New(): the state every cell starts from
 	n     int
 
-	counts  []countAgg
-	sums    []sumAgg
-	minmaxs []minmaxAgg
-	avgs    []avgAgg
-	vars    []varAgg
-	ends    []firstLastAgg
-	boxed   []Aggregator
+	counts  slab[countAgg]
+	countms slab[countNonNullAgg]
+	sums    slab[sumAgg]
+	minmaxs slab[minmaxAgg]
+	avgs    slab[avgAgg]
+	vars    slab[varAgg]
+	ends    slab[firstLastAgg]
+	boxed   slab[Aggregator]
+}
+
+// slab holds cell i at page i/pageCells, index i%pageCells. Page 0
+// starts at firstCells cells and doubles up to a full page; every later
+// page is allocated full, so a cell outside a small page 0 is never
+// copied, and a pointer to it stays valid across Append. Keep and Reset
+// keep the pages.
+type slab[T any] [][]T
+
+const (
+	pageShift  = 12
+	pageCells  = 1 << pageShift
+	firstCells = 16 // page 0's first size, so a small column stays small
+)
+
+func (s slab[T]) at(i int32) *T { return &s[i>>pageShift][i&(pageCells-1)] }
+
+// fill sets cells from..from+n-1 to v, adding room as it goes.
+func (s *slab[T]) fill(from, n int, v T) {
+	for end := from + n; from < end; {
+		p, off := from>>pageShift, from&(pageCells-1)
+		if p == len(*s) {
+			*s = append(*s, nil)
+		}
+		page := (*s)[p]
+		if off == len(page) { // a new page, or page 0 below full size
+			size := pageCells
+			if p == 0 {
+				size = min(max(2*len(page), firstCells, end), pageCells)
+			}
+			grown := make([]T, size)
+			copy(grown, page)
+			(*s)[p], page = grown, grown
+		}
+		run := page[off:min(len(page), off+end-from)]
+		for i := range run {
+			run[i] = v
+		}
+		from += len(run)
+	}
+}
+
+// keep moves cell ids[j] to cell j for ascending ids; another kind's
+// empty slab stays empty.
+func (s slab[T]) keep(ids []int32) {
+	if len(s) == 0 {
+		return
+	}
+	for j, i := range ids {
+		*s.at(int32(j)) = *s.at(i)
+	}
 }
 
 // NewColumn returns an empty column of the kind's aggregate.
@@ -38,69 +90,57 @@ func (c *Column) Append() int32 {
 	return int32(c.n - 1)
 }
 
-// AppendN adds n cells in the kind's initial state, ids Len()..Len()+n-1.
-// A full slab doubles, so a column grown cell by cell to any size is
-// allocated and copied about twice over, not append's five times.
+// AppendN adds n cells in the kind's initial state, ids Len()..Len()+n-1,
+// a page at a time: no cell already in a full page moves.
 func (c *Column) AppendN(n int) {
 	switch f := c.fresh.(type) {
 	case *countAgg:
-		c.counts = appendN(c.counts, n, *f)
+		c.counts.fill(c.n, n, *f)
+	case *countNonNullAgg:
+		c.countms.fill(c.n, n, *f)
 	case *sumAgg:
-		c.sums = appendN(c.sums, n, *f)
+		c.sums.fill(c.n, n, *f)
 	case *minmaxAgg:
-		c.minmaxs = appendN(c.minmaxs, n, *f)
+		c.minmaxs.fill(c.n, n, *f)
 	case *avgAgg:
-		c.avgs = appendN(c.avgs, n, *f)
+		c.avgs.fill(c.n, n, *f)
 	case *varAgg:
-		c.vars = appendN(c.vars, n, *f)
+		c.vars.fill(c.n, n, *f)
 	case *firstLastAgg:
-		c.ends = appendN(c.ends, n, *f)
+		c.ends.fill(c.n, n, *f)
 	case zeroAgg:
 		// stateless: every cell is the one zero-size value
 	default:
-		c.boxed = appendN(c.boxed, n, nil)
+		c.boxed.fill(c.n, n, nil)
 		for i := c.n; i < c.n+n; i++ {
-			c.boxed[i] = c.kind.New()
+			*c.boxed.at(int32(i)) = c.kind.New()
 		}
 	}
 	c.n += n
 }
 
-// appendN appends n copies of v to s, doubling a full slab.
-func appendN[T any](s []T, n int, v T) []T {
-	end := len(s) + n
-	if end > cap(s) {
-		grown := make([]T, len(s), max(2*cap(s), end, 8))
-		copy(grown, s)
-		s = grown
-	}
-	s = s[:end]
-	for i := end - n; i < end; i++ {
-		s[i] = v
-	}
-	return s
-}
-
-// cell returns cell i's state machine: a pointer into the slab (valid
-// until the next Append) or the boxed fallback.
+// cell returns cell i's state machine: a pointer into the slab or the
+// boxed fallback.
 func (c *Column) cell(i int32) Aggregator {
 	switch c.fresh.(type) {
 	case *countAgg:
-		return &c.counts[i]
+		return c.counts.at(i)
+	case *countNonNullAgg:
+		return c.countms.at(i)
 	case *sumAgg:
-		return &c.sums[i]
+		return c.sums.at(i)
 	case *minmaxAgg:
-		return &c.minmaxs[i]
+		return c.minmaxs.at(i)
 	case *avgAgg:
-		return &c.avgs[i]
+		return c.avgs.at(i)
 	case *varAgg:
-		return &c.vars[i]
+		return c.vars.at(i)
 	case *firstLastAgg:
-		return &c.ends[i]
+		return c.ends.at(i)
 	case zeroAgg:
 		return c.fresh
 	}
-	return c.boxed[i]
+	return *c.boxed.at(i)
 }
 
 // Update absorbs one input value into cell i and returns by how much
@@ -108,21 +148,23 @@ func (c *Column) cell(i int32) Aggregator {
 // caller that accounts memory pays for it on holistic columns only.
 func (c *Column) Update(i int32, v float64) int {
 	switch c.kind {
-	case Count, CountNonNull:
-		c.counts[i].Update(v)
+	case Count:
+		c.counts.at(i).n++
+	case CountNonNull:
+		c.countms.at(i).Update(v)
 	case Sum:
-		c.sums[i].Update(v)
+		c.sums.at(i).Update(v)
 	case Min, Max:
-		c.minmaxs[i].Update(v)
+		c.minmaxs.at(i).Update(v)
 	case Avg:
-		c.avgs[i].Update(v)
+		c.avgs.at(i).Update(v)
 	case Var, StdDev:
-		c.vars[i].Update(v)
+		c.vars.at(i).Update(v)
 	case First, Last:
-		c.ends[i].Update(v)
+		c.ends.at(i).Update(v)
 	case ConstZero:
 	default:
-		a := c.boxed[i]
+		a := *c.boxed.at(i)
 		before := a.Bytes()
 		a.Update(v)
 		return a.Bytes() - before
@@ -136,35 +178,39 @@ func (c *Column) Update(i int32, v float64) int {
 func (c *Column) UpdateAll(ids []int32, vs []float64) int {
 	vs = vs[:len(ids)]
 	switch c.kind {
-	case Count, CountNonNull:
+	case Count:
+		for _, i := range ids {
+			c.counts.at(i).n++
+		}
+	case CountNonNull:
 		for j, i := range ids {
-			c.counts[i].Update(vs[j])
+			c.countms.at(i).Update(vs[j])
 		}
 	case Sum:
 		for j, i := range ids {
-			c.sums[i].Update(vs[j])
+			c.sums.at(i).Update(vs[j])
 		}
 	case Min, Max:
 		for j, i := range ids {
-			c.minmaxs[i].Update(vs[j])
+			c.minmaxs.at(i).Update(vs[j])
 		}
 	case Avg:
 		for j, i := range ids {
-			c.avgs[i].Update(vs[j])
+			c.avgs.at(i).Update(vs[j])
 		}
 	case Var, StdDev:
 		for j, i := range ids {
-			c.vars[i].Update(vs[j])
+			c.vars.at(i).Update(vs[j])
 		}
 	case First, Last:
 		for j, i := range ids {
-			c.ends[i].Update(vs[j])
+			c.ends.at(i).Update(vs[j])
 		}
 	case ConstZero:
 	default:
 		grew := 0
 		for j, i := range ids {
-			a := c.boxed[i]
+			a := *c.boxed.at(i)
 			before := a.Bytes()
 			a.Update(vs[j])
 			grew += a.Bytes() - before
@@ -207,35 +253,32 @@ func (c *Column) Merge(i int32, state []float64) error {
 // Keep compacts the column to the cells ids names, in ascending order:
 // cell ids[j] becomes cell j and Len becomes len(ids). It is the
 // survivor rebuild of a watermark flush, which retires the other cells
-// all at once; the slabs keep their capacity.
+// all at once; the slabs keep their pages.
 func (c *Column) Keep(ids []int32) {
-	c.counts, c.sums, c.minmaxs = keep(c.counts, ids), keep(c.sums, ids), keep(c.minmaxs, ids)
-	c.avgs, c.vars, c.ends = keep(c.avgs, ids), keep(c.vars, ids), keep(c.ends, ids)
-	if c.boxed != nil {
-		retired := c.boxed[len(ids):]
-		c.boxed = keep(c.boxed, ids)
-		clear(retired) // drop the moved and retired objects' old slots
-	}
+	c.counts.keep(ids)
+	c.countms.keep(ids)
+	c.sums.keep(ids)
+	c.minmaxs.keep(ids)
+	c.avgs.keep(ids)
+	c.vars.keep(ids)
+	c.ends.keep(ids)
+	c.boxed.keep(ids)
+	c.dropBoxed(len(ids))
 	c.n = len(ids)
 }
 
-// keep moves s[ids[j]] to s[j] for ascending ids; a nil slab (another
-// kind's) stays nil.
-func keep[T any](s []T, ids []int32) []T {
-	if s == nil {
-		return nil
+// dropBoxed clears boxed cells from..Len-1, so the collector can take
+// the objects they held.
+func (c *Column) dropBoxed(from int) {
+	if len(c.boxed) > 0 {
+		for i := from; i < c.n; i++ {
+			*c.boxed.at(int32(i)) = nil
+		}
 	}
-	for j, i := range ids {
-		s[j] = s[i]
-	}
-	return s[:len(ids)]
 }
 
-// Reset empties the column, keeping the slabs' capacity.
+// Reset empties the column, keeping the slabs' pages.
 func (c *Column) Reset() {
-	c.counts, c.sums, c.minmaxs = c.counts[:0], c.sums[:0], c.minmaxs[:0]
-	c.avgs, c.vars, c.ends = c.avgs[:0], c.vars[:0], c.ends[:0]
-	clear(c.boxed) // drop the per-cell objects for the collector
-	c.boxed = c.boxed[:0]
+	c.dropBoxed(0)
 	c.n = 0
 }

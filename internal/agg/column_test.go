@@ -246,3 +246,137 @@ func TestOrderInsensitive(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnPagesMatchBoxed runs every kind at the slab's page edges —
+// one cell, a page less one, a page, a page and one, three pages and
+// one — against boxed twins: a run of AppendN, cells restored from
+// serialized states, UpdateAll over every cell and single Updates,
+// merged states, a Keep to every other cell followed by growth back
+// across the edge, and a Reset and refill whose cells must read fresh.
+// Final and State agree bit for bit throughout.
+func TestColumnPagesMatchBoxed(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	checkAll := func(k Kind, c *Column, twins []Aggregator) {
+		t.Helper()
+		if c.Len() != len(twins) {
+			t.Fatalf("%v: Len = %d with %d cells", k, c.Len(), len(twins))
+		}
+		for i, a := range twins {
+			checkCell(t, k, c, int32(i), a)
+		}
+	}
+	fed := func(k Kind) Aggregator {
+		a := k.New()
+		for n := rng.Intn(4); n > 0; n-- {
+			a.Update(hostileValue(rng))
+		}
+		return a
+	}
+	for _, k := range allKinds {
+		for _, size := range []int{1, 4095, 4096, 4097, 12289} {
+			c := k.NewColumn()
+			var twins []Aggregator
+			appended := size / 2
+			c.AppendN(appended)
+			for i := 0; i < appended; i++ {
+				twins = append(twins, k.New())
+			}
+			for len(twins) < size {
+				st := fed(k).State()
+				if id, err := c.Restore(st); err != nil || int(id) != len(twins) {
+					t.Fatalf("%v: Restore = (%d, %v) with %d cells", k, id, err, len(twins))
+				}
+				a, _ := k.Restore(st)
+				twins = append(twins, a)
+			}
+			ids, vs := make([]int32, 2*size), make([]float64, 2*size)
+			for j := range ids {
+				ids[j], vs[j] = int32(j%size), hostileValue(rng)
+				twins[ids[j]].Update(vs[j])
+			}
+			c.UpdateAll(ids, vs)
+			for n := 0; n < 64; n++ {
+				i, v := int32(rng.Intn(size)), hostileValue(rng)
+				twins[i].Update(v)
+				c.Update(i, v)
+				st := fed(k).State()
+				o, _ := k.Restore(st)
+				twins[i].Merge(o)
+				if err := c.Merge(i, st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkAll(k, c, twins)
+
+			var keep []int32
+			kept := twins[:0]
+			for i, a := range twins {
+				if i%2 == 1 {
+					keep = append(keep, int32(i))
+					kept = append(kept, a)
+				}
+			}
+			c.Keep(keep)
+			twins = kept
+			checkAll(k, c, twins)
+			c.AppendN(size - len(twins))
+			for len(twins) < size {
+				twins = append(twins, k.New())
+			}
+			for j := range ids[:size] {
+				ids[j] = int32(size - 1 - j)
+				twins[ids[j]].Update(vs[j])
+			}
+			c.UpdateAll(ids[:size], vs[:size])
+			checkAll(k, c, twins)
+
+			c.Reset()
+			c.AppendN(size)
+			twins = twins[:0]
+			for i := 0; i < size; i++ {
+				twins = append(twins, k.New())
+			}
+			checkAll(k, c, twins)
+		}
+	}
+}
+
+// TestCountStarCountsNull: COUNT(*) counts a NULL input and COUNT(M)
+// does not, through Update and UpdateAll alike.
+func TestCountStarCountsNull(t *testing.T) {
+	for k, want := range map[Kind]float64{Count: 3, CountNonNull: 1} {
+		c := k.NewColumn()
+		c.AppendN(2)
+		c.Update(0, Null())
+		c.UpdateAll([]int32{0, 1, 0}, []float64{Null(), 5, 7})
+		if got := c.Final(0); got != want {
+			t.Errorf("%v over NULL, NULL, 7: %v, want %v", k, got, want)
+		}
+		if got := c.Final(1); got != 1 {
+			t.Errorf("%v over 5: %v, want 1", k, got)
+		}
+	}
+}
+
+// BenchmarkColumn prices a column's life per cell: 100k cells appended
+// a page at a time, then one UpdateAll over a million ids in a random
+// order, for a count, a sum and a variance.
+func BenchmarkColumn(b *testing.B) {
+	const cells, updates = 100_000, 1_000_000
+	rng := rand.New(rand.NewSource(16))
+	ids, vs := make([]int32, updates), make([]float64, updates)
+	for j := range ids {
+		ids[j], vs[j] = int32(rng.Intn(cells)), rng.NormFloat64()
+	}
+	for _, k := range []Kind{Count, Sum, Var} {
+		b.Run(k.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c := k.NewColumn()
+				for c.Len() < cells {
+					c.AppendN(min(4096, cells-c.Len()))
+				}
+				c.UpdateAll(ids, vs)
+			}
+		})
+	}
+}

@@ -6,8 +6,9 @@
 // pointer allocations, and hash-iteration overhead. DESIGN.md §hot-path
 // owns the description of the layout (word-wise multiply-mix hash,
 // tagged 8-byte slots indexed by the hash's high bits, linear probing,
-// doubling at half load, append-only key arena whose capacity doubles in
-// lock-step with the slots) and of InsertBatch's four probe stages.
+// doubling at half load, and an append-only key arena of fixed-size
+// pages that a doubling never copies) and of InsertBatch's four probe
+// stages.
 //
 // The table does not support deletion; the engines' watermark flushes
 // retire whole batches of cells at once, so they rebuild the table from
@@ -17,6 +18,7 @@ package cellmap
 import (
 	"encoding/binary"
 	"math/bits"
+	"strings"
 )
 
 // Table maps fixed-width byte keys to dense indices 0..Len()-1 in
@@ -31,11 +33,14 @@ type Table struct {
 	slots []uint64
 	shift uint   // 64 - log2(len(slots))
 	mask  uint64 // len(slots) - 1
-	// keys is the arena: entry i's key at [i*keyLen, (i+1)*keyLen). Its
-	// capacity is set by fit alone — sized for a half-full slot array at
-	// each doubling — never by append's growth policy.
-	keys []byte
-	n    int
+	// pages is the key arena: entry i's key is the keyLen bytes at
+	// (i%PageKeys)*keyLen in page i/PageKeys. Page 0 starts at firstKeys
+	// keys and doubles up to a full page; every later page is allocated
+	// full, so a key outside a small page 0 is written once and never
+	// moves. room is how many keys the pages hold; Reset keeps them.
+	pages [][]byte
+	room  int
+	n     int
 	// InsertBatch's scratch, one element per key of the largest batch
 	// seen: each key's hash, and the slot value found at its home slot.
 	hashes, homes []uint64
@@ -59,15 +64,15 @@ type Stats struct {
 	ProbeHWM int64
 	// Grows counts table doublings over the table's life.
 	Grows int64
-	// ArenaBytesHWM is the peak key-arena size in bytes, including
-	// populations retired by Reset.
+	// ArenaBytesHWM is the peak bytes of keys the arena held (entries
+	// times key width), including populations retired by Reset.
 	ArenaBytesHWM int64
 }
 
 // Stats snapshots the table's tallies.
 func (t *Table) Stats() Stats {
 	arena := t.arenaHWM
-	if cur := int64(len(t.keys)); cur > arena {
+	if cur := int64(t.n * t.keyLen); cur > arena {
 		arena = cur
 	}
 	return Stats{
@@ -79,9 +84,14 @@ func (t *Table) Stats() Stats {
 	}
 }
 
+// PageKeys is how many keys a full page of the key arena holds.
+const PageKeys = 1 << pageShift
+
 const (
-	minSlots = 16
-	idxMask  = 1<<32 - 1
+	pageShift = 12
+	firstKeys = 16 // page 0's first size, so a small table stays small
+	minSlots  = 16
+	idxMask   = 1<<32 - 1
 	// Odd 64-bit constants of the multiply-mix (the golden ratio and
 	// wyhash's first secret); any pair of well-mixed odd words works.
 	hashSeed = 0x9e3779b97f4a7c15
@@ -149,14 +159,33 @@ func keyEq(a, b []byte) bool {
 	return true
 }
 
-// Keys returns the key arena: entry i's key is the keyLen bytes at
-// i*keyLen. A view — do not mutate or retain across Reset.
-func (t *Table) Keys() []byte { return t.keys }
-
 // KeyAt returns entry i's key bytes (a view into the arena; do not
 // mutate or retain across Reset).
 func (t *Table) KeyAt(i int32) []byte {
-	return t.keys[int(i)*t.keyLen : int(i)*t.keyLen+t.keyLen]
+	off := int(i&(PageKeys-1)) * t.keyLen
+	return t.pages[i>>pageShift][off : off+t.keyLen]
+}
+
+// Pages returns how many pages of the key arena hold entries.
+func (t *Table) Pages() int { return (t.n + PageKeys - 1) / PageKeys }
+
+// Page returns page p's entries — ids p*PageKeys onward, n of them —
+// and their keys back to back: a view, as KeyAt's.
+func (t *Table) Page(p int) (n int, keys []byte) {
+	n = min(t.n-p*PageKeys, PageKeys)
+	return n, t.pages[p][:n*t.keyLen]
+}
+
+// CopyKeys returns every key in id order, back to back in one string,
+// so a caller can slice each key out of it without an allocation per key.
+func (t *Table) CopyKeys() string {
+	var b strings.Builder
+	b.Grow(t.n * t.keyLen)
+	for p := 0; p < t.Pages(); p++ {
+		_, keys := t.Page(p)
+		b.Write(keys)
+	}
+	return b.String()
 }
 
 // find walks the probe sequence of k, whose hash is h. It returns k's
@@ -257,7 +286,7 @@ func (t *Table) InsertBatch(keys []byte, out []int32) {
 			e := s & idxMask & -((tagDiff - 1) >> 63) // entry index + 1; 0 on a tag miss or an empty slot
 			some := (e | -e) >> 63                    // e != 0
 			e -= some                                 // the candidate entry, or entry 0 as a harmless load
-			x := binary.LittleEndian.Uint64(t.keys[int(e)*kl:]) ^ binary.LittleEndian.Uint64(keys[i*kl:])
+			x := binary.LittleEndian.Uint64(t.KeyAt(int32(e))) ^ binary.LittleEndian.Uint64(keys[i*kl:])
 			hit := some &^ ((x | -x) >> 63)
 			out[i] = int32(e*hit) + int32(hit) - 1 // e on a hit, else -1
 		}
@@ -284,38 +313,38 @@ func (t *Table) InsertBatch(keys []byte, out []int32) {
 // until the next Reset. Mixing Append with probing calls on one
 // population is a caller bug.
 func (t *Table) Append(k []byte) int32 {
-	if len(t.keys)+len(k) > cap(t.keys) {
-		// A first key, or an appended population outgrowing the slots.
-		t.fit(max(len(t.slots)/2+1, 2*t.n))
+	if t.n == t.room {
+		t.addPage()
 	}
 	e := int32(t.n)
-	t.keys = append(t.keys, k...)
+	copy(t.KeyAt(e), k)
 	t.n++
 	return e
 }
 
-// fit gives the arena capacity for n entries.
-func (t *Table) fit(n int) {
-	if n*t.keyLen <= cap(t.keys) {
-		return
+// addPage makes room for the next key: page 0 doubles until it is a
+// full page, and after it whole pages follow.
+func (t *Table) addPage() {
+	switch {
+	case t.room == 0:
+		t.pages, t.room = append(t.pages, make([]byte, firstKeys*t.keyLen)), firstKeys
+	case t.room < PageKeys:
+		page := make([]byte, 2*t.room*t.keyLen)
+		copy(page, t.pages[0])
+		t.pages[0], t.room = page, 2*t.room
+	default:
+		t.pages, t.room = append(t.pages, make([]byte, PageKeys*t.keyLen)), t.room+PageKeys
 	}
-	keys := make([]byte, len(t.keys), n*t.keyLen)
-	copy(keys, t.keys)
-	t.keys = keys
 }
 
-// grow doubles the probe index, and the arena with it: to the entries
-// the new index holds before it doubles again (half its slots, plus the
-// one whose insert trips the doubling), so the arena is allocated and
-// copied once per doubling. Home slots come from the slot values' own
-// tag bits, so the arena is not read and no key is rehashed; old slots
-// are visited in index order, which is also ascending home order in the
-// new table, so the writes run forward through it.
+// grow doubles the probe index. Home slots come from the slot values'
+// own tag bits, so the arena is not read and no key is rehashed or
+// moved; old slots are visited in index order, which is also ascending
+// home order in the new table, so the writes run forward through it.
 func (t *Table) grow() {
 	t.grows++
 	old := t.slots
 	t.init(len(old) * 2)
-	t.fit(len(t.slots)/2 + 1)
 	for _, s := range old {
 		if s == 0 {
 			continue
@@ -328,15 +357,14 @@ func (t *Table) grow() {
 	}
 }
 
-// Reset empties the table, keeping capacity. The caller's parallel
-// value slice should be truncated alongside. Tallies (probe HWM, grow
-// count, arena HWM) survive: they describe the table's whole life
-// across watermark-flush rebuilds.
+// Reset empties the table, keeping the slots and the arena's pages. The
+// caller's parallel value slice should be truncated alongside. Tallies
+// (probe HWM, grow count, arena HWM) survive: they describe the table's
+// whole life across watermark-flush rebuilds.
 func (t *Table) Reset() {
-	if cur := int64(len(t.keys)); cur > t.arenaHWM {
+	if cur := int64(t.n * t.keyLen); cur > t.arenaHWM {
 		t.arenaHWM = cur
 	}
 	clear(t.slots)
-	t.keys = t.keys[:0]
 	t.n = 0
 }

@@ -1,10 +1,12 @@
 package cellmap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -66,7 +68,7 @@ func TestTableZeroWidthKey(t *testing.T) {
 // contract — and the stream switches between the two kinds across
 // Resets. Keys come from a small domain so repeats are common. A twin
 // table takes the same stream one key at a time — every batch as
-// Inserts in order — and must stay indistinguishable: ids, Len, Keys
+// Inserts in order — and must stay indistinguishable: ids, Len, keys
 // and Stats after every batch.
 func differential(t testing.TB, keyLen int, ops []byte) {
 	tab, twin := New(keyLen), New(keyLen)
@@ -111,7 +113,7 @@ func differential(t testing.TB, keyLen int, ops []byte) {
 		if tab.Len() != len(order) {
 			t.Fatalf("Len = %d, want %d", tab.Len(), len(order))
 		}
-		if got := len(tab.Keys()); got != len(order)*keyLen {
+		if got := len(tab.CopyKeys()); got != len(order)*keyLen {
 			t.Fatalf("arena holds %d bytes, want %d", got, len(order)*keyLen)
 		}
 		for i, k := range order {
@@ -151,8 +153,9 @@ func differential(t testing.TB, keyLen int, ops []byte) {
 			twin.Append(key)
 			order, appended = append(order, string(key)), true
 		case op >= 224:
-			// InsertBatch of a+1 keys: odd ops a run of distinct keys (all
-			// new the first time, all hits when the op repeats), even ops
+			// InsertBatch of a+1 keys: odd ops a run of distinct keys, one
+			// run per b (all new the first time, all hits when the op
+			// repeats, and enough of them to fill pages), even ops
 			// a pseudo-random draw — from 32 keys when op&2 is set, so the
 			// batch repeats keys it has itself just created.
 			n := int(a) + 1
@@ -160,7 +163,7 @@ func differential(t testing.TB, keyLen int, ops []byte) {
 			x := uint32(b)
 			for j := 0; j < n; j++ {
 				if op&1 == 1 {
-					setKey(uint64(b&7), uint64(j))
+					setKey(uint64(b), uint64(b)<<8|uint64(j))
 				} else if x = x*1103515245 + 12345; op&2 == 2 {
 					setKey(0, uint64(x>>16&31))
 				} else {
@@ -171,14 +174,14 @@ func differential(t testing.TB, keyLen int, ops []byte) {
 				insert(idx, created)
 				ids = append(ids, idx)
 			}
-			got := make([]int32, n)
+			got, from := make([]int32, n), tab.Len()/PageKeys
 			tab.InsertBatch(batch, got)
 			for j, idx := range got {
 				if idx != ids[j] {
 					t.Fatalf("InsertBatch key %d of %d = %d, Insert gave %d", j, n, idx, ids[j])
 				}
 			}
-			if tab.Len() != twin.Len() || string(tab.Keys()) != string(twin.Keys()) || tab.Stats() != twin.Stats() {
+			if tab.Len() != twin.Len() || !samePages(tab, twin, from) || tab.Stats() != twin.Stats() {
 				t.Fatalf("after a batch of %d: %d entries, Stats %+v; one key at a time %d entries, Stats %+v",
 					n, tab.Len(), tab.Stats(), twin.Len(), twin.Stats())
 			}
@@ -186,13 +189,28 @@ func differential(t testing.TB, keyLen int, ops []byte) {
 			setKey(uint64(a&7), uint64(b))
 			twin.Insert(key)
 			insert(tab.Insert(key))
-			setKey(uint64(b&7), uint64(a)+256) // outside the inserted domain
+			setKey(uint64(b&7), uint64(a)+1<<20) // outside the inserted domain
 			if got := tab.Lookup(key); keyLen > 0 && got != -1 {
 				t.Fatalf("Lookup of an absent key = %d, want -1", got)
 			}
 		}
 	}
 	verify()
+}
+
+// samePages reports whether two tables' arenas hold the same keys from
+// page from on.
+func samePages(a, b *Table, from int) bool {
+	if a.Pages() != b.Pages() {
+		return false
+	}
+	for p := from; p < a.Pages(); p++ {
+		_, ka := a.Page(p)
+		if _, kb := b.Page(p); !bytes.Equal(ka, kb) {
+			return false
+		}
+	}
+	return true
 }
 
 // keyWidths are the widths the op streams run at: none, the codec's 8,
@@ -234,6 +252,20 @@ var batchEdges = map[string][]byte{
 	// takes the staged path's empty-table exit, the one after the stages.
 	"right after Reset":         {225, 99, 0, 0, 0, 0, 224, 99, 5, 224, 99, 5, 0, 0, 0, 225, 0, 7},
 	"mixed with single inserts": {200, 1, 2, 224, 50, 1, 200, 3, 4, 228, 50, 1, 200, 1, 2, 230, 255, 77},
+	// Seventeen runs of 256 new keys fill the arena's first page and
+	// spill into the second, then the same runs again are all hits.
+	"crosses a page": pageRuns(),
+}
+
+// pageRuns is the op stream of batchEdges' "crosses a page".
+func pageRuns() []byte {
+	var ops []byte
+	for pass := 0; pass < 2; pass++ {
+		for b := byte(0); b < 17; b++ {
+			ops = append(ops, 225, 255, b)
+		}
+	}
+	return ops
 }
 
 func TestInsertBatchEdges(t *testing.T) {
@@ -399,4 +431,128 @@ func BenchmarkInsertBatch(b *testing.B) {
 			tab.InsertBatch(probes[16*j:16*(j+batch)], ids)
 		}
 	})
+}
+
+// pagedEntries crosses three page boundaries of the key arena and ends
+// 17 keys into the fourth page.
+const pagedEntries = 3*PageKeys + 17
+
+// pagedKey writes dense code x as a key of len(k) bytes: small
+// big-endian words, the last one carrying what the others do not.
+func pagedKey(k []byte, x uint64) []byte {
+	for j := 0; j+8 <= len(k); j += 8 {
+		w := x
+		if j+8 < len(k) {
+			w, x = x%1000, x/1000
+		}
+		binary.BigEndian.PutUint64(k[j:], w^(1<<63))
+	}
+	return k
+}
+
+// TestPagesAgainstMap grows tables past three pages of the key arena at
+// every whole-word width, by Insert, by InsertBatch over batches that
+// straddle the page boundaries, and by Append, with a Reset between the
+// populations, and checks every id, key and page against a map. A key
+// view taken before the growth still holds its bytes after it, and the
+// Stats after each population are pinned: the arena's layout moves no
+// probe, doubling or byte count.
+func TestPagesAgainstMap(t *testing.T) {
+	full := func(w int, probeHWM int64) Stats {
+		return Stats{Entries: pagedEntries, Slots: 32768, ProbeHWM: probeHWM, Grows: 11, ArenaBytesHWM: int64(w) * pagedEntries}
+	}
+	want := map[int][3]Stats{
+		// The empty key exists once, except appended.
+		0:  {{Entries: 1, Slots: 16}, {Entries: 1, Slots: 16}, {Entries: pagedEntries, Slots: 16}},
+		8:  {full(8, 4), full(8, 4), full(8, 4)},
+		16: {full(16, 19), full(16, 19), full(16, 19)},
+		24: {full(24, 20), full(24, 20), full(24, 20)},
+	}
+	for _, w := range []int{0, 8, 16, 24} {
+		tab := New(w)
+		for pop, mode := range []string{"insert", "batch", "append"} {
+			// The key stream: a new code, then every third key a repeat
+			// of an earlier one; each population draws other codes.
+			var stream []uint64
+			for fresh := uint64(0); fresh < pagedEntries; {
+				if len(stream)%3 == 2 && mode != "append" {
+					stream = append(stream, stream[len(stream)*7%len(stream)])
+					continue
+				}
+				stream = append(stream, uint64(pop)<<32+fresh)
+				fresh++
+			}
+			ref := map[string]int32{}
+			var order []string
+			var early []byte
+			batch, ids := []byte(nil), make([]int32, 1000)
+			for at := 0; at < len(stream); at += len(ids) {
+				batch = batch[:0]
+				var wantIDs []int32
+				for _, x := range stream[at:min(at+len(ids), len(stream))] {
+					k := pagedKey(make([]byte, w), x)
+					batch = append(batch, k...)
+					id, ok := ref[string(k)]
+					if !ok || mode == "append" { // appended keys are all new, even the empty one
+						id = int32(len(order))
+						ref[string(k)] = id
+						order = append(order, string(k))
+					}
+					wantIDs = append(wantIDs, id)
+				}
+				got := ids[:len(wantIDs)]
+				for j := range got {
+					k := batch[j*w : j*w+w]
+					switch mode {
+					case "insert":
+						got[j], _ = tab.Insert(k)
+					case "append":
+						got[j] = tab.Append(k)
+					}
+				}
+				if mode == "batch" {
+					tab.InsertBatch(batch, got)
+				}
+				for j, id := range got {
+					if id != wantIDs[j] {
+						t.Fatalf("width %d, %s: key %d got id %d, want %d", w, mode, at+j, id, wantIDs[j])
+					}
+				}
+				if early == nil && len(order) > 5 {
+					early = tab.KeyAt(5)
+				}
+			}
+			if len(order) > 5 && string(early) != order[5] {
+				t.Fatalf("width %d, %s: a view of key 5 reads %x after growth, want %x", w, mode, early, order[5])
+			}
+			if tab.Len() != len(order) || tab.Pages() != (len(order)+PageKeys-1)/PageKeys {
+				t.Fatalf("width %d, %s: Len %d in %d pages with %d entries", w, mode, tab.Len(), tab.Pages(), len(order))
+			}
+			var all string
+			for p := 0; p < tab.Pages(); p++ {
+				n, keys := tab.Page(p)
+				if wantN := min(PageKeys, len(order)-p*PageKeys); n != wantN || len(keys) != n*w {
+					t.Fatalf("width %d, %s: page %d holds %d entries in %d bytes, want %d", w, mode, p, n, len(keys), wantN)
+				}
+				all += string(keys)
+			}
+			if all != strings.Join(order, "") || tab.CopyKeys() != all {
+				t.Fatalf("width %d, %s: the pages do not hold the keys in id order", w, mode)
+			}
+			for i, k := range order {
+				if string(tab.KeyAt(int32(i))) != k {
+					t.Fatalf("width %d, %s: KeyAt(%d) = %x, want %x", w, mode, i, tab.KeyAt(int32(i)), k)
+				}
+				if mode != "append" {
+					if got := tab.Lookup([]byte(k)); got != int32(i) {
+						t.Fatalf("width %d, %s: Lookup(%x) = %d, want %d", w, mode, k, got, i)
+					}
+				}
+			}
+			if got := tab.Stats(); got != want[w][pop] {
+				t.Errorf("width %d, %s: Stats = %+v, want %+v", w, mode, got, want[w][pop])
+			}
+			tab.Reset()
+		}
+	}
 }

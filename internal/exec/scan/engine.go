@@ -1,10 +1,14 @@
 package scan
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync/atomic"
+	"syscall"
 
 	"awra/internal/core"
 	"awra/internal/model"
@@ -166,6 +170,59 @@ func (o EngineOptions) TempPath(kind string) string {
 		dir = os.TempDir()
 	}
 	return filepath.Join(dir, fmt.Sprintf("awra-%s-%d-%d.tmp", kind, os.Getpid(), tempSeq.Add(1)))
+}
+
+// SweepTemp removes the files TempPath named in dir (os.TempDir() when
+// empty) for processes no longer running — what a crashed run leaves
+// behind, since only a clean exit removes its own — and returns how
+// many it removed. Files of running processes, this one's included, and
+// every other name are left alone.
+func SweepTemp(dir string) (int, error) {
+	if dir == "" {
+		dir = os.TempDir()
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	removed := 0
+	for _, e := range entries {
+		if pid, ok := tempPID(e.Name()); ok && !e.IsDir() && !running(pid) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return removed, err
+			}
+			removed++
+		}
+	}
+	return removed, nil
+}
+
+// tempPID returns the PID in a name TempPath gives,
+// awra-<kind>-<pid>-<seq>.tmp, where kind may itself hold dashes.
+func tempPID(name string) (int, bool) {
+	rest, prefixed := strings.CutPrefix(name, "awra-")
+	rest, suffixed := strings.CutSuffix(rest, ".tmp")
+	i := strings.LastIndexByte(rest, '-')             // before seq
+	j := strings.LastIndexByte(rest[:max(i, 0)], '-') // before pid
+	if !prefixed || !suffixed || j <= 0 {
+		return 0, false
+	}
+	pid, err := strconv.Atoi(rest[j+1 : i])
+	if _, serr := strconv.ParseUint(rest[i+1:], 10, 64); err != nil || serr != nil || pid <= 0 {
+		return 0, false
+	}
+	return pid, true
+}
+
+// running reports whether a process with the PID exists: signal 0
+// checks without delivering anything, and a refusal means it exists
+// under another user.
+func running(pid int) bool {
+	p, err := os.FindProcess(pid)
+	if err == nil {
+		err = p.Signal(syscall.Signal(0))
+	}
+	return err == nil || errors.Is(err, syscall.EPERM)
 }
 
 // Composites is the combine phase of the engines that materialize their

@@ -308,10 +308,10 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 		} else {
 			tbl = core.NewTable(c.Schema, t.m.Gran)
 			// Exact-size map build from the dense arena: one growth-free
-			// insert per cell, in insertion order. The arena is copied
-			// into one string and every key is a substring of it, so the
-			// table costs one allocation and not one per cell.
-			t.keys = string(t.tab.Keys())
+			// insert per cell, in insertion order. The arena's pages are
+			// copied into one string and every key is a substring of it,
+			// so the table costs one allocation and not one per cell.
+			t.keys = t.tab.CopyKeys()
 			tbl.Rows = make(map[model.Key]float64, t.tab.Len())
 			t.eachCell(func(k model.Key, v float64) { tbl.Rows[k] = v })
 		}

@@ -248,20 +248,27 @@ func combineShards(c *core.Compiled, merge []int, engines []*engine, guard *qgua
 		kw := m.Codec.KeyBytes()
 		tab := cellmap.New(kw)
 		acc := m.Agg.NewColumn()
+		ids := make([]int32, cellmap.PageKeys)
 		for _, e := range engines {
+			// Each page of a worker's arena is one probe batch. A worker's
+			// keys are distinct, so an id at or past the table's earlier
+			// Len is a cell the batch created, in id order.
 			n := e.nodes[mi]
-			keys := n.tab.Keys()
-			for i := 0; i < n.tab.Len(); i++ {
-				st := n.col.State(int32(i))
-				at, created := tab.Insert(keys[i*kw : i*kw+kw])
-				var err error
-				if created {
-					_, err = acc.Restore(st)
-				} else {
-					err = acc.Merge(at, st)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("sortscan: merging %q across shards: %w", m.Name, err)
+			for p := 0; p < n.tab.Pages(); p++ {
+				cnt, keys := n.tab.Page(p)
+				before := int32(tab.Len())
+				tab.InsertBatch(keys, ids[:cnt])
+				for j, at := range ids[:cnt] {
+					st := n.col.State(int32(p*cellmap.PageKeys + j))
+					var err error
+					if at >= before {
+						_, err = acc.Restore(st)
+					} else {
+						err = acc.Merge(at, st)
+					}
+					if err != nil {
+						return nil, fmt.Errorf("sortscan: merging %q across shards: %w", m.Name, err)
+					}
 				}
 			}
 		}
@@ -275,7 +282,7 @@ func combineShards(c *core.Compiled, merge []int, engines []*engine, guard *qgua
 		if m.Hidden {
 			continue
 		}
-		keys := string(tab.Keys())
+		keys := tab.CopyKeys()
 		rows := make(map[model.Key]float64, cells)
 		for i := 0; i < cells; i++ {
 			rows[model.Key(keys[i*kw:i*kw+kw])] = acc.Final(int32(i))

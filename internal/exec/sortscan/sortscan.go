@@ -31,6 +31,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"awra/internal/agg"
 	"awra/internal/core"
@@ -328,6 +329,7 @@ type engine struct {
 	// recursion into dependents.
 	keepIdx    []int32  // surviving cells, ascending
 	keepKeys   []byte   // their keys, while the table is rebuilt
+	keepIDs    []int32  // the rebuild's probe batch ids
 	flushCells []int32  // batch row -> cell index
 	sortCols   []uint64 // batch row -> output-order codes, then key words
 	order      []int32  // emission order: a permutation of batch rows
@@ -696,7 +698,6 @@ func (e *engine) finalizeNode(n *node, flush bool) error {
 		}
 	}
 	kw := n.tab.KeyLen()
-	keys := n.tab.Keys()
 	width := len(n.outParts) + kw/8 // sort columns per batch row
 	keep, cells, cols := e.keepIdx[:0], e.flushCells[:0], e.sortCols[:0]
 	// The cell cache holds a dense index; survivors move during the
@@ -705,7 +706,7 @@ func (e *engine) finalizeNode(n *node, flush bool) error {
 	lastKept := int32(-1)
 	sorted := true
 	for i := 0; i < total; i++ {
-		key := keys[i*kw : i*kw+kw]
+		key := n.tab.KeyAt(int32(i))
 		if !flush && !e.cellFinal(n, key) {
 			if int32(i) == n.lastCellIdx {
 				lastKept = int32(len(keep))
@@ -836,11 +837,17 @@ func (e *engine) compact(n *node, keep []int32, lastKept int32) {
 	}
 	e.keepKeys = kk
 	n.tab.Reset()
-	for j := range keep {
-		if n.appendOnly {
+	if n.appendOnly {
+		for j := range keep {
 			n.tab.Append(kk[j*kw : j*kw+kw])
-		} else {
-			n.tab.Insert(kk[j*kw : j*kw+kw])
+		}
+	} else {
+		// The survivors are distinct, so each page-sized batch takes the
+		// next ids in order.
+		for at := 0; at < len(keep); at += cellmap.PageKeys {
+			cnt := min(len(keep)-at, cellmap.PageKeys)
+			e.keepIDs = slices.Grow(e.keepIDs[:0], cnt)[:cnt]
+			n.tab.InsertBatch(kk[at*kw:(at+cnt)*kw], e.keepIDs)
 		}
 	}
 	if n.col != nil {
