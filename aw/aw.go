@@ -45,6 +45,14 @@
 // brute-force optimizer and runs the one-pass sort/scan algorithm, and
 // with ExecOptions{Engine: EngineAuto, Parallelism: N} it shards that
 // pass across N workers whenever the workflow allows.
+//
+// # Observability
+//
+// A run's numbers live in one EngineStats value, which the engine, its
+// sort and its scan phase fill. The run publishes it to
+// ExecOptions.Recorder once, when the engine returns; a history line
+// embeds it, and ExplainAnalyze returns it as Profile.Stats, its node
+// list behind the profile's actuals.
 package aw
 
 import (
@@ -211,13 +219,15 @@ var (
 )
 
 // Observability re-exports: pass a *Recorder through
-// QueryOptions.Recorder to collect a span tree and engine metrics for
-// a query, then render it with FormatTree, Snapshot, or
+// QueryOptions.Recorder to collect a span tree and the metrics each run
+// publishes when it ends, then render it with FormatTree, Snapshot, or
 // WritePrometheus.
 type (
 	// Recorder collects spans and metrics for one query (nil is a
 	// valid no-op recorder).
 	Recorder = obs.Recorder
+	// EngineStats holds one run's numbers under the metric names.
+	EngineStats = obs.EngineStats
 	// Span is one timed phase of a query.
 	Span = obs.Span
 	// MetricsSnapshot is a point-in-time JSON-serializable view of a

@@ -40,10 +40,9 @@ type Profile struct {
 	Nodes []ProfileNode `json:"nodes"`
 	// Analyzed reports whether actuals are present (EXPLAIN ANALYZE).
 	Analyzed bool `json:"analyzed,omitempty"`
-	// Counters and Gauges are the query's final metric values
-	// (ExplainAnalyze only).
-	Counters map[string]int64 `json:"counters,omitempty"`
-	Gauges   map[string]int64 `json:"gauges,omitempty"`
+	// Stats is the analyzed run's own numbers (ExplainAnalyze only),
+	// whatever the recorder held before.
+	Stats *EngineStats `json:"stats,omitempty"`
 }
 
 // ProfileNode is one measure node of the profile.
@@ -127,7 +126,7 @@ func ExplainFor(c *Compiled, in Input, opts ...QueryOptions) (*Profile, error) {
 // (resolveAuto in run.go) and records the Section 6 decision inputs in
 // the profile's headline.
 func (p *Profile) resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions) error {
-	d, err := resolveAuto(c, st, o, nil)
+	d, err := resolveAuto(c, st, o)
 	if err != nil {
 		return err
 	}
@@ -274,9 +273,6 @@ func ExplainAnalyzeCompiled(ctx context.Context, c *Compiled, in Input, opts ...
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	if o.Recorder == nil {
-		o.Recorder = NewRecorder()
-	}
 	// Freeze the measured-statistics view before running: the run
 	// itself appends to the history, and the profile must reflect the
 	// estimates the planner actually saw, not post-run knowledge.
@@ -297,8 +293,7 @@ func ExplainAnalyzeCompiled(ctx context.Context, c *Compiled, in Input, opts ...
 	if err := buildEstimates(c, &eo, st, p); err != nil {
 		return nil, err
 	}
-	snap := o.Recorder.Snapshot()
-	p.Counters, p.Gauges = snap.Counters, snap.Gauges
+	p.Stats = &res.Stats
 	actual := res.Stats.NodeTotals()
 	for i := range p.Nodes {
 		if ns, ok := actual[p.Nodes[i].Name]; ok {

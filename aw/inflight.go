@@ -7,8 +7,9 @@ import "awra/internal/obs"
 // duration, so operators can list live queries — ID, the engine and
 // trace ID set on the span, current phase, per-shard/partition record
 // progress (exact percentages: fixed-width rows make totals known from
-// the file header), elapsed time, and live metric snapshots. Streaming
-// sessions are long-lived by design and do not register.
+// the file header) and elapsed time. A run's numbers are published when
+// it ends, not while it runs. Streaming sessions are long-lived by
+// design and do not register.
 type (
 	// QuerySnapshot is one in-flight query as reported by
 	// InflightQueries.

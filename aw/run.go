@@ -334,8 +334,8 @@ func planStats(c *Compiled, in Input, o *QueryOptions) *plan.Stats {
 // when the workflow splits safely by the sort key's leading part;
 // otherwise it stays serial rather than fail. Runs and EXPLAIN both
 // resolve here, so EXPLAIN names the engine a run uses.
-func resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions, rec *Recorder) (opt.Decision, error) {
-	d, err := opt.Choose(c, st, float64(o.MemoryBudget), rec)
+func resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions) (opt.Decision, error) {
+	d, err := opt.Choose(c, st, float64(o.MemoryBudget))
 	if err != nil {
 		return d, err
 	}
@@ -363,16 +363,18 @@ func resolveAuto(c *Compiled, st *plan.Stats, o *QueryOptions, rec *Recorder) (o
 // runEngines dispatches one evaluation attempt to the selected engine
 // under the given guard and query span, returning the engine's result
 // and the engine that actually ran (the EngineAuto decision resolved).
-// It publishes the result's stats to the recorder, once per run.
+// It publishes the optimizer's tallies where it ran it, and the result's
+// stats once per run.
 func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *qguard.Guard, qSpan *obs.Span) (*scan.Result, Engine, error) {
 	qrec := o.Recorder.At(qSpan)
 	if o.Engine == EngineAuto {
 		optSpan := qrec.Start(obs.SpanOptimize)
-		_, err := resolveAuto(c, st, &o, qrec.At(optSpan))
+		d, err := resolveAuto(c, st, &o)
 		optSpan.End()
 		if err != nil {
 			return nil, o.Engine, err
 		}
+		publishChoice(qrec, d.KeysScored, d.SortScanBytes)
 	}
 	qSpan.SetAttr("engine", o.Engine.String())
 	eo := scan.EngineOptions{TempDir: o.TempDir, ReadBatchBytes: o.ReadBatchSize, Recorder: qrec, Guard: g}
@@ -386,11 +388,12 @@ func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *q
 		// in-flight snapshots, and history records read it.
 		if o.SortKey == nil {
 			optSpan := qrec.Start(obs.SpanOptimize)
-			ch, err := opt.Best(c, st, qrec.At(optSpan))
+			ch, err := opt.Best(c, st)
 			optSpan.End()
 			if err != nil {
 				return nil, o.Engine, err
 			}
+			publishChoice(qrec, ch.KeysScored, ch.EstBytes)
 			o.SortKey = ch.Key
 		}
 		if nk, err := o.SortKey.Normalize(c.Schema); err == nil {
@@ -417,6 +420,13 @@ func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *q
 	}
 	res.Stats.Publish(qrec)
 	return res, o.Engine, nil
+}
+
+// publishChoice publishes one optimizer run: the sort keys it scored
+// and the chosen plan's estimated footprint.
+func publishChoice(rec *Recorder, keys int, bestBytes float64) {
+	rec.Counter(obs.MOptKeysScored).Add(int64(keys))
+	rec.Gauge(obs.GOptBestBytes).SetMax(int64(bestBytes))
 }
 
 // CollectStats samples a fact file (up to sampleLimit records; 0 =

@@ -57,10 +57,12 @@ func TestSharedRecorderHistoryPerRun(t *testing.T) {
 }
 
 // TestExplainAnalyzeReusedRecorderPerRun: EXPLAIN ANALYZE over a
-// recorder that already saw a run reports the actuals of its own run.
+// recorder that already saw a run reports the actuals and the stats of
+// its own run, not the recorder's running totals.
 func TestExplainAnalyzeReusedRecorderPerRun(t *testing.T) {
 	s := attackSchema(t)
-	fact := writeAttackFact(t, attackRecords(2000, 42))
+	const rows = 2000
+	fact := writeAttackFact(t, attackRecords(rows, 42))
 	c, err := busyWorkflow(t, s, 1).Compile()
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +78,9 @@ func TestExplainAnalyzeReusedRecorderPerRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		runs[i] = res.Profile
+		if st := res.Profile.Stats; st == nil || st.Records != rows {
+			t.Errorf("run %d: profile stats %+v, want records_scanned %d", i+1, st, rows)
+		}
 	}
 	for i, n := range runs[0].Nodes {
 		a, b := n.Actual, runs[1].Nodes[i].Actual

@@ -7,6 +7,7 @@ import (
 	"awra/internal/exec/sortscan"
 	"awra/internal/gen"
 	"awra/internal/model"
+	"awra/internal/obs"
 	"awra/internal/opt"
 	"awra/internal/plan"
 )
@@ -32,10 +33,11 @@ func AblKey(cfg Config) (*Figure, error) {
 		return nil, err
 	}
 	st := &plan.Stats{BaseCard: SynthStats(sc)}
-	choices, err := opt.BruteForce(w, st, 0, cfg.rec)
+	choices, err := opt.BruteForce(w, st, 0)
 	if err != nil {
 		return nil, err
 	}
+	cfg.rec.Counter(obs.MOptKeysScored).Add(int64(len(choices)))
 	for _, pick := range []struct {
 		label string
 		ch    opt.Choice
@@ -127,7 +129,7 @@ func AblFlush(cfg Config) (*Figure, error) {
 		return nil, err
 	}
 	st := &plan.Stats{BaseCard: SynthStats(sc)}
-	best, err := opt.Best(w, st, cfg.rec)
+	best, err := cfg.best(w, st)
 	if err != nil {
 		return nil, err
 	}

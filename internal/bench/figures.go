@@ -60,7 +60,7 @@ func (c Config) withDefaults() Config {
 }
 
 // engineOptions is the engines' option block for one of the harness's
-// runs: temporaries in Dir, metrics into the run's recorder.
+// runs: temporaries in Dir, spans into the run's recorder.
 func (c Config) engineOptions() scan.EngineOptions {
 	return scan.EngineOptions{TempDir: c.Dir, Recorder: c.rec}
 }
@@ -193,10 +193,21 @@ func (c Config) timed(run func() (*scan.Result, error)) (time.Duration, obs.Engi
 	return d, res.Stats, nil
 }
 
+// best runs the optimizer and publishes the keys it scored and the
+// chosen plan's footprint to the harness recorder.
+func (c Config) best(w *core.Compiled, st *plan.Stats) (opt.Choice, error) {
+	ch, err := opt.Best(w, st)
+	if err == nil {
+		c.rec.Counter(obs.MOptKeysScored).Add(int64(ch.KeysScored))
+		c.rec.Gauge(obs.GOptBestBytes).SetMax(int64(ch.EstBytes))
+	}
+	return ch, err
+}
+
 // timeSortScan runs the sort/scan engine with an optimizer-chosen key.
 func (c Config) timeSortScan(w *core.Compiled, fact string, cards []float64) (time.Duration, obs.EngineStats, error) {
 	st := &plan.Stats{BaseCard: cards}
-	choice, err := opt.Best(w, st, c.rec)
+	choice, err := c.best(w, st)
 	if err != nil {
 		return 0, obs.EngineStats{}, err
 	}

@@ -72,8 +72,8 @@ func TestSortScanEmitsMetrics(t *testing.T) {
 		t.Errorf("%d node stats, want one per measure (%d)", len(res.Stats.Nodes), len(c.Measures))
 	}
 	snap := rec.Snapshot()
-	if _, ok := snap.Counters[obs.MRecordsScanned]; ok || len(snap.Nodes) != 0 {
-		t.Errorf("the engine published its stats itself: %v, %d nodes", snap.Counters, len(snap.Nodes))
+	if len(snap.Counters)+len(snap.Gauges) != 0 {
+		t.Errorf("the engine published numbers itself: %v, %v", snap.Counters, snap.Gauges)
 	}
 	// Span tree: sort and scan phases must be present and ended.
 	names := map[string]bool{}
@@ -146,8 +146,8 @@ func obsEngines(key model.SortKey) map[string]engineRun {
 	}
 }
 
-// vocabulary pairs each engine metric with the stats field mirroring
-// it: counters first, then the two high-water-mark gauges.
+// vocabulary pairs each metric a run publishes with the stats field
+// mirroring it: counters first, then the gauges.
 func vocabulary(st obs.EngineStats) (counters, gauges map[string]int64) {
 	return map[string]int64{
 			obs.MRecordsScanned:    st.Records,
@@ -161,9 +161,18 @@ func vocabulary(st obs.EngineStats) (counters, gauges map[string]int64) {
 			obs.MSpillBytes:        st.SpillBytes,
 			obs.MSpilledEntries:    st.SpilledEntries,
 			obs.MSortRuns:          st.SortRuns,
+			obs.MScanChunks:        st.ScanChunks,
+			obs.MScanBytes:         st.ScanBytes,
+			obs.MCellTableGrows:    st.CellGrows,
+			obs.MShardsPlanned:     st.ShardsPlanned,
+			obs.MHeapComparisons:   st.HeapComparisons,
 		}, map[string]int64{
-			obs.GLiveCellsHWM: st.PeakCells,
-			obs.GHashBytesHWM: st.PeakBytes,
+			obs.GLiveCellsHWM:   st.PeakCells,
+			obs.GHashBytesHWM:   st.PeakBytes,
+			obs.GScanBatchFill:  st.FillPermille(),
+			obs.GCellProbeHWM:   st.CellProbeHWM,
+			obs.GCellArenaBytes: st.CellArenaBytes,
+			obs.GShardSkew:      st.ShardSkew,
 		}
 }
 
@@ -219,9 +228,9 @@ func TestEnginesShareMetricVocabulary(t *testing.T) {
 
 // TestEngineStatsMirrorMetrics: every engine's history line carries
 // field for field the stats its run published into a fresh recorder,
-// and the same per-node actuals — shardscan's high-water marks are its
-// largest worker's, and a budgeted single-scan's spill counts include
-// the run files of its spill merge.
+// and the per-node actuals of the run's own stats — shardscan's
+// high-water marks are its largest worker's, and a budgeted
+// single-scan's spill counts include the run files of its spill merge.
 func TestEngineStatsMirrorMetrics(t *testing.T) {
 	g := NewGen(45, 2)
 	c := obsWorkflow(t, g)
@@ -238,7 +247,7 @@ func TestEngineStatsMirrorMetrics(t *testing.T) {
 		}
 		rec := obs.New()
 		o.Recorder, o.History = rec, h
-		_, err = aw.RunCompiled(context.Background(), c, aw.FromFile(fact), o)
+		res, err := aw.ExplainAnalyzeCompiled(context.Background(), c, aw.FromFile(fact), o)
 		h.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -256,13 +265,13 @@ func TestEngineStatsMirrorMetrics(t *testing.T) {
 				t.Errorf("%s: the history line gives %s = %d, the recorder %d", name, m, v, got)
 			}
 		}
-		published := map[string]obs.NodeStats{}
-		for _, ns := range snap.Nodes {
-			published[ns.Node] = ns
+		actual := res.Profile.Stats.NodeTotals()
+		if len(r.Nodes) != len(c.Measures) {
+			t.Errorf("%s: the history line has %d node profiles, want %d", name, len(r.Nodes), len(c.Measures))
 		}
 		for _, np := range r.Nodes {
-			if got := published[np.Node]; got.CellsFinalized != np.CellsFinalized || got.RecordsIn != np.RecordsIn {
-				t.Errorf("%s: node %s: the history line gives %+v, the recorder %+v", name, np.Node, np.NodeStats, got)
+			if got := actual[np.Node]; got.CellsFinalized != np.CellsFinalized || got.RecordsIn != np.RecordsIn {
+				t.Errorf("%s: node %s: the history line gives %+v, the run %+v", name, np.Node, np.NodeStats, got)
 			}
 		}
 		if name == "singlescan-budget" && (r.EngineStats.Spills == 0 || r.EngineStats.SortRuns < 2) {

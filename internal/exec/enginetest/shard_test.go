@@ -84,13 +84,13 @@ func runSerialVsSharded(t *testing.T, c *core.Compiled, fact string, key model.S
 			if shards == 1 {
 				continue // plain Run: no shard metrics
 			}
-			if n := snap.Counters[obs.MShardsPlanned]; n != int64(shards) {
+			if n := got.Stats.ShardsPlanned; n != int64(shards) {
 				t.Errorf("%s: shards_planned = %d", name, n)
 			}
 			if n := got.Stats.FactScans; n != 1 {
 				t.Errorf("%s: fact_scans = %d, want the one read", name, n)
 			}
-			if skew := snap.Gauges[obs.GShardSkew]; skew < 1000 {
+			if skew := got.Stats.ShardSkew; skew < 1000 {
 				t.Errorf("%s: shard_skew_ratio = %d, want >= 1000 permille", name, skew)
 			}
 		}

@@ -31,10 +31,10 @@ type EngineOptions struct {
 	// ChunkRecords is how many records an external sort holds in memory
 	// at a time (0 = a default sized for roughly 256 MB).
 	ChunkRecords int
-	// Recorder, if non-nil, receives the run's phase spans and the
-	// read, cell-table and shard tallies; the engine vocabulary travels
-	// in the returned Result.Stats instead. A nil one is replaced by a
-	// private recorder (WithDefaults); hot loops never touch it.
+	// Recorder, if non-nil, receives the run's phase spans; the run's
+	// numbers travel in the returned Result.Stats instead. A nil one is
+	// replaced by a private recorder (WithDefaults); hot loops never
+	// touch it.
 	Recorder *obs.Recorder
 	// Guard, if non-nil, enforces cancellation, resource budgets and the
 	// degraded-read policy. Checks run at batch and phase boundaries, so
@@ -79,7 +79,7 @@ func (o EngineOptions) Sort(in Input, schema *model.Schema, key model.SortKey, f
 // with the key and the runs formed, and opens the sorted rows as one
 // stream, writing runs on workers goroutines. Closing the stream also
 // removes the sort's run files. It returns the sort's share of the
-// run's stats: its duration, runs and run files.
+// run's stats: its duration, runs, run files and input read.
 func (o EngineOptions) SortStream(in Input, schema *model.Schema, key model.SortKey, from model.Gran, workers int) (BatchSource, obs.EngineStats, error) {
 	span := o.Recorder.Start(obs.SpanSort)
 	defer span.End()
@@ -119,8 +119,9 @@ func (s sortedStream) Close() error {
 // checks cancellation and, when live is non-nil, the live-cell budget
 // against live(), keeping the span's progress current. On every return
 // it ends the span, with the rows scanned as its records attribute,
-// adds the rows the kernel took and the span's duration to st, and
-// publishes the source's read stats.
+// and adds the rows the kernel took, the span's duration and the
+// source's own tallies (a file's chunks, a merge's heap comparisons) to
+// st.
 func (o EngineOptions) ScanPhase(src BatchSource, stride int, live func() int64, kernel func(rows []Record) error, st *obs.EngineStats) error {
 	span := o.Recorder.Start(obs.SpanScan)
 	span.SetTotal(src.Header().Count)
@@ -131,7 +132,7 @@ func (o EngineOptions) ScanPhase(src BatchSource, stride int, live func() int64,
 		span.End()
 		st.Records += records
 		st.ScanTime += span.Duration()
-		PublishReadStats(o.Recorder, src)
+		st.Add(sourceStats(src))
 	}()
 	for {
 		batch, err := src.NextBatch()

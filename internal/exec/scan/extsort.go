@@ -51,8 +51,7 @@ type SortOptions struct {
 	// BatchBytes is the read-chunk size for the batched input readers
 	// (0 = DefaultBatchBytes).
 	BatchBytes int
-	// Recorder, if non-nil, receives the run-generation span, the read
-	// stats and the merge's heap comparisons.
+	// Recorder, if non-nil, receives the run-generation span.
 	Recorder *obs.Recorder
 	// Guard, if non-nil, makes the sort cooperatively cancelable and
 	// charges run files against the spill-byte budget.
@@ -388,7 +387,8 @@ type Sorted struct {
 	emit    int // bytes of a row a source hands out: the payload, or the whole disk row
 	opts    SortOptions
 	stats   storage.SortStats
-	mem     *chunkState // the whole input, when one chunk held it
+	read    obs.EngineStats // the input read's tallies
+	mem     *chunkState     // the whole input, when one chunk held it
 	parts   []sortedPart
 	// unsorted counts the in-memory parts not yet opened: the last index
 	// sort to finish drops the key columns, which only sorting reads, so
@@ -579,7 +579,7 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 		cur.n += n
 		s.stats.Records += int64(n)
 	}
-	PublishReadStats(rec, in)
+	s.read = sourceStats(in)
 
 	if s.stats.Runs == 0 {
 		// Everything fit one chunk: each part is one in-memory run, sorted
@@ -606,11 +606,13 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 // in memory, one per part and chunk spilled.
 func (s *Sorted) Stats() storage.SortStats { return s.stats }
 
-// EngineStats is the sort's share of an engine run's stats: the runs it
-// formed and, when it spilled, their run files and bytes — a spilling
-// sort writes every row to some run. Valid until Close.
+// EngineStats is the sort's share of an engine run's stats: its input
+// read, the runs it formed and, when it spilled, their run files and
+// bytes — a spilling sort writes every row to some run. Valid until
+// Close.
 func (s *Sorted) EngineStats() obs.EngineStats {
-	st := obs.EngineStats{SortRuns: int64(s.stats.Runs)}
+	st := s.read
+	st.SortRuns = int64(s.stats.Runs)
 	if s.mem == nil {
 		st.Spills = int64(s.stats.Runs)
 		st.SpillBytes = s.stats.Records * int64(s.hdr.RowBytes())
@@ -795,16 +797,18 @@ func (m *SortedSource) siftDown(i int) {
 	}
 }
 
-// Close closes a spilled part's run readers and publishes the merge's
-// head comparisons (the merge-cost metric).
+// EngineStats is the merge's heap comparisons so far (the merge-cost
+// metric); an in-memory part makes none.
+func (m *SortedSource) EngineStats() obs.EngineStats {
+	return obs.EngineStats{HeapComparisons: m.cmps}
+}
+
+// Close closes a spilled part's run readers.
 func (m *SortedSource) Close() error {
 	for _, src := range m.srcs {
 		src.r.Close()
 	}
-	if m.srcs != nil {
-		m.s.opts.Recorder.Counter(obs.MHeapComparisons).Add(m.cmps)
-	}
-	m.srcs, m.heap, m.idx, m.cmps = nil, nil, nil, 0
+	m.srcs, m.heap, m.idx = nil, nil, nil
 	return nil
 }
 
@@ -839,15 +843,16 @@ func (s *mergeSrc) load(cols sortCols) error {
 
 // SortFileByKey external-sorts a record file by the (normalized) sort
 // key into outPath, rows verbatim, checksums included: SortByKey's one
-// part drained into a file. It publishes the sort's engine stats to
-// opts.Recorder.
+// part drained into a file. It publishes the sort's engine stats, the
+// merge's heap comparisons among them, to opts.Recorder.
 func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortKey, opts SortOptions) (storage.SortStats, error) {
 	s, err := sortByKey(FileInput(inPath), schema, key, nil, 1, true, opts)
 	if err != nil {
 		return storage.SortStats{}, err
 	}
 	defer s.Close()
-	s.EngineStats().Publish(opts.Recorder)
+	st := s.EngineStats()
+	defer func() { st.Publish(opts.Recorder) }()
 	stats := s.Stats()
 	src, err := s.Open(0)
 	if err != nil {
@@ -869,6 +874,7 @@ func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortK
 			}
 		}
 	}
+	st.Add(src.EngineStats())
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}

@@ -5,35 +5,32 @@ import (
 	"awra/internal/obs"
 )
 
-// PublishReadStats flushes a batched source's chunk tallies into the
-// recorder under the standard hot-path metric names — once, at a phase
-// boundary, never per batch or per row. Sources that are not chunked
-// readers (in-memory records) publish nothing. Nil-safe on rec.
-func PublishReadStats(rec *obs.Recorder, src BatchSource) {
-	rs, ok := src.(interface{ ReadStats() ReadStats })
-	if !ok {
-		return
+// sourceStats is what a source tallied, in the engine vocabulary: a
+// file reader's chunks, a spilled sort part's heap comparisons. Other
+// sources (in-memory records) tally nothing.
+func sourceStats(src BatchSource) obs.EngineStats {
+	if s, ok := src.(interface{ EngineStats() obs.EngineStats }); ok {
+		return s.EngineStats()
 	}
-	st := rs.ReadStats()
-	if st.Chunks == 0 {
-		return
-	}
-	rec.Counter(obs.MScanChunks).Add(st.Chunks)
-	rec.Counter(obs.MScanBytes).Add(st.BytesRead)
-	rec.Gauge(obs.GScanBatchFill).Set(st.FillPermille)
+	return obs.EngineStats{}
 }
 
-// PublishCellStats flushes the cell tables' probe and arena tallies
-// into the recorder, aggregated across the tables, at the end of a run.
-func PublishCellStats(rec *obs.Recorder, tabs []*cellmap.Table) {
-	var probeHWM, grows, arena int64
-	for _, tab := range tabs {
-		ts := tab.Stats()
-		probeHWM = max(probeHWM, ts.ProbeHWM)
-		grows += ts.Grows
-		arena += ts.ArenaBytesHWM
+// EngineStats is the reader's chunk tallies so far, in the engine
+// vocabulary.
+func (r *Reader) EngineStats() obs.EngineStats {
+	return obs.EngineStats{
+		ScanChunks:   r.chunks,
+		ScanBytes:    r.bytesRead,
+		ScanCapacity: r.chunks * int64(r.chunkRows*r.diskRow),
 	}
-	rec.Counter(obs.MCellTableGrows).Add(grows)
-	rec.Gauge(obs.GCellProbeHWM).SetMax(probeHWM)
-	rec.Gauge(obs.GCellArenaBytes).SetMax(arena)
+}
+
+// AddCellStats adds a cell table's tallies to a run's stats: grows and
+// arena bytes add across the run's tables, and the probe walk keeps the
+// longest.
+func AddCellStats(st *obs.EngineStats, tab *cellmap.Table) {
+	ts := tab.Stats()
+	st.CellGrows += ts.Grows
+	st.CellProbeHWM = max(st.CellProbeHWM, ts.ProbeHWM)
+	st.CellArenaBytes += ts.ArenaBytesHWM
 }

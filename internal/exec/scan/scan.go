@@ -114,19 +114,17 @@ type Reader struct {
 	seen        int64
 	corrupt     int64
 	// chunks/bytesRead tally the batched read pattern in plain fields
-	// (one increment per fill, never per row); engines publish them at
-	// phase boundaries via ReadStats.
+	// (one increment per fill, never per row); the scan phase and the
+	// sort read them once, at the end of the read (EngineStats).
 	chunks    int64
 	bytesRead int64
 	guard     *qguard.Guard
 	eof       bool
 }
 
-// ReadStats is a point-in-time view of a reader's batched-read tallies.
-// It is flight-recorder food: engines read it once per phase boundary
-// and publish under the standard metric names, so the batching behavior
-// (chunk count, bytes moved, average chunk fill) of the hot path is
-// observable without any per-row instrumentation.
+// ReadStats is a point-in-time view of a reader's batched-read tallies:
+// the batching behavior (chunk count, bytes moved, average chunk fill)
+// of the hot path, observable without any per-row instrumentation.
 type ReadStats struct {
 	// Chunks is the number of read chunks consumed so far (not batches:
 	// a chunk is handed out as several).
@@ -147,16 +145,13 @@ type ReadStats struct {
 
 // ReadStats snapshots the reader's batched-read tallies.
 func (r *Reader) ReadStats() ReadStats {
-	st := ReadStats{
-		Chunks:      r.chunks,
-		BytesRead:   r.bytesRead,
-		Records:     r.seen - r.corrupt,
-		CorruptRows: r.corrupt,
+	return ReadStats{
+		Chunks:       r.chunks,
+		BytesRead:    r.bytesRead,
+		Records:      r.seen - r.corrupt,
+		CorruptRows:  r.corrupt,
+		FillPermille: r.EngineStats().FillPermille(),
 	}
-	if r.chunks > 0 {
-		st.FillPermille = r.bytesRead * 1000 / (r.chunks * int64(r.chunkRows*r.diskRow))
-	}
-	return st
 }
 
 // Open opens a record file for batched reading through the active

@@ -352,13 +352,11 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 		stats.PeakBytes = peak2
 	}
 
-	tabs := make([]*cellmap.Table, len(basics))
-	for i, t := range basics {
+	for _, t := range basics {
 		stats.SpillBytes += t.spillBytes
-		tabs[i] = t.tab
+		scan.AddCellStats(&stats, t.tab)
 		stats.Nodes = append(stats.Nodes, t.ns)
 	}
-	scan.PublishCellStats(orec, tabs)
 	return &scan.Result{Tables: outputs, Stats: stats}, nil
 }
 
@@ -436,7 +434,7 @@ func mergeChunk(budget int64, width int) int {
 // mergeSpills sorts the spill file by all of its columns — (key codes,
 // generation, position), ties in file order — and restores and merges
 // the per-generation states per key straight from the sorted stream.
-// It adds the sort's share of the run's stats to st.
+// It adds the sort's and the merge's share of the run's stats to st.
 func (t *table) mergeSpills(s *model.Schema, budget int64, st *obs.EngineStats) (*core.Table, error) {
 	if err := t.writer.Close(); err != nil {
 		return nil, err
@@ -536,5 +534,6 @@ func (t *table) mergeSpills(s *model.Schema, budget int64, st *obs.EngineStats) 
 		return nil, err
 	}
 	st.Add(sorted.EngineStats())
+	st.Add(src.EngineStats())
 	return tbl, nil
 }

@@ -137,7 +137,7 @@ func flushBench(b *testing.B, uniform bool, cells int) (*engine, *node, []scan.R
 		binary.LittleEndian.PutUint64(row[8:], uint64(j/100*10))
 		rows[i] = row
 	}
-	e := newEngine(c, pl, true, obs.New())
+	e := newEngine(c, pl, true)
 	return e, e.nodes[0], rows
 }
 

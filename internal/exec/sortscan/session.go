@@ -29,6 +29,7 @@ type Session struct {
 	strict bool
 	closed bool
 	t0     time.Time
+	rec    *obs.Recorder
 	span   *obs.Span
 }
 
@@ -54,14 +55,10 @@ type SessionOptions struct {
 
 // NewSession starts a streaming evaluation under the given plan.
 func NewSession(c *core.Compiled, pl *plan.Plan, opts SessionOptions) *Session {
-	rec := opts.Recorder
-	if rec == nil {
-		rec = obs.New()
-	}
-	e := newEngine(c, pl, false, rec)
+	e := newEngine(c, pl, false)
 	e.guard = opts.Guard
-	s := &Session{e: e, strict: opts.ValidateOrder, t0: time.Now()}
-	s.span = rec.Start(obs.SpanScan)
+	s := &Session{e: e, strict: opts.ValidateOrder, t0: time.Now(), rec: opts.Recorder}
+	s.span = s.rec.Start(obs.SpanScan)
 	for _, n := range e.nodes {
 		if n.m.Kind == core.KindBasic {
 			s.basics = append(s.basics, n)
@@ -130,14 +127,14 @@ func (s *Session) Close() (*scan.Result, error) {
 	s.e.stats.ScanTime = time.Since(s.t0)
 	s.e.finish()
 	res := s.e.result()
-	res.Stats.Publish(s.e.rec)
+	res.Stats.Publish(s.rec)
 	return res, nil
 }
 
 // newEngine builds the runtime node graph (shared by batch runs and
 // sessions).
-func newEngine(c *core.Compiled, pl *plan.Plan, noEarlyFlush bool, rec *obs.Recorder) *engine {
-	e := &engine{c: c, pl: pl, noEarlyFlush: noEarlyFlush, rec: rec}
+func newEngine(c *core.Compiled, pl *plan.Plan, noEarlyFlush bool) *engine {
+	e := &engine{c: c, pl: pl, noEarlyFlush: noEarlyFlush}
 	e.numDims = c.Schema.NumDims()
 	e.numMeasures = c.Schema.NumMeasures()
 	e.nodes = make([]*node, len(c.Measures))

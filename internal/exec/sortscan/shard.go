@@ -34,9 +34,9 @@ import (
 //
 // The guard's live-cell budget is divided across shards; ChunkRecords
 // counts all of them. The recorder gets a "split" span for the one
-// routing read, one "shard" span subtree per worker, a "combine" span,
-// and shards_planned and shard_skew_ratio.
-// The run's high-water marks are its largest worker's.
+// routing read, one "shard" span subtree per worker and a "combine"
+// span; the stats carry the shards planned and their skew. The run's
+// high-water marks are its largest worker's.
 func RunSharded(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 	if opts.Workers <= 1 {
 		return Run(c, in, opts)
@@ -53,7 +53,6 @@ func RunSharded(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, er
 	}
 	guard := opts.Guard
 	shards := opts.Workers
-	rec.Counter(obs.MShardsPlanned).Add(int64(shards))
 
 	// Split: the sort's load phase. One read fills the row arena and the
 	// key columns and routes every row by key column 0, the shard unit.
@@ -64,6 +63,8 @@ func RunSharded(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, er
 		return nil, err
 	}
 	defer sorted.Close()
+	split := sorted.EngineStats()
+	split.ShardsPlanned = int64(shards)
 	total := sorted.Stats().Records
 	var maxShard int64
 	for i := 0; i < shards; i++ {
@@ -71,7 +72,7 @@ func RunSharded(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, er
 	}
 	if total > 0 {
 		// permille: 1000 = perfectly balanced.
-		rec.Gauge(obs.GShardSkew).SetMax(maxShard * int64(shards) * 1000 / total)
+		split.ShardSkew = maxShard * int64(shards) * 1000 / total
 	}
 	splitSpan.SetAttr("records", fmt.Sprint(total))
 	splitSpan.SetAttr("shards", fmt.Sprint(shards))
@@ -153,7 +154,7 @@ func RunSharded(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, er
 	combSpan.End()
 	out.Stats.SortTime += splitSpan.Duration()
 	out.Stats.CombineTime = combSpan.Duration()
-	out.Stats.Add(sorted.EngineStats())
+	out.Stats.Add(split)
 	return out, nil
 }
 

@@ -300,7 +300,6 @@ type engine struct {
 	live         int64
 	noEarlyFlush bool
 	emit         EmitFunc
-	rec          *obs.Recorder
 	guard        *qguard.Guard
 	// Shared per-record code table: every distinct (dimension, level)
 	// pair any basic node maps records through — watermark components
@@ -337,16 +336,12 @@ type engine struct {
 	sorter     scan.IdxSorter
 }
 
-// finish adds one NodeStats per measure node to the run's stats (the
-// per-operator breakdown behind EXPLAIN ANALYZE) and publishes the cell
-// tables' tallies.
+// finish adds one NodeStats per measure node (the per-operator
+// breakdown behind EXPLAIN ANALYZE) and the cell tables' tallies to the
+// run's stats.
 func (e *engine) finish() {
-	tabs := make([]*cellmap.Table, len(e.nodes))
-	for i, n := range e.nodes {
-		tabs[i] = n.tab
-	}
-	scan.PublishCellStats(e.rec, tabs)
 	for _, n := range e.nodes {
+		scan.AddCellStats(&e.stats, n.tab)
 		ns := n.ns
 		for i := range n.arcs {
 			a := &n.arcs[i]
@@ -393,7 +388,7 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 // arena and aggregate column for a cross-shard merge by the sharded
 // driver. All other nodes flush normally.
 func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, opts Options, stateIdx []bool) (*engine, error) {
-	e := newEngine(c, pl, opts.DisableEarlyFlush, opts.Recorder)
+	e := newEngine(c, pl, opts.DisableEarlyFlush)
 	e.guard = opts.Guard
 	// A node whose cell keys are provably contiguous in the scan never
 	// revisits a retired key: a changed key is always new, so its table

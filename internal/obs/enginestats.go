@@ -4,9 +4,11 @@ import "time"
 
 // EngineStats is one engine run's costs in the engine vocabulary — the
 // paper's §7 cost terms: sort vs. scan time (Figure 6(e)) and the
-// live-cell footprint of Tables 7-8. Engines fill it in plain fields
-// and return it; the entry point that ran them publishes it once, and
-// a history record embeds it. The JSON keys are the metric names.
+// live-cell footprint of Tables 7-8 — plus the read, cell-table, shard
+// and merge tallies of the layers under it. Engines, the external sort
+// and the scan phase fill it in plain fields and return it; the entry
+// point that ran them publishes it once, and a history record embeds
+// it. The JSON keys are the metric names.
 type EngineStats struct {
 	Records           int64 `json:"records_scanned,omitempty"`
 	FactScans         int64 `json:"fact_scans,omitempty"`
@@ -22,12 +24,31 @@ type EngineStats struct {
 	SpilledEntries    int64 `json:"spilled_entries,omitempty"`
 	SortRuns          int64 `json:"sort_runs,omitempty"`
 
+	// ScanChunks and ScanBytes are the chunks and bytes batched file
+	// reads filled; ScanCapacity is what those chunks could hold, so
+	// the fill (FillPermille) of several reads folds into one figure.
+	ScanChunks   int64 `json:"scan_chunks,omitempty"`
+	ScanBytes    int64 `json:"scan_bytes,omitempty"`
+	ScanCapacity int64 `json:"-"`
+	// CellGrows adds across a run's cell tables; CellProbeHWM is their
+	// longest probe walk, and CellArenaBytes their summed key arenas.
+	// Across runs the two high-water marks take the larger.
+	CellGrows      int64 `json:"cellmap_grows,omitempty"`
+	CellProbeHWM   int64 `json:"cellmap_probe_len_hwm,omitempty"`
+	CellArenaBytes int64 `json:"cellmap_arena_bytes_hwm,omitempty"`
+	// ShardsPlanned and ShardSkew (largest shard over the mean, in
+	// permille) describe a sharded run's split; HeapComparisons counts
+	// the external merge's heap comparisons.
+	ShardsPlanned   int64 `json:"shards_planned,omitempty"`
+	ShardSkew       int64 `json:"shard_skew_ratio,omitempty"`
+	HeapComparisons int64 `json:"heap_comparisons,omitempty"`
+
 	// SortTime, ScanTime and CombineTime are the run's sort, scan and
 	// combine phases; the span tree carries them to history lines.
 	SortTime, ScanTime, CombineTime time.Duration `json:"-"`
 	// Nodes is the per-node breakdown, unmerged: a node run in several
 	// shards or passes appears once per run. Readers fold it by name
-	// (NodeStats.Add).
+	// (NodeTotals).
 	Nodes []NodeStats `json:"-"`
 }
 
@@ -47,16 +68,35 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.SpillBytes += o.SpillBytes
 	s.SpilledEntries += o.SpilledEntries
 	s.SortRuns += o.SortRuns
+	s.ScanChunks += o.ScanChunks
+	s.ScanBytes += o.ScanBytes
+	s.ScanCapacity += o.ScanCapacity
+	s.CellGrows += o.CellGrows
+	s.CellProbeHWM = max(s.CellProbeHWM, o.CellProbeHWM)
+	s.CellArenaBytes = max(s.CellArenaBytes, o.CellArenaBytes)
+	s.ShardsPlanned += o.ShardsPlanned
+	s.ShardSkew = max(s.ShardSkew, o.ShardSkew)
+	s.HeapComparisons += o.HeapComparisons
 	s.SortTime += o.SortTime
 	s.ScanTime += o.ScanTime
 	s.CombineTime += o.CombineTime
 	s.Nodes = append(s.Nodes, o.Nodes...)
 }
 
-// Publish writes the stats to the recorder under the engine vocabulary,
-// every name whether zero or not, so all engines export one set, and
-// merges the per-node list into the recorder's node family. Only the
-// entry points that run an engine call it, once per run.
+// FillPermille is the reads' average chunk fill in permille (1000 =
+// every chunk read full); 0 when nothing was read from a file.
+func (s EngineStats) FillPermille() int64 {
+	if s.ScanCapacity == 0 {
+		return 0
+	}
+	return s.ScanBytes * 1000 / s.ScanCapacity
+}
+
+// Publish writes the stats to the recorder under the metric names,
+// every name whether zero or not, so all engines export one set. The
+// fill gauge is the latest file-reading run's. Only the entry points
+// that run an engine call it, once per run; the per-node list is not
+// published (EXPLAIN ANALYZE, history lines and traces read it).
 func (s EngineStats) Publish(rec *Recorder) {
 	rec.Counter(MRecordsScanned).Add(s.Records)
 	rec.Counter(MFactScans).Add(s.FactScans)
@@ -71,9 +111,17 @@ func (s EngineStats) Publish(rec *Recorder) {
 	rec.Counter(MSpillBytes).Add(s.SpillBytes)
 	rec.Counter(MSpilledEntries).Add(s.SpilledEntries)
 	rec.Counter(MSortRuns).Add(s.SortRuns)
-	for _, ns := range s.Nodes {
-		rec.MergeNodeStats(ns)
+	rec.Counter(MScanChunks).Add(s.ScanChunks)
+	rec.Counter(MScanBytes).Add(s.ScanBytes)
+	if fill := rec.Gauge(GScanBatchFill); s.ScanCapacity > 0 {
+		fill.Set(s.FillPermille())
 	}
+	rec.Counter(MCellTableGrows).Add(s.CellGrows)
+	rec.Gauge(GCellProbeHWM).SetMax(s.CellProbeHWM)
+	rec.Gauge(GCellArenaBytes).SetMax(s.CellArenaBytes)
+	rec.Counter(MShardsPlanned).Add(s.ShardsPlanned)
+	rec.Gauge(GShardSkew).SetMax(s.ShardSkew)
+	rec.Counter(MHeapComparisons).Add(s.HeapComparisons)
 }
 
 // NodeTotals folds the per-node list by node name.

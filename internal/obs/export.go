@@ -16,7 +16,6 @@ import (
 type Snapshot struct {
 	Counters   map[string]int64    `json:"counters"`
 	Gauges     map[string]int64    `json:"gauges"`
-	Nodes      []NodeStats         `json:"nodes,omitempty"`
 	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
 	Spans      []*SpanSnapshot     `json:"spans,omitempty"`
 }
@@ -41,7 +40,8 @@ func (r *Recorder) Snapshot() Snapshot {
 	if o == nil {
 		return Snapshot{Counters: map[string]int64{}, Gauges: map[string]int64{}}
 	}
-	snap := Snapshot{Counters: o.counterValues(), Gauges: o.gaugeValues(), Nodes: o.NodeStats(), Histograms: o.HistogramSnapshots()}
+	snap := Snapshot{Histograms: o.HistogramSnapshots()}
+	snap.Counters, snap.Gauges = o.values()
 	o.mu.Lock()
 	for _, c := range o.root.children {
 		snap.Spans = append(snap.Spans, snapshotSpanLocked(c))
@@ -90,8 +90,8 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 }
 
 // WritePrometheus writes every counter and gauge in the Prometheus
-// text exposition format, prefixed "awra_", followed by the per-node
-// labeled families (one # HELP/# TYPE header per family, label values
+// text exposition format, prefixed "awra_", followed by the labeled
+// histogram families (one # HELP/# TYPE header per family, label values
 // escaped per the exposition spec). Nil-safe (writes nothing).
 func (r *Recorder) WritePrometheus(w io.Writer) error {
 	snap := r.Snapshot()
@@ -105,10 +105,7 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	if err := writeHistogramFamilies(w, snap.Histograms); err != nil {
-		return err
-	}
-	return writeNodeFamilies(w, snap.Nodes)
+	return writeHistogramFamilies(w, snap.Histograms)
 }
 
 // histogramHelp documents the standard histogram families in exports.
@@ -176,71 +173,6 @@ func formatLabels(labels map[string]string) string {
 	return b.String()
 }
 
-// nodeFamilies defines the per-node labeled metric families in export
-// order. Each selects one NodeStats field; families whose values are
-// all zero are omitted entirely (so the header appears only with data).
-var nodeFamilies = []struct {
-	name, typ, help string
-	value           func(NodeStats) float64
-}{
-	{"node_records_in", "counter", "Records or input cells consumed by a measure node.", func(n NodeStats) float64 { return float64(n.RecordsIn) }},
-	{"node_records_out", "counter", "Result rows emitted by a measure node.", func(n NodeStats) float64 { return float64(n.RecordsOut) }},
-	{"node_cells_created", "counter", "Live cells created by a measure node.", func(n NodeStats) float64 { return float64(n.CellsCreated) }},
-	{"node_cells_finalized", "counter", "Cells flushed to output by a measure node.", func(n NodeStats) float64 { return float64(n.CellsFinalized) }},
-	{"node_flush_batches", "counter", "Watermark-triggered flush batches per measure node.", func(n NodeStats) float64 { return float64(n.FlushBatches) }},
-	{"node_live_cells_hwm", "gauge", "Peak simultaneous live cells per measure node.", func(n NodeStats) float64 { return float64(n.LiveCellsHWM) }},
-	{"node_est_cells", "gauge", "Optimizer-estimated cell count per measure node.", func(n NodeStats) float64 { return n.EstCells }},
-}
-
-func writeNodeFamilies(w io.Writer, nodes []NodeStats) error {
-	for _, fam := range nodeFamilies {
-		headed := false
-		for _, n := range nodes {
-			v := fam.value(n)
-			if v == 0 {
-				continue
-			}
-			if !headed {
-				if _, err := fmt.Fprintf(w, "# HELP awra_%s %s\n# TYPE awra_%s %s\n", fam.name, fam.help, fam.name, fam.typ); err != nil {
-					return err
-				}
-				headed = true
-			}
-			if _, err := fmt.Fprintf(w, "awra_%s{node=\"%s\"} %s\n", fam.name, escapeLabel(n.Node), fmtPromValue(v)); err != nil {
-				return err
-			}
-		}
-	}
-	// Arc family: two series per arc, labeled {node, arc}.
-	for _, fam := range []struct {
-		name, help string
-		value      func(ArcStats) int64
-	}{
-		{"node_arc_advances", "Coarse watermark advances per incoming arc of a measure node.", func(a ArcStats) int64 { return a.Advances }},
-		{"node_arc_held_back", "Finalizations deferred by a lagging arc watermark.", func(a ArcStats) int64 { return a.HeldBack }},
-	} {
-		headed := false
-		for _, n := range nodes {
-			for _, a := range n.Arcs {
-				v := fam.value(a)
-				if v == 0 {
-					continue
-				}
-				if !headed {
-					if _, err := fmt.Fprintf(w, "# HELP awra_%s %s\n# TYPE awra_%s counter\n", fam.name, fam.help, fam.name); err != nil {
-						return err
-					}
-					headed = true
-				}
-				if _, err := fmt.Fprintf(w, "awra_%s{node=\"%s\",arc=\"%s\"} %d\n", fam.name, escapeLabel(n.Node), escapeLabel(a.Label), v); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // escapeLabel escapes a Prometheus label value per the text exposition
 // spec: backslash, double quote, and newline.
 func escapeLabel(v string) string {
@@ -248,15 +180,6 @@ func escapeLabel(v string) string {
 	v = strings.ReplaceAll(v, `"`, `\"`)
 	v = strings.ReplaceAll(v, "\n", `\n`)
 	return v
-}
-
-// fmtPromValue renders integers without an exponent and floats
-// compactly.
-func fmtPromValue(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
 }
 
 // FormatTree renders the span tree with durations and per-phase

@@ -14,8 +14,9 @@ import (
 //
 // A registered query is its root span: the snapshot reads the engine
 // and trace ID from the span's attrs, the elapsed time from its running
-// duration, the phase and progress from its subtree, and the live
-// metrics from its recorder. All methods are nil-safe, and Begin/Finish
+// duration, and the phase and progress from its subtree; a run's
+// numbers are published when it ends, so a snapshot carries none. All
+// methods are nil-safe, and Begin/Finish
 // are query-boundary events — the registry is never touched per record.
 // Progress flows through span Total/Done fields, which scan loops
 // update atomically at their existing guard strides.
@@ -61,9 +62,6 @@ type QuerySnapshot struct {
 	// monotonically non-decreasing over a query's lifetime.
 	Progress float64          `json:"progress"`
 	Workers  []WorkerProgress `json:"workers,omitempty"`
-	Counters map[string]int64 `json:"counters,omitempty"`
-	Gauges   map[string]int64 `json:"gauges,omitempty"`
-	Nodes    []NodeStats      `json:"nodes,omitempty"`
 }
 
 // WorkerProgress is the progress of one work span (a shard, pass,
@@ -75,7 +73,7 @@ type WorkerProgress struct {
 }
 
 // Begin registers a running query by its root span, whose "engine" and
-// "trace_id" attrs, duration, subtree and recorder the snapshots read.
+// "trace_id" attrs, duration and subtree the snapshots read.
 // A nil span lists the query by ID and label alone. Nil-safe on the
 // registry.
 func (f *Inflight) Begin(label string, span *Span) *InflightQuery {
@@ -137,7 +135,6 @@ func (q *InflightQuery) snapshot() QuerySnapshot {
 		return s
 	}
 	o := q.span.rec.owner()
-	s.Counters, s.Gauges, s.Nodes = o.counterValues(), o.gaugeValues(), o.NodeStats()
 	s.ElapsedUs = q.span.Duration().Microseconds()
 	o.mu.Lock()
 	s.Engine, s.TraceID = attrLocked(q.span, "engine"), attrLocked(q.span, "trace_id")

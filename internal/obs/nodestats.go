@@ -1,19 +1,17 @@
 package obs
 
-import "sort"
-
 // NodeStats attributes one engine run's costs to a single measure node
 // of the workflow DAG — the per-operator "actual rows / actual time"
 // view that Tables 7-8 of the paper reason about. Engines accumulate
 // these in plain local fields during the scan (never touching the
-// recorder) and return them in EngineStats.Nodes, which the entry
-// point publishes through MergeNodeStats.
+// recorder) and return them in EngineStats.Nodes; EXPLAIN ANALYZE,
+// history lines and flight traces read them from there.
 //
 // Counter-like fields (records, cells, batches, arc advances) add
-// across publishes, so sharded and multi-pass engines publishing the
-// same node from several goroutines produce correct totals.
+// when Add folds two runs of one node, so sharded and multi-pass
+// engines, which run a node several times, produce correct totals.
 // LiveCellsHWM takes the maximum, and EstCells (the optimizer's
-// pre-execution estimate, in cells) keeps the largest published value.
+// pre-execution estimate, in cells) keeps the larger value.
 type NodeStats struct {
 	// Node is the measure's workflow name (label value in exports).
 	Node string `json:"node"`
@@ -75,49 +73,4 @@ func (dst *NodeStats) Add(src NodeStats) {
 			dst.Arcs = append(dst.Arcs, a)
 		}
 	}
-}
-
-// MergeNodeStats publishes one node's stats into the recorder's
-// labeled node family, folding into any stats already published for
-// the same node (see NodeStats for the merge semantics). Nil-safe.
-// A phase-boundary operation: guarded by the registry mutex, never
-// called per record.
-func (r *Recorder) MergeNodeStats(ns NodeStats) {
-	o := r.owner()
-	if o == nil || ns.Node == "" {
-		return
-	}
-	o.reg.mu.Lock()
-	defer o.reg.mu.Unlock()
-	if o.reg.nodes == nil {
-		o.reg.nodes = make(map[string]*NodeStats)
-	}
-	cur, ok := o.reg.nodes[ns.Node]
-	if !ok {
-		cur = &NodeStats{Node: ns.Node}
-		o.reg.nodes[ns.Node] = cur
-	}
-	cur.Add(ns)
-}
-
-// NodeStats returns a copy of every published node's stats, sorted by
-// node name. Nil-safe (returns nil).
-func (r *Recorder) NodeStats() []NodeStats {
-	o := r.owner()
-	if o == nil {
-		return nil
-	}
-	o.reg.mu.Lock()
-	defer o.reg.mu.Unlock()
-	if len(o.reg.nodes) == 0 {
-		return nil
-	}
-	out := make([]NodeStats, 0, len(o.reg.nodes))
-	for _, ns := range o.reg.nodes {
-		cp := *ns
-		cp.Arcs = append([]ArcStats(nil), ns.Arcs...)
-		out = append(out, cp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
 }

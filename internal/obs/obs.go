@@ -14,10 +14,10 @@
 // Span, Counter, and Gauge is nil-safe, so instrumented code threads a
 // possibly-nil recorder without branching and hot loops pay one
 // pointer check at most. Engines keep per-record tallies in plain
-// local fields, so instrumentation never touches the scan loop: the
-// engine vocabulary comes back as an EngineStats value that the entry
-// point publishes once, and the reader and cell-table tallies are
-// published at phase boundaries.
+// local fields, so instrumentation never touches the scan loop: a run's
+// numbers — the engine vocabulary and the reader, cell-table, shard and
+// merge tallies — come back as one EngineStats value that the entry
+// point publishes once.
 package obs
 
 import (
@@ -78,9 +78,9 @@ const (
 
 	// Hot-path instrumentation family: batch-granularity tallies from
 	// the chunked scan reader (internal/exec/scan) and the open-
-	// addressing cell tables (internal/exec/cellmap). Engines publish
-	// them once per phase boundary from plain struct fields — the scan
-	// loop itself never touches the recorder.
+	// addressing cell tables (internal/exec/cellmap). They travel in a
+	// run's EngineStats, tallied in plain struct fields — the scan loop
+	// itself never touches the recorder.
 
 	// MScanChunks counts read chunks consumed by batched fact reads.
 	MScanChunks = "scan_chunks"

@@ -14,9 +14,6 @@ type registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	// nodes is the labeled per-measure-node family (see nodestats.go),
-	// keyed by node name. Created lazily on first publish.
-	nodes map[string]*NodeStats
 	// histograms holds the labeled log-scale distributions (see
 	// histogram.go), keyed by name plus canonical label pairs. Created
 	// lazily on first resolution.
@@ -121,34 +118,23 @@ func (r *Recorder) Gauge(name string) *Gauge {
 	return g
 }
 
-// counterValues returns a sorted copy of the counter names and values.
-func (r *Recorder) counterValues() map[string]int64 {
+// values returns a copy of the counter and gauge names and values.
+func (r *Recorder) values() (counters, gauges map[string]int64) {
 	o := r.owner()
 	if o == nil {
-		return nil
+		return nil, nil
 	}
 	o.reg.mu.Lock()
 	defer o.reg.mu.Unlock()
-	out := make(map[string]int64, len(o.reg.counters))
+	counters = make(map[string]int64, len(o.reg.counters))
 	for name, c := range o.reg.counters {
-		out[name] = c.Value()
+		counters[name] = c.Value()
 	}
-	return out
-}
-
-// gaugeValues returns a copy of the gauge names and values.
-func (r *Recorder) gaugeValues() map[string]int64 {
-	o := r.owner()
-	if o == nil {
-		return nil
-	}
-	o.reg.mu.Lock()
-	defer o.reg.mu.Unlock()
-	out := make(map[string]int64, len(o.reg.gauges))
+	gauges = make(map[string]int64, len(o.reg.gauges))
 	for name, g := range o.reg.gauges {
-		out[name] = g.Value()
+		gauges[name] = g.Value()
 	}
-	return out
+	return counters, gauges
 }
 
 func sortedNames(m map[string]int64) []string {

@@ -16,18 +16,8 @@ import (
 
 	"awra/internal/core"
 	"awra/internal/model"
-	"awra/internal/obs"
 	"awra/internal/plan"
 )
-
-// recOf unwraps the optional trailing recorder argument used across
-// this package (kept variadic for call-site compatibility).
-func recOf(rec []*obs.Recorder) *obs.Recorder {
-	if len(rec) > 0 {
-		return rec[0]
-	}
-	return nil
-}
 
 // relevantLevels collects, per dimension, the levels that appear in
 // any measure's granularity (plus the sibling-window levels). Sort
@@ -101,14 +91,17 @@ type Choice struct {
 	Key      model.SortKey
 	EstBytes float64
 	Plan     *plan.Plan
+	// KeysScored is how many candidate keys the search that chose it
+	// scored (Best and Greedy; the caller publishes it as
+	// opt_keys_scored).
+	KeysScored int
 }
 
 // BruteForce scores every candidate sort key and returns them sorted
-// by estimated footprint, best first. An optional recorder counts the
-// keys scored (opt_keys_scored).
-func BruteForce(c *core.Compiled, stats *plan.Stats, maxKeys int, rec ...*obs.Recorder) ([]Choice, error) {
+// by estimated footprint, best first: the keys scored are the result's
+// length.
+func BruteForce(c *core.Compiled, stats *plan.Stats, maxKeys int) ([]Choice, error) {
 	cands := Candidates(c, maxKeys)
-	recOf(rec).Counter(obs.MOptKeysScored).Add(int64(len(cands)))
 	choices := make([]Choice, 0, len(cands))
 	for _, k := range cands {
 		p, err := plan.Build(c, k, stats)
@@ -126,37 +119,37 @@ func BruteForce(c *core.Compiled, stats *plan.Stats, maxKeys int, rec ...*obs.Re
 	return choices, nil
 }
 
-// Best returns the lowest-footprint sort key for the workflow. An
-// optional recorder receives opt_keys_scored and opt_best_bytes.
-func Best(c *core.Compiled, stats *plan.Stats, rec ...*obs.Recorder) (Choice, error) {
+// Best returns the lowest-footprint sort key for the workflow.
+func Best(c *core.Compiled, stats *plan.Stats) (Choice, error) {
 	maxKeys := 0
 	if c.Schema.NumDims() > 5 {
 		// Enumeration explodes combinatorially; fall back to greedy.
-		return Greedy(c, stats, rec...)
+		return Greedy(c, stats)
 	}
-	choices, err := BruteForce(c, stats, maxKeys, rec...)
+	choices, err := BruteForce(c, stats, maxKeys)
 	if err != nil {
 		return Choice{}, err
 	}
-	recOf(rec).Gauge(obs.GOptBestBytes).SetMax(int64(choices[0].EstBytes))
-	return choices[0], nil
+	best := choices[0]
+	best.KeysScored = len(choices)
+	return best, nil
 }
 
 // Greedy builds a sort key one part at a time, at each step appending
 // the (dimension, level) whose addition reduces the estimated
 // footprint the most. It evaluates O(d^2 * levels) plans instead of
 // O(d! * levels^d).
-func Greedy(c *core.Compiled, stats *plan.Stats, rec ...*obs.Recorder) (Choice, error) {
+func Greedy(c *core.Compiled, stats *plan.Stats) (Choice, error) {
 	levels := relevantLevels(c)
 	used := make([]bool, c.Schema.NumDims())
 	var key model.SortKey
 
-	scored := recOf(rec).Counter(obs.MOptKeysScored)
+	scored := 0
 	score := func(k model.SortKey) (float64, *plan.Plan, error) {
 		if len(k) == 0 {
 			return 1e300, nil, nil
 		}
-		scored.Add(1)
+		scored++
 		p, err := plan.Build(c, k, stats)
 		if err != nil {
 			return 0, nil, err
@@ -200,9 +193,7 @@ func Greedy(c *core.Compiled, stats *plan.Stats, rec ...*obs.Recorder) (Choice, 
 		if err != nil {
 			return Choice{}, err
 		}
-		recOf(rec).Gauge(obs.GOptBestBytes).SetMax(int64(p.EstBytes))
-		return Choice{Key: p.SortKey, EstBytes: p.EstBytes, Plan: p}, nil
+		return Choice{Key: p.SortKey, EstBytes: p.EstBytes, Plan: p, KeysScored: scored}, nil
 	}
-	recOf(rec).Gauge(obs.GOptBestBytes).SetMax(int64(best))
-	return Choice{Key: bestPlan.SortKey, EstBytes: best, Plan: bestPlan}, nil
+	return Choice{Key: bestPlan.SortKey, EstBytes: best, Plan: bestPlan, KeysScored: scored}, nil
 }

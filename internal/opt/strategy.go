@@ -5,7 +5,6 @@ import (
 
 	"awra/internal/core"
 	"awra/internal/model"
-	"awra/internal/obs"
 	"awra/internal/plan"
 )
 
@@ -47,6 +46,8 @@ type Decision struct {
 	SingleScanBytes float64
 	// SortScanBytes estimates the best streaming plan's footprint.
 	SortScanBytes float64
+	// KeysScored is how many candidate sort keys the search scored.
+	KeysScored int
 }
 
 // cellBytes mirrors the footprint constant used by plan.Build.
@@ -103,17 +104,18 @@ func SingleScanFootprint(c *core.Compiled, stats *plan.Stats) float64 {
 // otherwise multi-pass. budget <= 0 means "plenty of memory", which
 // still prefers sort/scan once the single-scan estimate exceeds a
 // default 1 GiB working set (matching the paper's large-data regime).
-func Choose(c *core.Compiled, stats *plan.Stats, budget float64, rec ...*obs.Recorder) (Decision, error) {
+func Choose(c *core.Compiled, stats *plan.Stats, budget float64) (Decision, error) {
 	if budget <= 0 {
 		budget = 1 << 30
 	}
 	d := Decision{SingleScanBytes: SingleScanFootprint(c, stats)}
-	best, err := Best(c, stats, rec...)
+	best, err := Best(c, stats)
 	if err != nil {
 		return d, err
 	}
 	d.Key = best.Key
 	d.SortScanBytes = best.EstBytes
+	d.KeysScored = best.KeysScored
 	switch {
 	case d.SingleScanBytes <= budget:
 		d.Strategy = StrategySingleScan

@@ -342,12 +342,12 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 			}
 			return nil
 		}, &phase)
-		ev.st.ScanTime += phase.ScanTime
+		if !inIsFact {
+			phase.Records = 0 // a spooled relation's rows are not fact records
+		}
+		ev.st.Add(phase)
 		if err != nil {
 			return err
-		}
-		if inIsFact {
-			ev.st.Records += phase.Records
 		}
 		if err := flush(); err != nil {
 			return err

@@ -26,6 +26,15 @@ const (
 	LevelShedding = 2
 )
 
+// At LevelDegraded and above every budget is scaled by tightenFactor
+// (qguard.Limits.Scale) and EngineAuto runs under at most
+// degradedMemoryBudget, forcing the Section 6 chooser toward
+// multi-pass plans.
+const (
+	tightenFactor        = 0.5
+	degradedMemoryBudget = 8 << 20
+)
+
 // OverloadConfig tunes the controller's thresholds.
 type OverloadConfig struct {
 	// HighP95 escalates when the recent p95 request latency exceeds
@@ -34,13 +43,6 @@ type OverloadConfig struct {
 	// HighLiveCells escalates when a completed query's live-cell
 	// high-water mark exceeds it; 0 disables the memory trigger.
 	HighLiveCells int64
-	// TightenFactor scales budgets at LevelDegraded and above
-	// (qguard.Limits.Scale); 0 defaults to 0.5.
-	TightenFactor float64
-	// DegradedMemoryBudget is the EngineAuto memory budget imposed at
-	// LevelDegraded and above, forcing the Section 6 chooser toward
-	// multi-pass plans; 0 defaults to 8 MiB.
-	DegradedMemoryBudget int64
 	// Cooldown is how many consecutive healthy observations
 	// de-escalate one level; 0 defaults to 8.
 	Cooldown int
@@ -50,12 +52,6 @@ type OverloadConfig struct {
 }
 
 func (c OverloadConfig) withDefaults() OverloadConfig {
-	if c.TightenFactor <= 0 || c.TightenFactor >= 1 {
-		c.TightenFactor = 0.5
-	}
-	if c.DegradedMemoryBudget <= 0 {
-		c.DegradedMemoryBudget = 8 << 20
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 8
 	}
@@ -187,7 +183,7 @@ func (c *Controller) evaluateLocked() {
 // to EngineAuto with a capped memory budget — the paper's Section 6
 // decision procedure then plans multi-pass when one pass's footprint
 // no longer fits — and every hard guardrail is tightened by
-// TightenFactor, shrinking each admitted query's footprint before the
+// tightenFactor, shrinking each admitted query's footprint before the
 // gate ever has to shed.
 func (c *Controller) Apply(o *aw.QueryOptions) bool {
 	c.mu.Lock()
@@ -197,9 +193,9 @@ func (c *Controller) Apply(o *aw.QueryOptions) bool {
 		return false
 	}
 	o.Engine = aw.EngineAuto
-	o.ExecOptions = o.ExecOptions.TightenBudgets(c.cfg.TightenFactor)
-	if o.MemoryBudget <= 0 || o.MemoryBudget > c.cfg.DegradedMemoryBudget {
-		o.MemoryBudget = c.cfg.DegradedMemoryBudget
+	o.ExecOptions = o.ExecOptions.TightenBudgets(tightenFactor)
+	if o.MemoryBudget <= 0 || o.MemoryBudget > degradedMemoryBudget {
+		o.MemoryBudget = degradedMemoryBudget
 	}
 	c.rec.Counter(obs.MServeDegraded).Add(1)
 	return true

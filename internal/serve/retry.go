@@ -32,9 +32,6 @@ type RetryPolicy struct {
 	// 5s. Attempts stop early once the budget is spent even if
 	// MaxAttempts remain.
 	Budget time.Duration
-	// Classify overrides the transient-error test; nil uses
-	// IsTransient.
-	Classify func(error) bool
 }
 
 // jitterRng backs backoff jitter for every policy; package-level so
@@ -44,7 +41,7 @@ var (
 	jitterRng *rand.Rand
 )
 
-// IsTransient is the default retryability test: storage faults the
+// IsTransient is the retryability test: storage faults the
 // fault layer classifies as self-clearing. Anything already mapped to
 // the library's typed errors (cancellation, deadlines, budgets,
 // admission) is never retryable at this layer — the caller owns those.
@@ -57,13 +54,6 @@ func IsTransient(err error) bool {
 		return false
 	}
 	return faultfs.IsTransient(err)
-}
-
-func (p RetryPolicy) classify(err error) bool {
-	if p.Classify != nil {
-		return p.Classify(err)
-	}
-	return IsTransient(err)
 }
 
 // backoff computes the jittered delay before retry attempt n (1-based:
@@ -111,7 +101,7 @@ func (p RetryPolicy) Do(ctx context.Context, rec *obs.Recorder, fn func(attempt 
 	for attempt := 1; ; attempt++ {
 		attempts = attempt
 		err = fn(attempt)
-		if err == nil || !p.classify(err) || attempt >= maxAttempts {
+		if err == nil || !IsTransient(err) || attempt >= maxAttempts {
 			return attempts, err
 		}
 		d := p.backoff(attempt, budget)
