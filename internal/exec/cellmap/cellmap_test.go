@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestTableBasics(t *testing.T) {
@@ -113,8 +114,13 @@ func differential(t testing.TB, keyLen int, ops []byte) {
 		if tab.Len() != len(order) {
 			t.Fatalf("Len = %d, want %d", tab.Len(), len(order))
 		}
-		if got := len(tab.CopyKeys()); got != len(order)*keyLen {
-			t.Fatalf("arena holds %d bytes, want %d", got, len(order)*keyLen)
+		arena := 0
+		for p := 0; p < tab.Pages(); p++ {
+			_, keys := tab.Page(p)
+			arena += len(keys)
+		}
+		if arena != len(order)*keyLen {
+			t.Fatalf("arena holds %d bytes, want %d", arena, len(order)*keyLen)
 		}
 		for i, k := range order {
 			if string(tab.KeyAt(int32(i))) != k {
@@ -254,19 +260,23 @@ var batchEdges = map[string][]byte{
 	"mixed with single inserts": {200, 1, 2, 224, 50, 1, 200, 3, 4, 228, 50, 1, 200, 1, 2, 230, 255, 77},
 	// Seventeen runs of 256 new keys fill the arena's first page and
 	// spill into the second, then the same runs again are all hits.
-	"crosses a page": pageRuns(),
+	"crosses a page": twice(runs(17)),
+	// 2,047 new keys take the first segment to a full one a key short
+	// of half load; the second key of the next batch splits it, and the
+	// same keys again are all hits in the two halves.
+	"straddles a split": twice(append(runs(7), 225, 254, 7, 225, 8, 8)),
 }
 
-// pageRuns is the op stream of batchEdges' "crosses a page".
-func pageRuns() []byte {
+// runs is n InsertBatch ops of 256 new keys each.
+func runs(n byte) []byte {
 	var ops []byte
-	for pass := 0; pass < 2; pass++ {
-		for b := byte(0); b < 17; b++ {
-			ops = append(ops, 225, 255, b)
-		}
+	for b := byte(0); b < n; b++ {
+		ops = append(ops, 225, 255, b)
 	}
 	return ops
 }
+
+func twice(ops []byte) []byte { return append(ops, ops...) }
 
 func TestInsertBatchEdges(t *testing.T) {
 	for name, ops := range batchEdges {
@@ -330,33 +340,60 @@ func FuzzInsert(f *testing.F) {
 
 // TestDenseCodesProbeBound is the adversarial distribution: a million
 // keys of dense small big-endian codes, the shape model.AppendKeyCode
-// emits, which differ in a handful of low-order bytes. The longest
+// emits, which differ in a handful of low-order bytes. Every key must
+// be found again after the table's five hundred splits, the longest
 // probe walk must stay within 64 slots whatever the key width, and the
-// number of doublings must depend on the entry count alone.
+// probe index must be allocated about once: the bytes allocated while
+// inserting, less what appending the same keys allocates (the arena)
+// and the directory's doublings, are at most the final slots plus one
+// segment, which is what the first segment's doublings discard. An
+// index that doubled whole allocated about twice its final slots.
 func TestDenseCodesProbeBound(t *testing.T) {
 	const n = 1_000_000
-	// Slots double whenever the load passes 1/2, from 16.
-	wantGrows := int64(bits.Len(uint(2*n-1)) - 4)
 	for _, shape := range [][]uint64{{n}, {1000, 1000}, {100, 100, 100}} {
-		tab := New(8 * len(shape))
-		key := make([]byte, 0, 8*len(shape))
-		for i := uint64(0); i < n; i++ {
-			key = key[:0]
-			rest := i
-			for _, dim := range shape {
-				key = binary.BigEndian.AppendUint64(key, rest%dim^(1<<63))
-				rest /= dim
+		key := make([]byte, 8*len(shape))
+		fill := func(add func([]byte)) uint64 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := uint64(0); i < n; i++ {
+				rest := i
+				for j, dim := range shape {
+					binary.BigEndian.PutUint64(key[8*j:], rest%dim^(1<<63))
+					rest /= dim
+				}
+				add(key)
 			}
-			if idx, created := tab.Insert(key); !created || idx != int32(i) {
+			runtime.ReadMemStats(&m1)
+			return m1.TotalAlloc - m0.TotalAlloc
+		}
+		appended := New(len(key))
+		arena := fill(func(k []byte) { appended.Append(k) })
+		tab := New(len(key))
+		var i int32
+		total := fill(func(k []byte) {
+			if idx, created := tab.Insert(k); !created || idx != i {
 				t.Fatalf("shape %v: Insert #%d = (%d,%v)", shape, i, idx, created)
 			}
-		}
+			i++
+		})
+		i = 0
+		fill(func(k []byte) {
+			if got := tab.Lookup(k); got != i {
+				t.Fatalf("shape %v: Lookup of key #%d = %d", shape, i, got)
+			}
+			i++
+		})
 		st := tab.Stats()
 		if st.ProbeHWM > 64 {
 			t.Errorf("shape %v: longest probe walk %d slots, want <= 64", shape, st.ProbeHWM)
 		}
-		if st.Grows != wantGrows || st.Slots != 16<<wantGrows {
-			t.Errorf("shape %v: %d doublings to %d slots, want %d to %d", shape, st.Grows, st.Slots, wantGrows, 16<<wantGrows)
+		// The directory's doublings add up to twice its final size, and
+		// each rounds up to a size class; three times covers both.
+		dir := 3 * uint64(len(tab.dir)) * uint64(unsafe.Sizeof(segment{}))
+		slotBytes := total - arena - dir
+		t.Logf("shape %v: %d slots, at most %d slot bytes allocated, longest walk %d, %d grows", shape, st.Slots, slotBytes, st.ProbeHWM, st.Grows)
+		if limit := uint64(st.Slots+segSlots) * 8; slotBytes > limit {
+			t.Errorf("shape %v: %d slot bytes allocated for %d final slots, want <= %d", shape, slotBytes, st.Slots, limit)
 		}
 	}
 }
@@ -456,10 +493,11 @@ func pagedKey(k []byte, x uint64) []byte {
 // populations, and checks every id, key and page against a map. A key
 // view taken before the growth still holds its bytes after it, and the
 // Stats after each population are pinned: the arena's layout moves no
-// probe, doubling or byte count.
+// probe, growth or byte count. Eight doublings take the first segment to
+// 4,096 slots and seven splits to eight segments; Reset keeps them.
 func TestPagesAgainstMap(t *testing.T) {
 	full := func(w int, probeHWM int64) Stats {
-		return Stats{Entries: pagedEntries, Slots: 32768, ProbeHWM: probeHWM, Grows: 11, ArenaBytesHWM: int64(w) * pagedEntries}
+		return Stats{Entries: pagedEntries, Slots: 32768, ProbeHWM: probeHWM, Grows: 15, ArenaBytesHWM: int64(w) * pagedEntries}
 	}
 	want := map[int][3]Stats{
 		// The empty key exists once, except appended.
@@ -536,7 +574,7 @@ func TestPagesAgainstMap(t *testing.T) {
 				}
 				all += string(keys)
 			}
-			if all != strings.Join(order, "") || tab.CopyKeys() != all {
+			if all != strings.Join(order, "") {
 				t.Fatalf("width %d, %s: the pages do not hold the keys in id order", w, mode)
 			}
 			for i, k := range order {
@@ -553,6 +591,55 @@ func TestPagesAgainstMap(t *testing.T) {
 				t.Errorf("width %d, %s: Stats = %+v, want %+v", w, mode, got, want[w][pop])
 			}
 			tab.Reset()
+		}
+	}
+}
+
+// TestFreeze: Freeze hands back the keys in id order, a string per page,
+// across a small page 0, a page-0/full-page boundary and the empty key;
+// Len and Stats read as before it; every write after it panics.
+func TestFreeze(t *testing.T) {
+	for _, tc := range []struct{ w, n int }{{16, 10}, {16, PageKeys + 100}, {8, 3*PageKeys + 17}, {0, 1}, {8, 0}} {
+		tab := New(tc.w)
+		var want []string
+		for i := 0; i < tc.n; i++ {
+			k := pagedKey(make([]byte, tc.w), uint64(i))
+			tab.Insert(k)
+			want = append(want, string(k))
+		}
+		before := tab.Stats()
+		keys := tab.Freeze()
+		if len(keys) != (tc.n+PageKeys-1)/PageKeys {
+			t.Fatalf("width %d, %d keys: %d pages, want %d", tc.w, tc.n, len(keys), (tc.n+PageKeys-1)/PageKeys)
+		}
+		for p, page := range keys {
+			if wantN := min(PageKeys, tc.n-p*PageKeys); len(page) != wantN*tc.w {
+				t.Fatalf("width %d, %d keys: page %d is %d bytes, want %d keys", tc.w, tc.n, p, len(page), wantN)
+			}
+		}
+		if got := strings.Join(keys, ""); got != strings.Join(want, "") {
+			t.Fatalf("width %d, %d keys: the frozen pages do not hold the keys in id order", tc.w, tc.n)
+		}
+		if tab.Len() != tc.n || tab.KeyLen() != tc.w || tab.Stats() != before {
+			t.Fatalf("width %d, %d keys: after Freeze Len %d, KeyLen %d, Stats %+v; before %d, %d, %+v",
+				tc.w, tc.n, tab.Len(), tab.KeyLen(), tab.Stats(), tc.n, tc.w, before)
+		}
+		k := make([]byte, tc.w)
+		for name, write := range map[string]func(){
+			"Insert":      func() { tab.Insert(k) },
+			"InsertBatch": func() { tab.InsertBatch(k, make([]int32, 1)) },
+			"Append":      func() { tab.Append(k) },
+			"Reset":       func() { tab.Reset() },
+			"Freeze":      func() { tab.Freeze() },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("width %d, %d keys: %s after Freeze did not panic", tc.w, tc.n, name)
+					}
+				}()
+				write()
+			}()
 		}
 	}
 }

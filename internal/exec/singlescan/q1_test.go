@@ -59,13 +59,15 @@ func BenchmarkQ1(b *testing.B) {
 
 // TestScanAllocationBound: the tables' memory is allocated about once —
 // the key arenas and aggregate slabs grow by pages that are never
-// copied, only the slot arrays double — and a morsel allocates nothing.
-// Q1 over a 20k-row cube creates 110,552 cells and allocates about 164
-// bytes per cell, most of them the result maps and slots. With the
-// arena and the slabs doubling (and copying) alongside the slots, and a
-// count cell two words, it allocated 247. Mallocs per run are a few per
-// doubling, page and table (about 1,100), so a scratch buffer allocated
-// per morsel, or a key per cell, fails the second bound.
+// copied, the probe indexes by segment splits that discard nothing, and
+// the result maps' keys are cut from the frozen arenas — and a morsel
+// allocates nothing. Q1 over a 20k-row cube creates 110,552 cells and
+// allocates about 121 bytes per cell, most of them the result maps and
+// slots. With the slot arrays doubling whole and the keys copied into
+// one string for the maps it allocated 164; with the arena and the slabs
+// doubling too, and a count cell two words, 247. Mallocs per run are a
+// few per growth, page and table (about 1,200), so a scratch buffer
+// allocated per morsel, or a key per cell, fails the second bound.
 func TestScanAllocationBound(t *testing.T) {
 	c, path := q1(t, 20_000)
 	var (
@@ -88,10 +90,43 @@ func TestScanAllocationBound(t *testing.T) {
 	perCell := float64(m1.TotalAlloc-m0.TotalAlloc) / runs / float64(cells)
 	mallocs := float64(m1.Mallocs-m0.Mallocs) / runs
 	t.Logf("%d cells: %.0f bytes allocated per cell, %.0f mallocs per run", cells, perCell, mallocs)
-	if perCell >= 200 {
-		t.Errorf("%.0f bytes allocated per created cell, want < 200", perCell)
+	if perCell >= 140 {
+		t.Errorf("%.0f bytes allocated per created cell, want < 140", perCell)
 	}
 	if mallocs >= 4000 {
 		t.Errorf("%.0f mallocs per run, want < 4000", mallocs)
+	}
+}
+
+// TestResultBuildSpans: the result build is timed under "finalize" when
+// nothing spilled, and "spill_merge" opens only around the merge of
+// tables that spilled. Both add to the scan time.
+func TestResultBuildSpans(t *testing.T) {
+	c, path := q1(t, 5_000)
+	for _, budget := range []int64{0, 64 << 10} {
+		rec := obs.New()
+		res, err := Run(c, scan.FileInput(path), Options{
+			EngineOptions: scan.EngineOptions{Recorder: rec, TempDir: t.TempDir()},
+			MemoryBudget:  budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := map[string]int64{} // microseconds
+		for _, s := range rec.Snapshot().Spans {
+			spans[s.Name] += s.DurationUs
+		}
+		spilled := res.Stats.Spills > 0
+		if budget > 0 && !spilled {
+			t.Fatalf("budget %d: nothing spilled", budget)
+		}
+		_, fin := spans[obs.SpanFinalize]
+		_, merge := spans[obs.SpanSpill]
+		if budget == 0 && (!fin || merge) || budget > 0 && !merge {
+			t.Errorf("budget %d, spills %d: spans %v; want finalize without spill_merge unbudgeted, spill_merge when spilled", budget, res.Stats.Spills, spans)
+		}
+		if sum := spans[obs.SpanScan] + spans[obs.SpanFinalize] + spans[obs.SpanSpill]; res.Stats.ScanTime.Microseconds() < sum {
+			t.Errorf("budget %d: scan time %v, less than the scan, finalize and spill_merge spans' %d µs", budget, res.Stats.ScanTime, sum)
+		}
 	}
 }

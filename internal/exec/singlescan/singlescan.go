@@ -57,10 +57,10 @@ type table struct {
 	// in the initial state, and 16 of table overhead.
 	cellBytes int64
 	bytes     int64
-	// keys is the key arena as one string once the scan is over and the
-	// table was never spilled — what the result map's keys are cut from,
-	// and what phase 2 reads roll-up sources off.
-	keys string
+	// keys is the frozen key arena, a string per page, once the scan is
+	// over and the table was never spilled — what the result map's keys
+	// are cut from, and what phase 2 reads roll-up sources off.
+	keys []string
 	// spill bookkeeping
 	spillPath  string
 	spillGen   int64
@@ -215,7 +215,6 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("singlescan: %w", err)
 	}
-	defer bsrc.Close()
 
 	var stats obs.EngineStats
 	var basics []*table
@@ -277,63 +276,79 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 		}
 		return nil
 	}, &stats)
+	// The scan is over: close the input now, so that its read buffer and
+	// file are not held through the result build and phase 2.
+	bsrc.Close()
 	if err != nil {
 		return nil, err
 	}
 
-	// Merge spilled partial states back (external sort + merge).
-	spillSpan := orec.Start(obs.SpanSpill)
-	defer spillSpan.End()
 	tables := make([]*core.Table, len(c.Measures))
 	// A basic that never spilled is still a key arena beside its column,
 	// which an order-insensitive roll-up of it reads front to back
 	// instead of the map built from it.
 	cells := make([]func(yield func(model.Key, float64)), len(c.Measures))
-	for _, t := range basics {
-		if err := opts.Guard.Err(); err != nil {
-			return nil, err
-		}
-		var tbl *core.Table
-		if t.spillPath != "" {
-			// Spill the in-memory remainder so everything is on disk,
-			// then sort and merge.
-			if _, err := t.spill(); err != nil {
-				return nil, err
+	// build makes the results of the basics that spilled, or of those
+	// that did not, under one span that adds to the scan time.
+	build := func(spilled bool, name string) error {
+		var span *obs.Span
+		defer func() {
+			span.End()
+			stats.ScanTime += span.Duration()
+		}()
+		for _, t := range basics {
+			if (t.spillPath != "") != spilled {
+				continue
 			}
-			stats.Spills++
-			var err error
-			if tbl, err = t.mergeSpills(c.Schema, opts.MemoryBudget, &stats); err != nil {
-				return nil, err
+			if err := opts.Guard.Err(); err != nil {
+				return err
 			}
-		} else {
-			tbl = core.NewTable(c.Schema, t.m.Gran)
-			// Exact-size map build from the dense arena: one growth-free
-			// insert per cell, in insertion order. The arena's pages are
-			// copied into one string and every key is a substring of it,
-			// so the table costs one allocation and not one per cell.
-			t.keys = t.tab.CopyKeys()
-			tbl.Rows = make(map[model.Key]float64, t.tab.Len())
-			t.eachCell(func(k model.Key, v float64) { tbl.Rows[k] = v })
-		}
-		stats.CellsFinalized += int64(len(tbl.Rows))
-		t.ns.CellsFinalized = int64(len(tbl.Rows))
-		if !t.m.Hidden {
-			t.ns.RecordsOut = t.ns.CellsFinalized
-			if err := opts.Guard.NoteResultRows(int64(len(tbl.Rows))); err != nil {
-				return nil, err
+			if span == nil {
+				span = orec.Start(name)
+			}
+			var tbl *core.Table
+			if !spilled {
+				tbl = t.frozen(c.Schema)
+			} else {
+				// Spill the in-memory remainder so everything is on disk,
+				// then sort and merge.
+				if _, err := t.spill(); err != nil {
+					return err
+				}
+				stats.Spills++
+				var err error
+				if tbl, err = t.mergeSpills(c.Schema, opts.MemoryBudget, &stats); err != nil {
+					return err
+				}
+			}
+			stats.CellsFinalized += int64(len(tbl.Rows))
+			t.ns.CellsFinalized = int64(len(tbl.Rows))
+			if !t.m.Hidden {
+				t.ns.RecordsOut = t.ns.CellsFinalized
+				if err := opts.Guard.NoteResultRows(int64(len(tbl.Rows))); err != nil {
+					return err
+				}
+			}
+			i, err := c.Index(t.m.Name)
+			if err != nil {
+				return err
+			}
+			tables[i] = tbl
+			if !spilled {
+				cells[i] = t.eachCell
 			}
 		}
-		i, err := c.Index(t.m.Name)
-		if err != nil {
-			return nil, err
-		}
-		tables[i] = tbl
-		if t.spillPath == "" {
-			cells[i] = t.eachCell
-		}
+		return nil
 	}
-	spillSpan.End()
-	stats.ScanTime += spillSpan.Duration()
+	// The tables that never spilled are cut from their frozen arenas;
+	// the ones that did merge their spilled partial states back, an
+	// external sort and merge.
+	if err := build(false, obs.SpanFinalize); err != nil {
+		return nil, err
+	}
+	if err := build(true, obs.SpanSpill); err != nil {
+		return nil, err
+	}
 
 	// Phase 2: composite measures in topological order (the workflow's
 	// compiled order).
@@ -360,12 +375,26 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 	return &scan.Result{Tables: outputs, Stats: stats}, nil
 }
 
+// frozen freezes a table that never spilled and builds its result map
+// exact-size: one growth-free insert per cell, in insertion order, each
+// key cut from the frozen pages, so the map costs one allocation and
+// not one per cell.
+func (t *table) frozen(s *model.Schema) *core.Table {
+	tbl := core.NewTable(s, t.m.Gran)
+	t.keys = t.tab.Freeze()
+	tbl.Rows = make(map[model.Key]float64, t.tab.Len())
+	t.eachCell(func(k model.Key, v float64) { tbl.Rows[k] = v })
+	return tbl
+}
+
 // eachCell yields the table's cells in cell-id order: key and final
 // aggregate. Valid once the scan is over, on a table that never spilled.
 func (t *table) eachCell(yield func(model.Key, float64)) {
 	kl := t.tab.KeyLen()
-	for i, n := 0, t.tab.Len(); i < n; i++ {
-		yield(model.Key(t.keys[i*kl:i*kl+kl]), t.col.Final(int32(i)))
+	for p, page := range t.keys {
+		for j := range min(t.tab.Len()-p*cellmap.PageKeys, cellmap.PageKeys) {
+			yield(model.Key(page[j*kl:j*kl+kl]), t.col.Final(int32(p*cellmap.PageKeys+j)))
+		}
 	}
 }
 

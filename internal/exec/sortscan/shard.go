@@ -283,10 +283,11 @@ func combineShards(c *core.Compiled, merge []int, engines []*engine, guard *qgua
 		if m.Hidden {
 			continue
 		}
-		keys := tab.CopyKeys()
 		rows := make(map[model.Key]float64, cells)
-		for i := 0; i < cells; i++ {
-			rows[model.Key(keys[i*kw:i*kw+kw])] = acc.Final(int32(i))
+		for p, page := range tab.Freeze() {
+			for j := range min(cells-p*cellmap.PageKeys, cellmap.PageKeys) {
+				rows[model.Key(page[j*kw:j*kw+kw])] = acc.Final(int32(p*cellmap.PageKeys + j))
+			}
 		}
 		out.Tables[m.Name].Rows = rows
 		if err := guard.NoteResultRows(int64(cells)); err != nil {

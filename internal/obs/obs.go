@@ -86,8 +86,8 @@ const (
 	MScanChunks = "scan_chunks"
 	// MScanBytes counts bytes filled into read-chunk buffers.
 	MScanBytes = "scan_bytes"
-	// MCellTableGrows counts cell-table doublings across all
-	// measure nodes.
+	// MCellTableGrows counts cell-table probe-index growths (first-
+	// segment doublings plus segment splits) across all measure nodes.
 	MCellTableGrows = "cellmap_grows"
 
 	// GScanBatchFill is the average read-chunk fill ratio in permille
