@@ -32,19 +32,13 @@
 // recorder — live in the ExecOptions struct embedded in QueryOptions
 // and StreamOptions.
 //
-// The pre-context entry points (Query, QueryCompiled, OpenStream,
-// OpenStreamCompiled) and the Workers option are gone; replace
-// aw.Query(wf, in, o) with aw.Run(ctx, wf, in, o), aw.OpenStream(wf, o)
-// with aw.RunStream(ctx, wf, o), and QueryOptions{Workers: 4} with
-// QueryOptions{ExecOptions: ExecOptions{Parallelism: 4}}.
-//
 // The underlying engines (one-pass sort/scan, sharded parallel
-// sort/scan, single-scan, multi-pass, partitioned-parallel, and a
-// relational-style baseline) are selectable through
-// ExecOptions.Engine; by default Run picks a sort order with the
-// brute-force optimizer and runs the one-pass sort/scan algorithm, and
-// with ExecOptions{Engine: EngineAuto, Parallelism: N} it shards that
-// pass across N workers whenever the workflow allows.
+// sort/scan, single-scan, multi-pass, and a relational-style baseline)
+// are selectable through ExecOptions.Engine; by default Run picks a
+// sort order with the brute-force optimizer and runs the one-pass
+// sort/scan algorithm, and with ExecOptions{Engine: EngineAuto,
+// Parallelism: N} it shards that pass across N workers whenever the
+// workflow allows.
 //
 // # Observability
 //

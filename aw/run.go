@@ -134,15 +134,12 @@ type ExecOptions struct {
 	// per-pass footprint for multi-pass, and the decision input for
 	// EngineAuto. 0 = unlimited / one pass.
 	MemoryBudget int64
-	// Parallelism is the worker count for parallel evaluation. Two
-	// engines use it: it is the shard count for EngineShardScan, and the
-	// run-sorting workers of EngineSortScan's external sort (they only
-	// have work when the input exceeds one sort chunk). 0 or 1 means
-	// serial. The single-scan, multi-pass and relational engines are
-	// serial whatever the count. Under EngineAuto, Parallelism > 1
-	// upgrades a sort/scan decision to the sharded engine whenever the
-	// workflow shards safely (every measure either nests inside shard
-	// units or merges commutatively). Streaming sessions ignore it.
+	// Parallelism is the shard count of EngineShardScan; 0 or 1 means
+	// serial. Every other engine is serial whatever the count. Under
+	// EngineAuto, Parallelism > 1 upgrades a sort/scan decision to the
+	// sharded engine whenever the workflow shards safely (every measure
+	// either nests inside shard units or merges commutatively).
+	// Streaming sessions ignore it.
 	Parallelism int
 	// Recorder, if non-nil, collects the query's span tree (rooted at a
 	// "query" span) and engine metrics, published once per run. A nil
@@ -399,8 +396,8 @@ func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *q
 		if nk, err := o.SortKey.Normalize(c.Schema); err == nil {
 			qSpan.SetAttr("sort_key", nk.String(c.Schema))
 		}
-		// Parallelism is the shard count of a sharded run and the run
-		// writers of a serial one.
+		// Parallelism is the shard count of a sharded run; a serial one
+		// ignores it.
 		run := sortscan.Run
 		if o.Engine == EngineShardScan {
 			run = sortscan.RunSharded

@@ -100,7 +100,7 @@ func BenchmarkExternalSort(b *testing.B) {
 	out := path + ".sorted"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := scan.SortFileByKey(path, out, s, key, scan.SortOptions{ChunkRecords: 16384})
+		_, err := scan.SortFileByKey(path, out, s, key, scan.EngineOptions{ChunkRecords: 16384})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,32 +190,6 @@ func BenchmarkSingleScanEngine(b *testing.B) {
 		if len(res["ratio"].Rows) == 0 {
 			b.Fatal("empty result")
 		}
-	}
-}
-
-// BenchmarkParallelSort measures the concurrent run-generation path
-// against the sequential sort on the same input.
-func BenchmarkParallelSort(b *testing.B) {
-	for _, workers := range []int{0, 2} {
-		name := "sequential"
-		if workers > 1 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			path, s := synthFact(b, 200000)
-			key, err := model.SortKey{{Dim: 0, Lvl: 0}, {Dim: 1, Lvl: 0}}.Normalize(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out := path + ".sorted"
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, err := scan.SortFileByKey(path, out, s, key, scan.SortOptions{ChunkRecords: 8192, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -49,7 +49,7 @@ func main() {
 		measure = flag.String("measure", "", "print only this measure (default: all)")
 		limit   = flag.Int("limit", 20, "max rows to print per measure (0 = all)")
 		budget  = flag.Int64("budget", 0, "memory budget in bytes (singlescan spill / multipass per-pass / auto decision)")
-		par     = flag.Int("parallelism", 1, "parallel workers: shardscan shards, sortscan sort workers")
+		par     = flag.Int("parallelism", 1, "shard count of shardscan (and of auto, when the workflow shards)")
 		readBat = flag.Int("read-batch", 0, "fact-read chunk size in bytes for file-backed engines (0 = default)")
 		csvOut  = flag.String("o", "", "write the selected measure(s) as CSV file(s): PATH, or PATH prefix when printing several")
 		explain = flag.Bool("explain", false, "print the plan tree with optimizer estimates (and the workflow DOT graph), then exit")

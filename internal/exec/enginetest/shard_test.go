@@ -320,7 +320,7 @@ func TestShardedCancellationMidShard(t *testing.T) {
 			done <- err
 		}()
 		// Cancel as soon as run files start appearing, so the sort is
-		// mid-read with run writers in flight when the signal lands.
+		// mid-read, writing its runs, when the signal lands.
 		for i := 0; ; i++ {
 			entries, _ := os.ReadDir(tempDir)
 			if len(entries) > 0 || i > 100000 {

@@ -65,26 +65,18 @@ func (o EngineOptions) Open(in Input) (BatchSource, error) {
 	return in.Open(Options{BatchBytes: o.ReadBatchBytes, Guard: o.Guard})
 }
 
-// Sort sorts the input by key into parts ordered streams (SortByKey),
-// writing runs on workers goroutines, with the sort's spans and metrics
-// under rec.
-func (o EngineOptions) Sort(in Input, schema *model.Schema, key model.SortKey, from model.Gran, parts, workers int, rec *obs.Recorder) (*Sorted, error) {
-	return SortByKey(in, schema, key, from, parts, SortOptions{
-		ChunkRecords: o.ChunkRecords, TempDir: o.TempDir, Workers: workers,
-		BatchBytes: o.ReadBatchBytes, Recorder: rec, Guard: o.Guard,
-	})
-}
-
 // SortStream sorts the input by key under one "sort" span, annotated
 // with the key and the runs formed, and opens the sorted rows as one
-// stream, writing runs on workers goroutines. Closing the stream also
-// removes the sort's run files. It returns the sort's share of the
-// run's stats: its duration, runs, run files and input read.
-func (o EngineOptions) SortStream(in Input, schema *model.Schema, key model.SortKey, from model.Gran, workers int) (BatchSource, obs.EngineStats, error) {
+// stream. Closing the stream also removes the sort's run files. It
+// returns the sort's share of the run's stats: its duration, runs, run
+// files and input read.
+func (o EngineOptions) SortStream(in Input, schema *model.Schema, key model.SortKey, from model.Gran) (BatchSource, obs.EngineStats, error) {
 	span := o.Recorder.Start(obs.SpanSort)
 	defer span.End()
 	span.SetAttr("key", key.String(schema))
-	sorted, err := o.Sort(in, schema, key, from, 1, workers, o.Recorder.At(span))
+	so := o
+	so.Recorder = o.Recorder.At(span)
+	sorted, err := SortByKey(in, schema, key, from, 1, so)
 	if err != nil {
 		return nil, obs.EngineStats{}, err
 	}
@@ -282,8 +274,8 @@ func (o EngineOptions) Composites(c *core.Compiled, tables []*core.Table, cells 
 // ReadTable reads a measure table stored as rows of full-length region
 // codes and one value — a result store's measure file, or a relational
 // baseline spool — into a table of granularity gran.
-func ReadTable(in Input, opts Options, s *model.Schema, gran model.Gran) (*core.Table, error) {
-	src, err := in.Open(opts)
+func (o EngineOptions) ReadTable(in Input, s *model.Schema, gran model.Gran) (*core.Table, error) {
+	src, err := o.Open(in)
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ func TestScanPhaseAddsSourceStats(t *testing.T) {
 	// sort reads the file once, each read stopping at its chunk's 500
 	// rows, and the merge's comparisons land in the scan phase that
 	// drains the part.
-	sorted, err := eo.Sort(FileInput(fact), nil, nil, nil, 1, 0, nil)
+	sorted, err := SortByKey(FileInput(fact), nil, nil, nil, 1, eo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,9 @@ package scan
 
 import (
 	"cmp"
-	"fmt"
 	"math/bits"
 	"os"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"awra/internal/model"
@@ -37,39 +35,21 @@ import (
 // model.SortKey.RecordLess produces, and the one the engines'
 // append-only cell path relies on.
 
-// SortOptions tunes SortByKey and SortFileByKey.
-type SortOptions struct {
-	// ChunkRecords is the number of records held and sorted in memory at
-	// a time. Zero selects a default sized for roughly 256 MB.
-	ChunkRecords int
-	// TempDir receives run files; empty uses os.TempDir().
-	TempDir string
-	// Workers, when above 1, sorts and writes run files on that many
-	// goroutines while the input keeps streaming; 0 or 1 writes each run
-	// inline.
-	Workers int
-	// BatchBytes is the read-chunk size for the batched input readers
-	// (0 = DefaultBatchBytes).
-	BatchBytes int
-	// Recorder, if non-nil, receives the run-generation span.
-	Recorder *obs.Recorder
-	// Guard, if non-nil, makes the sort cooperatively cancelable and
-	// charges run files against the spill-byte budget.
-	Guard *qguard.Guard
-}
+// SortOptions is EngineOptions under the older name that callers of
+// SortFileByKey still use. The sort reads its TempDir, ReadBatchBytes,
+// ChunkRecords, Recorder (the run-generation span) and Guard
+// (cancellation and the spill-byte budget).
+type SortOptions = EngineOptions
 
-func (o SortOptions) chunk(diskRow int) int {
+// chunk is how many rows of diskRow bytes the sort holds in memory.
+func (o EngineOptions) chunk(diskRow int) int {
 	if o.ChunkRecords > 0 {
 		return o.ChunkRecords
 	}
 	if diskRow <= 0 {
 		diskRow = 64
 	}
-	c := (256 << 20) / diskRow
-	if c < 1024 {
-		c = 1024
-	}
-	return c
+	return max((256<<20)/diskRow, 1024)
 }
 
 // IdxSorter sorts permutations of row indices by precomputed key
@@ -372,10 +352,6 @@ type chunkState struct {
 	n    int
 }
 
-func newChunk(chunk, diskRow, kp int) *chunkState {
-	return &chunkState{rows: make([]byte, 0, chunk*diskRow), keys: make([]uint64, 0, chunk*kp)}
-}
-
 // Sorted is an input sorted by a key, as SortByKey leaves it: one
 // ordered stream of rows per part, served from memory when the input
 // fit one chunk and from the parts' spilled runs when it did not.
@@ -385,7 +361,7 @@ type Sorted struct {
 	cols    sortCols
 	diskRow int
 	emit    int // bytes of a row a source hands out: the payload, or the whole disk row
-	opts    SortOptions
+	opts    EngineOptions
 	stats   storage.SortStats
 	read    obs.EngineStats // the input read's tallies
 	mem     *chunkState     // the whole input, when one chunk held it
@@ -424,16 +400,14 @@ type sortedPart struct {
 // An input that fits one chunk stays in memory, and Open index-sorts a
 // part's rows on the caller's goroutine, so the parts of a parallel
 // plan sort concurrently. A larger input spills one sorted run per
-// part and chunk (on opts.Workers goroutines when that is above 1) and
-// Open merges the part's runs. The caller must Close the result.
-func SortByKey(input Input, schema *model.Schema, key model.SortKey, from model.Gran, parts int, opts SortOptions) (*Sorted, error) {
+// part and chunk as it is read, and Open merges the part's runs. The
+// caller must Close the result.
+func SortByKey(input Input, schema *model.Schema, key model.SortKey, from model.Gran, parts int, opts EngineOptions) (*Sorted, error) {
 	return sortByKey(input, schema, key, from, parts, false, opts)
 }
 
-func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.Gran, parts int, rawRows bool, opts SortOptions) (_ *Sorted, err error) {
-	rec := opts.Recorder
-	guard := opts.Guard
-	in, err := input.open(Options{BatchBytes: opts.BatchBytes, Guard: guard})
+func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.Gran, parts int, rawRows bool, opts EngineOptions) (_ *Sorted, err error) {
+	in, err := input.open(Options{BatchBytes: opts.ReadBatchBytes, Guard: opts.Guard})
 	if err != nil {
 		return nil, err
 	}
@@ -458,101 +432,34 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 	if hdr.Count < int64(chunk) {
 		chunk = max(int(hdr.Count), 1)
 	}
-
-	var (
-		wg      sync.WaitGroup
-		errMu   sync.Mutex
-		workErr error
-		sem     chan struct{}
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if workErr == nil {
-			workErr = err
-		}
-		errMu.Unlock()
-	}
-	getErr := func() error {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return workErr
-	}
 	defer func() {
-		wg.Wait()
 		if err != nil {
 			s.Close()
 		}
 	}()
-	parallel := opts.Workers > 1
-	if parallel {
-		sem = make(chan struct{}, opts.Workers)
-	}
-	runsSpan := rec.Start(obs.SpanSortRuns)
+	runsSpan := opts.Recorder.Start(obs.SpanSortRuns)
 	defer runsSpan.End()
 	router := partRouter{parts: len(s.parts)}
 
-	// writeRun index-sorts one part's rows of a chunk and spills them in
-	// order, charging the spill budget.
-	writeRun := func(cs *chunkState, idx []int32, path string, sorter *IdxSorter) (err error) {
-		defer qguard.RecoverAbort(&err)
-		sorter.Sort(idx, cs.keys, kp, guard)
-		runBytes := int64(len(idx)) * int64(hdr.RowBytes())
-		if err := guard.NoteSpill(runBytes); err != nil {
-			return err
-		}
-		w, err := storage.CreateRaw(path, s.hdr)
-		if err != nil {
-			return err
-		}
-		for _, i := range idx {
-			if err := w.WriteRow(cs.rows[int(i)*diskRow : int(i)*diskRow+diskRow]); err != nil {
-				w.Close()
-				return err
-			}
-		}
-		return w.Close()
-	}
-
-	cur := newChunk(chunk, diskRow, kp)
-	var sorter IdxSorter // the serial path's; parallel run writers bring their own
+	cur := &chunkState{rows: make([]byte, 0, chunk*diskRow), keys: make([]uint64, 0, chunk*kp)}
+	var sorter IdxSorter
+	// spill writes each part's rows of the full chunk as that part's next
+	// run and empties the chunk. A run is named in its part before it is
+	// written, so Close removes it whether or not the write succeeds.
 	spill := func() error {
 		for p, idx := range router.split(cur.keys, kp, cur.n) {
 			if len(idx) == 0 {
 				continue
 			}
-			path := EngineOptions{TempDir: s.opts.TempDir}.TempPath("bsort")
+			path := opts.TempPath("bsort")
 			s.stats.Runs++
 			s.parts[p].runs = append(s.parts[p].runs, path)
 			s.parts[p].rows += int64(len(idx))
-			if !parallel {
-				if err := writeRun(cur, idx, path, &sorter); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := getErr(); err != nil {
+			if err := s.writeRun(cur, idx, path, &sorter); err != nil {
 				return err
 			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(cs *chunkState) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				defer func() {
-					if r := recover(); r != nil {
-						setErr(fmt.Errorf("scan: run writer panic: %v", r))
-					}
-				}()
-				if err := writeRun(cs, idx, path, new(IdxSorter)); err != nil {
-					setErr(err)
-				}
-			}(cur)
 		}
-		if parallel {
-			cur = newChunk(chunk, diskRow, kp) // the writers still read the old one
-		} else {
-			cur.rows, cur.keys, cur.n = cur.rows[:0], cur.keys[:0], 0
-		}
+		cur.rows, cur.keys, cur.n = cur.rows[:0], cur.keys[:0], 0
 		return nil
 	}
 
@@ -581,25 +488,43 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 	}
 	s.read = sourceStats(in)
 
-	if s.stats.Runs == 0 {
-		// Everything fit one chunk: each part is one in-memory run, sorted
-		// when it is opened.
-		for p, idx := range router.split(cur.keys, kp, cur.n) {
-			s.parts[p].idx, s.parts[p].rows = idx, int64(len(idx))
-		}
-		s.mem = cur
-		s.stats.Runs = len(s.parts)
-		s.unsorted.Store(int32(len(s.parts)))
-	} else {
+	if s.stats.Runs > 0 {
 		if err := spill(); err != nil {
 			return nil, err
 		}
-		wg.Wait()
-		if err := getErr(); err != nil {
-			return nil, err
+		return s, nil
+	}
+	// Everything fit one chunk: each part is one in-memory run, sorted
+	// when it is opened.
+	for p, idx := range router.split(cur.keys, kp, cur.n) {
+		s.parts[p].idx, s.parts[p].rows = idx, int64(len(idx))
+	}
+	s.mem = cur
+	s.stats.Runs = len(s.parts)
+	s.unsorted.Store(int32(len(s.parts)))
+	return s, nil
+}
+
+// writeRun index-sorts one part's rows of a chunk and writes them in
+// order to a run file at path, charging the spill budget.
+func (s *Sorted) writeRun(cs *chunkState, idx []int32, path string, sorter *IdxSorter) (err error) {
+	defer qguard.RecoverAbort(&err)
+	guard := s.opts.Guard
+	sorter.Sort(idx, cs.keys, len(s.cols), guard)
+	if err := guard.NoteSpill(int64(len(idx)) * int64(s.hdr.RowBytes())); err != nil {
+		return err
+	}
+	w, err := storage.CreateRaw(path, s.hdr)
+	if err != nil {
+		return err
+	}
+	for _, i := range idx {
+		if err := w.WriteRow(cs.rows[int(i)*s.diskRow : int(i)*s.diskRow+s.diskRow]); err != nil {
+			w.Close()
+			return err
 		}
 	}
-	return s, nil
+	return w.Close()
 }
 
 // Stats reports the rows read and the sorted runs formed: one per part
@@ -661,7 +586,7 @@ func (s *Sorted) Open(part int) (_ *SortedSource, err error) {
 		return src, nil
 	}
 	for i, path := range p.runs {
-		r, err := Open(path, Options{BatchBytes: s.opts.BatchBytes, Guard: s.opts.Guard, RawRows: true})
+		r, err := Open(path, Options{BatchBytes: s.opts.ReadBatchBytes, Guard: s.opts.Guard, RawRows: true})
 		if err != nil {
 			src.Close()
 			return nil, err
@@ -845,7 +770,7 @@ func (s *mergeSrc) load(cols sortCols) error {
 // key into outPath, rows verbatim, checksums included: SortByKey's one
 // part drained into a file. It publishes the sort's engine stats, the
 // merge's heap comparisons among them, to opts.Recorder.
-func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortKey, opts SortOptions) (storage.SortStats, error) {
+func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortKey, opts EngineOptions) (storage.SortStats, error) {
 	s, err := sortByKey(FileInput(inPath), schema, key, nil, 1, true, opts)
 	if err != nil {
 		return storage.SortStats{}, err

@@ -210,7 +210,7 @@ func TestSortFileByKeyMatchesRecordSort(t *testing.T) {
 		tempDir     string
 	}{{0, 1, absent}, {len(recs), 1, absent}, {1000, 11, dir}} {
 		newOut := filepath.Join(dir, "new.sorted")
-		stats, err := SortFileByKey(fact, newOut, s, nk, SortOptions{TempDir: tc.tempDir, ChunkRecords: tc.chunk})
+		stats, err := SortFileByKey(fact, newOut, s, nk, EngineOptions{TempDir: tc.tempDir, ChunkRecords: tc.chunk})
 		if err != nil {
 			t.Fatalf("ChunkRecords=%d: %v", tc.chunk, err)
 		}
@@ -232,9 +232,8 @@ func TestSortFileByKeyMatchesRecordSort(t *testing.T) {
 
 // TestSortByKeyRecordsInput: in-memory records sort into exactly the
 // order a stable record sort under RecordLess gives — the order their
-// file sorts into — held in memory, spilled to run files, spilled on
-// parallel writers, and dealt into parts; the run files go when the
-// sort closes.
+// file sorts into — held in memory, spilled to run files, and dealt
+// into parts; the run files go when the sort closes.
 func TestSortByKeyRecordsInput(t *testing.T) {
 	dims := []*model.Dimension{
 		model.FixedFanout("A", 4, 3),
@@ -261,10 +260,10 @@ func TestSortByKeyRecordsInput(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, tc := range []struct {
-		name                  string
-		chunk, workers, parts int
-	}{{"memory", 0, 0, 1}, {"spilled", 500, 0, 1}, {"spilled-parallel", 500, 3, 1}, {"parts", 500, 2, 3}} {
-		sorted, err := SortByKey(in, s, nk, nil, tc.parts, SortOptions{TempDir: dir, ChunkRecords: tc.chunk, Workers: tc.workers})
+		name         string
+		chunk, parts int
+	}{{"memory", 0, 1}, {"spilled", 500, 1}, {"parts", 500, 3}} {
+		sorted, err := SortByKey(in, s, nk, nil, tc.parts, EngineOptions{TempDir: dir, ChunkRecords: tc.chunk})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -291,7 +290,7 @@ func TestSortByKeyRecordsInput(t *testing.T) {
 // own levels exactly like a stable in-memory sort by (group codes,
 // input coordinates). A key part at the input's level takes the code as
 // it is and pins its dimension; the others generalize from the input
-// level, not from base. In memory, spilled, and spilled in parallel.
+// level, not from base. In memory and spilled.
 func TestSortByKeyInputLevel(t *testing.T) {
 	dims := []*model.Dimension{
 		model.FixedFanout("A", 4, 3),
@@ -336,11 +335,10 @@ func TestSortByKeyInputLevel(t *testing.T) {
 		return false
 	})
 	for _, tc := range []struct {
-		name    string
-		chunk   int
-		workers int
-	}{{"memory", 0, 0}, {"spilled", 500, 0}, {"spilled-parallel", 500, 2}} {
-		sorted, err := SortByKey(FileInput(rel), s, key, from, 1, SortOptions{TempDir: dir, ChunkRecords: tc.chunk, Workers: tc.workers})
+		name  string
+		chunk int
+	}{{"memory", 0}, {"spilled", 500}} {
+		sorted, err := SortByKey(FileInput(rel), s, key, from, 1, EngineOptions{TempDir: dir, ChunkRecords: tc.chunk})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -364,7 +362,7 @@ func TestSortIsPermutationQuick(t *testing.T) {
 			recs[j] = model.Record{Dims: []int64{int64(v % 8), int64(v)}, Ms: []float64{float64(j)}}
 		}
 		writeFile(t, in, recs, 2, 1)
-		sorted, err := SortByKey(FileInput(in), nil, nil, nil, 1, SortOptions{ChunkRecords: 4, TempDir: dir})
+		sorted, err := SortByKey(FileInput(in), nil, nil, nil, 1, EngineOptions{ChunkRecords: 4, TempDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,22 +389,19 @@ func TestSortFileByKeyCleansUp(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct {
-		name    string
-		fs      *faultfs.FS
-		guard   *qguard.Guard
-		workers int
-		want    error
+		name  string
+		fs    *faultfs.FS
+		guard *qguard.Guard
+		want  error
 	}{
 		{name: "canceled", guard: qguard.New(canceled, qguard.Limits{}), want: qguard.ErrCanceled},
-		{name: "canceled-parallel", guard: qguard.New(canceled, qguard.Limits{}), workers: 4, want: qguard.ErrCanceled},
 		{name: "spill-budget", guard: qguard.New(context.Background(), qguard.Limits{MaxSpillBytes: 1024}), want: qguard.ErrBudgetExceeded},
 		// The input is written before the swap, so the failures land on
 		// the sort's own files.
 		{name: "write-failure", fs: faultfs.New().FailWriteAfter(8192), want: faultfs.ErrInjected},
-		{name: "write-failure-parallel", fs: faultfs.New().FailWriteAfter(8192), workers: 4, want: faultfs.ErrInjected},
-		{name: "create-failure-parallel", fs: faultfs.New().FailCreate(3), workers: 4, want: faultfs.ErrInjected},
+		{name: "create-failure", fs: faultfs.New().FailCreate(3), want: faultfs.ErrInjected},
 		{name: "read-failure", fs: faultfs.New().FailReadAfter(16 << 10), want: faultfs.ErrInjected},
-		{name: "under-guard", guard: qguard.New(context.Background(), qguard.Limits{}), workers: 4},
+		{name: "under-guard", guard: qguard.New(context.Background(), qguard.Limits{})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -416,8 +411,8 @@ func TestSortFileByKeyCleansUp(t *testing.T) {
 			if tc.fs != nil {
 				defer storage.SwapFS(tc.fs)()
 			}
-			st, err := SortFileByKey(in, out, nil, nil, SortOptions{
-				ChunkRecords: 100, TempDir: dir, Workers: tc.workers, Guard: tc.guard,
+			st, err := SortFileByKey(in, out, nil, nil, EngineOptions{
+				ChunkRecords: 100, TempDir: dir, Guard: tc.guard,
 			})
 			if tc.want != nil {
 				if !errors.Is(err, tc.want) {
@@ -490,8 +485,8 @@ func drainSorted(t *testing.T, s *Sorted, parts, dims, ms int) [][]model.Record 
 // exactly one part, each part's stream is the full sorted stream
 // restricted to its units — so the ordering contract holds inside every
 // part — and the greedy assignment keeps the largest part within one
-// unit of the mean. Held in memory, spilled serially and spilled on
-// parallel run writers alike, and with more parts than units.
+// unit of the mean. Held in memory and spilled alike, and with more
+// parts than units.
 func TestSortByKeyParts(t *testing.T) {
 	dims := []*model.Dimension{
 		model.FixedFanout("A", 4, 3),
@@ -516,7 +511,7 @@ func TestSortByKeyParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	unit := func(r model.Record) int64 { return dims[0].Up(0, 2, r.Dims[0]) }
-	whole, err := SortByKey(FileInput(fact), s, nk, nil, 1, SortOptions{TempDir: dir})
+	whole, err := SortByKey(FileInput(fact), s, nk, nil, 1, EngineOptions{TempDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,13 +529,10 @@ func TestSortByKeyParts(t *testing.T) {
 
 	for _, parts := range []int{2, 4, 7, 12} {
 		for _, tc := range []struct {
-			name    string
-			chunk   int
-			workers int
-		}{{"memory", 0, 0}, {"spilled", 700, 0}, {"spilled-parallel", 700, 3}} {
-			sorted, err := SortByKey(FileInput(fact), s, nk, nil, parts, SortOptions{
-				TempDir: dir, ChunkRecords: tc.chunk, Workers: tc.workers,
-			})
+			name  string
+			chunk int
+		}{{"memory", 0}, {"spilled", 700}} {
+			sorted, err := SortByKey(FileInput(fact), s, nk, nil, parts, EngineOptions{TempDir: dir, ChunkRecords: tc.chunk})
 			if err != nil {
 				t.Fatalf("parts=%d %s: %v", parts, tc.name, err)
 			}
@@ -616,7 +608,7 @@ func TestSortAllocatesForTheFile(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := SortFileByKey(fact, filepath.Join(dir, "sorted.rec"), s, nk, SortOptions{}); err != nil {
+	if _, err := SortFileByKey(fact, filepath.Join(dir, "sorted.rec"), s, nk, EngineOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

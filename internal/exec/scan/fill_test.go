@@ -209,8 +209,8 @@ func TestSortFillSkipsWhatTheReaderSkips(t *testing.T) {
 	})
 	for _, chunk := range []int{0, 1000} {
 		g := skip()
-		sorted, err := SortByKey(FileInput(fact), nil, nil, nil, 1, SortOptions{
-			ChunkRecords: chunk, TempDir: dir, BatchBytes: MinBatchBytes, Guard: g,
+		sorted, err := SortByKey(FileInput(fact), nil, nil, nil, 1, EngineOptions{
+			ChunkRecords: chunk, TempDir: dir, ReadBatchBytes: MinBatchBytes, Guard: g,
 		})
 		if err != nil {
 			t.Fatalf("ChunkRecords=%d: %v", chunk, err)
@@ -233,7 +233,7 @@ func TestSortFillSkipsWhatTheReaderSkips(t *testing.T) {
 	}
 	_, readErr := r.NextBatch()
 	r.Close()
-	_, sortErr := SortByKey(FileInput(fact), nil, nil, nil, 1, SortOptions{TempDir: dir, BatchBytes: MinBatchBytes})
+	_, sortErr := SortByKey(FileInput(fact), nil, nil, nil, 1, EngineOptions{TempDir: dir, ReadBatchBytes: MinBatchBytes})
 	if !errors.Is(readErr, storage.ErrCorrupt) || sortErr == nil || sortErr.Error() != readErr.Error() {
 		t.Errorf("strict mode: reader failed with %v, sort with %v; want the same ErrCorrupt", readErr, sortErr)
 	}

@@ -472,7 +472,7 @@ func (t *table) mergeSpills(s *model.Schema, budget int64, st *obs.EngineStats) 
 	width := t.m.Codec.Width()
 	so := *t.opts
 	so.ChunkRecords = mergeChunk(budget, width)
-	sorted, err := so.Sort(scan.FileInput(t.spillPath), nil, nil, nil, 1, 0, so.Recorder)
+	sorted, err := scan.SortByKey(scan.FileInput(t.spillPath), nil, nil, nil, 1, so)
 	if err != nil {
 		return nil, fmt.Errorf("singlescan: sort spill: %w", err)
 	}

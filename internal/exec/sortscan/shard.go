@@ -58,7 +58,9 @@ func RunSharded(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, er
 	// key columns and routes every row by key column 0, the shard unit.
 	splitSpan := rec.Start(obs.SpanSplit)
 	defer splitSpan.End()
-	sorted, err := opts.Sort(in, c.Schema, pl.SortKey, nil, shards, shards, rec.At(splitSpan))
+	so := opts.EngineOptions
+	so.Recorder = rec.At(splitSpan)
+	sorted, err := scan.SortByKey(in, c.Schema, pl.SortKey, nil, shards, so)
 	if err != nil {
 		return nil, err
 	}

@@ -56,8 +56,8 @@ type Options struct {
 	// the scan, so everything flushes only at the end (ablation knob:
 	// it isolates the memory benefit of the paper's early flushing).
 	DisableEarlyFlush bool
-	// Workers is the shard count of RunSharded, and the goroutines Run's
-	// sort writes run files on; 1 or less is serial.
+	// Workers is the shard count of RunSharded; 1 or less runs Run,
+	// which is serial.
 	Workers int
 }
 
@@ -364,7 +364,7 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	src, sorted, err := opts.SortStream(in, c.Schema, pl.SortKey, nil, opts.Workers)
+	src, sorted, err := opts.SortStream(in, c.Schema, pl.SortKey, nil)
 	if err != nil {
 		return nil, fmt.Errorf("sortscan: sort: %w", err)
 	}

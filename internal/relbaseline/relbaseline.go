@@ -188,8 +188,7 @@ func keyOf(codec *model.KeyCodec, s *model.Schema, gran model.Gran, codes []int6
 
 // load reads a spooled relation into a core.Table.
 func (ev *evaluator) load(r *rel) (*core.Table, error) {
-	read := scan.Options{BatchBytes: ev.opts.ReadBatchBytes, Guard: ev.opts.Guard}
-	return scan.ReadTable(scan.FileInput(r.path), read, ev.c.Schema, r.gran)
+	return ev.opts.ReadTable(scan.FileInput(r.path), ev.c.Schema, r.gran)
 }
 
 // loadMap reads a spooled relation into a key->value hash (the build
@@ -283,7 +282,7 @@ func (ev *evaluator) evalAgg(e *core.Expr) (*rel, error) {
 			key = append(key, model.SortPart{Dim: d, Lvl: gran[d]})
 		}
 	}
-	src, sorted, err := ev.opts.SortStream(in, sch, key, srcGran, 0)
+	src, sorted, err := ev.opts.SortStream(in, sch, key, srcGran)
 	if err != nil {
 		return nil, err
 	}

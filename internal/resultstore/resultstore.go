@@ -182,7 +182,7 @@ func loadMeasure(dir string, schema *model.Schema, info MeasureInfo) (*core.Tabl
 		}
 		gran[d] = l
 	}
-	tbl, err := scan.ReadTable(scan.FileInput(filepath.Join(dir, info.File)), scan.Options{}, schema, gran)
+	tbl, err := scan.EngineOptions{}.ReadTable(scan.FileInput(filepath.Join(dir, info.File)), schema, gran)
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %s: %w", info.File, err)
 	}
