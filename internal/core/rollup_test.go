@@ -127,3 +127,37 @@ func TestRollUpOrderedAndUnorderedAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestFilteredRollUpAllocatesPerParent: a filtered roll-up decodes each
+// source row's key for its filter into one reused buffer, so over 10k
+// source rows it allocates per parent cell (a key, a group, the result
+// maps' growth), not per source row.
+func TestFilteredRollUpAllocatesPerParent(t *testing.T) {
+	s := twoDim(t)
+	rng := rand.New(rand.NewSource(36))
+	w := NewWorkflow(s).Basic("b", model.Gran{0, 1}, agg.Sum, 0).
+		Rollup("r", model.Gran{1, model.LevelALL}, "b", agg.Sum, Where(MWhere(0, Gt, 0)))
+	c, err := w.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bi, _ := c.Index("b")
+	ri, _ := c.Index("r")
+	src := NewTable(s, c.Measures[bi].Gran)
+	for len(src.Rows) < 10_000 {
+		src.Rows[src.Codec.FromBase([]int64{rng.Int63n(1000), rng.Int63n(1000)})] = float64(rng.Intn(10) - 2)
+	}
+	keys := src.SortedKeys()
+	each := func(yield func(model.Key, float64)) {
+		for _, k := range keys {
+			yield(k, src.Rows[k])
+		}
+	}
+	parents := len(RollUp(c, c.Measures[ri], each).Rows)
+	allocs := testing.AllocsPerRun(5, func() { RollUp(c, c.Measures[ri], each) })
+	t.Logf("%.0f allocations for %d source rows, %d parent cells", allocs, len(keys), parents)
+	if limit := float64(4*parents + 64); allocs > limit {
+		t.Errorf("%.0f allocations rolling %d source rows up to %d parent cells, want at most %.0f",
+			allocs, len(keys), parents, limit)
+	}
+}

@@ -200,16 +200,18 @@ func ComputeComposite(c *Compiled, m *Measure, tables []*Table) (*Table, error) 
 }
 
 // sourceFilter returns m's WHERE clause as a test on a row of source
-// measure j.
+// measure j. Every row decodes into one buffer, so the test allocates
+// nothing per row and is not safe for concurrent use.
 func sourceFilter(c *Compiled, m *Measure, j int) func(k model.Key, v float64) bool {
 	if m.Filter == nil {
 		return func(model.Key, float64) bool { return true }
 	}
 	src := c.Measures[j]
-	ms := make([]float64, 1)
+	codes, ms := make([]int64, c.Schema.NumDims()), make([]float64, 1)
 	return func(k model.Key, v float64) bool {
 		ms[0] = v
-		return m.Filter.Eval(src.Codec.FullDecode(k), ms)
+		src.Codec.FullDecodeInto(codes, k)
+		return m.Filter.Eval(codes, ms)
 	}
 }
 

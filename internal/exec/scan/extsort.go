@@ -2,6 +2,7 @@ package scan
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"os"
 	"slices"
@@ -16,18 +17,23 @@ import (
 // This file is the repository's one external sort: rows never become
 // model.Records. Each chunk precomputes the order-encoded comparator
 // columns of every row — sort-key codes plus the input-coordinate
-// tiebreak — into a flat uint64 array and sorts a permutation of row
-// indices (no reflection, no record swaps — the 4-byte indices move,
-// the 40-odd-byte rows don't). Comparisons, both in-chunk and in the
-// k-way merge, walk only the precomputed columns: a few integer
-// compares, never a row-byte decode or generalization call.
+// tiebreak — packed by a KeyPacker into the bits the chunk's values span
+// (one uint64 word a row for Q1's five columns), and sorts a permutation
+// of row indices by those words (no reflection, no record swaps — the
+// 4-byte indices move, the 40-odd-byte rows don't). A chunk's bounds
+// come from its rows' raw codes, taken as the chunk is read; the level
+// functions are monotone, so a generalized column's bounds are its raw
+// bounds generalized. The k-way merge of spilled runs compares unpacked
+// columns, which do not depend on a chunk's bounds. Comparisons, both
+// in-chunk and in the merge, walk only the precomputed words: a few
+// integer compares, never a row-byte decode or generalization call.
 //
 // The sort's product is a stream, not a file (Sorted): an input that
 // fits one chunk is served as views over the row arena in sorted-index
 // order, and a larger one spills its chunks as sorted run files — rows
 // verbatim, checksums included — and is served from their merge.
-// Key column 0 is also what a parallel plan partitions on, so the same
-// read can divide the rows into parts that sort and stream
+// Comparator column 0 is also what a parallel plan partitions on, so the
+// same read can divide the rows into parts that sort and stream
 // independently (partRouter).
 //
 // Rows order by (sort-key codes, full input coordinates, original input
@@ -53,11 +59,12 @@ func (o EngineOptions) chunk(diskRow int) int {
 }
 
 // IdxSorter sorts permutations of row indices by precomputed key
-// columns: row r's kp order-encoded columns sit at keys[r*kp : r*kp+kp],
-// and only the 4-byte indices move. The external sort orders a run's
-// rows with it and sortscan orders each flush batch's cells; the zero
-// value is ready to use, and a caller that sorts many small sets keeps
-// one so the counting-sort scratch is reused instead of reallocated.
+// words: row r's kp words sit at keys[r*kp : r*kp+kp], and only the
+// 4-byte indices move. The external sort orders a run's rows with it and
+// sortscan orders each flush batch's cells, both by KeyPacker words; the
+// zero value is ready to use, and a caller that sorts many small sets
+// keeps one so the counting-sort scratch is reused instead of
+// reallocated.
 type IdxSorter struct {
 	tmp, cnt []int32
 	lo, hi   []uint64
@@ -322,34 +329,82 @@ func newSortCols(schema *model.Schema, key model.SortKey, from model.Gran, numDi
 	return cols
 }
 
-// appendRow appends the row's order-encoded comparator columns to dst.
-func (cs sortCols) appendRow(dst []uint64, row Record) []uint64 {
-	for _, c := range cs {
-		v := row.Dim(c.dim)
-		if c.up != nil {
-			v = c.up.Up(c.from, c.to, v)
-		}
-		dst = append(dst, uint64(v)^(1<<63))
+// value is the column's order-encoded value for a raw code v of its
+// dimension.
+func (c *sortCol) value(v int64) uint64 {
+	if c.up != nil {
+		v = c.up.Up(c.from, c.to, v)
 	}
-	return dst
+	return uint64(v) ^ (1 << 63)
 }
 
 // loadRow overwrites dst (length len(cs)) with the row's columns.
 func (cs sortCols) loadRow(dst []uint64, row Record) {
-	for t, c := range cs {
-		v := row.Dim(c.dim)
-		if c.up != nil {
-			v = c.up.Up(c.from, c.to, v)
-		}
-		dst[t] = uint64(v) ^ (1 << 63)
+	for t := range cs {
+		dst[t] = cs[t].value(row.Dim(cs[t].dim))
 	}
 }
 
-// chunkState is one in-memory run: rows plus their precomputed keys.
+// chunkState is one in-memory run: rows, each dimension's raw code
+// bounds over them, and, once pack has run, their packed keys.
 type chunkState struct {
-	rows []byte
-	keys []uint64
-	n    int
+	rows   []byte
+	n      int
+	lo, hi []int64  // per input dimension, widened as rows are read
+	keys   []uint64 // pk.Words() a row
+	pk     KeyPacker
+}
+
+func newChunkState(rows, numDims int) *chunkState {
+	cs := &chunkState{rows: make([]byte, 0, rows), lo: make([]int64, numDims), hi: make([]int64, numDims)}
+	cs.reset()
+	return cs
+}
+
+// reset empties the chunk for its next rows.
+func (cs *chunkState) reset() {
+	cs.rows, cs.n = cs.rows[:0], 0
+	for d := range cs.lo {
+		cs.lo[d], cs.hi[d] = math.MaxInt64, math.MinInt64
+	}
+}
+
+// bound widens the dimension bounds by rows, which are whole disk rows.
+func (cs *chunkState) bound(rows []byte, diskRow int) {
+	for off := 0; off < len(rows); off += diskRow {
+		row := Record(rows[off : off+diskRow])
+		for d := range cs.lo {
+			v := row.Dim(d)
+			cs.lo[d] = min(cs.lo[d], v)
+			cs.hi[d] = max(cs.hi[d], v)
+		}
+	}
+}
+
+// pack lays the chunk's comparator columns out from its bounds — a
+// column's values lie between its raw bounds' values, the level
+// functions being monotone — and packs every row's columns into keys.
+func (cs *chunkState) pack(cols sortCols, diskRow int) {
+	lo, hi := make([]uint64, len(cols)), make([]uint64, len(cols))
+	if cs.n > 0 {
+		for t := range cols {
+			c := &cols[t]
+			lo[t], hi[t] = c.value(cs.lo[c.dim]), c.value(cs.hi[c.dim])
+		}
+	}
+	kw := cs.pk.Plan(lo, hi)
+	cs.keys = slices.Grow(cs.keys[:0], cs.n*kw)[:cs.n*kw]
+	clear(cs.keys)
+	fields := cs.pk.Fields()
+	for r := 0; r < cs.n; r++ {
+		row := Record(cs.rows[r*diskRow : r*diskRow+diskRow])
+		dst := cs.keys[r*kw : r*kw+kw]
+		for i := range fields {
+			f := &fields[i]
+			c := &cols[f.Col]
+			f.Put(dst, c.value(row.Dim(c.dim)))
+		}
+	}
 }
 
 // Sorted is an input sorted by a key, as SortByKey leaves it: one
@@ -367,7 +422,7 @@ type Sorted struct {
 	mem     *chunkState     // the whole input, when one chunk held it
 	parts   []sortedPart
 	// unsorted counts the in-memory parts not yet opened: the last index
-	// sort to finish drops the key columns, which only sorting reads, so
+	// sort to finish drops the packed keys, which only sorting reads, so
 	// the scan does not hold them.
 	unsorted atomic.Int32
 }
@@ -425,9 +480,8 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 	if rawRows {
 		s.emit = diskRow
 	}
-	kp := len(s.cols)
-	// Size the row arena and its key columns for the input, not for the
-	// default 256 MB run: the header says how many rows can arrive.
+	// Size the row arena for the input, not for the default 256 MB run:
+	// the header says how many rows can arrive.
 	chunk := opts.chunk(diskRow)
 	if hdr.Count < int64(chunk) {
 		chunk = max(int(hdr.Count), 1)
@@ -441,13 +495,15 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 	defer runsSpan.End()
 	router := partRouter{parts: len(s.parts)}
 
-	cur := &chunkState{rows: make([]byte, 0, chunk*diskRow), keys: make([]uint64, 0, chunk*kp)}
+	cur := newChunkState(chunk*diskRow, hdr.NumDims)
 	var sorter IdxSorter
-	// spill writes each part's rows of the full chunk as that part's next
-	// run and empties the chunk. A run is named in its part before it is
-	// written, so Close removes it whether or not the write succeeds.
+	// spill packs the full chunk's keys, writes each part's rows of it as
+	// that part's next run and empties the chunk. A run is named in its
+	// part before it is written, so Close removes it whether or not the
+	// write succeeds.
 	spill := func() error {
-		for p, idx := range router.split(cur.keys, kp, cur.n) {
+		cur.pack(s.cols, diskRow)
+		for p, idx := range router.split(cur.keys, &cur.pk, cur.n) {
 			if len(idx) == 0 {
 				continue
 			}
@@ -459,13 +515,13 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 				return err
 			}
 		}
-		cur.rows, cur.keys, cur.n = cur.rows[:0], cur.keys[:0], 0
+		cur.reset()
 		return nil
 	}
 
 	// Fill the current chunk's arena straight from the input, a read
-	// chunk at a time, encode the new rows' keys, and spill full chunks
-	// as sorted runs.
+	// chunk at a time, widen its bounds by the new rows, and spill full
+	// chunks as sorted runs.
 	for in.more() {
 		// A full chunk becomes runs only when the input holds a further
 		// row: input that exactly fills one chunk stays in memory.
@@ -480,9 +536,7 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 			return nil, err
 		}
 		cur.rows = cur.rows[:at+n*diskRow]
-		for off := at; off < len(cur.rows); off += diskRow {
-			cur.keys = s.cols.appendRow(cur.keys, cur.rows[off:off+diskRow])
-		}
+		cur.bound(cur.rows[at:], diskRow)
 		cur.n += n
 		s.stats.Records += int64(n)
 	}
@@ -496,7 +550,8 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 	}
 	// Everything fit one chunk: each part is one in-memory run, sorted
 	// when it is opened.
-	for p, idx := range router.split(cur.keys, kp, cur.n) {
+	cur.pack(s.cols, diskRow)
+	for p, idx := range router.split(cur.keys, &cur.pk, cur.n) {
 		s.parts[p].idx, s.parts[p].rows = idx, int64(len(idx))
 	}
 	s.mem = cur
@@ -510,7 +565,7 @@ func sortByKey(input Input, schema *model.Schema, key model.SortKey, from model.
 func (s *Sorted) writeRun(cs *chunkState, idx []int32, path string, sorter *IdxSorter) (err error) {
 	defer qguard.RecoverAbort(&err)
 	guard := s.opts.Guard
-	sorter.Sort(idx, cs.keys, len(s.cols), guard)
+	sorter.Sort(idx, cs.keys, cs.pk.Words(), guard)
 	if err := guard.NoteSpill(int64(len(idx)) * int64(s.hdr.RowBytes())); err != nil {
 		return err
 	}
@@ -578,7 +633,7 @@ func (s *Sorted) Open(part int) (_ *SortedSource, err error) {
 	src := &SortedSource{s: s, total: p.rows, views: make([]Record, 0, min(p.rows, batchRows))}
 	if s.mem != nil {
 		defer qguard.RecoverAbort(&err)
-		new(IdxSorter).Sort(p.idx, s.mem.keys, len(s.cols), s.opts.Guard)
+		new(IdxSorter).Sort(p.idx, s.mem.keys, s.mem.pk.Words(), s.opts.Guard)
 		if s.unsorted.Add(-1) == 0 {
 			s.mem.keys = nil
 		}
@@ -809,15 +864,17 @@ func SortFileByKey(inPath, outPath string, schema *model.Schema, key model.SortK
 	return stats, err
 }
 
-// partRouter divides a chunk's rows among the parts of a sort by key
-// column 0, the unit a parallel plan partitions on: every row of a unit
-// goes to one part, for the whole input. A chunk's new units are
-// assigned greedily, longest processing time first — units descending
-// by row count, each to the least-loaded part — which balances parts
-// where plain unit hashing cannot (few distinct units). Loads carry
-// over from chunk to chunk; a unit keeps the part it was first given.
-// If the unit space explodes past maxRouteUnits, new units fall back to
-// stateless hashing.
+// partRouter divides a chunk's rows among the parts of a sort by
+// comparator column 0, the unit a parallel plan partitions on: every row
+// of a unit goes to one part, for the whole input. It reads the column
+// back out of the packed keys (field 0 plus the chunk's lower bound), so
+// a unit is the same value in every chunk whatever its packing. A
+// chunk's new units are assigned greedily, longest processing time
+// first — units descending by row count, each to the least-loaded part —
+// which balances parts where plain unit hashing cannot (few distinct
+// units). Loads carry over from chunk to chunk; a unit keeps the part it
+// was first given. If the unit space explodes past maxRouteUnits, new
+// units fall back to stateless hashing.
 type partRouter struct {
 	parts  int
 	route  map[uint64]int32 // unit (order-encoded code) -> part
@@ -830,7 +887,7 @@ const maxRouteUnits = 1 << 20
 
 // split returns each part's rows of a chunk as ascending row numbers —
 // the start order IdxSorter.Sort requires.
-func (rt *partRouter) split(keys []uint64, kp, n int) [][]int32 {
+func (rt *partRouter) split(keys []uint64, pk *KeyPacker, n int) [][]int32 {
 	out := make([][]int32, rt.parts)
 	if rt.parts == 1 {
 		idx := make([]int32, n)
@@ -844,14 +901,14 @@ func (rt *partRouter) split(keys []uint64, kp, n int) [][]int32 {
 		rt.route, rt.loads = make(map[uint64]int32), make([]int64, rt.parts)
 	}
 	if !rt.hashed {
-		rt.assign(keys, kp, n)
+		rt.assign(keys, pk, n)
 	}
 	if cap(rt.partOf) < n {
 		rt.partOf = make([]int32, n)
 	}
-	partOf, sizes := rt.partOf[:n], make([]int, rt.parts)
+	partOf, sizes, kw := rt.partOf[:n], make([]int, rt.parts), pk.Words()
 	for r := range partOf {
-		u := keys[r*kp]
+		u := pk.Value(keys[r*kw:r*kw+kw], 0)
 		p, ok := rt.route[u]
 		if !ok {
 			p = int32(mixUnit(u^(1<<63)) % uint64(rt.parts))
@@ -870,10 +927,10 @@ func (rt *partRouter) split(keys []uint64, kp, n int) [][]int32 {
 
 // assign counts the chunk's rows per unit and routes the units not seen
 // before.
-func (rt *partRouter) assign(keys []uint64, kp, n int) {
-	counts := make(map[uint64]int64)
+func (rt *partRouter) assign(keys []uint64, pk *KeyPacker, n int) {
+	counts, kw := make(map[uint64]int64), pk.Words()
 	for r := 0; r < n; r++ {
-		counts[keys[r*kp]]++
+		counts[pk.Value(keys[r*kw:r*kw+kw], 0)]++
 		if len(counts) > maxRouteUnits {
 			rt.hashed = true // too many units to plan; hash instead
 			return

@@ -627,7 +627,8 @@ func TestSortAllocatesForTheFile(t *testing.T) {
 //     beside a narrow one, which Sort counts in digits; the sizes where
 //     the lines cross are radixMaxPasses';
 //   - q1: the external sort of Q1's 200k-row cube, five columns of
-//     ranges 10/1000/1000/1000/1000.
+//     ranges 10/1000/1000/1000/1000, as columns and as the sort orders
+//     them, packed by a KeyPacker into one 44-bit word a row.
 //
 // Sets of 4096 rows and fewer reuse one sorter, as sortscan keeps one
 // for its flush batches; larger ones get a fresh sorter per sort, as
@@ -638,15 +639,17 @@ func BenchmarkIdxSorter(b *testing.B) {
 		name   string
 		n      int
 		ranges []uint64
+		packed bool
 	}
 	var sets []set
 	for _, n := range []int{16, 32, 64, 128, 1024, 4096} {
-		sets = append(sets, set{"flush", n, []uint64{100, 100}})
+		sets = append(sets, set{"flush", n, []uint64{100, 100}, false})
 	}
 	for _, n := range []int{256, 1024, 4096, 200_000} {
-		sets = append(sets, set{"wide", n, []uint64{4, 1 << 24}}, set{"wide", n, []uint64{4, 1 << 48}})
+		sets = append(sets, set{"wide", n, []uint64{4, 1 << 24}, false}, set{"wide", n, []uint64{4, 1 << 48}, false})
 	}
-	sets = append(sets, set{"q1", 200_000, []uint64{10, 1000, 1000, 1000, 1000}})
+	q1 := []uint64{10, 1000, 1000, 1000, 1000}
+	sets = append(sets, set{"q1", 200_000, q1, false}, set{"q1", 200_000, q1, true})
 	for _, st := range sets {
 		kp := len(st.ranges)
 		keys := make([]uint64, st.n*kp)
@@ -656,6 +659,12 @@ func BenchmarkIdxSorter(b *testing.B) {
 		name := fmt.Sprintf("%s/n=%d", st.name, st.n)
 		if st.name == "wide" {
 			name = fmt.Sprintf("%s/n=%d/range=2^%d", st.name, st.n, bits.Len64(st.ranges[1])-1)
+		}
+		if st.packed {
+			var pk *KeyPacker
+			pk, keys = packAll(keys, kp, st.n)
+			kp = pk.Words()
+			name += "/packed"
 		}
 		for _, alg := range []string{"sort", "comparison"} {
 			b.Run(name+"/"+alg, func(b *testing.B) {

@@ -58,33 +58,38 @@ func allocPerRow(t *testing.T, rows int64, shards int) float64 {
 }
 
 // TestSortAllocationBound: a serial sort/scan run reads the fact file
-// straight into the sort's arena and counts it with cache-sized
-// counters, so beside the arena, its key columns and the index sort's
-// scratch, the sort allocates nothing per row. Q1 over a 20k-row cube
-// allocates about 580 bytes per fact row that way. A reader chunk sized
-// for the file, two view slices of a chunk's rows and a row copy into
-// the arena cost 684 bytes per row on the same input. Cell tables whose
-// key arenas and aggregate slabs doubled and copied cost 592. The bound
-// sits below that, so buffers of either kind cannot come back unnoticed.
+// straight into the sort's arena, packs each row's comparator columns
+// into the bits the input's codes span and counts them with cache-sized
+// counters, so beside the arena, one packed key word a row and the
+// index sort's scratch, the sort allocates nothing per row. Q1 over a
+// 20k-row cube allocates about 540 bytes per fact row that way (549
+// under the race detector). A uint64 per comparator column — five a row
+// — with flush batches' sort columns unpacked and their keys copied out
+// of a scratch buffer cost 578 bytes per row on the same input; cell
+// tables whose key arenas and aggregate slabs doubled and copied, 592;
+// a reader chunk sized for the file, two view slices of a chunk's rows
+// and a row copy into the arena, 684. The bound sits below the 578, so
+// none of these can come back unnoticed.
 func TestSortAllocationBound(t *testing.T) {
-	if perRow := allocPerRow(t, 20_000, 0); perRow >= 620 {
-		t.Errorf("%.0f bytes allocated per fact row, want < 620", perRow)
+	if perRow := allocPerRow(t, 20_000, 0); perRow >= 560 {
+		t.Errorf("%.0f bytes allocated per fact row, want < 560", perRow)
 	}
 }
 
 // TestShardedAllocationBound: the rows of a sharded run exist once — in
 // the sort's arena, which the sort fills straight from the file and the
-// workers scan in place — beside their key columns, the workers' cell
-// tables and the result maps. Q1 over a 20k-row cube with two workers
-// allocates about 660 bytes per fact row that way. The reader chunk and
-// view slices the sort read through before cost 779 bytes per row; the
-// shard files before those, a writer buffer per shard and, per worker,
-// a second arena, key columns, a read buffer and a sorted copy's write
-// buffer, 1,214; cell tables whose key arenas and aggregate slabs
-// doubled and copied, 687. The bound sits below the 687, so none of
-// these can come back unnoticed.
+// workers scan in place — beside their packed key words, the workers'
+// cell tables and the result maps. Q1 over a 20k-row cube with two
+// workers allocates about 614 bytes per fact row that way (624 under
+// the race detector). Unpacked key columns and flush scratch cost 660
+// bytes per row; cell tables whose key arenas and aggregate slabs
+// doubled and copied, 687; the reader chunk and view slices the sort
+// read through before those, 779; the shard files before those, a
+// writer buffer per shard and, per worker, a second arena, key columns,
+// a read buffer and a sorted copy's write buffer, 1,214. The bound sits
+// below the 660, so none of these can come back unnoticed.
 func TestShardedAllocationBound(t *testing.T) {
-	if perRow := allocPerRow(t, 20_000, 2); perRow >= 700 {
-		t.Errorf("%.0f bytes allocated per fact row, want < 700", perRow)
+	if perRow := allocPerRow(t, 20_000, 2); perRow >= 640 {
+		t.Errorf("%.0f bytes allocated per fact row, want < 640", perRow)
 	}
 }

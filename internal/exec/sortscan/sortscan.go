@@ -20,8 +20,9 @@
 // shared across all basic nodes, and live cells sit in an
 // open-addressing cellmap.Table with their state in flat slabs beside
 // it (an agg.Column, base flags, combine operands) instead of a Go map
-// of heap cells. A flush batch is sorted as uint64 code columns by the
-// scan package's index sorter and lands in the output table through a
+// of heap cells. A flush batch is sorted as code columns packed into
+// uint64 words (scan.KeyPacker) by the scan package's index sorter, the
+// external sort's key encoding, and lands in the output table through a
 // per-batch emission log, so a finalized cell costs no heap object and
 // no string; DESIGN.md §hot-path owns the layout. Guard checks run per
 // batch, not per row.
@@ -31,7 +32,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
+	"strings"
 
 	"awra/internal/agg"
 	"awra/internal/core"
@@ -330,9 +333,11 @@ type engine struct {
 	keepKeys   []byte   // their keys, while the table is rebuilt
 	keepIDs    []int32  // the rebuild's probe batch ids
 	flushCells []int32  // batch row -> cell index
-	sortCols   []uint64 // batch row -> output-order codes, then key words
+	packLo     []uint64 // sort column bounds over the batch
+	packHi     []uint64
+	packer     scan.KeyPacker
+	sortCols   []uint64 // batch row -> packed output-order codes and key words
 	order      []int32  // emission order: a permutation of batch rows
-	flushKeys  []byte   // the batch's keys in emission order
 	sorter     scan.IdxSorter
 }
 
@@ -669,13 +674,16 @@ func (e *engine) checkGuard() error {
 // nodes, recursively finalizing those. Retired cells leave no
 // tombstones: table and slabs are compacted to the survivors.
 //
-// The batch never exists as per-cell objects. Collection writes each
-// finalized cell's sort columns — its output-order codes, then its key
-// as big-endian code words, which order exactly as the key's bytes —
-// into one flat uint64 array; the index sorter orders a permutation of
-// its rows; the keys are written out in that order and become the
-// batch's one string, which the emission log keeps and every Emit and
-// delivery key is sliced from.
+// The batch never exists as per-cell objects. Its sort columns are each
+// finalized cell's output-order codes, then its key as big-endian code
+// words, which order exactly as the key's bytes. Collection takes the
+// key words' bounds over the batch (an output-order code's bounds are
+// its key word's, generalized: the level functions are monotone); the
+// scan package's KeyPacker packs every cell's columns into the bits
+// those bounds span, one flat uint64 array; the index sorter orders a
+// permutation of its rows; the keys are written out once, in that
+// order, as the batch's one string, which the emission log keeps and
+// every Emit and delivery key is sliced from.
 func (e *engine) finalizeNode(n *node, flush bool) error {
 	for i := range n.arcs {
 		n.arcs[i].advanced = false
@@ -692,14 +700,19 @@ func (e *engine) finalizeNode(n *node, flush bool) error {
 			}
 		}
 	}
-	kw := n.tab.KeyLen()
-	width := len(n.outParts) + kw/8 // sort columns per batch row
-	keep, cells, cols := e.keepIdx[:0], e.flushCells[:0], e.sortCols[:0]
+	kw, no := n.tab.KeyLen(), len(n.outParts)
+	// Sort column bounds: output-order codes, then key words.
+	lo := slices.Grow(e.packLo[:0], no+kw/8)[:no+kw/8]
+	hi := slices.Grow(e.packHi[:0], no+kw/8)[:no+kw/8]
+	for t := no; t < len(lo); t++ {
+		lo[t], hi[t] = math.MaxUint64, 0
+	}
+	e.packLo, e.packHi = lo, hi
+	keep, cells := e.keepIdx[:0], e.flushCells[:0]
 	// The cell cache holds a dense index; survivors move during the
 	// rebuild, so track where the cached cell lands (-1 if it flushed —
 	// a basic node's next record then provably opens a new cell).
 	lastKept := int32(-1)
-	sorted := true
 	for i := 0; i < total; i++ {
 		key := n.tab.KeyAt(int32(i))
 		if !flush && !e.cellFinal(n, key) {
@@ -714,21 +727,13 @@ func (e *engine) finalizeNode(n *node, flush bool) error {
 			// a cell the base stream never confirmed): retired, no row.
 			continue
 		}
-		at := len(cols)
-		for j := range n.outParts {
-			cols = append(cols, uint64(partCode(&n.outParts[j], key))^(1<<63))
-		}
 		for j := 0; j < kw; j += 8 {
-			cols = append(cols, binary.BigEndian.Uint64(key[j:]))
-		}
-		// Scans often meet cells in emission order already; notice, and
-		// skip the sort.
-		if sorted && at > 0 && colsBefore(cols[at:], cols[at-width:at]) {
-			sorted = false
+			w := binary.BigEndian.Uint64(key[j:])
+			lo[no+j/8], hi[no+j/8] = min(lo[no+j/8], w), max(hi[no+j/8], w)
 		}
 		cells = append(cells, int32(i))
 	}
-	e.keepIdx, e.flushCells, e.sortCols = keep, cells, cols
+	e.keepIdx, e.flushCells = keep, cells
 	retired := int64(total - len(keep))
 	if retired == 0 {
 		return nil // table untouched; the cell cache stays valid
@@ -741,27 +746,27 @@ func (e *engine) finalizeNode(n *node, flush bool) error {
 	n.ns.FlushBatches++
 
 	// Emission order is (output-order projection, key): sort a
-	// permutation of the batch rows by their columns, write the keys out
-	// in that order, and take each row's value while its cell still
-	// exists.
+	// permutation of the batch rows by their packed columns, write the
+	// keys out in that order, and take each row's value while its cell
+	// still exists.
 	rows := len(cells)
-	order := e.order[:0]
-	for r := 0; r < rows; r++ {
-		order = append(order, int32(r))
-	}
-	if !sorted {
-		e.sorter.Sort(order, cols, width, nil)
-	}
-	bk := e.flushKeys[:0]
-	for _, r := range order {
-		for _, w := range cols[int(r)*width+len(n.outParts) : int(r)*width+width] {
-			bk = binary.BigEndian.AppendUint64(bk, w)
-		}
-	}
-	e.order, e.flushKeys = order, bk
-	batchKeys := string(bk)
+	var batchKeys string
 	var vals []float64
 	if rows > 0 {
+		order := e.order[:0]
+		for r := 0; r < rows; r++ {
+			order = append(order, int32(r))
+		}
+		e.order = order
+		if cols, pw, sorted := e.packBatch(n, cells); !sorted {
+			e.sorter.Sort(order, cols, pw, nil)
+		}
+		var bk strings.Builder
+		bk.Grow(rows * kw)
+		for _, r := range order {
+			bk.Write(n.tab.KeyAt(cells[r]))
+		}
+		batchKeys = bk.String()
 		vals = make([]float64, rows)
 		for j, r := range order {
 			vals[j] = e.cellValue(n, cells[r], model.Key(batchKeys[j*kw:j*kw+kw]))
@@ -809,6 +814,52 @@ func (e *engine) finalizeNode(n *node, flush bool) error {
 		}
 	}
 	return nil
+}
+
+// packBatch packs the sort columns of the batch's cells, whose bounds
+// e.packLo and e.packHi hold for the key words, into e.sortCols, pw
+// words a row, and reports whether the rows are in order already: scans
+// often meet cells in emission order, and then the sort is skipped.
+func (e *engine) packBatch(n *node, cells []int32) (cols []uint64, pw int, sorted bool) {
+	no := len(n.outParts)
+	lo, hi := e.packLo, e.packHi
+	for j := range n.outParts {
+		p := &n.outParts[j]
+		lo[j], hi[j] = partValue(p, lo[no+p.word]), partValue(p, hi[no+p.word])
+	}
+	pw = e.packer.Plan(lo, hi)
+	cols = slices.Grow(e.sortCols[:0], len(cells)*pw)[:len(cells)*pw]
+	clear(cols)
+	e.sortCols = cols
+	fields := e.packer.Fields()
+	sorted = true
+	for r, i := range cells {
+		key := n.tab.KeyAt(i)
+		row := cols[r*pw : r*pw+pw]
+		for k := range fields {
+			f := &fields[k]
+			if f.Col < no {
+				p := &n.outParts[f.Col]
+				f.Put(row, partValue(p, binary.BigEndian.Uint64(key[8*p.word:])))
+			} else {
+				f.Put(row, binary.BigEndian.Uint64(key[8*(f.Col-no):]))
+			}
+		}
+		if sorted && r > 0 && colsBefore(row, cols[r*pw-pw:r*pw]) {
+			sorted = false
+		}
+	}
+	return cols, pw, sorted
+}
+
+// partValue is the part's order-encoded code for w, its dimension's
+// key word.
+func partValue(p *keyPart, w uint64) uint64 {
+	code := int64(w ^ 1<<63)
+	if p.from != p.to {
+		code = p.dim.Up(p.from, p.to, code)
+	}
+	return uint64(code) ^ (1 << 63)
 }
 
 // colsBefore reports whether sort-column row a orders strictly before

@@ -8,6 +8,7 @@
 package leakcheck
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -20,6 +21,13 @@ import (
 // Main runs the package's tests under the leak check and exits with
 // their status.
 func Main(m *testing.M) {
+	// Fuzzing runs unchecked: the coordinator leaves the signal handler's
+	// goroutine running, and stops its workers, which are processes of
+	// their own, before they could check or clean up.
+	flag.Parse()
+	if flag.Lookup("test.fuzz").Value.String() != "" || flag.Lookup("test.fuzzworker").Value.String() == "true" {
+		os.Exit(m.Run())
+	}
 	dir, err := os.MkdirTemp("", "awra-leakcheck-")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "leakcheck:", err)
