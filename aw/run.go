@@ -188,11 +188,14 @@ type ExecOptions struct {
 	// CLI printing the trace — generate one and pass it here; a retried
 	// request reuses its ID so all attempts land in one trace.
 	TraceID string
-	// ReadBatchSize is the chunk size in bytes for every engine's
-	// batched file reads (the internal/exec/scan reader). 0 uses the
-	// default (a few MB); positive values below the reader's minimum are
-	// clamped up; negative values are rejected at entry. In-memory
-	// records and streaming sessions batch at a fixed record count.
+	// ReadBatchSize bounds, in bytes, one batched file read (the
+	// internal/exec/scan reader). A scan reads at most one batch of
+	// 4,096 rows at a time whatever it is, so it matters to a scan only
+	// when smaller than that batch; the external sort fills its chunk
+	// arena this much a read. 0 uses the default (4 MB); positive values
+	// below the reader's minimum (64 KB) are clamped up; negative values
+	// are rejected at entry. In-memory records and streaming sessions
+	// batch at a fixed record count.
 	ReadBatchSize int
 }
 

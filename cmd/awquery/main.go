@@ -50,7 +50,7 @@ func main() {
 		limit   = flag.Int("limit", 20, "max rows to print per measure (0 = all)")
 		budget  = flag.Int64("budget", 0, "memory budget in bytes (singlescan spill / multipass per-pass / auto decision)")
 		par     = flag.Int("parallelism", 1, "shard count of shardscan (and of auto, when the workflow shards)")
-		readBat = flag.Int("read-batch", 0, "fact-read chunk size in bytes for file-backed engines (0 = default)")
+		readBat = flag.Int("read-batch", 0, "most bytes one fact-file read moves (0 = default 4 MB): the sort's read size; a scan reads at most 4096 rows at a time")
 		csvOut  = flag.String("o", "", "write the selected measure(s) as CSV file(s): PATH, or PATH prefix when printing several")
 		explain = flag.Bool("explain", false, "print the plan tree with optimizer estimates (and the workflow DOT graph), then exit")
 		analyze = flag.Bool("explain-analyze", false, "run the query, then print the plan tree with per-node actuals vs estimates instead of result rows")

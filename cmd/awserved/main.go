@@ -95,7 +95,7 @@ func main() {
 		retryDel = flag.Duration("retry-delay", 10*time.Millisecond, "first retry backoff; doubles each retry with jitter")
 		memBud   = flag.Int64("mem-budget", 64<<20, "EngineAuto planning budget in bytes (the Section 6 sort-vs-multipass decision)")
 		par      = flag.Int("parallelism", 1, "shard count of shardscan (and of auto, when the workflow shards)")
-		readBat  = flag.Int("read-batch", 0, "fact-read chunk size in bytes (0 = engine default)")
+		readBat  = flag.Int("read-batch", 0, "most bytes one fact-file read moves (0 = engine default, 4 MB): the sort's read size; a scan reads at most 4096 rows at a time")
 		maxCell  = flag.Int64("max-live-cells", 0, "per-query cap on simultaneously live aggregation cells (0 = unlimited)")
 		maxRows  = flag.Int64("max-result-rows", 0, "per-query cap on result rows (0 = unlimited)")
 		maxSpill = flag.Int64("max-spill-bytes", 0, "per-query cap on bytes spilled to disk (0 = unlimited)")

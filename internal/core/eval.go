@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -274,10 +275,11 @@ func (ev *evaluator) evalMatchJoin(e *Expr) (*Table, error) {
 			out.Rows[k] = a.Final()
 		}
 	case MatchSibling:
+		var nb []byte
 		for k := range s.Rows {
 			a := e.Agg.New()
-			forEachNeighbor(s.Codec, k, e.Cond.Windows, func(nk model.Key) {
-				if v, ok := t.Rows[nk]; ok {
+			nb = forEachNeighbor(s.Codec, k, e.Cond.Windows, nb, func(nk []byte) {
+				if v, ok := t.Rows[model.Key(nk)]; ok {
 					a.Update(v)
 				}
 			})
@@ -290,21 +292,29 @@ func (ev *evaluator) evalMatchJoin(e *Expr) (*Table, error) {
 }
 
 // forEachNeighbor enumerates the keys in the window product around k in
-// ascending offset order (last window varies fastest).
-func forEachNeighbor(c *model.KeyCodec, k model.Key, windows []Window, visit func(model.Key)) {
-	var rec func(cur model.Key, i int)
-	rec = func(cur model.Key, i int) {
-		if i == len(windows) {
-			visit(cur)
-			return
-		}
-		w := windows[i]
-		base := c.CodeAt(k, w.Dim)
-		for off := w.Lo; off <= w.Hi; off++ {
-			rec(c.WithCodeAt(cur, w.Dim, base+off), i+1)
-		}
+// ascending offset order (last window varies fastest). Every key is
+// built in buf, which it returns for reuse: a visited key is valid only
+// during its visit.
+func forEachNeighbor(c *model.KeyCodec, k model.Key, windows []Window, buf []byte, visit func(nk []byte)) []byte {
+	buf = append(buf[:0], k...)
+	neighbors(c, k, windows, buf, visit)
+	return buf
+}
+
+// neighbors visits buf with each offset of windows[0] patched into it in
+// turn, and recurses into the remaining windows for each.
+func neighbors(c *model.KeyCodec, k model.Key, windows []Window, buf []byte, visit func([]byte)) {
+	if len(windows) == 0 {
+		visit(buf)
+		return
 	}
-	rec(k, 0)
+	w := windows[0]
+	at := 8 * c.DimPos(w.Dim)
+	base := c.CodeAt(k, w.Dim)
+	for off := w.Lo; off <= w.Hi; off++ {
+		binary.BigEndian.PutUint64(buf[at:], uint64(base+off)^(1<<63))
+		neighbors(c, k, windows[1:], buf, visit)
+	}
 }
 
 func (ev *evaluator) evalCombineJoin(e *Expr) (*Table, error) {

@@ -161,3 +161,50 @@ func TestFilteredRollUpAllocatesPerParent(t *testing.T) {
 			allocs, len(keys), parents, limit)
 	}
 }
+
+// TestMatchJoinsAllocatePerTable: a from-parent and a sibling measure
+// over 10k base cells build their result map at its final size,
+// aggregate each cell in one reused column cell and build parent and
+// neighbour keys in one reused buffer, so no cell allocates: what is
+// left is the map's tables and a fixed few, far fewer than the cells.
+func TestMatchJoinsAllocatePerTable(t *testing.T) {
+	s := twoDim(t)
+	rng := rand.New(rand.NewSource(37))
+	w := NewWorkflow(s).Basic("b", model.Gran{0, 1}, agg.Sum, 0).
+		Rollup("p", model.Gran{1, model.LevelALL}, "b", agg.Sum).
+		FromParent("f", model.Gran{0, 1}, "p", agg.Sum).
+		Sliding("w", "b", agg.Avg, []Window{{Dim: 0, Lo: -1, Hi: 1}, {Dim: 1, Lo: 0, Hi: 2}})
+	c, err := w.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cells = 10_000
+	src := NewTable(s, model.Gran{0, 1})
+	for len(src.Rows) < cells {
+		src.Rows[src.Codec.FromBase([]int64{rng.Int63n(1000), rng.Int63n(1000)})] = float64(rng.Intn(10) - 2)
+	}
+	tables := make([]*Table, len(c.Measures))
+	for i, m := range c.Measures {
+		switch {
+		case m.Kind == KindBasic:
+			tables[i] = src // "b" and the hidden bases share its cells
+		case m.Name == "p":
+			if tables[i], err = ComputeComposite(c, m, tables); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, name := range []string{"f", "w"} {
+		i, _ := c.Index(name)
+		m := c.Measures[i]
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := ComputeComposite(c, m, tables); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations over %d base cells", name, allocs, cells)
+		if limit := 64.0; allocs > limit {
+			t.Errorf("%s: %.0f allocations over %d base cells, want at most %.0f", name, allocs, cells, limit)
+		}
+	}
+}

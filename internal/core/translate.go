@@ -139,7 +139,13 @@ func ComputeComposite(c *Compiled, m *Measure, tables []*Table) (*Table, error) 
 		}
 		return RollUp(c, m, each), nil
 	}
+	// The result is built at its final size: one row per base cell, or
+	// per combine S row. A base cell's aggregate is the one cell of a
+	// reused column, and the parent or neighbour keys it reads are built
+	// in one reused buffer, so a cell allocates nothing of its own.
 	out := NewTable(c.Schema, m.Gran)
+	cell := m.Agg.NewColumn()
+	var kb []byte
 	switch m.Kind {
 	case KindFromParent:
 		src := tables[m.Sources[0]]
@@ -148,13 +154,15 @@ func ComputeComposite(c *Compiled, m *Measure, tables []*Table) (*Table, error) 
 			return nil, fmt.Errorf("core: inputs for %q not computed", m.Name)
 		}
 		keep := sourceFilter(c, m, m.Sources[0])
+		out.Rows = make(map[model.Key]float64, len(base.Rows))
 		for k := range base.Rows {
-			a := m.Agg.New()
-			pk := out.Codec.UpTo(k, src.Codec)
-			if v, ok := src.Rows[pk]; ok && keep(pk, v) {
-				a.Update(v)
+			cell.Reset()
+			a := cell.Append()
+			kb = out.Codec.AppendUpTo(kb[:0], k, src.Codec)
+			if v, ok := src.Rows[model.Key(kb)]; ok && (keep == nil || keep(model.Key(kb), v)) {
+				cell.Update(a, v)
 			}
-			out.Rows[k] = a.Final()
+			out.Rows[k] = cell.Final(a)
 		}
 	case KindSibling:
 		src := tables[m.Sources[0]]
@@ -163,20 +171,23 @@ func ComputeComposite(c *Compiled, m *Measure, tables []*Table) (*Table, error) 
 			return nil, fmt.Errorf("core: inputs for %q not computed", m.Name)
 		}
 		keep := sourceFilter(c, m, m.Sources[0])
+		out.Rows = make(map[model.Key]float64, len(base.Rows))
 		for k := range base.Rows {
-			a := m.Agg.New()
-			forEachNeighbor(out.Codec, k, m.Windows, func(nk model.Key) {
-				if v, ok := src.Rows[nk]; ok && keep(nk, v) {
-					a.Update(v)
+			cell.Reset()
+			a := cell.Append()
+			kb = forEachNeighbor(out.Codec, k, m.Windows, kb, func(nk []byte) {
+				if v, ok := src.Rows[model.Key(nk)]; ok && (keep == nil || keep(model.Key(nk), v)) {
+					cell.Update(a, v)
 				}
 			})
-			out.Rows[k] = a.Final()
+			out.Rows[k] = cell.Final(a)
 		}
 	case KindCombine:
 		s := tables[m.Sources[0]]
 		if s == nil {
 			return nil, fmt.Errorf("core: source table for %q not computed", m.Name)
 		}
+		out.Rows = make(map[model.Key]float64, len(s.Rows))
 		vals := make([]float64, len(m.Sources))
 		for k, sv := range s.Rows {
 			vals[0] = sv
@@ -200,11 +211,12 @@ func ComputeComposite(c *Compiled, m *Measure, tables []*Table) (*Table, error) 
 }
 
 // sourceFilter returns m's WHERE clause as a test on a row of source
-// measure j. Every row decodes into one buffer, so the test allocates
-// nothing per row and is not safe for concurrent use.
+// measure j, or nil when m has none. Every row decodes into one buffer,
+// so the test allocates nothing per row and is not safe for concurrent
+// use.
 func sourceFilter(c *Compiled, m *Measure, j int) func(k model.Key, v float64) bool {
 	if m.Filter == nil {
-		return func(model.Key, float64) bool { return true }
+		return nil
 	}
 	src := c.Measures[j]
 	codes, ms := make([]int64, c.Schema.NumDims()), make([]float64, 1)
@@ -235,7 +247,7 @@ func RollUp(c *Compiled, m *Measure, each func(yield func(k model.Key, v float64
 	col := m.Agg.NewColumn()
 	var up []byte
 	each(func(k model.Key, v float64) {
-		if !keep(k, v) {
+		if keep != nil && !keep(k, v) {
 			return
 		}
 		up = src.AppendUpTo(up[:0], k, out.Codec)
@@ -246,6 +258,7 @@ func RollUp(c *Compiled, m *Measure, each func(yield func(k model.Key, v float64
 		}
 		col.Update(id, v)
 	})
+	out.Rows = make(map[model.Key]float64, len(groups))
 	for k, id := range groups {
 		out.Rows[k] = col.Final(id)
 	}

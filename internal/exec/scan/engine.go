@@ -25,8 +25,10 @@ type EngineOptions struct {
 	// TempDir receives sort runs, single-scan spills and the relational
 	// baseline's spooled intermediates; empty uses os.TempDir().
 	TempDir string
-	// ReadBatchBytes is the chunk size of batched file reads
-	// (0 = DefaultBatchBytes). In-memory input batches by record count.
+	// ReadBatchBytes bounds one batched file read (0 =
+	// DefaultBatchBytes): the sort's arena fill reads this much, a scan's
+	// NextBatch at most one batch of it. In-memory input batches by
+	// record count.
 	ReadBatchBytes int
 	// ChunkRecords is how many records an external sort holds in memory
 	// at a time (0 = a default sized for roughly 256 MB).

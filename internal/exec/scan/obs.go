@@ -15,13 +15,14 @@ func sourceStats(src BatchSource) obs.EngineStats {
 	return obs.EngineStats{}
 }
 
-// EngineStats is the reader's chunk tallies so far, in the engine
-// vocabulary.
+// EngineStats is the reader's fill tallies so far, in the engine
+// vocabulary: each fill's capacity is the rows it had room for, so the
+// fill ratio stays true whatever the reads' sizes.
 func (r *Reader) EngineStats() obs.EngineStats {
 	return obs.EngineStats{
 		ScanChunks:   r.chunks,
 		ScanBytes:    r.bytesRead,
-		ScanCapacity: r.chunks * int64(r.chunkRows*r.diskRow),
+		ScanCapacity: r.capacity,
 	}
 }
 

@@ -1,15 +1,17 @@
 // Package scan is the batched record pipeline under the engines: it
-// reads fact files in large chunks of whole rows through
+// reads fact files a batch of whole rows at a time through
 // storage.FileSystem, verifies each row's CRC32-C in place, and hands
 // engines bounded batches of zero-copy byte-slice row views instead of
-// one decoded model.Record at a time. Per-row work drops to the
-// aggregate updates themselves; guard checks (cancellation, budgets)
-// move to batch boundaries. The external sort reads through the same
-// fill routine, straight into its chunk arena.
+// one decoded model.Record at a time. A reader's own buffer holds one
+// batch, at most batchRows rows. Per-row work drops to the aggregate
+// updates themselves; guard checks (cancellation, budgets) move to
+// batch boundaries. The external sort reads through the same fill
+// routine, straight into its chunk arena, ReadBatchBytes at a time.
 //
 // An Input names where the records live — a file, or an in-memory
 // slice — and opens either as the same Record views, so engines keep
-// exactly one hot loop.
+// exactly one hot loop. CodeCols turns a batch's dimension codes into
+// the generalized code columns both scan engines key their cells on.
 package scan
 
 import (
@@ -61,28 +63,28 @@ type BatchSource interface {
 	Close() error
 }
 
-// batchRows bounds the views any source hands out per batch: enough to
-// amortize the engines' per-batch bookkeeping, few enough that the view
-// slice (24 bytes a row) stays cache-resident. A file chunk holds many
-// batches.
+// batchRows bounds the views any source hands out per batch, and the
+// rows a reader's own buffer holds: enough to amortize the engines'
+// per-batch bookkeeping and a read call, few enough that the batch's
+// rows and views (24 bytes a row) stay cache-resident.
 const batchRows = 4096
 
-// DefaultBatchBytes is the chunk size Open reads per batch when the
-// caller does not override it: large enough to amortize syscall and
-// split overhead, small enough to stay cache- and memory-friendly per
-// concurrent query.
+// DefaultBatchBytes is the most one read moves when the caller does not
+// override it: a reader's batch is smaller still on wide rows, and the
+// sort fills its chunk arena this much at a time.
 const DefaultBatchBytes = 4 << 20
 
-// MinBatchBytes is the smallest usable chunk size; Open clamps smaller
-// requests (a chunk must at least hold one disk row, and tiny chunks
+// MinBatchBytes is the smallest usable read size; Open clamps smaller
+// requests (a read must at least hold one disk row, and tiny reads
 // defeat the batching).
 const MinBatchBytes = 64 << 10
 
 // Options configures a Reader.
 type Options struct {
-	// BatchBytes is the read-chunk size (0 = DefaultBatchBytes; values
-	// below MinBatchBytes are clamped up), rounded down to whole rows. A
-	// file smaller than that is read as one chunk of its own size.
+	// BatchBytes bounds one read (0 = DefaultBatchBytes; values below
+	// MinBatchBytes are clamped up), rounded down to whole rows, and no
+	// read goes past the file's last row. NextBatch reads at most
+	// batchRows rows of it; the sort's arena fill reads all of it.
 	BatchBytes int
 	// Guard, if non-nil, is checked once per batch for cancellation,
 	// and its degraded-read policy decides whether checksum-failing
@@ -97,7 +99,8 @@ type Options struct {
 // Reader reads a record file in chunks of whole rows and yields
 // bounded batches of verified zero-copy row views. One fill routine
 // reads and verifies every chunk, whether it lands in the reader's own
-// buffer (NextBatch) or in a caller's (the sort's chunk arena).
+// one-batch buffer (NextBatch) or in a caller's (the sort's chunk
+// arena).
 type Reader struct {
 	f         storage.File
 	hdr       storage.Header
@@ -105,19 +108,20 @@ type Reader struct {
 	rowBytes  int // payload size
 	emit      int // emitted view size (payload, or full disk row)
 	chunkRows int // rows one fill reads at most
-	// buf holds NextBatch's current chunk, rows [next, avail) not yet
-	// handed out; it and views are made on the first NextBatch call, so
-	// a reader that only fills a caller's arena allocates neither.
-	buf         []byte
-	views       []Record
-	next, avail int
-	seen        int64
-	corrupt     int64
-	// chunks/bytesRead tally the batched read pattern in plain fields
-	// (one increment per fill, never per row); the scan phase and the
-	// sort read them once, at the end of the read (EngineStats).
+	// buf holds NextBatch's current batch; it and views are made on the
+	// first NextBatch call, so a reader that only fills a caller's arena
+	// allocates neither.
+	buf     []byte
+	views   []Record
+	seen    int64
+	corrupt int64
+	// chunks/bytesRead/capacity tally the batched read pattern in plain
+	// fields (one increment per fill, never per row): the fills, the
+	// bytes they read and the bytes they had room to read. The scan phase
+	// and the sort read them once, at the end of the read (EngineStats).
 	chunks    int64
 	bytesRead int64
+	capacity  int64
 	guard     *qguard.Guard
 	eof       bool
 }
@@ -126,10 +130,10 @@ type Reader struct {
 // the batching behavior (chunk count, bytes moved, average chunk fill)
 // of the hot path, observable without any per-row instrumentation.
 type ReadStats struct {
-	// Chunks is the number of read chunks consumed so far (not batches:
-	// a chunk is handed out as several).
+	// Chunks is the number of fills so far: one per NextBatch batch, one
+	// per sort arena read.
 	Chunks int64
-	// BytesRead is the total bytes filled into chunk buffers.
+	// BytesRead is the total bytes the fills read.
 	BytesRead int64
 	// Records is the number of rows delivered (corrupt-skipped rows
 	// excluded).
@@ -137,9 +141,9 @@ type ReadStats struct {
 	// CorruptRows is the number of checksum-failing rows skipped in
 	// degraded mode.
 	CorruptRows int64
-	// FillPermille is the average chunk fill ratio in permille (1000 =
-	// every chunk read completely full); the final, partial chunk of a
-	// file drags it below 1000.
+	// FillPermille is the average fill ratio in permille: bytes read over
+	// the bytes the fills had room for (1000 = every fill read full); the
+	// final, partial fill of a file drags it below 1000.
 	FillPermille int64
 }
 
@@ -173,8 +177,8 @@ func Open(path string, opts Options) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: %s: rows of no columns (%w)", path, storage.ErrCorrupt)
 	}
-	// A file smaller than the chunk is read as one chunk of its own size
-	// (the header's count; at least one disk row).
+	// No read is larger than the file (the header's count; at least one
+	// disk row).
 	chunkRows := bb / db
 	if hdr.Count < int64(chunkRows) {
 		chunkRows = int(hdr.Count)
@@ -198,41 +202,34 @@ func Open(path string, opts Options) (*Reader, error) {
 func (r *Reader) Header() storage.Header { return r.hdr }
 
 // NextBatch returns the next verified row views, at most batchRows of
-// them, reading a new chunk when the current one is spent. It returns
-// (nil, nil) once the header's record count has been delivered. Rows
-// failing their checksum return storage.ErrCorrupt, or are skipped and
-// counted when the guard enables degraded reads.
+// them: one fill into the reader's own buffer, which holds one batch.
+// It returns (nil, nil) once the header's record count has been
+// delivered. Rows failing their checksum return storage.ErrCorrupt, or
+// are skipped and counted when the guard enables degraded reads.
 func (r *Reader) NextBatch() ([]Record, error) {
-	if r.next < r.avail {
-		if err := r.guard.Err(); err != nil {
-			return nil, err
-		}
-	} else {
-		if r.buf == nil {
-			r.buf = make([]byte, r.chunkRows*r.diskRow)
-			r.views = make([]Record, 0, min(r.chunkRows, batchRows))
-		}
-		n, err := r.fill(r.buf)
-		if n == 0 || err != nil {
-			return nil, err
-		}
-		r.next, r.avail = 0, n
+	if r.buf == nil {
+		rows := min(r.chunkRows, batchRows)
+		r.buf = make([]byte, rows*r.diskRow)
+		r.views = make([]Record, 0, rows)
 	}
-	end := min(r.next+cap(r.views), r.avail)
+	n, err := r.fill(r.buf)
+	if n == 0 || err != nil {
+		return nil, err
+	}
 	views := r.views[:0]
-	for i := r.next; i < end; i++ {
+	for i := 0; i < n; i++ {
 		views = append(views, r.buf[i*r.diskRow:i*r.diskRow+r.emit])
 	}
-	r.next = end
 	return views, nil
 }
 
 // fill reads the next chunk — at most chunkRows rows, and no more than
-// dst holds — straight into dst, verifies each row's checksum there,
-// and compacts skipped corrupt rows out, so dst[:n*diskRow] holds the n
-// rows it returns, verbatim, checksums included. It returns 0 only once
-// the header's record count has been consumed; a chunk whose every row
-// was skipped is followed by the next.
+// dst holds — straight into dst, charging that room to the capacity,
+// verifies each row's checksum there, and compacts skipped corrupt rows
+// out, so dst[:n*diskRow] holds the n rows it returns, verbatim,
+// checksums included. It returns 0 only once the header's record count
+// has been consumed; a chunk whose every row was skipped is followed by
+// the next.
 func (r *Reader) fill(dst []byte) (int, error) {
 	db := r.diskRow
 	room := min(len(dst)/db, r.chunkRows)
@@ -266,6 +263,7 @@ func (r *Reader) fill(dst []byte) (int, error) {
 		}
 		r.chunks++
 		r.bytesRead += int64(n)
+		r.capacity += int64(room * db)
 		kept, err := r.verify(dst, n/db)
 		if kept > 0 || err != nil {
 			return kept, err

@@ -116,25 +116,27 @@ func TestReaderMatchesRowDecoder(t *testing.T) {
 	}
 }
 
-// TestReaderBufferSizedFromHeader: a file smaller than the chunk is
-// read as one full chunk of its own size, an empty one still gets a
-// one-row chunk, a larger one keeps the requested chunk rounded down to
-// whole rows. Each chunk goes out in batches of at most batchRows
-// views, through one view slice that is sized for a batch, not for a
-// chunk, and never grows; ReadStats counts the chunks, not the batches.
+// TestReaderBufferSizedFromHeader: NextBatch's buffer holds one batch
+// — batchRows rows, fewer when the read size or the file is smaller,
+// and one row for an empty file — at every file size, and each fill
+// into it is one batch. The view slice is sized with the buffer and
+// never grows. Each fill is charged the rows it had room for, so a file
+// that is a whole number of batches reads at a fill of 1000 permille
+// and one that is not reads its last, partial batch as such.
 func TestReaderBufferSizedFromHeader(t *testing.T) {
 	dir := t.TempDir()
 	const disk = 3*8 + 2*8 + 4
-	const oddRows = (MinBatchBytes + 13) / disk // rows in a chunk of MinBatchBytes+13
+	const oddRows = (MinBatchBytes + 13) / disk // rows in a read of MinBatchBytes+13
 	for _, tc := range []struct {
-		rows, batchBytes  int
-		chunkRows, chunks int
-		viewCap, batches  int
+		rows, batchBytes int
+		bufRows, batches int
 	}{
-		{3000, 0, 3000, 1, 3000, 1},
-		{10000, 0, 10000, 1, batchRows, 3},
-		{3000, MinBatchBytes + 13, oddRows, 3, oddRows, 3},
-		{0, 0, 1, 0, 1, 0},
+		{3000, 0, 3000, 1},
+		{2 * batchRows, 0, batchRows, 2},
+		{10000, 0, batchRows, 3},
+		{100_000, 0, batchRows, 25},
+		{3000, MinBatchBytes + 13, oddRows, 3},
+		{0, 0, 1, 0},
 	} {
 		path := filepath.Join(dir, "f.rec")
 		writeFile(t, path, randRecords(tc.rows, 3, 2, 5), 3, 2)
@@ -165,18 +167,25 @@ func TestReaderBufferSizedFromHeader(t *testing.T) {
 			batches++
 		}
 		r.Close()
-		if len(r.buf) != tc.chunkRows*disk {
-			t.Errorf("%s: chunk of %d bytes, want %d", name, len(r.buf), tc.chunkRows*disk)
+		if len(r.buf) != tc.bufRows*disk || len(r.buf) > batchRows*disk {
+			t.Errorf("%s: buffer of %d bytes, want %d, at most %d", name, len(r.buf), tc.bufRows*disk, batchRows*disk)
 		}
 		if rows != tc.rows || batches != tc.batches {
 			t.Errorf("%s: read %d rows in %d batches, want %d in %d", name, rows, batches, tc.rows, tc.batches)
 		}
-		if viewCap != tc.viewCap || cap(r.views) != viewCap {
-			t.Errorf("%s: view slice of %d, then %d, want %d throughout", name, viewCap, cap(r.views), tc.viewCap)
+		if viewCap != tc.bufRows || cap(r.views) != viewCap {
+			t.Errorf("%s: view slice of %d, then %d, want %d throughout", name, viewCap, cap(r.views), tc.bufRows)
 		}
 		st := r.ReadStats()
-		if st.Chunks != int64(tc.chunks) || (tc.chunks == 1 && st.FillPermille != 1000) {
-			t.Errorf("%s: %d chunks filled to %d permille, want %d chunks", name, st.Chunks, st.FillPermille, tc.chunks)
+		var fill int64
+		if tc.batches > 0 {
+			fill = int64(tc.rows * 1000 / (tc.batches * tc.bufRows))
+		}
+		if st.Chunks != int64(tc.batches) || st.FillPermille != fill {
+			t.Errorf("%s: %d chunks filled to %d permille, want %d chunks at %d", name, st.Chunks, st.FillPermille, tc.batches, fill)
+		}
+		if whole := tc.rows > 0 && tc.rows%tc.bufRows == 0; whole && st.FillPermille != 1000 {
+			t.Errorf("%s: a whole number of batches filled to %d permille, want 1000", name, st.FillPermille)
 		}
 	}
 }

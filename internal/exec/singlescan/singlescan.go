@@ -84,12 +84,9 @@ const morselRows = 512
 // current rows' generalized codes in columns, and the buffers one
 // table's pass over them fills.
 type morsel struct {
-	// pairs are the distinct (dimension, level) pairs the basic measures
-	// key on; codes[p][r] is row r's code under pairs[p]. A level shared
-	// by several measures is generalized once per row, not once per
-	// measure.
-	pairs []codePair
-	codes [][]int64
+	// codes holds a column per distinct (dimension, level) pair the basic
+	// measures key on.
+	codes *scan.CodeCols
 	all   []int32 // 0..morselRows-1: an unfiltered table's selection
 	sel   []int32 // a filtered table's selection
 	keys  []byte  // the selected rows' packed cell keys
@@ -99,14 +96,9 @@ type morsel struct {
 	rec   model.Record // one decoded row, for filters
 }
 
-type codePair struct {
-	d   int
-	dim *model.Dimension
-	lvl model.Level
-}
-
 func newMorsel(s *model.Schema) *morsel {
 	mo := &morsel{
+		codes: scan.NewCodeCols(s, morselRows),
 		all:   make([]int32, morselRows),
 		sel:   make([]int32, 0, morselRows),
 		ids:   make([]int32, morselRows),
@@ -120,39 +112,11 @@ func newMorsel(s *model.Schema) *morsel {
 	return mo
 }
 
-// col returns the code column of dimension d at level lvl, adding it on
-// first use.
-func (mo *morsel) col(s *model.Schema, d int, lvl model.Level) int {
-	for i, p := range mo.pairs {
-		if p.d == d && p.lvl == lvl {
-			return i
-		}
-	}
-	mo.pairs = append(mo.pairs, codePair{d, s.Dim(d), lvl})
-	mo.codes = append(mo.codes, make([]int64, morselRows))
-	return len(mo.pairs) - 1
-}
-
-// load fills the code columns from rows.
-func (mo *morsel) load(rows []scan.Record) {
-	for p, pair := range mo.pairs {
-		codes := mo.codes[p][:len(rows)]
-		for r, row := range rows {
-			codes[r] = row.Dim(pair.d)
-		}
-		if pair.lvl > 0 {
-			for r, code := range codes {
-				codes[r] = pair.dim.Up(0, pair.lvl, code)
-			}
-		}
-	}
-}
-
 func newTable(c *core.Compiled, m *core.Measure, mo *morsel, opts *scan.EngineOptions) *table {
 	t := &table{m: m, tab: cellmap.New(m.Codec.KeyBytes()), col: m.Agg.NewColumn(), opts: opts, ns: obs.NodeStats{Node: m.Name}}
 	for d := 0; d < c.Schema.NumDims(); d++ {
 		if m.Gran[d] != c.Schema.Dim(d).ALL() {
-			t.cols = append(t.cols, mo.col(c.Schema, d, m.Gran[d]))
+			t.cols = append(t.cols, mo.codes.Add(d, m.Gran[d]))
 		}
 	}
 	t.cellBytes = int64(t.tab.KeyLen()+m.Agg.New().Bytes()) + 16
@@ -182,7 +146,7 @@ func (t *table) absorb(mo *morsel, rows []scan.Record, numDims int) (created, gr
 	kl := t.tab.KeyLen()
 	keys, ids := mo.keys[:len(sel)*kl], mo.ids[:len(sel)]
 	for j, p := range t.cols {
-		codes := mo.codes[p]
+		codes := mo.codes.Col(p)
 		for i, r := range sel {
 			binary.BigEndian.PutUint64(keys[i*kl+8*j:], uint64(codes[r])^(1<<63))
 		}
@@ -244,7 +208,7 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 	// The morsel is the guard stride too.
 	numDims := c.Schema.NumDims()
 	err = opts.ScanPhase(bsrc, morselRows, func() int64 { return liveCells }, func(rows []scan.Record) error {
-		mo.load(rows)
+		mo.codes.Load(rows)
 		for _, t := range basics {
 			created, grew := t.absorb(mo, rows, numDims)
 			stats.CellsCreated += created

@@ -157,9 +157,10 @@ func BenchmarkFlush(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				for _, row := range batch {
-					e.computeCodes(row)
-					e.scanRecord(n, row)
+				for at := 0; at < len(batch); at += scanStride {
+					if err := e.scanRows([]*node{n}, nil, batch[at:min(at+scanStride, len(batch))]); err != nil {
+						b.Fatal(err)
+					}
 				}
 				if n.tab.Len() != cells {
 					b.Fatalf("%d live cells, want %d", n.tab.Len(), cells)

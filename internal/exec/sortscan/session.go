@@ -195,9 +195,10 @@ func newEngine(c *core.Compiled, pl *plan.Plan, noEarlyFlush bool) *engine {
 			e.nodes[m.Base].deps = append(e.nodes[m.Base].deps, depEdge{node: i, role: -1})
 		}
 	}
-	// Shared per-record code table: intern every (dimension, level)
-	// mapping the basic nodes need — watermark components and cell
-	// granularities — so the scan maps each record exactly once.
+	// Shared code columns: one per (dimension, level) mapping the basic
+	// nodes need — watermark components and cell granularities — so the
+	// scan maps each record exactly once.
+	e.codes = scan.NewCodeCols(c.Schema, scanStride)
 	for _, n := range e.nodes {
 		if n.m.Kind != core.KindBasic {
 			continue
@@ -206,27 +207,27 @@ func newEngine(c *core.Compiled, pl *plan.Plan, noEarlyFlush bool) *engine {
 			cmp := n.arcs[0].pl.CmpKey
 			n.wmIdx = make([]int, len(cmp))
 			for j, p := range cmp {
-				n.wmIdx[j] = e.registerCode(p)
+				n.wmIdx[j] = e.codes.Add(p.Dim, p.Lvl)
 			}
 		}
 		for d := 0; d < e.numDims; d++ {
 			if n.m.Gran[d] == c.Schema.Dim(d).ALL() {
 				continue
 			}
-			n.cellIdx = append(n.cellIdx, e.registerCode(model.SortPart{Dim: d, Lvl: n.m.Gran[d]}))
+			n.cellIdx = append(n.cellIdx, e.codes.Add(d, n.m.Gran[d]))
 		}
 		n.keyBuf = make([]byte, 0, 8*len(n.cellIdx))
 		if n.m.Filter != nil {
 			e.needRec = true
 		}
 	}
-	e.cpVals = make([]int64, len(e.cpParts))
+	e.cpVals = make([]int64, e.codes.Len())
 	for j := range e.cpVals {
 		// Sentinel outside any code space, so the first record reads as
 		// "changed" on every component.
 		e.cpVals[j] = int64(-1) << 62
 	}
-	e.cpChanged = make([]bool, len(e.cpParts))
+	e.cpChanged = make([]bool, e.codes.Len())
 	e.entryDims = make([]int64, e.numDims)
 	if e.needRec {
 		e.frec = model.Record{Dims: make([]int64, e.numDims), Ms: make([]float64, e.numMeasures)}

@@ -15,17 +15,17 @@
 // arc because streams may have incomparable orders.
 //
 // The hot path runs on the scan package's batched record pipeline:
-// fact rows arrive as zero-copy byte views in multi-megabyte batches,
-// each record's mapped (dimension, level) codes are computed once and
-// shared across all basic nodes, and live cells sit in an
-// open-addressing cellmap.Table with their state in flat slabs beside
-// it (an agg.Column, base flags, combine operands) instead of a Go map
-// of heap cells. A flush batch is sorted as code columns packed into
-// uint64 words (scan.KeyPacker) by the scan package's index sorter, the
-// external sort's key encoding, and lands in the output table through a
-// per-batch emission log, so a finalized cell costs no heap object and
-// no string; DESIGN.md §hot-path owns the layout. Guard checks run per
-// batch, not per row.
+// fact rows arrive as zero-copy byte views a batch at a time, each
+// batch's mapped (dimension, level) codes are computed once, a column
+// at a time (scan.CodeCols), and shared across all basic nodes, and
+// live cells sit in an open-addressing cellmap.Table with their state
+// in flat slabs beside it (an agg.Column, base flags, combine operands)
+// instead of a Go map of heap cells. A flush batch is sorted as code
+// columns packed into uint64 words (scan.KeyPacker) by the scan
+// package's index sorter, the external sort's key encoding, and lands in
+// the output table through a per-batch emission log, so a finalized cell
+// costs no heap object and no string; DESIGN.md §hot-path owns the
+// layout. Guard checks run per batch, not per row.
 package sortscan
 
 import (
@@ -304,16 +304,17 @@ type engine struct {
 	noEarlyFlush bool
 	emit         EmitFunc
 	guard        *qguard.Guard
-	// Shared per-record code table: every distinct (dimension, level)
-	// pair any basic node maps records through — watermark components
-	// and cell-granularity components alike — is computed exactly once
-	// per record into cpVals, and nodes index into it.
-	cpParts []model.SortPart
-	cpDims  []*model.Dimension
-	cpVals  []int64
+	// Shared code columns: every distinct (dimension, level) pair any
+	// basic node maps records through — watermark components and
+	// cell-granularity components alike — is computed exactly once per
+	// record, a batch at a time, and nodes index into it. cpVals is the
+	// current record's row of the columns.
+	codes  *scan.CodeCols
+	cpVals []int64
 	// cpChanged[j] reports whether cpVals[j] differs from the previous
 	// record's value — the shared record-to-record delta every node's
-	// watermark and cell fast paths key off.
+	// watermark and cell fast paths key off. The previous record may be
+	// the last of the previous batch: cpVals carries it over.
 	cpChanged []bool
 	// frec is the decoded-record scratch for basic-measure filters;
 	// it is filled once per record only when a filter exists. entryDims
@@ -434,8 +435,12 @@ func runSortedStates(c *core.Compiled, pl *plan.Plan, src scan.BatchSource, opts
 // node whenever its fact watermark advances coarsely — unless early
 // flushing is off or the node is marked in stateIdx.
 func (e *engine) scanRows(basics []*node, stateIdx []bool, rows []scan.Record) error {
-	for _, row := range rows {
-		e.computeCodes(row)
+	e.codes.Load(rows)
+	for r, row := range rows {
+		e.rowCodes(r)
+		if e.needRec {
+			row.DecodeInto(e.frec.Dims, e.frec.Ms)
+		}
 		for _, n := range basics {
 			e.scanRecord(n, row)
 		}
@@ -469,44 +474,27 @@ func (e *engine) result() *scan.Result {
 	return res
 }
 
-// registerCode interns one (dimension, level) mapping in the engine's
-// shared per-record code table and returns its index.
-func (e *engine) registerCode(p model.SortPart) int {
-	for i, q := range e.cpParts {
-		if q.Dim == p.Dim && q.Lvl == p.Lvl {
-			return i
-		}
-	}
-	e.cpParts = append(e.cpParts, p)
-	e.cpDims = append(e.cpDims, e.c.Schema.Dim(p.Dim))
-	return len(e.cpParts) - 1
-}
-
-// computeCodes fills the shared code table for one record: each
-// distinct (dimension, level) pair used by any basic node is mapped
-// exactly once, no matter how many nodes consume it.
-func (e *engine) computeCodes(row scan.Record) {
-	for j := range e.cpParts {
-		v := e.cpDims[j].Up(0, e.cpParts[j].Lvl, row.Dim(e.cpParts[j].Dim))
+// rowCodes makes row r of the loaded code columns the current record's
+// codes, flagging each that differs from the previous record's.
+func (e *engine) rowCodes(r int) {
+	for j := range e.cpVals {
+		v := e.codes.Col(j)[r]
 		e.cpChanged[j] = v != e.cpVals[j]
 		e.cpVals[j] = v
-	}
-	if e.needRec {
-		row.DecodeInto(e.frec.Dims, e.frec.Ms)
 	}
 }
 
 // scanRecord feeds one fact record into a basic measure node and
-// advances its fact-arc watermark. The record's mapped codes were
-// already computed by computeCodes; this only compares, encodes on
-// change, and updates the aggregate.
+// advances its fact-arc watermark. The record's mapped codes are
+// already in cpVals; this only compares, encodes on change, and
+// updates the aggregate.
 func (e *engine) scanRecord(n *node, row scan.Record) {
 	m := n.m
 	arc := &n.arcs[0]
 	n.ns.RecordsIn++
 
 	// Watermark first: it must advance even for filtered-out records.
-	// computeCodes already flagged which shared codes changed since the
+	// rowCodes already flagged which shared codes changed since the
 	// previous record, so the common no-change case is a few bool reads.
 	wmChanged := !arc.seen
 	for j, ci := range n.wmIdx {

@@ -9,6 +9,7 @@ import (
 	"awra/internal/core"
 	"awra/internal/exec/scan"
 	"awra/internal/model"
+	"awra/internal/plan"
 	"awra/internal/storage"
 )
 
@@ -209,5 +210,104 @@ func TestBadSortKeyRejected(t *testing.T) {
 	_, err = Run(c, scan.FileInput("/nonexistent/path.rec"), Options{SortKey: model.SortKey{{Dim: 0, Lvl: 0}}})
 	if err == nil {
 		t.Fatal("missing fact file accepted")
+	}
+}
+
+// TestCodeChangesCarryAcrossBatches: the scan takes each record's codes
+// from the shared code columns, loaded a batch at a time, and flags a
+// code as changed exactly on the records where it differs from the
+// record before — the first record of a batch against the last of the
+// one before, and the very first record on every code.
+func TestCodeChangesCarryAcrossBatches(t *testing.T) {
+	s := netSchema(t)
+	c := smaxWorkflow(t, s)
+	day, _ := s.Dim(0).LevelByName("Day")
+	key := model.SortKey{{Dim: 0, Lvl: day}, {Dim: 2, Lvl: 0}}
+	pl, err := plan.Build(c, key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := netRecords(2*scanStride, 9)
+	storage.SortRecords(recs, func(a, b *model.Record) bool { return key.RecordLess(s, a, b) })
+	// The second batch opens on the first one's last record with only
+	// its source IP changed: some codes carry over unchanged, one does not.
+	recs[scanStride].Dims = append([]int64{}, recs[scanStride-1].Dims...)
+	recs[scanStride].Dims[1]++
+	rows := make([]scan.Record, len(recs))
+	for i := range recs {
+		rows[i] = scan.EncodeRow(make([]byte, 8*s.NumDims()), &recs[i])
+	}
+
+	e := newEngine(c, pl, false)
+	// Which (dimension, level) each code column holds, from the nodes
+	// that read it.
+	parts := make([]model.SortPart, e.codes.Len())
+	for _, n := range e.nodes {
+		if n.m.Kind != core.KindBasic {
+			continue
+		}
+		for j, ci := range n.wmIdx {
+			parts[ci] = n.arcs[0].pl.CmpKey[j]
+		}
+		k := 0
+		for d, lvl := range n.m.Gran {
+			if lvl != s.Dim(d).ALL() {
+				parts[n.cellIdx[k]] = model.SortPart{Dim: d, Lvl: lvl}
+				k++
+			}
+		}
+	}
+	code := func(i, j int) int64 { return s.Dim(parts[j].Dim).Up(0, parts[j].Lvl, recs[i].Dims[parts[j].Dim]) }
+	boundary := map[bool]int{}
+	for at := 0; at < len(rows); at += scanStride {
+		batch := rows[at:min(at+scanStride, len(rows))]
+		e.codes.Load(batch)
+		for r := range batch {
+			e.rowCodes(r)
+			i := at + r
+			for j := range parts {
+				want := i == 0 || code(i, j) != code(i-1, j)
+				if e.cpChanged[j] != want || e.cpVals[j] != code(i, j) {
+					t.Fatalf("record %d, code %v: %d, changed %v; want %d, changed %v",
+						i, parts[j], e.cpVals[j], e.cpChanged[j], code(i, j), want)
+				}
+				if i == scanStride {
+					boundary[want]++
+				}
+			}
+		}
+	}
+	if boundary[true] == 0 || boundary[false] == 0 {
+		t.Fatalf("the second batch's first record changed %d codes and kept %d; want some of each",
+			boundary[true], boundary[false])
+	}
+
+	// The scan loop itself: a basic node's fact watermark advances on
+	// exactly the records where one of its watermark codes changed.
+	e = newEngine(c, pl, true)
+	var basics []*node
+	for _, n := range e.nodes {
+		if n.m.Kind == core.KindBasic {
+			basics = append(basics, n)
+		}
+	}
+	for at := 0; at < len(rows); at += scanStride {
+		if err := e.scanRows(basics, nil, rows[at:min(at+scanStride, len(rows))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range basics {
+		want := int64(0)
+		for i := range recs {
+			for _, ci := range n.wmIdx {
+				if i == 0 || code(i, ci) != code(i-1, ci) {
+					want++
+					break
+				}
+			}
+		}
+		if got := n.arcs[0].advances; got != want {
+			t.Errorf("%s: %d watermark advances over %d records, want %d", n.m.Name, got, len(recs), want)
+		}
 	}
 }
