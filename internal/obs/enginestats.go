@@ -24,9 +24,9 @@ type EngineStats struct {
 	SpilledEntries    int64 `json:"spilled_entries,omitempty"`
 	SortRuns          int64 `json:"sort_runs,omitempty"`
 
-	// ScanChunks and ScanBytes are the chunks and bytes batched file
-	// reads filled; ScanCapacity is what those chunks could hold, so
-	// the fill (FillPermille) of several reads folds into one figure.
+	// ScanChunks and ScanBytes are the fills and bytes of batched file
+	// reads; ScanCapacity is what those fills had room for, so the fill
+	// (FillPermille) of several reads folds into one figure.
 	ScanChunks   int64 `json:"scan_chunks,omitempty"`
 	ScanBytes    int64 `json:"scan_bytes,omitempty"`
 	ScanCapacity int64 `json:"-"`
@@ -83,8 +83,9 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.Nodes = append(s.Nodes, o.Nodes...)
 }
 
-// FillPermille is the reads' average chunk fill in permille (1000 =
-// every chunk read full); 0 when nothing was read from a file.
+// FillPermille is the reads' average fill in permille (1000 = every
+// fill read as much as it had room for); 0 when nothing was read from a
+// file.
 func (s EngineStats) FillPermille() int64 {
 	if s.ScanCapacity == 0 {
 		return 0

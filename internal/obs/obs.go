@@ -82,16 +82,17 @@ const (
 	// run's EngineStats, tallied in plain struct fields — the scan loop
 	// itself never touches the recorder.
 
-	// MScanChunks counts read chunks consumed by batched fact reads.
+	// MScanChunks counts the fills of batched fact reads: one per scan
+	// batch, one per sort arena read.
 	MScanChunks = "scan_chunks"
-	// MScanBytes counts bytes filled into read-chunk buffers.
+	// MScanBytes counts bytes those fills read.
 	MScanBytes = "scan_bytes"
 	// MCellTableGrows counts cell-table probe-index growths (first-
 	// segment doublings plus segment splits) across all measure nodes.
 	MCellTableGrows = "cellmap_grows"
 
-	// GScanBatchFill is the average read-chunk fill ratio in permille
-	// (1000 = every chunk completely full).
+	// GScanBatchFill is the average fill ratio in permille: bytes read
+	// over the bytes the fills had room for (1000 = every fill full).
 	GScanBatchFill = "scan_batch_fill_permille"
 	// GCellProbeHWM is the longest linear-probe walk any cell-table
 	// insert performed.
