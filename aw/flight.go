@@ -5,10 +5,10 @@ import "awra/internal/obs/flight"
 // Flight-recorder surface of the public API. Every Run/RunCompiled
 // commits its finished attempt's record — span tree, per-node profile,
 // guard stats — into the process-global flight ring under
-// ExecOptions.TraceID (generated when empty); attempts sharing a trace
-// ID form one trace's retry chain. When the run carries a History, a
+// ExecOptions.TraceID (generated when empty); runs sharing a trace ID
+// form one trace's attempt chain. When the run carries a History, a
 // pinned attempt's history line (errors, cancellations, budget trips,
-// retries, slow queries) keeps its span tree, so slow-query
+// repeated trace IDs, slow queries) keeps its span tree, so slow-query
 // post-mortems survive restarts.
 
 // FlightTrace is one completed query's flight-recorder entry.

@@ -105,11 +105,11 @@ func OpenHistory(dir string) (*History, error) {
 
 // absorb folds one record into the in-memory views (store, ring,
 // histograms) without touching the log. A record carrying the
-// RequestID of an earlier absorbed record supersedes it: the retried
-// request keeps one entry (the final outcome) in the recent ring and
-// the total, so server-side retries never double-log history. The
-// dedup window is the ring; cross-run histograms still observe every
-// attempt, since each attempt's latency was really paid.
+// RequestID of an earlier absorbed record supersedes it: a client
+// that resends the same request ID keeps one entry (the final outcome)
+// in the recent ring and the total. The dedup window is the ring;
+// cross-run histograms still observe every run, since each run's
+// latency was really paid.
 func (h *History) absorb(r *HistoryRecord) {
 	h.store.Observe(r)
 	h.mu.Lock()

@@ -3,7 +3,7 @@ package aw_test
 // Regression tests for the serving layer's two library-side contracts:
 // a retried-then-successful degraded read publishes rows_corrupt_skipped
 // once (not once per attempt), and history records carrying the same
-// RequestID supersede each other (server-side retries never double-log).
+// RequestID supersede each other (a resent request never double-logs).
 
 import (
 	"context"
@@ -121,8 +121,8 @@ func TestHistoryRequestIDSupersedes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	app("req-1", aw.OutcomeError) // a transiently-failed attempt
-	app("req-1", aw.OutcomeOK)    // its successful retry
+	app("req-1", aw.OutcomeError) // a failed run
+	app("req-1", aw.OutcomeOK)    // the client's successful resend
 	app("req-2", aw.OutcomeOK)
 	app("", aw.OutcomeOK) // records without IDs never dedupe
 	app("", aw.OutcomeOK)

@@ -135,8 +135,8 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 	}
 	// Every run gets a stable flight-recorder trace ID. Callers that
 	// must know it up front (the serve layer echoing it to clients, a
-	// CLI printing the trace) pass one in; retried requests reuse theirs
-	// so all attempts merge into one trace.
+	// CLI printing the trace) pass one in; runs that share an ID merge
+	// into one trace.
 	if o.TraceID == "" {
 		o.TraceID = flight.NewTraceID()
 	}
@@ -172,9 +172,8 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 		}
 		qSpan.End()
 		reportOutcome(o.Recorder, g, err)
-		// One record per finished attempt: the flight recorder chains it
-		// under the trace ID (serve-layer retries share theirs) and the
-		// history logs it. Best effort: a full disk must not turn a
+		// One record per finished run: the flight recorder chains it
+		// under the trace ID and the history logs it. Best effort: a full disk must not turn a
 		// finished query into a failure.
 		_ = o.History.Append(buildRecord(c, in, &o, g, qSpan, engine, res, err))
 	}()

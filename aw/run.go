@@ -176,17 +176,17 @@ type ExecOptions struct {
 	// labels those estimates "measured"). Open one with OpenHistory and
 	// share it across queries.
 	History *History
-	// RequestID names the client request this run serves, making
-	// retries idempotent in the history: a retried request reuses its
-	// ID, and a later record with the same ID supersedes the earlier
-	// attempt's, so one request logs one final outcome no matter how
-	// many attempts it took. Empty means every run logs independently.
+	// RequestID names the client request this run serves. A client
+	// that resends the same ID (say, after a failure) supersedes the
+	// earlier record in the history, so one request logs one final
+	// outcome. Empty means every run logs independently.
 	RequestID string
 	// TraceID keys this run's entry in the query flight recorder. Empty
 	// means the run generates its own ID (NewTraceID). Callers that must
 	// know the ID up front — the serve layer echoing it to clients, or a
-	// CLI printing the trace — generate one and pass it here; a retried
-	// request reuses its ID so all attempts land in one trace.
+	// CLI printing the trace — generate one and pass it here. Runs that
+	// share an ID (a client resending under one W3C traceparent) land in
+	// one trace, one record per run.
 	TraceID string
 	// ReadBatchSize bounds, in bytes, one batched file read (the
 	// internal/exec/scan reader). A scan reads at most one batch of

@@ -1,8 +1,7 @@
 // Command awserved runs the always-on query service of internal/serve:
 // an HTTP/JSON front end answering workflow queries (the internal/wfdsl
 // text form) over registered fact-file collections, with admission
-// control, overload degradation, transient-fault retry, and a graceful
-// SIGTERM drain.
+// control, overload degradation, and a graceful SIGTERM drain.
 //
 // Usage:
 //
@@ -31,8 +30,8 @@
 //
 // Every query response carries a trace_id (a caller-supplied W3C
 // traceparent header is honored and echoed) keying its entry in the
-// flight recorder; pinned traces — errors, budget trips, retries, slow
-// queries — persist in the history directory across restarts.
+// flight recorder; pinned traces (errors, budget trips, reused trace
+// IDs, slow queries) persist in the history directory across restarts.
 //
 // On SIGTERM or SIGINT the server stops admitting, lets in-flight
 // queries finish under -drain-timeout, cancels stragglers, flushes the
@@ -83,7 +82,7 @@ func main() {
 	flag.Var(cols, "collection", "register a collection as name=path (repeatable, required)")
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		histDir  = flag.String("history", "", "persistent query-history directory (retries stay idempotent by request ID; plans reuse measured stats)")
+		histDir  = flag.String("history", "", "persistent query-history directory (one record per request ID: resending an ID supersedes its earlier record; plans reuse measured stats)")
 		tempDir  = flag.String("tempdir", "", "directory for sort runs and spills (default: system temp); those of exited processes are removed at start")
 		engine   = flag.String("engine", "auto", "default engine for queries that name none: auto, sortscan, shardscan, singlescan, multipass, relational (partscan is an alias for shardscan)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-query execution timeout (0 = none; requests may shorten it, never extend)")
@@ -91,8 +90,6 @@ func main() {
 		tenantLm = flag.Int("tenant-limit", 0, "concurrent queries per tenant (0 = no per-tenant cap)")
 		queueD   = flag.Int("queue-depth", 16, "requests allowed to wait for a slot (0 = shed immediately when saturated)")
 		queueW   = flag.Duration("queue-wait", time.Second, "how long a queued request waits before it is shed")
-		retries  = flag.Int("retries", 3, "max attempts per query for transient storage faults (1 = no retries)")
-		retryDel = flag.Duration("retry-delay", 10*time.Millisecond, "first retry backoff; doubles each retry with jitter")
 		memBud   = flag.Int64("mem-budget", 64<<20, "EngineAuto planning budget in bytes (the Section 6 sort-vs-multipass decision)")
 		par      = flag.Int("parallelism", 1, "shard count of shardscan (and of auto, when the workflow shards)")
 		readBat  = flag.Int("read-batch", 0, "most bytes one fact-file read moves (0 = engine default, 4 MB): the sort's read size; a scan reads at most 4096 rows at a time")
@@ -149,10 +146,6 @@ func main() {
 		Overload: serve.OverloadConfig{
 			HighP95:       *highP95,
 			HighLiveCells: *highCell,
-		},
-		Retry: serve.RetryPolicy{
-			MaxAttempts: *retries,
-			BaseDelay:   *retryDel,
 		},
 		DefaultTimeout:  *timeout,
 		DefaultEngine:   eng,

@@ -22,19 +22,6 @@ import (
 // ErrInjected is the root of every injected failure.
 var ErrInjected = errors.New("faultfs: injected fault")
 
-// ErrTransient marks an injected failure as transient: the condition
-// that caused it clears on its own (a blip, not a broken disk), so a
-// caller that retries the whole operation can expect to succeed. The
-// serve layer's retry policy keys off this class; permanent faults
-// (exhausted budgets, armed FailCreate/FailSync) never carry it.
-var ErrTransient = errors.New("transient")
-
-// IsTransient reports whether err (anywhere in its chain) is a
-// transient fault worth retrying. Injected faults armed through the
-// Transient* methods qualify; everything else — permanent injected
-// faults, checksum corruption, budget trips, cancellation — does not.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
-
 // FS wraps a base FileSystem with injectable faults. The zero value
 // with Base nil wraps the OS filesystem and injects nothing until a
 // Fail* method arms it.
@@ -50,13 +37,7 @@ type FS struct {
 	failWriteAfter atomic.Int64 // total written bytes before failing, -1 = off
 	failSync       atomic.Bool
 	shortReads     atomic.Bool
-	// transientReads holds how many more Read calls will fail with a
-	// transient error; unlike the budgets above the fault self-clears
-	// as the counter drains, so retried operations eventually succeed.
-	transientReads atomic.Int64
-	// transientEvery, when > 0, fails every Nth Read call transiently —
-	// sustained background pressure rather than a one-shot burst.
-	transientEvery atomic.Int64
+	failReadEvery  atomic.Int64 // fail every Nth Read call, 0 = off
 	reads          atomic.Int64
 }
 
@@ -86,20 +67,10 @@ func (f *FS) FailSync() *FS { f.failSync.Store(true); return f }
 // io.ReadFull resumption in callers.
 func (f *FS) ShortReads() *FS { f.shortReads.Store(true); return f }
 
-// TransientReadFaults arms n transient read failures: the next n Read
-// calls (across all files) fail with an error satisfying IsTransient,
-// then reads succeed again. Retried operations therefore recover once
-// the burst drains.
-func (f *FS) TransientReadFaults(n int64) *FS { f.transientReads.Store(n); return f }
-
-// TransientReadEvery makes every nth Read call fail transiently
-// (0 disarms) — sustained fault pressure for chaos tests, where every
-// individual failure is still retryable.
-func (f *FS) TransientReadEvery(n int64) *FS { f.transientEvery.Store(n); return f }
-
-// TransientRemaining reports how many armed one-shot transient read
-// faults have not fired yet.
-func (f *FS) TransientRemaining() int64 { return f.transientReads.Load() }
+// FailReadEvery makes every nth Read call (across all files) fail
+// (0 disarms): faults that land mid-query across many concurrent
+// readers, for chaos tests.
+func (f *FS) FailReadEvery(n int64) *FS { f.failReadEvery.Store(n); return f }
 
 // Creates reports how many Create calls the FS has seen, failed ones
 // included.
@@ -151,11 +122,8 @@ func (ff *faultFile) Read(p []byte) (int, error) {
 		return 0, fmt.Errorf("%w: read %s after %d bytes", ErrInjected, ff.name, ff.fs.readBytes.Load())
 	}
 	call := ff.fs.reads.Add(1)
-	if n := ff.fs.transientReads.Load(); n > 0 && ff.fs.transientReads.CompareAndSwap(n, n-1) {
-		return 0, fmt.Errorf("%w: %w: read %s (burst, %d left)", ErrInjected, ErrTransient, ff.name, n-1)
-	}
-	if every := ff.fs.transientEvery.Load(); every > 0 && call%every == 0 {
-		return 0, fmt.Errorf("%w: %w: read %s (call %d)", ErrInjected, ErrTransient, ff.name, call)
+	if every := ff.fs.failReadEvery.Load(); every > 0 && call%every == 0 {
+		return 0, fmt.Errorf("%w: read %s (call %d)", ErrInjected, ff.name, call)
 	}
 	if ff.fs.shortReads.Load() && len(p) > 1 {
 		p = p[:1]

@@ -41,60 +41,9 @@ func TestFailSyncAndByteAccounting(t *testing.T) {
 	}
 }
 
-// TestTransientReadBurst: one-shot transient faults drain and reads
-// recover, which is exactly the contract the serve retry policy
-// depends on; permanent faults must never classify as transient.
-func TestTransientReadBurst(t *testing.T) {
-	fs := New()
-	path := filepath.Join(t.TempDir(), "f")
-	w, err := fs.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-
-	fs.TransientReadFaults(2)
-	r, err := fs.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	b := make([]byte, 5)
-	for i := 0; i < 2; i++ {
-		_, err := r.Read(b)
-		if !errors.Is(err, ErrInjected) || !IsTransient(err) {
-			t.Fatalf("read %d: got %v, want transient injected fault", i+1, err)
-		}
-	}
-	if n := fs.TransientRemaining(); n != 0 {
-		t.Fatalf("TransientRemaining = %d after burst drained, want 0", n)
-	}
-	if _, err := io.ReadFull(r, b); err != nil {
-		t.Fatalf("read after burst drained: %v", err)
-	}
-
-	// A permanent injected fault is not transient.
-	fs2 := New().FailReadAfter(0)
-	r2, err := fs2.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	_, err = r2.Read(b)
-	if !errors.Is(err, ErrInjected) || IsTransient(err) {
-		t.Fatalf("budget fault: got %v, want permanent injected fault", err)
-	}
-	if IsTransient(nil) {
-		t.Fatal("IsTransient(nil) = true")
-	}
-}
-
-// TestTransientReadEvery: sustained every-Nth pressure where each
-// individual failure is retryable.
-func TestTransientReadEvery(t *testing.T) {
+// TestFailReadEvery: every nth Read call fails with an injected fault
+// and the reads between them succeed.
+func TestFailReadEvery(t *testing.T) {
 	fs := New()
 	path := filepath.Join(t.TempDir(), "f")
 	w, err := fs.Create(path)
@@ -106,7 +55,7 @@ func TestTransientReadEvery(t *testing.T) {
 	}
 	w.Close()
 
-	fs.TransientReadEvery(3)
+	fs.FailReadEvery(3)
 	r, err := fs.Open(path)
 	// 9 reads of 1 byte with every 3rd faulting touches 6 data bytes.
 	if err != nil {
@@ -117,8 +66,8 @@ func TestTransientReadEvery(t *testing.T) {
 	var faults int
 	for i := 0; i < 9; i++ {
 		if _, err := r.Read(b); err != nil {
-			if !IsTransient(err) {
-				t.Fatalf("read %d: got %v, want transient", i+1, err)
+			if !errors.Is(err, ErrInjected) {
+				t.Fatalf("read %d: got %v, want ErrInjected", i+1, err)
 			}
 			faults++
 		}

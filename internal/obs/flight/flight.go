@@ -36,16 +36,17 @@ const (
 	PinError   = "error"  // outcome error
 	PinBudget  = "budget" // budget-tripped
 	PinCancel  = "canceled"
-	PinRetried = "retried" // more than one attempt
+	PinRetried = "retried" // more than one run under this trace ID
 	PinSlow    = "slow"    // duration at or above the slow threshold
 )
 
 // Trace is one query's flight record. The embedded Record is the
 // latest record committed under the trace ID, without its span tree,
 // node profile and phases (those stay on the attempts): its fields are
-// the trace's top-level view. Attempts is the chain of engine attempts,
-// oldest first — a query retried after a transient fault is one trace
-// with N attempts, not N traces. A query served from the result cache
+// the trace's top-level view. Attempts is the chain of engine runs,
+// oldest first — requests that share a trace ID (a client resending
+// under one W3C traceparent) are one trace with N attempts, not N
+// traces. A query served from the result cache
 // or a shared run commits one record and no attempts.
 type Trace struct {
 	qlog.Record
@@ -257,7 +258,7 @@ func (r *Ring) Restore(chain []qlog.Record) {
 
 // fold makes rec the trace's top-level view, appends it to the attempt
 // chain when it is an engine attempt, and pins the trace for a bad
-// outcome or a retry.
+// outcome or a second run under its ID.
 func (t *Trace) fold(rec *qlog.Record) {
 	t.Record = *rec
 	t.Nodes, t.Phases, t.Span = nil, nil, nil

@@ -24,8 +24,7 @@ const (
 	// per second, labeled {engine}.
 	HRowsPerSec = "query_rows_per_sec"
 	// HServeLatencyUs is the serve layer's end-to-end request latency
-	// (admission wait + all execution attempts) in microseconds,
-	// labeled {outcome}.
+	// (admission wait + execution) in microseconds, labeled {outcome}.
 	HServeLatencyUs = "serve_request_latency_us"
 	// HServeWaitUs is the admission-queue wait distribution in
 	// microseconds for requests that had to queue.

@@ -102,8 +102,9 @@ const (
 	GCellArenaBytes = "cellmap_arena_bytes_hwm"
 
 	// Serve metric family: published by the always-on query service
-	// (internal/serve) so its admission, retry, and drain behavior is
-	// observable through the same registry as engine metrics.
+	// (internal/serve) so its admission, degradation, and drain
+	// behavior is observable through the same registry as engine
+	// metrics.
 
 	// MServeRequests counts query requests received (before admission).
 	MServeRequests = "serve_requests"
@@ -116,8 +117,6 @@ const (
 	// limit, full queue, queue-wait timeout, shedding, or draining) —
 	// the 429/503 responses.
 	MServeShed = "serve_shed"
-	// MServeRetries counts transient-fault retries of admitted queries.
-	MServeRetries = "serve_retries"
 	// MServeDegraded counts queries executed under overload-tightened
 	// budgets (the sortscan→multipass degradation ladder).
 	MServeDegraded = "serve_degraded_runs"

@@ -57,10 +57,9 @@ type NodeProfile struct {
 type Record struct {
 	Time time.Time `json:"time"`
 	// RequestID identifies the client request that issued the run. A
-	// retried request reuses its ID, and history readers treat a later
-	// record with the same ID as superseding the earlier attempt — so a
-	// query retried after a transient fault logs one final outcome, not
-	// one per attempt.
+	// client may resend a request under the same ID, and history readers
+	// treat a later record with the same ID as superseding the earlier
+	// one — so a resent request logs one final outcome, not one per run.
 	RequestID string `json:"request_id,omitempty"`
 	// TraceID is the run's flight-recorder trace ID: the records sharing
 	// it are one trace's attempt chain.

@@ -1,12 +1,11 @@
 package serve
 
 // The acceptance chaos test: concurrent queries at twice the admission
-// limit against storage under sustained injected transient faults. The
+// limit against storage under sustained injected read faults. The
 // service must never panic or deadlock, every response must be a clean
-// 200 (possibly after retries), 429/503 (admission), or 5xx (fault
-// survived every retry) — and afterwards the in-flight registry is
-// empty, the gate is idle, and the history holds exactly one record
-// per executed request.
+// 200, a 429/503 (admission), or a 500 that carries the fault's error —
+// and afterwards the in-flight registry is empty, the gate is idle, and
+// the history holds exactly one record per executed request.
 
 import (
 	"fmt"
@@ -22,12 +21,13 @@ import (
 func TestServeChaos(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Gate = GateConfig{MaxConcurrent: 3, QueueDepth: 3, QueueWait: 2 * time.Second}
-		c.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
+		// Every request executes: with the cache on, the first answer
+		// would serve the rest and no fault would land.
+		c.Cache.Disabled = true
 	})
-	// Sustained pressure: every 40th read call fails transiently, so
-	// faults land mid-query at unpredictable points; some queries need
-	// several retries, and a few may exhaust all four attempts.
-	restore := swapFaultFS(t, func(fs *faultfs.FS) { fs.TransientReadEvery(40) })
+	// Sustained pressure: every 20th read call fails, so faults land
+	// mid-query at unpredictable points across concurrent requests.
+	restore := swapFaultFS(t, func(fs *faultfs.FS) { fs.FailReadEvery(20) })
 	defer restore()
 
 	const clients = 12 // 2x over MaxConcurrent+QueueDepth
@@ -35,7 +35,7 @@ func TestServeChaos(t *testing.T) {
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		byStatus = map[int]int{}
-		attempts = map[string]int{}
+		ran      = map[string]bool{}
 	)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -50,7 +50,7 @@ func TestServeChaos(t *testing.T) {
 				mu.Lock()
 				byStatus[status]++
 				if status == http.StatusOK || status == http.StatusInternalServerError {
-					attempts[id] = qr.Attempts
+					ran[id] = true
 				}
 				mu.Unlock()
 				switch status {
@@ -66,8 +66,8 @@ func TestServeChaos(t *testing.T) {
 						t.Errorf("%s: shed request returned data", id)
 					}
 				case http.StatusInternalServerError:
-					if qr.Attempts < 2 {
-						t.Errorf("%s: 500 after %d attempts, want the retry budget spent: %s", id, qr.Attempts, qr.Error)
+					if qr.Outcome != "error" || qr.Error == "" || qr.Measures != nil {
+						t.Errorf("%s: 500 without an error, or with data: %+v", id, qr)
 					}
 				default:
 					t.Errorf("%s: unexpected status %d (%+v)", id, status, qr)
@@ -91,7 +91,7 @@ func TestServeChaos(t *testing.T) {
 	}
 
 	// History consistency: exactly one record per executed request (200
-	// or 500), none for shed ones, regardless of per-request retries.
+	// or 500), none for shed ones.
 	seen := map[string]int{}
 	for _, r := range s.History().Recent(500) {
 		seen[r.RequestID]++
@@ -101,8 +101,8 @@ func TestServeChaos(t *testing.T) {
 			t.Errorf("request %s has %d history records, want 1", id, n)
 		}
 	}
-	if len(seen) != len(attempts) {
-		t.Errorf("history holds %d requests, %d executed", len(seen), len(attempts))
+	if len(seen) != len(ran) {
+		t.Errorf("history holds %d requests, %d executed", len(seen), len(ran))
 	}
 	executed := int64(byStatus[http.StatusOK] + byStatus[http.StatusInternalServerError])
 	if got := s.History().Len(); got != executed {

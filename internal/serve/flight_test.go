@@ -1,8 +1,9 @@
 package serve
 
 // Flight-recorder integration: trace IDs end-to-end through the HTTP
-// service, one trace per request across retries, tail-based pinning of
-// budget-tripped queries, and correlation IDs on every error response.
+// service, one trace for requests that share a client's traceparent,
+// tail-based pinning of budget-tripped queries, and correlation IDs on
+// every error response.
 
 import (
 	"bytes"
@@ -15,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"awra/aw"
 	"awra/internal/faultfs"
@@ -57,22 +57,21 @@ func TestServeResponseCarriesTraceID(t *testing.T) {
 	}
 }
 
-func TestServeTraceparentIngested(t *testing.T) {
-	// The query budget-trips so its trace is pinned — retention under
-	// the caller's ID must be deterministic, not a sampling draw.
-	_, ts := newTestServer(t, func(c *Config) {
-		c.DefaultEngine = aw.EngineSortScan
-		c.MaxLiveCells = 1
-	})
-	want := "4bf92f3577b34da6a3ce929d0e0e4736"
-	body := fmt.Sprintf(`{"workflow": %q, "collection": "net", "request_id": "q-tp"}`, testWorkflow)
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/query", strings.NewReader(body))
+// postTraced posts a query under the caller's W3C traceparent for
+// traceID.
+func postTraced(t *testing.T, base, traceID string, req QueryRequest) (int, QueryResponse) {
+	t.Helper()
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("traceparent", "00-"+want+"-00f067aa0ba902b7-01")
-	resp, err := http.DefaultClient.Do(req)
+	hreq, err := http.NewRequest(http.MethodPost, base+"/query", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("traceparent", "00-"+traceID+"-00f067aa0ba902b7-01")
+	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +80,59 @@ func TestServeTraceparentIngested(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
+	return resp.StatusCode, qr
+}
+
+// postFailedThenHealed sends two requests under one traceparent: the
+// first while every read fails, the second once the fault has healed.
+func postFailedThenHealed(t *testing.T, base, traceID string) {
+	t.Helper()
+	restore := swapFaultFS(t, func(fs *faultfs.FS) { fs.FailReadAfter(0) })
+	status, failed := postTraced(t, base, traceID, QueryRequest{
+		Workflow: testWorkflow, Collection: "net", RequestID: "q-tp-1",
+	})
+	restore()
+	if status != http.StatusInternalServerError || failed.TraceID != traceID {
+		t.Fatalf("under the fault: status=%d trace_id=%q error=%q, want 500 under %s", status, failed.TraceID, failed.Error, traceID)
+	}
+	status, healed := postTraced(t, base, traceID, QueryRequest{
+		Workflow: testWorkflow, Collection: "net", RequestID: "q-tp-2",
+	})
+	if status != http.StatusOK || healed.TraceID != traceID {
+		t.Fatalf("healed: status=%d trace_id=%q error=%q, want 200 under %s", status, healed.TraceID, healed.Error, traceID)
+	}
+}
+
+// checkErrorThenOK asserts a trace holds a two-record chain, error then
+// ok, each with its span tree, pinned as an error and as retried.
+func checkErrorThenOK(t *testing.T, tr flight.Trace) {
+	t.Helper()
+	if len(tr.Attempts) != 2 {
+		t.Fatalf("trace has %d records, want 2 — one trace for both requests", len(tr.Attempts))
+	}
+	for i, att := range tr.Attempts {
+		if att.Span == nil || att.Span.Name != "query" {
+			t.Fatalf("record %d carries no query span tree: %+v", i+1, att.Span)
+		}
+	}
+	if tr.Attempts[0].Outcome != aw.OutcomeError || tr.Attempts[1].Outcome != aw.OutcomeOK {
+		t.Fatalf("chain outcomes %q then %q, want error then ok", tr.Attempts[0].Outcome, tr.Attempts[1].Outcome)
+	}
+	reasons := strings.Join(tr.PinReasons, ",")
+	if !tr.Pinned || !strings.Contains(reasons, flight.PinError) || !strings.Contains(reasons, flight.PinRetried) {
+		t.Fatalf("trace pinned=%v reasons=%q, want %q and %q", tr.Pinned, reasons, flight.PinError, flight.PinRetried)
+	}
+}
+
+func TestServeTraceparentIngested(t *testing.T) {
+	// The query budget-trips so its trace is pinned — retention under
+	// the caller's ID must be deterministic, not a sampling draw.
+	_, ts := newTestServer(t, func(c *Config) {
+		c.DefaultEngine = aw.EngineSortScan
+		c.MaxLiveCells = 1
+	})
+	want := "4bf92f3577b34da6a3ce929d0e0e4736"
+	_, qr := postTraced(t, ts.URL, want, QueryRequest{Workflow: testWorkflow, Collection: "net", RequestID: "q-tp"})
 	if qr.TraceID != want {
 		t.Fatalf("trace_id = %q, want ingested traceparent ID %q", qr.TraceID, want)
 	}
@@ -124,67 +176,32 @@ func TestServeBudgetTripPinnedWithProfile(t *testing.T) {
 	}
 }
 
+// TestServeRetryOneTraceManyAttempts: a client that resends a failed
+// request under the same traceparent gets one trace holding both runs.
 func TestServeRetryOneTraceManyAttempts(t *testing.T) {
-	// Every read fails transiently twice, then succeeds — the request
-	// needs 3 attempts, and all of them must land in ONE trace.
-	restore := swapFaultFS(t, func(fs *faultfs.FS) { fs.TransientReadFaults(2) })
-	defer restore()
-	_, ts := newTestServer(t, func(c *Config) {
-		c.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	})
-	status, qr, _ := postQuery(t, ts.URL, QueryRequest{
-		Workflow: testWorkflow, Collection: "net", RequestID: "q-retry",
-	})
-	if status != http.StatusOK || qr.Outcome != "ok" {
-		t.Fatalf("status=%d outcome=%q error=%q", status, qr.Outcome, qr.Error)
-	}
-	if qr.Attempts < 2 {
-		t.Fatalf("attempts = %d, want >= 2 (transient faults armed)", qr.Attempts)
-	}
-	gstatus, tr := getTrace(t, ts.URL, qr.TraceID)
+	_, ts := newTestServer(t, nil)
+	tid := flight.NewTraceID()
+	postFailedThenHealed(t, ts.URL, tid)
+	gstatus, tr := getTrace(t, ts.URL, tid)
 	if gstatus != http.StatusOK {
-		t.Fatalf("retried trace not retrievable: %d", gstatus)
+		t.Fatalf("trace not retrievable: %d", gstatus)
 	}
-	if len(tr.Attempts) != qr.Attempts {
-		t.Fatalf("trace has %d attempt spans, response says %d attempts — want one trace, N attempts",
-			len(tr.Attempts), qr.Attempts)
-	}
-	for i, att := range tr.Attempts {
-		if att.Span == nil {
-			t.Fatalf("attempt %d carries no span tree", i+1)
-		}
-	}
-	// Earlier attempts failed, the last succeeded; the chain shows it.
-	if tr.Attempts[0].Outcome == "ok" || tr.Attempts[len(tr.Attempts)-1].Outcome != "ok" {
-		t.Fatalf("attempt outcomes: first=%q last=%q", tr.Attempts[0].Outcome, tr.Attempts[len(tr.Attempts)-1].Outcome)
-	}
-	reasons := strings.Join(tr.PinReasons, ",")
-	if !tr.Pinned || !strings.Contains(reasons, flight.PinRetried) {
-		t.Fatalf("retried trace pinned=%v reasons=%q, want %q", tr.Pinned, reasons, flight.PinRetried)
-	}
+	checkErrorThenOK(t, tr)
 }
 
-// TestServeRetriedTraceSurvivesRestart: the 3-attempt trace of a
-// retried request comes back whole from the history directory after a
-// restart — same per-attempt outcomes and span trees — and that
-// directory holds the history log alone.
+// TestServeRetriedTraceSurvivesRestart: the two-record trace of a
+// resent request comes back whole from the history directory after a
+// restart — same outcomes and span trees — and that directory holds
+// the history log alone.
 func TestServeRetriedTraceSurvivesRestart(t *testing.T) {
-	restore := swapFaultFS(t, func(fs *faultfs.FS) { fs.TransientReadFaults(2) })
-	defer restore()
 	fact := writeNetFact(t, 2000, 11)
 	hist := filepath.Join(t.TempDir(), "history")
-	cfg := func(c *Config) {
-		c.HistoryDir = hist
-		c.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	}
+	cfg := func(c *Config) { c.HistoryDir = hist }
 	s, ts := newServerOverFact(t, fact, cfg)
-	status, qr, _ := postQuery(t, ts.URL, QueryRequest{
-		Workflow: testWorkflow, Collection: "net", RequestID: "q-retry-restart",
-	})
-	if status != http.StatusOK || qr.Attempts != 3 {
-		t.Fatalf("status=%d attempts=%d error=%q, want 200 after 3 attempts", status, qr.Attempts, qr.Error)
-	}
-	_, before := getTrace(t, ts.URL, qr.TraceID)
+	first := flight.NewTraceID()
+	postFailedThenHealed(t, ts.URL, first)
+	_, before := getTrace(t, ts.URL, first)
+	checkErrorThenOK(t, before)
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,25 +221,15 @@ func TestServeRetriedTraceSurvivesRestart(t *testing.T) {
 	}
 	tid := flight.NewTraceID()
 	if err := os.WriteFile(filepath.Join(hist, "history.jsonl"),
-		bytes.ReplaceAll(b, []byte(qr.TraceID), []byte(tid)), 0o644); err != nil {
+		bytes.ReplaceAll(b, []byte(first), []byte(tid)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, ts2 := newServerOverFact(t, fact, cfg)
 	gstatus, after := getTrace(t, ts2.URL, tid)
 	if gstatus != http.StatusOK {
-		t.Fatalf("retried trace not restored after restart: %d", gstatus)
+		t.Fatalf("trace not restored after restart: %d", gstatus)
 	}
-	if len(after.Attempts) != len(before.Attempts) {
-		t.Fatalf("restored %d attempts, want %d", len(after.Attempts), len(before.Attempts))
-	}
-	for i, att := range after.Attempts {
-		if att.Outcome != before.Attempts[i].Outcome || att.Span == nil || att.Span.Name != before.Attempts[i].Span.Name {
-			t.Fatalf("attempt %d restored as %s/%v, want %s with its span", i+1, att.Outcome, att.Span, before.Attempts[i].Outcome)
-		}
-	}
-	if !after.Pinned || !strings.Contains(strings.Join(after.PinReasons, ","), flight.PinRetried) {
-		t.Fatalf("restored trace pinned=%v reasons=%v, want pinned as retried", after.Pinned, after.PinReasons)
-	}
+	checkErrorThenOK(t, after)
 }
 
 func TestServeErrorResponsesCarryCorrelationIDs(t *testing.T) {

@@ -11,10 +11,9 @@
 //     normal → tightened budgets with a forced sortscan→multipass
 //     downgrade (the paper's Section 6 decision procedure under a
 //     smaller budget) → shedding;
-//   - retry with backoff (RetryPolicy): transient storage faults are
-//     retried under jittered exponential backoff and a per-query retry
-//     budget, with idempotent request IDs so a retried query logs one
-//     history record;
+//   - idempotent request IDs: each request runs its query once, and a
+//     client that resends the same request ID after a failure
+//     supersedes the earlier history record, so a request logs one;
 //   - graceful drain (Server.Drain): stop admissions, let in-flight
 //     queries finish under a deadline, cancel stragglers through the
 //     engines' cooperative cancellation, flush the history log, exit
@@ -63,9 +62,9 @@ type Config struct {
 	// name a collection; the workflow text declares its schema.
 	Collections map[string]string
 	// HistoryDir, when set, opens the persistent query history there:
-	// every request logs one record (retries are idempotent by request
-	// ID) and plans reuse measured statistics. The server owns the
-	// history and closes it on drain.
+	// every request logs one record (a client resending the same request
+	// ID supersedes the earlier one) and plans reuse measured
+	// statistics. The server owns the history and closes it on drain.
 	HistoryDir string
 	// TempDir receives sort runs and spills; empty uses os.TempDir.
 	TempDir string
@@ -73,12 +72,7 @@ type Config struct {
 	Gate GateConfig
 	// Overload tunes the degradation ladder.
 	Overload OverloadConfig
-	// Retry tunes transient-fault retry. (RetryPolicy's zero value
-	// means "one attempt, no retries".)
-	Retry RetryPolicy
-	// DefaultTimeout bounds each query's execution (all attempts
-	// combined share the request context; the timeout applies per
-	// attempt). 0 means no timeout.
+	// DefaultTimeout bounds each query's execution; 0 means none.
 	DefaultTimeout time.Duration
 	// DefaultEngine runs queries that do not name an engine;
 	// zero-value is aw.EngineSortScan, so set EngineAuto explicitly
@@ -116,6 +110,10 @@ type Config struct {
 	Recorder *obs.Recorder
 }
 
+// wfCacheMax caps the compiled-workflow cache. Workflow texts come
+// from clients, so a full cache is cleared rather than left to grow.
+const wfCacheMax = 256
+
 // Server is one running query service. Create with New, mount
 // Handler() (or use ListenAndServe), stop with Drain.
 type Server struct {
@@ -134,8 +132,10 @@ type Server struct {
 	endLife context.CancelFunc
 
 	// wfCache caches compiled workflows by text hash: compilation is
-	// pure, so concurrent recomputation is only wasted work.
-	wfCache sync.Map // uint64 -> *wfdsl.Parsed
+	// pure, so concurrent recomputation is only wasted work. It holds
+	// at most wfCacheMax entries.
+	wfMu    sync.Mutex
+	wfCache map[uint64]*wfdsl.Parsed
 
 	mux *http.ServeMux
 }
@@ -151,7 +151,7 @@ func New(cfg Config) (*Server, error) {
 	if rec == nil {
 		rec = obs.New()
 	}
-	s := &Server{cfg: cfg, rec: rec}
+	s := &Server{cfg: cfg, rec: rec, wfCache: make(map[uint64]*wfdsl.Parsed)}
 	s.life, s.endLife = context.WithCancel(context.Background())
 	s.gate = NewGate(cfg.Gate, rec)
 	s.ctl = NewController(cfg.Overload, s.gate, rec)
@@ -166,7 +166,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Register the rest of the metric vocabulary up front.
 	rec.Counter(obs.MServeRequests)
-	rec.Counter(obs.MServeRetries)
 	rec.Counter(obs.MServeDrainCanceled)
 
 	mux := http.NewServeMux()
@@ -209,8 +208,8 @@ type QueryRequest struct {
 	Collection string `json:"collection"`
 	// Tenant scopes per-tenant admission limits; empty = "default".
 	Tenant string `json:"tenant,omitempty"`
-	// RequestID makes retries idempotent in the query history; empty
-	// generates one.
+	// RequestID names the request in the query history: resending the
+	// same ID supersedes the earlier record. Empty generates one.
 	RequestID string `json:"request_id,omitempty"`
 	// Engine overrides the server's default engine by name.
 	Engine string `json:"engine,omitempty"`
@@ -236,11 +235,10 @@ type QueryResponse struct {
 	Error      string `json:"error,omitempty"`
 	Engine     string `json:"engine,omitempty"`
 	DurationUs int64  `json:"duration_us"`
-	Attempts   int    `json:"attempts"`
 	Degraded   bool   `json:"degraded,omitempty"`
 	// ServedFrom marks an answer produced without a dedicated engine
-	// run: "cache" (result-cache hit, zero attempts) or "shared"
-	// (fanned out from a merged scan-sharing run).
+	// run: "cache" (result-cache hit) or "shared" (fanned out from a
+	// merged scan-sharing run).
 	ServedFrom string `json:"served_from,omitempty"`
 	// SourceTraceID is the flight trace of the run that actually
 	// computed the tables, when ServedFrom is set.
@@ -277,24 +275,28 @@ func (s *Server) parseWorkflow(text string) (*wfdsl.Parsed, error) {
 	h := fnv.New64a()
 	h.Write([]byte(text))
 	key := h.Sum64()
-	if p, ok := s.wfCache.Load(key); ok {
-		return p.(*wfdsl.Parsed), nil
+	s.wfMu.Lock()
+	p, ok := s.wfCache[key]
+	s.wfMu.Unlock()
+	if ok {
+		return p, nil
 	}
 	p, err := wfdsl.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	s.wfCache.Store(key, p)
+	s.wfMu.Lock()
+	if len(s.wfCache) >= wfCacheMax {
+		clear(s.wfCache)
+	}
+	s.wfCache[key] = p
+	s.wfMu.Unlock()
 	return p, nil
 }
 
-// mergeAttempt folds one finished attempt's engine metrics into the
-// server recorder. Only the FINAL attempt of a request is merged:
-// earlier transiently-failed attempts re-read the same data, so
-// folding every attempt would double-count per-row metrics — most
-// visibly rows_corrupt_skipped after a retried-then-successful
-// degraded read.
-func (s *Server) mergeAttempt(snap obs.Snapshot) (liveCells int64) {
+// mergeRun folds one finished run's engine metrics into the server
+// recorder and returns the run's live-cell high-water mark.
+func (s *Server) mergeRun(snap obs.Snapshot) (liveCells int64) {
 	for name, v := range snap.Counters {
 		if v != 0 {
 			s.rec.Counter(name).Add(v)
@@ -306,7 +308,7 @@ func (s *Server) mergeAttempt(snap obs.Snapshot) (liveCells int64) {
 	return snap.Gauges[obs.GLiveCellsHWM]
 }
 
-// resolvedEngine pulls the engine that actually ran from the attempt's
+// resolvedEngine pulls the engine that actually ran from the run's
 // query span (EngineAuto decisions resolved), falling back to the
 // requested engine.
 func resolvedEngine(snap obs.Snapshot, fallback aw.Engine) string {
@@ -319,7 +321,7 @@ func resolvedEngine(snap obs.Snapshot, fallback aw.Engine) string {
 }
 
 // handleQuery is the service's one write path: admission, degradation,
-// execution with retry, and response mapping.
+// execution, and response mapping.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -425,9 +427,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			SkipCorruptRows: s.cfg.SkipCorruptRows,
 			History:         s.hist,
 			RequestID:       reqID,
-			// One trace ID across every retry attempt: the flight ring
-			// merges attempts sharing it, so a retried request reads as
-			// one trace with N attempt spans.
+			// The flight ring chains every run under one trace ID, so
+			// requests that share a client's traceparent read as one
+			// trace with one record per run.
 			TraceID: traceID,
 		},
 		TempDir: s.cfg.TempDir,
@@ -454,31 +456,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	preFP, _ := fileFingerprint(factPath)
 
 	// runWorkflow executes one compiled workflow (the request's own, or
-	// a merged batch) under this request's options and retry policy, and
-	// returns one snapshot of the final attempt's recorder.
-	runWorkflow := func(c *aw.Compiled) (aw.Results, obs.Snapshot, int, error) {
-		var (
-			res        aw.Results
-			attemptRec *obs.Recorder
-		)
-		attempts, runErr := s.cfg.Retry.Do(qctx, s.rec, func(attempt int) error {
-			// A fresh recorder per attempt: only the final attempt's
-			// metrics are merged (see mergeAttempt), so a retried attempt
-			// that re-skipped the same corrupt rows is not double-counted.
-			attemptRec = obs.New()
-			o := opts
-			o.Recorder = attemptRec
-			var err error
-			res, err = aw.RunCompiled(qctx, c, in, o)
-			return err
-		})
-		return res, attemptRec.Snapshot(), attempts, runErr
+	// a merged batch) under this request's options on a fresh recorder,
+	// and returns that recorder's snapshot for mergeRun.
+	runWorkflow := func(c *aw.Compiled) (aw.Results, obs.Snapshot, error) {
+		o := opts
+		o.Recorder = obs.New()
+		res, err := aw.RunCompiled(qctx, c, in, o)
+		return res, o.Recorder.Snapshot(), err
 	}
 
 	var (
 		res         aw.Results
-		attempt     obs.Snapshot
-		attempts    int
+		snap        obs.Snapshot
 		runErr      error
 		engineName  string
 		servedFrom  string
@@ -493,28 +482,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			factPath, model.SchemaSignature(parsed.Schema), s.cfg.SkipCorruptRows, engine)
 		var out shareOutcome
 		out, shared = s.sharer.submit(qctx, groupKey, parsed.Compiled, traceID,
-			func(merged *aw.Compiled) (aw.Results, string, int, error) {
-				mres, msnap, matt, err := runWorkflow(merged)
-				attempt = msnap // runner == leader: single-goroutine capture
-				return mres, resolvedEngine(msnap, engine), matt, err
+			func(merged *aw.Compiled) (aw.Results, string, error) {
+				mres, msnap, err := runWorkflow(merged)
+				snap = msnap // runner == leader: single-goroutine capture
+				return mres, resolvedEngine(msnap, engine), err
 			})
 		if shared {
-			res, runErr = out.res, out.err
-			engineName, attempts = out.engine, out.attempts
+			res, runErr, engineName = out.res, out.err, out.engine
 			if !out.leader {
 				servedFrom, sourceTrace = "shared", out.leaderTraceID
 			}
 		}
 	}
 	if !shared {
-		res, attempt, attempts, runErr = runWorkflow(parsed.Compiled)
-		engineName = resolvedEngine(attempt, engine)
+		res, snap, runErr = runWorkflow(parsed.Compiled)
+		engineName = resolvedEngine(snap, engine)
 	}
 
 	latency := time.Since(t0)
 	// A follower's zero snapshot merges nothing: the leader merged the
 	// batch's run.
-	s.ctl.Observe(latency, s.mergeAttempt(attempt))
+	s.ctl.Observe(latency, s.mergeRun(snap))
 	// The slow-query threshold tracks the service's recent latency
 	// distribution: 2× the overload window's p95 (0 until the window
 	// has signal, which leaves the flight ring on its own p99 fallback).
@@ -550,7 +538,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Outcome:       outcome,
 		Engine:        engineName,
 		DurationUs:    latency.Microseconds(),
-		Attempts:      attempts,
 		Degraded:      degraded,
 		ServedFrom:    servedFrom,
 		SourceTraceID: sourceTrace,
@@ -586,7 +573,7 @@ func topkMeasures(res aw.Results, req QueryRequest) map[string][]ValueAt {
 }
 
 // serveFromCache answers a query from a cache entry: no admission, no
-// engine, zero attempts. It still leaves the full observability trail —
+// engine run. It still leaves the full observability trail —
 // a history record (outcome cache_hit, which measured statistics
 // ignore), a flight trace linking to the computing run, and its own
 // latency histogram bucket.
@@ -600,7 +587,6 @@ func (s *Server) serveFromCache(w http.ResponseWriter, req QueryRequest, reqID, 
 		Outcome:       "ok",
 		Engine:        e.engine,
 		DurationUs:    latency.Microseconds(),
-		Attempts:      0,
 		ServedFrom:    "cache",
 		SourceTraceID: e.traceID,
 		Measures:      topkMeasures(e.res, req),
@@ -611,7 +597,7 @@ func (s *Server) serveFromCache(w http.ResponseWriter, req QueryRequest, reqID, 
 // recordServed finishes a query answered without its own engine run
 // (cache hit or shared fan-out): one record, committed to the flight
 // recorder and the history alike, with served_from set so the trace
-// reports zero attempts. The record carries no per-node profile: the
+// gains no run record. The record carries no per-node profile: the
 // measured-statistics store folds only OutcomeOK records, so zero-work
 // answers can never skew per-node cardinalities.
 func (s *Server) recordServed(reqID, traceID, factPath string, parsed *wfdsl.Parsed, servedFrom, sourceTrace string, latency time.Duration, runErr error) {
@@ -644,8 +630,7 @@ func (s *Server) handleCache(w http.ResponseWriter, _ *http.Request) {
 // 429/503 for admission (handled earlier), 422 for a query that blew
 // its resource budget (a client problem: the query is too big for its
 // allowance), 503 when drain canceled it, 504 for a timeout, and 500
-// for everything else (including transient faults that survived every
-// retry).
+// for everything else, storage faults included.
 func (s *Server) statusFor(err error) int {
 	switch {
 	case errors.Is(err, aw.ErrBudgetExceeded):
@@ -740,7 +725,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTraceByID serves one full flight trace (span tree, per-node
-// profile, attempt chain) at /debug/aw/traces/{trace_id}.
+// profile, run chain) at /debug/aw/traces/{trace_id}.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/debug/aw/traces/")
 	if id == "" {

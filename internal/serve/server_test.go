@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -61,7 +62,6 @@ func newServerOverFact(t *testing.T, fact string, tweak func(*Config)) (*Server,
 		HistoryDir:    filepath.Join(t.TempDir(), "history"),
 		TempDir:       t.TempDir(),
 		Gate:          GateConfig{MaxConcurrent: 4, QueueDepth: 4, QueueWait: 200 * time.Millisecond},
-		Retry:         RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 		DefaultEngine: aw.EngineAuto,
 		DrainTimeout:  5 * time.Second,
 	}
@@ -122,7 +122,7 @@ func TestServeQueryOK(t *testing.T) {
 	if status != http.StatusOK || qr.Outcome != "ok" {
 		t.Fatalf("status=%d outcome=%q error=%q", status, qr.Outcome, qr.Error)
 	}
-	if qr.RequestID != "q-1" || qr.Attempts != 1 || qr.Engine == "" {
+	if qr.RequestID != "q-1" || qr.ServedFrom != "" || qr.Engine == "" {
 		t.Fatalf("envelope: %+v", qr)
 	}
 	for _, m := range []string{"Count", "Busy"} {
@@ -290,22 +290,26 @@ func TestServeOverLimit429(t *testing.T) {
 	}
 }
 
+// TestServeRetryTransientIdempotent: a client resends a request that
+// failed with a 500 under the same request_id once the fault has
+// healed; the history keeps one record for it, the successful one.
 func TestServeRetryTransientIdempotent(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	restore := swapFaultFS(t, func(fs *faultfs.FS) { fs.TransientReadFaults(2) })
-	defer restore()
+	req := QueryRequest{Workflow: testWorkflow, Collection: "net", RequestID: "flaky-1"}
 
-	status, qr, _ := postQuery(t, ts.URL, QueryRequest{
-		Workflow: testWorkflow, Collection: "net", RequestID: "flaky-1",
-	})
-	if status != http.StatusOK || qr.Outcome != "ok" {
-		t.Fatalf("status=%d %+v", status, qr)
-	}
-	if qr.Attempts < 2 {
-		t.Fatalf("attempts = %d, want >= 2 (the fault must have fired)", qr.Attempts)
+	restore := swapFaultFS(t, func(fs *faultfs.FS) { fs.FailReadAfter(0) })
+	status, qr, _ := postQuery(t, ts.URL, req)
+	restore()
+	if status != http.StatusInternalServerError || qr.Outcome != "error" || qr.Error == "" {
+		t.Fatalf("under the fault: status=%d %+v, want a 500 with its error", status, qr)
 	}
 
-	// Exactly one history record despite the retries, with the final
+	status, qr, _ = postQuery(t, ts.URL, req)
+	if status != http.StatusOK || qr.Outcome != "ok" || qr.ServedFrom != "" {
+		t.Fatalf("healed: status=%d %+v, want 200 from an engine run", status, qr)
+	}
+
+	// Exactly one history record for the resent ID, with the final
 	// outcome.
 	var n int
 	for _, r := range s.History().Recent(50) {
@@ -386,5 +390,29 @@ func TestServeDegradedUnderOverload(t *testing.T) {
 	status, qr, _ := postQuery(t, ts.URL, QueryRequest{Workflow: testWorkflow, Collection: "net"})
 	if status != 200 || !qr.Degraded {
 		t.Fatalf("degraded run: status=%d %+v", status, qr)
+	}
+}
+
+// TestParseWorkflowCacheBounded: workflow texts come from clients, so
+// the compiled-workflow cache never holds more than wfCacheMax entries
+// however many distinct texts arrive, and a repeated text is served
+// from it.
+func TestParseWorkflowCacheBounded(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	for i := 0; i < 2*wfCacheMax+10; i++ {
+		text := fmt.Sprintf("schema net\nbasic Count gran(t=Hour, U=IP) agg=count\nrollup Busy gran(t=Hour) src=Count agg=count where \"m0 > %d\"", i)
+		p, err := s.parseWorkflow(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := s.parseWorkflow(text); again != p {
+			t.Fatalf("text %d: a repeated text was compiled again", i)
+		}
+		s.wfMu.Lock()
+		n := len(s.wfCache)
+		s.wfMu.Unlock()
+		if n > wfCacheMax {
+			t.Fatalf("after %d texts the cache holds %d entries, cap %d", i+1, n, wfCacheMax)
+		}
 	}
 }

@@ -41,10 +41,10 @@ func (c ShareConfig) withDefaults() ShareConfig {
 	return c
 }
 
-// shareExec runs one (merged) workflow and reports the results, the
-// engine that ran, and the attempt count. Supplied by the server so
-// the batch runs under the leader's retry policy and query options.
-type shareExec func(merged *core.Compiled) (aw.Results, string, int, error)
+// shareExec runs one (merged) workflow and reports the results and the
+// engine that ran. Supplied by the server so the batch runs under the
+// leader's query options.
+type shareExec func(merged *core.Compiled) (aw.Results, string, error)
 
 // shareMember is one query waiting on a batch. Its out field is
 // written only under the sharer's mutex; done is closed after the
@@ -72,8 +72,6 @@ type shareOutcome struct {
 	// tables (followers link to it).
 	leaderTraceID string
 	engine        string
-	attempts      int
-	size          int // members actually served by the merged run
 	err           error
 }
 
@@ -212,7 +210,7 @@ func (sh *sharer) runBatch(ctx context.Context, g *shareGroup, exec shareExec, l
 		return
 	}
 
-	res, engine, attempts, runErr := exec(merged)
+	res, engine, runErr := exec(merged)
 	sh.rec.Counter(obs.MShareBatches).Add(1)
 	sh.rec.Counter(obs.MShareBatchedQueries).Add(int64(len(members) - 1))
 
@@ -221,8 +219,6 @@ func (sh *sharer) runBatch(ctx context.Context, g *shareGroup, exec shareExec, l
 			leader:        m == leader,
 			leaderTraceID: leaderTraceID,
 			engine:        engine,
-			attempts:      attempts,
-			size:          len(members),
 			err:           runErr,
 		}
 		if runErr == nil {
