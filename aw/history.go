@@ -292,8 +292,8 @@ func (h *History) FormatRecent(n int) string {
 
 // CollectionFingerprint identifies the dataset a query runs against —
 // the CollectionFP of its history records. The serve layer uses it to
-// stamp synthesized records (cache hits, shared fan-outs) consistently
-// with the records real runs write. File inputs hash the absolute path
+// stamp the records of cache hits consistently with the records real
+// runs write. File inputs hash the absolute path
 // plus size and mtime, so the fingerprint changes when the file is
 // rewritten (stale measurements stop matching); in-memory inputs get a
 // length-based tag — cheap and deterministic, but different slices of

@@ -285,8 +285,8 @@ type Results map[string]*Table
 
 // ResultsEqual reports whether two result sets answer the same query
 // identically: the same measure names, each table equal within eps.
-// With eps 0 this is the bit-identity discipline the serve cache and
-// scan-sharing differential tests pin cached/shared answers against.
+// With eps 0 this is the bit-identity discipline the serve cache's
+// differential tests pin cached answers against.
 func ResultsEqual(a, b Results, eps float64) bool {
 	if len(a) != len(b) {
 		return false

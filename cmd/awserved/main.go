@@ -24,9 +24,7 @@
 //
 // Identical queries over an unchanged collection are answered from the
 // result cache (served_from=cache in the response) without occupying
-// an admission slot; -share-window additionally merges compatible
-// concurrent queries onto one fact-table pass (served_from=shared for
-// the fanned-out members).
+// an admission slot.
 //
 // Every query response carries a trace_id (a caller-supplied W3C
 // traceparent header is honored and echoed) keying its entry in the
@@ -100,8 +98,6 @@ func main() {
 		noCache  = flag.Bool("no-cache", false, "disable the result cache (every query executes)")
 		cacheByt = flag.Int64("cache-max-bytes", 64<<20, "result-cache byte budget (LRU eviction past it)")
 		cacheEnt = flag.Int("cache-max-entries", 256, "result-cache entry cap")
-		shareWin = flag.Duration("share-window", 0, "scan-sharing hold window: compatible queries arriving within it run as one merged fact-table pass (0 = off)")
-		shareMax = flag.Int("share-max-batch", 8, "max queries merged into one scan-sharing run")
 		highP95  = flag.Duration("overload-p95", 0, "tighten budgets when recent p95 latency exceeds this (0 = latency trigger off)")
 		highCell = flag.Int64("overload-live-cells", 0, "tighten budgets when a query's live-cell high-water mark exceeds this (0 = memory trigger off)")
 		drainTO  = flag.Duration("drain-timeout", 10*time.Second, "how long SIGTERM waits for in-flight queries before canceling them")
@@ -160,10 +156,6 @@ func main() {
 			Disabled:   *noCache,
 			MaxBytes:   *cacheByt,
 			MaxEntries: *cacheEnt,
-		},
-		Share: serve.ShareConfig{
-			Window:   *shareWin,
-			MaxBatch: *shareMax,
 		},
 		DrainTimeout: *drainTO,
 	})

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 )
 
@@ -109,37 +108,6 @@ func (s *Schema) MeasureIndex(name string) (int, error) {
 
 // MeasureName returns the name of the i-th measure attribute.
 func (s *Schema) MeasureName(i int) string { return s.measures[i] }
-
-// SchemaSignature returns a short, stable content hash identifying a
-// schema's shape: each dimension's name and domain names (in level
-// order) plus the measure-attribute names. Two Schema values built from
-// the same catalog definition sign identically across processes, so the
-// signature can gate structural compatibility — e.g. whether two
-// compiled workflows may be merged onto one fact scan — without
-// comparing pointers.
-//
-// The signature covers names and hierarchy shape only, not the Up
-// mapping functions; schemas from the same named catalog entry satisfy
-// that by construction.
-func SchemaSignature(s *Schema) string {
-	var b strings.Builder
-	for _, d := range s.dims {
-		fmt.Fprintf(&b, "dim=%s[", d.Name())
-		for l := 0; l < d.NumLevels(); l++ {
-			if l > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(d.DomainName(Level(l)))
-		}
-		b.WriteString("];")
-	}
-	for _, m := range s.measures {
-		fmt.Fprintf(&b, "m=%s;", m)
-	}
-	h := fnv.New64a()
-	h.Write([]byte(b.String()))
-	return fmt.Sprintf("%016x", h.Sum64())
-}
 
 // Gran is a granularity vector (X_1:D_1, ..., X_d:D_d): one level per
 // dimension, in schema order. A region set [X_1:D_1, ..., X_d:D_d] is

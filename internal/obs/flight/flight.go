@@ -46,8 +46,8 @@ const (
 // the trace's top-level view. Attempts is the chain of engine runs,
 // oldest first — requests that share a trace ID (a client resending
 // under one W3C traceparent) are one trace with N attempts, not N
-// traces. A query served from the result cache
-// or a shared run commits one record and no attempts.
+// traces. A query served from the result cache commits one record and
+// no attempts.
 type Trace struct {
 	qlog.Record
 	Pinned     bool     `json:"pinned,omitempty"`

@@ -136,14 +136,6 @@ const (
 	// MServeCacheInvalidations counts entries dropped because their
 	// collection's file fingerprint changed.
 	MServeCacheInvalidations = "serve_cache_invalidations"
-	// MShareBatches counts merged scan-sharing runs: one per batch of
-	// concurrently admitted compatible queries executed as a single
-	// fact-table pass.
-	MShareBatches = "scan_share_batches"
-	// MShareBatchedQueries counts queries answered by a scan-sharing
-	// batch they did not lead (followers fanned out from a merged run,
-	// including join-in-flight duplicates).
-	MShareBatchedQueries = "scan_share_batched_queries"
 
 	// GServeCacheEntries is the current number of cached result sets.
 	GServeCacheEntries = "serve_cache_entries"

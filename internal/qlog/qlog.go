@@ -71,12 +71,11 @@ type Record struct {
 	SortKey      string `json:"sort_key,omitempty"`
 	Outcome      string `json:"outcome"`
 	Error        string `json:"error,omitempty"`
-	// ServedFrom records how the answer was produced without running
-	// the full engine: "cache" (result-cache hit) or "shared" (fanned
-	// out from a merged scan-sharing run). Empty for ordinary runs.
+	// ServedFrom is "cache" when the result cache answered without an
+	// engine run. Empty for ordinary runs.
 	ServedFrom string `json:"served_from,omitempty"`
-	// SourceTraceID links a cache hit or shared fan-out back to the
-	// trace of the run that actually computed the tables.
+	// SourceTraceID links a cache hit back to the trace of the run that
+	// computed the tables.
 	SourceTraceID string `json:"source_trace_id,omitempty"`
 	DurationUs    int64  `json:"duration_us"`
 	// Phases maps span names (sort, scan, optimize, ...) to their

@@ -67,10 +67,10 @@ type GateConfig struct {
 	// QueueWait bounds how long a queued request waits before it is
 	// shed; 0 defaults to one second.
 	QueueWait time.Duration
-	// RetryAfter is the base backoff hint attached to rejections; 0
-	// defaults to one second.
-	RetryAfter time.Duration
 }
+
+// retryAfter is the backoff hint every rejection carries.
+const retryAfter = time.Second
 
 func (c GateConfig) withDefaults() GateConfig {
 	if c.MaxConcurrent < 1 {
@@ -81,9 +81,6 @@ func (c GateConfig) withDefaults() GateConfig {
 	}
 	if c.QueueWait <= 0 {
 		c.QueueWait = time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -165,7 +162,7 @@ func (g *Gate) Waiting() int {
 // reject counts and builds one rejection.
 func (g *Gate) reject(reason, tenant string) error {
 	g.rec.Counter(obs.MServeShed).Add(1)
-	return &RejectError{Reason: reason, Tenant: tenant, RetryAfter: g.cfg.RetryAfter}
+	return &RejectError{Reason: reason, Tenant: tenant, RetryAfter: retryAfter}
 }
 
 // Admit asks for an execution slot for tenant. On success the caller

@@ -56,7 +56,7 @@ const probeBytes = 64 << 10
 // size, mtime, and an FNV-1a hash of the first and last probeBytes of
 // content. It reads through the OS directly — like the history log,
 // cache bookkeeping is not subject to injected storage faults, so a
-// chaos run's transient read errors hit query execution, never
+// chaos run's injected read errors hit query execution, never
 // invalidation correctness.
 func fileFingerprint(path string) (string, error) {
 	st, err := os.Stat(path)

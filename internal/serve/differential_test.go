@@ -1,17 +1,16 @@
 package serve
 
-// The differential/metamorphic harness for the result cache and the
-// scan-sharing batcher: every answer the service produces — solo runs
-// across every engine and option combination, cache hits, shared
-// fan-outs, answers computed under injected faults and concurrent
-// invalidation — is replayed cold through the serial single-scan
-// engine and must be BIT-IDENTICAL (eps 0, reflect.DeepEqual on the
-// decoded float64s). The workflows are count-derived, so every value
-// is an exact small rational: sums and counts of integers are exact
-// in float64, their ratios deterministic, and Go's JSON encoder
-// round-trips float64 exactly — any engine-, cache-, or
-// sharing-induced deviation shows up as a hard mismatch, not an
-// epsilon wobble.
+// The differential/metamorphic harness for the result cache: every
+// answer the service produces — runs across every engine and option
+// combination, cache hits, concurrent fan-outs, answers computed under
+// injected faults and concurrent invalidation — is replayed cold
+// through the serial single-scan engine and must be BIT-IDENTICAL (eps
+// 0, reflect.DeepEqual on the decoded float64s). The workflows are
+// count-derived, so every value is an exact small rational: sums and
+// counts of integers are exact in float64, their ratios deterministic,
+// and Go's JSON encoder round-trips float64 exactly — any engine- or
+// cache-induced deviation shows up as a hard mismatch, not an epsilon
+// wobble.
 
 import (
 	"context"
@@ -226,89 +225,50 @@ func TestServeCacheHitBitIdentical(t *testing.T) {
 	}
 }
 
-// TestServeShareDifferentialFanout launches compatible concurrent
-// queries (identical and distinct) into an open share window: at least
-// one merged batch must form, followers must be marked served_from=
-// shared with the leader's trace, and every response — leader and
-// follower alike — must be bit-identical to the cold oracle.
+// TestServeShareDifferentialFanout launches six concurrent queries over
+// three workflows with the cache off: every answer must come from its
+// own engine run (served_from empty), be bit-identical to the cold
+// oracle, and leave exactly one history record.
 func TestServeShareDifferentialFanout(t *testing.T) {
 	fact := writeNetFact(t, 2000, 11)
 	oracles := oracleSet(t, fact)
 	s, ts := newServerOverFact(t, fact, func(c *Config) {
-		c.Cache.Disabled = true // isolate sharing from caching
-		c.Share = ShareConfig{Window: 250 * time.Millisecond, MaxBatch: 16}
+		c.Cache.Disabled = true
 		c.Gate = GateConfig{MaxConcurrent: 8, QueueDepth: 8, QueueWait: 2 * time.Second}
 	})
 
-	// Two clients per workflow across three workflows: identical pairs
-	// dedup fully in the merge, distinct ones share the common scan.
 	names := []string{"count", "rollup", "share", "count", "rollup", "share"}
-	type reply struct {
-		name string
-		qr   QueryResponse
-	}
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		replies []reply
-	)
+	replies := make([]QueryResponse, len(names))
+	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i, name := range names {
 		wg.Add(1)
-		go func(i int, name string) {
+		go func() {
 			defer wg.Done()
 			<-start
+			id := fmt.Sprintf("fan-%d-%s", i, name)
 			status, qr, _ := postQuery(t, ts.URL, QueryRequest{
 				Workflow: diffWorkflows[name], Collection: "net",
-				RequestID: fmt.Sprintf("fan-%d-%s", i, name), Limit: diffLimit,
+				RequestID: id, Limit: diffLimit,
 			})
 			if status != http.StatusOK || qr.Outcome != "ok" {
-				t.Errorf("fan-%d-%s: status=%d %+v", i, name, status, qr)
-				return
+				t.Errorf("%s: status=%d %+v", id, status, qr)
 			}
-			mu.Lock()
-			replies = append(replies, reply{name, qr})
-			mu.Unlock()
-		}(i, name)
+			replies[i] = qr
+		}()
 	}
 	close(start)
 	wg.Wait()
-	if len(replies) != len(names) {
-		t.Fatalf("%d/%d queries succeeded", len(replies), len(names))
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i, qr := range replies {
+		if qr.ServedFrom != "" {
+			t.Errorf("%s: served_from=%q with cache disabled", qr.RequestID, qr.ServedFrom)
+		}
+		requireIdentical(t, qr.RequestID, qr.Measures, oracles[names[i]])
 	}
 
-	leaderTraces := map[string]bool{}
-	sharedCount := 0
-	for _, r := range replies {
-		requireIdentical(t, r.qr.RequestID, r.qr.Measures, oracles[r.name])
-		if r.qr.ServedFrom == "" {
-			leaderTraces[r.qr.TraceID] = true
-		}
-	}
-	for _, r := range replies {
-		if r.qr.ServedFrom == "" {
-			continue
-		}
-		sharedCount++
-		if r.qr.ServedFrom != "shared" {
-			t.Errorf("%s: served_from=%q, want shared", r.qr.RequestID, r.qr.ServedFrom)
-		}
-		if !leaderTraces[r.qr.SourceTraceID] {
-			t.Errorf("%s: source trace %q is not any leader's trace", r.qr.RequestID, r.qr.SourceTraceID)
-		}
-	}
-
-	if got := s.rec.Counter(obs.MShareBatches).Value(); got < 1 {
-		t.Fatalf("scan_share_batches = %d, want >= 1", got)
-	}
-	if got := s.rec.Counter(obs.MShareBatchedQueries).Value(); got != int64(sharedCount) {
-		t.Fatalf("scan_share_batched_queries = %d, %d responses marked shared", got, sharedCount)
-	}
-	if sharedCount == 0 {
-		t.Fatal("no query was served from a merged batch inside a 250ms window")
-	}
-
-	// One history record per request, shared or not.
 	seen := map[string]int{}
 	for _, r := range s.History().Recent(100) {
 		seen[r.RequestID]++

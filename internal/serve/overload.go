@@ -35,6 +35,14 @@ const (
 	degradedMemoryBudget = 8 << 20
 )
 
+// The p95 is computed over the last overloadWindow completions, and
+// overloadCooldown consecutive healthy observations de-escalate one
+// level.
+const (
+	overloadWindow   = 64
+	overloadCooldown = 8
+)
+
 // OverloadConfig tunes the controller's thresholds.
 type OverloadConfig struct {
 	// HighP95 escalates when the recent p95 request latency exceeds
@@ -43,22 +51,6 @@ type OverloadConfig struct {
 	// HighLiveCells escalates when a completed query's live-cell
 	// high-water mark exceeds it; 0 disables the memory trigger.
 	HighLiveCells int64
-	// Cooldown is how many consecutive healthy observations
-	// de-escalate one level; 0 defaults to 8.
-	Cooldown int
-	// Window is how many recent completions the p95 is computed over;
-	// 0 defaults to 64.
-	Window int
-}
-
-func (c OverloadConfig) withDefaults() OverloadConfig {
-	if c.Cooldown <= 0 {
-		c.Cooldown = 8
-	}
-	if c.Window <= 0 {
-		c.Window = 64
-	}
-	return c
 }
 
 // Controller is the graceful-degradation ladder. Every completed
@@ -87,8 +79,7 @@ type Controller struct {
 // NewController builds a controller that drives gate's shedding mode.
 // Both gate and rec may be nil (standalone evaluation in tests).
 func NewController(cfg OverloadConfig, gate *Gate, rec *obs.Recorder) *Controller {
-	cfg = cfg.withDefaults()
-	c := &Controller{cfg: cfg, gate: gate, rec: rec, win: make([]int64, cfg.Window)}
+	c := &Controller{cfg: cfg, gate: gate, rec: rec, win: make([]int64, overloadWindow)}
 	rec.Gauge(obs.GServeOverloadLevel)
 	rec.Counter(obs.MServeDegraded)
 	return c
@@ -165,7 +156,7 @@ func (c *Controller) evaluateLocked() {
 		c.healthy = 0
 	case c.level > LevelNormal:
 		c.healthy++
-		if c.healthy >= c.cfg.Cooldown {
+		if c.healthy >= overloadCooldown {
 			c.level--
 			c.healthy = 0
 			c.hwm = 0

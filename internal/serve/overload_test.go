@@ -13,8 +13,6 @@ func newTestController(gate *Gate) (*Controller, *obs.Recorder) {
 	return NewController(OverloadConfig{
 		HighP95:       10 * time.Millisecond,
 		HighLiveCells: 1000,
-		Cooldown:      3,
-		Window:        4,
 	}, gate, rec), rec
 }
 
@@ -41,20 +39,32 @@ func TestControllerLadderUpAndDown(t *testing.T) {
 		t.Errorf("overload gauge = %d, want %d", v, LevelShedding)
 	}
 
-	// Healthy observations de-escalate only after the cooldown, one
-	// level at a time. The slow samples age out of the 4-wide window
-	// after 4 healthy ones; the p95 then drops below the threshold.
-	for i := 0; i < 7; i++ {
+	// Healthy observations de-escalate one level per cooldown. The
+	// slow samples age out of the p95 before the window wraps; the
+	// first step down follows at least a cooldown of healthy ones.
+	healthy := 0
+	for c.Level() == LevelShedding {
+		if healthy > overloadWindow+overloadCooldown {
+			t.Fatalf("still shedding after %d healthy observations", healthy)
+		}
 		c.Observe(time.Millisecond, 0)
+		healthy++
 	}
 	if c.Level() != LevelDegraded {
-		t.Fatalf("after 7 healthy: level = %d, want degraded (one step down)", c.Level())
+		t.Fatalf("after %d healthy: level = %d, want degraded (one step down)", healthy, c.Level())
 	}
-	for i := 0; i < 3; i++ {
+	if healthy < overloadCooldown {
+		t.Fatalf("stepped down after %d healthy observations, before the cooldown of %d", healthy, overloadCooldown)
+	}
+	for i := 1; i < overloadCooldown; i++ {
 		c.Observe(time.Millisecond, 0)
+		if c.Level() != LevelDegraded {
+			t.Fatalf("%d healthy into the cooldown: level = %d, want degraded", i, c.Level())
+		}
 	}
+	c.Observe(time.Millisecond, 0)
 	if c.Level() != LevelNormal {
-		t.Fatalf("after cooldown again: level = %d, want normal", c.Level())
+		t.Fatalf("after a second cooldown: level = %d, want normal", c.Level())
 	}
 }
 
@@ -122,8 +132,9 @@ func TestControllerDrivesGateShedding(t *testing.T) {
 	if _, err := g.Admit(t.Context(), "b"); !isReason(err, ReasonQueueFull) {
 		t.Fatalf("got %v, want queue_full under shedding", err)
 	}
-	// Recovery switches queueing back on.
-	for i := 0; i < 12; i++ {
+	// Recovery switches queueing back on: once the slow samples leave
+	// the window, two cooldowns step the ladder down to normal.
+	for i := 0; i < overloadWindow+2*overloadCooldown; i++ {
 		c.Observe(time.Microsecond, 0)
 	}
 	if c.Level() != LevelNormal {

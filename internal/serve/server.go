@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -43,7 +42,6 @@ import (
 	"time"
 
 	"awra/aw"
-	"awra/internal/model"
 	"awra/internal/obs"
 	"awra/internal/obs/flight"
 	"awra/internal/wfdsl"
@@ -98,10 +96,6 @@ type Config struct {
 	// budget, invalidated when the collection file changes. On by
 	// default; hits bypass admission entirely.
 	Cache CacheConfig
-	// Share tunes the scan-sharing batcher: compatible queries arriving
-	// within Share.Window are merged onto one fact-table pass. Off by
-	// default (Window = 0).
-	Share ShareConfig
 	// DrainTimeout bounds how long Drain waits for in-flight queries
 	// before canceling them; 0 defaults to 10s.
 	DrainTimeout time.Duration
@@ -117,15 +111,14 @@ const wfCacheMax = 256
 // Server is one running query service. Create with New, mount
 // Handler() (or use ListenAndServe), stop with Drain.
 type Server struct {
-	cfg    Config
-	rec    *obs.Recorder
-	gate   *Gate
-	ctl    *Controller
-	hist   *aw.History
-	cache  *resultCache
-	sharer *sharer
-	state  atomic.Int32
-	seq    atomic.Int64
+	cfg   Config
+	rec   *obs.Recorder
+	gate  *Gate
+	ctl   *Controller
+	hist  *aw.History
+	cache *resultCache
+	state atomic.Int32
+	seq   atomic.Int64
 	// life is the server-lifetime context every query context follows:
 	// Drain cancels it (endLife) to cancel the stragglers.
 	life    context.Context
@@ -156,7 +149,6 @@ func New(cfg Config) (*Server, error) {
 	s.gate = NewGate(cfg.Gate, rec)
 	s.ctl = NewController(cfg.Overload, s.gate, rec)
 	s.cache = newResultCache(cfg.Cache, rec)
-	s.sharer = newSharer(cfg.Share, rec)
 	if cfg.HistoryDir != "" {
 		h, err := aw.OpenHistory(cfg.HistoryDir)
 		if err != nil {
@@ -236,12 +228,11 @@ type QueryResponse struct {
 	Engine     string `json:"engine,omitempty"`
 	DurationUs int64  `json:"duration_us"`
 	Degraded   bool   `json:"degraded,omitempty"`
-	// ServedFrom marks an answer produced without a dedicated engine
-	// run: "cache" (result-cache hit) or "shared" (fanned out from a
-	// merged scan-sharing run).
+	// ServedFrom is "cache" when the result cache answered without an
+	// engine run, and empty otherwise.
 	ServedFrom string `json:"served_from,omitempty"`
-	// SourceTraceID is the flight trace of the run that actually
-	// computed the tables, when ServedFrom is set.
+	// SourceTraceID is the flight trace of the run that computed the
+	// cached tables, when ServedFrom is set.
 	SourceTraceID string               `json:"source_trace_id,omitempty"`
 	Measures      map[string][]ValueAt `json:"measures,omitempty"`
 }
@@ -260,15 +251,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// retryAfterHeader formats a Retry-After value in whole seconds,
-// rounded up (0 would invite an immediate retry).
-func retryAfterHeader(d time.Duration) string {
-	secs := int64(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
-}
+// retryAfterHeader is the Retry-After value of every 429 and 503:
+// retryAfter in whole seconds.
+var retryAfterHeader = strconv.FormatInt(int64(retryAfter/time.Second), 10)
 
 // parseWorkflow compiles (with caching) the request's workflow text.
 func (s *Server) parseWorkflow(text string) (*wfdsl.Parsed, error) {
@@ -348,7 +333,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		reqID = "srv-" + strconv.FormatInt(s.seq.Add(1), 10)
 	}
 	if s.state.Load() != stateReady {
-		w.Header().Set("Retry-After", retryAfterHeader(s.gate.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfterHeader)
 		writeJSON(w, http.StatusServiceUnavailable, QueryResponse{RequestID: reqID, TraceID: traceID, Outcome: "error", Error: "draining"})
 		return
 	}
@@ -404,7 +389,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			if re.Reason == ReasonDraining {
 				status = http.StatusServiceUnavailable
 			}
-			w.Header().Set("Retry-After", retryAfterHeader(re.RetryAfter))
+			w.Header().Set("Retry-After", retryAfterHeader)
 			writeJSON(w, status, QueryResponse{RequestID: reqID, TraceID: traceID, Outcome: "error", Error: re.Error()})
 			return
 		}
@@ -448,60 +433,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	defer context.AfterFunc(s.life, cancel)()
 
-	in := aw.FromFile(factPath)
 	// Fingerprint the collection file before running: Put revalidates
 	// against it, so a file that changes mid-run never populates the
 	// cache with tables describing a state that no longer exists.
 	// A fingerprint error just disables population for this request.
 	preFP, _ := fileFingerprint(factPath)
 
-	// runWorkflow executes one compiled workflow (the request's own, or
-	// a merged batch) under this request's options on a fresh recorder,
-	// and returns that recorder's snapshot for mergeRun.
-	runWorkflow := func(c *aw.Compiled) (aw.Results, obs.Snapshot, error) {
-		o := opts
-		o.Recorder = obs.New()
-		res, err := aw.RunCompiled(qctx, c, in, o)
-		return res, o.Recorder.Snapshot(), err
-	}
-
-	var (
-		res         aw.Results
-		snap        obs.Snapshot
-		runErr      error
-		engineName  string
-		servedFrom  string
-		sourceTrace string
-	)
-	shared := false
-	if s.sharer != nil {
-		// Scan sharing: queries over the same file, schema shape, and
-		// result-affecting options arriving within the hold window run
-		// as ONE merged workflow — one fact-table pass for the batch.
-		groupKey := fmt.Sprintf("%s|%s|skip=%v|eng=%s",
-			factPath, model.SchemaSignature(parsed.Schema), s.cfg.SkipCorruptRows, engine)
-		var out shareOutcome
-		out, shared = s.sharer.submit(qctx, groupKey, parsed.Compiled, traceID,
-			func(merged *aw.Compiled) (aw.Results, string, error) {
-				mres, msnap, err := runWorkflow(merged)
-				snap = msnap // runner == leader: single-goroutine capture
-				return mres, resolvedEngine(msnap, engine), err
-			})
-		if shared {
-			res, runErr, engineName = out.res, out.err, out.engine
-			if !out.leader {
-				servedFrom, sourceTrace = "shared", out.leaderTraceID
-			}
-		}
-	}
-	if !shared {
-		res, snap, runErr = runWorkflow(parsed.Compiled)
-		engineName = resolvedEngine(snap, engine)
-	}
+	// Each run gets a fresh recorder; mergeRun folds its snapshot into
+	// the server's.
+	opts.Recorder = obs.New()
+	res, runErr := aw.RunCompiled(qctx, parsed.Compiled, aw.FromFile(factPath), opts)
+	snap := opts.Recorder.Snapshot()
+	engineName := resolvedEngine(snap, engine)
 
 	latency := time.Since(t0)
-	// A follower's zero snapshot merges nothing: the leader merged the
-	// batch's run.
 	s.ctl.Observe(latency, s.mergeRun(snap))
 	// The slow-query threshold tracks the service's recent latency
 	// distribution: 2× the overload window's p95 (0 until the window
@@ -513,34 +458,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.rec.Histogram(obs.HServeLatencyUs, "outcome", outcome).Observe(latency.Microseconds())
 
-	if servedFrom == "shared" {
-		// The merged run logged ONE history record and flight trace
-		// under the leader's identity; followers synthesize theirs so
-		// the one-record-per-request invariant holds, linked to the
-		// leader's trace, with no per-node profile (no work happened
-		// here — stats must not see zero-cardinality nodes).
-		s.recordServed(reqID, traceID, factPath, parsed, "shared", sourceTrace, latency, runErr)
-	}
 	if runErr == nil {
-		// Populate the cache for every batch member's own key (and for
-		// solo runs): only final, successful results, and only if the
-		// collection file still fingerprints as it did pre-run.
-		srcTrace := traceID
-		if sourceTrace != "" {
-			srcTrace = sourceTrace
-		}
-		s.cache.Put(ck, factPath, preFP, res, srcTrace, engineName)
+		// Only final, successful results populate the cache, and only if
+		// the collection file still fingerprints as it did pre-run.
+		s.cache.Put(ck, factPath, preFP, res, traceID, engineName)
 	}
 
 	resp := QueryResponse{
-		RequestID:     reqID,
-		TraceID:       traceID,
-		Outcome:       outcome,
-		Engine:        engineName,
-		DurationUs:    latency.Microseconds(),
-		Degraded:      degraded,
-		ServedFrom:    servedFrom,
-		SourceTraceID: sourceTrace,
+		RequestID:  reqID,
+		TraceID:    traceID,
+		Outcome:    outcome,
+		Engine:     engineName,
+		DurationUs: latency.Microseconds(),
+		Degraded:   degraded,
 	}
 	if runErr != nil {
 		resp.Error = runErr.Error()
@@ -580,7 +510,7 @@ func topkMeasures(res aw.Results, req QueryRequest) map[string][]ValueAt {
 func (s *Server) serveFromCache(w http.ResponseWriter, req QueryRequest, reqID, traceID, factPath string, parsed *wfdsl.Parsed, e *cacheEntry, t0 time.Time) {
 	latency := time.Since(t0)
 	s.rec.Histogram(obs.HServeLatencyUs, "outcome", "cache_hit").Observe(latency.Microseconds())
-	s.recordServed(reqID, traceID, factPath, parsed, "cache", e.traceID, latency, nil)
+	s.recordServed(reqID, traceID, factPath, parsed, e.traceID, latency)
 	resp := QueryResponse{
 		RequestID:     reqID,
 		TraceID:       traceID,
@@ -594,28 +524,21 @@ func (s *Server) serveFromCache(w http.ResponseWriter, req QueryRequest, reqID, 
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// recordServed finishes a query answered without its own engine run
-// (cache hit or shared fan-out): one record, committed to the flight
-// recorder and the history alike, with served_from set so the trace
-// gains no run record. The record carries no per-node profile: the
-// measured-statistics store folds only OutcomeOK records, so zero-work
-// answers can never skew per-node cardinalities.
-func (s *Server) recordServed(reqID, traceID, factPath string, parsed *wfdsl.Parsed, servedFrom, sourceTrace string, latency time.Duration, runErr error) {
-	outcome := aw.OutcomeCacheHit
-	errMsg := ""
-	if servedFrom == "shared" {
-		outcome, errMsg = aw.OutcomeOf(runErr)
-	}
+// recordServed finishes a cache hit: one record, committed to the
+// flight recorder and the history alike, with served_from set so the
+// trace gains no run record. The record carries no per-node profile:
+// the measured-statistics store folds only OutcomeOK records, so
+// zero-work answers can never skew per-node cardinalities.
+func (s *Server) recordServed(reqID, traceID, factPath string, parsed *wfdsl.Parsed, sourceTrace string, latency time.Duration) {
 	_ = s.hist.Append(&aw.HistoryRecord{
 		RequestID:     reqID,
 		TraceID:       traceID,
 		Label:         strings.Join(parsed.Compiled.Outputs(), ","),
 		QueryFP:       parsed.Compiled.Fingerprint(),
 		CollectionFP:  aw.CollectionFingerprint(aw.FromFile(factPath)),
-		Engine:        servedFrom,
-		Outcome:       outcome,
-		Error:         errMsg,
-		ServedFrom:    servedFrom,
+		Engine:        "cache",
+		Outcome:       aw.OutcomeCacheHit,
+		ServedFrom:    "cache",
 		SourceTraceID: sourceTrace,
 		DurationUs:    latency.Microseconds(),
 	})
@@ -663,7 +586,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.state.Load() != stateReady {
-		w.Header().Set("Retry-After", retryAfterHeader(s.gate.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfterHeader)
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}

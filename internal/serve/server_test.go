@@ -196,7 +196,7 @@ func TestServeErrorMapping(t *testing.T) {
 // workflow does output is answered alone.
 func TestServeUnknownMeasureRejected(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
-		c.Gate = GateConfig{MaxConcurrent: 1, QueueDepth: 0, RetryAfter: time.Second}
+		c.Gate = GateConfig{MaxConcurrent: 1, QueueDepth: 0}
 	})
 	if status, qr, _ := postQuery(t, ts.URL, QueryRequest{Workflow: testWorkflow, Collection: "net"}); status != http.StatusOK {
 		t.Fatalf("warm-up: status=%d %+v", status, qr)
@@ -263,7 +263,7 @@ func TestServeResponseIsCompactJSON(t *testing.T) {
 
 func TestServeOverLimit429(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
-		c.Gate = GateConfig{MaxConcurrent: 1, QueueDepth: 0, RetryAfter: 2 * time.Second}
+		c.Gate = GateConfig{MaxConcurrent: 1, QueueDepth: 0}
 	})
 	// Occupy the only slot from outside, then knock on the front door.
 	release, err := s.Gate().Admit(context.Background(), "hog")
@@ -276,8 +276,8 @@ func TestServeOverLimit429(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429 (%+v)", status, qr)
 	}
-	if ra := hdr.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", ra)
+	if ra := hdr.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 	// Same-tenant second query: per-tenant limit, also 429.
 	release2, err := s.Gate().Admit(context.Background(), "default")
@@ -374,7 +374,7 @@ func TestServeObservabilityEndpoints(t *testing.T) {
 
 func TestServeDegradedUnderOverload(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
-		c.Overload = OverloadConfig{HighP95: time.Nanosecond, Window: 4, Cooldown: 1000}
+		c.Overload = OverloadConfig{HighP95: time.Nanosecond}
 		c.MemoryBudget = 1 << 30
 		// The second (identical) query must actually execute to observe
 		// the degraded ladder — a cache hit would bypass it.
