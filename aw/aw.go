@@ -27,10 +27,12 @@
 //
 // The canonical API is context-first: Run and RunCompiled for batch
 // evaluation, RunStream and RunStreamCompiled for streaming sessions.
-// The context carries cancellation; execution knobs shared by both
-// surfaces — engine, Parallelism, memory and guardrail budgets,
-// recorder — live in the ExecOptions struct embedded in QueryOptions
-// and StreamOptions.
+// The context carries cancellation. Batch execution knobs — engine,
+// Parallelism, memory and guardrail budgets, recorder — live in the
+// ExecOptions struct embedded in QueryOptions; StreamOptions lists
+// only the few a session reads (sort key, emit callback, recorder,
+// timeout, live-cell and result-row budgets), and every session checks
+// that records arrive in its sort-key order.
 //
 // The underlying engines (one-pass sort/scan, sharded parallel
 // sort/scan, single-scan, multi-pass, and a relational-style baseline)
@@ -234,10 +236,8 @@ var NewRecorder = obs.New
 
 // Storage helpers.
 var (
-	// CreateRecordFile / OpenRecordFile read and write the binary
-	// fact-table format.
+	// CreateRecordFile writes the binary fact-table format row by row.
 	CreateRecordFile = storage.Create
-	OpenRecordFile   = storage.Open
 	// WriteRecords writes a record slice to a file.
 	WriteRecords = storage.WriteAll
 	// ReadRecords loads a record file into memory.

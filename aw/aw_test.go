@@ -2,6 +2,7 @@ package aw_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -148,10 +149,8 @@ func TestParseEngine(t *testing.T) {
 		"":           aw.EngineSortScan,
 		"sortscan":   aw.EngineSortScan,
 		"shardscan":  aw.EngineShardScan,
-		"scan":       aw.EngineSingleScan,
 		"singlescan": aw.EngineSingleScan,
 		"multipass":  aw.EngineMultiPass,
-		"db":         aw.EngineRelational,
 		"relational": aw.EngineRelational,
 	}
 	for name, want := range cases {
@@ -160,8 +159,11 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := aw.ParseEngine("spark"); err == nil {
-		t.Error("unknown engine accepted")
+	for _, name := range []string{"spark", "scan", "db", "partscan"} {
+		var ue *aw.UnknownEngineError
+		if _, err := aw.ParseEngine(name); !errors.As(err, &ue) {
+			t.Errorf("ParseEngine(%q) error = %v, want *UnknownEngineError", name, err)
+		}
 	}
 	for _, e := range []aw.Engine{aw.EngineSortScan, aw.EngineShardScan, aw.EngineSingleScan, aw.EngineMultiPass, aw.EngineRelational} {
 		if e.String() == "" || strings.HasPrefix(e.String(), "Engine(") {

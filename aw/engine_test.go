@@ -3,8 +3,6 @@ package aw
 import (
 	"errors"
 	"testing"
-
-	"awra/internal/exec/scan"
 )
 
 // TestEngineRoundTrip: every engine constant's String() form must parse
@@ -29,19 +27,17 @@ func TestEngineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseEngineAliasesAndDefault: "" is the default engine, and the
+// retired spellings "scan", "db" and "partscan" are unknown names.
 func TestParseEngineAliasesAndDefault(t *testing.T) {
-	for name, want := range map[string]Engine{
-		"":         EngineSortScan,
-		"scan":     EngineSingleScan,
-		"db":       EngineRelational,
-		"partscan": EngineShardScan,
-	} {
-		got, err := ParseEngine(name)
-		if err != nil {
-			t.Errorf("ParseEngine(%q): %v", name, err)
-		}
-		if got != want {
-			t.Errorf("ParseEngine(%q) = %v, want %v", name, got, want)
+	if got, err := ParseEngine(""); err != nil || got != EngineSortScan {
+		t.Errorf("ParseEngine(\"\") = %v, %v; want %v", got, err, EngineSortScan)
+	}
+	for _, name := range []string{"scan", "db", "partscan"} {
+		_, err := ParseEngine(name)
+		var ue *UnknownEngineError
+		if !errors.As(err, &ue) || ue.Name != name {
+			t.Errorf("ParseEngine(%q) error = %v, want *UnknownEngineError", name, err)
 		}
 	}
 }
@@ -74,44 +70,23 @@ func TestEngineStringOutOfRange(t *testing.T) {
 	}
 }
 
-// TestExecOptionsNormalize: the shared entry-point validation must
-// reject negative knobs and clamp small read batches up to the scan
-// reader's minimum.
-func TestExecOptionsNormalize(t *testing.T) {
+// TestExecOptionsValidate: the batch entry-point validation rejects
+// negative counts and budgets and accepts the rest.
+func TestExecOptionsValidate(t *testing.T) {
 	for _, bad := range []ExecOptions{
-		{ReadBatchSize: -1},
 		{Parallelism: -2},
 		{MemoryBudget: -1},
 		{MaxLiveCells: -5},
 		{MaxResultRows: -1},
 		{MaxSpillBytes: -1},
 	} {
-		if _, err := bad.normalize(); err == nil {
-			t.Errorf("normalize accepted %+v", bad)
+		if err := bad.validate(); err == nil {
+			t.Errorf("validate accepted %+v", bad)
 		}
 	}
-
-	got, err := ExecOptions{ReadBatchSize: 1}.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ReadBatchSize != scan.MinBatchBytes {
-		t.Errorf("ReadBatchSize clamped to %d, want %d", got.ReadBatchSize, scan.MinBatchBytes)
-	}
-
-	got, err = ExecOptions{ReadBatchSize: scan.MinBatchBytes * 2, Parallelism: 4}.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ReadBatchSize != scan.MinBatchBytes*2 || got.Parallelism != 4 {
-		t.Errorf("valid options altered: %+v", got)
-	}
-
-	got, err = ExecOptions{}.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ReadBatchSize != 0 {
-		t.Errorf("zero ReadBatchSize rewritten to %d (engines apply their own default)", got.ReadBatchSize)
+	for _, good := range []ExecOptions{{}, {Parallelism: 4, MemoryBudget: 1 << 20}} {
+		if err := good.validate(); err != nil {
+			t.Errorf("validate rejected %+v: %v", good, err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package aw_test
 import (
 	"context"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"awra/aw"
@@ -20,8 +21,7 @@ func TestStreamMatchesQuery(t *testing.T) {
 
 	var emitted int
 	stream, err := aw.RunStream(context.Background(), busyWorkflow(t, s, 1), aw.StreamOptions{
-		ValidateOrder: true,
-		Emit:          func(string, aw.Key, float64) { emitted++ },
+		Emit: func(string, aw.Key, float64) { emitted++ },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +55,88 @@ func TestStreamMatchesQuery(t *testing.T) {
 	}
 	if stream.Records() != int64(len(recs)) {
 		t.Errorf("stream records = %d", stream.Records())
+	}
+}
+
+// TestStreamAcceptsKeyTiesInAnyOrder: a stream checks sort-key order
+// and nothing more. Records that tie on every key part arrive here with
+// their base coordinates descending; the stream must accept them, still
+// reject a record below the key order, and answer exactly what aw.Run
+// does — for the busy workflow and for one with every measure kind.
+func TestStreamAcceptsKeyTiesInAnyOrder(t *testing.T) {
+	s := attackSchema(t)
+	gran := func(m map[string]string) aw.Gran {
+		g, err := s.MakeGran(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	level := func(dim int, name string) aw.Level {
+		l, err := s.Dim(dim).LevelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	gCnt, gHour := gran(map[string]string{"t": "Hour", "U": "/24"}), gran(map[string]string{"t": "Hour"})
+	mixed := func() *aw.Workflow {
+		return aw.NewWorkflow(s).
+			Basic("cnt", gCnt, aw.Count, -1).
+			Rollup("busy", gHour, "cnt", aw.Count, aw.Where(aw.MWhere(0, aw.Gt, 1))).
+			Sliding("trend", "busy", aw.Avg, []aw.Window{{Dim: 0, Lo: -2, Hi: 0}}).
+			FromParent("ofHour", gCnt, "busy", aw.Sum).
+			Combine("share", []string{"trend", "busy"}, aw.Ratio(0, 1))
+	}
+	for _, tc := range []struct {
+		name string
+		wf   func() *aw.Workflow
+		key  aw.SortKey
+		recs []aw.Record
+	}{
+		{"busy", func() *aw.Workflow { return busyWorkflow(t, s, 1) },
+			aw.SortKey{{Dim: 0, Lvl: level(0, "Hour")}, {Dim: 1, Lvl: level(1, "IP")}}, attackRecords(2500, 11)},
+		{"mixed", mixed, aw.SortKey{{Dim: 0, Lvl: level(0, "Day")}, {Dim: 1, Lvl: level(1, "IP")}}, attackRecords(6000, 12)},
+	} {
+		want, err := aw.Run(context.Background(), tc.wf(), aw.FromRecords(tc.recs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := aw.RunStream(context.Background(), tc.wf(), aw.StreamOptions{SortKey: tc.key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := stream.SortKey()
+		recs := append([]aw.Record{}, tc.recs...)
+		sort.Slice(recs, func(i, j int) bool {
+			ki, kj := key.MapBase(s, recs[i].Dims), key.MapBase(s, recs[j].Dims)
+			if ki != kj {
+				return ki < kj
+			}
+			return key.RecordLess(s, &recs[j], &recs[i])
+		})
+		descending := 0
+		for i := range recs {
+			if i > 0 && key.RecordLess(s, &recs[i], &recs[i-1]) {
+				descending++
+			}
+			if err := stream.Push(&recs[i]); err != nil {
+				t.Fatalf("%s: push %d of %d: %v", tc.name, i, len(recs), err)
+			}
+		}
+		if descending == 0 {
+			t.Fatalf("%s: no key tie arrives with descending base coordinates", tc.name)
+		}
+		if err := stream.Push(&recs[0]); err == nil {
+			t.Errorf("%s: a record below the key order was accepted", tc.name)
+		}
+		got, err := stream.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !aw.ResultsEqual(want, got, 0) {
+			t.Errorf("%s: stream tables differ from aw.Run", tc.name)
+		}
 	}
 }
 

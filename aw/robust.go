@@ -120,10 +120,8 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if no, nerr := o.ExecOptions.normalize(); nerr != nil {
-		return nil, o.Engine, nerr
-	} else {
-		o.ExecOptions = no
+	if err := o.validate(); err != nil {
+		return nil, o.Engine, err
 	}
 	if o.Timeout > 0 {
 		var cancel context.CancelFunc

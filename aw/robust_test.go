@@ -255,8 +255,8 @@ func TestFaultStreamLiveCellBudget(t *testing.T) {
 	w := aw.NewWorkflow(s).Basic("perIP", gIP, aw.Count, -1)
 	key := aw.SortKey{{Dim: 0, Lvl: 0}}
 	stream, err := aw.RunStream(context.Background(), w, aw.StreamOptions{
-		ExecOptions: aw.ExecOptions{MaxLiveCells: 50},
-		SortKey:     key,
+		MaxLiveCells: 50,
+		SortKey:      key,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,10 +51,10 @@ const (
 )
 
 // engineNames is the single source of truth tying each engine constant
-// to its canonical name: String() reads it, ParseEngine accepts every
-// entry, and UnknownEngineError lists it — so help text and the parser
-// cannot drift, and every constant round-trips through its String()
-// form.
+// to its name: String() reads it, ParseEngine accepts exactly its
+// entries, and UnknownEngineError lists it — so help text and the
+// parser cannot drift, and every constant round-trips through its
+// String() form.
 var engineNames = [...]string{
 	EngineSortScan:   "sortscan",
 	EngineSingleScan: "singlescan",
@@ -62,16 +62,6 @@ var engineNames = [...]string{
 	EngineRelational: "relational",
 	EngineAuto:       "auto",
 	EngineShardScan:  "shardscan",
-}
-
-// engineAliases maps accepted non-canonical spellings (String() never
-// produces these, but ParseEngine keeps reading them). "partscan" keeps
-// inputs that name the partitioned engine shardscan replaced working;
-// shardscan's partition unit is the sort key's leading part.
-var engineAliases = map[string]Engine{
-	"scan":     EngineSingleScan,
-	"db":       EngineRelational,
-	"partscan": EngineShardScan,
 }
 
 // EngineNames returns the canonical engine names, in constant order.
@@ -102,9 +92,8 @@ func (e *UnknownEngineError) Error() string {
 }
 
 // ParseEngine resolves an engine name: every canonical String() form,
-// the aliases "scan", "db" and "partscan", and "" (the default
-// engine). Unknown names return an *UnknownEngineError listing the
-// valid names.
+// and "" (the default engine). Any other name returns an
+// *UnknownEngineError listing the valid names.
 func ParseEngine(name string) (Engine, error) {
 	if name == "" {
 		return EngineSortScan, nil
@@ -114,21 +103,16 @@ func ParseEngine(name string) (Engine, error) {
 			return Engine(e), nil
 		}
 	}
-	if e, ok := engineAliases[name]; ok {
-		return e, nil
-	}
 	return 0, &UnknownEngineError{Name: name, Valid: EngineNames()}
 }
 
-// ExecOptions are the execution knobs shared by every entry point:
-// engine selection, parallelism, memory and guardrail budgets,
-// observability, and the degraded-read policy. QueryOptions and
-// StreamOptions embed it, so a new knob is added once and honored
-// uniformly by batch and streaming evaluation alike.
+// ExecOptions are the execution knobs of batch evaluation: engine
+// selection, parallelism, memory and guardrail budgets, observability,
+// and the degraded-read policy. QueryOptions embeds it, and the serving
+// layer's overload controller tightens it (TightenBudgets). Streaming
+// sessions take the few knobs they read in StreamOptions.
 type ExecOptions struct {
 	// Engine selects the evaluation strategy (default EngineSortScan).
-	// Streaming sessions always use the one-pass streaming engine and
-	// ignore this field.
 	Engine Engine
 	// MemoryBudget bounds memory: spill threshold for single-scan,
 	// per-pass footprint for multi-pass, and the decision input for
@@ -139,7 +123,6 @@ type ExecOptions struct {
 	// EngineAuto, Parallelism > 1 upgrades a sort/scan decision to the
 	// sharded engine whenever the workflow shards safely (every measure
 	// either nests inside shard units or merges commutatively).
-	// Streaming sessions ignore it.
 	Parallelism int
 	// Recorder, if non-nil, collects the query's span tree (rooted at a
 	// "query" span) and engine metrics, published once per run. A nil
@@ -147,7 +130,7 @@ type ExecOptions struct {
 	Recorder *Recorder
 	// Timeout, if positive, bounds the query's wall-clock time; when it
 	// lapses the run aborts with ErrDeadlineExceeded. It composes with
-	// any deadline already on the context passed to Run or RunStream.
+	// any deadline already on the context passed to Run.
 	Timeout time.Duration
 	// MaxLiveCells caps simultaneously live hash entries (the paper's
 	// memory frontier) across streaming engines. 0 = unlimited. Under
@@ -161,8 +144,7 @@ type ExecOptions struct {
 	// MaxSpillBytes caps bytes written to temporary files — external-sort
 	// runs, single-scan table spills, relational-baseline spools —
 	// accounted globally across parallel workers. 0 = unlimited. A sort
-	// whose input fits one sort chunk writes no file and charges nothing;
-	// streaming sessions never spill.
+	// whose input fits one sort chunk writes no file and charges nothing.
 	MaxSpillBytes int64
 	// SkipCorruptRows degrades checksummed reads: rows whose CRC does not
 	// verify are skipped instead of failing the query, and counted once
@@ -188,34 +170,18 @@ type ExecOptions struct {
 	// share an ID (a client resending under one W3C traceparent) land in
 	// one trace, one record per run.
 	TraceID string
-	// ReadBatchSize bounds, in bytes, one batched file read (the
-	// internal/exec/scan reader). A scan reads at most one batch of
-	// 4,096 rows at a time whatever it is, so it matters to a scan only
-	// when smaller than that batch; the external sort fills its chunk
-	// arena this much a read. 0 uses the default (4 MB); positive values
-	// below the reader's minimum (64 KB) are clamped up; negative values
-	// are rejected at entry. In-memory records and streaming sessions
-	// batch at a fixed record count.
-	ReadBatchSize int
 }
 
-// normalize validates and canonicalizes the execution knobs once, at
-// every entry point (Run, RunStream, serve) — so engines can trust the
-// values they receive. It returns the normalized copy.
-func (o ExecOptions) normalize() (ExecOptions, error) {
-	if o.ReadBatchSize < 0 {
-		return o, fmt.Errorf("aw: negative ReadBatchSize %d", o.ReadBatchSize)
-	}
+// validate rejects negative counts and budgets once, where a batch run
+// starts (runResolved), so engines can trust the values they receive.
+func (o ExecOptions) validate() error {
 	if o.Parallelism < 0 {
-		return o, fmt.Errorf("aw: negative Parallelism %d", o.Parallelism)
+		return fmt.Errorf("aw: negative Parallelism %d", o.Parallelism)
 	}
 	if o.MemoryBudget < 0 || o.MaxLiveCells < 0 || o.MaxResultRows < 0 || o.MaxSpillBytes < 0 {
-		return o, fmt.Errorf("aw: negative resource budget")
+		return fmt.Errorf("aw: negative resource budget")
 	}
-	if o.ReadBatchSize > 0 && o.ReadBatchSize < scan.MinBatchBytes {
-		o.ReadBatchSize = scan.MinBatchBytes
-	}
-	return o, nil
+	return nil
 }
 
 // TightenBudgets returns a copy of the options with every nonzero
@@ -245,8 +211,7 @@ func (o ExecOptions) TightenBudgets(f float64) ExecOptions {
 }
 
 // QueryOptions configures batch evaluation (Run, RunCompiled). The
-// execution knobs shared with streaming live in the embedded
-// ExecOptions; construct as
+// execution knobs live in the embedded ExecOptions; construct as
 //
 //	aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: aw.EngineAuto, Parallelism: 4}}
 type QueryOptions struct {
@@ -377,7 +342,7 @@ func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *q
 		publishChoice(qrec, d.KeysScored, d.SortScanBytes)
 	}
 	qSpan.SetAttr("engine", o.Engine.String())
-	eo := scan.EngineOptions{TempDir: o.TempDir, ReadBatchBytes: o.ReadBatchSize, Recorder: qrec, Guard: g}
+	eo := scan.EngineOptions{TempDir: o.TempDir, Recorder: qrec, Guard: g}
 
 	var res *scan.Result
 	var err error

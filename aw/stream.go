@@ -2,6 +2,8 @@ package aw
 
 import (
 	"context"
+	"fmt"
+	"time"
 
 	"awra/internal/exec/sortscan"
 	"awra/internal/opt"
@@ -21,24 +23,29 @@ type Stream struct {
 	cancel   context.CancelFunc
 }
 
-// StreamOptions configures streaming sessions (RunStream). The
-// execution knobs shared with batch evaluation live in the embedded
-// ExecOptions; a session honors its Recorder, Timeout, MaxLiveCells,
-// and MaxResultRows, and ignores the batch-only fields (Engine,
-// MemoryBudget, Parallelism, MaxSpillBytes, SkipCorruptRows,
-// ReadBatchSize).
+// StreamOptions configures streaming sessions (RunStream). It lists
+// only what a session reads: a session always runs the one-pass
+// streaming engine, reads no file and never spills, so the batch knobs
+// of ExecOptions have no meaning here.
 type StreamOptions struct {
-	ExecOptions
 	// SortKey is the order records will arrive in; nil asks the
 	// optimizer (which usually picks a time-leading key for monitoring
 	// schemas, matching arrival order).
 	SortKey SortKey
 	// Emit receives each finalized (measure, region, value).
 	Emit func(measure string, key Key, value float64)
-	// ValidateOrder rejects out-of-order pushes.
-	ValidateOrder bool
-	// BaseCards feeds the optimizer when SortKey is nil.
-	BaseCards []float64
+	// Recorder, if non-nil, collects the session's span tree and engine
+	// metrics, published once at Close.
+	Recorder *Recorder
+	// Timeout, if positive, bounds the session's wall-clock time; once
+	// it lapses pushes fail with ErrDeadlineExceeded.
+	Timeout time.Duration
+	// MaxLiveCells caps simultaneously live hash entries (the streaming
+	// frontier). 0 = unlimited.
+	MaxLiveCells int64
+	// MaxResultRows caps total finalized output rows across all
+	// non-hidden measures. 0 = unlimited.
+	MaxResultRows int64
 }
 
 // RunStream compiles the workflow and starts a streaming session bound
@@ -58,11 +65,9 @@ func RunStreamCompiled(ctx context.Context, c *Compiled, o StreamOptions) (*Stre
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	no, err := o.ExecOptions.normalize()
-	if err != nil {
-		return nil, err
+	if o.MaxLiveCells < 0 || o.MaxResultRows < 0 {
+		return nil, fmt.Errorf("aw: negative resource budget")
 	}
-	o.ExecOptions = no
 	var cancel context.CancelFunc
 	if o.Timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
@@ -83,7 +88,7 @@ func RunStreamCompiled(ctx context.Context, c *Compiled, o StreamOptions) (*Stre
 }
 
 func openStreamCompiled(c *Compiled, o StreamOptions, g *qguard.Guard) (*Stream, error) {
-	st := &plan.Stats{BaseCard: o.BaseCards}
+	st := &plan.Stats{}
 	key := o.SortKey
 	if key == nil {
 		ch, err := opt.Best(c, st)
@@ -105,10 +110,9 @@ func openStreamCompiled(c *Compiled, o StreamOptions, g *qguard.Guard) (*Stream,
 		emit = sortscan.EmitFunc(o.Emit)
 	}
 	s := sortscan.NewSession(c, pl, sortscan.SessionOptions{
-		Emit:          emit,
-		ValidateOrder: o.ValidateOrder,
-		Recorder:      o.Recorder,
-		Guard:         g,
+		Emit:     emit,
+		Recorder: o.Recorder,
+		Guard:    g,
 	})
 	return &Stream{s: s, compiled: c, key: nk}, nil
 }
@@ -120,7 +124,9 @@ func (st *Stream) SortKey() SortKey { return st.key }
 // in Emit callbacks).
 func (st *Stream) Workflow() *Compiled { return st.compiled }
 
-// Push feeds one record.
+// Push feeds one record. Records must arrive in SortKey order: a
+// record whose sort-key codes compare below the previous record's is
+// rejected. Records that tie on the key may arrive in any order.
 func (st *Stream) Push(rec *Record) error { return st.s.Push(rec) }
 
 // Records reports how many records have been pushed.

@@ -193,7 +193,8 @@ func BenchmarkSingleScanEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamPush measures per-record streaming-session overhead.
+// BenchmarkStreamPush measures per-record streaming-session overhead,
+// the sort-key order check every push makes included.
 func BenchmarkStreamPush(b *testing.B) {
 	_, s := synthFact(b, 1000)
 	c := engineWorkflow(b, s)

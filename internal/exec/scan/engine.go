@@ -28,7 +28,8 @@ type EngineOptions struct {
 	// ReadBatchBytes bounds one batched file read (0 =
 	// DefaultBatchBytes): the sort's arena fill reads this much, a scan's
 	// NextBatch at most one batch of it. In-memory input batches by
-	// record count.
+	// record count. Production callers leave it 0; tests shrink it to
+	// put chunk boundaries where they want them.
 	ReadBatchBytes int
 	// ChunkRecords is how many records an external sort holds in memory
 	// at a time (0 = a default sized for roughly 256 MB).

@@ -6,7 +6,7 @@
 // batch, at most batchRows rows. Per-row work drops to the aggregate
 // updates themselves; guard checks (cancellation, budgets) move to
 // batch boundaries. The external sort reads through the same fill
-// routine, straight into its chunk arena, ReadBatchBytes at a time.
+// routine, straight into its chunk arena, DefaultBatchBytes at a time.
 //
 // An Input names where the records live — a file, or an in-memory
 // slice — and opens either as the same Record views, so engines keep
@@ -85,6 +85,8 @@ type Options struct {
 	// MinBatchBytes are clamped up), rounded down to whole rows, and no
 	// read goes past the file's last row. NextBatch reads at most
 	// batchRows rows of it; the sort's arena fill reads all of it.
+	// Production callers leave it 0; tests set it to place chunk
+	// boundaries.
 	BatchBytes int
 	// Guard, if non-nil, is checked once per batch for cancellation,
 	// and its degraded-read policy decides whether checksum-failing

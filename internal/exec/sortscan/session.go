@@ -24,13 +24,14 @@ import (
 type Session struct {
 	e      *engine
 	basics []*node
-	last   *model.Record
-	rowBuf []byte // pushed records re-encoded into the batched row layout
-	strict bool
-	closed bool
-	t0     time.Time
-	rec    *obs.Recorder
-	span   *obs.Span
+	// codes and last hold the sort-key codes of the pushed record and
+	// of the one before it; Push swaps them instead of copying.
+	codes, last []int64
+	rowBuf      []byte // pushed records re-encoded into the batched row layout
+	closed      bool
+	t0          time.Time
+	rec         *obs.Recorder
+	span        *obs.Span
 }
 
 // EmitFunc receives finalized measure values as they flush. The key
@@ -42,9 +43,6 @@ type SessionOptions struct {
 	// Emit, if non-nil, is invoked for every finalized region of every
 	// non-hidden measure, in flush order.
 	Emit EmitFunc
-	// ValidateOrder rejects out-of-order pushes instead of silently
-	// producing wrong results (costs one comparison per record).
-	ValidateOrder bool
 	// Recorder, if non-nil, receives the session's scan span and
 	// engine metrics (published at Close, once).
 	Recorder *obs.Recorder
@@ -57,7 +55,8 @@ type SessionOptions struct {
 func NewSession(c *core.Compiled, pl *plan.Plan, opts SessionOptions) *Session {
 	e := newEngine(c, pl, false)
 	e.guard = opts.Guard
-	s := &Session{e: e, strict: opts.ValidateOrder, t0: time.Now(), rec: opts.Recorder}
+	s := &Session{e: e, t0: time.Now(), rec: opts.Recorder,
+		codes: make([]int64, len(pl.SortKey)), last: make([]int64, len(pl.SortKey))}
 	s.span = s.rec.Start(obs.SpanScan)
 	for _, n := range e.nodes {
 		if n.m.Kind == core.KindBasic {
@@ -68,9 +67,12 @@ func NewSession(c *core.Compiled, pl *plan.Plan, opts SessionOptions) *Session {
 	return s
 }
 
-// Push feeds one record. Records must arrive in the plan sort-key
-// order (ValidateOrder enforces it), and have the schema's shape: a
-// record that does not is rejected with a *scan.ShapeError.
+// Push feeds one record. Records must have the schema's shape (a
+// record that does not is rejected with a *scan.ShapeError) and arrive
+// in the plan's sort-key order: each key part's generalized code, taken
+// in turn, must not fall below the previous record's. That is all the
+// watermarks compare, so records that tie on the key may come in any
+// order.
 func (s *Session) Push(rec *model.Record) error {
 	e := s.e
 	if s.closed {
@@ -80,13 +82,8 @@ func (s *Session) Push(rec *model.Record) error {
 		return &scan.ShapeError{Index: int(e.stats.Records), Dims: len(rec.Dims), Measures: len(rec.Ms),
 			WantDims: e.numDims, WantMeasures: e.numMeasures}
 	}
-	if s.strict {
-		if s.last != nil && e.pl.SortKey.RecordLess(e.c.Schema, rec, s.last) {
-			return fmt.Errorf("sortscan: record out of order (violates %s)",
-				e.pl.SortKey.String(e.c.Schema))
-		}
-		cl := rec.Clone()
-		s.last = &cl
+	if err := s.checkOrder(rec); err != nil {
+		return err
 	}
 	e.stats.Records++
 	if e.stats.Records&255 == 0 {
@@ -101,6 +98,21 @@ func (s *Session) Push(rec *model.Record) error {
 	}
 	rows := [1]scan.Record{scan.EncodeRow(s.rowBuf, rec)}
 	return e.scanRows(s.basics, nil, rows[:])
+}
+
+// checkOrder compares the record's sort-key codes with the previous
+// record's, and on success keeps them as the new previous.
+func (s *Session) checkOrder(rec *model.Record) error {
+	key, sch := s.e.pl.SortKey, s.e.c.Schema
+	for j, p := range key {
+		s.codes[j] = sch.Dim(p.Dim).Up(0, p.Lvl, rec.Dims[p.Dim])
+	}
+	if s.e.stats.Records > 0 && slices.Compare(s.codes, s.last) < 0 {
+		return fmt.Errorf("sortscan: record %d out of order (violates %s)",
+			s.e.stats.Records, key.String(sch))
+	}
+	s.codes, s.last = s.last, s.codes
+	return nil
 }
 
 // Records reports how many records have been pushed.

@@ -36,7 +36,7 @@ func TestSessionMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sess := NewSession(c, pl, SessionOptions{ValidateOrder: true})
+	sess := NewSession(c, pl, SessionOptions{})
 	for i := range recs {
 		if err := sess.Push(&recs[i]); err != nil {
 			t.Fatal(err)
@@ -132,6 +132,9 @@ func TestSessionEmitIsEarlyAndComplete(t *testing.T) {
 	}
 }
 
+// TestSessionOrderValidation: every session checks sort-key order. A
+// record on an earlier day is rejected under <t:Day>, and one on the
+// same day but an earlier second ties on the key and is accepted.
 func TestSessionOrderValidation(t *testing.T) {
 	s := netSchema(t)
 	c := smaxWorkflow(t, s)
@@ -142,19 +145,23 @@ func TestSessionOrderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := NewSession(c, pl, SessionOptions{ValidateOrder: true})
-	r1 := model.Record{Dims: []int64{model.SecondCode(2004, 3, 5, 0, 0, 0), 1, 1, 1}, Ms: []float64{}}
+	sess := NewSession(c, pl, SessionOptions{})
+	r1 := model.Record{Dims: []int64{model.SecondCode(2004, 3, 5, 12, 0, 0), 1, 1, 1}, Ms: []float64{}}
 	r2 := model.Record{Dims: []int64{model.SecondCode(2004, 3, 4, 0, 0, 0), 1, 1, 1}, Ms: []float64{}}
+	tie := model.Record{Dims: []int64{model.SecondCode(2004, 3, 5, 3, 0, 0), 1, 1, 1}, Ms: []float64{}}
 	if err := sess.Push(&r1); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Push(&r2); err == nil {
 		t.Fatal("out-of-order push accepted")
 	}
+	if err := sess.Push(&tie); err != nil {
+		t.Fatalf("key tie with smaller base coordinates rejected: %v", err)
+	}
 	short := model.Record{Dims: r1.Dims[:2], Ms: []float64{}}
 	var se *scan.ShapeError
-	if err := sess.Push(&short); !errors.As(err, &se) || se.Index != 1 || se.Dims != 2 {
-		t.Fatalf("short record: got %v, want a ShapeError naming push 1", err)
+	if err := sess.Push(&short); !errors.As(err, &se) || se.Index != 2 || se.Dims != 2 {
+		t.Fatalf("short record: got %v, want a ShapeError naming push 2", err)
 	}
 	if _, err := sess.Close(); err != nil {
 		t.Fatal(err)

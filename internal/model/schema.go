@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -31,7 +32,6 @@ type Schema struct {
 	dims     []*Dimension
 	measures []string
 	dimIdx   map[string]int
-	msIdx    map[string]int
 }
 
 // NewSchema builds a schema from its dimensions and measure-attribute
@@ -44,7 +44,6 @@ func NewSchema(dims []*Dimension, measures ...string) (*Schema, error) {
 		dims:     dims,
 		measures: measures,
 		dimIdx:   make(map[string]int, len(dims)),
-		msIdx:    make(map[string]int, len(measures)),
 	}
 	for i, d := range dims {
 		if d == nil {
@@ -59,13 +58,12 @@ func NewSchema(dims []*Dimension, measures ...string) (*Schema, error) {
 		if m == "" {
 			return nil, fmt.Errorf("model: measure attribute %d has empty name", i)
 		}
-		if _, dup := s.msIdx[m]; dup {
+		if slices.Contains(measures[:i], m) {
 			return nil, fmt.Errorf("model: duplicate measure attribute %q", m)
 		}
 		if _, clash := s.dimIdx[m]; clash {
 			return nil, fmt.Errorf("model: measure attribute %q clashes with a dimension name", m)
 		}
-		s.msIdx[m] = i
 	}
 	return s, nil
 }
@@ -93,15 +91,6 @@ func (s *Schema) DimIndex(name string) (int, error) {
 	i, ok := s.dimIdx[name]
 	if !ok {
 		return 0, fmt.Errorf("model: schema has no dimension %q", name)
-	}
-	return i, nil
-}
-
-// MeasureIndex resolves a measure attribute name to its index.
-func (s *Schema) MeasureIndex(name string) (int, error) {
-	i, ok := s.msIdx[name]
-	if !ok {
-		return 0, fmt.Errorf("model: schema has no measure attribute %q", name)
 	}
 	return i, nil
 }

@@ -337,16 +337,6 @@ func (s *Span) Progress() (done, total int64) {
 	return s.done.Load(), s.total.Load()
 }
 
-// Ended reports whether the span has been closed. Nil-safe.
-func (s *Span) Ended() bool {
-	if s == nil {
-		return true
-	}
-	s.rec.mu.Lock()
-	defer s.rec.mu.Unlock()
-	return s.ended
-}
-
 // SetAttr annotates the span. Later writes to the same key win.
 func (s *Span) SetAttr(key, value string) {
 	if s == nil {

@@ -364,42 +364,6 @@ func estimateCells(c *core.Compiled, m *core.Measure, node *Node, stats *Stats) 
 	return est
 }
 
-// DOT renders the plan's evaluation graph (the paper's Figures 4-5):
-// one node per operator with its order and footprint estimate, one
-// edge per update stream labelled with the comparable key and shift.
-func (p *Plan) DOT() string {
-	var b strings.Builder
-	sch := p.Workflow.Schema
-	b.WriteString("digraph evalplan {\n  rankdir=BT;\n  node [shape=box, fontsize=10];\n")
-	fmt.Fprintf(&b, "  fact [label=%q, shape=cylinder];\n", "D sorted by "+p.SortKey.String(sch))
-	for i, n := range p.Nodes {
-		m := p.Workflow.Measures[i]
-		fmt.Fprintf(&b, "  n%d [label=%q];\n", i,
-			fmt.Sprintf("%s\\n%s %s\\nout %s, ~%.0f cells",
-				m.Name, m.Kind, sch.GranString(m.Gran), n.OutOrder.String(sch), n.EstCells))
-		for _, a := range n.Arcs {
-			src := "fact"
-			if a.From >= 0 {
-				src = fmt.Sprintf("n%d", a.From)
-			}
-			label := fmt.Sprintf("%s %s", a.Kind, a.CmpKey.String(sch))
-			for _, sh := range a.Shift {
-				if sh != 0 {
-					label += fmt.Sprintf(" shift %v", a.Shift)
-					break
-				}
-			}
-			style := ""
-			if a.Kind == ArcBase {
-				style = ", style=dashed"
-			}
-			fmt.Fprintf(&b, "  %s -> n%d [label=%q, fontsize=8%s];\n", src, i, label, style)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // String renders the plan for humans: one line per node with arcs,
 // orders, shifts and footprint estimates.
 func (p *Plan) String() string {

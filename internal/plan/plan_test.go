@@ -275,29 +275,6 @@ func TestPlanString(t *testing.T) {
 	}
 }
 
-func TestPlanDOT(t *testing.T) {
-	s := netSchema(t)
-	gHour, _ := s.MakeGran(map[string]string{"t": "Hour"})
-	hour := lvl(t, s, 0, "Hour")
-	c, err := core.NewWorkflow(s).
-		Basic("cnt", gHour, agg.Count, -1).
-		Sliding("avg", "cnt", agg.Avg, []core.Window{{Dim: 0, Lo: 0, Hi: 5}}).
-		Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := Build(c, model.SortKey{{Dim: 0, Lvl: hour}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dot := pl.DOT()
-	for _, frag := range []string{"digraph evalplan", "cylinder", "shift", "style=dashed", "cnt", "avg"} {
-		if !strings.Contains(dot, frag) {
-			t.Errorf("plan DOT missing %q", frag)
-		}
-	}
-}
-
 func TestStatsDimCardDefaults(t *testing.T) {
 	s := netSchema(t)
 	var st *Stats

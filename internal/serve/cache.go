@@ -86,6 +86,17 @@ func fileFingerprint(path string) (string, error) {
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
+// fingerprint is the pre-run fingerprint Put revalidates against. A
+// disabled cache (nil) never populates, so it reads nothing and returns
+// "", as does a file that cannot be fingerprinted; Put refuses "".
+func (c *resultCache) fingerprint(path string) string {
+	if c == nil {
+		return ""
+	}
+	fp, _ := fileFingerprint(path)
+	return fp
+}
+
 // cacheKey identifies what a cached entry answers: which collection
 // file, which compiled workflow (core fingerprint over output node
 // signatures), and the one option that changes answers rather than

@@ -192,3 +192,25 @@ func TestCacheSnapshotAndDisabled(t *testing.T) {
 		t.Fatal("nil snapshot enabled")
 	}
 }
+
+// TestCachePreRunFingerprint: the pre-run fingerprint is the file's
+// when the cache is on, and a disabled cache never reads the file —
+// the stat, open and hash of fileFingerprint allocate, so a read would
+// show as allocations — and returns "", which Put refuses.
+func TestCachePreRunFingerprint(t *testing.T) {
+	p := writeTempFile(t, "facts.rec", make([]byte, 3*probeBytes))
+	want, err := fileFingerprint(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := newResultCache(CacheConfig{}, obs.New()).fingerprint(p); got != want {
+		t.Errorf("enabled cache fingerprint = %q, want %q", got, want)
+	}
+	var off *resultCache
+	if got := off.fingerprint(p); got != "" {
+		t.Errorf("disabled cache fingerprint = %q, want empty", got)
+	}
+	if n := testing.AllocsPerRun(10, func() { off.fingerprint(p) }); n != 0 {
+		t.Errorf("disabled cache fingerprint allocates %v times a call: it read the file", n)
+	}
+}

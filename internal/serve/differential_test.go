@@ -116,8 +116,8 @@ func TestServeDifferentialEngineMatrix(t *testing.T) {
 
 // TestServeDifferentialOptionCombos runs every workflow under option
 // combinations that change plans but must never change answers —
-// memory budgets, read batch sizes, parallelism, degraded corrupt-row
-// skipping — and requires bit-identity with the oracle.
+// memory budgets, parallelism, degraded corrupt-row skipping — and
+// requires bit-identity with the oracle.
 func TestServeDifferentialOptionCombos(t *testing.T) {
 	fact := writeNetFact(t, 2000, 11)
 	oracles := oracleSet(t, fact)
@@ -127,9 +127,9 @@ func TestServeDifferentialOptionCombos(t *testing.T) {
 		tweak func(*Config)
 	}{
 		{"tight-budget", func(c *Config) { c.MemoryBudget = 1 << 18 }},
-		{"small-batches", func(c *Config) { c.ReadBatchSize = 1 << 12; c.MemoryBudget = 1 << 20 }},
+		{"mid-budget", func(c *Config) { c.MemoryBudget = 1 << 20 }},
 		{"parallel", func(c *Config) { c.Parallelism = 2 }},
-		{"skip-corrupt", func(c *Config) { c.SkipCorruptRows = true; c.ReadBatchSize = 1 << 14 }},
+		{"skip-corrupt", func(c *Config) { c.SkipCorruptRows = true }},
 	}
 	for _, combo := range combos {
 		t.Run(combo.name, func(t *testing.T) {

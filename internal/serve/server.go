@@ -85,10 +85,6 @@ type Config struct {
 	MemoryBudget int64
 	// Parallelism is passed through to the engines (shard count).
 	Parallelism int
-	// ReadBatchSize is the fact-read chunk size in bytes for every
-	// query (0 = engine default); validated by aw's shared option
-	// normalization at run time.
-	ReadBatchSize int
 	// SkipCorruptRows enables degraded reads for all queries.
 	SkipCorruptRows bool
 	// Cache tunes the result cache: finalized measure tables keyed by
@@ -99,9 +95,6 @@ type Config struct {
 	// DrainTimeout bounds how long Drain waits for in-flight queries
 	// before canceling them; 0 defaults to 10s.
 	DrainTimeout time.Duration
-	// Recorder receives process-level serve metrics; nil allocates a
-	// private one.
-	Recorder *obs.Recorder
 }
 
 // wfCacheMax caps the compiled-workflow cache. Workflow texts come
@@ -140,10 +133,7 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Collections) == 0 {
 		return nil, fmt.Errorf("serve: no collections registered")
 	}
-	rec := cfg.Recorder
-	if rec == nil {
-		rec = obs.New()
-	}
+	rec := obs.New()
 	s := &Server{cfg: cfg, rec: rec, wfCache: make(map[uint64]*wfdsl.Parsed)}
 	s.life, s.endLife = context.WithCancel(context.Background())
 	s.gate = NewGate(cfg.Gate, rec)
@@ -404,7 +394,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Engine:          engine,
 			MemoryBudget:    s.cfg.MemoryBudget,
 			Parallelism:     s.cfg.Parallelism,
-			ReadBatchSize:   s.cfg.ReadBatchSize,
 			Timeout:         s.cfg.DefaultTimeout,
 			MaxLiveCells:    s.cfg.MaxLiveCells,
 			MaxResultRows:   s.cfg.MaxResultRows,
@@ -436,8 +425,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Fingerprint the collection file before running: Put revalidates
 	// against it, so a file that changes mid-run never populates the
 	// cache with tables describing a state that no longer exists.
-	// A fingerprint error just disables population for this request.
-	preFP, _ := fileFingerprint(factPath)
+	// A fingerprint error just disables population for this request,
+	// and a disabled cache reads nothing.
+	preFP := s.cache.fingerprint(factPath)
 
 	// Each run gets a fresh recorder; mergeRun folds its snapshot into
 	// the server's.
@@ -668,9 +658,6 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	writeIndented(w, tracePage(flight.Default.Slow(countParam(r, 0))))
 }
-
-// Draining reports whether the server has left the ready state.
-func (s *Server) Draining() bool { return s.state.Load() != stateReady }
 
 // Drain performs the graceful shutdown ladder: stop admissions (readyz
 // flips to 503, new queries get 503 + Retry-After), wait up to the
