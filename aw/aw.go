@@ -47,8 +47,8 @@
 // A run's numbers live in one EngineStats value, which the engine, its
 // sort and its scan phase fill. The run publishes it to
 // ExecOptions.Recorder once, when the engine returns; a history line
-// embeds it, and ExplainAnalyze returns it as Profile.Stats, its node
-// list behind the profile's actuals.
+// embeds it, and ExplainAnalyzeCompiled returns it as Profile.Stats,
+// its node list behind the profile's actuals.
 package aw
 
 import (
@@ -80,8 +80,6 @@ type (
 	SortKey = model.SortKey
 	// SortPart is one (dimension, level) component of a SortKey.
 	SortPart = model.SortPart
-	// Region is a decoded region (granularity + codes).
-	Region = model.Region
 	// Dict resolves labels and codes for dictionary hierarchies.
 	Dict = model.Dict
 	// DictBuilder accumulates leaf paths for a dictionary hierarchy.
@@ -108,8 +106,6 @@ var (
 	// NewDictBuilder starts a dictionary hierarchy for categorical
 	// dimensions (site -> region -> country and the like).
 	NewDictBuilder = model.NewDictBuilder
-	// RegionOf decodes a key into an explicit Region.
-	RegionOf = model.RegionOf
 	// NewSchema builds a schema from dimensions and measure names.
 	NewSchema = model.NewSchema
 	// MustSchema is NewSchema panicking on error.
@@ -127,9 +123,6 @@ var (
 	// IPCode builds an IPv4 base code from dotted-quad octets.
 	IPCode = model.IPCode
 )
-
-// AggKind identifies an aggregation function.
-type AggKind = agg.Kind
 
 // Aggregation functions.
 const (
@@ -226,9 +219,6 @@ type (
 	EngineStats = obs.EngineStats
 	// Span is one timed phase of a query.
 	Span = obs.Span
-	// MetricsSnapshot is a point-in-time JSON-serializable view of a
-	// recorder.
-	MetricsSnapshot = obs.Snapshot
 )
 
 // NewRecorder creates an empty observability recorder.
@@ -236,12 +226,6 @@ var NewRecorder = obs.New
 
 // Storage helpers.
 var (
-	// CreateRecordFile writes the binary fact-table format row by row.
-	CreateRecordFile = storage.Create
-	// WriteRecords writes a record slice to a file.
-	WriteRecords = storage.WriteAll
-	// ReadRecords loads a record file into memory.
-	ReadRecords = storage.ReadAll
 	// ImportCSV / ExportCSV convert between CSV and the binary format.
 	ImportCSV = storage.ImportCSV
 	ExportCSV = storage.ExportCSV

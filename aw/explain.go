@@ -18,7 +18,7 @@ import (
 type Profile struct {
 	// Engine is the evaluation engine ("sortscan", "shardscan", ...).
 	// For a plain Explain of EngineAuto it is the engine the Section 6
-	// decision procedure predicts; for ExplainAnalyze it is the engine
+	// decision procedure predicts; for ExplainAnalyzeCompiled it is the engine
 	// that actually ran (the auto decision, plus any multipass fallback).
 	Engine string `json:"engine"`
 	// Strategy is the optimizer's Section 6 decision ("singlescan",
@@ -40,7 +40,7 @@ type Profile struct {
 	Nodes []ProfileNode `json:"nodes"`
 	// Analyzed reports whether actuals are present (EXPLAIN ANALYZE).
 	Analyzed bool `json:"analyzed,omitempty"`
-	// Stats is the analyzed run's own numbers (ExplainAnalyze only),
+	// Stats is the analyzed run's own numbers (ExplainAnalyzeCompiled only),
 	// whatever the recorder held before.
 	Stats *EngineStats `json:"stats,omitempty"`
 }
@@ -68,13 +68,13 @@ type ProfileNode struct {
 	// Pass is the 1-based multi-pass pass that evaluates the node
 	// (multipass basics only; 0 otherwise).
 	Pass int `json:"pass,omitempty"`
-	// Actual holds the engine-published per-node stats (ExplainAnalyze
+	// Actual holds the engine-published per-node stats (ExplainAnalyzeCompiled
 	// only; nil in a plain EXPLAIN).
 	Actual *NodeStats `json:"actual,omitempty"`
 }
 
 // Result is an analyzed query outcome: the measure tables plus the
-// execution profile. Returned by ExplainAnalyze.
+// execution profile. Returned by ExplainAnalyzeCompiled.
 type Result struct {
 	Tables  Results
 	Profile *Profile
@@ -254,20 +254,11 @@ func freezeStats(c *Compiled, st *plan.Stats) *plan.Stats {
 	return &cp
 }
 
-// ExplainAnalyze compiles the workflow (if needed), runs it, and
-// returns the tables together with a Profile whose nodes carry the
-// actual per-node stats the engines published — records in/out, cells
-// created/finalized, live-cell high-water mark, flush batches, and
-// per-arc watermark behavior — next to the optimizer's estimates.
-func ExplainAnalyze(ctx context.Context, w *Workflow, in Input, opts ...QueryOptions) (*Result, error) {
-	c, err := w.Compile()
-	if err != nil {
-		return nil, err
-	}
-	return ExplainAnalyzeCompiled(ctx, c, in, opts...)
-}
-
-// ExplainAnalyzeCompiled is ExplainAnalyze for a compiled workflow.
+// ExplainAnalyzeCompiled runs a compiled workflow and returns the
+// tables together with a Profile whose nodes carry the actual per-node
+// stats the engines published — records in/out, cells created/finalized,
+// live-cell high-water mark, flush batches, and per-arc watermark
+// behavior — next to the optimizer's estimates.
 func ExplainAnalyzeCompiled(ctx context.Context, c *Compiled, in Input, opts ...QueryOptions) (*Result, error) {
 	var o QueryOptions
 	if len(opts) > 0 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"awra/aw"
+	"awra/internal/storage"
 )
 
 // profileWorkflow is a small rollup chain that every engine — including
@@ -120,7 +121,7 @@ func TestExplainAnalyzeAllEngines(t *testing.T) {
 	recs := attackRecords(4000, 7)
 	dir := t.TempDir()
 	fact := filepath.Join(dir, "fact.rec")
-	if err := aw.WriteRecords(fact, 4, 0, recs); err != nil {
+	if err := storage.WriteAll(fact, 4, 0, recs); err != nil {
 		t.Fatal(err)
 	}
 	day := aw.Level(2) // Second -> Hour -> Day
@@ -145,7 +146,11 @@ func TestExplainAnalyzeAllEngines(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := tc.opts
 			o.TempDir = dir
-			r, err := aw.ExplainAnalyze(context.Background(), profileWorkflow(t, s), aw.FromFile(fact), o)
+			c, err := profileWorkflow(t, s).Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := aw.ExplainAnalyzeCompiled(context.Background(), c, aw.FromFile(fact), o)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,10 +14,6 @@ import "awra/internal/obs/flight"
 // FlightTrace is one completed query's flight-recorder entry.
 type FlightTrace = flight.Trace
 
-// FlightSummary is the list-view row of a flight trace: its record
-// header, attempt count and debug-endpoint path.
-type FlightSummary = flight.Summary
-
 // NewTraceID returns a fresh flight-recorder trace ID (32 hex digits,
 // the W3C trace-context format). Callers that need the ID before the
 // run — to echo it to a client or print it alongside results —
@@ -26,14 +22,6 @@ func NewTraceID() string { return flight.NewTraceID() }
 
 // LookupTrace returns the retained flight trace with the given ID.
 func LookupTrace(id string) (FlightTrace, bool) { return flight.Default.Get(id) }
-
-// FlightTraces returns up to n retained trace summaries, newest first
-// (n <= 0 = all).
-func FlightTraces(n int) []FlightSummary { return flight.Default.List(n) }
-
-// SlowTraces returns the slow-query log: retained traces at or above
-// the effective slow threshold, slowest first.
-func SlowTraces(n int) []FlightSummary { return flight.Default.Slow(n) }
 
 // SetSlowThresholdUs sets the operator slow-query threshold in
 // microseconds (0 reverts to the recorder's internal p99 fallback).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"awra/aw"
+	"awra/internal/storage"
 )
 
 // TestGoldenPipeline pins the exact results of a fixed workload through
@@ -35,7 +36,7 @@ func TestGoldenPipeline(t *testing.T) {
 	}
 	dir := t.TempDir()
 	fact := filepath.Join(dir, "golden.rec")
-	if err := aw.WriteRecords(fact, 2, 0, recs); err != nil {
+	if err := storage.WriteAll(fact, 2, 0, recs); err != nil {
 		t.Fatal(err)
 	}
 

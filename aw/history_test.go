@@ -101,7 +101,7 @@ func TestHistoryMeasuredFeedback(t *testing.T) {
 }
 
 // TestHistoryAnalyzeLabelsFirstRunUnmeasured guards the freeze
-// semantics: ExplainAnalyze's profile reflects what the planner knew
+// semantics: ExplainAnalyzeCompiled's profile reflects what the planner knew
 // before the run, so the very first analyzed run must not label itself
 // "measured" from its own record.
 func TestHistoryAnalyzeLabelsFirstRunUnmeasured(t *testing.T) {

@@ -49,9 +49,6 @@ const (
 	ResSpillBytes = qguard.ResSpillBytes
 )
 
-// AsBudgetError extracts a *BudgetError from an error chain.
-func AsBudgetError(err error) (*BudgetError, bool) { return qguard.AsBudget(err) }
-
 // RecordShapeError reports an in-memory record (FromRecords) whose
 // dimension or measure count is not the schema's; Index names it. The
 // run fails with it before any engine starts.
@@ -109,8 +106,8 @@ func RunCompiled(ctx context.Context, c *Compiled, in Input, opts ...QueryOption
 }
 
 // runResolved is RunCompiled with the engine's whole result and the
-// EngineAuto decision surfaced, so ExplainAnalyze can label the profile
-// with the engine that actually ran and read its node stats. It also
+// EngineAuto decision surfaced, so ExplainAnalyzeCompiled can label the
+// profile with the engine that actually ran and read its node stats. It also
 // owns the query's process-level registration: every run's query span
 // appears in obs.DefaultInflight for its duration (on an internal
 // recorder when the caller supplied none, so live snapshots still carry

@@ -12,12 +12,13 @@ import (
 
 	"awra/aw"
 	"awra/internal/obs"
+	"awra/internal/storage"
 )
 
 func writeAttackFact(t *testing.T, recs []aw.Record) string {
 	t.Helper()
 	fact := filepath.Join(t.TempDir(), "fact.rec")
-	if err := aw.WriteRecords(fact, 4, 0, recs); err != nil {
+	if err := storage.WriteAll(fact, 4, 0, recs); err != nil {
 		t.Fatal(err)
 	}
 	return fact
@@ -49,8 +50,8 @@ func TestFaultMaxResultRowsBudget(t *testing.T) {
 		ExecOptions: aw.ExecOptions{MaxResultRows: 10, Recorder: rec},
 		TempDir:     filepath.Dir(fact),
 	})
-	be, ok := aw.AsBudgetError(err)
-	if !ok || be.Resource != aw.ResResultRows {
+	var be *aw.BudgetError
+	if !errors.As(err, &be) || be.Resource != aw.ResResultRows {
 		t.Fatalf("got %v, want result-rows BudgetError", err)
 	}
 	if !errors.Is(err, aw.ErrBudgetExceeded) {
@@ -73,8 +74,8 @@ func TestFaultMaxSpillBytesBudget(t *testing.T) {
 		ExecOptions: aw.ExecOptions{Engine: aw.EngineSingleScan, MemoryBudget: 4096, MaxSpillBytes: 1024},
 		TempDir:     filepath.Dir(fact),
 	})
-	be, ok := aw.AsBudgetError(err)
-	if !ok || be.Resource != aw.ResSpillBytes {
+	var be *aw.BudgetError
+	if !errors.As(err, &be) || be.Resource != aw.ResSpillBytes {
 		t.Fatalf("budgeted single-scan: got %v, want spill BudgetError", err)
 	}
 	_, err = aw.Run(context.Background(), busyWorkflow(t, s, 1), aw.FromFile(fact), aw.QueryOptions{
@@ -268,8 +269,8 @@ func TestFaultStreamLiveCellBudget(t *testing.T) {
 			break
 		}
 	}
-	be, ok := aw.AsBudgetError(pushErr)
-	if !ok || be.Resource != aw.ResLiveCells {
+	var be *aw.BudgetError
+	if !errors.As(pushErr, &be) || be.Resource != aw.ResLiveCells {
 		t.Fatalf("got %v, want live-cells BudgetError", pushErr)
 	}
 }

@@ -349,7 +349,7 @@ func runEngines(c *Compiled, in scan.Input, o QueryOptions, st *plan.Stats, g *q
 	switch o.Engine {
 	case EngineSortScan, EngineShardScan:
 		// The one sort key of a one-pass plan: the caller's or the
-		// optimizer's, recorded on the query span, where ExplainAnalyze,
+		// optimizer's, recorded on the query span, where ExplainAnalyzeCompiled,
 		// in-flight snapshots, and history records read it.
 		if o.SortKey == nil {
 			optSpan := qrec.Start(obs.SpanOptimize)
@@ -417,11 +417,6 @@ func LoadResults(dir string, schema *Schema) (Results, error) {
 	return resultstore.Load(dir, schema)
 }
 
-// LoadResult reads back one saved measure by name.
-func LoadResult(dir string, schema *Schema, name string) (*Table, error) {
-	return resultstore.LoadMeasure(dir, schema, name)
-}
-
 // BestSortKey runs the optimizer and returns the chosen key with its
 // estimated footprint in bytes.
 func BestSortKey(c *Compiled, baseCards []float64) (SortKey, float64, error) {
@@ -430,17 +425,6 @@ func BestSortKey(c *Compiled, baseCards []float64) (SortKey, float64, error) {
 		return nil, 0, err
 	}
 	return ch.Key, ch.EstBytes, nil
-}
-
-// ExplainPlan renders the streaming plan a sort key induces: per-node
-// stream orders, comparable keys, watermark shifts, and footprint
-// estimates.
-func ExplainPlan(c *Compiled, key SortKey, baseCards []float64) (string, error) {
-	p, err := plan.Build(c, key, &plan.Stats{BaseCard: baseCards})
-	if err != nil {
-		return "", err
-	}
-	return p.String(), nil
 }
 
 // DOT renders a compiled workflow as a Graphviz diagram in the style

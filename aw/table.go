@@ -8,10 +8,9 @@ import (
 
 // Row is a decoded result row: a formatted region plus its value.
 type Row struct {
-	Key    Key
-	Label  string
-	Value  float64
-	Region Region
+	Key   Key
+	Label string
+	Value float64
 }
 
 // TopK returns the k rows of a table with the largest values (NULLs
@@ -36,35 +35,6 @@ func TopK(t *Table, k int) []Row {
 	}
 	for i := range rows {
 		rows[i].Label = t.Codec.Format(rows[i].Key)
-		rows[i].Region = RegionOf(t.Codec, rows[i].Key)
 	}
 	return rows
-}
-
-// FilterRows returns the non-NULL rows satisfying pred, in key order.
-func FilterRows(t *Table, pred func(Region, float64) bool) []Row {
-	var rows []Row
-	for _, key := range t.SortedKeys() {
-		v := t.Rows[key]
-		if agg.IsNull(v) {
-			continue
-		}
-		r := RegionOf(t.Codec, key)
-		if pred(r, v) {
-			rows = append(rows, Row{Key: key, Label: t.Codec.Format(key), Value: v, Region: r})
-		}
-	}
-	return rows
-}
-
-// SumValues totals the non-NULL values of a table (handy for sanity
-// checks and shares).
-func SumValues(t *Table) float64 {
-	s := 0.0
-	for _, v := range t.Rows {
-		if !agg.IsNull(v) {
-			s += v
-		}
-	}
-	return s
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"awra/aw"
+	"awra/internal/agg"
 	"awra/internal/bench"
 	"awra/internal/exec/scan"
 	"awra/internal/gen"
@@ -220,7 +221,7 @@ func BenchmarkStreamPush(b *testing.B) {
 
 // BenchmarkAggregatorUpdate measures the hot aggregation path.
 func BenchmarkAggregatorUpdate(b *testing.B) {
-	for _, k := range []aw.AggKind{aw.Count, aw.Sum, aw.Avg, aw.Var} {
+	for _, k := range []agg.Kind{agg.Count, agg.Sum, agg.Avg, agg.Var} {
 		b.Run(k.String(), func(b *testing.B) {
 			a := k.New()
 			for i := 0; i < b.N; i++ {

@@ -163,21 +163,6 @@ func (c *Compiled) Basics(names []string) (*Compiled, error) {
 	return sub, nil
 }
 
-// Dependents returns, for each measure index, the indices of measures
-// that consume its values (including as base).
-func (c *Compiled) Dependents() [][]int {
-	out := make([][]int, len(c.Measures))
-	for i, m := range c.Measures {
-		for _, s := range m.Sources {
-			out[s] = append(out[s], i)
-		}
-		if m.Base >= 0 && m.Base != i {
-			out[m.Base] = append(out[m.Base], i)
-		}
-	}
-	return out
-}
-
 // measureDef is the pre-validation builder form.
 type measureDef struct {
 	name        string

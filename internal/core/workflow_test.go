@@ -188,20 +188,6 @@ func TestWorkflowCycleDetection(t *testing.T) {
 	}
 }
 
-func TestDependents(t *testing.T) {
-	c := exampleWorkflow(t)
-	deps := c.Dependents()
-	countIdx, _ := c.Index("Count")
-	var names []string
-	for _, d := range deps[countIdx] {
-		names = append(names, c.Measures[d].Name)
-	}
-	joined := strings.Join(names, ",")
-	if !strings.Contains(joined, "sCount") || !strings.Contains(joined, "sTraffic") {
-		t.Errorf("Count dependents = %v", names)
-	}
-}
-
 func TestTranslatePaperEquations(t *testing.T) {
 	c := exampleWorkflow(t)
 	e, err := Translate(c, "sCount")

@@ -14,6 +14,9 @@ import (
 	"awra/internal/storage"
 )
 
+// headerBytes is the record format's fixed file header size.
+const headerBytes = 32
+
 // chunkedFS opens files whose every Read returns at most the next size
 // of a cycle (at least one byte), as a pipe or a network file system
 // may: the reader must split the stream into the same rows however its
@@ -80,13 +83,13 @@ func TestSplitterAllChunkings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rowBytes := (len(raw) - storage.HeaderBytes) / len(recs)
+		rowBytes := (len(raw) - headerBytes) / len(recs)
 		want := make([][]byte, 9)
 		for i := range want {
-			want[i] = raw[storage.HeaderBytes+i*rowBytes : storage.HeaderBytes+(i+1)*rowBytes]
+			want[i] = raw[headerBytes+i*rowBytes : headerBytes+(i+1)*rowBytes]
 		}
 		// Nine whole rows of the ten the header declares, and half the tenth.
-		torn := raw[:storage.HeaderBytes+9*rowBytes+rowBytes/2]
+		torn := raw[:headerBytes+9*rowBytes+rowBytes/2]
 		if err := os.WriteFile(path, torn, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +133,7 @@ func FuzzSplitter(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rb uint8, data []byte, chunking []byte) {
 		cols := int(rb)%8 + 1
 		rowBytes := 8 * cols
-		hdr := make([]byte, storage.HeaderBytes)
+		hdr := make([]byte, headerBytes)
 		copy(hdr, "AWRA")
 		binary.LittleEndian.PutUint32(hdr[4:], 1)
 		binary.LittleEndian.PutUint32(hdr[8:], uint32(cols))
@@ -184,7 +187,7 @@ func TestSortFillSkipsWhatTheReaderSkips(t *testing.T) {
 		bad = append(bad, i) // the whole second chunk
 	}
 	for _, i := range bad {
-		raw[storage.HeaderBytes+i*diskRow+3] ^= 0x5A
+		raw[headerBytes+i*diskRow+3] ^= 0x5A
 	}
 	if err := os.WriteFile(fact, raw, 0o644); err != nil {
 		t.Fatal(err)

@@ -85,7 +85,6 @@ func eqStrings(a, b []string) bool {
 
 // Dict resolves between labels and codes after Build.
 type Dict struct {
-	levelNames []string
 	// codeOf[level][label] -> code; labelOf[level][code] -> label.
 	codeOf  []map[string]int64
 	labelOf [][]string
@@ -102,32 +101,12 @@ func (d *Dict) LeafCode(label string) (int64, error) {
 	return c, nil
 }
 
-// Code returns the code of a label at the given level.
-func (d *Dict) Code(level Level, label string) (int64, error) {
-	if int(level) >= len(d.codeOf) {
-		return 0, fmt.Errorf("model: dictionary has no level %d", level)
-	}
-	c, ok := d.codeOf[level][label]
-	if !ok {
-		return 0, fmt.Errorf("model: dictionary level %s has no label %q", d.levelNames[level], label)
-	}
-	return c, nil
-}
-
 // Label returns the label of a code at the given level.
 func (d *Dict) Label(level Level, code int64) string {
 	if int(level) >= len(d.labelOf) || code < 0 || code >= int64(len(d.labelOf[level])) {
 		return fmt.Sprintf("?%d", code)
 	}
 	return d.labelOf[level][code]
-}
-
-// Cardinality returns the number of distinct values at a level.
-func (d *Dict) Cardinality(level Level) int {
-	if int(level) >= len(d.labelOf) {
-		return 1
-	}
-	return len(d.labelOf[level])
 }
 
 // Build assigns codes and produces the Dimension plus its Dict.
@@ -176,10 +155,9 @@ func (b *DictBuilder) Build() (*Dimension, *Dict, error) {
 	})
 
 	d := &Dict{
-		levelNames: b.levelNames,
-		codeOf:     make([]map[string]int64, depth),
-		labelOf:    make([][]string, depth),
-		upOne:      make([][]int64, depth),
+		codeOf:  make([]map[string]int64, depth),
+		labelOf: make([][]string, depth),
+		upOne:   make([][]int64, depth),
 	}
 	for l := 0; l < depth; l++ {
 		d.codeOf[l] = map[string]int64{}

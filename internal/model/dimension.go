@@ -152,10 +152,6 @@ func MustDimension(name string, specs ...DomainSpec) *Dimension {
 // Name returns the dimension attribute's name.
 func (d *Dimension) Name() string { return d.name }
 
-// NumLevels returns the number of domains in the hierarchy, including
-// D_ALL. Valid levels are 0 .. NumLevels()-1.
-func (d *Dimension) NumLevels() int { return len(d.levels) }
-
 // ALL returns the level of the D_ALL domain.
 func (d *Dimension) ALL() Level { return Level(len(d.levels) - 1) }
 

@@ -29,8 +29,8 @@ func TestNewDimensionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("minimal dimension rejected: %v", err)
 	}
-	if d.NumLevels() != 2 {
-		t.Errorf("NumLevels = %d, want 2 (base + ALL)", d.NumLevels())
+	if len(d.levels) != 2 {
+		t.Errorf("levels = %d, want 2 (base + ALL)", len(d.levels))
 	}
 	if d.DomainName(d.ALL()) != "ALL" {
 		t.Errorf("ALL level named %q", d.DomainName(d.ALL()))
@@ -39,8 +39,8 @@ func TestNewDimensionValidation(t *testing.T) {
 
 func TestFixedFanout(t *testing.T) {
 	d := FixedFanout("A", 3, 10)
-	if d.NumLevels() != 4 {
-		t.Fatalf("NumLevels = %d, want 4", d.NumLevels())
+	if len(d.levels) != 4 {
+		t.Fatalf("levels = %d, want 4", len(d.levels))
 	}
 	// 523 -> 52 -> 5 -> ALL(0)
 	if got := d.Up(0, 1, 523); got != 52 {
@@ -97,8 +97,8 @@ func TestConsistencyOfGeneralization(t *testing.T) {
 			if d.Name() == "P" {
 				x = rng.Int63n(65536)
 			}
-			for j := Level(0); int(j) < d.NumLevels(); j++ {
-				for k := j; int(k) < d.NumLevels(); k++ {
+			for j := Level(0); int(j) < len(d.levels); j++ {
+				for k := j; int(k) < len(d.levels); k++ {
 					direct := d.Up(0, k, x)
 					viaJ := d.Up(j, k, d.Up(0, j, x))
 					if direct != viaJ {
@@ -129,7 +129,7 @@ func TestMonotonicityQuick(t *testing.T) {
 			if u > v {
 				u, v = v, u
 			}
-			for l := Level(1); int(l) < d.NumLevels(); l++ {
+			for l := Level(1); int(l) < len(d.levels); l++ {
 				if d.Up(0, l, u) > d.Up(0, l, v) {
 					return false
 				}
@@ -228,7 +228,7 @@ func TestUpMatchesUpOneChain(t *testing.T) {
 		fast := 0
 		for from := Level(0); from <= d.ALL(); from++ {
 			for to := from; to <= d.ALL(); to++ {
-				if d.div[int(from)*d.NumLevels()+int(to)] != 0 {
+				if d.div[int(from)*len(d.levels)+int(to)] != 0 {
 					fast++
 				}
 				for _, c := range codes {

@@ -286,35 +286,3 @@ func (k SortKey) RecordLess(s *Schema, a, b *Record) bool {
 	}
 	return false
 }
-
-// MapBase maps a record's base coordinates to the sort key's encoded
-// watermark value: the record's position in scan order, expressed at
-// the key's granularities.
-func (k SortKey) MapBase(s *Schema, dims []int64) Key {
-	b := make([]byte, 0, 8*len(k))
-	for _, p := range k {
-		b = appendCode(b, s.dims[p.Dim].Up(0, p.Lvl, dims[p.Dim]))
-	}
-	return Key(b)
-}
-
-// Project maps a region key (from codec c, whose granularity must be at
-// or below each key part's level for every part the region encodes)
-// into the sort key's encoded space. Parts whose dimension is at D_ALL
-// in the region set encode as the minimum value, so comparisons against
-// watermarks stay conservative.
-func (k SortKey) Project(c *KeyCodec, key Key) Key {
-	b := make([]byte, 0, 8*len(k))
-	for _, p := range k {
-		j := c.DimPos(p.Dim)
-		if j < 0 || c.gran[p.Dim] > p.Lvl {
-			// Region is coarser than the order part (or at ALL): no
-			// information; encode minimum.
-			b = appendCode(b, -(1 << 62))
-			continue
-		}
-		code := decodeCode([]byte(key[8*j : 8*j+8]))
-		b = appendCode(b, c.schema.dims[p.Dim].Up(c.gran[p.Dim], p.Lvl, code))
-	}
-	return Key(b)
-}

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -293,30 +292,13 @@ func TestSortKeyString(t *testing.T) {
 	}
 }
 
-func TestProjectConsistentWithMapBase(t *testing.T) {
-	// Projecting a region key onto a sort key must agree with mapping
-	// the raw record when the region granularity refines the key.
-	s := testSchema(t)
-	g, _ := s.Normalize(Gran{0, 1})
-	c := NewKeyCodec(s, g)
-	sk, _ := (SortKey{{Dim: 0, Lvl: 2}, {Dim: 1, Lvl: 1}}).Normalize(s)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		dims := []int64{rng.Int63n(1000), rng.Int63n(1000)}
-		viaKey := sk.Project(c, c.FromBase(dims))
-		direct := sk.MapBase(s, dims)
-		if viaKey != direct {
-			t.Fatalf("Project != MapBase for dims %v", dims)
-		}
-	}
-}
-
 func TestUpCoords(t *testing.T) {
 	s := testSchema(t)
 	g, _ := s.Normalize(Gran{1, LevelALL})
-	got := s.UpCoords([]int64{523, 77}, g)
+	c := NewKeyCodec(s, g)
+	got := c.FullDecode(c.FromBase([]int64{523, 77}))
 	if got[0] != 52 || got[1] != 0 {
-		t.Errorf("UpCoords = %v", got)
+		t.Errorf("base coordinates mapped up to %v", got)
 	}
 }
 

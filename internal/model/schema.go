@@ -206,13 +206,3 @@ func (s *Schema) GranString(g Gran) string {
 	b.WriteByte(')')
 	return b.String()
 }
-
-// UpCoords maps a record's base coordinates to codes at granularity g
-// (one code per dimension; ALL components map to 0).
-func (s *Schema) UpCoords(dims []int64, g Gran) []int64 {
-	out := make([]int64, len(dims))
-	for i := range dims {
-		out[i] = s.dims[i].Up(0, g[i], dims[i])
-	}
-	return out
-}

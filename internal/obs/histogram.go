@@ -24,7 +24,8 @@ const (
 	// per second, labeled {engine}.
 	HRowsPerSec = "query_rows_per_sec"
 	// HServeLatencyUs is the serve layer's end-to-end request latency
-	// (admission wait + execution) in microseconds, labeled {outcome}.
+	// (admission wait, then execution or cache lookup, then writing the
+	// response) in microseconds, labeled {outcome}.
 	HServeLatencyUs = "serve_request_latency_us"
 	// HServeWaitUs is the admission-queue wait distribution in
 	// microseconds for requests that had to queue.

@@ -172,7 +172,6 @@ const (
 	SpanOptimize = "optimize" // Section 6 sort-order search
 	SpanSort     = "sort"     // external sort (Table 7 line 2)
 	SpanSortRuns = "runs"     // run generation
-	SpanMerge    = "merge"    // k-way merge
 	SpanScan     = "scan"     // the streaming scan (Table 7 lines 3-7)
 	SpanFinalize = "finalize" // end-of-stream flush (Table 7 line 8)
 	SpanCombine  = "combine"  // composite/combine phase

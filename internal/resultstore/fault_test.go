@@ -43,9 +43,6 @@ func TestCorruptManifestIsTyped(t *testing.T) {
 	if _, err := Load(dir, s); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Load on corrupt manifest: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := LoadMeasure(dir, s, "cnt"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("LoadMeasure on corrupt manifest: err = %v, want ErrCorrupt", err)
-	}
 }
 
 func TestTruncatedMeasureFileIsTyped(t *testing.T) {

@@ -155,20 +155,6 @@ func Load(dir string, schema *model.Schema) (map[string]*core.Table, error) {
 	return out, nil
 }
 
-// LoadMeasure reads one stored measure by name.
-func LoadMeasure(dir string, schema *model.Schema, name string) (*core.Table, error) {
-	man, err := ReadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, info := range man.Measures {
-		if info.Name == name {
-			return loadMeasure(dir, schema, info)
-		}
-	}
-	return nil, fmt.Errorf("resultstore: no stored measure %q in %s", name, dir)
-}
-
 func loadMeasure(dir string, schema *model.Schema, info MeasureInfo) (*core.Table, error) {
 	if len(info.Domains) != schema.NumDims() {
 		return nil, fmt.Errorf("granularity has %d components, schema has %d dimensions",
@@ -212,9 +198,4 @@ func sortStrings(xs []string) {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-// jsonMarshal is exposed for tests that rewrite manifests.
-func jsonMarshal(man *Manifest) ([]byte, error) {
-	return json.MarshalIndent(man, "", "  ")
 }

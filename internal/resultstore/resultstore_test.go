@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,24 +66,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if !model.GranEq(want.Gran, got.Gran) {
 			t.Fatalf("measure %q granularity changed", name)
 		}
-	}
-}
-
-func TestLoadSingleMeasure(t *testing.T) {
-	s, tables := computedTables(t)
-	dir := filepath.Join(t.TempDir(), "results")
-	if err := Save(dir, s, tables); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := LoadMeasure(dir, s, "per/top")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tables["per/top"].Equal(tbl, 0) {
-		t.Fatal("single-measure load differs")
-	}
-	if _, err := LoadMeasure(dir, s, "ghost"); err == nil {
-		t.Fatal("unknown measure loaded")
 	}
 }
 
@@ -159,7 +142,7 @@ func TestCorruptionDetected(t *testing.T) {
 
 func mustJSON(t *testing.T, man *Manifest) []byte {
 	t.Helper()
-	b, err := jsonMarshal(man)
+	b, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,13 +152,6 @@ func (g *Gate) Active() int {
 	return g.active
 }
 
-// Waiting returns the current queue depth.
-func (g *Gate) Waiting() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.waiting
-}
-
 // reject counts and builds one rejection.
 func (g *Gate) reject(reason, tenant string) error {
 	g.rec.Counter(obs.MServeShed).Add(1)

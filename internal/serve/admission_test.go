@@ -58,7 +58,7 @@ func TestGateConcurrencyCapAndRecovery(t *testing.T) {
 }
 
 func TestGateTenantLimit(t *testing.T) {
-	g := NewGate(GateConfig{MaxConcurrent: 4, TenantLimit: 1, QueueDepth: 4}, nil)
+	g := NewGate(GateConfig{MaxConcurrent: 4, TenantLimit: 1, QueueDepth: 4}, obs.New())
 	ctx := context.Background()
 
 	rA, err := g.Admit(ctx, "a")
@@ -71,8 +71,8 @@ func TestGateTenantLimit(t *testing.T) {
 	if re, ok := AsReject(err); !ok || re.Reason != ReasonTenantLimit {
 		t.Fatalf("2nd a: got %v, want tenant_limit", err)
 	}
-	if g.Waiting() != 0 {
-		t.Fatalf("Waiting = %d, want 0 (tenant rejects bypass the queue)", g.Waiting())
+	if n := queueDepth(g); n != 0 {
+		t.Fatalf("queue depth = %d, want 0 (tenant rejects bypass the queue)", n)
 	}
 	rB, err := g.Admit(ctx, "b")
 	if err != nil {
@@ -109,7 +109,7 @@ func TestGateReleaseIdempotent(t *testing.T) {
 }
 
 func TestGateQueueTimeoutAndOverflow(t *testing.T) {
-	g := NewGate(GateConfig{MaxConcurrent: 1, QueueDepth: 1, QueueWait: 30 * time.Millisecond}, nil)
+	g := NewGate(GateConfig{MaxConcurrent: 1, QueueDepth: 1, QueueWait: 30 * time.Millisecond}, obs.New())
 	ctx := context.Background()
 	r, err := g.Admit(ctx, "a")
 	if err != nil {
@@ -126,7 +126,7 @@ func TestGateQueueTimeoutAndOverflow(t *testing.T) {
 		_, err := g.Admit(ctx, "b")
 		ch <- res{err}
 	}()
-	waitFor(t, func() bool { return g.Waiting() == 1 })
+	waitFor(t, func() bool { return queueDepth(g) == 1 })
 	if _, err := g.Admit(ctx, "c"); !isReason(err, ReasonQueueFull) {
 		t.Fatalf("overflow: got %v, want queue_full", err)
 	}
@@ -136,7 +136,7 @@ func TestGateQueueTimeoutAndOverflow(t *testing.T) {
 }
 
 func TestGateQueueHandoff(t *testing.T) {
-	g := NewGate(GateConfig{MaxConcurrent: 1, QueueDepth: 2, QueueWait: 2 * time.Second}, nil)
+	g := NewGate(GateConfig{MaxConcurrent: 1, QueueDepth: 2, QueueWait: 2 * time.Second}, obs.New())
 	ctx := context.Background()
 	r, err := g.Admit(ctx, "a")
 	if err != nil {
@@ -150,7 +150,7 @@ func TestGateQueueHandoff(t *testing.T) {
 		}
 		done <- err
 	}()
-	waitFor(t, func() bool { return g.Waiting() == 1 })
+	waitFor(t, func() bool { return queueDepth(g) == 1 })
 	r()
 	if err := <-done; err != nil {
 		t.Fatalf("queued admit after release: %v", err)
@@ -172,7 +172,7 @@ func TestGateSheddingSkipsQueue(t *testing.T) {
 }
 
 func TestGateCloseRejectsAndDrainsQueue(t *testing.T) {
-	g := NewGate(GateConfig{MaxConcurrent: 1, QueueDepth: 2, QueueWait: 2 * time.Second}, nil)
+	g := NewGate(GateConfig{MaxConcurrent: 1, QueueDepth: 2, QueueWait: 2 * time.Second}, obs.New())
 	ctx := context.Background()
 	r, err := g.Admit(ctx, "a")
 	if err != nil {
@@ -183,7 +183,7 @@ func TestGateCloseRejectsAndDrainsQueue(t *testing.T) {
 		_, err := g.Admit(ctx, "b")
 		done <- err
 	}()
-	waitFor(t, func() bool { return g.Waiting() == 1 })
+	waitFor(t, func() bool { return queueDepth(g) == 1 })
 	g.Close()
 	if _, err := g.Admit(ctx, "c"); !isReason(err, ReasonDraining) {
 		t.Fatalf("post-close admit: got %v, want draining", err)
@@ -200,7 +200,7 @@ func TestGateCloseRejectsAndDrainsQueue(t *testing.T) {
 }
 
 func TestGateCtxCanceledWhileQueued(t *testing.T) {
-	g := NewGate(GateConfig{MaxConcurrent: 1, QueueDepth: 1, QueueWait: 2 * time.Second}, nil)
+	g := NewGate(GateConfig{MaxConcurrent: 1, QueueDepth: 1, QueueWait: 2 * time.Second}, obs.New())
 	r, err := g.Admit(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
@@ -212,13 +212,13 @@ func TestGateCtxCanceledWhileQueued(t *testing.T) {
 		_, err := g.Admit(ctx, "b")
 		done <- err
 	}()
-	waitFor(t, func() bool { return g.Waiting() == 1 })
+	waitFor(t, func() bool { return queueDepth(g) == 1 })
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter: got %v, want context.Canceled", err)
 	}
-	if g.Waiting() != 0 {
-		t.Fatalf("Waiting = %d, want 0", g.Waiting())
+	if n := queueDepth(g); n != 0 {
+		t.Fatalf("queue depth = %d, want 0", n)
 	}
 }
 
@@ -226,6 +226,9 @@ func isReason(err error, reason string) bool {
 	re, ok := AsReject(err)
 	return ok && re.Reason == reason
 }
+
+// queueDepth reads the gate's queue-depth gauge.
+func queueDepth(g *Gate) int64 { return g.rec.Gauge(obs.GServeQueueDepth).Value() }
 
 // waitFor polls cond until true or a deadline; the queue transitions
 // it watches are local channel handoffs, never real work.

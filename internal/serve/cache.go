@@ -161,20 +161,29 @@ func newResultCache(cfg CacheConfig, rec *obs.Recorder) *resultCache {
 // unreadable) file invalidates the entry on the spot — the acknowledged
 // invalidation point the concurrency tests pin: once a writer's change
 // is visible to fileFingerprint, no later Get can return the old
-// tables.
+// tables. The file is read without the lock, so a slow probe holds up
+// no other key; an entry replaced or removed meanwhile is a plain miss.
 func (c *resultCache) Get(key, path string) (*cacheEntry, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
+	c.mu.Unlock()
 	if !ok {
 		c.rec.Counter(obs.MServeCacheMisses).Add(1)
 		return nil, false
 	}
+	// An element's Value is set once, before it is linked, and its
+	// fileFP never changes.
 	e := el.Value.(*cacheEntry)
 	cur, err := fileFingerprint(path)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.byKey[key] != el {
+		c.rec.Counter(obs.MServeCacheMisses).Add(1)
+		return nil, false
+	}
 	if err != nil || cur != e.fileFP {
 		c.removeLocked(el)
 		c.rec.Counter(obs.MServeCacheInvalidations).Add(1)

@@ -86,8 +86,8 @@ func TestServeChaos(t *testing.T) {
 	if got := aw.InflightQueries(); len(got) != 0 {
 		t.Errorf("in-flight registry not empty after chaos: %d entries", len(got))
 	}
-	if s.Gate().Active() != 0 || s.Gate().Waiting() != 0 {
-		t.Errorf("gate not idle: active=%d waiting=%d", s.Gate().Active(), s.Gate().Waiting())
+	if s.Gate().Active() != 0 || queueDepth(s.Gate()) != 0 {
+		t.Errorf("gate not idle: active=%d waiting=%d", s.Gate().Active(), queueDepth(s.Gate()))
 	}
 
 	// History consistency: exactly one record per executed request (200

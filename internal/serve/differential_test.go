@@ -26,6 +26,7 @@ import (
 	"awra/aw"
 	"awra/internal/faultfs"
 	"awra/internal/obs"
+	"awra/internal/storage"
 	"awra/internal/wfdsl"
 )
 
@@ -289,7 +290,7 @@ func TestServeShareDifferentialFanout(t *testing.T) {
 func writeFactState(t *testing.T, fact string, n int, seed int64) {
 	t.Helper()
 	tmp := fact + ".tmp"
-	if err := aw.WriteRecords(tmp, 4, 0, netRecords(n, seed)); err != nil {
+	if err := storage.WriteAll(tmp, 4, 0, netRecords(n, seed)); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Rename(tmp, fact); err != nil {
@@ -313,7 +314,7 @@ func TestServeCacheInvalidationChurn(t *testing.T) {
 	states := []state{{1500, 21}, {2100, 22}, {1800, 23}}
 	oracleFor := func(st state, wf string) map[string][]ValueAt {
 		p := filepath.Join(t.TempDir(), "oracle.rec")
-		if err := aw.WriteRecords(p, 4, 0, netRecords(st.n, int64(st.seed))); err != nil {
+		if err := storage.WriteAll(p, 4, 0, netRecords(st.n, int64(st.seed))); err != nil {
 			t.Fatal(err)
 		}
 		return coldMeasures(t, p, wf)

@@ -116,7 +116,7 @@ func TestControllerApplyDegrades(t *testing.T) {
 }
 
 func TestControllerDrivesGateShedding(t *testing.T) {
-	g := NewGate(GateConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWait: time.Second}, nil)
+	g := NewGate(GateConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWait: time.Second}, obs.New())
 	c, _ := newTestController(g)
 	c.Observe(time.Hour, 0)
 	c.Observe(time.Hour, 0)
@@ -148,7 +148,7 @@ func TestControllerDrivesGateShedding(t *testing.T) {
 		}
 		done <- err
 	}()
-	waitFor(t, func() bool { return g.Waiting() == 1 })
+	waitFor(t, func() bool { return queueDepth(g) == 1 })
 	r()
 	if err := <-done; err != nil {
 		t.Fatalf("queueing not restored after recovery: %v", err)

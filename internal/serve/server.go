@@ -446,7 +446,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if runErr != nil {
 		outcome = "error"
 	}
-	s.rec.Histogram(obs.HServeLatencyUs, "outcome", outcome).Observe(latency.Microseconds())
 
 	if runErr == nil {
 		// Only final, successful results populate the cache, and only if
@@ -465,10 +464,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if runErr != nil {
 		resp.Error = runErr.Error()
 		writeJSON(w, s.statusFor(runErr), resp)
-		return
+	} else {
+		resp.Measures = topkMeasures(res, req)
+		writeJSON(w, http.StatusOK, resp)
 	}
-	resp.Measures = topkMeasures(res, req)
-	writeJSON(w, http.StatusOK, resp)
+	s.rec.Histogram(obs.HServeLatencyUs, "outcome", outcome).Observe(time.Since(t0).Microseconds())
 }
 
 // topkMeasures maps full result tables to the response's top-K rows.
@@ -499,7 +499,6 @@ func topkMeasures(res aw.Results, req QueryRequest) map[string][]ValueAt {
 // latency histogram bucket.
 func (s *Server) serveFromCache(w http.ResponseWriter, req QueryRequest, reqID, traceID, factPath string, parsed *wfdsl.Parsed, e *cacheEntry, t0 time.Time) {
 	latency := time.Since(t0)
-	s.rec.Histogram(obs.HServeLatencyUs, "outcome", "cache_hit").Observe(latency.Microseconds())
 	s.recordServed(reqID, traceID, factPath, parsed, e.traceID, latency)
 	resp := QueryResponse{
 		RequestID:     reqID,
@@ -512,6 +511,7 @@ func (s *Server) serveFromCache(w http.ResponseWriter, req QueryRequest, reqID, 
 		Measures:      topkMeasures(e.res, req),
 	}
 	writeJSON(w, http.StatusOK, resp)
+	s.rec.Histogram(obs.HServeLatencyUs, "outcome", "cache_hit").Observe(time.Since(t0).Microseconds())
 }
 
 // recordServed finishes a cache hit: one record, committed to the

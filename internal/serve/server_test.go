@@ -47,7 +47,7 @@ func netRecords(n int, seed int64) []aw.Record {
 func writeNetFact(t *testing.T, n int, seed int64) string {
 	t.Helper()
 	fact := filepath.Join(t.TempDir(), "fact.rec")
-	if err := aw.WriteRecords(fact, 4, 0, netRecords(n, seed)); err != nil {
+	if err := storage.WriteAll(fact, 4, 0, netRecords(n, seed)); err != nil {
 		t.Fatal(err)
 	}
 	return fact
@@ -225,6 +225,32 @@ func TestServeUnknownMeasureRejected(t *testing.T) {
 	status, qr, _ = postQuery(t, ts.URL, QueryRequest{Workflow: testWorkflow, Collection: "net", Measure: "Busy"})
 	if status != http.StatusOK || qr.ServedFrom != "cache" || len(qr.Measures) != 1 || len(qr.Measures["Busy"]) == 0 {
 		t.Fatalf("known measure: status=%d %+v", status, qr)
+	}
+}
+
+// TestServeLatencyCoversResponse: the request-latency histogram times
+// the whole answer, so on cache hits over a table of thousands of rows
+// it sums to more than the envelopes' duration_us, which stop before
+// ranking the rows and writing the response.
+func TestServeLatencyCoversResponse(t *testing.T) {
+	s, ts := newServerOverFact(t, writeNetFact(t, 5000, 13), nil)
+	req := QueryRequest{Workflow: "schema net\nbasic Count gran(t=Second, U=IP) agg=count", Collection: "net"}
+	if status, qr, _ := postQuery(t, ts.URL, req); status != http.StatusOK || qr.ServedFrom != "" {
+		t.Fatalf("cold run: status=%d %+v", status, qr)
+	}
+	const hits = 20
+	var envelope int64
+	for i := 0; i < hits; i++ {
+		status, qr, _ := postQuery(t, ts.URL, req)
+		if status != http.StatusOK || qr.ServedFrom != "cache" {
+			t.Fatalf("hit %d: status=%d %+v", i, status, qr)
+		}
+		envelope += qr.DurationUs
+	}
+	h := s.rec.Histogram(obs.HServeLatencyUs, "outcome", "cache_hit")
+	waitFor(t, func() bool { return h.Count() == hits })
+	if h.Sum() <= envelope {
+		t.Errorf("latency histogram sums to %d us over %d hits, envelopes to %d us", h.Sum(), hits, envelope)
 	}
 }
 

@@ -156,7 +156,7 @@ func TestCollectUnderGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[storage.HeaderBytes+100*20] ^= 0xFF // record 100 of 20-byte rows
+	b[32+100*20] ^= 0xFF // past the 32-byte header, record 100 of 20-byte rows
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}

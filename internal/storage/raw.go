@@ -13,9 +13,6 @@ import (
 // package's FileSystem, so fault injection (internal/faultfs) covers
 // the batched paths exactly like the row-at-a-time ones.
 
-// HeaderBytes is the size of the fixed file header.
-const HeaderBytes = headerSize
-
 // RowBytes is the payload size of one record: the dimension codes and
 // measure values, without the checksum suffix.
 func (h Header) RowBytes() int { return h.recordBytes() }
