@@ -108,7 +108,8 @@ func ExplainFor(c *Compiled, in Input, opts ...QueryOptions) (*Profile, error) {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	st := planStats(c, in, &o)
+	fp, _ := CollectionFingerprint(in)
+	st := planStats(c, fp, &o)
 	p := &Profile{}
 	if o.Engine == EngineAuto {
 		if err := p.resolveAuto(c, st, &o); err != nil {
@@ -267,7 +268,8 @@ func ExplainAnalyzeCompiled(ctx context.Context, c *Compiled, in Input, opts ...
 	// Freeze the measured-statistics view before running: the run
 	// itself appends to the history, and the profile must reflect the
 	// estimates the planner actually saw, not post-run knowledge.
-	st := freezeStats(c, planStats(c, in, &o))
+	fp, _ := CollectionFingerprint(in)
+	st := freezeStats(c, planStats(c, fp, &o))
 	res, engine, err := runResolved(ctx, c, in, o)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,7 @@ package aw
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -290,32 +290,61 @@ func (h *History) FormatRecent(n int) string {
 	return b.String()
 }
 
-// CollectionFingerprint identifies the dataset a query runs against —
-// the CollectionFP of its history records. The serve layer uses it to
-// stamp the records of cache hits consistently with the records real
-// runs write. File inputs hash the absolute path
-// plus size and mtime, so the fingerprint changes when the file is
-// rewritten (stale measurements stop matching); in-memory inputs get a
-// length-based tag — cheap and deterministic, but different slices of
-// equal length collide, which is acceptable for advisory statistics.
-func CollectionFingerprint(in Input) string {
+// probeBytes is how much of each end of a collection file
+// CollectionFingerprint hashes: with the size and mtime it catches every
+// append and an equal-length rewrite that keeps the mtime, without
+// reading the whole file.
+const probeBytes = 64 << 10
+
+// probeBufs holds CollectionFingerprint's read buffers. crc32.Update
+// reaches its kernel through a function value, so a buffer declared in
+// the function escapes to the heap: 64 KiB a call on the serve path.
+var probeBufs = sync.Pool{New: func() any { return new([probeBytes]byte) }}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// CollectionFingerprint names the state of the collection a query runs
+// against. It is the collection's one identity: the CollectionFP of
+// history records, the key of measured statistics, and the state a
+// serve cache entry answers for. A file input hashes its absolute path,
+// size and mtime and a CRC-32C of its first and last 64 KiB, so an
+// append, a rewrite or an equal-length edit under an unchanged mtime
+// all change it. It reads through the OS, not the engines' swappable
+// file system, so injected storage faults hit query execution and never
+// the identity. An in-memory input gets a length tag, mem-N: different
+// slices of equal length collide, which is acceptable for advisory
+// statistics. A file that cannot be read returns the error.
+func CollectionFingerprint(in Input) (string, error) {
 	if in.path == "" {
-		return fmt.Sprintf("mem-%d", len(in.recs))
+		return fmt.Sprintf("mem-%d", len(in.recs)), nil
 	}
 	abs, err := filepath.Abs(in.path)
 	if err != nil {
-		abs = in.path
+		return "", err
 	}
-	if st, err := os.Stat(in.path); err == nil {
-		return "f-" + hashString(fmt.Sprintf("%s|%d|%d", abs, st.Size(), st.ModTime().UnixNano()))
+	f, err := os.Open(in.path)
+	if err != nil {
+		return "", err
 	}
-	return "f-" + hashString(abs)
-}
-
-func hashString(s string) string {
-	f := fnv.New64a()
-	f.Write([]byte(s))
-	return fmt.Sprintf("%016x", f.Sum64())
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return "", err
+	}
+	buf := probeBufs.Get().(*[probeBytes]byte)
+	defer probeBufs.Put(buf)
+	n, err := f.ReadAt(buf[:], 0)
+	if err != nil && err != io.EOF {
+		return "", err
+	}
+	sum := crc32.Update(0, castagnoli, buf[:n])
+	if tail := st.Size() - probeBytes; tail > 0 {
+		if n, err = f.ReadAt(buf[:], tail); err != nil && err != io.EOF {
+			return "", err
+		}
+		sum = crc32.Update(sum, castagnoli, buf[:n])
+	}
+	return fmt.Sprintf("f-%08x-%x-%x-%08x", crc32.Checksum([]byte(abs), castagnoli), st.Size(), st.ModTime().UnixNano(), sum), nil
 }
 
 // OutcomeOf classifies a run error into a history outcome (OutcomeOK,
@@ -335,16 +364,17 @@ func OutcomeOf(err error) (outcome, msg string) {
 }
 
 // buildRecord assembles the record of one finished attempt from the
-// query span's subtree, the guard's resource stats, and the engine's
-// stats with their per-node actuals (res is nil when the run failed).
-func buildRecord(c *Compiled, in Input, o *QueryOptions, g *qguard.Guard, qSpan *obs.Span, engine Engine, res *scan.Result, runErr error) *HistoryRecord {
+// collection identity the run read before it started, the query span's
+// subtree, the guard's resource stats, and the engine's stats with
+// their per-node actuals (res is nil when the run failed).
+func buildRecord(c *Compiled, collectionFP string, o *QueryOptions, g *qguard.Guard, qSpan *obs.Span, engine Engine, res *scan.Result, runErr error) *HistoryRecord {
 	rec := &HistoryRecord{
 		Time:         time.Now(),
 		RequestID:    o.RequestID,
 		TraceID:      o.TraceID,
 		Label:        strings.Join(c.Outputs(), ","),
 		QueryFP:      c.Fingerprint(),
-		CollectionFP: CollectionFingerprint(in),
+		CollectionFP: collectionFP,
 		Engine:       engine.String(),
 	}
 	rec.Outcome, rec.Error = OutcomeOf(runErr)
@@ -370,7 +400,7 @@ func buildRecord(c *Compiled, in Input, o *QueryOptions, g *qguard.Guard, qSpan 
 	// Per-node estimate-vs-actual profile, keyed by content signature
 	// so the measured store can feed later plans. Estimate provenance
 	// mirrors what plan.Build decided for this run.
-	st := planStats(c, in, o)
+	st := planStats(c, collectionFP, o)
 	for i, m := range c.Measures {
 		np := qlog.NodeProfile{NodeStats: actual[m.Name], Sig: c.NodeSignature(i), EstSource: st.SourceLabel()}
 		np.Node = m.Name

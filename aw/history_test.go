@@ -1,10 +1,13 @@
 package aw_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -320,5 +323,60 @@ func TestHistoryRecordContents(t *testing.T) {
 		if n.CellsFinalized == 0 {
 			t.Fatalf("node %q has no finalized cells: %+v", n.Node, n)
 		}
+	}
+}
+
+// writeProbeFile writes a 200 KiB file, more than three probe windows,
+// so CollectionFingerprint reads both its head and its tail.
+func writeProbeFile(tb testing.TB) aw.Input {
+	tb.Helper()
+	p := filepath.Join(tb.TempDir(), "facts.rec")
+	if err := os.WriteFile(p, bytes.Repeat([]byte("0123456789abcdef"), 200<<6), 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return aw.FromFile(p)
+}
+
+var fingerprintSink string
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
+func BenchmarkCollectionFingerprint(b *testing.B) {
+	in := writeProbeFile(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fp, err := aw.CollectionFingerprint(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fingerprintSink = fp
+	}
+}
+
+// TestCollectionFingerprintAllocs: the serve path reads the identity on
+// every request, so its 64 KiB probe buffer must not be allocated per
+// call. The race detector's sync.Pool drops a quarter of its puts on
+// purpose, which would charge the pool's misses to the function.
+func TestCollectionFingerprintAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	in := writeProbeFile(t)
+	if _, err := aw.CollectionFingerprint(in); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := aw.CollectionFingerprint(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 16<<10 {
+		t.Errorf("CollectionFingerprint allocates %d B a call, want < 16 KiB", per)
 	}
 }

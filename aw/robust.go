@@ -66,10 +66,11 @@ func Run(ctx context.Context, w *Workflow, in Input, opts ...QueryOptions) (Resu
 		// the rejection with what little identity the inputs give us.
 		if len(opts) > 0 {
 			o := opts[0]
+			fp, _ := CollectionFingerprint(in)
 			_ = o.History.Append(&HistoryRecord{
 				RequestID:    o.RequestID,
 				TraceID:      o.TraceID,
-				CollectionFP: CollectionFingerprint(in),
+				CollectionFP: fp,
 				Engine:       o.Engine.String(),
 				Outcome:      OutcomeError,
 				Error:        err.Error(),
@@ -141,6 +142,15 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 	// registration: snapshots read its attrs, subtree and recorder.
 	qSpan := o.Recorder.Start(obs.SpanQuery)
 	qSpan.SetAttr("trace_id", o.TraceID)
+	// The collection's identity is read once, before any engine opens
+	// the input. The planner's measured statistics, this run's history
+	// record and the serve cache (through the span's collection_fp) all
+	// take this value, so a file swapped mid-run files nothing under the
+	// new file's key. An unreadable file leaves it empty: the engine's
+	// own open reports the failure, and an empty identity neither files
+	// measured statistics nor populates the cache.
+	fp, _ := CollectionFingerprint(in)
+	qSpan.SetAttr("collection_fp", fp)
 	inq := obs.DefaultInflight.Begin(strings.Join(c.Outputs(), ","), qSpan)
 	defer inq.Finish()
 	// Label this goroutine (and, through the guard's context, every
@@ -170,7 +180,7 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 		// One record per finished run: the flight recorder chains it
 		// under the trace ID and the history logs it. Best effort: a full disk must not turn a
 		// finished query into a failure.
-		_ = o.History.Append(buildRecord(c, in, &o, g, qSpan, engine, res, err))
+		_ = o.History.Append(buildRecord(c, fp, &o, g, qSpan, engine, res, err))
 	}()
 
 	// The engines' one input: in-memory records are shape-checked here.
@@ -188,7 +198,7 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 		o.BaseCards = st.PlanStats().BaseCard
 		o.AutoStats = false
 	}
-	st := planStats(c, in, &o)
+	st := planStats(c, fp, &o)
 
 	wasAuto := o.Engine == EngineAuto
 	res, engine, err = runEngines(c, src, o, st, g, qSpan)

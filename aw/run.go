@@ -274,16 +274,15 @@ func ResultsEqual(a, b Results, eps float64) bool {
 // planStats assembles the planner's cardinality input for one run:
 // caller or AutoStats cardinalities (labeled "collected"), paper
 // defaults otherwise ("assumed"), plus — when a History is attached —
-// a measured-statistics lookup keyed by this collection's fingerprint
+// a measured-statistics lookup keyed by the collection's fingerprint fp
 // and each node's content signature ("measured"). The lookup runs only
 // at plan time, never on the scan path.
-func planStats(c *Compiled, in Input, o *QueryOptions) *plan.Stats {
+func planStats(c *Compiled, fp string, o *QueryOptions) *plan.Stats {
 	st := &plan.Stats{BaseCard: o.BaseCards}
 	if len(o.BaseCards) > 0 {
 		st.Source = plan.SourceCollected
 	}
 	if h := o.History; h != nil {
-		fp := CollectionFingerprint(in)
 		st.Measured = func(sig string) (float64, bool) {
 			m, ok := h.store.Lookup(fp, sig)
 			return m.Cells, ok

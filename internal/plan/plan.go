@@ -31,7 +31,6 @@ package plan
 
 import (
 	"fmt"
-	"strings"
 
 	"awra/internal/core"
 	"awra/internal/model"
@@ -362,25 +361,4 @@ func estimateCells(c *core.Compiled, m *core.Measure, node *Node, stats *Stats) 
 		}
 	}
 	return est
-}
-
-// String renders the plan for humans: one line per node with arcs,
-// orders, shifts and footprint estimates.
-func (p *Plan) String() string {
-	var b strings.Builder
-	sch := p.Workflow.Schema
-	fmt.Fprintf(&b, "sort key %s, est %.0f bytes\n", p.SortKey.String(sch), p.EstBytes)
-	for i, n := range p.Nodes {
-		m := p.Workflow.Measures[i]
-		fmt.Fprintf(&b, "  %-16s %-10s gran %-24s out %-20s cells %.0f\n",
-			m.Name, m.Kind, sch.GranString(m.Gran), n.OutOrder.String(sch), n.EstCells)
-		for _, a := range n.Arcs {
-			src := "D"
-			if a.From >= 0 {
-				src = p.Workflow.Measures[a.From].Name
-			}
-			fmt.Fprintf(&b, "    <- %-6s %-16s cmp %-20s shift %v\n", a.Kind, src, a.CmpKey.String(sch), a.Shift)
-		}
-	}
-	return b.String()
 }

@@ -252,29 +252,6 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-func TestPlanString(t *testing.T) {
-	s := netSchema(t)
-	gHour, _ := s.MakeGran(map[string]string{"t": "Hour"})
-	hour := lvl(t, s, 0, "Hour")
-	c, err := core.NewWorkflow(s).
-		Basic("cnt", gHour, agg.Count, -1).
-		Sliding("avg", "cnt", agg.Avg, []core.Window{{Dim: 0, Lo: 0, Hi: 5}}).
-		Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := Build(c, model.SortKey{{Dim: 0, Lvl: hour}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	str := pl.String()
-	for _, frag := range []string{"sort key", "cnt", "avg", "<- fact", "<- source", "shift"} {
-		if !strings.Contains(str, frag) {
-			t.Errorf("plan string missing %q:\n%s", frag, str)
-		}
-	}
-}
-
 func TestStatsDimCardDefaults(t *testing.T) {
 	s := netSchema(t)
 	var st *Stats

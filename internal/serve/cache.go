@@ -1,22 +1,23 @@
 // Result cache: finalized measure tables keyed by what they answer —
-// (collection file fingerprint × compiled-workflow fingerprint) — with
-// LRU + byte-budget eviction. The paper's Section 5 contribution is
-// sharing one fact-table pass across a workflow's measures; caching
-// the finalized tables extends that sharing across *time*: the next
+// (collection file × compiled-workflow fingerprint) — with LRU +
+// byte-budget eviction. The paper's Section 5 contribution is sharing
+// one fact-table pass across a workflow's measures; caching the
+// finalized tables extends that sharing across *time*: the next
 // identical query over an unchanged collection re-uses the pass that
 // already happened. Gray et al.'s Data-Cube classification is what
 // makes this sound — every cached table is the finalized output of
 // distributive/algebraic/holistic aggregation over an immutable input
 // snapshot, so as long as the input fingerprint still matches, the
-// bytes cannot have changed.
+// bytes cannot have changed. That fingerprint is the collection's one
+// identity, aw.CollectionFingerprint, which history records and
+// measured statistics carry too: an entry holds the value its run read
+// before it started, and every Get and Put compares the file's current
+// value with it.
 package serve
 
 import (
 	"container/list"
 	"fmt"
-	"hash/fnv"
-	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -46,57 +47,6 @@ func (c CacheConfig) withDefaults() CacheConfig {
 	return c
 }
 
-// probeBytes is how much of each end of a collection file the content
-// fingerprint hashes. Together with size+mtime this catches every
-// append and every rewrite that preserves size and mtime resolution —
-// e.g. an equal-length in-place edit — without rescanning gigabytes.
-const probeBytes = 64 << 10
-
-// fileFingerprint fingerprints a collection file's current state:
-// size, mtime, and an FNV-1a hash of the first and last probeBytes of
-// content. It reads through the OS directly — like the history log,
-// cache bookkeeping is not subject to injected storage faults, so a
-// chaos run's injected read errors hit query execution, never
-// invalidation correctness.
-func fileFingerprint(path string) (string, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return "", err
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|", st.Size(), st.ModTime().UnixNano())
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	buf := make([]byte, probeBytes)
-	n, err := f.Read(buf)
-	if err != nil && err != io.EOF {
-		return "", err
-	}
-	h.Write(buf[:n])
-	if tail := st.Size() - probeBytes; tail > 0 {
-		n, err = f.ReadAt(buf, tail)
-		if err != nil && err != io.EOF {
-			return "", err
-		}
-		h.Write(buf[:n])
-	}
-	return fmt.Sprintf("%016x", h.Sum64()), nil
-}
-
-// fingerprint is the pre-run fingerprint Put revalidates against. A
-// disabled cache (nil) never populates, so it reads nothing and returns
-// "", as does a file that cannot be fingerprinted; Put refuses "".
-func (c *resultCache) fingerprint(path string) string {
-	if c == nil {
-		return ""
-	}
-	fp, _ := fileFingerprint(path)
-	return fp
-}
-
 // cacheKey identifies what a cached entry answers: which collection
 // file, which compiled workflow (core fingerprint over output node
 // signatures), and the one option that changes answers rather than
@@ -113,7 +63,7 @@ func cacheKey(path, workflowFP string, skipCorrupt bool) string {
 type cacheEntry struct {
 	key    string
 	path   string
-	fileFP string // collection file fingerprint when the result was computed
+	fileFP string // aw.CollectionFingerprint of the file the result was computed from
 	res    aw.Results
 	bytes  int64
 
@@ -160,9 +110,10 @@ func newResultCache(cfg CacheConfig, rec *obs.Recorder) *resultCache {
 // fingerprints as it did when the result was computed. A changed (or
 // unreadable) file invalidates the entry on the spot — the acknowledged
 // invalidation point the concurrency tests pin: once a writer's change
-// is visible to fileFingerprint, no later Get can return the old
-// tables. The file is read without the lock, so a slow probe holds up
-// no other key; an entry replaced or removed meanwhile is a plain miss.
+// is visible to aw.CollectionFingerprint, no later Get can return the
+// old tables. The file is read without the lock, so a slow probe holds
+// up no other key; an entry replaced or removed meanwhile is a plain
+// miss.
 func (c *resultCache) Get(key, path string) (*cacheEntry, bool) {
 	if c == nil {
 		return nil, false
@@ -177,7 +128,7 @@ func (c *resultCache) Get(key, path string) (*cacheEntry, bool) {
 	// An element's Value is set once, before it is linked, and its
 	// fileFP never changes.
 	e := el.Value.(*cacheEntry)
-	cur, err := fileFingerprint(path)
+	cur, err := aw.CollectionFingerprint(aw.FromFile(path))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.byKey[key] != el {
@@ -198,15 +149,15 @@ func (c *resultCache) Get(key, path string) (*cacheEntry, bool) {
 }
 
 // Put stores a successful run's results — but only if the collection
-// file still fingerprints as preFP, the fingerprint taken before the
-// run started. A file that changed mid-run would leave the tables
+// file still fingerprints as preFP, the fingerprint the run read before
+// it started. A file that changed mid-run would leave the tables
 // describing an input that no longer exists; such results are simply
 // not cached. Error-path results never reach Put at all.
 func (c *resultCache) Put(key, path, preFP string, res aw.Results, traceID, engine string) bool {
 	if c == nil || preFP == "" || len(res) == 0 {
 		return false
 	}
-	cur, err := fileFingerprint(path)
+	cur, err := aw.CollectionFingerprint(aw.FromFile(path))
 	if err != nil || cur != preFP {
 		return false
 	}

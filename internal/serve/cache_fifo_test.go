@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"awra/aw"
 	"awra/internal/obs"
 )
 
@@ -24,7 +25,7 @@ func TestCacheGetProbesOutsideLock(t *testing.T) {
 	pb := writeTempFile(t, "b.rec", []byte("rows of b"))
 	ka, kb := cacheKey(pa, "wf", false), cacheKey(pb, "wf", false)
 	for _, kp := range [][2]string{{ka, pa}, {kb, pb}} {
-		fp, err := fileFingerprint(kp[1])
+		fp, err := aw.CollectionFingerprint(aw.FromFile(kp[1]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,11 +45,11 @@ func TestCacheGetProbesOutsideLock(t *testing.T) {
 		_, ok := c.Get(ka, pa)
 		gotA <- ok
 	}()
-	// Wait until A's probe is in fileFingerprint (blocked opening the
-	// FIFO).
+	// Wait until A's probe is in aw.CollectionFingerprint (blocked
+	// opening the FIFO).
 	waitFor(t, func() bool {
 		buf := make([]byte, 1<<20)
-		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("serve.fileFingerprint"))
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("aw.CollectionFingerprint"))
 	})
 
 	gotB := make(chan bool, 1)

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,7 +35,7 @@ func TestCacheHitMissAndFingerprintInvalidation(t *testing.T) {
 	rec := obs.New()
 	c := newResultCache(CacheConfig{}, rec)
 	p := writeTempFile(t, "facts.rec", []byte("row1\nrow2\n"))
-	fp, err := fileFingerprint(p)
+	fp, err := aw.CollectionFingerprint(aw.FromFile(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestCacheDetectsEqualLengthRewrite(t *testing.T) {
 	rec := obs.New()
 	c := newResultCache(CacheConfig{}, rec)
 	p := writeTempFile(t, "facts.rec", []byte("AAAAAAAA"))
-	fp, err := fileFingerprint(p)
+	fp, err := aw.CollectionFingerprint(aw.FromFile(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestCachePutRefusesMidRunChange(t *testing.T) {
 	rec := obs.New()
 	c := newResultCache(CacheConfig{}, rec)
 	p := writeTempFile(t, "facts.rec", []byte("before\n"))
-	fp, err := fileFingerprint(p)
+	fp, err := aw.CollectionFingerprint(aw.FromFile(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func TestCacheLRUEvictionByEntriesAndBytes(t *testing.T) {
 	rec := obs.New()
 	c := newResultCache(CacheConfig{MaxEntries: 2, MaxBytes: 1 << 20}, rec)
 	p := writeTempFile(t, "facts.rec", []byte("data\n"))
-	fp, err := fileFingerprint(p)
+	fp, err := aw.CollectionFingerprint(aw.FromFile(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestCacheSnapshotAndDisabled(t *testing.T) {
 	rec := obs.New()
 	c := newResultCache(CacheConfig{}, rec)
 	p := writeTempFile(t, "facts.rec", []byte("data\n"))
-	fp, _ := fileFingerprint(p)
+	fp, _ := aw.CollectionFingerprint(aw.FromFile(p))
 	c.Put(cacheKey(p, "wf1", false), p, fp, fakeResults(3), "trace-9", "auto")
 	c.Get(cacheKey(p, "wf1", false), p)
 	s := c.Snapshot()
@@ -193,24 +195,41 @@ func TestCacheSnapshotAndDisabled(t *testing.T) {
 	}
 }
 
-// TestCachePreRunFingerprint: the pre-run fingerprint is the file's
-// when the cache is on, and a disabled cache never reads the file —
-// the stat, open and hash of fileFingerprint allocate, so a read would
-// show as allocations — and returns "", which Put refuses.
-func TestCachePreRunFingerprint(t *testing.T) {
-	p := writeTempFile(t, "facts.rec", make([]byte, 3*probeBytes))
-	want, err := fileFingerprint(p)
+// TestServeOneCollectionIdentity: the cold run's history record, the
+// cache entry it filled and the cache hit's history record all name the
+// collection by one aw.CollectionFingerprint string.
+func TestServeOneCollectionIdentity(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	for _, id := range []string{"cold", "hit"} {
+		status, qr, _ := postQuery(t, ts.URL, QueryRequest{Workflow: testWorkflow, Collection: "net", RequestID: id})
+		if status != http.StatusOK || (qr.ServedFrom == "cache") != (id == "hit") {
+			t.Fatalf("%s: status %d, served_from %q, error %q", id, status, qr.ServedFrom, qr.Error)
+		}
+	}
+	fps := map[string]string{}
+	for _, r := range s.History().Recent(10) {
+		fps["history "+r.RequestID] = r.CollectionFP
+	}
+	resp, err := http.Get(ts.URL + "/debug/aw/cache")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := newResultCache(CacheConfig{}, obs.New()).fingerprint(p); got != want {
-		t.Errorf("enabled cache fingerprint = %q, want %q", got, want)
+	defer resp.Body.Close()
+	var snap CacheSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
 	}
-	var off *resultCache
-	if got := off.fingerprint(p); got != "" {
-		t.Errorf("disabled cache fingerprint = %q, want empty", got)
+	if len(snap.List) != 1 {
+		t.Fatalf("cache holds %d entries, want 1", len(snap.List))
 	}
-	if n := testing.AllocsPerRun(10, func() { off.fingerprint(p) }); n != 0 {
-		t.Errorf("disabled cache fingerprint allocates %v times a call: it read the file", n)
+	fps["cache entry"] = snap.List[0].FileFP
+	want, err := aw.CollectionFingerprint(aw.FromFile(s.cfg.Collections["net"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"history cold", "history hit", "cache entry"} {
+		if fps[name] != want {
+			t.Errorf("%s collection fingerprint = %q, want %q", name, fps[name], want)
+		}
 	}
 }

@@ -88,9 +88,11 @@ type Config struct {
 	// SkipCorruptRows enables degraded reads for all queries.
 	SkipCorruptRows bool
 	// Cache tunes the result cache: finalized measure tables keyed by
-	// (collection fingerprint × workflow fingerprint), LRU + byte
-	// budget, invalidated when the collection file changes. On by
-	// default; hits bypass admission entirely.
+	// (collection file × workflow fingerprint), LRU + byte budget,
+	// invalidated when the file's aw.CollectionFingerprint — the same
+	// identity history records and measured statistics carry — no
+	// longer matches the run's. On by default; hits bypass admission
+	// entirely.
 	Cache CacheConfig
 	// DrainTimeout bounds how long Drain waits for in-flight queries
 	// before canceling them; 0 defaults to 10s.
@@ -283,16 +285,16 @@ func (s *Server) mergeRun(snap obs.Snapshot) (liveCells int64) {
 	return snap.Gauges[obs.GLiveCellsHWM]
 }
 
-// resolvedEngine pulls the engine that actually ran from the run's
-// query span (EngineAuto decisions resolved), falling back to the
-// requested engine.
-func resolvedEngine(snap obs.Snapshot, fallback aw.Engine) string {
+// queryAttrs returns the attributes of the run's query span: the
+// engine that actually ran (EngineAuto decisions resolved) and the
+// collection_fp the run read before it opened its input.
+func queryAttrs(snap obs.Snapshot) map[string]string {
 	for _, sp := range snap.Spans {
-		if sp.Name == obs.SpanQuery && sp.Attrs["engine"] != "" {
-			return sp.Attrs["engine"]
+		if sp.Name == obs.SpanQuery {
+			return sp.Attrs
 		}
 	}
-	return fallback.String()
+	return nil
 }
 
 // handleQuery is the service's one write path: admission, degradation,
@@ -363,7 +365,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// cache hits keep flowing while the gate sheds real work.
 	ck := cacheKey(factPath, parsed.Compiled.Fingerprint(), s.cfg.SkipCorruptRows)
 	if e, ok := s.cache.Get(ck, factPath); ok {
-		s.serveFromCache(w, req, reqID, traceID, factPath, parsed, e, t0)
+		s.serveFromCache(w, req, reqID, traceID, parsed, e, t0)
 		return
 	}
 
@@ -422,19 +424,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	defer context.AfterFunc(s.life, cancel)()
 
-	// Fingerprint the collection file before running: Put revalidates
-	// against it, so a file that changes mid-run never populates the
-	// cache with tables describing a state that no longer exists.
-	// A fingerprint error just disables population for this request,
-	// and a disabled cache reads nothing.
-	preFP := s.cache.fingerprint(factPath)
-
 	// Each run gets a fresh recorder; mergeRun folds its snapshot into
 	// the server's.
 	opts.Recorder = obs.New()
 	res, runErr := aw.RunCompiled(qctx, parsed.Compiled, aw.FromFile(factPath), opts)
 	snap := opts.Recorder.Snapshot()
-	engineName := resolvedEngine(snap, engine)
+	attrs := queryAttrs(snap)
+	engineName := attrs["engine"]
+	if engineName == "" {
+		engineName = engine.String()
+	}
 
 	latency := time.Since(t0)
 	s.ctl.Observe(latency, s.mergeRun(snap))
@@ -449,8 +448,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	if runErr == nil {
 		// Only final, successful results populate the cache, and only if
-		// the collection file still fingerprints as it did pre-run.
-		s.cache.Put(ck, factPath, preFP, res, traceID, engineName)
+		// the collection file still fingerprints as the run read it
+		// before it started: tables from a file that changed mid-run
+		// describe a state that no longer exists. An empty identity
+		// (the file could not be read) populates nothing.
+		s.cache.Put(ck, factPath, attrs["collection_fp"], res, traceID, engineName)
 	}
 
 	resp := QueryResponse{
@@ -497,9 +499,9 @@ func topkMeasures(res aw.Results, req QueryRequest) map[string][]ValueAt {
 // a history record (outcome cache_hit, which measured statistics
 // ignore), a flight trace linking to the computing run, and its own
 // latency histogram bucket.
-func (s *Server) serveFromCache(w http.ResponseWriter, req QueryRequest, reqID, traceID, factPath string, parsed *wfdsl.Parsed, e *cacheEntry, t0 time.Time) {
+func (s *Server) serveFromCache(w http.ResponseWriter, req QueryRequest, reqID, traceID string, parsed *wfdsl.Parsed, e *cacheEntry, t0 time.Time) {
 	latency := time.Since(t0)
-	s.recordServed(reqID, traceID, factPath, parsed, e.traceID, latency)
+	s.recordServed(reqID, traceID, parsed, e, latency)
 	resp := QueryResponse{
 		RequestID:     reqID,
 		TraceID:       traceID,
@@ -516,20 +518,22 @@ func (s *Server) serveFromCache(w http.ResponseWriter, req QueryRequest, reqID, 
 
 // recordServed finishes a cache hit: one record, committed to the
 // flight recorder and the history alike, with served_from set so the
-// trace gains no run record. The record carries no per-node profile:
-// the measured-statistics store folds only OutcomeOK records, so
-// zero-work answers can never skew per-node cardinalities.
-func (s *Server) recordServed(reqID, traceID, factPath string, parsed *wfdsl.Parsed, sourceTrace string, latency time.Duration) {
+// trace gains no run record. Its collection identity is the entry's,
+// which Get has just found equal to the file's current state. The
+// record carries no per-node profile: the measured-statistics store
+// folds only OutcomeOK records, so zero-work answers can never skew
+// per-node cardinalities.
+func (s *Server) recordServed(reqID, traceID string, parsed *wfdsl.Parsed, e *cacheEntry, latency time.Duration) {
 	_ = s.hist.Append(&aw.HistoryRecord{
 		RequestID:     reqID,
 		TraceID:       traceID,
 		Label:         strings.Join(parsed.Compiled.Outputs(), ","),
 		QueryFP:       parsed.Compiled.Fingerprint(),
-		CollectionFP:  aw.CollectionFingerprint(aw.FromFile(factPath)),
+		CollectionFP:  e.fileFP,
 		Engine:        "cache",
 		Outcome:       aw.OutcomeCacheHit,
 		ServedFrom:    "cache",
-		SourceTraceID: sourceTrace,
+		SourceTraceID: e.traceID,
 		DurationUs:    latency.Microseconds(),
 	})
 }
