@@ -108,7 +108,12 @@ func ExplainFor(c *Compiled, in Input, opts ...QueryOptions) (*Profile, error) {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	fp, _ := CollectionFingerprint(in)
+	// Only measured statistics read the identity, and only a History
+	// holds them.
+	var fp string
+	if o.History != nil {
+		fp, _ = CollectionFingerprint(in)
+	}
 	st := planStats(c, fp, &o)
 	p := &Profile{}
 	if o.Engine == EngineAuto {
@@ -267,10 +272,12 @@ func ExplainAnalyzeCompiled(ctx context.Context, c *Compiled, in Input, opts ...
 	}
 	// Freeze the measured-statistics view before running: the run
 	// itself appends to the history, and the profile must reflect the
-	// estimates the planner actually saw, not post-run knowledge.
+	// estimates the planner actually saw, not post-run knowledge. The
+	// run takes the same read of the collection's identity, so both
+	// describe one state of the file.
 	fp, _ := CollectionFingerprint(in)
 	st := freezeStats(c, planStats(c, fp, &o))
-	res, engine, err := runResolved(ctx, c, in, o)
+	res, engine, err := runResolved(ctx, c, in, fp, o)
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,10 @@ func Run(ctx context.Context, w *Workflow, in Input, opts ...QueryOptions) (Resu
 		// the rejection with what little identity the inputs give us.
 		if len(opts) > 0 {
 			o := opts[0]
-			fp, _ := CollectionFingerprint(in)
+			var fp string
+			if o.History != nil {
+				fp, _ = CollectionFingerprint(in)
+			}
 			_ = o.History.Append(&HistoryRecord{
 				RequestID:    o.RequestID,
 				TraceID:      o.TraceID,
@@ -99,7 +102,8 @@ func RunCompiled(ctx context.Context, c *Compiled, in Input, opts ...QueryOption
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	res, _, err := runResolved(ctx, c, in, o)
+	fp, _ := CollectionFingerprint(in)
+	res, _, err := runResolved(ctx, c, in, fp, o)
 	if err != nil {
 		return nil, err
 	}
@@ -108,13 +112,21 @@ func RunCompiled(ctx context.Context, c *Compiled, in Input, opts ...QueryOption
 
 // runResolved is RunCompiled with the engine's whole result and the
 // EngineAuto decision surfaced, so ExplainAnalyzeCompiled can label the
-// profile with the engine that actually ran and read its node stats. It also
+// profile with the engine that actually ran and read its node stats. fp
+// is the collection's identity (CollectionFingerprint), which the caller
+// reads once before any engine opens the input: the planner's measured
+// statistics, this run's history record and the serve cache (through
+// the query span's collection_fp) all take this value, so a file
+// swapped mid-run files nothing under the new file's key. An unreadable
+// file leaves it empty: the engine's own open reports the failure, and
+// an empty identity neither files measured statistics nor populates the
+// cache. It also
 // owns the query's process-level registration: every run's query span
 // appears in obs.DefaultInflight for its duration (on an internal
 // recorder when the caller supplied none, so live snapshots still carry
 // phase and progress), and the goroutine runs under runtime/pprof
 // labels (query_id) that engine workers extend with a phase label.
-func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (res *scan.Result, engine Engine, err error) {
+func runResolved(ctx context.Context, c *Compiled, in Input, fp string, o QueryOptions) (res *scan.Result, engine Engine, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -142,14 +154,6 @@ func runResolved(ctx context.Context, c *Compiled, in Input, o QueryOptions) (re
 	// registration: snapshots read its attrs, subtree and recorder.
 	qSpan := o.Recorder.Start(obs.SpanQuery)
 	qSpan.SetAttr("trace_id", o.TraceID)
-	// The collection's identity is read once, before any engine opens
-	// the input. The planner's measured statistics, this run's history
-	// record and the serve cache (through the span's collection_fp) all
-	// take this value, so a file swapped mid-run files nothing under the
-	// new file's key. An unreadable file leaves it empty: the engine's
-	// own open reports the failure, and an empty identity neither files
-	// measured statistics nor populates the cache.
-	fp, _ := CollectionFingerprint(in)
 	qSpan.SetAttr("collection_fp", fp)
 	inq := obs.DefaultInflight.Begin(strings.Join(c.Outputs(), ","), qSpan)
 	defer inq.Finish()

@@ -20,11 +20,15 @@ package cellmap
 import (
 	"encoding/binary"
 	"math/bits"
+	"sync"
 	"unsafe"
 )
 
 // Table maps fixed-width byte keys to dense indices 0..Len()-1 in
-// insertion order.
+// insertion order. Its full probe segments are recycled: Freeze, or
+// Release for a table dropped unfrozen, returns them for the next
+// table, which clears every slot before it uses one. The key arena's
+// pages are never recycled, since Freeze hands them to the caller.
 type Table struct {
 	keyLen int
 	// dir is the probe index's directory: entry i is the segment that
@@ -377,7 +381,12 @@ func (t *Table) addPage() {
 func (t *Table) double() {
 	t.grows++
 	old := t.dir[0]
-	slots := make([]uint64, 2*len(old.slots))
+	var slots []uint64
+	if 2*len(old.slots) == segSlots {
+		slots = fullSegment()
+	} else {
+		slots = make([]uint64, 2*len(old.slots))
+	}
 	for _, s := range old.slots {
 		if s != 0 {
 			place(slots, s, old.shift-1)
@@ -411,7 +420,7 @@ func (t *Table) split(h uint64) {
 	t.grows++
 	t.slots += segSlots
 	bit, shift := 63-depth, old.shift-1
-	lo, hi := make([]uint64, segSlots), old.slots
+	lo, hi := fullSegment(), old.slots
 	// Lift out first the front of a cluster that wraps past the last
 	// slot, whose homes lie behind them: every other entry then sits at
 	// or past its home, and an entry that stays is placed at or before
@@ -461,6 +470,21 @@ func (t *Table) split(h uint64) {
 	}
 }
 
+// segPool holds full segments that frozen and released tables gave
+// back. A served query builds the same tables as the query before it,
+// within the same GC cycle, so its splits find the segments waiting.
+var segPool sync.Pool
+
+// fullSegment returns an empty full segment: a recycled one cleared, or
+// a new one.
+func fullSegment() []uint64 {
+	if p, _ := segPool.Get().(*[segSlots]uint64); p != nil {
+		clear(p[:])
+		return p[:]
+	}
+	return make([]uint64, segSlots)
+}
+
 // place puts slot value s at the first empty slot from its home.
 func place(slots []uint64, s uint64, shift uint8) {
 	mask := uint64(len(slots) - 1)
@@ -494,6 +518,9 @@ func (t *Table) Reset() {
 // frozen page is never written again: Insert, InsertBatch, Append and
 // Reset panic after Freeze, and so do Lookup, KeyAt and Page. Len,
 // KeyLen and Stats still answer.
+//
+// The probe index's full segments go back to the pool for the next
+// table.
 func (t *Table) Freeze() []string {
 	t.checkLive()
 	keys := make([]string, t.Pages())
@@ -501,6 +528,20 @@ func (t *Table) Freeze() []string {
 		_, page := t.Page(p)
 		keys[p] = unsafe.String(unsafe.SliceData(page), len(page))
 	}
-	t.dir, t.pages, t.hashes, t.homes = nil, nil, nil, nil
+	t.Release()
 	return keys
+}
+
+// Release ends the life of a table its owner drops without freezing:
+// the probe index's full segments go back to the pool, and the table
+// answers as a frozen one (Len, KeyLen and Stats only). Releasing a
+// frozen or released table does nothing, so no segment is handed out
+// twice.
+func (t *Table) Release() {
+	for i := 0; i < len(t.dir); i += 1 << (t.depth - uint(t.dir[i].depth)) {
+		if slots := t.dir[i].slots; len(slots) == segSlots {
+			segPool.Put((*[segSlots]uint64)(slots))
+		}
+	}
+	t.dir, t.pages, t.hashes, t.homes = nil, nil, nil, nil
 }

@@ -67,7 +67,8 @@ func TestTableZeroWidthKey(t *testing.T) {
 // between two Resets) is either probed (Insert/InsertBatch/Lookup) or
 // appended (Append of never-seen keys), never both — the engines'
 // contract — and the stream switches between the two kinds across
-// Resets. Keys come from a small domain so repeats are common. A twin
+// Resets. Some Resets instead end both tables, by Freeze or Release,
+// and go on in new ones, which draw the segments the old ones gave back. Keys come from a small domain so repeats are common. A twin
 // table takes the same stream one key at a time — every batch as
 // Inserts in order — and must stay indistinguishable: ids, Len, keys
 // and Stats after every batch.
@@ -141,8 +142,19 @@ func differential(t testing.TB, keyLen int, ops []byte) {
 		switch {
 		case op < 8: // Reset, and let the next population be of either kind
 			verify()
-			tab.Reset()
-			twin.Reset()
+			switch {
+			case op < 4:
+				tab.Reset()
+				twin.Reset()
+			case op&1 == 0:
+				tab.Freeze()
+				twin.Freeze()
+				tab, twin = New(keyLen), New(keyLen)
+			default:
+				tab.Release()
+				twin.Release()
+				tab, twin = New(keyLen), New(keyLen)
+			}
 			clear(ref)
 			order, appended = order[:0], false
 		case op < 64 && len(order) == 0 || appended:
@@ -265,6 +277,10 @@ var batchEdges = map[string][]byte{
 	// of half load; the second key of the next batch splits it, and the
 	// same keys again are all hits in the two halves.
 	"straddles a split": twice(append(runs(7), 225, 254, 7, 225, 8, 8)),
+	// A table split into full segments is frozen, or released, and new
+	// tables take the same keys: every one is new to them.
+	"rebuilt after Freeze":  append(append(runs(12), 4, 0, 0), runs(12)...),
+	"rebuilt after Release": append(append(runs(12), 5, 0, 0), runs(12)...),
 }
 
 // runs is n InsertBatch ops of 256 new keys each.
@@ -640,6 +656,71 @@ func TestFreeze(t *testing.T) {
 				}()
 				write()
 			}()
+		}
+	}
+}
+
+// TestRecycledSegmentsClean: a table whose splits draw the segments
+// another table gave back, at Freeze or by Release, finds none of that
+// table's keys, and reads the same Stats as a table built beside it
+// before anything was given back. Releasing a table twice gives its
+// segments back once: two tables built after it share none.
+func TestRecycledSegmentsClean(t *testing.T) {
+	const n = 20_000 // four splits' worth of keys at half load
+	build := func(from uint64) *Table {
+		tab, key := New(16), make([]byte, 16)
+		for i := uint64(0); i < n; i++ {
+			tab.Insert(pagedKey(key, from+i))
+		}
+		return tab
+	}
+	segments := func(tab *Table) map[*uint64]bool {
+		m := map[*uint64]bool{}
+		for _, seg := range tab.dir {
+			if len(seg.slots) == segSlots {
+				m[&seg.slots[0]] = true
+			}
+		}
+		return m
+	}
+	want := build(n).Stats()
+	for _, end := range []string{"Freeze", "Release"} {
+		old := build(0)
+		given := segments(old)
+		if end == "Freeze" {
+			old.Freeze()
+		} else {
+			old.Release()
+		}
+		tab := build(n)
+		reused := 0
+		for p := range segments(tab) {
+			if given[p] {
+				reused++
+			}
+		}
+		if reused == 0 {
+			t.Fatalf("after %s: none of the %d segments given back was reused", end, len(given))
+		}
+		key := make([]byte, 16)
+		for i := uint64(0); i < n; i++ {
+			if e := tab.Lookup(pagedKey(key, i)); e != -1 {
+				t.Fatalf("after %s: key %d of the old table found at entry %d", end, i, e)
+			}
+			if e := tab.Lookup(pagedKey(key, n+i)); e != int32(i) {
+				t.Fatalf("after %s: key %d found at entry %d, want %d", end, n+i, e, i)
+			}
+		}
+		if got := tab.Stats(); got != want {
+			t.Errorf("after %s, with %d recycled segments: Stats %+v, want %+v", end, reused, got, want)
+		}
+		tab.Release()
+		tab.Release() // gives nothing back twice
+		a, b := build(0), build(n)
+		for p := range segments(b) {
+			if segments(a)[p] {
+				t.Fatalf("after a second Release: two live tables share a segment")
+			}
 		}
 	}
 }

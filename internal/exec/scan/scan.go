@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"awra/internal/qguard"
 	"awra/internal/storage"
@@ -27,7 +28,7 @@ import (
 // Record is a zero-copy view of one row's payload bytes: NumDims
 // little-endian int64 codes followed by NumMeasures little-endian
 // float64 values. Views are valid only until the next NextBatch call
-// on their producer.
+// on their producer, and never after its Close.
 type Record []byte
 
 // Dim returns the record's base code for dimension i.
@@ -102,7 +103,9 @@ type Options struct {
 // bounded batches of verified zero-copy row views. One fill routine
 // reads and verifies every chunk, whether it lands in the reader's own
 // one-batch buffer (NextBatch) or in a caller's (the sort's chunk
-// arena).
+// arena). Close hands the reader's batch buffer on to the next reader,
+// so a view is invalid once its reader is closed: copy out what must
+// outlive the reader.
 type Reader struct {
 	f         storage.File
 	hdr       storage.Header
@@ -110,9 +113,11 @@ type Reader struct {
 	rowBytes  int // payload size
 	emit      int // emitted view size (payload, or full disk row)
 	chunkRows int // rows one fill reads at most
-	// buf holds NextBatch's current batch; it and views are made on the
-	// first NextBatch call, so a reader that only fills a caller's arena
-	// allocates neither.
+	// buf holds NextBatch's current batch and views its row views, both
+	// cut from batch, which the first NextBatch call takes (batchPool) and
+	// Close puts back: a reader that only fills a caller's arena takes
+	// none.
+	batch   *readBatch
 	buf     []byte
 	views   []Record
 	seen    int64
@@ -209,10 +214,8 @@ func (r *Reader) Header() storage.Header { return r.hdr }
 // delivered. Rows failing their checksum return storage.ErrCorrupt, or
 // are skipped and counted when the guard enables degraded reads.
 func (r *Reader) NextBatch() ([]Record, error) {
-	if r.buf == nil {
-		rows := min(r.chunkRows, batchRows)
-		r.buf = make([]byte, rows*r.diskRow)
-		r.views = make([]Record, 0, rows)
+	if r.batch == nil {
+		r.takeBatch()
 	}
 	n, err := r.fill(r.buf)
 	if n == 0 || err != nil {
@@ -302,5 +305,37 @@ func (r *Reader) verify(chunk []byte, rows int) (int, error) {
 // more reports whether the header promises rows not yet filled.
 func (r *Reader) more() bool { return r.seen < r.hdr.Count }
 
-// Close closes the underlying file.
-func (r *Reader) Close() error { return r.f.Close() }
+// readBatch is a reader's batch buffer and view slice at their full
+// capacity, as batchPool holds them.
+type readBatch struct {
+	buf   []byte
+	views []Record
+}
+
+// batchPool recycles readers' batch buffers. A served query scans the
+// same collection as the query before it, so the buffer one reader
+// closes is the size the next one needs, and a buffer too small for
+// the taker is left to the collector.
+var batchPool sync.Pool
+
+// takeBatch gives the reader one batch's buffer and views, recycled
+// when the pool holds a large enough pair.
+func (r *Reader) takeBatch() {
+	rows := min(r.chunkRows, batchRows)
+	b, _ := batchPool.Get().(*readBatch)
+	if b == nil || cap(b.buf) < rows*r.diskRow || cap(b.views) < rows {
+		b = &readBatch{buf: make([]byte, rows*r.diskRow), views: make([]Record, 0, rows)}
+	}
+	r.batch, r.buf, r.views = b, b.buf[:rows*r.diskRow], b.views[:0:rows]
+}
+
+// Close closes the underlying file and puts the batch buffer back in
+// the pool. The reader lets go of the buffer before it is put back, so
+// a second Close puts nothing.
+func (r *Reader) Close() error {
+	if b := r.batch; b != nil {
+		r.batch, r.buf, r.views = nil, nil, nil
+		batchPool.Put(b)
+	}
+	return r.f.Close()
+}

@@ -166,7 +166,6 @@ func TestReaderBufferSizedFromHeader(t *testing.T) {
 			rows += len(batch)
 			batches++
 		}
-		r.Close()
 		if len(r.buf) != tc.bufRows*disk || len(r.buf) > batchRows*disk {
 			t.Errorf("%s: buffer of %d bytes, want %d, at most %d", name, len(r.buf), tc.bufRows*disk, batchRows*disk)
 		}
@@ -176,6 +175,7 @@ func TestReaderBufferSizedFromHeader(t *testing.T) {
 		if viewCap != tc.bufRows || cap(r.views) != viewCap {
 			t.Errorf("%s: view slice of %d, then %d, want %d throughout", name, viewCap, cap(r.views), tc.bufRows)
 		}
+		r.Close() // the buffer goes back to the pool: read it before
 		st := r.ReadStats()
 		var fill int64
 		if tc.batches > 0 {
@@ -191,6 +191,67 @@ func TestReaderBufferSizedFromHeader(t *testing.T) {
 }
 
 // writeV1File hand-writes a version-1 (checksum-less) record file.
+// TestReadersNeverShareABatch: readers open at the same time hold
+// their own batch buffers, so one reader's views keep their bytes while
+// another fills, whether the buffers are new or recycled. Closing a
+// reader twice gives its buffer back once: two readers opened after it
+// still hold a buffer each.
+func TestReadersNeverShareABatch(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for i := 0; i < 2; i++ {
+		p := filepath.Join(dir, fmt.Sprintf("f%d.rec", i))
+		writeFile(t, p, randRecords(2*batchRows+5, 3, 2, int64(i)), 3, 2)
+		paths = append(paths, p)
+	}
+	open := func(path string) *Reader {
+		r, err := Open(path, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for round := 0; round < 3; round++ {
+		a := open(paths[0])
+		held, err := a.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]byte, len(held))
+		for i, v := range held {
+			want[i] = append([]byte(nil), v...)
+		}
+		b := open(paths[1])
+		if got := readAllBatched(t, b, 3, 2); len(got) != 2*batchRows+5 {
+			t.Fatalf("round %d: the second reader read %d rows", round, len(got))
+		}
+		for i, v := range held {
+			if string(v) != string(want[i]) {
+				t.Fatalf("round %d: view %d changed while another reader filled", round, i)
+			}
+		}
+		a.Close()
+		b.Close()
+	}
+	a := open(paths[0])
+	if _, err := a.NextBatch(); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	a.Close() // gives nothing back twice
+	c, d := open(paths[0]), open(paths[1])
+	defer c.Close()
+	defer d.Close()
+	for _, r := range []*Reader{c, d} {
+		if _, err := r.NextBatch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if &c.buf[0] == &d.buf[0] || &c.views[:1][0] == &d.views[:1][0] {
+		t.Fatal("two open readers share a batch buffer after a double Close")
+	}
+}
+
 func writeV1File(t *testing.T, path string, recs []model.Record, dims, ms int) {
 	t.Helper()
 	buf := make([]byte, 32, 32+len(recs)*8*(dims+ms))

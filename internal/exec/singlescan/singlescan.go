@@ -191,6 +191,7 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 	}
 	defer func() {
 		for _, t := range basics {
+			t.tab.Release() // a table that spilled, or a failed run's
 			if t.writer != nil {
 				t.writer.Close()
 			}

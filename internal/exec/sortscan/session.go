@@ -139,6 +139,7 @@ func (s *Session) Close() (*scan.Result, error) {
 	s.e.stats.ScanTime = time.Since(s.t0)
 	s.e.finish()
 	res := s.e.result()
+	s.e.release()
 	res.Stats.Publish(s.rec)
 	return res, nil
 }

@@ -150,6 +150,9 @@ func RunSharded(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, er
 	combSpan := rec.Start(obs.SpanCombine)
 	defer combSpan.End()
 	out, err := combineShards(c, sp.Merge, engines, guard)
+	for _, e := range engines {
+		e.release()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -283,6 +286,7 @@ func combineShards(c *core.Compiled, merge []int, engines []*engine, guard *qgua
 		}
 		out.Stats.Nodes = append(out.Stats.Nodes, ns)
 		if m.Hidden {
+			tab.Release()
 			continue
 		}
 		rows := make(map[model.Key]float64, cells)

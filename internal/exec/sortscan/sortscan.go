@@ -380,6 +380,7 @@ func Run(c *core.Compiled, in scan.Input, opts Options) (*scan.Result, error) {
 		return nil, err
 	}
 	res := e.result()
+	e.release()
 	res.Stats.Add(sorted)
 	return res, nil
 }
@@ -472,6 +473,14 @@ func (e *engine) result() *scan.Result {
 		res.Tables[name] = e.nodes[i].out
 	}
 	return res
+}
+
+// release returns the nodes' cell tables to cellmap's pool, once the
+// run has built its result and reads them no more.
+func (e *engine) release() {
+	for _, n := range e.nodes {
+		n.tab.Release()
+	}
 }
 
 // rowCodes makes row r of the loaded code columns the current record's
