@@ -120,12 +120,12 @@ func RunCompiled(ctx context.Context, c *Compiled, in Input, opts ...QueryOption
 // swapped mid-run files nothing under the new file's key. An unreadable
 // file leaves it empty: the engine's own open reports the failure, and
 // an empty identity neither files measured statistics nor populates the
-// cache. It also
-// owns the query's process-level registration: every run's query span
-// appears in obs.DefaultInflight for its duration (on an internal
-// recorder when the caller supplied none, so live snapshots still carry
-// phase and progress), and the goroutine runs under runtime/pprof
-// labels (query_id) that engine workers extend with a phase label.
+// cache. runResolved also owns the query's process-level registration:
+// every run's query span appears in obs.DefaultInflight for its duration
+// (on an internal recorder when the caller supplied none, so live
+// snapshots still carry phase and progress), and the goroutine runs
+// under runtime/pprof labels (query_id) that engine workers extend with
+// a phase label.
 func runResolved(ctx context.Context, c *Compiled, in Input, fp string, o QueryOptions) (res *scan.Result, engine Engine, err error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -381,12 +381,7 @@ func (t *Table) addPage() {
 func (t *Table) double() {
 	t.grows++
 	old := t.dir[0]
-	var slots []uint64
-	if 2*len(old.slots) == segSlots {
-		slots = fullSegment()
-	} else {
-		slots = make([]uint64, 2*len(old.slots))
-	}
+	slots := newSegment(2 * len(old.slots))
 	for _, s := range old.slots {
 		if s != 0 {
 			place(slots, s, old.shift-1)
@@ -420,7 +415,7 @@ func (t *Table) split(h uint64) {
 	t.grows++
 	t.slots += segSlots
 	bit, shift := 63-depth, old.shift-1
-	lo, hi := fullSegment(), old.slots
+	lo, hi := newSegment(segSlots), old.slots
 	// Lift out first the front of a cluster that wraps past the last
 	// slot, whose homes lie behind them: every other entry then sits at
 	// or past its home, and an entry that stays is placed at or before
@@ -475,14 +470,16 @@ func (t *Table) split(h uint64) {
 // within the same GC cycle, so its splits find the segments waiting.
 var segPool sync.Pool
 
-// fullSegment returns an empty full segment: a recycled one cleared, or
-// a new one.
-func fullSegment() []uint64 {
-	if p, _ := segPool.Get().(*[segSlots]uint64); p != nil {
-		clear(p[:])
-		return p[:]
+// newSegment returns n empty slots: a recycled full segment, cleared,
+// when n is a full segment's size and the pool holds one.
+func newSegment(n int) []uint64 {
+	if n == segSlots {
+		if p, _ := segPool.Get().(*[segSlots]uint64); p != nil {
+			clear(p[:])
+			return p[:]
+		}
 	}
-	return make([]uint64, segSlots)
+	return make([]uint64, n)
 }
 
 // place puts slot value s at the first empty slot from its home.

@@ -68,7 +68,8 @@ func TestTableZeroWidthKey(t *testing.T) {
 // appended (Append of never-seen keys), never both — the engines'
 // contract — and the stream switches between the two kinds across
 // Resets. Some Resets instead end both tables, by Freeze or Release,
-// and go on in new ones, which draw the segments the old ones gave back. Keys come from a small domain so repeats are common. A twin
+// and go on in new ones, which draw the segments the old ones gave
+// back. Keys come from a small domain so repeats are common. A twin
 // table takes the same stream one key at a time — every batch as
 // Inserts in order — and must stay indistinguishable: ids, Len, keys
 // and Stats after every batch.
@@ -666,7 +667,7 @@ func TestFreeze(t *testing.T) {
 // before anything was given back. Releasing a table twice gives its
 // segments back once: two tables built after it share none.
 func TestRecycledSegmentsClean(t *testing.T) {
-	const n = 20_000 // four splits' worth of keys at half load
+	const n = 20_000 // about ten full segments at half load
 	build := func(from uint64) *Table {
 		tab, key := New(16), make([]byte, 16)
 		for i := uint64(0); i < n; i++ {

@@ -190,7 +190,6 @@ func TestReaderBufferSizedFromHeader(t *testing.T) {
 	}
 }
 
-// writeV1File hand-writes a version-1 (checksum-less) record file.
 // TestReadersNeverShareABatch: readers open at the same time hold
 // their own batch buffers, so one reader's views keep their bytes while
 // another fills, whether the buffers are new or recycled. Closing a
@@ -252,6 +251,7 @@ func TestReadersNeverShareABatch(t *testing.T) {
 	}
 }
 
+// writeV1File hand-writes a version-1 (checksum-less) record file.
 func writeV1File(t *testing.T, path string, recs []model.Record, dims, ms int) {
 	t.Helper()
 	buf := make([]byte, 32, 32+len(recs)*8*(dims+ms))
